@@ -38,33 +38,35 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Shared helper: maintain the top-k of a score stream with a small binary
-/// heap of the *worst* retained hit.
+/// heap whose root is the *worst* retained hit under the engine's
+/// canonical [`crate::order`].
 ///
-/// Admission uses a strict `score > worst` comparison, so when scores tie
-/// at the boundary the earliest-pushed candidates are kept — combined
-/// with an ascending id scan this keeps the lowest ids, matching what a
-/// stable full sort would retain.
+/// Admission and eviction both follow [`crate::order::canonical`]: a
+/// candidate enters only when it orders strictly before the worst
+/// retained hit, and the hit it displaces is the canonically worst one
+/// (lowest score, highest id among ties). The retained set is therefore
+/// exactly what a full canonical sort would keep, whatever order the
+/// rows are visited in.
 #[derive(Debug)]
 pub(crate) struct TopK {
     k: usize,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<HeapHit>>,
+    heap: std::collections::BinaryHeap<WorstFirst>,
 }
 
+/// A hit ordered by [`crate::order::canonical`], so a max-heap's root is
+/// the canonically worst entry.
 #[derive(Debug, PartialEq)]
-pub(crate) struct HeapHit(pub f32, pub u32);
+struct WorstFirst(Hit);
 
-impl Eq for HeapHit {}
+impl Eq for WorstFirst {}
 
-impl Ord for HeapHit {
+impl Ord for WorstFirst {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(self.1.cmp(&other.1))
+        crate::order::canonical(&self.0, &other.0)
     }
 }
 
-impl PartialOrd for HeapHit {
+impl PartialOrd for WorstFirst {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -75,13 +77,26 @@ impl TopK {
         TopK { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
     }
 
+    #[inline]
     pub fn push(&mut self, id: u32, score: f32) {
+        // Nearly every row of a scan scores plainly below the boundary of
+        // a full heap, which a float compare settles (it implies the
+        // canonical order); only ties, signed zeros and NaNs need the
+        // full comparison.
+        if self.heap.len() >= self.k && self.heap.peek().is_some_and(|w| score < w.0.score) {
+            return;
+        }
+        self.push_contender(WorstFirst(Hit { id, score }));
+    }
+
+    /// The rare half of [`TopK::push`]: fills the heap, or replaces the
+    /// worst retained hit when `hit` orders strictly before it.
+    fn push_contender(&mut self, hit: WorstFirst) {
         if self.heap.len() < self.k {
-            self.heap.push(std::cmp::Reverse(HeapHit(score, id)));
-        } else if let Some(worst) = self.heap.peek() {
-            if score > worst.0 .0 {
-                self.heap.pop();
-                self.heap.push(std::cmp::Reverse(HeapHit(score, id)));
+            self.heap.push(hit);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if hit < *worst {
+                *worst = hit;
             }
         }
     }
@@ -91,7 +106,7 @@ impl TopK {
         if self.heap.len() < self.k {
             f32::NEG_INFINITY
         } else {
-            self.heap.peek().map_or(f32::NEG_INFINITY, |w| w.0 .0)
+            self.heap.peek().map_or(f32::NEG_INFINITY, |w| w.0.score)
         }
     }
 
@@ -100,11 +115,7 @@ impl TopK {
     /// same order a stable descending sort of the full score array would
     /// produce).
     pub fn into_sorted(self) -> Vec<Hit> {
-        let mut v: Vec<Hit> = self
-            .heap
-            .into_iter()
-            .map(|std::cmp::Reverse(HeapHit(score, id))| Hit { id, score })
-            .collect();
+        let mut v: Vec<Hit> = self.heap.into_iter().map(|w| w.0).collect();
         crate::order::sort_canonical(&mut v);
         v
     }
@@ -237,6 +248,64 @@ mod tests {
         let hits = t.into_sorted();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 7);
+    }
+
+    #[test]
+    fn topk_boundary_ties_keep_the_lowest_ids() {
+        // a better score arriving must displace the *highest* id of the
+        // tied worst scores, as a full canonical sort would
+        let mut t = TopK::new(2);
+        for (id, s) in [(0, 0.5), (1, 0.5), (2, 0.9)] {
+            t.push(id, s);
+        }
+        let ids: Vec<u32> = t.into_sorted().iter().map(|h| h.id).collect();
+        assert_eq!(ids, vec![2, 0]);
+
+        // rows visited out of id order (IVF lists): a lower id tying the
+        // boundary score must still be admitted
+        let mut t = TopK::new(2);
+        for (id, s) in [(7, 0.5), (9, 0.9), (3, 0.5)] {
+            t.push(id, s);
+        }
+        let ids: Vec<u32> = t.into_sorted().iter().map(|h| h.id).collect();
+        assert_eq!(ids, vec![9, 3]);
+    }
+
+    #[test]
+    fn topk_equals_the_canonical_sort_for_any_visit_order_and_bit_pattern() {
+        // ties, both zeros, both NaNs and the infinities, visited in a
+        // scrambled id order: every k must keep what the full sort keeps
+        let scores = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+            0.5,
+            0.5,
+            -0.5,
+            1.0,
+            0.0,
+        ];
+        let visited: Vec<Hit> = (0..scores.len())
+            .map(|i| (i * 7) % scores.len())
+            .map(|id| Hit { id: id as u32, score: scores[id] })
+            .collect();
+        for k in 0..=scores.len() + 1 {
+            let mut t = TopK::new(k);
+            for h in &visited {
+                t.push(h.id, h.score);
+            }
+            let mut want = visited.clone();
+            crate::order::sort_canonical(&mut want);
+            want.truncate(k);
+            let bits = |hits: &[Hit]| -> Vec<(u32, u32)> {
+                hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&t.into_sorted()), bits(&want), "k={k}");
+        }
     }
 
     #[test]

@@ -128,6 +128,63 @@ fn tied_scores_keep_the_lowest_ids_on_the_exact_path() {
     assert_eq!(ids, vec![0, 1, 2], "batched path must tie-break identically");
 }
 
+/// A corpus where a duplicated row fills the low ids and a strictly
+/// better row sits at a higher id: row `BEST` scores 1.0 against the
+/// probe, rows `0..4` and `30` are one duplicated row scoring 0.5, the
+/// rest score far lower. Returns `(data, probe, dim)`.
+fn late_best_after_duplicates() -> (Vec<f32>, Vec<f32>, usize) {
+    const BEST: usize = 20;
+    let dim = 4;
+    let mut data = cloud(40, dim, 0x71e5);
+    for x in &mut data {
+        *x *= 0.05;
+    }
+    for r in [0, 1, 2, 3, 30] {
+        data[r * dim..(r + 1) * dim].copy_from_slice(&[0.5, 0.0, 0.0, 0.0]);
+    }
+    data[BEST * dim..(BEST + 1) * dim].copy_from_slice(&[1.0, 0.0, 0.0, 0.0]);
+    (data, vec![1.0, 0.0, 0.0, 0.0], dim)
+}
+
+#[test]
+fn a_late_better_row_evicts_the_highest_tied_id_on_every_backend() {
+    // When the better row arrives, the heap is full of tied duplicates;
+    // the one displaced must be the highest id, or the answer diverges
+    // from the stable-sort oracle (k=2 must be [20, 0], never [20, 1]).
+    let (data, probe, dim) = late_best_after_duplicates();
+    let rows = data.len() / dim;
+    let store = Arc::new(EmbeddingStore::from_rows(&data, dim));
+    let mut rng = StdRng::seed_from_u64(12);
+    let bf = BruteForceIndex::over(store.clone());
+    // effectively exact: the beam admits every node / every list is probed
+    let hnsw = HnswIndex::build_over(
+        store.clone(),
+        HnswConfig { m: 16, ef_construction: 128, ef_search: rows },
+        &mut rng,
+    );
+    let ivf = IvfIndex::build_over(
+        store,
+        IvfConfig { nlist: 4, nprobe: 4, kmeans_iters: 4 },
+        &mut rng,
+    );
+    let backends: [&dyn Retriever; 3] = [&bf, &hnsw, &ivf];
+    for index in backends {
+        let name = index.backend();
+        for k in [1, 2, 3, 5, 6, 7] {
+            let want = oracle_top_k(&probe, &data, dim, k);
+            for (path, got) in
+                [("search", index.search(&probe, k)), ("batch", index.search_batch(&probe, k).remove(0))]
+            {
+                let got: Vec<(u32, u32)> = got.iter().map(|h| (h.id, h.score.to_bits())).collect();
+                let want: Vec<(u32, u32)> = want.iter().map(|(i, s)| (*i, s.to_bits())).collect();
+                assert_eq!(got, want, "{name} {path} k={k}: tie eviction diverged from the oracle");
+            }
+        }
+    }
+    let ids: Vec<u32> = top_k_exact(&probe, &data, dim, 2)[0].iter().map(|h| h.id).collect();
+    assert_eq!(ids, vec![20, 0]);
+}
+
 #[test]
 fn k_larger_than_corpus_and_k_zero_are_total() {
     let dim = 4;

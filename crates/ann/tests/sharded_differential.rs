@@ -178,6 +178,48 @@ fn ties_straddling_shard_boundaries_resolve_to_lowest_ids() {
     }
 }
 
+/// A duplicated row fills the low ids of the first shard and a strictly
+/// better row arrives later, in another shard. Unsharded, the better row
+/// displaces one of the tied duplicates from a full heap; sharded, the
+/// merge picks the duplicates by lowest id. Both must keep the same ones.
+#[test]
+fn a_late_better_row_after_duplicates_is_identical_sharded() {
+    let mut data = unit_cloud(ROWS, 0x7135);
+    let dup: Vec<f32> = data[..DIM].to_vec();
+    for r in [1, 2, 3, 45] {
+        data[r * DIM..(r + 1) * DIM].copy_from_slice(&dup);
+    }
+    // the probe is row 50 itself, so row 50 strictly beats every other
+    // row; scale the duplicates' direction toward it so they tie for second
+    let probe: Vec<f32> = data[50 * DIM..51 * DIM].to_vec();
+    let blend: Vec<f32> = probe.iter().zip(&dup).map(|(p, d)| 0.9 * p + 0.1 * d).collect();
+    let norm = blend.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let blend: Vec<f32> = blend.iter().map(|x| x / norm).collect();
+    for r in [0, 1, 2, 3, 45] {
+        data[r * DIM..(r + 1) * DIM].copy_from_slice(&blend);
+    }
+    let store = Arc::new(EmbeddingStore::from_vec(data, DIM));
+    let whole = BruteForceIndex::over(store.clone());
+    let ids = |hits: &[Hit]| hits.iter().map(|h| h.id).collect::<Vec<u32>>();
+    assert_eq!(ids(&whole.search(&probe, 3)), vec![50, 0, 1], "unsharded keeps the lowest tied ids");
+    for n in SHARD_COUNTS {
+        let sharded =
+            ShardedRetriever::build(&store, n, |view| Box::new(BruteForceIndex::over(view)));
+        for k in [2, 3, 4, 6, 7] {
+            assert_bitwise(
+                &whole.search(&probe, k),
+                &sharded.search(&probe, k),
+                &format!("late-best n={n} k={k}"),
+            );
+            assert_bitwise(
+                &whole.search_batch(&probe, k)[0],
+                &sharded.search_batch(&probe, k)[0],
+                &format!("late-best batch n={n} k={k}"),
+            );
+        }
+    }
+}
+
 /// Retriever hits carry *row* ids; external-id translation happens in
 /// the serving layer against the parent store's id map. Sharding must
 /// keep row ids global (so that translation still lands on the right
