@@ -21,26 +21,31 @@
 #    edge cases, fused dequant-dot oracle) and the recall-gated
 #    differential suite (every backend x shard count x store format vs
 #    the exact-f32 oracle, plus mmap==owned bitwise parity)
-# 8. the pipeline parity suite (every public query wrapper vs the
-#    composed MatchPipeline stages, bitwise, across backend x shards x
-#    store format x rerank chain) and the shadow-deployment e2e (shadow-
-#    off byte identity, A/A overlap 1.0, divergent-shadow comparison)
-# 9. a smoke benchmark snapshot (validates the BENCH_*.json schema end to
+# 8. the pipeline parity suite (every MatchPipeline runner and the two
+#    FittedUniMatch query methods vs the composed stages, bitwise, across
+#    backend x shards x store format x rerank chain, plus the hostile-k
+#    clamp), the table-driven route e2e (both query routes through one
+#    list of outcomes), and the shadow-deployment e2e (shadow-off byte
+#    identity, A/A overlap 1.0, divergent-shadow comparison)
+# 9. the frozen benchmark crate's own tests, built the way the
+#    benchmark is run (tier-1 never compiles crates/benchmark, and an
+#    API change is exactly what can break it)
+# 10. a smoke benchmark snapshot (validates the BENCH_*.json schema end to
 #    end, including the rerank, quant, and shadow suites) plus a
 #    report-only diff against the committed baselines
-# 10. a smoke open-loop load run (loadgen --rerank-mix) against a live
+# 11. a smoke open-loop load run (loadgen --rerank-mix) against a live
 #    loopback server running a re-ranking chain over a quantized,
 #    mmap-backed store (--store i8 --mmap), diffed report-only against
 #    the committed BENCH_load.json; then a second smoke run with client
 #    retries against a server whose shard 0 is wedged by an armed fault,
 #    proving quorum keeps the 200s flowing under partial failure
-# 11. a smoke load run against a server with an A/A shadow armed at
+# 12. a smoke load run against a server with an A/A shadow armed at
 #    --shadow-sample-rate 0.1, asserting the mirror actually pairs
 #    answers (nonzero unimatch_shadow_pairs_total on /metrics)
-# 12. on machines with >= 4 cores only: a report-only sharded-vs-
+# 13. on machines with >= 4 cores only: a report-only sharded-vs-
 #    unsharded loadgen ladder (--shards 1 vs 4), per docs/OPERATIONS.md
-# 13. clippy over every target with warnings denied
-# 14. rustdoc for the workspace's own crates, failing on any doc warning
+# 14. clippy over every target with warnings denied
+# 15. rustdoc for the workspace's own crates, failing on any doc warning
 set -eu
 
 cd "$(dirname "$0")"
@@ -85,11 +90,17 @@ cargo test -q -p unimatch-ann --test quant_properties
 cargo test -q -p unimatch-ann --test quant_differential
 cargo test -q --test determinism
 
-echo "==> pipeline parity suite (wrappers vs composed MatchPipeline, bitwise)"
+echo "==> pipeline parity suite (runners vs composed MatchPipeline stages, bitwise)"
 cargo test -q --test pipeline_parity
+
+echo "==> route table e2e (both query routes through one list of outcomes)"
+cargo test -q -p unimatch-serve --test routes
 
 echo "==> shadow deployment e2e (off = byte-identical, A/A = overlap 1.0)"
 cargo test -q -p unimatch-serve --test shadow
+
+echo "==> frozen benchmark crate (compiles and smoke-runs against the current API)"
+bash crates/benchmark/run.sh test
 
 echo "==> bench snapshot --smoke (schema-validated perf baselines)"
 SNAP_DIR="$(mktemp -d)"

@@ -90,8 +90,9 @@ pub fn build_targeting_list(
 
     // over-fetch to survive exclusions, then filter
     let fetch = (spec.list_size + excluded.len()).max(spec.list_size * 2);
-    let users = fitted
-        .target_users_by_embedding(&query, fetch)
+    let pipeline = fitted.user_pipeline();
+    let users = pipeline
+        .translate(pipeline.run_one(&query, fetch))
         .into_iter()
         .filter(|(u, _)| !excluded.contains(u))
         .take(spec.list_size)

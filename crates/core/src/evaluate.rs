@@ -212,7 +212,7 @@ pub fn evaluate_ir_rerank(
     let pipeline = fitted.item_pipeline();
     let queries = pipeline.embed(&histories);
 
-    let raw_lists = pipeline.run_raw(&queries, top_n);
+    let raw_lists = pipeline.retrieve(&queries, top_n);
     let reranked_lists = pipeline.run(&queries, top_n);
 
     let score_side = |lists: &[Vec<unimatch_ann::Hit>]| {
@@ -308,7 +308,7 @@ pub fn evaluate_store_formats(
         };
         let fitted = UniMatch::new(cfg).serve(copy, log.clone());
         let top_n = clamped.top_n.min(fitted.num_items()).max(1);
-        let lists = fitted.item_pipeline().run_raw(&queries, top_n);
+        let lists = fitted.item_pipeline().retrieve(&queries, top_n);
         let mut acc = MetricAccumulator::new();
         for (case, hits) in cases.iter().zip(&lists) {
             let positive = case.candidates[0];
@@ -484,9 +484,9 @@ pub fn evaluate_backend_deltas(
         let item_index = point.build(item_store.clone(), &mut idx_rng);
         let user_index = point.build(user_store.clone(), &mut idx_rng);
         let ir_lists =
-            MatchPipeline::over(item_index.as_ref(), &item_store, &chain).run_raw(&ir_queries, ir_top_n);
+            MatchPipeline::over(item_index.as_ref(), &item_store, &chain).retrieve(&ir_queries, ir_top_n);
         let ut_lists =
-            MatchPipeline::over(user_index.as_ref(), &user_store, &chain).run_raw(&ut_queries, ut_top_n);
+            MatchPipeline::over(user_index.as_ref(), &user_store, &chain).retrieve(&ut_queries, ut_top_n);
         out.push(BackendEval {
             backend,
             param,

@@ -25,8 +25,6 @@ use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
 use unimatch_parallel::Parallelism;
 use unimatch_train::{AdamConfig, TrainConfig, TrainError, TrainLoss, Trainer};
 
-pub use crate::pipeline::{CheckedBatch, DegradeOptions};
-
 /// Framework configuration. Defaults follow the paper's production choice:
 /// Youtube-DNN + mean pooling trained with bbcNCE, d = 16.
 #[derive(Clone, Debug)]
@@ -311,24 +309,15 @@ impl UniMatch {
     /// [`UniMatch::serve`], but reusing an item-embedding store already
     /// materialized elsewhere — the checkpoint-direct path: the store
     /// decoded straight out of a v2 checkpoint's embedding section is
-    /// indexed as-is, with no re-inference over the item tower.
+    /// indexed as-is, with no re-inference over the item tower — and
+    /// with the checkpoint's persisted marginals (when it carries the
+    /// optional section) overriding the ones recomputed from the serving
+    /// log, so the debias stage sees exactly the training-time
+    /// `p̂(i)`/`p̂(u)` tables.
     ///
     /// The store must hold this model's normalized item embeddings
     /// (`rows == num_items`, `dim == embed_dim`); the loader guarantees
     /// that for stores it returns alongside the model.
-    pub fn serve_with_store(
-        &self,
-        model: TwoTower,
-        log: InteractionLog,
-        item_store: Arc<EmbeddingStore>,
-    ) -> FittedUniMatch {
-        self.serve_with_store_and_marginals(model, log, item_store, None)
-    }
-
-    /// [`UniMatch::serve_with_store`] with the checkpoint's persisted
-    /// marginals (when it carries the optional section) overriding the
-    /// ones recomputed from the serving log — so the debias stage sees
-    /// exactly the training-time `p̂(i)`/`p̂(u)` tables.
     pub fn serve_with_store_and_marginals(
         &self,
         model: TwoTower,
@@ -474,8 +463,7 @@ impl FittedUniMatch {
     /// The item-tower (IR) view of the canonical query pipeline: embeds
     /// histories through the user tower, retrieves from the item index,
     /// re-ranks with the configured chain over the item store's
-    /// marginals and business rules. Every `recommend_*` method below is
-    /// a thin wrapper over this object.
+    /// marginals and business rules.
     pub fn item_pipeline(&self) -> MatchPipeline<'_> {
         MatchPipeline::over(self.item_index.as_ref(), &self.item_store, &self.rerank)
             .with_source(QuerySource::Tower {
@@ -491,8 +479,7 @@ impl FittedUniMatch {
     /// query rows from the item store, retrieves from the user index,
     /// re-ranks over the user store's marginals (business rules describe
     /// items, so UT runs without them), and translates pool rows to user
-    /// ids. Every `target_*` method below is a thin wrapper over this
-    /// object.
+    /// ids.
     pub fn user_pipeline(&self) -> MatchPipeline<'_> {
         MatchPipeline::over(self.user_index.as_ref(), &self.user_store, &self.rerank)
             .with_source(QuerySource::Rows(&self.item_store))
@@ -513,113 +500,9 @@ impl FittedUniMatch {
     /// comes straight from the item store — no per-call re-inference over
     /// the item tower.
     pub fn target_users(&self, item: u32, k: usize) -> Vec<(u32, f32)> {
-        self.target_users_by_embedding(&self.item_store.decode_row(item as usize), k)
-    }
-
-    /// UT against an arbitrary query embedding (e.g. a bundle blend built
-    /// by [`crate::audience`]). Hit rows translate to user ids through the
-    /// user store's id mapping, after the re-ranking chain has run over
-    /// the raw pool rows.
-    pub fn target_users_by_embedding(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
         let pipeline = self.user_pipeline();
-        let hits = pipeline.run_one(query, k);
+        let hits = pipeline.run_one(&self.item_store.decode_row(item as usize), k);
         pipeline.translate(hits)
-    }
-
-    /// Batched IR: top-k items for each history, in input order.
-    ///
-    /// Embeds the histories in parallel chunks and answers all queries
-    /// through [`Retriever::search_batch`]; results are identical to
-    /// calling [`FittedUniMatch::recommend_items`] per history.
-    pub fn recommend_items_batch(&self, histories: &[&[u32]], k: usize) -> Vec<Vec<Hit>> {
-        assert!(
-            histories.iter().all(|h| !h.is_empty()),
-            "recommend_items_batch needs non-empty histories"
-        );
-        let queries = embed_histories(&self.model, histories, self.max_seq_len);
-        self.recommend_by_embeddings(&queries, k)
-    }
-
-    /// Batched UT: top-k `(user_id, score)` targets for each item, in input
-    /// order. Query rows are gathered from the item store (no re-inference)
-    /// and answered through one [`Retriever::search_batch`] call; results
-    /// are identical to calling [`FittedUniMatch::target_users`] per item.
-    pub fn target_users_batch(&self, items: &[u32], k: usize) -> Vec<Vec<(u32, f32)>> {
-        let pipeline = self.user_pipeline();
-        let queries = pipeline.gather(items);
-        pipeline
-            .run(&queries, k)
-            .into_iter()
-            .map(|hits| pipeline.translate(hits))
-            .collect()
-    }
-
-    /// The normalized user embedding for an arbitrary history.
-    pub fn user_embedding(&self, history: &[u32]) -> Vec<f32> {
-        self.item_pipeline().embed_one(history)
-    }
-
-    /// Normalized user embeddings for a batch of histories, flattened in
-    /// input order (`histories.len() × embed_dim`). The batched forward
-    /// pass produces the same values as [`FittedUniMatch::user_embedding`]
-    /// per history, so callers (e.g. the serving layer's embedding cache)
-    /// can mix single and batched embedding lookups freely.
-    pub fn embed_users(&self, histories: &[&[u32]]) -> Vec<f32> {
-        embed_histories(&self.model, histories, self.max_seq_len)
-    }
-
-    /// Batched IR against precomputed user embeddings: `queries` holds
-    /// `n × embed_dim` floats, one row per query, and the result is one
-    /// top-k hit list per row in input order. Combined with
-    /// [`FittedUniMatch::embed_users`], this splits
-    /// [`FittedUniMatch::recommend_items_batch`] into its two halves so a
-    /// serving layer can cache the (expensive) embedding half per user
-    /// while always answering the search half fresh.
-    pub fn recommend_by_embeddings(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        self.item_pipeline().run(queries, k)
-    }
-
-    /// Fallible, degradable form of
-    /// [`FittedUniMatch::recommend_by_embeddings`]: the retrieval fan-out
-    /// runs under shard failure isolation (see
-    /// [`Retriever::search_batch_checked`]) and the returned
-    /// [`unimatch_ann::ShardHealth`] reports any dropped shards; `degrade` applies the
-    /// brownout ladder's quality reductions. With
-    /// [`DegradeOptions::NONE`] and a healthy fan-out the hit lists are
-    /// bitwise identical to the unchecked call.
-    pub fn recommend_by_embeddings_checked(
-        &self,
-        queries: &[f32],
-        k: usize,
-        degrade: DegradeOptions,
-    ) -> CheckedBatch<Hit> {
-        self.item_pipeline().run_checked(queries, k, degrade)
-    }
-
-    /// Fallible, degradable form of [`FittedUniMatch::target_users_batch`];
-    /// same contract as [`FittedUniMatch::recommend_by_embeddings_checked`].
-    pub fn target_users_batch_checked(
-        &self,
-        items: &[u32],
-        k: usize,
-        degrade: DegradeOptions,
-    ) -> CheckedBatch<(u32, f32)> {
-        let pipeline = self.user_pipeline();
-        let queries = pipeline.gather(items);
-        let (lists, health) = pipeline.run_checked(&queries, k, degrade)?;
-        let translated = lists.into_iter().map(|hits| pipeline.translate(hits)).collect();
-        Ok((translated, health))
-    }
-
-    /// Whether `degrade` can change response *content* for this
-    /// deployment — true when it shrinks a non-identity chain's
-    /// over-fetch or skips a stage the chain actually runs. Quorum
-    /// relaxation alone never changes bytes on a healthy fan-out, so it
-    /// does not count; a fan-out that actually lost shards is flagged
-    /// through [`unimatch_ann::ShardHealth`] instead.
-    pub fn degrade_affects_content(&self, degrade: DegradeOptions) -> bool {
-        (degrade.shrink_overfetch && !self.rerank.is_identity())
-            || self.rerank.skip_affects(degrade.stage_skip())
     }
 
     /// The history truncation length the model was fitted with. Queries
@@ -720,16 +603,15 @@ mod tests {
         let f = fitted();
         let hists: Vec<&[u32]> = vec![&[1, 2, 3], &[4, 5], &[2], &[7, 1]];
         let direct: Vec<_> = hists.iter().map(|h| f.recommend_items(h, 4)).collect();
-        let batch = f.recommend_items_batch(&hists, 4);
-        let split = f.recommend_by_embeddings(&f.embed_users(&hists), 4);
-        assert_eq!(direct, batch);
+        let pipeline = f.item_pipeline();
+        let split = pipeline.run(&pipeline.embed(&hists), 4);
         assert_eq!(direct, split);
     }
 
     #[test]
-    fn user_embedding_is_unit_norm() {
+    fn embed_one_is_unit_norm() {
         let f = fitted();
-        let e = f.user_embedding(&[4, 5]);
+        let e = f.item_pipeline().embed_one(&[4, 5]);
         let n: f32 = e.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((n - 1.0).abs() < 1e-4);
     }
@@ -745,10 +627,11 @@ mod tests {
         let f = fitted();
         assert_eq!(f.rerank_spec(), "");
         let hists: Vec<&[u32]> = vec![&[1, 2, 3], &[4, 5]];
-        let queries = f.embed_users(&hists);
+        let pipeline = f.item_pipeline();
+        let queries = pipeline.embed(&hists);
         // the public APIs and the raw index search must agree byte for byte
-        let raw = f.item_pipeline().run_raw(&queries, 5);
-        assert_eq!(f.recommend_by_embeddings(&queries, 5), raw);
+        let raw = pipeline.retrieve(&queries, 5);
+        assert_eq!(pipeline.run(&queries, 5), raw);
         assert_eq!(f.recommend_items(&[1, 2, 3], 5), raw[0]);
     }
 
@@ -774,14 +657,17 @@ mod tests {
         assert_eq!(a, b, "a fixed seed pins the chain byte for byte");
         // batch answers match the direct path exactly
         let hists: Vec<&[u32]> = vec![&[1, 2, 3], &[4, 5]];
-        let batch = f.recommend_items_batch(&hists, 5);
+        let pipeline = f.item_pipeline();
+        let batch = pipeline.run(&pipeline.embed(&hists), 5);
         assert_eq!(batch[0], a);
 
         // UT runs through the chain too, and stays deterministic
         let t = f.target_users(a[0].id, 5);
         assert_eq!(t, f.target_users(a[0].id, 5));
         assert_eq!(t.len(), 5);
-        assert_eq!(f.target_users_batch(&[a[0].id], 5)[0], t);
+        let users = f.user_pipeline();
+        let batch = users.run(&users.gather(&[a[0].id]), 5).remove(0);
+        assert_eq!(users.translate(batch), t);
 
         // the chain actually changes the ranking vs an identity deployment
         let raw = UniMatch::new(UniMatchConfig { rerank: RerankConfig::default(), ..cfg })

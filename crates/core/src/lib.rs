@@ -22,6 +22,13 @@
 //! let targets = fitted.target_users(recs[0].id, 10);     // UT — same model
 //! ```
 //!
+//! Those two calls are the single-query form of the one query path,
+//! [`MatchPipeline`] (embed → retrieve → rerank → translate). Everything
+//! else — batched, by-embedding, fallible/degradable queries, the
+//! serving batcher, the campaign planner, the evaluators — calls the
+//! stages and runners on [`FittedUniMatch::item_pipeline`] (IR) or
+//! [`FittedUniMatch::user_pipeline`] (UT) directly.
+//!
 //! Besides the serving facade, this crate hosts the experiment machinery
 //! regenerating the paper's evaluation: [`experiment`] (Tabs. VIII–XII,
 //! Fig. 3), [`grid`] (Tab. VII), and [`cost`] (the ≥94 % saving of
@@ -51,21 +58,16 @@ pub use durable::{
 };
 pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_multi_ir_model, evaluate_params, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
 pub use experiment::{run_experiment, run_experiment_on, CurvePoint, ExperimentOptions, ExperimentOutcome, ExperimentSpec};
-pub use framework::{
-    CheckedBatch, DegradeOptions, FittedUniMatch, RerankConfig, RetrieverKind, UniMatch,
-    UniMatchConfig,
-};
-pub use pipeline::{MatchPipeline, QuerySource};
+pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
+pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};
 pub use unimatch_ann::{QuorumError, RowFormat, ShardHealth, ShardPolicy, StoreBacking};
 pub use unimatch_parallel::Parallelism;
 pub use grid::{grid_search, GridPoint, GridSpec};
 pub use hyper::{Hyperparams, Pathway};
 pub use persist::{
     embedding_checksum_of, load_checkpoint, load_checkpoint_with_format,
-    load_checkpoint_with_format_and_retry, load_checkpoint_with_retry, load_item_store,
-    load_model, load_model_and_store, load_model_and_store_with_retry, load_model_with_retry,
-    model_from_json, model_to_json, save_checkpoint_with_table, save_model,
-    save_model_with_marginals, table_path, RetryPolicy,
+    load_checkpoint_with_format_and_retry, load_model, model_from_json, model_to_json,
+    save_checkpoint_with_table, save_model, save_model_with_marginals, table_path, RetryPolicy,
 };
 pub use prepare::PreparedData;
 pub use serving::{ModelHandle, ServingState};

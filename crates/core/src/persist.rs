@@ -26,10 +26,10 @@
 //! model; truncation is caught by the JSON parser; a parameter that
 //! decodes to a non-finite float is rejected by name. Legacy v1
 //! documents (no magic/checksum) still load, with everything but the
-//! checksum validated. [`load_model_with_retry`] adds bounded
-//! retry-with-backoff for *transient* I/O errors — the serving layer
-//! uses it so a checkpoint on flaky storage does not fail a `/reload`
-//! that a second read would have satisfied.
+//! checksum validated. [`load_checkpoint_with_format_and_retry`] adds
+//! bounded retry-with-backoff for *transient* I/O errors — the serving
+//! layer uses it so a checkpoint on flaky storage does not fail a
+//! `/reload` that a second read would have satisfied.
 //!
 //! Fault seams for the chaos suites: `persist.save` and `persist.load`
 //! can surface injected transient I/O errors, and `persist.load.corrupt`
@@ -690,72 +690,32 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
+/// The prelude every file loader shares: the `persist.load` fault seam,
+/// one read, the `persist.load.corrupt` bit-flip seam, one parse.
+fn read_document(path: &Path) -> io::Result<Json> {
+    if let Some(e) = LOAD_FAULT.io_error() {
+        return Err(e);
+    }
+    let mut bytes = std::fs::read(path)?;
+    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
+    Json::parse(&bytes).map_err(|e| bad(e.to_string()))
+}
+
 /// Loads a model checkpoint from a file.
 pub fn load_model(path: impl AsRef<Path>) -> io::Result<TwoTower> {
-    if let Some(e) = LOAD_FAULT.io_error() {
-        return Err(e);
-    }
-    let mut bytes = std::fs::read(path)?;
-    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    model_from_json(&bytes)
+    model_from_json_value(&read_document(path.as_ref())?)
 }
 
-/// Loads ONLY the embedding store from a checkpoint file — the serving
-/// fast path when no model (and no `ParamSet`) is needed. Same fault
-/// seams as [`load_model`].
-pub fn load_item_store(path: impl AsRef<Path>) -> io::Result<EmbeddingStore> {
-    if let Some(e) = LOAD_FAULT.io_error() {
-        return Err(e);
-    }
-    let mut bytes = std::fs::read(path)?;
-    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
-    item_store_from_json_value(&doc)
-}
-
-/// Loads a checkpoint's model *and* its embedding store from one read
-/// and one parse — what a serving reload wants: the store feeds the
-/// retrieval indexes directly, the model handles user-tower inference.
-pub fn load_model_and_store(
-    path: impl AsRef<Path>,
-) -> io::Result<(TwoTower, Arc<EmbeddingStore>)> {
-    if let Some(e) = LOAD_FAULT.io_error() {
-        return Err(e);
-    }
-    let mut bytes = std::fs::read(path)?;
-    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
-    let model = model_from_json_value(&doc)?;
-    let store = item_store_from_json_value(&doc)?;
-    Ok((model, Arc::new(store)))
-}
-
-/// [`load_model_and_store`] plus the optional marginals section — the
-/// full serving reload: model for user-tower inference, store for the
-/// retrieval indexes, marginals for the serve-time debias stage (when
-/// the checkpoint carries them).
+/// Loads a checkpoint's model, its embedding store, and the optional
+/// marginals section from one read and one parse — the full serving
+/// reload: model for user-tower inference, store for the retrieval
+/// indexes (decoded straight from the embedding section, no
+/// `ParamSet`), marginals for the serve-time debias stage (when the
+/// checkpoint carries them).
 pub fn load_checkpoint(
     path: impl AsRef<Path>,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    if let Some(e) = LOAD_FAULT.io_error() {
-        return Err(e);
-    }
-    let mut bytes = std::fs::read(path)?;
-    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
-    let model = model_from_json_value(&doc)?;
-    let store = item_store_from_json_value(&doc)?;
-    let marginals = marginals_from_json_value(&doc)?;
-    Ok((model, Arc::new(store), marginals))
-}
-
-/// [`load_checkpoint`] with the same retry policy as
-/// [`load_model_with_retry`].
-pub fn load_checkpoint_with_retry(
-    path: impl AsRef<Path>,
-    policy: &RetryPolicy,
-) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    retry_load(policy, || load_checkpoint(path.as_ref()))
+    load_checkpoint_with_format(path, RowFormat::F32, false)
 }
 
 // ---------------------------------------------------------------------------
@@ -841,20 +801,16 @@ pub fn load_checkpoint_with_format(
     format: RowFormat,
     mmap: bool,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    if let Some(e) = LOAD_FAULT.io_error() {
-        return Err(e);
-    }
-    let mut bytes = std::fs::read(path.as_ref())?;
-    LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
+    let doc = read_document(path.as_ref())?;
     let model = model_from_json_value(&doc)?;
     let marginals = marginals_from_json_value(&doc)?;
     let store = item_store_with_format(&doc, path.as_ref(), format, mmap)?;
     Ok((model, Arc::new(store), marginals))
 }
 
-/// [`load_checkpoint_with_format`] with the same retry policy as
-/// [`load_model_with_retry`].
+/// [`load_checkpoint_with_format`] with bounded retry-with-backoff for
+/// transient errors ([`is_transient`]). Non-transient errors (corruption,
+/// missing file) return immediately.
 pub fn load_checkpoint_with_format_and_retry(
     path: impl AsRef<Path>,
     format: RowFormat,
@@ -961,21 +917,6 @@ pub fn is_transient(kind: io::ErrorKind) -> bool {
         kind,
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
-}
-
-/// [`load_model`] with bounded retry-with-backoff for transient errors.
-/// Non-transient errors (corruption, missing file) return immediately.
-pub fn load_model_with_retry(path: impl AsRef<Path>, policy: &RetryPolicy) -> io::Result<TwoTower> {
-    retry_load(policy, || load_model(path.as_ref()))
-}
-
-/// [`load_model_and_store`] with the same retry policy as
-/// [`load_model_with_retry`].
-pub fn load_model_and_store_with_retry(
-    path: impl AsRef<Path>,
-    policy: &RetryPolicy,
-) -> io::Result<(TwoTower, Arc<EmbeddingStore>)> {
-    retry_load(policy, || load_model_and_store(path.as_ref()))
 }
 
 fn retry_load<T>(policy: &RetryPolicy, mut load: impl FnMut() -> io::Result<T>) -> io::Result<T> {
@@ -1203,7 +1144,8 @@ mod tests {
             rules: vec![FaultRule::new("persist.load", FaultKind::IoError).with_max_fires(2)],
         });
         let policy = RetryPolicy { attempts: 3, backoff: Duration::from_millis(1) };
-        assert!(load_model_with_retry(&path, &policy).is_ok());
+        let loaded = load_checkpoint_with_format_and_retry(&path, RowFormat::F32, false, &policy);
+        assert!(loaded.is_ok());
 
         // with the budget refreshed but only 2 attempts, the error surfaces
         unimatch_faults::set_plan(FaultPlan {
@@ -1211,7 +1153,9 @@ mod tests {
             rules: vec![FaultRule::new("persist.load", FaultKind::IoError).with_max_fires(2)],
         });
         let tight = RetryPolicy { attempts: 2, backoff: Duration::from_millis(1) };
-        let e = load_model_with_retry(&path, &tight).expect_err("budget exhausted");
+        let e = load_checkpoint_with_format_and_retry(&path, RowFormat::F32, false, &tight)
+            .map(|_| ())
+            .expect_err("budget exhausted");
         assert_eq!(e.kind(), io::ErrorKind::Interrupted);
         unimatch_faults::clear();
         std::fs::remove_dir_all(&dir).ok();
@@ -1284,32 +1228,21 @@ mod tests {
     }
 
     #[test]
-    fn item_store_loads_from_file_without_a_model() {
-        let dir = unique_tmp("store_only");
-        let path = dir.join("model.json");
-        let m = model(ContextExtractor::YoutubeDnn);
-        save_model(&m, &path).expect("save");
-        let store = load_item_store(&path).expect("store-only load");
-        let expected = m.infer_items();
-        assert_eq!(store.as_slice().len(), expected.data().len());
-        for (got, want) in store.as_slice().iter().zip(expected.data()) {
-            assert_eq!(got.to_bits(), want.to_bits());
+    fn load_checkpoint_store_matches_the_saved_and_the_restored_model() {
+        for extractor in [ContextExtractor::YoutubeDnn, ContextExtractor::Gru] {
+            let dir = unique_tmp("pair");
+            let path = dir.join("model.json");
+            let m = model(extractor);
+            save_model(&m, &path).expect("save");
+            let (restored, store, _) = load_checkpoint(&path).expect("checkpoint load");
+            for expected in [m.infer_items(), restored.infer_items()] {
+                assert_eq!(store.as_slice().len(), expected.data().len());
+                for (got, want) in store.as_slice().iter().zip(expected.data()) {
+                    assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_model_and_store_is_one_consistent_pair() {
-        let dir = unique_tmp("pair");
-        let path = dir.join("model.json");
-        let m = model(ContextExtractor::Gru);
-        save_model(&m, &path).expect("save");
-        let (restored, store) = load_model_and_store(&path).expect("pair load");
-        let expected = restored.infer_items();
-        for (got, want) in store.as_slice().iter().zip(expected.data()) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1359,9 +1292,8 @@ mod tests {
         assert_eq!(marg.floor_i().to_bits(), loaded.floor_i().to_bits());
         // the model itself is untouched by the extra section
         assert_eq!(m.params.num_scalars(), restored_model.params.num_scalars());
-        // and the plain loaders still accept the document
+        // and the plain loader still accepts the document
         assert!(load_model(&path).is_ok());
-        assert!(load_item_store(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1413,7 +1345,8 @@ mod tests {
         let policy = RetryPolicy { attempts: 5, backoff: Duration::from_secs(60) };
         // would sleep for minutes if NotFound were (wrongly) retried
         let start = std::time::Instant::now();
-        assert!(load_model_with_retry(&missing, &policy).is_err());
+        let loaded = load_checkpoint_with_format_and_retry(&missing, RowFormat::F32, false, &policy);
+        assert!(loaded.is_err());
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 

@@ -1,9 +1,10 @@
 //! The canonical query pipeline: **embed → retrieve → rerank → respond**
 //! as one composable object.
 //!
-//! Every surface that answers a UniMatch query — the
-//! [`FittedUniMatch`](crate::FittedUniMatch) single/batch/checked
-//! methods, the serving batcher, the offline evaluators, and a serving
+//! Every surface that answers a UniMatch query —
+//! [`FittedUniMatch::recommend_items`](crate::FittedUniMatch::recommend_items)
+//! and [`target_users`](crate::FittedUniMatch::target_users), the serving
+//! batcher, the campaign planner, the offline evaluators, and a serving
 //! shadow deployment — executes the *same* [`MatchPipeline`], so a
 //! behavior exists in exactly one place and two configurations can be
 //! compared stage by stage:
@@ -25,17 +26,20 @@
 //! comparisons (e.g. the backend-delta evaluation sweeps custom
 //! HNSW/IVF indexes over a deployment's stores).
 //!
-//! Determinism contract: every composed runner (`run*`) issues exactly
-//! the call sequence the pre-pipeline code paths issued, so results are
-//! bitwise identical to them — pinned by `tests/pipeline_parity.rs`.
+//! Determinism contract: the composed runners (`run`, `run_one`,
+//! `run_checked`) are the stages below called in order, so their results
+//! are bitwise identical to composing the stages by hand — pinned by
+//! `tests/pipeline_parity.rs`.
+//!
+//! Every retrieval clamps its fetch depth to the number of indexed rows:
+//! `k` arrives from outside the process (an HTTP body), and an index
+//! sizes its candidate heap from it.
 //!
 //! [`FittedUniMatch::item_pipeline`]: crate::FittedUniMatch::item_pipeline
 //! [`FittedUniMatch::user_pipeline`]: crate::FittedUniMatch::user_pipeline
 
 use crate::evaluate::embed_histories;
-use unimatch_ann::{
-    EmbeddingStore, Hit, QuorumError, Retriever, SearchOptions, ShardHealth,
-};
+use unimatch_ann::{EmbeddingStore, Hit, QuorumError, Retriever, SearchOptions, ShardHealth};
 use unimatch_data::SeqBatch;
 use unimatch_models::TwoTower;
 use unimatch_rerank::{query_tag, BusinessRules, RerankChain, RerankContext, StageSkip};
@@ -190,6 +194,17 @@ impl<'a> MatchPipeline<'a> {
         self.rerank.fetch_k(k)
     }
 
+    /// Whether `degrade` can change response *content* on this pipeline —
+    /// true when it shrinks a non-identity chain's over-fetch or skips a
+    /// stage the chain actually runs. Quorum relaxation alone never
+    /// changes bytes on a healthy fan-out, so it does not count; a
+    /// fan-out that actually lost shards is flagged through
+    /// [`ShardHealth`] instead.
+    pub fn degrade_affects_content(&self, degrade: DegradeOptions) -> bool {
+        (degrade.shrink_overfetch && !self.rerank.is_identity())
+            || self.rerank.skip_affects(degrade.stage_skip())
+    }
+
     /// *Embed*, batched: histories through the tower in parallel chunks,
     /// flattened in input order (`n × dim`). Panics unless the source is
     /// [`QuerySource::Tower`].
@@ -229,25 +244,18 @@ impl<'a> MatchPipeline<'a> {
 
     // ---- stage: retrieve --------------------------------------------------
 
-    /// *Retrieve*, single query at an explicit fetch depth.
+    /// *Retrieve*, single query at an explicit fetch depth (clamped to
+    /// the indexed row count).
     pub fn retrieve_one(&self, query: &[f32], fetch: usize) -> Vec<Hit> {
-        self.index.search(query, fetch)
+        self.index.search(query, fetch.min(self.len()))
     }
 
-    /// *Retrieve*, batched at an explicit fetch depth (panicking form —
-    /// shard failures propagate).
+    /// *Retrieve*, batched at an explicit fetch depth (clamped to the
+    /// indexed row count) with **no** chain — also the raw baseline the
+    /// offline evaluators compare against. Panicking form: a missed
+    /// shard quorum propagates.
     pub fn retrieve(&self, queries: &[f32], fetch: usize) -> Vec<Vec<Hit>> {
-        self.index.search_batch(queries, fetch)
-    }
-
-    /// *Retrieve*, batched under shard failure isolation.
-    pub fn retrieve_checked(
-        &self,
-        queries: &[f32],
-        fetch: usize,
-        opts: SearchOptions,
-    ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError> {
-        self.index.search_batch_checked(queries, fetch, opts)
+        self.index.search_batch(queries, fetch.min(self.len()))
     }
 
     // ---- stage: rerank ----------------------------------------------------
@@ -256,17 +264,11 @@ impl<'a> MatchPipeline<'a> {
     /// Identity chains return `hits` untouched — same allocation, same
     /// bytes — so an unconfigured deployment is bitwise unchanged.
     pub fn rerank(&self, query: &[f32], hits: Vec<Hit>, k: usize) -> Vec<Hit> {
-        self.rerank_degraded(query, hits, k, StageSkip::NONE)
+        self.rerank_skipping(query, hits, k, StageSkip::NONE)
     }
 
     /// [`MatchPipeline::rerank`] minus the stages in `skip`.
-    pub fn rerank_degraded(
-        &self,
-        query: &[f32],
-        hits: Vec<Hit>,
-        k: usize,
-        skip: StageSkip,
-    ) -> Vec<Hit> {
+    fn rerank_skipping(&self, query: &[f32], hits: Vec<Hit>, k: usize, skip: StageSkip) -> Vec<Hit> {
         if self.rerank.is_identity() {
             return hits;
         }
@@ -295,20 +297,19 @@ impl<'a> MatchPipeline<'a> {
 
     /// Embedded single query → over-fetched retrieval → chain → top-k.
     pub fn run_one(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let hits = self.retrieve_one(query, self.rerank.fetch_k(k));
+        let hits = self.retrieve_one(query, self.fetch_k(k));
         self.rerank(query, hits, k)
     }
 
     /// Batched queries (`n × dim` flat) → over-fetched retrieval → chain
     /// → top-k per query, in input order. Identical to
-    /// [`MatchPipeline::run_one`] per row.
+    /// [`MatchPipeline::run_one`] per row; a missed shard quorum panics
+    /// (use [`MatchPipeline::run_checked`] to handle it).
     pub fn run(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        let dim = self.store.dim();
-        self.retrieve(queries, self.rerank.fetch_k(k))
-            .into_iter()
-            .enumerate()
-            .map(|(q, hits)| self.rerank(&queries[q * dim..(q + 1) * dim], hits, k))
-            .collect()
+        match self.run_checked(queries, k, DegradeOptions::NONE) {
+            Ok((lists, _)) => lists,
+            Err(e) => panic!("sharded search failed: {e}"),
+        }
     }
 
     /// Fallible, degradable form of [`MatchPipeline::run`]: the
@@ -316,7 +317,7 @@ impl<'a> MatchPipeline<'a> {
     /// returned [`ShardHealth`] reports any dropped shards; `degrade`
     /// applies the brownout ladder's quality reductions. With
     /// [`DegradeOptions::NONE`] and a healthy fan-out the hit lists are
-    /// bitwise identical to the unchecked call.
+    /// exactly [`MatchPipeline::run`]'s.
     pub fn run_checked(
         &self,
         queries: &[f32],
@@ -330,21 +331,14 @@ impl<'a> MatchPipeline<'a> {
             self.rerank.fetch_k(k)
         };
         let opts = SearchOptions { relax_quorum: degrade.relax_quorum };
-        let (lists, health) = self.retrieve_checked(queries, fetch, opts)?;
+        let (lists, health) =
+            self.index.search_batch_checked(queries, fetch.min(self.len()), opts)?;
         let skip = degrade.stage_skip();
         let reranked = lists
             .into_iter()
             .enumerate()
-            .map(|(q, hits)| {
-                self.rerank_degraded(&queries[q * dim..(q + 1) * dim], hits, k, skip)
-            })
+            .map(|(q, hits)| self.rerank_skipping(&queries[q * dim..(q + 1) * dim], hits, k, skip))
             .collect();
         Ok((reranked, health))
-    }
-
-    /// Batched retrieval at exactly `k` with **no** over-fetch and no
-    /// chain — the raw baseline offline evaluators compare against.
-    pub fn run_raw(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        self.retrieve(queries, k)
     }
 }

@@ -90,9 +90,9 @@ impl ModelHandle {
     /// indexes are rebuilt entirely before the swap; concurrent readers are
     /// blocked only for the pointer exchange. Transient I/O failures during
     /// the load are retried with bounded backoff
-    /// ([`crate::persist::load_model_with_retry`]); corrupt or missing
-    /// checkpoints fail fast. On any error the previous state keeps serving
-    /// untouched.
+    /// ([`crate::persist::load_checkpoint_with_format_and_retry`]);
+    /// corrupt or missing checkpoints fail fast. On any error the
+    /// previous state keeps serving untouched.
     pub fn reload(&self, path: Option<&Path>) -> io::Result<Arc<ServingState>> {
         let checkpoint = match path {
             Some(p) => p.to_path_buf(),

@@ -121,16 +121,22 @@ impl Parallelism {
         if self.threads != 0 {
             return self.threads;
         }
-        env_threads().unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
+        auto_threads()
     }
 }
 
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("UNIMATCH_THREADS").ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0)
+/// What "auto" resolves to: `UNIMATCH_THREADS` if set, otherwise the
+/// machine's available parallelism. Resolved once per process — every
+/// parallel region asks, and `available_parallelism` re-reads cgroup
+/// files on each call.
+fn auto_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        std::env::var("UNIMATCH_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
 }
 
@@ -310,7 +316,9 @@ mod tests {
 
         // par_map: order and values survive the dynamic queue
         let par = par_map_indexed(1000, usize::MAX, |i| (i as u64) * 37 + 1);
+        assert_eq!(current_threads(), 4, "an installed count overrides the resolved default");
         Parallelism::sequential().install_global();
+        assert_eq!(current_threads(), 1);
         let seq = par_map_indexed(1000, usize::MAX, |i| (i as u64) * 37 + 1);
         assert_eq!(par, seq);
 
@@ -344,6 +352,8 @@ mod tests {
     fn resolved_threads_honors_fixed_count() {
         assert_eq!(Parallelism::threads(7).resolved_threads(), 7);
         assert_eq!(Parallelism::sequential().resolved_threads(), 1);
-        assert!(Parallelism::auto().resolved_threads() >= 1);
+        let auto = Parallelism::auto().resolved_threads();
+        assert!(auto >= 1);
+        assert_eq!(Parallelism::auto().resolved_threads(), auto, "auto resolves once per process");
     }
 }

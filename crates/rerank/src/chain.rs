@@ -220,7 +220,7 @@ impl RerankChain {
         if self.is_identity() {
             k
         } else {
-            (k * OVERFETCH_FACTOR).max(k + OVERFETCH_MIN_EXTRA)
+            k.saturating_mul(OVERFETCH_FACTOR).max(k.saturating_add(OVERFETCH_MIN_EXTRA))
         }
     }
 
@@ -231,7 +231,8 @@ impl RerankChain {
         if self.is_identity() {
             k
         } else {
-            (k * REDUCED_OVERFETCH_FACTOR).max(k + REDUCED_OVERFETCH_MIN_EXTRA)
+            k.saturating_mul(REDUCED_OVERFETCH_FACTOR)
+                .max(k.saturating_add(REDUCED_OVERFETCH_MIN_EXTRA))
         }
     }
 
@@ -412,6 +413,9 @@ mod tests {
         }
         let identity = RerankChain::identity();
         assert_eq!(identity.fetch_k_reduced(7), 7);
+        // k arrives from request bodies: a huge one saturates, never wraps
+        assert_eq!(chain.fetch_k(usize::MAX / 2), usize::MAX);
+        assert_eq!(chain.fetch_k_reduced(usize::MAX - 1), usize::MAX);
     }
 
     #[test]

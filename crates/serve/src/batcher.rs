@@ -1,21 +1,26 @@
 //! The micro-batching admission queue.
 //!
-//! Connection threads do not call the model directly: they enqueue a job
-//! and block on a per-job reply channel. A single batcher thread per query
-//! route drains the queue, coalescing every job that arrives within a
-//! short window (or until a maximum batch size) into **one** call to the
-//! batched serving APIs — so the `unimatch-parallel` layer amortizes its
-//! thread fan-out across concurrent callers instead of once per request.
+//! Connection threads do not call the model directly: they enqueue a
+//! [`Job`] and block on its reply channel. One batcher thread per query
+//! route runs the same loop ([`run_batcher`]) over that route's queue,
+//! coalescing every job that arrives within a short window (or until a
+//! maximum batch size) into **one** pipeline call — so the
+//! `unimatch-parallel` layer amortizes its thread fan-out across
+//! concurrent callers instead of once per request.
+//!
+//! `/recommend` and `/target` are the same query against two towers; the
+//! only route-specific steps are which pipeline answers and how the query
+//! embeddings are materialised (histories through the cached *embed*
+//! stage, items through *gather*), both a `match` on the [`Query`].
 //!
 //! Correctness invariants:
 //!
 //! * one model snapshot per batch — the batcher pins `ModelHandle::current`
 //!   once per batch, so a hot-swap never splits a batch across versions;
 //! * results are identical to unbatched calls — jobs are grouped by `k`
-//!   and answered through the tower's
-//!   [`MatchPipeline`](unimatch_core::MatchPipeline) handle (the same
-//!   stage sequence behind the per-request APIs), so outputs match them
-//!   element for element;
+//!   and answered through the tower's [`MatchPipeline`] (the same stage
+//!   sequence behind `recommend_items` / `target_users`), so outputs
+//!   match them element for element;
 //! * the embedding LRU cache is keyed by history and cleared whenever the
 //!   pinned model version changes;
 //! * every job carries an admission deadline — jobs that out-wait it in
@@ -25,7 +30,7 @@
 //! * every answer carries a `degraded` flag — `true` when a shard was
 //!   missing from the merge (quorum-tolerated failure) or an active
 //!   brownout rung changed response content; healthy full-quality
-//!   batches are bitwise identical to the unchecked serving APIs;
+//!   batches are bitwise identical to the unchecked pipeline runners;
 //! * when a shadow is armed ([`crate::shadow`]), each successful answer
 //!   is considered for deterministic sampling *after* its result is
 //!   final — mirroring never changes a reply and never blocks (a full
@@ -35,13 +40,14 @@ use crate::brownout::BrownoutState;
 use crate::cache::LruCache;
 use crate::metrics::{Metrics, Route};
 use crate::shadow::ShadowState;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unimatch_ann::Hit;
 use unimatch_core::serving::ServingState;
-use unimatch_core::{DegradeOptions, ModelHandle};
+use unimatch_core::{DegradeOptions, MatchPipeline, ModelHandle};
 use unimatch_faults::FaultPoint;
 
 /// Chaos-testing seam: a latency fault armed at `serve.batch` stalls the
@@ -63,33 +69,71 @@ pub enum JobError {
     Expired,
 }
 
-/// A batcher answer: the payload plus its `degraded` flag (`true` when a
-/// shard was missing from the merge or a brownout rung changed content).
-pub type JobResult<T> = Result<(T, bool), JobError>;
+/// A batcher answer: the ranked `(id, score)` list plus its `degraded`
+/// flag (`true` when a shard was missing from the merge or a brownout
+/// rung changed content).
+pub type JobResult = Result<(Vec<(u32, f32)>, bool), JobError>;
 
-/// An enqueued `/recommend` request.
-pub struct RecommendJob {
-    /// The user's purchase history (dense item ids, oldest first).
-    pub history: Vec<u32>,
-    /// Number of items requested.
+/// What a query asks about — the one thing that differs between the two
+/// query routes.
+#[derive(Clone, Debug)]
+pub enum Query {
+    /// `/recommend`: a user's purchase history (dense item ids, oldest
+    /// first), answered with items.
+    History(Vec<u32>),
+    /// `/target`: a dense item id, answered with users.
+    Item(u32),
+}
+
+impl Query {
+    /// The route this query arrives on and is accounted under.
+    pub fn route(&self) -> Route {
+        match self {
+            Query::History(_) => Route::Recommend,
+            Query::Item(_) => Route::Target,
+        }
+    }
+
+    /// Checks the query and `k` against a model serving `num_items`
+    /// items; the message becomes the `400` body.
+    pub fn validate(&self, k: usize, num_items: u32) -> Result<(), String> {
+        match self {
+            Query::History(history) => {
+                if history.is_empty() {
+                    return Err("history must be non-empty".into());
+                }
+                if let Some(&bad) = history.iter().find(|&&i| i >= num_items) {
+                    return Err(format!(
+                        "history item {bad} outside the model's {num_items}-item vocabulary"
+                    ));
+                }
+            }
+            Query::Item(item) => {
+                if *item >= num_items {
+                    return Err(format!(
+                        "item {item} outside the model's {num_items}-item vocabulary"
+                    ));
+                }
+            }
+        }
+        if k == 0 {
+            return Err("k must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
+/// An enqueued query request.
+pub struct Job {
+    /// What is asked.
+    pub query: Query,
+    /// Number of results requested.
     pub k: usize,
     /// Load-shedding deadline: jobs still queued past this instant are
     /// answered [`JobError::Expired`] instead of executed.
     pub deadline: Instant,
     /// Where the batcher delivers the result.
-    pub reply: Sender<JobResult<Vec<Hit>>>,
-}
-
-/// An enqueued `/target` request.
-pub struct TargetJob {
-    /// The dense item id to find an audience for.
-    pub item: u32,
-    /// Number of users requested.
-    pub k: usize,
-    /// Load-shedding deadline (see [`RecommendJob::deadline`]).
-    pub deadline: Instant,
-    /// Where the batcher delivers the result.
-    pub reply: Sender<JobResult<Vec<(u32, f32)>>>,
+    pub reply: Sender<JobResult>,
 }
 
 /// Batching parameters (see `ServeConfig`).
@@ -103,11 +147,14 @@ pub struct BatchConfig {
     pub cache_capacity: usize,
 }
 
+/// The history → embedding cache between *embed* and *retrieve*.
+type EmbeddingCache = LruCache<Vec<u32>, Vec<f32>>;
+
 /// Collects one batch: blocks for the first job, then drains until the
 /// window closes, the batch is full, or the channel disconnects. Every
 /// dequeued job releases one slot of `depth`, the admission-side queue
 /// occupancy counter the server sheds against.
-fn collect_batch<T>(rx: &Receiver<T>, cfg: &BatchConfig, depth: &AtomicUsize) -> Option<Vec<T>> {
+fn collect_batch(rx: &Receiver<Job>, cfg: &BatchConfig, depth: &AtomicUsize) -> Option<Vec<Job>> {
     let first = rx.recv().ok()?;
     depth.fetch_sub(1, Ordering::SeqCst);
     let deadline = Instant::now() + cfg.window;
@@ -129,32 +176,21 @@ fn collect_batch<T>(rx: &Receiver<T>, cfg: &BatchConfig, depth: &AtomicUsize) ->
     Some(batch)
 }
 
-/// Splits off and answers the jobs whose deadline passed while they
-/// queued; returns the still-live remainder in arrival order.
-fn drop_expired<T>(
-    batch: Vec<T>,
-    deadline_of: impl Fn(&T) -> Instant,
-    reply: impl Fn(T),
-    metrics: &Metrics,
-) -> Vec<T> {
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.len());
-    for job in batch {
-        if now >= deadline_of(&job) {
-            metrics.shed_deadline();
-            reply(job);
-        } else {
-            live.push(job);
-        }
+/// Answers every job in `jobs` with the same error.
+fn fail_all<'a>(jobs: impl IntoIterator<Item = &'a Job>, error: JobError) {
+    for job in jobs {
+        let _ = job.reply.send(Err(error.clone()));
     }
-    live
 }
 
-/// Runs until every [`Sender`] for `rx` is dropped **and** the queue is
-/// drained — exactly the graceful-shutdown contract: accepted requests are
-/// answered even while the server is going down.
-pub fn run_recommend_batcher(
-    rx: Receiver<RecommendJob>,
+/// One route's batcher loop. Runs until every [`Sender`] for `rx` is
+/// dropped **and** the queue is drained — exactly the graceful-shutdown
+/// contract: accepted requests are answered even while the server is
+/// going down.
+#[allow(clippy::too_many_arguments)]
+pub fn run_batcher(
+    route: Route,
+    rx: Receiver<Job>,
     handle: Arc<ModelHandle>,
     metrics: Arc<Metrics>,
     cfg: BatchConfig,
@@ -162,22 +198,25 @@ pub fn run_recommend_batcher(
     brownout: Option<Arc<BrownoutState>>,
     shadow: Option<Arc<ShadowState>>,
 ) {
-    let mut cache: LruCache<Vec<u32>, Vec<f32>> = LruCache::new(cfg.cache_capacity);
+    // only histories are embedded; an item query is one stored row,
+    // there is nothing to save
+    let mut cache =
+        EmbeddingCache::new(if route == Route::Recommend { cfg.cache_capacity } else { 0 });
     let mut cache_version = 0u64;
     while let Some(batch) = collect_batch(&rx, &cfg, &depth) {
         BATCH_FAULT.inject_latency();
-        let batch = drop_expired(
-            batch,
-            |j: &RecommendJob| j.deadline,
-            |j| {
-                let _ = j.reply.send(Err(JobError::Expired));
-            },
-            &metrics,
-        );
+        // jobs whose deadline passed while they queued are answered, not run
+        let now = Instant::now();
+        let (batch, expired): (Vec<Job>, Vec<Job>) =
+            batch.into_iter().partition(|job| now < job.deadline);
+        for job in expired {
+            metrics.shed_deadline();
+            let _ = job.reply.send(Err(JobError::Expired));
+        }
         if batch.is_empty() {
             continue;
         }
-        metrics.batch(Route::Recommend, batch.len());
+        metrics.batch(route, batch.len());
         let state = handle.current();
         if state.version != cache_version {
             cache.clear();
@@ -188,233 +227,132 @@ pub fn run_recommend_batcher(
         let degrade = brownout.as_deref().map_or(DegradeOptions::NONE, BrownoutState::degrade);
         let jobs = batch.len() as u64;
         let start = Instant::now();
-        execute_recommend(batch, &state, &metrics, &mut cache, degrade, shadow.as_deref());
+        execute(route, batch, &state, &metrics, &mut cache, degrade, shadow.as_deref());
         metrics.observe_service(start.elapsed().as_micros() as u64 / jobs);
     }
 }
 
-fn execute_recommend(
-    batch: Vec<RecommendJob>,
+/// *Embed* with the cache in front: cached histories are copied, the
+/// misses go through one batched forward pass and are cached. Returns
+/// the `jobs.len() × dim` query rows in job order.
+fn embed_cached(
+    pipeline: &MatchPipeline<'_>,
+    jobs: &[Job],
+    cache: &mut EmbeddingCache,
+    metrics: &Metrics,
+) -> Vec<f32> {
+    let d = pipeline.dim();
+    let mut flat = vec![0.0f32; jobs.len() * d];
+    let mut misses: Vec<(usize, &[u32])> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let Query::History(history) = &job.query else {
+            unreachable!("the recommend queue only carries histories")
+        };
+        match cache.get(history) {
+            Some(e) => {
+                metrics.cache_hit();
+                flat[i * d..(i + 1) * d].copy_from_slice(e);
+            }
+            None => {
+                metrics.cache_miss();
+                misses.push((i, history));
+            }
+        }
+    }
+    if !misses.is_empty() {
+        let histories: Vec<&[u32]> = misses.iter().map(|&(_, h)| h).collect();
+        let embedded = pipeline.embed(&histories);
+        for (&(i, history), e) in misses.iter().zip(embedded.chunks(d)) {
+            cache.insert(history.to_vec(), e.to_vec());
+            flat[i * d..(i + 1) * d].copy_from_slice(e);
+        }
+    }
+    flat
+}
+
+/// Answers one batch from one model snapshot: validate → materialise the
+/// query rows (cached *embed* or *gather*) → one checked pipeline run
+/// per distinct `k` → translate → reply.
+fn execute(
+    route: Route,
+    batch: Vec<Job>,
     state: &ServingState,
     metrics: &Metrics,
-    cache: &mut LruCache<Vec<u32>, Vec<f32>>,
+    cache: &mut EmbeddingCache,
     degrade: DegradeOptions,
     shadow: Option<&ShadowState>,
 ) {
-    // The batcher executes a pipeline handle: *embed* and *retrieve +
-    // rerank* run as explicit stages so the embedding cache can sit
-    // between them (see `unimatch_core::pipeline`).
-    let pipeline = state.fitted.item_pipeline();
-    let num_items = state.fitted.num_items() as u32;
+    let fitted = &state.fitted;
+    let pipeline = match route {
+        Route::Recommend => fitted.item_pipeline(),
+        _ => fitted.user_pipeline(),
+    };
+    let num_items = fitted.num_items() as u32;
     let d = pipeline.dim();
 
     // validate; invalid jobs are answered immediately and drop out
-    let mut valid: Vec<RecommendJob> = Vec::with_capacity(batch.len());
+    let mut valid: Vec<Job> = Vec::with_capacity(batch.len());
     for job in batch {
-        if job.history.is_empty() {
-            let _ = job.reply.send(Err(JobError::BadRequest("history must be non-empty".into())));
-        } else if let Some(&bad) = job.history.iter().find(|&&i| i >= num_items) {
-            let _ = job.reply.send(Err(JobError::BadRequest(format!(
-                "history item {bad} outside the model's {num_items}-item vocabulary"
-            ))));
-        } else if job.k == 0 {
-            let _ = job.reply.send(Err(JobError::BadRequest("k must be at least 1".into())));
-        } else {
-            valid.push(job);
+        match job.query.validate(job.k, num_items) {
+            Ok(()) => valid.push(job),
+            Err(msg) => {
+                let _ = job.reply.send(Err(JobError::BadRequest(msg)));
+            }
         }
     }
     if valid.is_empty() {
         return;
     }
 
-    // embeddings: cache first, one batched forward pass for the misses
-    let mut queries: Vec<Vec<f32>> = Vec::with_capacity(valid.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, job) in valid.iter().enumerate() {
-        match cache.get(&job.history) {
-            Some(e) => {
-                metrics.cache_hit();
-                queries.push(e.clone());
-            }
-            None => {
-                metrics.cache_miss();
-                miss_idx.push(i);
-                queries.push(Vec::new());
-            }
+    let materialised = catch_unwind(AssertUnwindSafe(|| match route {
+        Route::Recommend => embed_cached(&pipeline, &valid, cache, metrics),
+        _ => {
+            let items: Vec<u32> = valid
+                .iter()
+                .map(|job| match job.query {
+                    Query::Item(item) => item,
+                    Query::History(_) => unreachable!("the target queue only carries items"),
+                })
+                .collect();
+            pipeline.gather(&items)
         }
-    }
-    if !miss_idx.is_empty() {
-        let histories: Vec<&[u32]> =
-            miss_idx.iter().map(|&i| valid[i].history.as_slice()).collect();
-        let flat = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.embed(&histories)
-        })) {
-            Ok(flat) => flat,
-            Err(_) => {
-                for job in valid {
-                    let _ = job
-                        .reply
-                        .send(Err(JobError::Internal("embedding forward pass panicked".into())));
-                }
-                return;
-            }
-        };
-        for (slot, &i) in miss_idx.iter().enumerate() {
-            let e = flat[slot * d..(slot + 1) * d].to_vec();
-            cache.insert(valid[i].history.clone(), e.clone());
-            queries[i] = e;
-        }
-    }
+    }));
+    let Ok(queries) = materialised else {
+        fail_all(&valid, JobError::Internal("embedding forward pass panicked".into()));
+        return;
+    };
 
-    // one ANN search per distinct k, jobs kept in arrival order within each
-    let content_degraded = state.fitted.degrade_affects_content(degrade);
-    let mut by_k: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    // one retrieval per distinct k, jobs kept in arrival order within each
+    let content_degraded = pipeline.degrade_affects_content(degrade);
+    let mut by_k: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, job) in valid.iter().enumerate() {
         by_k.entry(job.k).or_default().push(i);
     }
     for (k, indices) in by_k {
         let mut flat: Vec<f32> = Vec::with_capacity(indices.len() * d);
         for &i in &indices {
-            flat.extend_from_slice(&queries[i]);
+            flat.extend_from_slice(&queries[i * d..(i + 1) * d]);
         }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.run_checked(&flat, k, degrade)
-        }));
-        match result {
-            Ok(Ok((hits, health))) => {
-                for &(shard, _) in &health.failures {
-                    metrics.shard_error(shard as usize);
-                }
-                let flag = health.degraded() || content_degraded;
-                for (&i, h) in indices.iter().zip(hits) {
-                    if flag {
-                        metrics.degraded_response(health.degraded());
-                    }
-                    if let Some(sh) = shadow.filter(|s| s.sample()) {
-                        sh.submit_recommend(&valid[i].history, k, &h);
-                    }
-                    let _ = valid[i].reply.send(Ok((h, flag)));
-                }
-            }
-            Ok(Err(quorum)) => {
-                for &i in &indices {
-                    let _ = valid[i].reply.send(Err(JobError::Internal(quorum.to_string())));
-                }
-            }
-            Err(_) => {
-                for &i in &indices {
-                    let _ = valid[i]
-                        .reply
-                        .send(Err(JobError::Internal("ANN search panicked".into())));
-                }
-            }
-        }
-    }
-}
-
-/// The `/target` twin of [`run_recommend_batcher`] (no cache: the item
-/// tower is a single embedding-table row, there is nothing to save).
-pub fn run_target_batcher(
-    rx: Receiver<TargetJob>,
-    handle: Arc<ModelHandle>,
-    metrics: Arc<Metrics>,
-    cfg: BatchConfig,
-    depth: Arc<AtomicUsize>,
-    brownout: Option<Arc<BrownoutState>>,
-    shadow: Option<Arc<ShadowState>>,
-) {
-    while let Some(batch) = collect_batch(&rx, &cfg, &depth) {
-        BATCH_FAULT.inject_latency();
-        let batch = drop_expired(
-            batch,
-            |j: &TargetJob| j.deadline,
-            |j| {
-                let _ = j.reply.send(Err(JobError::Expired));
-            },
-            &metrics,
-        );
-        if batch.is_empty() {
-            continue;
-        }
-        metrics.batch(Route::Target, batch.len());
-        let state = handle.current();
-        let degrade = brownout.as_deref().map_or(DegradeOptions::NONE, BrownoutState::degrade);
-        let jobs = batch.len() as u64;
-        let start = Instant::now();
-        execute_target(batch, &state, &metrics, degrade, shadow.as_deref());
-        metrics.observe_service(start.elapsed().as_micros() as u64 / jobs);
-    }
-}
-
-fn execute_target(
-    batch: Vec<TargetJob>,
-    state: &ServingState,
-    metrics: &Metrics,
-    degrade: DegradeOptions,
-    shadow: Option<&ShadowState>,
-) {
-    // gather → retrieve (checked) → rerank → translate, all through the
-    // user-tower pipeline handle
-    let pipeline = state.fitted.user_pipeline();
-    let num_items = state.fitted.num_items() as u32;
-    let mut valid: Vec<TargetJob> = Vec::with_capacity(batch.len());
-    for job in batch {
-        if job.item >= num_items {
-            let _ = job.reply.send(Err(JobError::BadRequest(format!(
-                "item {} outside the model's {num_items}-item vocabulary",
-                job.item
-            ))));
-        } else if job.k == 0 {
-            let _ = job.reply.send(Err(JobError::BadRequest("k must be at least 1".into())));
-        } else {
-            valid.push(job);
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-    let mut by_k: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for (i, job) in valid.iter().enumerate() {
-        by_k.entry(job.k).or_default().push(i);
-    }
-    let content_degraded = state.fitted.degrade_affects_content(degrade);
-    for (k, indices) in by_k {
-        let items: Vec<u32> = indices.iter().map(|&i| valid[i].item).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let queries = pipeline.gather(&items);
-            let (lists, health) = pipeline.run_checked(&queries, k, degrade)?;
-            let translated: Vec<Vec<(u32, f32)>> =
-                lists.into_iter().map(|hits| pipeline.translate(hits)).collect();
-            Ok::<_, unimatch_ann::QuorumError>((translated, health))
-        }));
-        match result {
+        let group = indices.iter().map(|&i| &valid[i]);
+        match catch_unwind(AssertUnwindSafe(|| pipeline.run_checked(&flat, k, degrade))) {
             Ok(Ok((lists, health))) => {
                 for &(shard, _) in &health.failures {
                     metrics.shard_error(shard as usize);
                 }
                 let flag = health.degraded() || content_degraded;
-                for (&i, users) in indices.iter().zip(lists) {
+                for (job, hits) in group.zip(lists) {
+                    let answer = pipeline.translate(hits);
                     if flag {
                         metrics.degraded_response(health.degraded());
                     }
                     if let Some(sh) = shadow.filter(|s| s.sample()) {
-                        sh.submit_target(valid[i].item, k, &users);
+                        sh.submit(&job.query, k, &answer);
                     }
-                    let _ = valid[i].reply.send(Ok((users, flag)));
+                    let _ = job.reply.send(Ok((answer, flag)));
                 }
             }
-            Ok(Err(quorum)) => {
-                for &i in &indices {
-                    let _ = valid[i].reply.send(Err(JobError::Internal(quorum.to_string())));
-                }
-            }
-            Err(_) => {
-                for &i in &indices {
-                    let _ = valid[i]
-                        .reply
-                        .send(Err(JobError::Internal("ANN search panicked".into())));
-                }
-            }
+            Ok(Err(quorum)) => fail_all(group, JobError::Internal(quorum.to_string())),
+            Err(_) => fail_all(group, JobError::Internal("ANN search panicked".into())),
         }
     }
 }

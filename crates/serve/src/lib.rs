@@ -9,10 +9,14 @@
 //!
 //! Architecture (details in `docs/ARCHITECTURE.md`):
 //!
+//! * **one query path** — `/recommend` and `/target` are the same query
+//!   against two towers, so they share one job type, one handler, one
+//!   batcher loop and one response encoder; the route only decides which
+//!   field is parsed, which `MatchPipeline` answers, and the list key;
 //! * **micro-batching** ([`batcher`]) — concurrent requests arriving
-//!   within a small window are coalesced into one call to the batched
-//!   serving APIs, so the `unimatch-parallel` fan-out amortizes across
-//!   callers; results are identical to unbatched calls;
+//!   within a small window are coalesced into one pipeline call, so the
+//!   `unimatch-parallel` fan-out amortizes across callers; results are
+//!   identical to unbatched calls;
 //! * **model hot-swap** (`unimatch_core::serving::ModelHandle`) —
 //!   `POST /reload` builds the next serving snapshot off-lock and swaps a
 //!   pointer; in-flight batches finish on the version that admitted them;
@@ -55,8 +59,5 @@ pub mod shadow;
 pub use brownout::{BrownoutControl, BrownoutSpec, BrownoutState, BrownoutStep};
 pub use cache::LruCache;
 pub use metrics::{Metrics, Route};
-pub use server::{
-    recommend_body, recommend_body_degraded, target_body, target_body_degraded, ServeConfig,
-    Server,
-};
+pub use server::{recommend_body, target_body, ServeConfig, Server};
 pub use shadow::{ShadowSpec, ShadowState};

@@ -67,7 +67,7 @@ impl Route {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Route::Recommend => 0,
             Route::Target => 1,

@@ -1,11 +1,15 @@
 //! The TCP accept loop, request routing, and lifecycle management.
 //!
 //! ```text
-//!        TCP accept (cap)        admission queues          batched execution
-//! client ──► connection thread ──► RecommendJob/TargetJob ──► batcher thread ──► reply
+//!        TCP accept (cap)      admission queue per route     batched execution
+//! client ──► connection thread ──────────► Job ──────────────► batcher thread ──► reply
 //!                │                                               │
 //!                └── /reload, /healthz, /metrics ── ModelHandle ─┘  (hot-swap snapshot)
 //! ```
+//!
+//! `/recommend` and `/target` are one handler ([`Query`] says which
+//! field to parse and which list key to answer under), one [`Job`] type
+//! and one batcher loop; each route keeps its own queue and thread.
 //!
 //! Endpoints:
 //!
@@ -20,9 +24,7 @@
 //! All ids are the dense internal universe (the CLI persists the external
 //! ↔ dense vocabularies next to the checkpoint for translation).
 
-use crate::batcher::{
-    run_recommend_batcher, run_target_batcher, BatchConfig, JobError, RecommendJob, TargetJob,
-};
+use crate::batcher::{run_batcher, BatchConfig, Job, JobError, Query};
 use crate::brownout::{BrownoutControl, BrownoutSpec, BrownoutState};
 use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
 use crate::metrics::{Metrics, Route};
@@ -101,18 +103,22 @@ struct ShadowShared {
     handle: Arc<ModelHandle>,
 }
 
+/// One query route's admission queue.
+struct Queue {
+    tx: Sender<Job>,
+    /// Jobs currently queued (incremented at admission, decremented by
+    /// the batcher per dequeue); the shed threshold.
+    depth: Arc<AtomicUsize>,
+}
+
 /// Everything a connection thread needs; dropping the last `Shared` closes
 /// the admission queues, which lets the batchers drain and exit.
 struct Shared {
     handle: Arc<ModelHandle>,
     metrics: Arc<Metrics>,
-    recommend_tx: Sender<RecommendJob>,
-    target_tx: Sender<TargetJob>,
+    /// The admission queue of each query route, by [`Route::index`].
+    queues: [Queue; 2],
     read_timeout: Duration,
-    /// Jobs currently queued per route (incremented at admission,
-    /// decremented by the batcher per dequeue); the shed threshold.
-    recommend_depth: Arc<AtomicUsize>,
-    target_depth: Arc<AtomicUsize>,
     queue_bound: usize,
     request_deadline: Duration,
     /// The brownout plane, present when a ladder is configured.
@@ -188,45 +194,33 @@ impl Server {
             max_batch: config.max_batch.max(1),
             cache_capacity: config.cache_capacity,
         };
-        let (recommend_tx, recommend_rx) = channel::<RecommendJob>();
-        let (target_tx, target_rx) = channel::<TargetJob>();
-        let recommend_depth = Arc::new(AtomicUsize::new(0));
-        let target_depth = Arc::new(AtomicUsize::new(0));
         let brownout = config.brownout.map(|spec| Arc::new(BrownoutState::new(spec)));
         let mut batcher_threads = Vec::with_capacity(2);
-        {
-            let (h, m, d) = (handle.clone(), metrics.clone(), recommend_depth.clone());
+        let mut spawn_batcher = |route: Route| -> io::Result<Queue> {
+            let (tx, rx) = channel::<Job>();
+            let depth = Arc::new(AtomicUsize::new(0));
+            let (h, m, d) = (handle.clone(), metrics.clone(), depth.clone());
             let (b, s) = (brownout.clone(), shadow_state.clone());
             batcher_threads.push(
                 std::thread::Builder::new()
-                    .name("unimatch-batch-recommend".into())
-                    .spawn(move || run_recommend_batcher(recommend_rx, h, m, batch_cfg, d, b, s))?,
+                    .name(format!("unimatch-batch-{}", route.label()))
+                    .spawn(move || run_batcher(route, rx, h, m, batch_cfg, d, b, s))?,
             );
-        }
-        {
-            let (h, m, d) = (handle.clone(), metrics.clone(), target_depth.clone());
-            let (b, s) = (brownout.clone(), shadow_state);
-            batcher_threads.push(
-                std::thread::Builder::new()
-                    .name("unimatch-batch-target".into())
-                    .spawn(move || run_target_batcher(target_rx, h, m, batch_cfg, d, b, s))?,
-            );
-        }
+            Ok(Queue { tx, depth })
+        };
+        // in `Route::index` order
+        let queues = [spawn_batcher(Route::Recommend)?, spawn_batcher(Route::Target)?];
 
         let brownout_thread = match &brownout {
             Some(state) => {
                 let state = state.clone();
                 let metrics = metrics.clone();
                 let shutdown = shutdown_flag.clone();
-                let (rec_depth, tgt_depth) = (recommend_depth.clone(), target_depth.clone());
+                let depths = queues.each_ref().map(|q| q.depth.clone());
                 Some(
-                    std::thread::Builder::new().name("unimatch-brownout".into()).spawn(
-                        move || {
-                            run_brownout_controller(
-                                state, metrics, shutdown, rec_depth, tgt_depth,
-                            )
-                        },
-                    )?,
+                    std::thread::Builder::new()
+                        .name("unimatch-brownout".into())
+                        .spawn(move || run_brownout_controller(state, metrics, shutdown, depths))?,
                 )
             }
             None => None,
@@ -235,11 +229,8 @@ impl Server {
         let shared = Arc::new(Shared {
             handle: handle.clone(),
             metrics: metrics.clone(),
-            recommend_tx,
-            target_tx,
+            queues,
             read_timeout: config.read_timeout,
-            recommend_depth,
-            target_depth,
             queue_bound: config.queue_bound,
             request_deadline: config.request_deadline,
             brownout,
@@ -388,8 +379,7 @@ fn run_brownout_controller(
     state: Arc<BrownoutState>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
-    recommend_depth: Arc<AtomicUsize>,
-    target_depth: Arc<AtomicUsize>,
+    depths: [Arc<AtomicUsize>; 2],
 ) {
     let spec = state.spec().clone();
     let mut control = BrownoutControl::new(&spec);
@@ -404,8 +394,7 @@ fn run_brownout_controller(
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let depth =
-            recommend_depth.load(Ordering::SeqCst) + target_depth.load(Ordering::SeqCst);
+        let depth = depths.iter().map(|d| d.load(Ordering::SeqCst)).sum();
         let misses = metrics.shed_deadlines();
         let level = control.observe(depth, misses - last_misses);
         last_misses = misses;
@@ -419,25 +408,15 @@ pub fn recommend_body(k: usize, hits: &[Hit]) -> Vec<u8> {
     query_body(k, false, "items", hits.iter().map(|h| (h.id, h.score)))
 }
 
-/// [`recommend_body`] with the `"degraded":true` marker — emitted only
-/// when a quorum-tolerated shard failure or an active brownout rung
-/// touched this answer. Healthy responses never carry the key, keeping
-/// them bitwise identical to the pre-brownout wire format.
-pub fn recommend_body_degraded(k: usize, hits: &[Hit]) -> Vec<u8> {
-    query_body(k, true, "items", hits.iter().map(|h| (h.id, h.score)))
-}
-
 /// Serializes a `/target` result body (see [`recommend_body`]).
 pub fn target_body(k: usize, users: &[(u32, f32)]) -> Vec<u8> {
     query_body(k, false, "users", users.iter().copied())
 }
 
-/// [`target_body`] with the `"degraded":true` marker (see
-/// [`recommend_body_degraded`]).
-pub fn target_body_degraded(k: usize, users: &[(u32, f32)]) -> Vec<u8> {
-    query_body(k, true, "users", users.iter().copied())
-}
-
+/// The one query-response encoder. `"degraded":true` is emitted only
+/// when a quorum-tolerated shard failure or an active brownout rung
+/// touched the answer; healthy responses never carry the key, keeping
+/// them bitwise identical to the pre-brownout wire format.
 fn query_body(
     k: usize,
     degraded: bool,
@@ -513,8 +492,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// An idle or lightly loaded server answers the floor of 1 s; the cap
 /// keeps a transient spike from parking well-behaved clients for minutes.
 fn retry_after_secs(shared: &Shared) -> u64 {
-    let depth = shared.recommend_depth.load(Ordering::SeqCst)
-        + shared.target_depth.load(Ordering::SeqCst);
+    let depth = shared.queues.iter().map(|q| q.depth.load(Ordering::SeqCst)).sum();
     drain_estimate_secs(depth, shared.metrics.recent_service_us())
 }
 
@@ -527,8 +505,8 @@ type Dispatch = (Option<Route>, u16, &'static str, Vec<u8>);
 
 fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/recommend") => route_recommend(request, shared),
-        ("POST", "/target") => route_target(request, shared),
+        ("POST", "/recommend") => route_query(Route::Recommend, request, shared),
+        ("POST", "/target") => route_query(Route::Target, request, shared),
         ("POST", "/reload") => route_reload(request, shared),
         ("GET", "/healthz") => {
             let state = shared.handle.current();
@@ -612,8 +590,9 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
     }
 }
 
-/// Parses `k` with a default of 10, bounded only by the batcher's
-/// validation (k ≥ 1).
+/// Parses `k` with a default of 10. The batcher rejects `k = 0`; there
+/// is no upper bound here because the pipeline clamps its fetch depth to
+/// the indexed row count, and the response echoes the `k` asked for.
 fn parse_k(body: &Json) -> Result<usize, String> {
     match body.get("k") {
         None => Ok(10),
@@ -627,114 +606,69 @@ fn parse_body(request: &Request) -> Result<Json, String> {
     Json::parse(&request.body).map_err(|e| e.to_string())
 }
 
-fn route_recommend(request: &Request, shared: &Shared) -> Dispatch {
-    let route = Some(Route::Recommend);
-    let parsed = parse_body(request).and_then(|body| {
-        let k = parse_k(&body)?;
-        let history: Vec<u32> = body
+/// Parses the route's query field: `"history"` (an array of item ids)
+/// for `/recommend`, `"item"` (one item id) for `/target`.
+fn parse_query(route: Route, body: &Json) -> Result<Query, String> {
+    let item_id = |v: &Json| v.as_u64().filter(|&x| x <= u32::MAX as u64).map(|x| x as u32);
+    match route {
+        Route::Recommend => body
             .get("history")
             .and_then(Json::as_array)
             .ok_or_else(|| "history must be an array of item ids".to_string())?
             .iter()
-            .map(|v| {
-                v.as_u64()
-                    .filter(|&x| x <= u32::MAX as u64)
-                    .map(|x| x as u32)
-                    .ok_or_else(|| "history entries must be item ids".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        Ok((history, k))
-    });
-    let (history, k) = match parsed {
-        Ok(p) => p,
-        Err(msg) => return (route, 400, "application/json", error_body(&msg)),
-    };
-    if let Some(shed) = brownout_shed(shared, route) {
-        return shed;
-    }
-    let Some(deadline) = admit(shared, &shared.recommend_depth) else {
-        return (route, 429, "application/json", error_body("admission queue full"));
-    };
-    let (reply_tx, reply_rx) = channel();
-    if shared.recommend_tx.send(RecommendJob { history, k, deadline, reply: reply_tx }).is_err() {
-        shared.recommend_depth.fetch_sub(1, Ordering::SeqCst);
-        return (route, 503, "application/json", error_body("server shutting down"));
-    }
-    match reply_rx.recv() {
-        Ok(Ok((hits, degraded))) => {
-            let body =
-                if degraded { recommend_body_degraded(k, &hits) } else { recommend_body(k, &hits) };
-            (route, 200, "application/json", body)
-        }
-        Ok(Err(JobError::BadRequest(msg))) => (route, 400, "application/json", error_body(&msg)),
-        Ok(Err(JobError::Internal(msg))) => (route, 500, "application/json", error_body(&msg)),
-        Ok(Err(JobError::Expired)) => expired_dispatch(route),
-        Err(_) => (route, 500, "application/json", error_body("batch executor unavailable")),
+            .map(|v| item_id(v).ok_or_else(|| "history entries must be item ids".to_string()))
+            .collect::<Result<_, _>>()
+            .map(Query::History),
+        _ => body
+            .get("item")
+            .and_then(item_id)
+            .map(Query::Item)
+            .ok_or_else(|| "item must be an item id".to_string()),
     }
 }
 
-/// Sheds the request with `503` + `Retry-After` when the brownout ladder
-/// has escalated to its `shed` rung; `None` admits.
-fn brownout_shed(shared: &Shared, route: Option<Route>) -> Option<Dispatch> {
-    if shared.brownout.as_ref().is_some_and(|b| b.shedding()) {
-        shared.metrics.shed_brownout();
-        return Some((route, 503, "application/json", error_body("brownout: shedding load")));
-    }
-    None
-}
-
-/// Admission control: claims one queue slot and stamps the job's deadline,
-/// or sheds (the caller answers `429`) when the queue is at its bound.
-fn admit(shared: &Shared, depth: &AtomicUsize) -> Option<Instant> {
-    if depth.fetch_add(1, Ordering::SeqCst) >= shared.queue_bound {
-        depth.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.shed_queue_full();
-        return None;
-    }
-    Some(Instant::now() + shared.request_deadline)
-}
-
-/// The uniform answer for a job the batcher shed on deadline.
-fn expired_dispatch(route: Option<Route>) -> Dispatch {
-    (route, 503, "application/json", error_body("deadline exceeded in admission queue"))
-}
-
-fn route_target(request: &Request, shared: &Shared) -> Dispatch {
-    let route = Some(Route::Target);
+/// The handler behind both query routes: parse → brownout shed →
+/// admission → enqueue → wait for the batcher's reply → encode.
+fn route_query(route: Route, request: &Request, shared: &Shared) -> Dispatch {
+    let queue = &shared.queues[route.index()];
+    let list_key = if route == Route::Recommend { "items" } else { "users" };
+    let tag = Some(route);
     let parsed = parse_body(request).and_then(|body| {
         let k = parse_k(&body)?;
-        let item = body
-            .get("item")
-            .and_then(Json::as_u64)
-            .filter(|&x| x <= u32::MAX as u64)
-            .ok_or_else(|| "item must be an item id".to_string())?;
-        Ok((item as u32, k))
+        Ok((parse_query(route, &body)?, k))
     });
-    let (item, k) = match parsed {
+    let (query, k) = match parsed {
         Ok(p) => p,
-        Err(msg) => return (route, 400, "application/json", error_body(&msg)),
+        Err(msg) => return (tag, 400, "application/json", error_body(&msg)),
     };
-    if let Some(shed) = brownout_shed(shared, route) {
-        return shed;
+    if shared.brownout.as_ref().is_some_and(|b| b.shedding()) {
+        shared.metrics.shed_brownout();
+        return (tag, 503, "application/json", error_body("brownout: shedding load"));
     }
-    let Some(deadline) = admit(shared, &shared.target_depth) else {
-        return (route, 429, "application/json", error_body("admission queue full"));
-    };
+    // admission control: claim one queue slot and stamp the job's deadline,
+    // or shed when the queue is at its bound
+    if queue.depth.fetch_add(1, Ordering::SeqCst) >= shared.queue_bound {
+        queue.depth.fetch_sub(1, Ordering::SeqCst);
+        shared.metrics.shed_queue_full();
+        return (tag, 429, "application/json", error_body("admission queue full"));
+    }
+    let deadline = Instant::now() + shared.request_deadline;
     let (reply_tx, reply_rx) = channel();
-    if shared.target_tx.send(TargetJob { item, k, deadline, reply: reply_tx }).is_err() {
-        shared.target_depth.fetch_sub(1, Ordering::SeqCst);
-        return (route, 503, "application/json", error_body("server shutting down"));
+    if queue.tx.send(Job { query, k, deadline, reply: reply_tx }).is_err() {
+        queue.depth.fetch_sub(1, Ordering::SeqCst);
+        return (tag, 503, "application/json", error_body("server shutting down"));
     }
     match reply_rx.recv() {
-        Ok(Ok((users, degraded))) => {
-            let body =
-                if degraded { target_body_degraded(k, &users) } else { target_body(k, &users) };
-            (route, 200, "application/json", body)
+        Ok(Ok((answer, degraded))) => {
+            let body = query_body(k, degraded, list_key, answer.into_iter());
+            (tag, 200, "application/json", body)
         }
-        Ok(Err(JobError::BadRequest(msg))) => (route, 400, "application/json", error_body(&msg)),
-        Ok(Err(JobError::Internal(msg))) => (route, 500, "application/json", error_body(&msg)),
-        Ok(Err(JobError::Expired)) => expired_dispatch(route),
-        Err(_) => (route, 500, "application/json", error_body("batch executor unavailable")),
+        Ok(Err(JobError::BadRequest(msg))) => (tag, 400, "application/json", error_body(&msg)),
+        Ok(Err(JobError::Internal(msg))) => (tag, 500, "application/json", error_body(&msg)),
+        Ok(Err(JobError::Expired)) => {
+            (tag, 503, "application/json", error_body("deadline exceeded in admission queue"))
+        }
+        Err(_) => (tag, 500, "application/json", error_body("batch executor unavailable")),
     }
 }
 

@@ -30,13 +30,13 @@
 //!    A/A shadow (same checkpoint, same configuration) reports
 //!    overlap 1.0 and score delta 0 exactly.
 
-use crate::metrics::{Metrics, Route};
+use crate::batcher::Query;
+use crate::metrics::Metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
-use unimatch_ann::Hit;
-use unimatch_core::ModelHandle;
+use unimatch_core::{FittedUniMatch, ModelHandle};
 
 /// What the server needs to arm a shadow deployment (see
 /// [`crate::Server::start_with_shadow`]).
@@ -63,29 +63,15 @@ impl ShadowSpec {
 
 /// One mirrored request: the input plus the primary answer it will be
 /// compared against.
-pub enum ShadowJob {
-    /// A mirrored `/recommend` answer.
-    Recommend {
-        /// The request history.
-        history: Vec<u32>,
-        /// The requested k.
-        k: usize,
-        /// The primary's hit list, as sent to the client.
-        primary: Vec<Hit>,
-        /// When the primary batcher enqueued the mirror (lag anchor).
-        enqueued: Instant,
-    },
-    /// A mirrored `/target` answer.
-    Target {
-        /// The request item.
-        item: u32,
-        /// The requested k.
-        k: usize,
-        /// The primary's `(user_id, score)` list, as sent to the client.
-        primary: Vec<(u32, f32)>,
-        /// When the primary batcher enqueued the mirror (lag anchor).
-        enqueued: Instant,
-    },
+pub struct ShadowJob {
+    /// The request's query.
+    pub query: Query,
+    /// The requested k.
+    pub k: usize,
+    /// The primary's `(id, score)` list, as sent to the client.
+    pub primary: Vec<(u32, f32)>,
+    /// When the primary batcher enqueued the mirror (lag anchor).
+    pub enqueued: Instant,
 }
 
 /// The sampling seed of the deterministic mirror stream. Fixed: the
@@ -143,29 +129,15 @@ impl ShadowState {
         splitmix64(n ^ SAMPLE_SEED) < self.threshold
     }
 
-    /// Mirrors one answered `/recommend` (clones the inputs; never
-    /// blocks — a full queue drops and counts).
-    pub fn submit_recommend(&self, history: &[u32], k: usize, primary: &[Hit]) {
-        self.submit(ShadowJob::Recommend {
-            history: history.to_vec(),
+    /// Mirrors one answered query (clones the inputs; never blocks — a
+    /// full queue drops and counts).
+    pub fn submit(&self, query: &Query, k: usize, primary: &[(u32, f32)]) {
+        let job = ShadowJob {
+            query: query.clone(),
             k,
             primary: primary.to_vec(),
             enqueued: Instant::now(),
-        });
-    }
-
-    /// Mirrors one answered `/target` (see
-    /// [`ShadowState::submit_recommend`]).
-    pub fn submit_target(&self, item: u32, k: usize, primary: &[(u32, f32)]) {
-        self.submit(ShadowJob::Target {
-            item,
-            k,
-            primary: primary.to_vec(),
-            enqueued: Instant::now(),
-        });
-    }
-
-    fn submit(&self, job: ShadowJob) {
+        };
         if self.tx.try_send(job).is_err() {
             self.metrics.shadow_dropped();
         }
@@ -181,59 +153,42 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One query answered in process, outside the batcher — the shadow's
+/// side of a pair.
+fn answer(fitted: &FittedUniMatch, query: &Query, k: usize) -> Vec<(u32, f32)> {
+    match query {
+        Query::History(history) => {
+            fitted.recommend_items(history, k).into_iter().map(|h| (h.id, h.score)).collect()
+        }
+        Query::Item(item) => fitted.target_users(*item, k),
+    }
+}
+
 /// The shadow worker loop: drains mirrored jobs, answers each through
 /// the shadow deployment's pipeline, and records the paired deltas.
 /// Exits when every submission handle is dropped (server shutdown).
 pub fn run_shadow_worker(rx: Receiver<ShadowJob>, handle: Arc<ModelHandle>, metrics: Arc<Metrics>) {
-    while let Ok(job) = rx.recv() {
+    while let Ok(ShadowJob { query, k, primary, enqueued }) = rx.recv() {
         let state = handle.current();
-        let num_items = state.fitted.num_items() as u32;
-        match job {
-            ShadowJob::Recommend { history, k, primary, enqueued } => {
-                metrics.shadow_lag(enqueued.elapsed().as_micros() as u64);
-                // a shadow checkpoint with a smaller vocabulary cannot
-                // answer this request; count it as dropped
-                if history.is_empty() || history.iter().any(|&i| i >= num_items) {
-                    metrics.shadow_dropped();
-                    continue;
-                }
-                let started = Instant::now();
-                let shadow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    state.fitted.recommend_items(&history, k)
-                }));
-                metrics.shadow_exec(started.elapsed().as_micros() as u64);
-                match shadow {
-                    Ok(hits) => {
-                        let (overlap, delta) = paired_deltas(
-                            k,
-                            primary.iter().map(|h| (h.id, h.score)),
-                            hits.iter().map(|h| (h.id, h.score)),
-                        );
-                        metrics.shadow_pair(Route::Recommend, overlap, delta);
-                    }
-                    Err(_) => metrics.shadow_dropped(),
-                }
+        metrics.shadow_lag(enqueued.elapsed().as_micros() as u64);
+        // a shadow checkpoint with a smaller vocabulary cannot answer
+        // this request; count it as dropped
+        if query.validate(k, state.fitted.num_items() as u32).is_err() {
+            metrics.shadow_dropped();
+            continue;
+        }
+        let started = Instant::now();
+        let shadow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            answer(&state.fitted, &query, k)
+        }));
+        metrics.shadow_exec(started.elapsed().as_micros() as u64);
+        match shadow {
+            Ok(answer) => {
+                let (overlap, delta) =
+                    paired_deltas(k, primary.iter().copied(), answer.iter().copied());
+                metrics.shadow_pair(query.route(), overlap, delta);
             }
-            ShadowJob::Target { item, k, primary, enqueued } => {
-                metrics.shadow_lag(enqueued.elapsed().as_micros() as u64);
-                if item >= num_items {
-                    metrics.shadow_dropped();
-                    continue;
-                }
-                let started = Instant::now();
-                let shadow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    state.fitted.target_users(item, k)
-                }));
-                metrics.shadow_exec(started.elapsed().as_micros() as u64);
-                match shadow {
-                    Ok(users) => {
-                        let (overlap, delta) =
-                            paired_deltas(k, primary.iter().copied(), users.iter().copied());
-                        metrics.shadow_pair(Route::Target, overlap, delta);
-                    }
-                    Err(_) => metrics.shadow_dropped(),
-                }
-            }
+            Err(_) => metrics.shadow_dropped(),
         }
     }
 }
@@ -314,11 +269,11 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let (state, rx) = ShadowState::new(1.0, 2, metrics.clone());
         for _ in 0..5 {
-            state.submit_target(1, 3, &[(1, 0.5)]);
+            state.submit(&Query::Item(1), 3, &[(1, 0.5)]);
         }
         assert_eq!(metrics.shadow_dropped_total(), 3, "bound 2 holds 2 of 5 submissions");
         drop(rx);
-        state.submit_target(1, 3, &[(1, 0.5)]);
+        state.submit(&Query::Item(1), 3, &[(1, 0.5)]);
         assert_eq!(metrics.shadow_dropped_total(), 4, "closed queue also drops");
     }
 }

@@ -1,0 +1,306 @@
+//! One table, two routes: `/recommend` and `/target` are a single
+//! handler, job type and batcher loop, so every outcome that handler can
+//! produce is walked through **both** routes by the same loop. A row
+//! names a deployment, an optional armed shard fault, the request each
+//! route sends, and what must come back; nothing in the loop knows which
+//! route it is driving beyond the [`RouteUnderTest`] data.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use unimatch_core::persist::save_model;
+use unimatch_core::{FittedUniMatch, ModelHandle, ShardPolicy, UniMatch, UniMatchConfig};
+use unimatch_data::DatasetProfile;
+use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
+use unimatch_serve::{recommend_body, target_body, BrownoutSpec, ServeConfig, Server};
+
+/// One HTTP/1.1 request over a fresh connection; `(status, head, body)`.
+fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            format!(
+                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send head");
+    stream.write_all(body).expect("send body");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    let head_end =
+        response.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body separator");
+    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head").to_string();
+    let status: u16 =
+        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
+    (status, head, response[head_end + 4..].to_vec())
+}
+
+/// Everything the loop needs to know about a route, as data.
+struct RouteUnderTest {
+    path: &'static str,
+    /// The JSON key the ranked list is answered under.
+    list_key: &'static str,
+    /// The query field asking about one item id.
+    query: fn(usize) -> String,
+    /// A query field the parser accepts and the batcher rejects as empty
+    /// or missing (`/target` has no empty form, so its row omits the
+    /// field and is rejected at parse).
+    empty_query: &'static str,
+    /// The in-process answer for the valid query, through the same encoder.
+    in_process: fn(&FittedUniMatch, usize) -> Vec<u8>,
+}
+
+const ROUTES: [RouteUnderTest; 2] = [
+    RouteUnderTest {
+        path: "/recommend",
+        list_key: "items",
+        query: |id| format!("\"history\":[{id}]"),
+        empty_query: "\"history\":[]",
+        in_process: |fitted, k| recommend_body(k, &fitted.recommend_items(&[1], k)),
+    },
+    RouteUnderTest {
+        path: "/target",
+        list_key: "users",
+        query: |id| format!("\"item\":{id}"),
+        empty_query: "\"unrelated\":1",
+        in_process: |fitted, k| target_body(k, &fitted.target_users(1, k)),
+    },
+];
+
+#[derive(Clone, Copy, PartialEq)]
+enum Deployment {
+    /// Default serve config, strict shard policy (all-or-nothing).
+    Strict,
+    /// `min_shards: 1` — a lost shard is tolerated and flagged.
+    Quorum,
+    /// `queue_bound: 0` — every query is shed at admission.
+    Drain,
+    /// A ladder already escalated to its `shed` rung.
+    Shedding,
+}
+
+/// What a row's request looks like, given the route's data.
+enum Body {
+    /// `{<query about item 1>}` plus an optional raw `k` value.
+    Query { k: Option<&'static str> },
+    EmptyQuery,
+    OutOfVocabulary,
+    Raw(&'static str),
+}
+
+enum Expect {
+    /// `200`, bytes identical to the in-process answer at this `k`.
+    InProcess(usize),
+    /// `200` whose body opens `{"k":5,"degraded":true,"<list_key>":[`.
+    DegradedList,
+    /// This status with a JSON error naming the substring; overload
+    /// statuses must carry `Retry-After`.
+    Error(u16, &'static str),
+}
+
+struct Outcome {
+    name: &'static str,
+    deployment: Deployment,
+    /// Arm an I/O fault on shard 0 of every fan-out for this row.
+    shard_fault: bool,
+    body: Body,
+    expect: Expect,
+}
+
+const HOSTILE_K: usize = 1_000_000_000_000;
+
+fn outcomes() -> Vec<Outcome> {
+    use Deployment::*;
+    let row = |name, deployment, shard_fault, body, expect| Outcome {
+        name,
+        deployment,
+        shard_fault,
+        body,
+        expect,
+    };
+    vec![
+        row("answer", Strict, false, Body::Query { k: Some("5") }, Expect::InProcess(5)),
+        row("default k", Strict, false, Body::Query { k: None }, Expect::InProcess(10)),
+        // k beyond the index is clamped at retrieval, echoed as asked —
+        // and the rows after it prove the server is still answering
+        row(
+            "hostile k",
+            Strict,
+            false,
+            Body::Query { k: Some("1000000000000") },
+            Expect::InProcess(HOSTILE_K),
+        ),
+        row("still alive", Strict, false, Body::Query { k: Some("5") }, Expect::InProcess(5)),
+        row("bad body", Strict, false, Body::Raw("{not json"), Expect::Error(400, "")),
+        row("empty query", Strict, false, Body::EmptyQuery, Expect::Error(400, "")),
+        row(
+            "out of vocabulary",
+            Strict,
+            false,
+            Body::OutOfVocabulary,
+            Expect::Error(400, "vocabulary"),
+        ),
+        row(
+            "k = 0",
+            Strict,
+            false,
+            Body::Query { k: Some("0") },
+            Expect::Error(400, "k must be at least 1"),
+        ),
+        row(
+            "k not an integer",
+            Strict,
+            false,
+            Body::Query { k: Some("\"many\"") },
+            Expect::Error(400, "k must be an integer"),
+        ),
+        row(
+            "queue full",
+            Drain,
+            false,
+            Body::Query { k: Some("5") },
+            Expect::Error(429, "admission queue full"),
+        ),
+        row(
+            "brownout shed",
+            Shedding,
+            false,
+            Body::Query { k: Some("5") },
+            Expect::Error(503, "brownout"),
+        ),
+        row(
+            "strict quorum failure",
+            Strict,
+            true,
+            Body::Query { k: Some("5") },
+            Expect::Error(500, "shard quorum missed"),
+        ),
+        row("tolerated shard loss", Quorum, true, Body::Query { k: Some("5") }, Expect::DegradedList),
+        row("recovered", Quorum, false, Body::Query { k: Some("5") }, Expect::InProcess(5)),
+    ]
+}
+
+#[test]
+fn both_routes_walk_the_same_outcomes() {
+    unimatch_faults::clear();
+    let dir = std::env::temp_dir().join(format!("unimatch_serve_routes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let log = DatasetProfile::EComp.generate(0.12, 17).filter_min_interactions(3);
+    // the default (HNSW) backend, two shards so `ann.shard.search.0` has a seam
+    let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, shards: 2, ..Default::default() };
+    let checkpoint = dir.join("model.json");
+    save_model(&UniMatch::new(cfg.clone()).fit(log.clone()).model, &checkpoint).expect("save");
+    let handle = |policy: ShardPolicy| {
+        let cfg = UniMatchConfig { shard_policy: policy, ..cfg.clone() };
+        Arc::new(
+            ModelHandle::from_checkpoint(UniMatch::new(cfg), &checkpoint, log.clone())
+                .expect("checkpoint loads"),
+        )
+    };
+    let strict = handle(ShardPolicy::default());
+    let quorum = handle(ShardPolicy { deadline: None, min_shards: Some(1) });
+    let fast = ServeConfig { batch_window: Duration::from_millis(1), ..Default::default() };
+    let start = |handle: &Arc<ModelHandle>, config: ServeConfig| {
+        Server::start("127.0.0.1:0", handle.clone(), config).expect("bind")
+    };
+    let servers = [
+        (Deployment::Strict, start(&strict, fast.clone())),
+        (Deployment::Quorum, start(&quorum, fast.clone())),
+        (Deployment::Drain, start(&strict, ServeConfig { queue_bound: 0, ..fast.clone() })),
+        (
+            Deployment::Shedding,
+            start(
+                &strict,
+                ServeConfig {
+                    // every job expires in the queue, and one sample with a
+                    // deadline miss escalates a ladder that never steps down
+                    request_deadline: Duration::ZERO,
+                    brownout: Some(
+                        BrownoutSpec::parse("shed;up=1;down=1000000;interval-ms=5").expect("spec"),
+                    ),
+                    ..fast
+                },
+            ),
+        ),
+    ];
+    let addr_of = |deployment: Deployment| {
+        servers.iter().find(|(d, _)| *d == deployment).expect("deployed").1.addr().to_string()
+    };
+
+    // escalate the shedding deployment: expire one job, wait for the rung
+    let shedding = addr_of(Deployment::Shedding);
+    let (status, _, body) = request(&shedding, "POST", "/recommend", b"{\"history\":[1],\"k\":1}");
+    assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, _, health) = request(&shedding, "GET", "/healthz", b"");
+        if String::from_utf8_lossy(&health).contains("\"brownout\":1") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "ladder never reached its shed rung");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let fitted = strict.current();
+    let num_items = fitted.fitted.num_items();
+    for outcome in outcomes() {
+        if outcome.shard_fault {
+            unimatch_faults::set_plan(FaultPlan {
+                seed: 7,
+                rules: vec![
+                    FaultRule::new("ann.shard.search.0", FaultKind::IoError).with_probability(1.0)
+                ],
+            });
+        }
+        let addr = addr_of(outcome.deployment);
+        for route in &ROUTES {
+            let site = format!("{} on {}", outcome.name, route.path);
+            let sent = match &outcome.body {
+                Body::Query { k: Some(k) } => format!("{{{},\"k\":{k}}}", (route.query)(1)),
+                Body::Query { k: None } => format!("{{{}}}", (route.query)(1)),
+                Body::EmptyQuery => format!("{{{},\"k\":5}}", route.empty_query),
+                Body::OutOfVocabulary => format!("{{{},\"k\":5}}", (route.query)(num_items)),
+                Body::Raw(raw) => raw.to_string(),
+            };
+            let (status, head, got) = request(&addr, "POST", route.path, sent.as_bytes());
+            let text = String::from_utf8_lossy(&got).into_owned();
+            match outcome.expect {
+                Expect::InProcess(k) => {
+                    assert_eq!(status, 200, "{site}: {text}");
+                    assert_eq!(got, (route.in_process)(&fitted.fitted, k), "{site}: bytes differ");
+                    assert!(text.starts_with(&format!("{{\"k\":{k},\"{}\":[", route.list_key)));
+                }
+                Expect::DegradedList => {
+                    assert_eq!(status, 200, "{site}: {text}");
+                    let opening = format!("{{\"k\":5,\"degraded\":true,\"{}\":[", route.list_key);
+                    assert!(text.starts_with(&opening), "{site}: {text}");
+                }
+                Expect::Error(want, needle) => {
+                    assert_eq!(status, want, "{site}: {text}");
+                    assert!(text.starts_with("{\"error\":") && text.contains(needle), "{site}: {text}");
+                    assert_eq!(
+                        head.contains("Retry-After:"),
+                        want == 429 || want == 503,
+                        "{site}: Retry-After belongs on overload answers only:\n{head}"
+                    );
+                }
+            }
+        }
+        unimatch_faults::clear();
+    }
+
+    // each route accounted its own requests: the two series moved together
+    let (_, _, metrics) = request(&addr_of(Deployment::Strict), "GET", "/metrics", b"");
+    let metrics = String::from_utf8(metrics).expect("utf8 metrics");
+    let requests = |route: &str| {
+        let prefix = format!("unimatch_requests_total{{route=\"{route}\"}} ");
+        metrics.lines().find_map(|l| l.strip_prefix(&prefix)).expect("series").to_string()
+    };
+    assert_eq!(requests("recommend"), requests("target"), "{metrics}");
+
+    drop(servers);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -30,8 +30,9 @@ fn main() {
     let hnsw = HnswIndex::build(data, dim, HnswConfig::default(), &mut rng);
 
     // queries: user embeddings for random histories
+    let pipeline = fitted.item_pipeline();
     let queries: Vec<Vec<f32>> = (0..200)
-        .map(|k| fitted.user_embedding(&[(k % 97) as u32, ((k * 7) % 89) as u32]))
+        .map(|k| pipeline.embed_one(&[(k % 97) as u32, ((k * 7) % 89) as u32]))
         .collect();
 
     let mut table = Table::new("serving indexes: recall@10 vs exact + mean query time", &[

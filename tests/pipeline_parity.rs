@@ -1,26 +1,33 @@
-//! Differential suite for the `MatchPipeline` refactor.
+//! Differential suite for the one query path.
 //!
-//! Every public query surface — `recommend_items[_batch]`,
-//! `target_users[_batch[_checked]]`, `recommend_by_embeddings[_checked]`
-//! — is now a thin wrapper over `FittedUniMatch::{item,user}_pipeline()`.
-//! This suite proves the refactor is **bitwise invisible**: composing
-//! the pipeline's public stages by hand (embed/gather → retrieve →
-//! rerank → translate) reproduces every wrapper's bytes exactly, across
-//! the full deployment matrix
+//! `FittedUniMatch` answers queries through exactly two pipeline views,
+//! `item_pipeline()` (IR) and `user_pipeline()` (UT), plus the two
+//! single-query conveniences `recommend_items` / `target_users`. This
+//! suite pins, **bitwise**, that every way of asking is the same stage
+//! sequence (embed/gather → retrieve → rerank → translate):
+//!
+//! * `run` equals `run_one` per row, and the batched *embed* equals
+//!   `embed_one` per row;
+//! * `run_checked` with `DegradeOptions::NONE` equals the stages composed
+//!   by hand (and so `run`), reporting a healthy fan-out;
+//! * `recommend_items` / `target_users` equal the composed stages;
+//! * a degraded run really diverges, and is flagged as content-affecting;
+//! * a hostile `k` is clamped to the indexed row count on every backend;
+//!
+//! across the full deployment matrix
 //!
 //! * index backend: exact / HNSW / IVF,
 //! * shard fan-out: 1 / 3,
 //! * store row format: f32 / i8,
-//! * re-ranking: identity / full chain (debias + mmr + explore),
+//! * re-ranking: identity / full chain (debias + mmr + explore).
 //!
-//! for single, batched, and checked (quorum + degrade) call shapes.
 //! Scores are compared via `f32::to_bits`, not `==`, so `-0.0`/`NaN`
 //! drift or a re-accumulated dot product would fail the suite.
 
 use unimatch::ann::Hit;
 use unimatch::core::{
     load_checkpoint_with_format, save_model_with_marginals, DegradeOptions, FittedUniMatch,
-    RerankConfig, RetrieverKind, RowFormat, UniMatch, UniMatchConfig,
+    MatchPipeline, RerankConfig, RetrieverKind, RowFormat, UniMatch, UniMatchConfig,
 };
 use unimatch::data::{DatasetProfile, InteractionLog};
 
@@ -47,8 +54,8 @@ fn base_config(
 
 /// Trains once and persists a marginals-bearing checkpoint; every
 /// deployment variant reloads from this single artifact (re-encoding the
-/// store per format), so a divergence between a wrapper and the composed
-/// pipeline cannot be blamed on training noise.
+/// store per format), so a divergence between a runner and the composed
+/// stages cannot be blamed on training noise.
 fn checkpoint() -> (std::path::PathBuf, InteractionLog) {
     static CKPT: std::sync::OnceLock<(std::path::PathBuf, InteractionLog)> =
         std::sync::OnceLock::new();
@@ -111,8 +118,20 @@ fn matrix() -> Vec<(RetrieverKind, usize, RowFormat, &'static str)> {
     out
 }
 
+/// Composes the checked runner's stages by hand: one batched retrieval
+/// at the chain's fetch depth, then the chain per row.
+fn manual_run(pipeline: &MatchPipeline<'_>, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
+    let d = pipeline.dim();
+    pipeline
+        .retrieve(queries, pipeline.fetch_k(k))
+        .into_iter()
+        .enumerate()
+        .map(|(i, hits)| pipeline.rerank(&queries[i * d..(i + 1) * d], hits, k))
+        .collect()
+}
+
 #[test]
-fn recommend_wrappers_equal_the_composed_item_pipeline() {
+fn item_pipeline_runners_equal_the_composed_stages() {
     let histories: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4, 5], vec![0], vec![7, 8, 9, 10]];
     let refs: Vec<&[u32]> = histories.iter().map(|h| h.as_slice()).collect();
     let k = 10;
@@ -126,14 +145,9 @@ fn recommend_wrappers_equal_the_composed_item_pipeline() {
             assert!(pipeline.fetch_k(k) > k, "{site}: chain must over-fetch");
         }
 
-        // single: embed_one → run_one is the wrapper, composed by hand
+        // single: embed_one → retrieve_one → rerank is recommend_items and run_one
         for h in &refs {
             let query = pipeline.embed_one(h);
-            assert_eq!(
-                fitted.user_embedding(h).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                query.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{site}: user_embedding"
-            );
             let hits = pipeline.retrieve_one(&query, pipeline.fetch_k(k));
             let want = pipeline.rerank(&query, hits, k);
             assert_hits_bitwise(&fitted.recommend_items(h, k), &want, &format!("{site} single"));
@@ -143,11 +157,14 @@ fn recommend_wrappers_equal_the_composed_item_pipeline() {
         // batched: embed → run, and each batch row equals its single
         let queries = pipeline.embed(&refs);
         let want = pipeline.run(&queries, k);
-        let got = fitted.recommend_items_batch(&refs, k);
         let d = pipeline.dim();
         for (i, h) in refs.iter().enumerate() {
-            assert_hits_bitwise(&got[i], &want[i], &format!("{site} batch row {i}"));
             let row = &queries[i * d..(i + 1) * d];
+            assert_eq!(
+                pipeline.embed_one(h).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{site}: embed row {i} vs embed_one"
+            );
             assert_hits_bitwise(
                 &pipeline.run_one(row, k),
                 &want[i],
@@ -156,28 +173,25 @@ fn recommend_wrappers_equal_the_composed_item_pipeline() {
             assert_hits_bitwise(
                 &fitted.recommend_items(h, k),
                 &want[i],
-                &format!("{site} wrapper-vs-batch row {i}"),
+                &format!("{site} recommend_items-vs-batch row {i}"),
             );
         }
 
-        // checked with no degradation: same bytes + a healthy fan-out
-        let (lists, health) = fitted
-            .recommend_by_embeddings_checked(&queries, k, DegradeOptions::NONE)
-            .expect("all shards healthy");
+        // checked with no degradation: the hand-composed stages' bytes +
+        // a healthy fan-out
+        let manual = manual_run(&pipeline, &queries, k);
+        let (lists, health) =
+            pipeline.run_checked(&queries, k, DegradeOptions::NONE).expect("all shards healthy");
         assert!(!health.degraded(), "{site}: healthy run reported degraded");
         for (i, list) in lists.iter().enumerate() {
-            assert_hits_bitwise(list, &want[i], &format!("{site} checked row {i}"));
-        }
-        let (lists, _) =
-            pipeline.run_checked(&queries, k, DegradeOptions::NONE).expect("pipeline checked");
-        for (i, list) in lists.iter().enumerate() {
-            assert_hits_bitwise(list, &want[i], &format!("{site} pipeline-checked row {i}"));
+            assert_hits_bitwise(list, &manual[i], &format!("{site} checked-vs-manual row {i}"));
+            assert_hits_bitwise(list, &want[i], &format!("{site} checked-vs-run row {i}"));
         }
     }
 }
 
 #[test]
-fn target_wrappers_equal_the_composed_user_pipeline() {
+fn user_pipeline_runners_equal_the_composed_stages() {
     let items = [1u32, 2, 5, 9];
     let k = 12;
     for (kind, shards, store, spec) in matrix() {
@@ -185,31 +199,73 @@ fn target_wrappers_equal_the_composed_user_pipeline() {
         let site = format!("{}/shards={shards}/{}/chain={spec:?}", kind.name(), store.name());
         let pipeline = fitted.user_pipeline();
 
-        // single: gather → run_one → translate composed by hand
+        // single: gather → retrieve_one → rerank → translate is
+        // target_users and run_one
+        let mut singles = Vec::new();
         for &item in &items {
             let query = pipeline.gather(&[item]);
-            let hits = pipeline.run_one(&query, k);
-            let want = pipeline.translate(hits);
+            let hits = pipeline.retrieve_one(&query, pipeline.fetch_k(k));
+            let want = pipeline.translate(pipeline.rerank(&query, hits, k));
             assert_pairs_bitwise(&fitted.target_users(item, k), &want, &format!("{site} single"));
             assert_pairs_bitwise(
-                &fitted.target_users_by_embedding(&query, k),
+                &pipeline.translate(pipeline.run_one(&query, k)),
                 &want,
-                &format!("{site} by-embedding"),
+                &format!("{site} run_one"),
             );
+            singles.push(want);
         }
 
         // batched + checked: one gather feeds both shapes
         let queries = pipeline.gather(&items);
-        let want: Vec<Vec<(u32, f32)>> =
-            pipeline.run(&queries, k).into_iter().map(|hits| pipeline.translate(hits)).collect();
-        let got = fitted.target_users_batch(&items, k);
-        let (checked, health) = fitted
-            .target_users_batch_checked(&items, k, DegradeOptions::NONE)
-            .expect("all shards healthy");
+        let translate_all = |lists: Vec<Vec<Hit>>| -> Vec<Vec<(u32, f32)>> {
+            lists.into_iter().map(|hits| pipeline.translate(hits)).collect()
+        };
+        let got = translate_all(pipeline.run(&queries, k));
+        let manual = translate_all(manual_run(&pipeline, &queries, k));
+        let (checked, health) =
+            pipeline.run_checked(&queries, k, DegradeOptions::NONE).expect("all shards healthy");
         assert!(!health.degraded(), "{site}: healthy run reported degraded");
+        let checked = translate_all(checked);
         for i in 0..items.len() {
-            assert_pairs_bitwise(&got[i], &want[i], &format!("{site} batch row {i}"));
-            assert_pairs_bitwise(&checked[i], &want[i], &format!("{site} checked row {i}"));
+            assert_pairs_bitwise(&got[i], &singles[i], &format!("{site} batch-vs-single row {i}"));
+            assert_pairs_bitwise(&checked[i], &manual[i], &format!("{site} checked row {i}"));
+            assert_pairs_bitwise(&checked[i], &got[i], &format!("{site} checked-vs-run row {i}"));
+        }
+    }
+}
+
+#[test]
+fn a_hostile_k_is_clamped_to_the_indexed_rows() {
+    // `k` arrives in request bodies. Unclamped, an index sizes its
+    // candidate heap from it (HNSW: `ef = max(ef_search, k)`), and a
+    // non-identity chain multiplies it first.
+    let items = [1u32, 2];
+    for (kind, shards, store, spec) in matrix() {
+        let fitted = serve_variant(kind, shards, store, spec);
+        let site = format!("{}/shards={shards}/{}/chain={spec:?}", kind.name(), store.name());
+        for pipeline in [fitted.item_pipeline(), fitted.user_pipeline()] {
+            let queries = fitted.user_pipeline().gather(&items);
+            let d = pipeline.dim();
+            let everything = pipeline.run(&queries, pipeline.len());
+            for k in [usize::MAX / 16, usize::MAX] {
+                let (lists, _) = pipeline
+                    .run_checked(&queries, k, DegradeOptions::NONE)
+                    .expect("all shards healthy");
+                for (i, list) in lists.iter().enumerate() {
+                    assert!(list.len() <= pipeline.len(), "{site}: more hits than rows");
+                    assert_hits_bitwise(
+                        &pipeline.run_one(&queries[i * d..(i + 1) * d], k),
+                        list,
+                        &format!("{site} hostile run_one row {i}"),
+                    );
+                    if spec.is_empty() {
+                        // with no chain, "everything" is exactly the k = rows answer
+                        assert_hits_bitwise(list, &everything[i], &format!("{site} k={k}"));
+                    }
+                }
+                assert!(pipeline.retrieve_one(&queries[..d], k).len() <= pipeline.len());
+                assert!(pipeline.retrieve(&queries, k).iter().all(|l| l.len() <= pipeline.len()));
+            }
         }
     }
 }
@@ -218,7 +274,7 @@ fn target_wrappers_equal_the_composed_user_pipeline() {
 fn composed_runners_equal_manual_stage_sequences() {
     // One chained deployment, stages interleaved by hand exactly as the
     // composed runners document themselves: `run` must be `run_one` per
-    // row, `run_raw` must be retrieval at exactly k with no chain.
+    // row, `retrieve` must be retrieval at exactly k with no chain.
     let fitted = serve_variant(RetrieverKind::Exact, 1, RowFormat::F32, FULL_CHAIN);
     let pipeline = fitted.item_pipeline();
     let histories: Vec<Vec<u32>> = (0..6u32).map(|i| vec![i, i + 1, i + 2]).collect();
@@ -227,14 +283,14 @@ fn composed_runners_equal_manual_stage_sequences() {
     let queries = pipeline.embed(&refs);
     let d = pipeline.dim();
 
-    let raw = pipeline.run_raw(&queries, k);
+    let raw = pipeline.retrieve(&queries, k);
     let composed = pipeline.run(&queries, k);
     for (i, _) in refs.iter().enumerate() {
         let row = &queries[i * d..(i + 1) * d];
         assert_hits_bitwise(
             &pipeline.retrieve_one(row, k),
             &raw[i],
-            &format!("run_raw row {i} must be plain k-deep retrieval"),
+            &format!("retrieve row {i} must be plain k-deep retrieval"),
         );
         let over = pipeline.retrieve_one(row, pipeline.fetch_k(k));
         let manual = pipeline.rerank(row, over, k);
@@ -264,7 +320,15 @@ fn degrade_none_is_bitwise_invisible_and_skips_change_content() {
     // skipping explore must actually change bytes somewhere (the chain
     // has an explore stage) and must be flagged as content-affecting
     let degrade = DegradeOptions { skip_explore: true, ..DegradeOptions::NONE };
-    assert!(fitted.degrade_affects_content(degrade), "skip_explore must affect content");
+    assert!(pipeline.degrade_affects_content(degrade), "skip_explore must affect content");
+    assert!(!pipeline.degrade_affects_content(DegradeOptions::NONE));
+    let relax = DegradeOptions { relax_quorum: true, ..DegradeOptions::NONE };
+    assert!(!pipeline.degrade_affects_content(relax), "quorum relaxation alone changes no bytes");
+    let identity = serve_variant(RetrieverKind::Exact, 1, RowFormat::F32, "");
+    assert!(
+        !identity.item_pipeline().degrade_affects_content(degrade),
+        "an identity chain has no stage to skip"
+    );
     let (skipped, _) = pipeline.run_checked(&queries, k, degrade).expect("healthy");
     let diverged = skipped
         .iter()

@@ -123,9 +123,10 @@ fn identity_chain_is_bitwise_raw_top_k_across_backends_and_shards() {
             // IR, single and batched
             let histories: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4, 5], vec![0]];
             let refs: Vec<&[u32]> = histories.iter().map(|h| h.as_slice()).collect();
-            let batched = fitted.recommend_items_batch(&refs, 10);
+            let pipeline = fitted.item_pipeline();
+            let batched = pipeline.run(&pipeline.embed(&refs), 10);
             for (i, h) in histories.iter().enumerate() {
-                let query = fitted.user_embedding(h);
+                let query = pipeline.embed_one(h);
                 let want = item_index.search(&query, 10);
                 assert_hits_bitwise(&fitted.recommend_items(h, 10), &want, &format!("{site} IR"));
                 assert_hits_bitwise(&batched[i], &want, &format!("{site} IR batch"));
@@ -133,7 +134,12 @@ fn identity_chain_is_bitwise_raw_top_k_across_backends_and_shards() {
 
             // UT, single and batched
             let items = [1u32, 2, 5];
-            let batched = fitted.target_users_batch(&items, 12);
+            let pipeline = fitted.user_pipeline();
+            let batched: Vec<Vec<(u32, f32)>> = pipeline
+                .run(&pipeline.gather(&items), 12)
+                .into_iter()
+                .map(|hits| pipeline.translate(hits))
+                .collect();
             for (i, &item) in items.iter().enumerate() {
                 let query = fitted.item_store().row(item as usize);
                 let want: Vec<(u32, f32)> = user_index
@@ -162,7 +168,7 @@ fn debias_stage_reweights_the_raw_scores_arithmetically() {
     let k = 10;
     let fetch_k = (k * 4).max(k + 16);
     for history in [vec![1u32, 2, 3], vec![7, 8]] {
-        let query = fitted.user_embedding(&history);
+        let query = fitted.item_pipeline().embed_one(&history);
         let mut want: Vec<Hit> = item_index
             .search(&query, fetch_k)
             .into_iter()
@@ -218,7 +224,7 @@ fn rules_filter_caps_and_refills_from_the_overfetch() {
     let fitted = serve_variant(RetrieverKind::Exact, 1, "", SEED);
     let (item_index, _) = mirror_indexes(&fitted, RetrieverKind::Exact, 1);
     let history = vec![1u32, 2, 3];
-    let query = fitted.user_embedding(&history);
+    let query = fitted.item_pipeline().embed_one(&history);
     let raw = item_index.search(&query, 10);
     let denied = raw[0].id;
     let n = fitted.num_items() as u32;

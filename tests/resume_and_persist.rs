@@ -15,7 +15,7 @@ fn persisted_model_serves_identically() {
     let restored = model_from_json(&model_to_json(&fitted.model)).expect("round trip");
     let h = [1u32, 3, 5];
     assert_eq!(
-        fitted.user_embedding(&h),
+        fitted.item_pipeline().embed_one(&h),
         {
             let batch = unimatch::data::SeqBatch::from_histories(&[&h[..]], 20);
             restored.infer_users(&batch).into_vec()

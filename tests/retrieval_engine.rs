@@ -9,7 +9,7 @@
 //! at the layer a user would feel it, not just inside the ann crate.
 
 use unimatch::core::{
-    build_targeting_list, load_item_store, save_model, top_k_blocked, CampaignSpec, PreparedData,
+    build_targeting_list, load_checkpoint, save_model, top_k_blocked, CampaignSpec, PreparedData,
     RetrieverKind, UniMatch, UniMatchConfig,
 };
 use unimatch::data::DatasetProfile;
@@ -82,8 +82,9 @@ fn target_users_is_the_oracle_over_the_user_store() {
         assert_eq!((gu, gs.to_bits()), (wu, ws.to_bits()));
     }
     // and the batched UT path returns the same bits
-    let batched = fitted.target_users_batch(&[item], k);
-    assert_eq!(batched[0], got);
+    let pipeline = fitted.user_pipeline();
+    let batched = pipeline.run(&pipeline.gather(&[item]), k).remove(0);
+    assert_eq!(pipeline.translate(batched), got);
 }
 
 #[test]
@@ -91,7 +92,8 @@ fn recommend_items_exact_matches_hit_for_hit_across_batch_sizes() {
     let (fitted, _log) = exact_fitted();
     let histories: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4, 5], vec![0]];
     let refs: Vec<&[u32]> = histories.iter().map(|h| h.as_slice()).collect();
-    let batched = fitted.recommend_items_batch(&refs, 10);
+    let pipeline = fitted.item_pipeline();
+    let batched = pipeline.run(&pipeline.embed(&refs), 10);
     for (i, h) in histories.iter().enumerate() {
         let single = fitted.recommend_items(h, 10);
         assert_eq!(batched[i].len(), single.len());
@@ -102,7 +104,7 @@ fn recommend_items_exact_matches_hit_for_hit_across_batch_sizes() {
 }
 
 #[test]
-fn audience_lists_reduce_to_target_users_by_embedding() {
+fn audience_lists_reduce_to_the_user_pipeline_on_the_subject_embedding() {
     let (fitted, log) = exact_fitted();
     let spec = CampaignSpec::item("promo", 2, 15);
     let list = build_targeting_list(&fitted, &log, &spec);
@@ -111,7 +113,8 @@ fn audience_lists_reduce_to_target_users_by_embedding() {
     let row = store.row(2);
     let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
     let query: Vec<f32> = row.iter().map(|x| x / norm).collect();
-    let direct = fitted.target_users_by_embedding(&query, 15);
+    let pipeline = fitted.user_pipeline();
+    let direct = pipeline.translate(pipeline.run_one(&query, 15));
     assert_eq!(list.users.len(), 15);
     for ((lu, ls), (du, ds)) in list.users.iter().zip(&direct) {
         assert_eq!((lu, ls.to_bits()), (du, ds.to_bits()));
@@ -128,8 +131,8 @@ fn checkpoint_store_reproduces_the_fit_path_bit_for_bit() {
     save_model(&fitted.model, &path).expect("save checkpoint");
 
     // the store decoded straight from the checkpoint's embedding section —
-    // no model, no ParamSet, no item-tower forward pass
-    let store = load_item_store(&path).expect("load item store");
+    // no ParamSet, no item-tower forward pass
+    let (_, store, _) = load_checkpoint(&path).expect("load checkpoint");
     let fit_store = fitted.item_store();
     assert_eq!(store.rows(), fit_store.rows());
     assert_eq!(store.dim(), fit_store.dim());

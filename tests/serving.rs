@@ -17,7 +17,7 @@ fn recommend_items_agrees_with_bruteforce() {
     let mut total = 0usize;
     for seed_item in [1u32, 5, 9, 13, 17] {
         let history = [seed_item, seed_item + 1];
-        let query = fitted.user_embedding(&history);
+        let query = fitted.item_pipeline().embed_one(&history);
         let exact: std::collections::HashSet<u32> =
             bf.search(&query, 10).iter().map(|h| h.id).collect();
         for hit in fitted.recommend_items(&history, 10) {
