@@ -121,21 +121,24 @@ impl TopK {
     }
 }
 
-/// Exact blocked top-k: scores every query against every target row and
-/// returns the `k` best hits per query, best first.
+/// The one blocked loop behind both exact entry points: `score(query, t)`
+/// is the row scorer, monomorphised per caller (a slice [`dot`] for f32
+/// buffers, the fused dequant-dot for quantized stores).
 ///
-/// `queries` and `targets` are row-major `n × dim` buffers. Queries are
-/// processed in 128-row blocks fanned out through `unimatch-parallel`
-/// (work estimate `nq × nt × dim × 2` flops); within a block, target
-/// rows are re-streamed in 512-row tiles so the targets stay
-/// cache-resident while every query of the block consumes them. Results are bit-identical to a naive
-/// one-query-at-a-time scan (see the module docs for why).
-pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Vec<Vec<Hit>> {
+/// Queries are processed in 128-row blocks fanned out through
+/// `unimatch-parallel` (work estimate `nq × nt × dim × 2` flops); within
+/// a block, target rows are re-streamed in 512-row tiles so the targets
+/// stay cache-resident while every query of the block consumes them.
+fn top_k_blocked(
+    queries: &[f32],
+    dim: usize,
+    nt: usize,
+    k: usize,
+    score: impl Fn(&[f32], usize) -> f32 + Sync + Copy,
+) -> Vec<Vec<Hit>> {
     assert!(dim > 0, "dim must be positive");
     assert_eq!(queries.len() % dim, 0, "query buffer not a multiple of dim");
-    assert_eq!(targets.len() % dim, 0, "target buffer not a multiple of dim");
     let nq = queries.len() / dim;
-    let nt = targets.len() / dim;
     let k = k.min(nt);
     if nq == 0 {
         return Vec::new();
@@ -143,6 +146,10 @@ pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Ve
     let n_blocks = nq.div_ceil(QUERY_BLOCK);
     let work = nq * nt * dim * 2;
     let per_block: Vec<Vec<Vec<Hit>>> = par_map_indexed(n_blocks, work, |b| {
+        // by value into the block's frame: what the scorer captured (the
+        // target slice, or a store reference) lives in registers for the
+        // scan instead of behind the closure environment
+        let score_row = score;
         let q_start = b * QUERY_BLOCK;
         let q_end = (q_start + QUERY_BLOCK).min(nq);
         let mut tops: Vec<TopK> = (q_start..q_end).map(|_| TopK::new(k)).collect();
@@ -152,7 +159,7 @@ pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Ve
             for (top, q) in tops.iter_mut().zip(q_start..q_end) {
                 let query = &queries[q * dim..(q + 1) * dim];
                 for t in t_start..t_end {
-                    top.push(t as u32, dot(query, &targets[t * dim..(t + 1) * dim]));
+                    top.push(t as u32, score_row(query, t));
                 }
             }
             t_start = t_end;
@@ -162,13 +169,30 @@ pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Ve
     per_block.into_iter().flatten().collect()
 }
 
+/// Exact blocked top-k: scores every query against every target row and
+/// returns the `k` best hits per query, best first.
+///
+/// `queries` and `targets` are row-major `n × dim` buffers, scanned by
+/// the blocked query × target-tile loop. Results are bit-identical to a
+/// naive one-query-at-a-time scan (see the module docs for why).
+pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Vec<Vec<Hit>> {
+    assert!(dim > 0, "dim must be positive");
+    assert_eq!(targets.len() % dim, 0, "target buffer not a multiple of dim");
+    top_k_blocked(queries, dim, targets.len() / dim, k, move |query, t| {
+        // `query.len()` is `dim`; reading it off the slice keeps the
+        // scorer's captures down to the target buffer
+        let dim = query.len();
+        dot(query, &targets[t * dim..(t + 1) * dim])
+    })
+}
+
 /// Exact blocked top-k over an [`EmbeddingStore`](crate::EmbeddingStore)
 /// in any row format: the store-aware twin of [`top_k_exact`].
 ///
 /// For `f32` stores this delegates to [`top_k_exact`] over the store's
 /// slice, so results are bit-identical to the historical path. For
 /// quantized stores it runs the same query-block × target-tile loop
-/// structure with the store's fused dequant-dot
+/// with the store's fused dequant-dot
 /// ([`score_row`](crate::EmbeddingStore::score_row)) as the inner
 /// kernel — rows are
 /// decoded inside the multiply-add loop, never materialized as `f32`,
@@ -180,38 +204,10 @@ pub fn top_k_exact_store(
     store: &crate::EmbeddingStore,
     k: usize,
 ) -> Vec<Vec<Hit>> {
-    let dim = store.dim();
     if store.format() == crate::RowFormat::F32 {
-        return top_k_exact(queries, store.as_slice(), dim, k);
+        return top_k_exact(queries, store.as_slice(), store.dim(), k);
     }
-    assert!(dim > 0, "dim must be positive");
-    assert_eq!(queries.len() % dim, 0, "query buffer not a multiple of dim");
-    let nq = queries.len() / dim;
-    let nt = store.rows();
-    let k = k.min(nt);
-    if nq == 0 {
-        return Vec::new();
-    }
-    let n_blocks = nq.div_ceil(QUERY_BLOCK);
-    let work = nq * nt * dim * 2;
-    let per_block: Vec<Vec<Vec<Hit>>> = par_map_indexed(n_blocks, work, |b| {
-        let q_start = b * QUERY_BLOCK;
-        let q_end = (q_start + QUERY_BLOCK).min(nq);
-        let mut tops: Vec<TopK> = (q_start..q_end).map(|_| TopK::new(k)).collect();
-        let mut t_start = 0;
-        while t_start < nt {
-            let t_end = (t_start + TARGET_TILE).min(nt);
-            for (top, q) in tops.iter_mut().zip(q_start..q_end) {
-                let query = &queries[q * dim..(q + 1) * dim];
-                for t in t_start..t_end {
-                    top.push(t as u32, store.score_row(query, t));
-                }
-            }
-            t_start = t_end;
-        }
-        tops.into_iter().map(TopK::into_sorted).collect()
-    });
-    per_block.into_iter().flatten().collect()
+    top_k_blocked(queries, store.dim(), store.rows(), k, move |query, t| store.score_row(query, t))
 }
 
 #[cfg(test)]

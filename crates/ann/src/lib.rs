@@ -59,4 +59,6 @@ pub use store::{
     f16_to_f32, f32_to_f16, i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat,
     StoreBacking, STORE_ALIGN,
 };
-pub use table::{open_table, open_table_with, read_table_header, write_table, TableHeader};
+pub use table::{
+    open_table, open_table_with, read_table_header, write_atomic, write_table, TableHeader,
+};

@@ -286,14 +286,41 @@ pub fn write_table(
     header.table_checksum = checksum_file_bytes(&image);
     image[40..48].copy_from_slice(&header.table_checksum.to_le_bytes());
 
-    let tmp = path.with_extension("table.tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
+    write_atomic(path, &image)?;
     Ok(header)
+}
+
+/// Replaces the file at `path` with `bytes`, atomically and durably —
+/// the one tmp-and-rename in the workspace (table sidecars here, model
+/// checkpoints and the durable-training manifest in `unimatch-core`).
+///
+/// The bytes go to a `.tmp` sibling, are `sync_all`ed, and only then
+/// `rename`d over `path`, so a reader — or a restart after power loss —
+/// finds either the previous complete file or the new complete one,
+/// never a torn or empty one under the final name. The parent directory
+/// is synced afterwards so the rename itself survives (best effort: not
+/// every filesystem lets a directory be opened for that). On any
+/// failure the `.tmp` sibling is removed and `path` is left as it was.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let written = fs::File::create(tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(tmp, path));
+    if let Err(e) = written {
+        fs::remove_file(tmp).ok();
+        return Err(e);
+    }
+    // a bare file name has the empty path as its parent: the current directory
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(dir) = fs::File::open(dir) {
+        dir.sync_all().ok();
+    }
+    Ok(())
 }
 
 /// Reads and validates only the fixed header of a table sidecar (cheap
@@ -393,6 +420,28 @@ mod tests {
             .join(format!("unimatch_table_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         dir
+    }
+
+    #[test]
+    fn failed_rename_leaves_the_previous_file_and_no_tmp() {
+        let dir = tmp_dir("atomic");
+        // a non-empty directory under the final name: the rename must fail
+        let target = dir.join("model.json");
+        std::fs::create_dir_all(&target).expect("dir target");
+        std::fs::write(target.join("previous"), b"old").expect("previous content");
+        write_atomic(&target, b"new").expect_err("cannot rename a file over a directory");
+        assert_eq!(std::fs::read(target.join("previous")).expect("still there"), b"old");
+        assert!(!dir.join("model.json.tmp").exists(), "tmp sibling must be cleaned up");
+        write_table(&sample_store(RowFormat::I8), 1, &target).expect_err("same for a table");
+        assert!(!dir.join("model.json.tmp").exists(), "tmp sibling must be cleaned up");
+
+        // and the ordinary case replaces the file whole
+        let file = dir.join("plain.json");
+        write_atomic(&file, b"one").expect("first write");
+        write_atomic(&file, b"two").expect("overwrite");
+        assert_eq!(std::fs::read(&file).expect("read"), b"two");
+        assert!(!dir.join("plain.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

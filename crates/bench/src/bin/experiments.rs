@@ -1,0 +1,129 @@
+//! Regenerates the paper's tables and figures (index in DESIGN.md §4).
+//!
+//! ```text
+//! cargo run --release -p unimatch-bench --bin experiments -- <name|all> [--scale S] [--seed N] [--quick]
+//! ```
+//!
+//! A table or figure name prints that report; `all` runs the whole suite
+//! in paper order and writes `EXPERIMENTS.md` at the workspace root,
+//! recording paper-vs-measured for every table and figure.
+
+use std::fmt::Write as _;
+use std::sync::OnceLock;
+use std::time::Instant;
+use unimatch_bench::cli::usage;
+use unimatch_bench::experiments::{self, table09_10_11::Reports};
+use unimatch_bench::Args;
+
+/// Tabs. IX–XI share their training runs: whichever of the three is
+/// asked for first trains, the others (under `all`) read the same bundle.
+fn tables_09_10_11(args: &Args) -> &'static Reports {
+    static REPORTS: OnceLock<Reports> = OnceLock::new();
+    REPORTS.get_or_init(|| experiments::table09_10_11::run_all(args))
+}
+
+/// Command-line name, `EXPERIMENTS.md` section title, report renderer.
+type Experiment = (&'static str, &'static str, fn(&Args) -> String);
+
+/// Every experiment, in paper order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table01", "Table I — BCE optima under negative sampling", experiments::table01::run),
+    ("table02", "Table II — optima of the multinomial-family losses", experiments::table02::run),
+    ("table03", "Table III — dataset statistics", experiments::table03::run),
+    ("table04_05", "Tables IV & V — training record formats", experiments::table04_05::run),
+    ("table06", "Table VI — split statistics", experiments::table06::run),
+    ("table07", "Table VII — hyperparameter grid search", experiments::table07::run),
+    ("table08", "Table VIII — bbcNCE vs BCE", experiments::table08::run),
+    ("table09", "Table IX — multinomial losses (Amazon profiles)", |a| {
+        tables_09_10_11(a).table09.clone()
+    }),
+    ("table10", "Table X — multinomial losses (QA profiles)", |a| {
+        tables_09_10_11(a).table10.clone()
+    }),
+    ("table11", "Table XI — popularity / activeness of retrievals", |a| {
+        tables_09_10_11(a).table11.clone()
+    }),
+    ("table12", "Table XII — model-agnostic grid", experiments::table12::run),
+    ("figure03", "Figure 3 — incremental training", experiments::figure03::run),
+    ("cost_saving", "Sec. IV-B5 — cost saving", experiments::cost_saving::run),
+    (
+        "ablations",
+        "Ablations — temperature / normalization / batch / dim / BCE ratio",
+        experiments::ablations::run,
+    ),
+];
+
+fn main() {
+    let args = Args::parse();
+    if args.experiment == "all" {
+        write_experiments_md(&args);
+        return;
+    }
+    match EXPERIMENTS.iter().find(|(name, _, _)| *name == args.experiment) {
+        Some((_, _, run)) => print!("{}", run(&args)),
+        None => usage(&format!("unknown experiment {}", args.experiment)),
+    }
+}
+
+fn write_experiments_md(args: &Args) {
+    let started = Instant::now();
+    let mut md = String::new();
+    writeln!(md, "# UniMatch — Experiment Results\n").unwrap();
+    writeln!(
+        md,
+        "Generated by `cargo run --release -p unimatch-bench --bin experiments -- all \
+         --scale {} --seed {}{}`.\n",
+        args.scale,
+        args.seed,
+        if args.quick { " --quick" } else { "" }
+    )
+    .unwrap();
+    writeln!(
+        md,
+        "Datasets are the synthetic stand-ins of `unimatch-data::synthetic` \
+         (see DESIGN.md §2); absolute metric values are not comparable to the \
+         paper's, the *shapes* (orderings, win/loss patterns, crossovers) are \
+         the reproduction target. Each section quotes the paper's expected \
+         shape next to our measured numbers.\n"
+    )
+    .unwrap();
+    writeln!(
+        md,
+        "**Known deviations** (synthetic-substitution artifacts, not tuned \
+         away):\n\n\
+         1. *Electronics*: bbcNCE trails BCE-uniform and row-bcNCE by more \
+         than in the paper. With ~2 actions/user the empirical `p̂(u)` is \
+         near-singleton noise, so the column correction mostly injects \
+         gradient noise; the paper observed the same mechanism (Sec. \
+         IV-B2-ii) but with a smaller penalty.\n\
+         2. *UT orderings on Books/e_comp*: col-bcNCE/bbcNCE lead UT \
+         clearly on w_comp as the paper reports, but on Books/e_comp \
+         InfoNCE lands within a few relative percent of the top instead of \
+         clearly below — our uniform-user UT negatives plus L2-normalized \
+         towers mute the user-activeness signal the correction exploits.\n\
+         3. *SSM* is stronger here than in the paper: their SSM samples \
+         negatives from a 300k+-item vocabulary where off-month staleness \
+         hurts under incremental training; our catalogs are ~100× smaller, \
+         shrinking that penalty.\n"
+    )
+    .unwrap();
+
+    for (_, title, run) in EXPERIMENTS {
+        let body = run(args);
+        println!("=== {title} ===");
+        println!("{body}");
+        writeln!(md, "## {title}\n\n```text\n{body}```\n").unwrap();
+    }
+
+    writeln!(md, "---\nTotal suite wall time: {:.1}s\n", started.elapsed().as_secs_f64()).unwrap();
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("EXPERIMENTS.md");
+    std::fs::write(&path, md).expect("write EXPERIMENTS.md");
+    eprintln!(
+        "wrote {} after {:.1}s",
+        path.display(),
+        started.elapsed().as_secs_f64()
+    );
+}

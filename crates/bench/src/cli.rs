@@ -1,10 +1,12 @@
-//! Minimal CLI argument handling shared by the experiment binaries.
+//! Minimal CLI argument handling for the `experiments` binary.
 
 use unimatch_parallel::Parallelism;
 
 /// Common experiment arguments.
 #[derive(Clone, Debug)]
 pub struct Args {
+    /// Which experiment to run: a table/figure name, or `all`.
+    pub experiment: String,
     /// Dataset down-scaling factor (1.0 ≈ 1/100 of the paper's sizes).
     pub scale: f64,
     /// Master seed.
@@ -18,18 +20,23 @@ pub struct Args {
 
 impl Default for Args {
     fn default() -> Self {
-        Args { scale: 1.0, seed: 42, quick: false, threads: 0 }
+        Args { experiment: "all".to_string(), scale: 1.0, seed: 42, quick: false, threads: 0 }
     }
 }
 
 impl Args {
-    /// Parses `--scale <f64>`, `--seed <u64>`, `--threads <usize>`,
-    /// `--quick` from the process arguments and installs the requested
-    /// [`Parallelism`] globally; anything else aborts with a usage message.
+    /// Parses `<experiment> [--scale <f64>] [--seed <u64>] [--threads
+    /// <usize>] [--quick]` from the process arguments and installs the
+    /// requested [`Parallelism`] globally; anything else aborts with a
+    /// usage message.
     pub fn parse() -> Self {
         let mut out = Args::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
+        match argv.first() {
+            Some(name) if !name.starts_with("--") => out.experiment = name.clone(),
+            _ => usage("missing experiment name"),
+        }
+        let mut i = 1;
         while i < argv.len() {
             match argv[i].as_str() {
                 "--scale" => {
@@ -63,8 +70,12 @@ impl Args {
     }
 }
 
-fn usage(msg: &str) -> ! {
+/// Prints `msg` and the usage line, then exits with status 2.
+pub fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: <binary> [--scale <f64>] [--seed <u64>] [--threads <usize>] [--quick]");
+    eprintln!(
+        "usage: experiments <table01|…|table12|figure03|cost_saving|ablations|all> \
+         [--scale <f64>] [--seed <u64>] [--threads <usize>] [--quick]"
+    );
     std::process::exit(2);
 }

@@ -1,6 +1,6 @@
 //! One module per paper table/figure; each exposes
-//! `run(&Args) -> String` returning the rendered report so the binaries
-//! and `all_experiments` share the implementation.
+//! `run(&Args) -> String` returning the rendered report; the
+//! `experiments` binary holds the table of them.
 
 pub mod ablations;
 pub mod cost_saving;

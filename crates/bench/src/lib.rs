@@ -2,11 +2,12 @@
 //!
 //! The experiment harness regenerating every table and figure of the
 //! UniMatch paper's evaluation (see `DESIGN.md` §4 for the index), plus
-//! criterion performance benchmarks.
+//! [`loadgen`], the open-loop load client for a running server.
 //!
-//! Each `src/bin/tableNN.rs` binary prints the paper's table shape from
-//! freshly trained models; `--bin all_experiments` runs the full suite and
-//! writes `EXPERIMENTS.md`.
+//! `--bin experiments -- <name>` prints one paper table from freshly
+//! trained models; `--bin experiments -- all` runs the full suite and
+//! writes `EXPERIMENTS.md`. Performance numbers are not this crate's
+//! job: they come from `crates/benchmark` (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
@@ -14,7 +15,5 @@ pub mod cli;
 pub mod convergence;
 pub mod experiments;
 pub mod loadgen;
-pub mod schema;
-pub mod snapshot;
 
 pub use cli::Args;

@@ -1,12 +1,12 @@
 //! Open-loop load generator for a running `unimatch-serve`.
 //!
-//! Closed-loop clients (like the `serve` snapshot suite) wait for each
-//! response before sending the next request, so they can only ever
-//! measure the server at the client's own pace and hide queueing
-//! collapse entirely. This harness is **open-loop**: request *start
-//! times* are drawn up front from a Poisson process at the target QPS
-//! and workers fire at those times whether or not earlier requests have
-//! returned. When the server falls behind, latency and shed rates grow
+//! Closed-loop clients wait for each response before sending the next
+//! request, so they can only ever measure the server at the client's
+//! own pace and hide queueing collapse entirely. This harness is
+//! **open-loop**: request *start times* are drawn up front from a
+//! Poisson process at the target QPS and workers fire at those times
+//! whether or not earlier requests have returned. When the server
+//! falls behind, latency and shed rates grow
 //! instead of the offered load silently shrinking — which is exactly the
 //! signal capacity planning needs (see `docs/OPERATIONS.md`).
 //!
@@ -24,12 +24,15 @@
 //!
 //! Results go two places:
 //!
-//! * raw per-request samples → exact percentiles in a schema-validated
-//!   `BENCH_load.json` (the `load` suite of [`crate::schema`]), which
-//!   `bench diff` can compare and gate;
+//! * raw per-request samples → exact percentiles in a [`LoadReport`],
+//!   which [`run`] also writes to `loadgen.json` as one flat JSON object;
 //! * `unimatch-obs` histograms/counters (`unimatch_loadgen_*`), so a
 //!   load run renders through the same text exposition as every other
 //!   subsystem.
+//!
+//! This is a tool for probing an *external* running server
+//! (`docs/OPERATIONS.md`); the numbers a PR is judged by come from
+//! `crates/benchmark`, which drives its own in-process deployment.
 
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
@@ -41,9 +44,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unimatch_data::json::Json;
 use unimatch_obs as obs;
-
-use crate::schema::{Direction, Snapshot, SnapshotConfig};
-use crate::snapshot::{percentile_us, write_snapshot};
 
 /// Which route(s) the generated requests hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,16 +87,11 @@ pub struct LoadgenOptions {
     pub route: RouteMix,
     /// Seed for the arrival schedule and request synthesis.
     pub seed: u64,
-    /// Directory `BENCH_load.json` is written into.
+    /// Directory `loadgen.json` is written into.
     pub out_dir: PathBuf,
-    /// Cheap CI variant, recorded into the snapshot config so `bench
-    /// diff` never confuses a smoke run with a baseline.
-    pub smoke: bool,
     /// Re-ranking workload shape: longer, more varied histories and
     /// alternating `k`, so a server running a `--rerank` chain is
-    /// exercised across distinct query tags and overfetch sizes. Recorded
-    /// into the snapshot (`rerank_mix`), so `bench diff` flags a
-    /// comparison of mixed and plain runs instead of absorbing it.
+    /// exercised across distinct query tags and overfetch sizes.
     pub rerank_mix: bool,
     /// Additional attempts per request after a shed (429/503) or
     /// transport failure. `0` reproduces the historical fire-once client
@@ -180,7 +175,7 @@ impl CircuitBreaker {
     }
 }
 
-/// What the run measured, before snapshot serialization.
+/// What the run measured.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
     /// The configured arrival rate.
@@ -209,7 +204,7 @@ pub struct LoadReport {
     pub breaker_fast_fail_rate: f64,
 }
 
-/// Runs the load test and writes `BENCH_load.json` into
+/// Runs the load test and writes the report to `loadgen.json` in
 /// `opts.out_dir`. Returns the report and the path written.
 ///
 /// Fails if the server is unreachable at probe time or if not a single
@@ -295,8 +290,20 @@ pub fn run(opts: &LoadgenOptions) -> std::io::Result<(LoadReport, PathBuf)> {
         retry_rate: retries as f64 / samples.len() as f64,
         breaker_fast_fail_rate: fast_fails as f64 / samples.len() as f64,
     };
-    let path = write_snapshot(&to_snapshot(&report, opts), &opts.out_dir)?;
+    let path = opts.out_dir.join("loadgen.json");
+    let mut text = report_json(&report, opts).to_string();
+    text.push('\n');
+    std::fs::write(&path, text)?;
     Ok((report, path))
+}
+
+/// Exact percentile from raw samples (nearest-rank on a sorted copy).
+fn percentile_us(samples: &[Duration], q: f64) -> f64 {
+    assert!(!samples.is_empty(), "no samples");
+    let mut us: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e6).collect();
+    us.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
+    let rank = ((q * (us.len() - 1) as f64).round() as usize).min(us.len() - 1);
+    us[rank]
 }
 
 /// Issues one scheduled request, retrying sheds (429/503) and transport
@@ -414,41 +421,27 @@ fn record_obs(path: &'static str, sample: &Sample) {
         .observe(sample.latency.as_micros() as u64);
 }
 
-fn to_snapshot(report: &LoadReport, opts: &LoadgenOptions) -> Snapshot {
-    let config = SnapshotConfig {
-        scale: 1.0,
-        seed: opts.seed,
-        smoke: opts.smoke,
-        threads: opts.concurrency,
-    };
-    let mut snap = Snapshot::new("load", config);
-    // offered_qps is configuration, but recording it makes every
-    // BENCH_load.json self-describing and lets diff refuse to compare
-    // runs at different offered loads (a changed value shows up as a
-    // giant "regression" instead of being silently absorbed).
-    snap.push("offered_qps", report.offered_qps, "per_s", Direction::HigherBetter);
-    snap.push("sustained_qps", report.sustained_qps, "per_s", Direction::HigherBetter);
-    snap.push("latency_p50_us", report.latency_p50_us, "us", Direction::LowerBetter);
-    snap.push("latency_p99_us", report.latency_p99_us, "us", Direction::LowerBetter);
-    snap.push("latency_p999_us", report.latency_p999_us, "us", Direction::LowerBetter);
-    snap.push("shed_rate", report.shed_rate, "ratio", Direction::LowerBetter);
-    snap.push("error_rate", report.error_rate, "ratio", Direction::LowerBetter);
-    snap.push("schedule_lag_p99_us", report.schedule_lag_p99_us, "us", Direction::LowerBetter);
-    // workload-shape guard, same reasoning as offered_qps above
-    snap.push(
-        "rerank_mix",
-        if opts.rerank_mix { 1.0 } else { 0.0 },
-        "flag",
-        Direction::HigherBetter,
-    );
-    snap.push("retry_rate", report.retry_rate, "ratio", Direction::LowerBetter);
-    snap.push(
-        "breaker_fast_fail_rate",
-        report.breaker_fast_fail_rate,
-        "ratio",
-        Direction::LowerBetter,
-    );
-    snap
+/// The report plus the run shape it was measured under (offered load,
+/// duration, client concurrency, retry budget, workload mix), as one flat
+/// object — a `loadgen.json` is self-describing.
+fn report_json(report: &LoadReport, opts: &LoadgenOptions) -> Json {
+    Json::obj(vec![
+        ("offered_qps", Json::Num(report.offered_qps)),
+        ("seconds", Json::Num(opts.seconds)),
+        ("requests", Json::int(report.requests)),
+        ("concurrency", Json::int(opts.concurrency)),
+        ("rerank_mix", Json::Bool(opts.rerank_mix)),
+        ("retries", Json::int(opts.retries as usize)),
+        ("sustained_qps", Json::Num(report.sustained_qps)),
+        ("latency_p50_us", Json::Num(report.latency_p50_us)),
+        ("latency_p99_us", Json::Num(report.latency_p99_us)),
+        ("latency_p999_us", Json::Num(report.latency_p999_us)),
+        ("shed_rate", Json::Num(report.shed_rate)),
+        ("error_rate", Json::Num(report.error_rate)),
+        ("schedule_lag_p99_us", Json::Num(report.schedule_lag_p99_us)),
+        ("retry_rate", Json::Num(report.retry_rate)),
+        ("breaker_fast_fail_rate", Json::Num(report.breaker_fast_fail_rate)),
+    ])
 }
 
 /// A parsed client-side response: status, the `Retry-After` hint when
@@ -524,14 +517,11 @@ mod tests {
             route: RouteMix::Mixed,
             seed: 42,
             out_dir: PathBuf::from("."),
-            smoke: true,
             rerank_mix: false,
             retries: 0,
         };
         let (p0, b0) = synthesize(&opts, 0, 13);
         let (p1, b1) = synthesize(&opts, 1, 13);
-        // The mix flag must not perturb the plain workload — committed
-        // BENCH_load baselines stay comparable across this change.
         let mixed = LoadgenOptions { rerank_mix: true, ..opts.clone() };
         assert_ne!(synthesize(&mixed, 0, 13).1, b0, "mix must reshape recommend bodies");
         let mixed_k = |i| {
@@ -547,7 +537,15 @@ mod tests {
     }
 
     #[test]
-    fn report_snapshot_is_schema_valid() {
+    fn percentiles_are_nearest_rank() {
+        let samples: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
+        assert!((percentile_us(&samples, 0.0) - 1.0).abs() < 1e-9);
+        assert!((percentile_us(&samples, 1.0) - 100.0).abs() < 1e-9);
+        assert!((percentile_us(&samples, 0.50) - 51.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn report_json_carries_every_printed_field() {
         let report = LoadReport {
             offered_qps: 800.0,
             sustained_qps: 750.0,
@@ -570,15 +568,28 @@ mod tests {
             route: RouteMix::Mixed,
             seed: 42,
             out_dir: PathBuf::from("."),
-            smoke: false,
             rerank_mix: false,
             retries: 2,
         };
-        let doc = to_snapshot(&report, &opts).to_json();
-        crate::schema::validate(&doc).expect("load snapshot validates");
-        let text = doc.to_string();
-        assert!(text.contains("\"suite\":\"load\""), "{text}");
-        assert!(text.contains("retry_rate"), "{text}");
+        let doc = Json::parse(report_json(&report, &opts).to_string().as_bytes()).expect("json");
+        for (key, want) in [
+            ("offered_qps", 800.0),
+            ("seconds", 10.0),
+            ("requests", 8_000.0),
+            ("concurrency", 32.0),
+            ("retries", 2.0),
+            ("sustained_qps", 750.0),
+            ("latency_p50_us", 900.0),
+            ("latency_p99_us", 4_000.0),
+            ("latency_p999_us", 9_000.0),
+            ("shed_rate", 0.02),
+            ("error_rate", 0.0),
+            ("schedule_lag_p99_us", 120.0),
+            ("retry_rate", 0.01),
+            ("breaker_fast_fail_rate", 0.0),
+        ] {
+            assert_eq!(doc.get(key).and_then(Json::as_f64), Some(want), "{key}");
+        }
     }
 
     #[test]

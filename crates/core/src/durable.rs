@@ -36,12 +36,13 @@
 //! `unimatch_durable_months_resumed_total`.
 
 use crate::persist::{
-    bad, field, is_transient, model_from_json_value, model_to_json_value, tensor_from_json,
+    bad, field, model_from_json_value, model_to_json_value, retry_load, tensor_from_json,
     tensor_to_json, usize_field, RetryPolicy,
 };
 use crate::prepare::PreparedData;
 use std::io;
 use std::path::{Path, PathBuf};
+use unimatch_ann::write_atomic;
 use unimatch_data::json::Json;
 use unimatch_data::{Marginals, TemporalSplit};
 use unimatch_faults::FaultPoint;
@@ -357,39 +358,6 @@ fn manifest_from_json(doc: &Json) -> io::Result<RunManifest> {
 // files
 // ---------------------------------------------------------------------------
 
-/// Writes `bytes` to `path` atomically (tmp sibling + rename), the same
-/// discipline as [`crate::persist::save_model`].
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
-    }
-}
-
-/// Reads a file with bounded retry for transient I/O errors.
-fn read_with_retry(path: &Path, policy: &RetryPolicy) -> io::Result<Vec<u8>> {
-    let mut backoff = policy.backoff;
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match std::fs::read(path) {
-            Ok(bytes) => return Ok(bytes),
-            Err(e) if attempt < policy.attempts.max(1) && is_transient(e.kind()) => {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 fn month_file_name(month: u32) -> String {
     format!("month_{month:04}.json")
 }
@@ -429,7 +397,7 @@ fn read_month_checkpoint(
     record: &MonthRecord,
     policy: &RetryPolicy,
 ) -> io::Result<MonthCheckpointFile> {
-    let bytes = read_with_retry(&dir.join(&record.file), policy)?;
+    let bytes = retry_load(policy, || std::fs::read(dir.join(&record.file)))?;
     let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
     let magic = field(&doc, "magic")?
         .as_str()
@@ -740,7 +708,7 @@ mod tests {
 
         let dir = unique_dir("killed");
         let (model, cfg, split, marginals) = setup();
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 1,
             rules: vec![FaultRule::new(seam, FaultKind::Crash)
                 .with_max_fires(1)
@@ -797,7 +765,7 @@ mod tests {
         // poison one training step in the first month; the health monitor
         // flags it, the month rolls back, and the LR-backed-off retry
         // (fault budget spent) trains clean
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 3,
             rules: vec![FaultRule::new("train.step", FaultKind::BitFlip).with_max_fires(1)],
         });
@@ -821,7 +789,7 @@ mod tests {
         let dir = unique_dir("exhausted");
         let (model, cfg, split, marginals) = setup();
         // poison every step: no retry can ever train clean
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 3,
             rules: vec![FaultRule::new("train.step", FaultKind::BitFlip)],
         });
@@ -897,7 +865,7 @@ mod tests {
         let durable = DurableConfig::new(&dir);
 
         // kill the very first fit after its first committed month
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 8,
             rules: vec![FaultRule::new("durable.month_end", FaultKind::Crash).with_max_fires(1)],
         });

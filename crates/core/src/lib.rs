@@ -72,9 +72,11 @@ pub use persist::{
 pub use prepare::PreparedData;
 pub use serving::{ModelHandle, ServingState};
 
-/// Serializes unit tests that arm the process-global fault plan (persist
-/// retries, durable-training kills) — armed plans are process state, so
-/// concurrent tests would observe each other's faults.
+/// Serializes unit tests that arm a fault plan (persist retries,
+/// durable-training kills): the plan slot is process state, so two armed
+/// tests would overwrite each other. They arm with
+/// `set_plan_for_this_thread`, so tests that merely pass through the
+/// same seams need no lock.
 #[cfg(test)]
 pub(crate) fn fault_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -6,18 +6,18 @@
 //! diff-able; the models are small enough — tens of thousands of floats —
 //! that a binary format buys nothing).
 //!
-//! Serialization is hand-rolled over [`unimatch_data::json`] rather than
-//! `serde_json` so that checkpoint round-trips work in the offline
-//! verification environment (where the external crates are API stubs) —
-//! the online serving layer's `/reload` depends on this path actually
-//! functioning. The emitted document matches the shape serde would
-//! produce for the same structs, so existing checkpoints keep loading.
+//! Serialization is hand-rolled over [`unimatch_data::json`], the
+//! workspace's only JSON codec. The emitted document has the shape
+//! serde would produce for the same structs — the format's first
+//! checkpoints were written that way, and they keep loading.
 //!
-//! Writes are crash-safe: [`save_model`] writes a `.tmp` sibling and then
-//! `rename`s it into place, so a crash mid-write can never leave a torn
-//! checkpoint behind for a later load (or a serving `/reload`) to trip
-//! over — the destination either holds the old complete checkpoint or the
-//! new complete one.
+//! Writes are crash-safe: [`save_model`] writes a `.tmp` sibling, syncs
+//! it to disk and then `rename`s it into place
+//! ([`unimatch_ann::write_atomic`]), so neither a crash mid-write nor a
+//! power loss after the rename can leave a torn or empty checkpoint
+//! behind for a later load (or a serving `/reload`) to trip over — the
+//! destination either holds the old complete checkpoint or the new
+//! complete one.
 //!
 //! Loads are validated end to end. Format v2 documents carry a magic
 //! string and an FNV-1a checksum over the *values* (config fields,
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_ann::{
-    open_table_with, read_table_header, write_table, EmbeddingStore, RowFormat,
+    open_table_with, read_table_header, write_atomic, write_table, EmbeddingStore, RowFormat,
 };
 use unimatch_data::json::Json;
 use unimatch_data::Marginals;
@@ -646,8 +646,8 @@ pub fn model_from_json(bytes: &[u8]) -> io::Result<TwoTower> {
 
 /// Saves a model checkpoint to a file, atomically.
 ///
-/// The bytes are written to a `.tmp` sibling in the same directory and
-/// `rename`d into place, so concurrent readers (and a serving `/reload`
+/// The bytes are written to a `.tmp` sibling in the same directory,
+/// synced, and `rename`d into place, so concurrent readers (and a serving `/reload`
 /// racing a trainer) always observe either the previous complete
 /// checkpoint or the new complete one — never a torn prefix.
 pub fn save_model(model: &TwoTower, path: impl AsRef<Path>) -> io::Result<()> {
@@ -672,22 +672,6 @@ pub fn save_model_with_marginals(
         entries.push(("marginals".to_string(), marginals_to_json_value(m)));
     }
     write_atomic(path.as_ref(), &doc.to_bytes())
-}
-
-/// Writes `bytes` to a `.tmp` sibling and `rename`s it into place —
-/// readers observe either the previous complete file or the new one.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
-    }
 }
 
 /// The prelude every file loader shares: the `persist.load` fault seam,
@@ -919,7 +903,13 @@ pub fn is_transient(kind: io::ErrorKind) -> bool {
     )
 }
 
-fn retry_load<T>(policy: &RetryPolicy, mut load: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+/// Runs `load`, retrying transient failures per `policy` with doubling
+/// backoff; the first non-transient error, or the last attempt's, is
+/// returned.
+pub(crate) fn retry_load<T>(
+    policy: &RetryPolicy,
+    mut load: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     let mut backoff = policy.backoff;
     let mut attempt = 0;
     loop {
@@ -1139,7 +1129,7 @@ mod tests {
         save_model(&model(ContextExtractor::YoutubeDnn), &path).expect("save");
 
         // two injected transient failures, then the real read succeeds
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 1,
             rules: vec![FaultRule::new("persist.load", FaultKind::IoError).with_max_fires(2)],
         });
@@ -1148,7 +1138,7 @@ mod tests {
         assert!(loaded.is_ok());
 
         // with the budget refreshed but only 2 attempts, the error surfaces
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 1,
             rules: vec![FaultRule::new("persist.load", FaultKind::IoError).with_max_fires(2)],
         });
@@ -1167,7 +1157,7 @@ mod tests {
         let dir = unique_tmp("bitflip");
         let path = dir.join("model.json");
         save_model(&model(ContextExtractor::YoutubeDnn), &path).expect("save");
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 2,
             rules: vec![
                 FaultRule::new("persist.load.corrupt", FaultKind::BitFlip).with_max_fires(1),
@@ -1565,7 +1555,7 @@ mod tests {
         save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
         // the first persist.load.corrupt call tampers the checkpoint JSON;
         // skipping it aims the single budgeted flip at the sidecar bytes
-        unimatch_faults::set_plan(FaultPlan {
+        unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 4,
             rules: vec![FaultRule::new("persist.load.corrupt", FaultKind::BitFlip)
                 .with_probability(1.0)

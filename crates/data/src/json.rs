@@ -1,9 +1,8 @@
 //! A minimal, dependency-free JSON value with a parser and writer.
 //!
-//! The workspace's external `serde_json` is unavailable in the offline
-//! verification environment, yet two production paths genuinely need JSON:
-//! model checkpoints (`unimatch-core::persist`, human-inspectable and
-//! diff-able) and the HTTP bodies of the online serving layer
+//! The workspace depends on no JSON crate, yet two production paths
+//! genuinely need JSON: model checkpoints (`unimatch-core::persist`,
+//! human-inspectable and diff-able) and the HTTP bodies of the online serving layer
 //! (`unimatch-serve`). This module is the single JSON implementation both
 //! build on: a plain value tree, a recursive-descent parser over bytes, and
 //! a writer whose float formatting round-trips exactly.

@@ -4,7 +4,7 @@ use crate::calendar::month_of;
 use std::collections::HashMap;
 
 /// A single purchase record `(u, i, t)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interaction {
     /// Dense user id.
     pub user: u32,
@@ -16,7 +16,7 @@ pub struct Interaction {
 
 /// An interaction log: the full purchase history of one merchant, sorted by
 /// `(user, day)` for efficient per-user timeline iteration.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InteractionLog {
     records: Vec<Interaction>,
     num_users: u32,

@@ -4,7 +4,7 @@
 use crate::windowing::Sample;
 
 /// Log empirical marginals computed from a set of (positive) samples.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Marginals {
     log_pu: Vec<f32>,
     log_pi: Vec<f32>,

@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// The four noise distributions of Tab. I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NegativeStrategy {
     /// `p_n(u,i) ∝ p̂(u)` — keep the positive's user, draw the item
     /// uniformly.
@@ -74,7 +74,10 @@ impl<'a> NegativeSampler<'a> {
     /// Builds a sampler over the positive training `samples`.
     pub fn new(samples: &'a [Sample], num_items: u32) -> Self {
         assert!(!samples.is_empty(), "no samples to build negatives from");
-        let mut by_user: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
+        // ordered by user id: `user_uniform` indexes this list with a
+        // seeded draw, so its order is part of what a seed reproduces
+        let mut by_user: std::collections::BTreeMap<u32, Vec<u32>> =
+            std::collections::BTreeMap::new();
         let mut item_counts = vec![0f64; num_items as usize];
         for (ix, s) in samples.iter().enumerate() {
             by_user.entry(s.user).or_default().push(ix as u32);
@@ -198,6 +201,20 @@ mod tests {
         assert_eq!(total_rows, 2 * s.len());
         let pos: f32 = batches.iter().flat_map(|b| b.labels.iter()).sum();
         assert_eq!(pos as usize, s.len());
+    }
+
+    #[test]
+    fn uniform_user_draws_repeat_for_a_seed() {
+        // 64 distinct users: a hash-ordered user list would differ between
+        // two samplers (each map has its own hasher keys)
+        let s: Vec<Sample> =
+            (0..64).map(|u| Sample { user: u, history: vec![1], target: u % 5, day: u }).collect();
+        let draws = || {
+            let sampler = NegativeSampler::new(&s, 5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+            (0..32).map(|_| sampler.user_uniform(&mut rng).user).collect::<Vec<u32>>()
+        };
+        assert_eq!(draws(), draws());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::windowing::Sample;
 
 /// A temporal split of the sample set.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TemporalSplit {
     /// Training samples: target months `0..=T-2`.
     pub train: Vec<Sample>,

@@ -5,7 +5,7 @@ use crate::split::TemporalSplit;
 use crate::windowing::Sample;
 
 /// Tab. III-style statistics of an interaction log.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetStats {
     /// Distinct users with ≥ 1 interaction.
     pub users: usize,
@@ -40,7 +40,7 @@ impl DatasetStats {
 
 /// Tab. VI-style statistics of a temporal split plus the evaluation
 /// protocol parameters.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SplitStats {
     /// Number of training records (positive samples).
     pub train_records: usize,

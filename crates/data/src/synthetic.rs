@@ -24,7 +24,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Knobs of the generative model.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyntheticConfig {
     /// Profile name (for reports).
     pub name: String,
@@ -62,7 +62,7 @@ pub struct SyntheticConfig {
 
 /// The four dataset profiles of Tab. III, scaled to laptop size (~1/100 of
 /// the paper's row counts, 12 months instead of 24–47).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatasetProfile {
     /// Amazon Books: moderate density, strongly trending items.
     Books,

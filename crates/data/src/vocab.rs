@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 /// A bijection between external string ids and dense `u32` indices.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Vocab {
     forward: HashMap<String, u32>,
     reverse: Vec<String>,

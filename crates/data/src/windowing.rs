@@ -13,7 +13,7 @@ use crate::calendar::month_of;
 use crate::log::InteractionLog;
 
 /// Configuration for sample construction.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WindowConfig {
     /// Maximum history length; the paper truncates at 20 (Books), 36
     /// (Electronics), 29 (e_comp), 18 (w_comp).
@@ -30,7 +30,7 @@ impl Default for WindowConfig {
 }
 
 /// One training/evaluation sample: a pseudo-user and its target item.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sample {
     /// The underlying user id (for marginals and user-level bookkeeping).
     pub user: u32,

@@ -6,7 +6,7 @@
 //! SimCLR tendency to surface unpopular items.
 
 /// Median and mean of a retrieved-entity popularity distribution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PopularityStats {
     /// Median trailing interactions.
     pub median: f64,

@@ -13,7 +13,7 @@ use rand::Rng;
 use unimatch_data::{Sample, TemporalSplit};
 
 /// Protocol parameters (top-N cutoff and negative count per Tab. VI).
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ProtocolConfig {
     /// Ranking cutoff N for Recall@N / NDCG@N.
     pub top_n: usize,

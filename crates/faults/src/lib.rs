@@ -59,17 +59,22 @@ pub use plan::{FaultKind, FaultPlan, FaultRule, PlanParseError};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::ThreadId;
 
 /// Whether any plan is armed. One relaxed load; this is the entire cost
 /// of a disarmed injection point.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-fn plan_slot() -> &'static Mutex<Option<Arc<plan::ArmedPlan>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<plan::ArmedPlan>>>> = OnceLock::new();
+/// The armed plan and, for [`set_plan_for_this_thread`], the only thread
+/// that sees it.
+type Armed = (Arc<plan::ArmedPlan>, Option<ThreadId>);
+
+fn plan_slot() -> &'static Mutex<Option<Armed>> {
+    static SLOT: OnceLock<Mutex<Option<Armed>>> = OnceLock::new();
     SLOT.get_or_init(|| Mutex::new(None))
 }
 
-fn slot_lock() -> std::sync::MutexGuard<'static, Option<Arc<plan::ArmedPlan>>> {
+fn slot_lock() -> std::sync::MutexGuard<'static, Option<Armed>> {
     // A poisoned slot means a panic elsewhere (possibly an *injected*
     // crash mid-fire); the plan itself is still structurally sound.
     plan_slot().lock().unwrap_or_else(|e| e.into_inner())
@@ -78,8 +83,23 @@ fn slot_lock() -> std::sync::MutexGuard<'static, Option<Arc<plan::ArmedPlan>>> {
 /// Arms `plan` process-wide, replacing any previous plan (and its hit
 /// counters). Fault decisions start fresh.
 pub fn set_plan(plan: FaultPlan) {
+    arm(plan, None);
+}
+
+/// [`set_plan`], but only the calling thread sees the plan: a point
+/// reached from any other thread stays a no-op. This is how a unit test
+/// arms a point that its neighbours in the same test binary also pass
+/// through (every trainer steps through `train.step`, every loader
+/// through `persist.load`) — they run on other threads, so they neither
+/// absorb its fires nor are hit by them. The slot is still one per
+/// process: tests that arm must not overlap each other.
+pub fn set_plan_for_this_thread(plan: FaultPlan) {
+    arm(plan, Some(std::thread::current().id()));
+}
+
+fn arm(plan: FaultPlan, only_thread: Option<ThreadId>) {
     let armed = Arc::new(plan::ArmedPlan::new(plan));
-    *slot_lock() = Some(armed);
+    *slot_lock() = Some((armed, only_thread));
     ARMED.store(true, Ordering::SeqCst);
 }
 
@@ -98,7 +118,7 @@ pub fn armed() -> bool {
 
 /// Total faults fired since the current plan was armed (all points).
 pub fn fired_total() -> u64 {
-    slot_lock().as_ref().map_or(0, |p| p.fired_total())
+    slot_lock().as_ref().map_or(0, |(p, _)| p.fired_total())
 }
 
 /// A named injection point. Declare one per seam:
@@ -137,7 +157,10 @@ impl FaultPoint {
 
     #[cold]
     fn fire_slow(name: &'static str) -> Option<FaultKind> {
-        let plan = slot_lock().clone()?;
+        let (plan, only_thread) = slot_lock().clone()?;
+        if only_thread.is_some_and(|t| t != std::thread::current().id()) {
+            return None;
+        }
         plan.decide(name)
     }
 
@@ -259,6 +282,19 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ (64 draws at p=0.5)");
         let count = a.iter().filter(|&&f| f).count();
         assert!((10..=54).contains(&count), "p=0.5 over 64 draws fired {count} times");
+    }
+
+    #[test]
+    fn thread_scoped_plan_is_invisible_to_other_threads() {
+        let _guard = test_lock();
+        set_plan_for_this_thread(FaultPlan {
+            seed: 3,
+            rules: vec![FaultRule::new("p.t", FaultKind::IoError).with_max_fires(1)],
+        });
+        let elsewhere = std::thread::spawn(|| FaultPoint::should_fire("p.t")).join();
+        assert_eq!(elsewhere.expect("join"), None, "a bystander neither fires…");
+        assert!(FaultPoint::should_fire("p.t").is_some(), "…nor spends the budget");
+        clear();
     }
 
     #[test]

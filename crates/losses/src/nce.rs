@@ -21,7 +21,7 @@
 use unimatch_tensor::{Graph, Tensor, Var};
 
 /// The four binary switches of Eq. 10.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BiasConfig {
     /// Weight of the row (item-softmax) term.
     pub alpha: f32,

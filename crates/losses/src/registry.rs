@@ -4,7 +4,7 @@ use crate::nce::BiasConfig;
 
 /// Every loss evaluated in the paper's Tab. VIII–XII, as a closed set so
 /// experiment binaries can iterate them.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MultinomialLoss {
     /// Sampled softmax over the whole vocabulary with logQ correction
     /// ("SSM w. n.": towers are L2-normalized, as ours always are).

@@ -6,7 +6,7 @@ use rand::Rng;
 use unimatch_tensor::{Graph, ParamId, ParamSet, Tensor, Var};
 
 /// Parameter handles of one instantiated aggregator.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub enum AggregatorParams {
     /// Mean pooling over valid positions.
     Mean,

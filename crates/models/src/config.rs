@@ -2,7 +2,7 @@
 //! sequence aggregators (Tab. XII).
 
 /// The context-extraction layer of the user encoder (Fig. 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ContextExtractor {
     /// Youtube-DNN: no context extraction — lookup embeddings go straight
     /// to the aggregation layer (the paper's production default).
@@ -45,7 +45,7 @@ impl ContextExtractor {
 
 /// The aggregation layer pooling per-position context vectors into one user
 /// representation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Aggregator {
     /// Mean over valid positions (the paper's production default).
     Mean,
@@ -82,7 +82,7 @@ impl Aggregator {
 }
 
 /// Full two-tower model configuration.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelConfig {
     /// Item vocabulary size.
     pub num_items: usize,

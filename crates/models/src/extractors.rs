@@ -11,7 +11,7 @@ use rand::Rng;
 use unimatch_tensor::{init, Graph, ParamId, ParamSet, Tensor, Var};
 
 /// Parameter handles of one instantiated context extractor.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub enum ExtractorParams {
     /// No parameters: identity.
     YoutubeDnn,

@@ -141,8 +141,9 @@ impl Histogram {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts:
     /// the upper bound of the first bucket whose cumulative count reaches
     /// `q × total` (the overflow bucket reports the last finite bound).
-    /// Coarse by construction — exact quantiles need the raw samples,
-    /// which the bench snapshot keeps; this is for at-a-glance reads.
+    /// Coarse by construction — exact quantiles need the raw samples
+    /// (`loadgen` and `crates/benchmark` keep theirs); this is for
+    /// at-a-glance reads.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {

@@ -9,7 +9,7 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Stable handle to a parameter inside a [`ParamSet`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
@@ -20,7 +20,7 @@ impl ParamId {
 }
 
 /// A single named parameter tensor.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Human-readable name, e.g. `"user_encoder.gru.w_z"`.
     pub name: String,
@@ -29,7 +29,7 @@ pub struct Param {
 }
 
 /// The collection of all trainable parameters of a model.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParamSet {
     params: Vec<Param>,
 }

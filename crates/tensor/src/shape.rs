@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// The dimensions of a tensor, row-major (last axis contiguous).
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

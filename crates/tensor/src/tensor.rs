@@ -9,7 +9,7 @@ use rand::Rng;
 /// `Tensor` is a plain value type: cloning copies the buffer. All autograd
 /// bookkeeping lives in [`crate::graph::Graph`]; `Tensor` itself only knows
 /// how to compute.
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

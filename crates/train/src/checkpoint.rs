@@ -7,7 +7,7 @@
 use unimatch_tensor::ParamSet;
 
 /// A snapshot of the model parameters after finishing a training month.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MonthCheckpoint {
     /// The (0-indexed) month whose data was just consumed.
     pub month: u32,

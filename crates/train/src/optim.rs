@@ -54,7 +54,7 @@ impl Sgd {
 }
 
 /// Adam configuration.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,

@@ -4,7 +4,7 @@
 
 /// A learning-rate schedule mapping an optimizer step to a multiplier of
 /// the base rate.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Schedule {
     /// Always the base rate.
     Constant,

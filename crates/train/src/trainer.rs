@@ -31,7 +31,7 @@ use unimatch_tensor::Graph;
 const STEP_FAULT: FaultPoint = FaultPoint::new("train.step");
 
 /// Which loss pathway to train with.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TrainLoss {
     /// A multinomial-family loss over positive-only batches (Tab. IV data).
     Multinomial(MultinomialLoss),
@@ -51,7 +51,7 @@ impl TrainLoss {
 }
 
 /// Training configuration (the Tab. VII hyperparameters plus plumbing).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainConfig {
     /// Batch size (row count; for BCE this includes the 1:1 negatives).
     pub batch_size: usize,
@@ -153,7 +153,7 @@ impl SsmContext {
 
 /// Counters describing how much data a training run consumed — the raw
 /// material of the paper's cost analysis (Sec. IV-B5).
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TrainStats {
     /// Optimization steps taken.
     pub steps: u64,
@@ -663,11 +663,12 @@ mod tests {
 
     #[test]
     fn health_monitor_catches_injected_nan_step() {
-        let _guard = fault_test_lock();
         let (mut t, samples, marg) =
             tiny_setup(TrainLoss::Multinomial(MultinomialLoss::Nce(BiasConfig::bbcnce())));
         t.enable_health(HealthConfig::default());
-        unimatch_faults::set_plan(unimatch_faults::FaultPlan {
+        // the only test here that arms a plan, scoped to this thread: the
+        // neighbours stepping their own trainers must not absorb the fire
+        unimatch_faults::set_plan_for_this_thread(unimatch_faults::FaultPlan {
             seed: 1,
             rules: vec![unimatch_faults::FaultRule::new("train.step", FaultKind::BitFlip)
                 .with_max_fires(1)],
@@ -676,11 +677,5 @@ mod tests {
         unimatch_faults::clear();
         let report = t.health_report().expect("monitoring enabled");
         assert!(report.nonfinite_losses >= 1, "{report:?}");
-    }
-
-    /// Serializes tests that arm the process-global fault plan.
-    fn fault_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

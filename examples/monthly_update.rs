@@ -55,7 +55,7 @@ fn main() {
          from-scratch yearly retrain would have consumed ~12x more — \
          multiply by the one-model-for-two-tasks factor and the bbcNCE \
          epoch savings and you reach the paper's 94%+ figure \
-         (`cargo run -p unimatch-bench --bin cost_saving`)."
+         (`cargo run -p unimatch-bench --bin experiments -- cost_saving`)."
     );
     std::fs::remove_file(&path).ok();
 }

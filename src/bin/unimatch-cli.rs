@@ -7,8 +7,7 @@
 //! unimatch-cli target    --model model.json --log log.csv --item <id> --k 10
 //! unimatch-cli evaluate  --model model.json --log log.csv
 //! unimatch-cli serve     --checkpoint model.json --log log.csv --addr 127.0.0.1:7878
-//! unimatch-cli bench snapshot --smoke --out .
-//! unimatch-cli bench diff --baseline . --current /tmp/snap
+//! unimatch-cli loadgen   --addr 127.0.0.1:7878 --qps 500
 //! ```
 //!
 //! Logs are CSV with a `user,item,day` header; user and item ids may be
@@ -23,7 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::{
     evaluate, evaluate_ir_rerank, load_model, save_checkpoint_with_table, DurableConfig,
-    ModelHandle, RerankConfig, RetrieverKind, RowFormat, ShardPolicy, UniMatch, UniMatchConfig,
+    ModelHandle, RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch,
+    UniMatchConfig,
 };
 use unimatch_data::json::Json;
 use unimatch_data::vocab::Vocab;
@@ -37,13 +37,7 @@ fn main() {
     let Some(command) = argv.first() else {
         usage("missing command");
     };
-    // `bench` has a positional subcommand and boolean flags, so it parses
-    // its own arguments.
-    if command == "bench" {
-        cmd_bench(&argv[1..]);
-        return;
-    }
-    // `loadgen` has a boolean --smoke flag, so it also parses its own argv.
+    // `loadgen` has boolean flags, so it parses its own argv.
     if command == "loadgen" {
         cmd_loadgen(&argv[1..]);
         return;
@@ -66,7 +60,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: unimatch-cli <generate|fit|recommend|target|evaluate|serve|bench> [--flag value]...\n\
+        "usage: unimatch-cli <generate|fit|recommend|target|evaluate|serve|loadgen> [--flag value]...\n\
          \n\
          generate  --profile <books|electronics|ecomp|wcomp|large> [--scale F] [--seed N] --out FILE\n\
          fit       --log FILE --out FILE [--epochs N] [--temperature F] [--batch N] [--seed N]\n\
@@ -112,13 +106,11 @@ fn usage(msg: &str) -> ! {
          \u{20}          retriever|shards|min-shards|shard-deadline-ms|store|mmap|\n\
          \u{20}          rerank|rerank-rules — paired overlap@k / score-delta / lag\n\
          \u{20}          series land on /metrics as unimatch_shadow_*)\n\
-         bench snapshot [--smoke] [--scale F] [--seed N] [--out DIR]\n\
-         bench diff [--baseline DIR] [--current DIR] [--tolerance F] [--fail-on-regression]\n\
          loadgen   --addr HOST:PORT --qps F [--seconds F] [--concurrency N] [--k N]\n\
          \u{20}         [--route recommend|target|mixed] [--seed N] [--out DIR] [--smoke]\n\
          \u{20}         [--rerank-mix] [--retries N]\n\
          \u{20}         (open-loop Poisson load against a running unimatch-serve;\n\
-         \u{20}          writes BENCH_load.json for bench diff; --rerank-mix varies\n\
+         \u{20}          writes the report to DIR/loadgen.json; --rerank-mix varies\n\
          \u{20}          histories and k to exercise a server's --rerank chain;\n\
          \u{20}          --retries N: retry sheds/transport failures with backoff,\n\
          \u{20}          honoring Retry-After, behind a circuit breaker)\n\
@@ -223,6 +215,22 @@ fn rerank_flag(flags: &HashMap<String, String>) -> RerankConfig {
     RerankConfig { spec, rules }
 }
 
+/// The deployment half of the configuration — compute threads, index
+/// backend, shard fan-out and policy, rerank chain, store format and
+/// backing — read from the flags every command shares.
+fn deployment_config(flags: &HashMap<String, String>) -> UniMatchConfig {
+    UniMatchConfig {
+        parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
+        retriever: retriever_flag(flags),
+        shards: shards_flag(flags),
+        shard_policy: shard_policy_flag(flags),
+        rerank: rerank_flag(flags),
+        store: store_flag(flags),
+        mmap: mmap_flag(flags),
+        ..Default::default()
+    }
+}
+
 fn cmd_generate(flags: &HashMap<String, String>) {
     let profile = match flag(flags, "profile").to_ascii_lowercase().as_str() {
         "books" => DatasetProfile::Books,
@@ -305,14 +313,7 @@ fn cmd_fit(flags: &HashMap<String, String>) {
         temperature: flag_or(flags, "temperature", 0.15),
         batch_size: flag_or(flags, "batch", 64),
         seed: flag_or(flags, "seed", 42),
-        parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-        retriever: retriever_flag(flags),
-        shards: shards_flag(flags),
-        shard_policy: shard_policy_flag(flags),
-        rerank: rerank_flag(flags),
-        store: store_flag(flags),
-        mmap: mmap_flag(flags),
-        ..Default::default()
+        ..deployment_config(flags)
     };
     let filtered = log.filter_min_interactions(3);
     println!(
@@ -349,43 +350,27 @@ fn cmd_fit(flags: &HashMap<String, String>) {
     );
 }
 
-fn load_serving(flags: &HashMap<String, String>) -> (unimatch_core::FittedUniMatch, Vocab, Vocab) {
+/// Opens the checkpoint the way `serve` does — [`ModelHandle`] validates
+/// the log and the rerank rules against it — and takes the one snapshot
+/// a one-shot command needs.
+fn load_serving(flags: &HashMap<String, String>) -> (Arc<ServingState>, Vocab, Vocab) {
     let model_path = flag(flags, "model");
-    let store_format = store_flag(flags);
-    let mmap = mmap_flag(flags);
-    let (model, store, marginals) =
-        unimatch_core::load_checkpoint_with_format(model_path, store_format, mmap)
-            .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
     let (log, _, _) = read_log(flag(flags, "log"));
     let (up, ip) = vocab_paths(model_path);
     let users = read_vocab(&up);
     let items = read_vocab(&ip);
-    let config = UniMatchConfig {
-        parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-        retriever: retriever_flag(flags),
-        shards: shards_flag(flags),
-        shard_policy: shard_policy_flag(flags),
-        rerank: rerank_flag(flags),
-        store: store_format,
-        mmap,
-        ..Default::default()
-    };
-    let mut config = config;
-    config.embed_dim = model.config().embed_dim;
-    config.max_seq_len = model.config().max_seq_len;
-    config.extractor = model.config().extractor;
-    config.aggregator = model.config().aggregator;
-    let fitted = UniMatch::new(config).serve_with_store_and_marginals(
-        model,
+    let handle = ModelHandle::from_checkpoint(
+        UniMatch::new(deployment_config(flags)),
+        model_path,
         log.filter_min_interactions(3),
-        store,
-        marginals,
-    );
-    (fitted, users, items)
+    )
+    .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
+    (handle.current(), users, items)
 }
 
 fn cmd_recommend(flags: &HashMap<String, String>) {
-    let (fitted, users, items) = load_serving(flags);
+    let (state, users, items) = load_serving(flags);
+    let fitted = &state.fitted;
     let user_ext = flag(flags, "user");
     let k: usize = flag_or(flags, "k", 10);
     let Some(user) = users.get(user_ext) else {
@@ -403,7 +388,8 @@ fn cmd_recommend(flags: &HashMap<String, String>) {
 }
 
 fn cmd_target(flags: &HashMap<String, String>) {
-    let (fitted, users, items) = load_serving(flags);
+    let (state, users, items) = load_serving(flags);
+    let fitted = &state.fitted;
     let item_ext = flag(flags, "item");
     let k: usize = flag_or(flags, "k", 10);
     let Some(item) = items.get(item_ext) else {
@@ -433,18 +419,12 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
     // the same full-catalog IR cases raw and through the chain, and the
     // accuracy / diversity / popularity deltas are printed side by side.
     if flags.contains_key("rerank") {
-        let rerank = rerank_flag(flags);
         let config = UniMatchConfig {
             embed_dim: model.config().embed_dim,
             max_seq_len: model.config().max_seq_len,
             extractor: model.config().extractor,
             aggregator: model.config().aggregator,
-            parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-            retriever: retriever_flag(flags),
-            shards: shards_flag(flags),
-            shard_policy: shard_policy_flag(flags),
-            rerank,
-            ..Default::default()
+            ..deployment_config(flags)
         };
         let counts = filtered.item_counts();
         let fitted = UniMatch::new(config).serve(model, filtered);
@@ -551,102 +531,6 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
     println!("AVG NDCG {:.2}%", 100.0 * out.avg_ndcg());
 }
 
-/// `bench snapshot` / `bench diff` — the perf-baseline tooling
-/// (`crates/bench::snapshot` + `::schema`). Parses its own argv because
-/// it mixes a positional subcommand with boolean flags.
-fn cmd_bench(args: &[String]) {
-    let Some(sub) = args.first() else {
-        usage("bench needs a subcommand: snapshot or diff");
-    };
-    let mut smoke = false;
-    let mut fail_on_regression = false;
-    let mut rest: Vec<String> = Vec::new();
-    for a in &args[1..] {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--fail-on-regression" => fail_on_regression = true,
-            _ => rest.push(a.clone()),
-        }
-    }
-    let flags = parse_flags(&rest);
-    unimatch_parallel::Parallelism::threads(flag_or(&flags, "threads", 0)).install_global();
-    match sub.as_str() {
-        "snapshot" => {
-            let opts = unimatch_bench::snapshot::SnapshotOptions {
-                scale: flag_or(&flags, "scale", 1.0),
-                seed: flag_or(&flags, "seed", 42),
-                smoke,
-                threads: flag_or(&flags, "threads", 0),
-                out_dir: flags.get("out").cloned().unwrap_or_else(|| ".".to_string()).into(),
-            };
-            let started = std::time::Instant::now();
-            let paths = unimatch_bench::snapshot::run_all(&opts)
-                .unwrap_or_else(|e| usage(&format!("snapshot failed: {e}")));
-            for path in &paths {
-                println!("wrote {} (schema-valid)", path.display());
-            }
-            println!(
-                "snapshot complete in {:.1}s ({} mode)",
-                started.elapsed().as_secs_f64(),
-                if smoke { "smoke" } else { "baseline" }
-            );
-        }
-        "diff" => {
-            let baseline_dir = flags.get("baseline").cloned().unwrap_or_else(|| ".".to_string());
-            let current_dir = flags.get("current").cloned().unwrap_or_else(|| ".".to_string());
-            let tolerance: f64 = flag_or(&flags, "tolerance", 0.10);
-            let mut regressions = 0usize;
-            let mut compared = 0usize;
-            for suite in unimatch_bench::schema::SUITES {
-                let file = format!("BENCH_{suite}.json");
-                let base_path = std::path::Path::new(&baseline_dir).join(&file);
-                let cur_path = std::path::Path::new(&current_dir).join(&file);
-                let (Ok(base), Ok(cur)) = (std::fs::read(&base_path), std::fs::read(&cur_path))
-                else {
-                    println!("{suite}: skipped ({file} missing on one side)");
-                    continue;
-                };
-                let parse = |bytes: &[u8], path: &std::path::Path| {
-                    Json::parse(bytes)
-                        .unwrap_or_else(|e| usage(&format!("{}: {e}", path.display())))
-                };
-                let rows = unimatch_bench::schema::diff(
-                    &parse(&base, &base_path),
-                    &parse(&cur, &cur_path),
-                    tolerance,
-                )
-                .unwrap_or_else(|e| usage(&format!("{suite}: {e}")));
-                for row in rows {
-                    compared += 1;
-                    let marker = if row.regressed {
-                        regressions += 1;
-                        "REGRESSED"
-                    } else if row.improvement > tolerance {
-                        "improved"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "{suite}/{:<28} {:>14.2} -> {:>14.2}  {:>+7.1}%  {marker}",
-                        row.name,
-                        row.baseline,
-                        row.current,
-                        100.0 * row.improvement
-                    );
-                }
-            }
-            println!(
-                "{compared} metrics compared, {regressions} regressed beyond {:.0}%",
-                100.0 * tolerance
-            );
-            if fail_on_regression && regressions > 0 {
-                exit(1);
-            }
-        }
-        other => usage(&format!("unknown bench subcommand {other}")),
-    }
-}
-
 /// `loadgen` — open-loop Poisson load against a running `unimatch-serve`
 /// (`crates/bench::loadgen`). Parses its own argv for the booleans
 /// `--smoke` and `--rerank-mix`.
@@ -674,7 +558,6 @@ fn cmd_loadgen(args: &[String]) {
         route,
         seed: flag_or(&flags, "seed", 42),
         out_dir: flags.get("out").cloned().unwrap_or_else(|| ".".to_string()).into(),
-        smoke,
         rerank_mix,
         retries: flag_or(&flags, "retries", 0),
     };
@@ -704,7 +587,7 @@ fn cmd_loadgen(args: &[String]) {
             100.0 * report.breaker_fast_fail_rate
         );
     }
-    println!("wrote {} (schema-valid)", path.display());
+    println!("wrote {}", path.display());
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) {
@@ -747,18 +630,12 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         brownout,
         ..ServeConfig::default()
     };
-    let framework = UniMatch::new(UniMatchConfig {
-        parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-        retriever: retriever_flag(flags),
-        shards: shards_flag(flags),
-        shard_policy: shard_policy_flag(flags),
-        rerank: rerank_flag(flags),
-        store: store_flag(flags),
-        mmap: mmap_flag(flags),
-        ..Default::default()
-    });
-    let handle = ModelHandle::from_checkpoint(framework, checkpoint, log.filter_min_interactions(3))
-        .unwrap_or_else(|e| usage(&format!("cannot serve {checkpoint}: {e}")));
+    let handle = ModelHandle::from_checkpoint(
+        UniMatch::new(deployment_config(flags)),
+        checkpoint,
+        log.filter_min_interactions(3),
+    )
+    .unwrap_or_else(|e| usage(&format!("cannot serve {checkpoint}: {e}")));
     // --shadow-sample-rate > 0 arms a shadow deployment: a second full
     // pipeline (checkpoint + retriever + store + rerank chain) that a
     // deterministic sample of answered query traffic is mirrored to, off
@@ -790,18 +667,8 @@ fn cmd_serve(flags: &HashMap<String, String>) {
             }
         }
         let shadow_ckpt = flags.get("shadow-ckpt").map(String::as_str).unwrap_or(checkpoint);
-        let shadow_framework = UniMatch::new(UniMatchConfig {
-            parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-            retriever: retriever_flag(&sflags),
-            shards: shards_flag(&sflags),
-            shard_policy: shard_policy_flag(&sflags),
-            rerank: rerank_flag(&sflags),
-            store: store_flag(&sflags),
-            mmap: mmap_flag(&sflags),
-            ..Default::default()
-        });
         let shadow_handle = ModelHandle::from_checkpoint(
-            shadow_framework,
+            UniMatch::new(deployment_config(&sflags)),
             shadow_ckpt,
             log.filter_min_interactions(3),
         )

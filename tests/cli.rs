@@ -62,6 +62,26 @@ fn full_cli_workflow() {
     assert!(text.contains("top 3 items"), "{text}");
     assert!(text.matches("score").count() == 3, "{text}");
 
+    // a rules sidecar naming an item the checkpoint cannot serve is the
+    // same typed error for the one-shot commands as for `serve`
+    let rules = dir.join("oov_rules.json");
+    std::fs::write(&rules, r#"{"deny":[999999]}"#).expect("write rules");
+    let rejection = |command: &str, model_flag: &str| {
+        let out = cli()
+            .args([command, model_flag, model.to_str().expect("utf8")])
+            .args(["--log", log.to_str().expect("utf8"), "--user", &busy_user])
+            .args(["--rerank", "filter", "--rerank-rules", rules.to_str().expect("utf8")])
+            .output()
+            .expect("run with out-of-vocabulary rules");
+        assert!(!out.status.success(), "{command} must reject out-of-vocabulary rules");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let reason = stderr.find("checkpoint ").map(|at| stderr[at..].lines().next().unwrap_or(""));
+        reason.unwrap_or_else(|| panic!("{command}: {stderr}")).to_string()
+    };
+    let reason = rejection("recommend", "--model");
+    assert!(reason.ends_with("the rerank rules reference item 999999"), "{reason}");
+    assert_eq!(reason, rejection("serve", "--checkpoint"));
+
     let out = cli()
         .args(["target", "--model", model.to_str().expect("utf8")])
         .args(["--log", log.to_str().expect("utf8"), "--item", "i0", "--k", "3"])
@@ -155,6 +175,11 @@ fn serve_subcommand_answers_requests() {
 fn cli_rejects_bad_input() {
     let out = cli().args(["bogus"]).output().expect("run");
     assert!(!out.status.success());
+    // the legacy perf tooling is gone, not hidden
+    let out = cli().args(["bench", "snapshot"]).output().expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let out = cli().args(["bench"]).output().expect("run");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command bench"));
 
     let dir = tmp_dir("badinput");
     let bad = dir.join("bad.csv");
