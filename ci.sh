@@ -9,9 +9,13 @@
 #    package alone): the serving e2e suites (loopback, chaos, degraded,
 #    routes, shadow), the fault-injection plane, durable/crash-safe
 #    training, the retrieval, quantization and re-ranking differential
-#    suites, the pipeline parity suite, and the dependency guard
+#    suites, the pipeline parity suite, the dependency guard
 #    (tests/dependency_guard.rs: crates.io surface = rand + dev-only
-#    proptest, every declared edge used)
+#    proptest, every declared edge used), the /metrics golden
+#    (crates/serve/tests/metrics_golden.rs: the catalogue renders the
+#    bytes the hand-written struct did) and the metric catalogue ↔ docs
+#    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names
+#    and the OPERATIONS.md Metrics table agree all ways)
 # 3. the faults-disabled overhead assertion, with its measurement printed
 # 4. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an

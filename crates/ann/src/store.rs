@@ -736,11 +736,6 @@ impl EmbeddingStore {
             None => ((id as usize) < self.rows()).then_some(id as usize),
         }
     }
-
-    /// Wraps the store for sharing across indexes.
-    pub fn into_shared(self) -> Arc<EmbeddingStore> {
-        Arc::new(self)
-    }
 }
 
 impl Clone for EmbeddingStore {

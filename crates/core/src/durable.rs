@@ -597,30 +597,17 @@ impl crate::framework::UniMatch {
         log: unimatch_data::InteractionLog,
         durable: &DurableConfig,
     ) -> Result<crate::framework::FittedUniMatch, DurableError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let cfg = &self.config;
         cfg.parallelism.install_global();
         let prepared = PreparedData::from_log(log, cfg.max_seq_len);
-        let model_cfg = unimatch_models::ModelConfig {
-            num_items: prepared.num_items(),
-            embed_dim: cfg.embed_dim,
-            max_seq_len: cfg.max_seq_len,
-            extractor: cfg.extractor,
-            aggregator: cfg.aggregator,
-            temperature: cfg.temperature,
-            normalize: true,
-        };
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let model = TwoTower::new(model_cfg, &mut rng);
         let run = train_durable(
-            model,
-            self.train_config(),
+            self.new_model(prepared.num_items()),
+            self.train_config(cfg.max_seq_len),
             durable,
             &prepared.split,
             &prepared.marginals,
         )?;
-        Ok(self.build_serving(run.model, &prepared))
+        Ok(self.build_serving_with(run.model, &prepared, None))
     }
 }
 

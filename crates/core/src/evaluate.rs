@@ -1,14 +1,14 @@
 //! Model evaluation under the paper's protocol: embeds test users/items
 //! with the trained towers and runs the IR / UT ranking tasks.
 
-use crate::framework::{FittedUniMatch, RetrieverKind, UniMatch, UniMatchConfig};
+use crate::framework::{item_store_of, user_store_of, FittedUniMatch, UniMatchConfig};
 use crate::pipeline::MatchPipeline;
 use crate::prepare::PreparedData;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use unimatch_ann::{
-    BruteForceIndex, EmbeddingStore, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Retriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Retriever,
     RowFormat,
 };
 use unimatch_data::{InteractionLog, SeqBatch, TemporalSplit};
@@ -42,11 +42,6 @@ impl EvalOutcome {
     /// The paper's AVG column: mean of IR and UT NDCG.
     pub fn avg_ndcg(&self) -> f64 {
         (self.ir.ndcg + self.ut.ndcg) / 2.0
-    }
-
-    /// Mean of IR and UT recall.
-    pub fn avg_recall(&self) -> f64 {
-        (self.ir.recall + self.ut.recall) / 2.0
     }
 }
 
@@ -202,42 +197,68 @@ pub fn evaluate_ir_rerank(
     seed: u64,
     item_counts: &[u64],
 ) -> RerankEval {
+    // the gate keeps the caller's cutoff: lists are full-catalog, so it is
+    // clamped to the catalog only, not to the negative count
     let top_n = protocol.top_n.min(fitted.num_items()).max(1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let clamped = protocol.clamped(unimatch_eval::item_pool(split).len());
-    let cases = build_ir_cases(split, &clamped, &mut rng);
-    let histories: Vec<&[u32]> = cases.iter().map(|c| c.history.as_slice()).collect();
+    let cases = full_catalog_ir_cases(&fitted.model, split, protocol, &mut rng);
     // both sides drive the same canonical pipeline — the chain-off side
     // runs the retrieve stage bare, the chain-on side the full sequence
     let pipeline = fitted.item_pipeline();
-    let queries = pipeline.embed(&histories);
-
-    let raw_lists = pipeline.retrieve(&queries, top_n);
-    let reranked_lists = pipeline.run(&queries, top_n);
-
-    let score_side = |lists: &[Vec<unimatch_ann::Hit>]| {
-        let mut acc = MetricAccumulator::new();
-        let mut retrieved = Vec::with_capacity(lists.len() * top_n);
-        for (case, hits) in cases.iter().zip(lists) {
-            let positive = case.candidates[0];
-            let relevant: Vec<bool> = hits.iter().map(|h| h.id == positive).collect();
-            acc.add(unimatch_eval::case_metrics(&relevant, 1, top_n));
-            retrieved.extend(hits.iter().map(|h| h.id));
-        }
+    let score_side = |lists: &[Vec<Hit>]| {
+        let retrieved: Vec<u32> = lists.iter().flatten().map(|h| h.id).collect();
         RerankSide {
-            ir: acc.mean(),
+            ir: score_lists(lists, &cases.positives, top_n),
             coverage: catalog_coverage(&retrieved, fitted.num_items()),
             gini: exposure_gini(&retrieved),
             popularity: popularity_stats(&retrieved_popularity(&retrieved, item_counts)),
         }
     };
-
     RerankEval {
-        raw: score_side(&raw_lists),
-        reranked: score_side(&reranked_lists),
-        cases: cases.len(),
+        raw: score_side(&pipeline.retrieve(&cases.queries, top_n)),
+        reranked: score_side(&pipeline.run(&cases.queries, top_n)),
+        cases: cases.positives.len(),
         spec: fitted.rerank_spec().to_string(),
     }
+}
+
+/// The seeded full-catalog IR case set the rerank gate and both sweeps
+/// answer: one query per test user — its history through `model`'s user
+/// tower — and the one item that counts as relevant for it.
+struct FullCatalogIr {
+    /// Flat `[cases × embed_dim]` query matrix.
+    queries: Vec<f32>,
+    /// The relevant item of each case.
+    positives: Vec<u32>,
+    /// The protocol's cutoff clamped to the item pool and the catalog.
+    top_n: usize,
+}
+
+fn full_catalog_ir_cases(
+    model: &TwoTower,
+    split: &TemporalSplit,
+    protocol: &ProtocolConfig,
+    rng: &mut StdRng,
+) -> FullCatalogIr {
+    let clamped = protocol.clamped(unimatch_eval::item_pool(split).len());
+    let cases = build_ir_cases(split, &clamped, rng);
+    let histories: Vec<&[u32]> = cases.iter().map(|c| c.history.as_slice()).collect();
+    FullCatalogIr {
+        queries: embed_histories(model, &histories, model.config().max_seq_len),
+        positives: cases.iter().map(|c| c.candidates[0]).collect(),
+        top_n: clamped.top_n.min(model.config().num_items).max(1),
+    }
+}
+
+/// Mean ranking metrics of single-positive full-catalog lists: list `q`
+/// is relevant exactly where it holds `positives[q]`.
+fn score_lists(lists: &[Vec<Hit>], positives: &[u32], top_n: usize) -> CaseMetrics {
+    let mut acc = MetricAccumulator::new();
+    for (&positive, hits) in positives.iter().zip(lists) {
+        let relevant: Vec<bool> = hits.iter().map(|h| h.id == positive).collect();
+        acc.add(unimatch_eval::case_metrics(&relevant, 1, top_n));
+    }
+    acc.mean()
 }
 
 /// End-metric accuracy of one serving store format: the same seeded
@@ -266,11 +287,10 @@ pub struct StoreFormatEval {
 /// against the f32 entry, so `recall@N(i8) − recall@N(f32)` reads off
 /// directly.
 ///
-/// `base` supplies the non-model-shaped serving knobs (seed, retriever
-/// params, …); its model-shaped fields, retriever kind (forced to
-/// [`RetrieverKind::Exact`] so index approximation never pollutes the
-/// format comparison), store format, and mmap flag are overridden per
-/// deployment.
+/// Every deployment is the exact retriever over the model's item store
+/// (index approximation never pollutes the format comparison; exact
+/// results are shard-invariant, so `base`'s fan-out is immaterial).
+/// `base` supplies the compute-thread configuration.
 pub fn evaluate_store_formats(
     model: &TwoTower,
     log: &InteractionLog,
@@ -278,50 +298,28 @@ pub fn evaluate_store_formats(
     protocol: &ProtocolConfig,
     seed: u64,
 ) -> Vec<StoreFormatEval> {
-    let max_seq_len = model.config().max_seq_len;
-    let split = PreparedData::from_log(log.clone(), max_seq_len).split;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let clamped = protocol.clamped(unimatch_eval::item_pool(&split).len());
-    let cases = build_ir_cases(&split, &clamped, &mut rng);
-    let histories: Vec<&[u32]> = cases.iter().map(|c| c.history.as_slice()).collect();
+    base.parallelism.install_global();
+    let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
     // user embeddings come from the model towers, not the store — one
     // shared query matrix keeps every format answering identical queries
-    let queries = embed_histories(model, &histories, max_seq_len);
-
-    let mut out = Vec::with_capacity(RowFormat::ALL.len());
-    for format in RowFormat::ALL {
-        let mut cfg = base.clone();
-        cfg.embed_dim = model.config().embed_dim;
-        cfg.max_seq_len = max_seq_len;
-        cfg.extractor = model.config().extractor;
-        cfg.aggregator = model.config().aggregator;
-        cfg.retriever = RetrieverKind::Exact;
-        cfg.store = format;
-        cfg.mmap = false;
-        // TwoTower is deliberately not Clone; rebuild the architecture
-        // and overwrite its fresh weights (the persist loader's trick)
-        let copy = {
-            let mut init_rng = StdRng::seed_from_u64(0);
-            let mut m = TwoTower::new(model.config().clone(), &mut init_rng);
-            m.params = model.params.clone();
-            m
-        };
-        let fitted = UniMatch::new(cfg).serve(copy, log.clone());
-        let top_n = clamped.top_n.min(fitted.num_items()).max(1);
-        let lists = fitted.item_pipeline().retrieve(&queries, top_n);
-        let mut acc = MetricAccumulator::new();
-        for (case, hits) in cases.iter().zip(&lists) {
-            let positive = case.candidates[0];
-            let relevant: Vec<bool> = hits.iter().map(|h| h.id == positive).collect();
-            acc.add(unimatch_eval::case_metrics(&relevant, 1, top_n));
-        }
-        out.push(StoreFormatEval {
-            format,
-            ir: acc.mean(),
-            delta_recall: 0.0,
-            delta_ndcg: 0.0,
-        });
-    }
+    let cases = full_catalog_ir_cases(model, &split, protocol, &mut StdRng::seed_from_u64(seed));
+    let f32_store = item_store_of(model);
+    let chain = RerankChain::identity();
+    let mut out: Vec<StoreFormatEval> = RowFormat::ALL
+        .into_iter()
+        .map(|format| {
+            let store = Arc::new(f32_store.quantize(format));
+            let index = BruteForceIndex::over(store.clone());
+            let lists =
+                MatchPipeline::over(&index, &store, &chain).retrieve(&cases.queries, cases.top_n);
+            StoreFormatEval {
+                format,
+                ir: score_lists(&lists, &cases.positives, cases.top_n),
+                delta_recall: 0.0,
+                delta_ndcg: 0.0,
+            }
+        })
+        .collect();
     let oracle = out[0].ir;
     for e in &mut out {
         e.delta_recall = e.ir.recall - oracle.recall;
@@ -387,8 +385,8 @@ impl SweepPoint {
 
 /// The index backend's end-metric cost, measured end to end (the second
 /// slice of the retriever-aware evaluation, after
-/// [`evaluate_store_formats`]): one exact-retriever deployment is built
-/// over the model and log, and then the *same* seeded full-catalog IR
+/// [`evaluate_store_formats`]): both towers' stores are materialized
+/// once from the model and log, and then the *same* seeded full-catalog IR
 /// **and** UT cases are answered through a [`MatchPipeline`] per backend
 /// operating point — HNSW at an `ef_search` sweep and IVF at an `nprobe`
 /// sweep, at realistic (not effectively-exact) settings — each over the
@@ -399,10 +397,9 @@ impl SweepPoint {
 /// Indexes are built unsharded: exact results are shard-invariant by
 /// construction, and sharding an approximate backend changes its graph/
 /// list layout — a deployment knob, not a search-quality knob, so it is
-/// held fixed here. `base` supplies the non-model-shaped knobs (seed,
-/// …); its model-shaped fields and store/mmap/retriever settings are
-/// overridden (f32 store, owned, exact) so index approximation is the
-/// only variable.
+/// held fixed here. `base` supplies the seed the indexes are built from
+/// and the compute-thread configuration; the stores are f32 and owned,
+/// so index approximation is the only variable.
 pub fn evaluate_backend_deltas(
     model: &TwoTower,
     log: &InteractionLog,
@@ -410,46 +407,28 @@ pub fn evaluate_backend_deltas(
     protocol: &ProtocolConfig,
     seed: u64,
 ) -> Vec<BackendEval> {
-    let max_seq_len = model.config().max_seq_len;
-    let split = PreparedData::from_log(log.clone(), max_seq_len).split;
+    base.parallelism.install_global();
+    let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
 
-    // one deployment materializes both towers' stores; every sweep point
+    // both towers' stores are materialized once; every sweep point
     // indexes these exact same arenas
-    let mut cfg = base.clone();
-    cfg.embed_dim = model.config().embed_dim;
-    cfg.max_seq_len = max_seq_len;
-    cfg.extractor = model.config().extractor;
-    cfg.aggregator = model.config().aggregator;
-    cfg.retriever = RetrieverKind::Exact;
-    cfg.shards = 1;
-    cfg.store = RowFormat::F32;
-    cfg.mmap = false;
-    let copy = {
-        let mut init_rng = StdRng::seed_from_u64(0);
-        let mut m = TwoTower::new(model.config().clone(), &mut init_rng);
-        m.params = model.params.clone();
-        m
-    };
-    let fitted = UniMatch::new(cfg.clone()).serve(copy, log.clone());
-    let item_store = fitted.item_store().clone();
-    let user_store = fitted.user_store().clone();
+    let item_store = Arc::new(item_store_of(model));
+    let user_pool = UserPool::build(&split, model.config().max_seq_len);
+    let user_store = Arc::new(user_store_of(model, &user_pool));
 
     // the shared case set: IR histories through the towers, UT queries
     // gathered from the item store — identical for every sweep point
     let mut rng = StdRng::seed_from_u64(seed);
-    let ir_protocol = protocol.clamped(unimatch_eval::item_pool(&split).len());
-    let ir_cases = build_ir_cases(&split, &ir_protocol, &mut rng);
-    let histories: Vec<&[u32]> = ir_cases.iter().map(|c| c.history.as_slice()).collect();
-    let ir_queries = embed_histories(model, &histories, max_seq_len);
-    let ir_top_n = ir_protocol.top_n.min(fitted.num_items()).max(1);
+    let ir = full_catalog_ir_cases(model, &split, protocol, &mut rng);
 
-    let ut_protocol = protocol.clamped(fitted.user_pool.len());
-    let ut_cases = build_ut_cases(&split, &fitted.user_pool, &ut_protocol, &mut rng);
+    let ut_protocol = protocol.clamped(user_pool.len());
+    let ut_cases = build_ut_cases(&split, &user_pool, &ut_protocol, &mut rng);
     let ut_queries: Vec<f32> = ut_cases
         .iter()
         .flat_map(|c| item_store.decode_row(c.item as usize).into_owned())
         .collect();
-    let ut_top_n = ut_protocol.top_n.min(fitted.num_pool_users()).max(1);
+    let ut_positives: Vec<u32> = ut_cases.iter().map(|c| c.candidates[0] as u32).collect();
+    let ut_top_n = ut_protocol.top_n.min(user_pool.len()).max(1);
 
     let sweep: Vec<(&'static str, &'static str, usize, SweepPoint)> = {
         let mut s = vec![("bruteforce", "", 0, SweepPoint::Exact)];
@@ -464,35 +443,24 @@ pub fn evaluate_backend_deltas(
         s
     };
 
-    let score = |lists: &[Vec<unimatch_ann::Hit>], positives: &[u32], top_n: usize| {
-        let mut acc = MetricAccumulator::new();
-        for (&positive, hits) in positives.iter().zip(lists) {
-            let relevant: Vec<bool> = hits.iter().map(|h| h.id == positive).collect();
-            acc.add(unimatch_eval::case_metrics(&relevant, 1, top_n));
-        }
-        acc.mean()
-    };
-    let ir_positives: Vec<u32> = ir_cases.iter().map(|c| c.candidates[0]).collect();
-    let ut_positives: Vec<u32> = ut_cases.iter().map(|c| c.candidates[0] as u32).collect();
-
     let chain = RerankChain::identity();
     let mut out = Vec::with_capacity(sweep.len());
     for (backend, param, value, point) in &sweep {
         // mirror the deployment builder's index seeding: item index
         // first, user index second, off one derived rng
-        let mut idx_rng = StdRng::seed_from_u64(cfg.seed ^ 0x1d);
+        let mut idx_rng = StdRng::seed_from_u64(base.seed ^ 0x1d);
         let item_index = point.build(item_store.clone(), &mut idx_rng);
         let user_index = point.build(user_store.clone(), &mut idx_rng);
         let ir_lists =
-            MatchPipeline::over(item_index.as_ref(), &item_store, &chain).retrieve(&ir_queries, ir_top_n);
+            MatchPipeline::over(item_index.as_ref(), &item_store, &chain).retrieve(&ir.queries, ir.top_n);
         let ut_lists =
             MatchPipeline::over(user_index.as_ref(), &user_store, &chain).retrieve(&ut_queries, ut_top_n);
         out.push(BackendEval {
             backend,
             param,
             value: *value,
-            ir: score(&ir_lists, &ir_positives, ir_top_n),
-            ut: score(&ut_lists, &ut_positives, ut_top_n),
+            ir: score_lists(&ir_lists, &ir.positives, ir.top_n),
+            ut: score_lists(&ut_lists, &ut_positives, ut_top_n),
             delta_ir_recall: 0.0,
             delta_ir_ndcg: 0.0,
             delta_ut_recall: 0.0,
@@ -609,6 +577,7 @@ fn evaluate_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::UniMatch;
     use crate::prepare::PreparedData;
     use rand::SeedableRng;
     use unimatch_data::DatasetProfile;

@@ -7,7 +7,6 @@
 //! ```
 
 use crate::evaluate::embed_histories;
-use crate::hyper::{Hyperparams, Pathway};
 use crate::pipeline::{MatchPipeline, QuerySource};
 use crate::prepare::PreparedData;
 use rand::rngs::StdRng;
@@ -29,7 +28,8 @@ use unimatch_train::{AdamConfig, TrainConfig, TrainError, TrainLoss, Trainer};
 /// Youtube-DNN + mean pooling trained with bbcNCE, d = 16.
 #[derive(Clone, Debug)]
 pub struct UniMatchConfig {
-    /// Embedding dimension.
+    /// Embedding dimension of the model `fit` creates. Serving and
+    /// resuming take the shape from the model they are handed.
     pub embed_dim: usize,
     /// Softmax temperature τ.
     pub temperature: f32,
@@ -37,7 +37,8 @@ pub struct UniMatchConfig {
     pub batch_size: usize,
     /// Epochs per incremental month.
     pub epochs_per_month: usize,
-    /// History truncation length.
+    /// History truncation length of the model `fit` creates (see
+    /// [`UniMatchConfig::embed_dim`]).
     pub max_seq_len: usize,
     /// Adam learning rate.
     pub lr: f32,
@@ -191,26 +192,6 @@ impl Default for UniMatchConfig {
     }
 }
 
-impl UniMatchConfig {
-    /// Injects a tuned hyperparameter cell (e.g. from Tab. VII or a grid
-    /// search).
-    pub fn with_hyperparams(mut self, hp: Hyperparams) -> Self {
-        self.batch_size = hp.batch_size;
-        self.temperature = hp.temperature;
-        self.epochs_per_month = hp.epochs;
-        self.lr = hp.lr;
-        self
-    }
-
-    /// The pathway implied by the configured loss.
-    pub fn pathway(&self) -> Pathway {
-        match self.loss {
-            TrainLoss::Bce(_) => Pathway::Bernoulli,
-            TrainLoss::Multinomial(_) => Pathway::Multinomial,
-        }
-    }
-}
-
 /// A trained UniMatch deployment: the model, both towers' embedding
 /// stores, and a retrieval index over each store.
 pub struct FittedUniMatch {
@@ -259,10 +240,17 @@ impl UniMatch {
     /// Trains on a merchant's interaction log and builds both serving
     /// indexes. One `fit` serves IR *and* UT — the paper's cost story.
     pub fn fit(&self, log: InteractionLog) -> FittedUniMatch {
+        let prepared = PreparedData::from_log(log, self.config.max_seq_len);
+        let model = self.new_model(prepared.num_items());
+        self.train_then_serve(model, prepared, None)
+    }
+
+    /// The freshly initialized model `fit`/`fit_durable` start from: the
+    /// one place the configuration's shape becomes a model's.
+    pub(crate) fn new_model(&self, num_items: usize) -> TwoTower {
         let cfg = &self.config;
-        let prepared = PreparedData::from_log(log, cfg.max_seq_len);
         let model_cfg = ModelConfig {
-            num_items: prepared.num_items(),
+            num_items,
             embed_dim: cfg.embed_dim,
             max_seq_len: cfg.max_seq_len,
             extractor: cfg.extractor,
@@ -270,9 +258,7 @@ impl UniMatch {
             temperature: cfg.temperature,
             normalize: true,
         };
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let model = TwoTower::new(model_cfg, &mut rng);
-        self.fit_continue(model, prepared, None, None)
+        TwoTower::new(model_cfg, &mut StdRng::seed_from_u64(cfg.seed))
     }
 
     /// The production monthly update: resumes training from last cycle's
@@ -282,38 +268,40 @@ impl UniMatch {
     /// factor of Sec. IV-B5.
     ///
     /// The log must use the same dense item universe the model was trained
-    /// on (new items require a fresh `fit`).
+    /// on (new items require a fresh `fit`). Histories are truncated to
+    /// the model's own `max_seq_len`, whatever the configuration says.
     pub fn resume(
         &self,
         model: TwoTower,
         log: InteractionLog,
         trained_through: u32,
     ) -> FittedUniMatch {
-        let cfg = &self.config;
         assert!(
             (log.num_items() as usize) <= model.config().num_items,
             "log contains items outside the model's vocabulary; refit instead"
         );
-        let prepared = PreparedData::from_log(log, cfg.max_seq_len);
-        self.fit_continue(model, prepared, Some(trained_through), None)
+        let prepared = PreparedData::from_log(log, model.config().max_seq_len);
+        self.train_then_serve(model, prepared, Some(trained_through))
     }
 
     /// Builds the serving indexes around an existing model WITHOUT any
     /// training — the CLI / serving-only path (e.g. reloading a persisted
-    /// checkpoint to answer queries).
+    /// checkpoint to answer queries). The deployment is shaped by the
+    /// model (`embed_dim`, `max_seq_len`), not by the configuration.
     pub fn serve(&self, model: TwoTower, log: InteractionLog) -> FittedUniMatch {
-        let prepared = PreparedData::from_log(log, self.config.max_seq_len);
-        self.fit_continue(model, prepared, Some(u32::MAX), None)
+        self.config.parallelism.install_global();
+        let prepared = PreparedData::from_log(log, model.config().max_seq_len);
+        self.build_serving_with(model, &prepared, None)
     }
 
     /// [`UniMatch::serve`], but reusing an item-embedding store already
-    /// materialized elsewhere — the checkpoint-direct path: the store
-    /// decoded straight out of a v2 checkpoint's embedding section is
-    /// indexed as-is, with no re-inference over the item tower — and
-    /// with the checkpoint's persisted marginals (when it carries the
-    /// optional section) overriding the ones recomputed from the serving
-    /// log, so the debias stage sees exactly the training-time
-    /// `p̂(i)`/`p̂(u)` tables.
+    /// materialized elsewhere — the checkpoint-direct path: the store the
+    /// checkpoint loader returns alongside the model is indexed as-is,
+    /// with no re-inference over the item tower — and with the
+    /// checkpoint's persisted marginals (when it carries the optional
+    /// section) overriding the ones recomputed from the serving log, so
+    /// the debias stage sees exactly the training-time `p̂(i)`/`p̂(u)`
+    /// tables.
     ///
     /// The store must hold this model's normalized item embeddings
     /// (`rows == num_items`, `dim == embed_dim`); the loader guarantees
@@ -325,49 +313,45 @@ impl UniMatch {
         item_store: Arc<EmbeddingStore>,
         marginals: Option<Marginals>,
     ) -> FittedUniMatch {
-        let mut prepared = PreparedData::from_log(log, self.config.max_seq_len);
+        self.config.parallelism.install_global();
+        let mut prepared = PreparedData::from_log(log, model.config().max_seq_len);
         if let Some(m) = marginals {
             prepared.marginals = m;
         }
-        self.fit_continue(model, prepared, Some(u32::MAX), Some(item_store))
+        self.build_serving_with(model, &prepared, Some(item_store))
     }
 
-    fn fit_continue(
+    /// The core of `fit`/`resume`: trains the months after `resume_after`
+    /// (all of them for `None`), then builds the serving indexes. A bad
+    /// training config panics with its [`TrainError`] before the first
+    /// step. The durable runner ([`crate::durable`]) shares
+    /// [`UniMatch::new_model`], [`UniMatch::train_config`] and
+    /// [`UniMatch::build_serving_with`] with this path.
+    fn train_then_serve(
         &self,
         model: TwoTower,
         prepared: PreparedData,
         resume_after: Option<u32>,
-        item_store: Option<Arc<EmbeddingStore>>,
     ) -> FittedUniMatch {
-        self.try_fit_continue_with(model, prepared, resume_after, item_store)
-            .unwrap_or_else(|e| panic!("UniMatch training failed: {e}"))
+        self.config.parallelism.install_global();
+        let train_config = self.train_config(model.config().max_seq_len);
+        let trained = Trainer::try_new(model, train_config)
+            .and_then(|mut trainer| {
+                trainer.train_incremental_from(&prepared.split, &prepared.marginals, resume_after)?;
+                Ok(trainer.model)
+            })
+            .unwrap_or_else(|e: TrainError| panic!("UniMatch training failed: {e}"));
+        self.build_serving_with(trained, &prepared, None)
     }
 
-    /// The fallible core of `fit`/`resume`/`serve`: a bad training config
-    /// surfaces as a [`TrainError`] before the first step. The durable
-    /// runner ([`crate::durable`]) shares [`UniMatch::train_config`] and
-    /// [`UniMatch::build_serving`] with this path.
-    fn try_fit_continue_with(
-        &self,
-        model: TwoTower,
-        prepared: PreparedData,
-        resume_after: Option<u32>,
-        item_store: Option<Arc<EmbeddingStore>>,
-    ) -> Result<FittedUniMatch, TrainError> {
-        let cfg = &self.config;
-        cfg.parallelism.install_global();
-        let mut trainer = Trainer::try_new(model, self.train_config())?;
-        trainer.train_incremental_from(&prepared.split, &prepared.marginals, resume_after)?;
-        Ok(self.build_serving_with(trainer.model, &prepared, item_store))
-    }
-
-    /// The [`TrainConfig`] this framework configuration implies.
-    pub(crate) fn train_config(&self) -> TrainConfig {
+    /// The [`TrainConfig`] this framework configuration implies for a
+    /// model truncating histories at `max_seq_len`.
+    pub(crate) fn train_config(&self, max_seq_len: usize) -> TrainConfig {
         let cfg = &self.config;
         TrainConfig {
             batch_size: cfg.batch_size,
             epochs_per_month: cfg.epochs_per_month,
-            max_seq_len: cfg.max_seq_len,
+            max_seq_len,
             optimizer: AdamConfig::with_lr(cfg.lr),
             loss: cfg.loss,
             seed: cfg.seed ^ 0x7ea1,
@@ -375,15 +359,11 @@ impl UniMatch {
     }
 
     /// Builds the serving stores and indexes over both towers around a
-    /// trained model.
-    pub(crate) fn build_serving(&self, model: TwoTower, prepared: &PreparedData) -> FittedUniMatch {
-        self.build_serving_with(model, prepared, None)
-    }
-
-    /// [`UniMatch::build_serving`], optionally reusing a pre-built item
-    /// store (the checkpoint-direct load path) instead of re-running item
+    /// trained model, optionally reusing a pre-built item store (the
+    /// checkpoint-direct load path) instead of re-running item
     /// inference. A supplied store must match the model's item count and
-    /// embedding dimension.
+    /// embedding dimension. The model is the one source of shape: the
+    /// configuration's `embed_dim`/`max_seq_len` are not consulted.
     pub(crate) fn build_serving_with(
         &self,
         model: TwoTower,
@@ -391,10 +371,11 @@ impl UniMatch {
         item_store: Option<Arc<EmbeddingStore>>,
     ) -> FittedUniMatch {
         let cfg = &self.config;
+        let (embed_dim, max_seq_len) = (model.config().embed_dim, model.config().max_seq_len);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1d);
         let item_store = match item_store {
             Some(store) => {
-                assert_eq!(store.dim(), cfg.embed_dim, "item store dim mismatch");
+                assert_eq!(store.dim(), embed_dim, "item store dim mismatch");
                 assert_eq!(
                     store.rows(),
                     model.config().num_items,
@@ -402,10 +383,7 @@ impl UniMatch {
                 );
                 store
             }
-            None => {
-                let items = model.infer_items();
-                Arc::new(EmbeddingStore::from_rows(items.data(), cfg.embed_dim))
-            }
+            None => Arc::new(item_store_of(&model)),
         };
         // Requantize only on a format mismatch: a store already delivered
         // in the configured format (e.g. mmap'd straight out of a sidecar
@@ -417,14 +395,8 @@ impl UniMatch {
         };
         let item_index =
             cfg.retriever.build(item_store.clone(), cfg.shards, cfg.shard_policy, &mut rng);
-        let user_pool = UserPool::build(&prepared.split, cfg.max_seq_len);
-        let histories: Vec<&[u32]> = user_pool.histories().iter().map(|h| h.as_slice()).collect();
-        let user_embeddings = embed_histories(&model, &histories, cfg.max_seq_len);
-        let user_store = EmbeddingStore::with_ids(
-            &user_embeddings,
-            cfg.embed_dim,
-            user_pool.users().to_vec(),
-        );
+        let user_pool = UserPool::build(&prepared.split, max_seq_len);
+        let user_store = user_store_of(&model, &user_pool);
         let user_store = Arc::new(if cfg.store == RowFormat::F32 {
             user_store
         } else {
@@ -448,7 +420,7 @@ impl UniMatch {
             user_store,
             item_index,
             user_index,
-            max_seq_len: cfg.max_seq_len,
+            max_seq_len,
             rerank,
             rerank_rules: cfg.rerank.rules.clone(),
             marginals,
@@ -457,6 +429,20 @@ impl UniMatch {
             rerank_seed: cfg.seed,
         }
     }
+}
+
+/// The item tower's f32 serving store: [`TwoTower::infer_items`] in an
+/// aligned arena (row = item id).
+pub(crate) fn item_store_of(model: &TwoTower) -> EmbeddingStore {
+    EmbeddingStore::from_rows(model.infer_items().data(), model.config().embed_dim)
+}
+
+/// The user tower's f32 serving store: every pool history embedded by
+/// `model` (row = pool index, id = user id).
+pub(crate) fn user_store_of(model: &TwoTower, pool: &UserPool) -> EmbeddingStore {
+    let histories: Vec<&[u32]> = pool.histories().iter().map(|h| h.as_slice()).collect();
+    let embeddings = embed_histories(model, &histories, model.config().max_seq_len);
+    EmbeddingStore::with_ids(&embeddings, model.config().embed_dim, pool.users().to_vec())
 }
 
 impl FittedUniMatch {
@@ -705,6 +691,69 @@ mod tests {
         let hits = f.recommend_items(&[1, 2, 3], 5);
         assert_eq!(hits.len(), 5, "overfetch refills the list after the filter");
         assert!(hits.iter().all(|h| h.id != banned), "denied item must not surface");
+    }
+
+    /// A bit-exact copy (`TwoTower` is not `Clone`).
+    fn copy_of(model: &TwoTower) -> TwoTower {
+        crate::persist::model_from_json(&crate::persist::model_to_json(model)).expect("round trip")
+    }
+
+    fn assert_same_answers(got: &FittedUniMatch, want: &FittedUniMatch) {
+        let bits = |lists: Vec<Vec<Hit>>| -> Vec<Vec<(u32, u32)>> {
+            lists.iter().map(|l| l.iter().map(|h| (h.id, h.score.to_bits())).collect()).collect()
+        };
+        // longer than the model's max_seq_len, so truncation is on the path
+        let hists: Vec<&[u32]> = vec![&[1, 2, 3, 4, 5, 6, 7], &[4, 5], &[2]];
+        let (g, w) = (got.item_pipeline(), want.item_pipeline());
+        assert_eq!(bits(g.run(&g.embed(&hists), 6)), bits(w.run(&w.embed(&hists), 6)));
+        let (g, w) = (got.user_pipeline(), want.user_pipeline());
+        assert_eq!(bits(g.run(&g.gather(&[0, 3]), 6)), bits(w.run(&w.gather(&[0, 3]), 6)));
+        assert_eq!(got.max_seq_len(), want.max_seq_len());
+    }
+
+    /// A dim-8 / `max_seq_len`-5 model fitted through the second-to-last
+    /// month, the full log, the config it was fitted under and one that
+    /// differs only in shape (the defaults, dim 16 / 20).
+    fn shaped_setup() -> (TwoTower, InteractionLog, UniMatchConfig, UniMatchConfig) {
+        let full = DatasetProfile::EComp.generate(0.15, 21).filter_min_interactions(3);
+        let cutoff = unimatch_data::calendar::month_start(full.span_months() - 2);
+        let matching = UniMatchConfig {
+            embed_dim: 8,
+            max_seq_len: 5,
+            epochs_per_month: 1,
+            retriever: RetrieverKind::Exact,
+            ..Default::default()
+        };
+        let mismatched = UniMatchConfig {
+            embed_dim: UniMatchConfig::default().embed_dim,
+            max_seq_len: UniMatchConfig::default().max_seq_len,
+            ..matching.clone()
+        };
+        let model = UniMatch::new(matching.clone()).fit(full.filtered(|r| r.day < cutoff)).model;
+        assert_eq!((model.config().embed_dim, model.config().max_seq_len), (8, 5));
+        (model, full, matching, mismatched)
+    }
+
+    #[test]
+    fn serving_takes_its_shape_from_the_model() {
+        let (model, log, matching, mismatched) = shaped_setup();
+        let want = UniMatch::new(matching).serve(copy_of(&model), log.clone());
+        let got = UniMatch::new(mismatched).serve(model, log);
+        assert_same_answers(&got, &want);
+    }
+
+    #[test]
+    fn resuming_takes_its_shape_from_the_model() {
+        let (model, log, matching, mismatched) = shaped_setup();
+        let trained_through = log.span_months() - 4;
+        let want = UniMatch::new(matching).resume(copy_of(&model), log.clone(), trained_through);
+        let got = UniMatch::new(mismatched).resume(model, log, trained_through);
+        assert_eq!(
+            crate::persist::model_to_json(&got.model),
+            crate::persist::model_to_json(&want.model),
+            "the new months must be trained on histories of the model's length"
+        );
+        assert_same_answers(&got, &want);
     }
 
     #[test]

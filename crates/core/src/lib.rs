@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod audience;
-pub mod batch_inference;
 pub mod cost;
 pub mod durable;
 pub mod evaluate;
@@ -51,7 +50,6 @@ pub mod prepare;
 pub mod serving;
 
 pub use audience::{build_targeting_list, plan_campaigns, CampaignSpec, CampaignSubject, TargetingList};
-pub use batch_inference::{materialize, top_k_blocked, BatchRecommendations};
 pub use cost::{CostComparison, Regime};
 pub use durable::{
     train_durable, DurableConfig, DurableError, DurableRun, MonthRecord, RunManifest,

@@ -35,6 +35,7 @@
 //! can surface injected transient I/O errors, and `persist.load.corrupt`
 //! flips a bit in the bytes read from disk (exercising the checksum).
 
+use crate::framework::item_store_of;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -55,15 +56,10 @@ const FORMAT_VERSION: u64 = 2;
 const MAGIC: &str = "unimatch-model";
 
 /// The item table is always the first registered parameter, under this
-/// name — the embedding *section* of a checkpoint: a contiguous run of
-/// floats ([`item_store_from_json_value`] decodes it straight into an
-/// aligned [`EmbeddingStore`] arena, skipping `ParamSet` entirely).
+/// name — the embedding *section* of a checkpoint, covered by its own
+/// checksum so a quantized sidecar table can name the section it derives
+/// from.
 const EMBEDDING_PARAM: &str = "item_embedding";
-
-/// Must match `unimatch_models`' normalization epsilon bit-for-bit: the
-/// store decoded from a checkpoint has to equal `TwoTower::infer_items`
-/// exactly.
-const NORM_EPS: f32 = 1e-12;
 
 const SAVE_FAULT: FaultPoint = FaultPoint::new("persist.save");
 const LOAD_FAULT: FaultPoint = FaultPoint::new("persist.load");
@@ -133,22 +129,6 @@ fn checksum_model(model: &TwoTower) -> u64 {
         for &x in p.value.data() {
             h.update(&x.to_bits().to_le_bytes());
         }
-    }
-    h.0
-}
-
-/// Checksums the embedding section alone — name, shape, raw f32 bit
-/// patterns of the item table — so the store loader can verify its
-/// section without reconstructing the rest of the model.
-fn checksum_embedding_section(shape: &[usize], bits: impl Iterator<Item = u32>) -> u64 {
-    let mut h = Fnv::new();
-    h.update(EMBEDDING_PARAM.as_bytes());
-    h.update(&[0xff]);
-    for &d in shape {
-        h.u64(d as u64);
-    }
-    for b in bits {
-        h.update(&b.to_le_bytes());
     }
     h.0
 }
@@ -247,21 +227,23 @@ pub fn model_to_json(model: &TwoTower) -> Vec<u8> {
     model_to_json_value(model).to_bytes()
 }
 
-/// The embedding-section checksum of an in-memory model — the value a
-/// v2 save writes as `embedding_checksum`, and the `source_checksum`
-/// that binds a quantized sidecar table to its source checkpoint.
+/// The embedding-section checksum of an in-memory model — name, shape
+/// and raw f32 bit patterns of the item table alone. It is the value a
+/// v2 save writes as `embedding_checksum`, the one a load verifies, and
+/// the `source_checksum` that binds a quantized sidecar table to its
+/// source checkpoint.
 pub fn embedding_checksum_of(model: &TwoTower) -> u64 {
-    model
-        .params
-        .iter()
-        .find(|(_, p)| p.name == EMBEDDING_PARAM)
-        .map(|(_, p)| {
-            checksum_embedding_section(
-                p.value.shape().dims(),
-                p.value.data().iter().map(|x| x.to_bits()),
-            )
-        })
-        .expect("model has an item_embedding parameter")
+    let table = model.params.get(model.item_table());
+    let mut h = Fnv::new();
+    h.update(EMBEDDING_PARAM.as_bytes());
+    h.update(&[0xff]);
+    for &d in table.shape().dims() {
+        h.u64(d as u64);
+    }
+    for &x in table.data() {
+        h.update(&x.to_bits().to_le_bytes());
+    }
+    h.0
 }
 
 fn f32_array(xs: &[f32]) -> Json {
@@ -435,6 +417,12 @@ pub fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
             config.temperature
         )));
     }
+    if config.num_items == 0 || config.embed_dim < 2 {
+        return Err(bad(format!(
+            "degenerate embedding table {}×{}",
+            config.num_items, config.embed_dim
+        )));
+    }
     let stored = field(field(doc, "params")?, "params")?
         .as_array()
         .ok_or_else(|| bad("params is not an array"))?;
@@ -492,18 +480,7 @@ pub fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
     if let Some(stored) = embedding_sum {
         let stored_sum =
             stored.as_str().ok_or_else(|| bad("embedding_checksum is not a string"))?;
-        let (_, emb) = model
-            .params
-            .iter()
-            .find(|(_, p)| p.name == EMBEDDING_PARAM)
-            .ok_or_else(|| bad("checkpoint architecture has no item_embedding"))?;
-        let computed = format!(
-            "{:016x}",
-            checksum_embedding_section(
-                emb.value.shape().dims(),
-                emb.value.data().iter().map(|x| x.to_bits()),
-            )
-        );
+        let computed = format!("{:016x}", embedding_checksum_of(&model));
         if stored_sum != computed {
             return Err(bad(format!(
                 "embedding section checksum mismatch: stored {stored_sum}, computed {computed}"
@@ -511,127 +488,6 @@ pub fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
         }
     }
     Ok(model)
-}
-
-/// Decodes ONLY the embedding section of a checkpoint document into an
-/// aligned [`EmbeddingStore`] — no `ParamSet`, no architecture rebuild,
-/// no extractor/aggregator parameters touched. This is the zero-copy*
-/// serving path: the item table is read once from JSON straight into the
-/// store's arena, normalized in place exactly as `TwoTower::infer_items`
-/// would, and handed to the retrieval engine.
-///
-/// (*zero extra copies: the floats go parse → arena, instead of
-/// parse → `Tensor` → `ParamSet` → `infer_items` allocation → index.)
-///
-/// Validated like a model load: version/magic checked, the section's
-/// name and shape must match the stored config, every value must be
-/// finite, and the `embedding_checksum` (present in all current saves)
-/// is verified over the raw bit patterns before normalization.
-pub fn item_store_from_json_value(doc: &Json) -> io::Result<EmbeddingStore> {
-    let version = field(doc, "format_version")?
-        .as_u64()
-        .ok_or_else(|| bad("format_version is not an integer"))?;
-    let checked = match version {
-        1 => false,
-        2 => {
-            let magic =
-                field(doc, "magic")?.as_str().ok_or_else(|| bad("magic is not a string"))?;
-            if magic != MAGIC {
-                return Err(bad(format!("not a unimatch checkpoint (magic `{magic}`)")));
-            }
-            true
-        }
-        other => return Err(bad(format!("unsupported checkpoint version {other}"))),
-    };
-    let cfg = field(doc, "config")?;
-    let num_items = usize_field(cfg, "num_items")?;
-    let embed_dim = usize_field(cfg, "embed_dim")?;
-    let normalize = field(cfg, "normalize")?
-        .as_bool()
-        .ok_or_else(|| bad("normalize is not a boolean"))?;
-    if num_items == 0 || embed_dim == 0 {
-        return Err(bad(format!("degenerate embedding table {num_items}×{embed_dim}")));
-    }
-    let stored = field(field(doc, "params")?, "params")?
-        .as_array()
-        .ok_or_else(|| bad("params is not an array"))?;
-    let entry = stored.first().ok_or_else(|| bad("checkpoint has no parameters"))?;
-    let name =
-        field(entry, "name")?.as_str().ok_or_else(|| bad("parameter name is not a string"))?;
-    if name != EMBEDDING_PARAM {
-        return Err(bad(format!(
-            "first checkpoint parameter is {name}, expected {EMBEDDING_PARAM}"
-        )));
-    }
-    let value = field(entry, "value")?;
-    let shape: Vec<usize> = field(value, "shape")?
-        .as_array()
-        .ok_or_else(|| bad("embedding shape is not an array"))?
-        .iter()
-        .map(|d| d.as_u64().map(|x| x as usize).ok_or_else(|| bad("bad embedding dimension")))
-        .collect::<io::Result<_>>()?;
-    if shape != [num_items, embed_dim] {
-        return Err(bad(format!(
-            "embedding shape {shape:?} does not match config {num_items}×{embed_dim}"
-        )));
-    }
-    let data = field(value, "data")?
-        .as_array()
-        .ok_or_else(|| bad("embedding data is not an array"))?;
-    if data.len() != num_items * embed_dim {
-        return Err(bad(format!(
-            "embedding section has {} elements, expected {}",
-            data.len(),
-            num_items * embed_dim
-        )));
-    }
-
-    let mut store = EmbeddingStore::zeroed(num_items, embed_dim);
-    {
-        let arena = store.data_mut();
-        for (slot, x) in arena.iter_mut().zip(data.iter()) {
-            let v = match x {
-                Json::Null => f32::NAN, // serde_json writes non-finite floats as null
-                _ => x.as_f32().ok_or_else(|| bad("bad embedding element"))?,
-            };
-            if !v.is_finite() {
-                return Err(bad(format!(
-                    "embedding section contains non-finite value {v}"
-                )));
-            }
-            *slot = v;
-        }
-    }
-    let embedding_sum = if checked {
-        Some(field(doc, "embedding_checksum")?)
-    } else {
-        doc.get("embedding_checksum")
-    };
-    if let Some(stored_sum) = embedding_sum {
-        let stored_sum =
-            stored_sum.as_str().ok_or_else(|| bad("embedding_checksum is not a string"))?;
-        let computed = format!(
-            "{:016x}",
-            checksum_embedding_section(&shape, store.as_slice().iter().map(|x| x.to_bits()))
-        );
-        if stored_sum != computed {
-            return Err(bad(format!(
-                "embedding section checksum mismatch: stored {stored_sum}, computed {computed}"
-            )));
-        }
-    }
-    if normalize {
-        // Bit-identical to TwoTower::infer_items: sequential sum of
-        // squares, sqrt, .max(NORM_EPS), then divide.
-        for r in 0..num_items {
-            let row = store.row_mut(r);
-            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(NORM_EPS);
-            for x in row.iter_mut() {
-                *x /= norm;
-            }
-        }
-    }
-    Ok(store)
 }
 
 /// Reconstructs a model from JSON bytes. See [`model_from_json_value`].
@@ -666,12 +522,19 @@ pub fn save_model_with_marginals(
     if let Some(e) = SAVE_FAULT.io_error() {
         return Err(e);
     }
-    let mut doc = model_to_json_value(model);
+    write_atomic(path.as_ref(), &Json::Obj(document_entries(model, marginals)).to_bytes())
+}
+
+/// The entries of a checkpoint document: the model's, then the optional
+/// `marginals` section.
+fn document_entries(model: &TwoTower, marginals: Option<&Marginals>) -> Vec<(String, Json)> {
+    let Json::Obj(mut entries) = model_to_json_value(model) else {
+        unreachable!("model doc is an object")
+    };
     if let Some(m) = marginals {
-        let Json::Obj(entries) = &mut doc else { unreachable!("model doc is an object") };
         entries.push(("marginals".to_string(), marginals_to_json_value(m)));
     }
-    write_atomic(path.as_ref(), &doc.to_bytes())
+    entries
 }
 
 /// The prelude every file loader shares: the `persist.load` fault seam,
@@ -691,11 +554,11 @@ pub fn load_model(path: impl AsRef<Path>) -> io::Result<TwoTower> {
 }
 
 /// Loads a checkpoint's model, its embedding store, and the optional
-/// marginals section from one read and one parse — the full serving
-/// reload: model for user-tower inference, store for the retrieval
-/// indexes (decoded straight from the embedding section, no
-/// `ParamSet`), marginals for the serve-time debias stage (when the
-/// checkpoint carries them).
+/// marginals section from one read, one parse and one decode — the full
+/// serving reload: model for user-tower inference, store for the
+/// retrieval indexes (the validated model's own
+/// [`TwoTower::infer_items`], copied into an aligned arena), marginals
+/// for the serve-time debias stage (when the checkpoint carries them).
 pub fn load_checkpoint(
     path: impl AsRef<Path>,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
@@ -712,15 +575,6 @@ pub fn table_path(checkpoint: impl AsRef<Path>, format: RowFormat) -> PathBuf {
     let mut os = checkpoint.as_ref().as_os_str().to_owned();
     os.push(format!(".{}.table", format.name()));
     PathBuf::from(os)
-}
-
-/// The checkpoint's `embedding_checksum` field as the u64 the sidecar's
-/// `source_checksum` must match.
-fn embedding_checksum_from_doc(doc: &Json) -> io::Result<u64> {
-    let s = field(doc, "embedding_checksum")?
-        .as_str()
-        .ok_or_else(|| bad("embedding_checksum is not a string"))?;
-    u64::from_str_radix(s, 16).map_err(|_| bad("embedding_checksum is not a hex u64"))
 }
 
 /// [`save_model_with_marginals`] plus the quantized-table sidecar: a
@@ -747,11 +601,7 @@ pub fn save_checkpoint_with_table(
     let path = path.as_ref();
     let sidecar = table_path(path, store.format());
     let header = write_table(store, embedding_checksum_of(model), &sidecar)?;
-    let mut doc = model_to_json_value(model);
-    let Json::Obj(entries) = &mut doc else { unreachable!("model doc is an object") };
-    if let Some(m) = marginals {
-        entries.push(("marginals".to_string(), marginals_to_json_value(m)));
-    }
+    let mut entries = document_entries(model, marginals);
     let file_name =
         sidecar.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
     entries.push((
@@ -764,7 +614,7 @@ pub fn save_checkpoint_with_table(
             ]),
         )]),
     ));
-    write_atomic(path, &doc.to_bytes())
+    write_atomic(path, &Json::Obj(entries).to_bytes())
 }
 
 /// [`load_checkpoint`] in a serving store format: the model, the item
@@ -776,10 +626,13 @@ pub fn save_checkpoint_with_table(
 /// whole-file checksum, `source_checksum` equal to the checkpoint's
 /// `embedding_checksum`, and the section's recorded table checksum — or
 /// the load fails (so a serving `/reload` keeps the previous version).
-/// Without a section, the store is derived from the checkpoint's f32
-/// embedding section (bit-identical to what a fit-time sidecar would
-/// hold, because quantization is deterministic) and, when `mmap` is
-/// set, persisted as a sidecar first so the arena can be memory-mapped.
+/// Without a section, the store is derived from the model just
+/// decoded (bit-identical to what a fit-time sidecar would hold,
+/// because quantization is deterministic) and, when `mmap` is set,
+/// persisted as a sidecar first so the arena can be memory-mapped.
+///
+/// The document is decoded once: every store this returns comes from
+/// the validated model or from a sidecar bound to its checksum.
 pub fn load_checkpoint_with_format(
     path: impl AsRef<Path>,
     format: RowFormat,
@@ -788,7 +641,7 @@ pub fn load_checkpoint_with_format(
     let doc = read_document(path.as_ref())?;
     let model = model_from_json_value(&doc)?;
     let marginals = marginals_from_json_value(&doc)?;
-    let store = item_store_with_format(&doc, path.as_ref(), format, mmap)?;
+    let store = item_store_with_format(&doc, &model, path.as_ref(), format, mmap)?;
     Ok((model, Arc::new(store), marginals))
 }
 
@@ -804,20 +657,21 @@ pub fn load_checkpoint_with_format_and_retry(
     retry_load(policy, || load_checkpoint_with_format(path.as_ref(), format, mmap))
 }
 
-/// Resolves a parsed checkpoint document to an item store in `format`,
-/// preferring an advertised sidecar table and falling back to the
-/// embedding section. See [`load_checkpoint_with_format`].
+/// Resolves a validated checkpoint to an item store in `format`,
+/// preferring a sidecar table the document advertises and falling back
+/// to the model's own item embeddings. See
+/// [`load_checkpoint_with_format`].
 fn item_store_with_format(
     doc: &Json,
+    model: &TwoTower,
     path: &Path,
     format: RowFormat,
     mmap: bool,
 ) -> io::Result<EmbeddingStore> {
     if format == RowFormat::F32 && !mmap {
-        // the historical in-memory load, untouched
-        return item_store_from_json_value(doc);
+        return Ok(item_store_of(model));
     }
-    let source = embedding_checksum_from_doc(doc)?;
+    let source = embedding_checksum_of(model);
     let sidecar = table_path(path, format);
     if let Some(section) = doc.get("quant_tables").and_then(|t| t.get(format.name())) {
         let recorded = field(section, "checksum")?
@@ -850,8 +704,8 @@ fn item_store_with_format(
         }
         return Ok(store);
     }
-    // No advertised sidecar: derive the store from the embedding section.
-    let store = item_store_from_json_value(doc)?;
+    // No advertised sidecar: derive the store from the model.
+    let store = item_store_of(model);
     let store = if format == RowFormat::F32 { store } else { store.quantize(format) };
     if !mmap {
         return Ok(store);
@@ -1178,12 +1032,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The f32 store a saved-and-reloaded checkpoint of `m` serves.
+    fn loaded_store(m: &TwoTower) -> Arc<EmbeddingStore> {
+        let dir = unique_tmp("loaded_store");
+        let path = dir.join("model.json");
+        save_model(m, &path).expect("save");
+        let (_, store, _) = load_checkpoint(&path).expect("checkpoint load");
+        std::fs::remove_dir_all(&dir).ok();
+        store
+    }
+
     #[test]
     fn item_store_matches_infer_items_bit_for_bit() {
         for extractor in ContextExtractor::ALL {
             let m = model(extractor);
-            let doc = Json::parse(&model_to_json(&m)).expect("parse");
-            let store = item_store_from_json_value(&doc).expect("store loads");
+            let store = loaded_store(&m);
             let expected = m.infer_items();
             assert_eq!(store.rows(), 20);
             assert_eq!(store.dim(), 8);
@@ -1209,9 +1072,9 @@ mod tests {
             },
             &mut rng,
         );
-        let doc = Json::parse(&model_to_json(&m)).expect("parse");
-        let store = item_store_from_json_value(&doc).expect("store loads");
+        let store = loaded_store(&m);
         let expected = m.infer_items();
+        assert_eq!(store.as_slice().len(), expected.data().len());
         for (got, want) in store.as_slice().iter().zip(expected.data()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
@@ -1249,10 +1112,27 @@ mod tests {
         let json = String::from_utf8(model_to_json(&m)).expect("utf8");
         let tampered = json.replace(&stored, &tampered_sum);
         assert_ne!(json, tampered);
-        // both loaders must refuse the section
         assert!(model_from_json(tampered.as_bytes()).is_err());
-        let doc = Json::parse(tampered.as_bytes()).expect("parse");
-        assert!(item_store_from_json_value(&doc).is_err());
+        // and no store format is served from the tampered file
+        let dir = unique_tmp("tampered_embedding");
+        let path = dir.join("model.json");
+        std::fs::write(&path, &tampered).expect("write tampered");
+        for (format, mmap) in [(RowFormat::F32, false), (RowFormat::F32, true), (RowFormat::I8, false)] {
+            assert!(load_checkpoint_with_format(&path, format, mmap).is_err());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn degenerate_shape_is_an_error_not_a_panic() {
+        let json = String::from_utf8(model_to_json(&model(ContextExtractor::YoutubeDnn)))
+            .expect("utf8");
+        for (from, to) in [("\"num_items\":20", "\"num_items\":0"), ("\"embed_dim\":8", "\"embed_dim\":1")] {
+            let tampered = json.replace(from, to);
+            assert_ne!(json, tampered);
+            let e = model_from_json(tampered.as_bytes()).expect_err("degenerate shape");
+            assert!(e.to_string().contains("degenerate"), "{e}");
+        }
     }
 
     fn sample_marginals() -> Marginals {
@@ -1362,8 +1242,7 @@ mod tests {
     }
 
     fn f32_store_of(m: &TwoTower) -> EmbeddingStore {
-        let doc = Json::parse(&model_to_json(m)).expect("parse");
-        item_store_from_json_value(&doc).expect("embedding section decodes")
+        item_store_of(m)
     }
 
     /// Bitwise equality of two stores through their public decode surface:

@@ -17,9 +17,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use unimatch_ann::EmbeddingStore;
-use unimatch_data::{InteractionLog, Marginals};
-use unimatch_models::TwoTower;
+use unimatch_data::InteractionLog;
 
 /// One immutable serving snapshot: everything needed to answer queries.
 pub struct ServingState {
@@ -45,23 +43,17 @@ pub struct ModelHandle {
 
 impl ModelHandle {
     /// Loads `checkpoint` and builds the initial serving state over `log`
-    /// (already filtered / prepared to the caller's taste). The serving
-    /// configuration's model-shaped fields (`embed_dim`, `max_seq_len`,
-    /// extractor, aggregator) are taken from the checkpoint itself, so a
-    /// handle can serve any architecture the trainer produced.
+    /// (already filtered / prepared to the caller's taste). The model's
+    /// shape (`embed_dim`, `max_seq_len`, extractor, aggregator) comes
+    /// from the checkpoint itself, so a handle can serve any
+    /// architecture the trainer produced.
     pub fn from_checkpoint(
         framework: UniMatch,
         checkpoint: impl AsRef<Path>,
         log: InteractionLog,
     ) -> io::Result<ModelHandle> {
         let checkpoint = checkpoint.as_ref().to_path_buf();
-        let (model, store, marginals) = load_checkpoint_with_format_and_retry(
-            &checkpoint,
-            framework.config.store,
-            framework.config.mmap,
-            &RetryPolicy::default(),
-        )?;
-        let fitted = build_fitted(&framework, &log, model, store, marginals, &checkpoint)?;
+        let fitted = load_fitted(&framework, &log, &checkpoint)?;
         Ok(ModelHandle {
             framework,
             log,
@@ -98,13 +90,7 @@ impl ModelHandle {
             Some(p) => p.to_path_buf(),
             None => self.current().checkpoint.clone(),
         };
-        let (model, store, marginals) = load_checkpoint_with_format_and_retry(
-            &checkpoint,
-            self.framework.config.store,
-            self.framework.config.mmap,
-            &RetryPolicy::default(),
-        )?;
-        let fitted = build_fitted(&self.framework, &self.log, model, store, marginals, &checkpoint)?;
+        let fitted = load_fitted(&self.framework, &self.log, &checkpoint)?;
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(ServingState { fitted, version, checkpoint });
         *self.state.write().expect("serving state lock poisoned") = state.clone();
@@ -112,20 +98,24 @@ impl ModelHandle {
     }
 }
 
-/// Rebuilds the serving indexes around a freshly loaded model. The
-/// framework configuration's model-shaped fields are overridden from the
-/// checkpoint so any trained architecture can be served. The item store
-/// decoded from the checkpoint's embedding section is indexed directly —
-/// serving never re-runs item inference (and never touches the
-/// checkpoint's `ParamSet` representation for retrieval).
-fn build_fitted(
+/// Loads `checkpoint` in the framework's store format (transient I/O
+/// failures retried with bounded backoff), validates it against the
+/// serving log and the rerank rules, and builds the serving indexes
+/// around it. The deployment takes its shape from the model, so any
+/// trained architecture can be served under any configuration. The item
+/// store the loader returns alongside the model is indexed directly —
+/// item inference runs once per load, inside the loader.
+fn load_fitted(
     framework: &UniMatch,
     log: &InteractionLog,
-    model: TwoTower,
-    item_store: Arc<EmbeddingStore>,
-    marginals: Option<Marginals>,
     checkpoint: &Path,
 ) -> io::Result<FittedUniMatch> {
+    let (model, item_store, marginals) = load_checkpoint_with_format_and_retry(
+        checkpoint,
+        framework.config.store,
+        framework.config.mmap,
+        &RetryPolicy::default(),
+    )?;
     if (log.num_items() as usize) > model.config().num_items {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -157,11 +147,6 @@ fn build_fitted(
             }
         }
     }
-    let mut framework = framework.clone();
-    framework.config.embed_dim = model.config().embed_dim;
-    framework.config.max_seq_len = model.config().max_seq_len;
-    framework.config.extractor = model.config().extractor;
-    framework.config.aggregator = model.config().aggregator;
     Ok(framework.serve_with_store_and_marginals(model, log.clone(), item_store, marginals))
 }
 

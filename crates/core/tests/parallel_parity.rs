@@ -6,8 +6,8 @@
 //! cargo runs a binary's test functions concurrently.
 
 use rand::{Rng, SeedableRng};
-use unimatch_core::{materialize, top_k_blocked, Parallelism};
-use unimatch_eval::EmbeddingMatrix;
+use unimatch_ann::{top_k_exact, Hit};
+use unimatch_core::Parallelism;
 
 #[test]
 fn blocked_top_k_is_thread_count_invariant() {
@@ -15,26 +15,30 @@ fn blocked_top_k_is_thread_count_invariant() {
     let d = 8;
     let users: Vec<f32> = (0..700 * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let items: Vec<f32> = (0..450 * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let um = EmbeddingMatrix::new(&users, d);
-    let im = EmbeddingMatrix::new(&items, d);
+    // the nightly job's three passes: a long per-user list, then both
+    // directions of the short materialized lists
+    let passes = || {
+        [
+            top_k_exact(&users, &items, d, 10),
+            top_k_exact(&users, &items, d, 5),
+            top_k_exact(&items, &users, d, 5),
+        ]
+    };
 
     Parallelism::sequential().install_global();
-    let seq_lists = top_k_blocked(um, im, 10);
-    let seq_rec = materialize(um, im, 5, 5);
-
+    let seq = passes();
     Parallelism::threads(4).with_min_work(1).install_global();
-    let par_lists = top_k_blocked(um, im, 10);
-    let par_rec = materialize(um, im, 5, 5);
+    let par = passes();
     Parallelism::auto().install_global();
 
-    assert_eq!(seq_lists.len(), par_lists.len());
-    for (q, (s, p)) in seq_lists.iter().zip(&par_lists).enumerate() {
-        assert_eq!(s.len(), p.len(), "query {q}: list length");
-        for ((sid, ss), (pid, ps)) in s.iter().zip(p) {
-            assert_eq!(sid, pid, "query {q}: id mismatch");
-            assert_eq!(ss.to_bits(), ps.to_bits(), "query {q}: score mismatch");
+    let bits = |h: &Hit| (h.id, h.score.to_bits());
+    for (pass, (seq_lists, par_lists)) in seq.iter().zip(&par).enumerate() {
+        assert_eq!(seq_lists.len(), par_lists.len(), "pass {pass}");
+        for (q, (s, p)) in seq_lists.iter().zip(par_lists).enumerate() {
+            assert_eq!(s.len(), p.len(), "pass {pass} query {q}: list length");
+            for (sh, ph) in s.iter().zip(p) {
+                assert_eq!(bits(sh), bits(ph), "pass {pass} query {q}");
+            }
         }
     }
-    assert_eq!(seq_rec.per_user, par_rec.per_user);
-    assert_eq!(seq_rec.per_item, par_rec.per_item);
 }

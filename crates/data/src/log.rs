@@ -104,17 +104,6 @@ impl InteractionLog {
         counts
     }
 
-    /// Per-user interaction counts restricted to days in `[day_lo, day_hi)`.
-    pub fn user_counts_in(&self, day_lo: u32, day_hi: u32) -> Vec<u64> {
-        let mut counts = vec![0u64; self.num_users as usize];
-        for r in &self.records {
-            if r.day >= day_lo && r.day < day_hi {
-                counts[r.user as usize] += 1;
-            }
-        }
-        counts
-    }
-
     /// Retains only records for which `keep` returns true, preserving order.
     pub fn filtered(&self, keep: impl Fn(&Interaction) -> bool) -> InteractionLog {
         InteractionLog::new(self.records.iter().copied().filter(keep).collect())

@@ -6,10 +6,34 @@
 use rand::SeedableRng;
 use unimatch_data::SeqBatch;
 use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
-use unimatch_tensor::check::gradcheck;
+use unimatch_tensor::check::{finite_diff_param, gradcheck};
+use unimatch_tensor::{Graph, ParamSet, Var};
+
+/// The first model seed tried, and how many are.
+const FIRST_SEED: u64 = 31;
+const MAX_SEEDS: u64 = 8;
+/// The finite-difference step `gradcheck` probes with, and a second one:
+/// where central differences at both agree to [`SMOOTH_TOL`] on every
+/// coordinate the loss is smooth at the probe's scale.
+const PROBE_STEPS: [f32; 2] = [1e-2, 5e-3];
+const SMOOTH_TOL: f32 = 1e-3;
 
 fn check_cell(extractor: ContextExtractor, aggregator: Aggregator) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    check_cell_with(extractor, aggregator, |_, users| users);
+}
+
+/// Finite differences are only a reference where the loss is smooth, and
+/// a ReLU kink inside the probe step breaks that for some initial
+/// weights. So the check does not bet on one seed: it scans model seeds
+/// for the first at which the loss *is* smooth at the probe scale — a
+/// property of the forward pass alone — and runs the analytic-vs-numeric
+/// comparison there. `rewire` sits between the user tower and the logits;
+/// the identity checks the model as it is.
+fn check_cell_with(
+    extractor: ContextExtractor,
+    aggregator: Aggregator,
+    rewire: impl Fn(&mut Graph, Var) -> Var,
+) {
     let cfg = ModelConfig {
         num_items: 7,
         embed_dim: 4,
@@ -19,27 +43,55 @@ fn check_cell(extractor: ContextExtractor, aggregator: Aggregator) {
         temperature: 0.4,
         normalize: true,
     };
-    let mut model = TwoTower::new(cfg.clone(), &mut rng);
     let h1 = vec![1u32, 2];
     let h2 = vec![3u32, 4, 5];
     let batch = SeqBatch::from_histories(&[&h1, &h2], 3);
     let items = [0u32, 6];
-
     // rebuild an identical-architecture shadow around each perturbed
     // ParamSet: ids are deterministic by construction order
-    let template = TwoTower::new(cfg.clone(), &mut rand::rngs::StdRng::seed_from_u64(31));
-    let _ = template;
-    gradcheck(&mut model.params, 5e-2, 5e-2, move |g, p| {
-        let mut shadow =
-            TwoTower::new(cfg.clone(), &mut rand::rngs::StdRng::seed_from_u64(31));
+    let build = |g: &mut Graph, p: &ParamSet| {
+        let mut shadow = TwoTower::new(cfg.clone(), &mut rand::rngs::StdRng::seed_from_u64(0));
         shadow.params = p.clone();
         let users = shadow.user_tower(g, &batch);
+        let users = rewire(g, users);
         let item_vs = shadow.item_tower(g, &items);
         let logits = shadow.inbatch_logits(g, users, item_vs);
         let ls = g.log_softmax(logits);
         let d = g.diag(ls);
         let m = g.mean_all(d);
         g.scale(m, -1.0)
+    };
+    let loss_of = |p: &ParamSet| {
+        let mut g = Graph::new();
+        let loss = build(&mut g, p);
+        g.value(loss).item()
+    };
+
+    for seed in FIRST_SEED..FIRST_SEED + MAX_SEEDS {
+        let mut params =
+            TwoTower::new(cfg.clone(), &mut rand::rngs::StdRng::seed_from_u64(seed)).params;
+        let smooth = params.ids().collect::<Vec<_>>().into_iter().all(|id| {
+            let [coarse, fine] =
+                PROBE_STEPS.map(|eps| finite_diff_param(&mut params, id, eps, loss_of));
+            coarse.data().iter().zip(fine.data()).all(|(a, b)| (a - b).abs() <= SMOOTH_TOL)
+        });
+        if smooth {
+            gradcheck(&mut params, 5e-2, 5e-2, build);
+            return;
+        }
+    }
+    panic!("{extractor:?}/{aggregator:?}: no smooth model seed among {MAX_SEEDS}");
+}
+
+/// The seed scan looks at the forward pass only, so it cannot excuse a
+/// wrong backward rule: cutting the user tower out of the backward pass
+/// (same loss value, no gradient behind it) must still fail the check.
+#[test]
+#[should_panic(expected = "differs: analytic")]
+fn a_broken_backward_rule_still_fails() {
+    check_cell_with(ContextExtractor::Cnn { kernel: 3 }, Aggregator::Mean, |g, users| {
+        let detached = g.value(users).clone();
+        g.constant(detached)
     });
 }
 

@@ -24,12 +24,16 @@
 //! ## Two ways to hold a metric
 //!
 //! *Owned*: construct [`Counter`]/[`Histogram`] directly for
-//! per-instance metrics (the serving layer owns one `Metrics` struct per
-//! server). *Registered*: [`registry::counter`] & friends get-or-create
-//! a process-global series by name and return a `&'static` handle;
+//! per-instance metrics (the serving layer builds one cell per series of
+//! its declarative catalogue, `unimatch_serve::metrics::CATALOGUE`, per
+//! server, and records through constant indexes into them).
+//! *Registered*: [`registry::counter`] & friends get-or-create a
+//! process-global series by name and return a `&'static` handle;
 //! [`registry::render`] walks them all. The training and ANN layers use
 //! the registry so their series appear on the serving `/metrics`
-//! endpoint with no plumbing between the crates.
+//! endpoint with no plumbing between the crates. Either way a series is
+//! listed once for operators: the `## Metrics` table of
+//! `docs/OPERATIONS.md`, held to the code by `tests/metrics_docs_sync.rs`.
 //!
 //! ```
 //! use unimatch_obs as obs;

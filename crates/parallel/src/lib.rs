@@ -1,8 +1,8 @@
 //! # unimatch-parallel
 //!
 //! The data-parallel execution layer shared by the UniMatch compute crates
-//! (`unimatch-tensor` kernels, `unimatch-ann` batched search,
-//! `unimatch-core` offline batch inference).
+//! (`unimatch-tensor` kernels, `unimatch-ann` batched search and blocked
+//! exact top-k, `unimatch-core` history embedding).
 //!
 //! Design constraints, in priority order:
 //!
@@ -271,17 +271,6 @@ where
         out.extend(slot.into_inner().expect("result slot poisoned").expect("all chunks computed"));
     }
     out
-}
-
-/// Maps `f` over the items of a slice on the configured worker threads,
-/// preserving order. Convenience wrapper over [`par_map_indexed`].
-pub fn par_map_slice<T, R, F>(items: &[T], work: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), work, |i| f(&items[i]))
 }
 
 #[cfg(test)]

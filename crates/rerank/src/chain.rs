@@ -236,11 +236,6 @@ impl RerankChain {
         }
     }
 
-    /// Whether the chain contains a stage named `name`.
-    pub fn has_stage(&self, name: &str) -> bool {
-        self.stages.iter().any(|s| s.name() == name)
-    }
-
     /// Whether `skip` would actually drop a stage this chain runs —
     /// i.e. whether a degraded `apply` can differ from the full one.
     pub fn skip_affects(&self, skip: StageSkip) -> bool {

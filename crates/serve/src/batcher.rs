@@ -38,7 +38,7 @@
 
 use crate::brownout::BrownoutState;
 use crate::cache::LruCache;
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Family, Metrics, Route};
 use crate::shadow::ShadowState;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -210,13 +210,13 @@ pub fn run_batcher(
         let (batch, expired): (Vec<Job>, Vec<Job>) =
             batch.into_iter().partition(|job| now < job.deadline);
         for job in expired {
-            metrics.shed_deadline();
+            metrics.inc(const { Family::RequestsShed.with("deadline") });
             let _ = job.reply.send(Err(JobError::Expired));
         }
         if batch.is_empty() {
             continue;
         }
-        metrics.batch(route, batch.len());
+        metrics.observe(Family::BatchSize.at(route.index()), batch.len() as u64);
         let state = handle.current();
         if state.version != cache_version {
             cache.clear();
@@ -250,11 +250,11 @@ fn embed_cached(
         };
         match cache.get(history) {
             Some(e) => {
-                metrics.cache_hit();
+                metrics.inc(Family::CacheHits.at(0));
                 flat[i * d..(i + 1) * d].copy_from_slice(e);
             }
             None => {
-                metrics.cache_miss();
+                metrics.inc(Family::CacheMisses.at(0));
                 misses.push((i, history));
             }
         }
@@ -336,14 +336,20 @@ fn execute(
         let group = indices.iter().map(|&i| &valid[i]);
         match catch_unwind(AssertUnwindSafe(|| pipeline.run_checked(&flat, k, degrade))) {
             Ok(Ok((lists, health))) => {
+                // shards past the label table share its last, overflow series
+                let overflow = Family::ShardErrors.row().label_values.len() - 1;
                 for &(shard, _) in &health.failures {
-                    metrics.shard_error(shard as usize);
+                    metrics.inc(Family::ShardErrors.at((shard as usize).min(overflow)));
                 }
                 let flag = health.degraded() || content_degraded;
                 for (job, hits) in group.zip(lists) {
                     let answer = pipeline.translate(hits);
                     if flag {
-                        metrics.degraded_response(health.degraded());
+                        metrics.inc(if health.degraded() {
+                            const { Family::DegradedResponses.with("shard") }
+                        } else {
+                            const { Family::DegradedResponses.with("brownout") }
+                        });
                     }
                     if let Some(sh) = shadow.filter(|s| s.sample()) {
                         sh.submit(&job.query, k, &answer);

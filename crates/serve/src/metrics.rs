@@ -1,42 +1,35 @@
-//! Serving metrics: lock-free counters and histograms with a text
-//! exposition endpoint (`GET /metrics`, Prometheus-style line format).
+//! Serving metrics: one ordered catalogue of series families behind the
+//! text exposition endpoint (`GET /metrics`, Prometheus-style line format).
 //!
-//! The primitives live in [`unimatch_obs`] — this module owns one
-//! instance of each series per [`Metrics`] struct (one per server), and
-//! the server appends [`unimatch_obs::registry::render`] to the scrape
-//! body so training and ANN series registered elsewhere in the process
-//! appear on the same endpoint.
+//! [`CATALOGUE`] is the single declaration of every family this server
+//! exposes — name, label key, label values, [`Kind`], [`Section`]. It
+//! drives construction (one cell per stored series), recording, the
+//! exposition walk and the `## Metrics` table in `docs/OPERATIONS.md`
+//! (kept in step by `tests/metrics_docs_sync.rs`). Adding a series is one
+//! row.
 //!
-//! Every counter is a relaxed atomic — the hot path pays one `fetch_add`
-//! per observation and the exposition renders a consistent-enough snapshot
-//! without stopping traffic.
+//! Recording goes through a [`Series`] id, a `Copy` position in the cell
+//! arrays that [`Family::at`]/[`Family::with`] work out from the catalogue
+//! at compile time: [`Metrics::inc`] is one relaxed `fetch_add` on
+//! `counters[i]` with `i` a constant (or a constant plus a route/shard
+//! offset). There is no `HashMap`, `Mutex` or string compare on that path;
+//! label strings are only touched by the scrape.
+//!
+//! The cells are [`unimatch_obs`] primitives, owned per [`Metrics`] (one
+//! per server) and always on regardless of the global
+//! [`unimatch_obs::enabled`] flag — a serving process wants its request
+//! counters unconditionally, and per-instance ownership keeps two servers
+//! in one test process from sharing counts. The server renders
+//! [`unimatch_obs::registry::render`] between the [`Section::Owned`] and
+//! [`Section::Process`] blocks so training and ANN series registered
+//! elsewhere in the process appear on the same endpoint.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use unimatch_obs::{Counter, Histogram, LATENCY_BOUNDS_US};
 
-/// Interned `shard="…"` label bodies for the per-shard error counters
-/// (indices past the table share the overflow bucket).
-const SHARD_ERROR_LABELS: [&str; 17] = [
-    "shard=\"0\"",
-    "shard=\"1\"",
-    "shard=\"2\"",
-    "shard=\"3\"",
-    "shard=\"4\"",
-    "shard=\"5\"",
-    "shard=\"6\"",
-    "shard=\"7\"",
-    "shard=\"8\"",
-    "shard=\"9\"",
-    "shard=\"10\"",
-    "shard=\"11\"",
-    "shard=\"12\"",
-    "shard=\"13\"",
-    "shard=\"14\"",
-    "shard=\"15\"",
-    "shard=\"16+\"",
-];
-
-/// The served routes, used as metric labels.
+/// The served routes, used as metric labels. Declared in the order of
+/// [`Family::Requests`]' label values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
     /// `POST /recommend` — IR, user history → top-k items.
@@ -52,248 +45,345 @@ pub enum Route {
 }
 
 impl Route {
-    /// All routes, in exposition order.
-    pub const ALL: [Route; 5] =
-        [Route::Recommend, Route::Target, Route::Reload, Route::Healthz, Route::Metrics];
-
     /// The metric label for this route.
     pub fn label(self) -> &'static str {
-        match self {
-            Route::Recommend => "recommend",
-            Route::Target => "target",
-            Route::Reload => "reload",
-            Route::Healthz => "healthz",
-            Route::Metrics => "metrics",
-        }
+        ROUTES[self.index()]
     }
 
+    /// Position among [`Family::Requests`]' label values; the two query
+    /// routes come first, so it also indexes the per-query-route families
+    /// and the server's admission queues.
     pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// How a family's value comes to be.
+#[derive(Clone, Copy)]
+pub enum Kind {
+    /// A monotonic count: one relaxed `fetch_add` per observation.
+    Counter,
+    /// A fixed-bucket histogram over these inclusive upper bounds.
+    Histogram(&'static [u64]),
+    /// Computed from other series of the same [`Metrics`] at scrape time.
+    Derived(fn(&Metrics) -> f64),
+    /// State another component owns (model version, brownout level, …),
+    /// read by the scraper and handed to [`Metrics::render`].
+    Sampled,
+}
+
+impl Kind {
+    /// The `type` column of the docs table.
+    pub fn name(self) -> &'static str {
         match self {
-            Route::Recommend => 0,
-            Route::Target => 1,
-            Route::Reload => 2,
-            Route::Healthz => 3,
-            Route::Metrics => 4,
+            Kind::Counter => "counter",
+            Kind::Histogram(_) => "histogram",
+            Kind::Derived(_) => "derived",
+            Kind::Sampled => "sampled",
         }
     }
 }
 
+/// The block of the scrape body a family renders in. The body is
+/// `Owned`, the process-global registry, `Process`, then — only while a
+/// shadow deployment is armed, so a shadow-less scrape stays
+/// byte-identical to a build without the plane — `Shadow`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Section {
+    /// This server's own request, batch, cache, shed and shard series.
+    Owned,
+    /// Process-wide state sampled at scrape time.
+    Process,
+    /// The `unimatch_shadow_*` families.
+    Shadow,
+}
+
+/// One catalogue row: a series family.
+pub struct Row {
+    /// Series name (histograms append `_bucket`/`_sum`/`_count`).
+    pub name: &'static str,
+    /// Label key, `""` for an unlabelled family.
+    pub label_key: &'static str,
+    /// One series per label value, in exposition order; an unlabelled
+    /// family has the single value `""`.
+    pub label_values: &'static [&'static str],
+    /// How the value comes to be.
+    pub kind: Kind,
+    /// Where in the scrape body the family renders.
+    pub section: Section,
+}
+
+const NONE: &[&str] = &[""];
+const ROUTES: &[&str] = &["recommend", "target", "reload", "healthz", "metrics"];
+const QUERY_ROUTES: &[&str] = &["recommend", "target"];
+/// Shards past the table share the `16+` overflow series.
+const SHARDS: &[&str] = &[
+    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16+",
+];
 /// Micro-batch size bucket bounds (requests coalesced per execution).
 const BATCH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-/// All serving metrics, shared across connection and batcher threads.
-///
-/// These are *owned* (per-server) series, always on regardless of the
-/// global [`unimatch_obs::enabled`] flag — a serving process wants its
-/// request counters unconditionally, and per-instance ownership keeps
-/// two servers in one test process from sharing counts.
-pub struct Metrics {
-    requests: [Counter; 5],
-    responses_4xx: Counter,
-    responses_5xx: Counter,
-    /// End-to-end request latency (parse → response ready), µs; one
-    /// histogram per query route.
-    latency_recommend_us: Histogram,
-    /// See [`Metrics::latency_recommend_us`].
-    latency_target_us: Histogram,
-    batch_recommend: Histogram,
-    batch_target: Histogram,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    reloads: Counter,
-    connections_rejected: Counter,
-    /// Requests turned away at admission because the queue was at its
-    /// configured bound (→ 429).
-    shed_queue_full: Counter,
-    /// Admitted jobs dropped by the batcher because their deadline passed
-    /// while they queued (→ 503).
-    shed_deadline: Counter,
-    /// Requests turned away at admission because the brownout ladder
-    /// reached its `shed` step (→ 503).
-    shed_brownout: Counter,
-    /// Per-shard retrieval failures absorbed by the quorum policy; index
-    /// 16 is the `16+` overflow bucket.
-    shard_errors: [Counter; 17],
-    /// 200 responses flagged `degraded:true` because a shard was missing
-    /// from the merge.
-    degraded_shard: Counter,
-    /// 200 responses flagged `degraded:true` because an active brownout
-    /// step changed response content.
-    degraded_brownout: Counter,
-    /// EWMA of per-job batcher service time, µs — feeds the dynamic
-    /// `Retry-After` estimate. Zero until the first batch executes.
-    service_ewma_us: AtomicU64,
+/// Declares [`Family`] and [`CATALOGUE`] from one list, so a family's id
+/// and its row cannot drift apart.
+macro_rules! catalogue {
+    ($($(#[$doc:meta])* $id:ident = $name:literal, $key:literal, $values:expr, $kind:expr, $section:ident;)*) => {
+        /// Identifies one family of [`CATALOGUE`] (its position).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Family {
+            $($(#[$doc])* $id,)*
+        }
+
+        /// Every series family `GET /metrics` exposes from this crate, in
+        /// exposition order.
+        pub const CATALOGUE: &[Row] = &[
+            $(Row {
+                name: $name,
+                label_key: $key,
+                label_values: $values,
+                kind: $kind,
+                section: Section::$section,
+            },)*
+        ];
+    };
+}
+
+catalogue! {
+    /// Requests routed, per route.
+    Requests = "unimatch_requests_total", "route", ROUTES, Kind::Counter, Owned;
+    /// Error responses, per status class.
+    Responses = "unimatch_responses_total", "class", &["4xx", "5xx"], Kind::Counter, Owned;
+    /// End-to-end request latency (parse → response ready), µs.
+    RequestLatency = "unimatch_request_latency_us", "route", QUERY_ROUTES, Kind::Histogram(LATENCY_BOUNDS_US), Owned;
+    /// Size of each executed micro-batch.
+    BatchSize = "unimatch_batch_size", "route", QUERY_ROUTES, Kind::Histogram(BATCH_BOUNDS), Owned;
+    /// History-embedding cache hits.
+    CacheHits = "unimatch_embedding_cache_hits_total", "", NONE, Kind::Counter, Owned;
+    /// History-embedding cache misses.
+    CacheMisses = "unimatch_embedding_cache_misses_total", "", NONE, Kind::Counter, Owned;
+    /// `hits / (hits + misses)`, 0 before the first lookup.
+    CacheHitRatio = "unimatch_embedding_cache_hit_ratio", "", NONE, Kind::Derived(cache_hit_ratio), Owned;
+    /// Successful checkpoint reloads.
+    Reloads = "unimatch_reloads_total", "", NONE, Kind::Counter, Owned;
+    /// Connections turned away at the connection cap (→ 503).
+    ConnectionsRejected = "unimatch_connections_rejected_total", "", NONE, Kind::Counter, Owned;
+    /// Requests shed: `queue_full` at admission (→ 429), `deadline`
+    /// passed while queued (→ 503), `brownout` shed step (→ 503).
+    RequestsShed = "unimatch_requests_shed_total", "reason", &["queue_full", "deadline", "brownout"], Kind::Counter, Owned;
+    /// Per-shard retrieval failures absorbed by the quorum policy.
+    ShardErrors = "unimatch_shard_errors_total", "shard", SHARDS, Kind::Counter, Owned;
+    /// 200 responses flagged `degraded:true`: a `shard` missing from the
+    /// merge, or a content-affecting `brownout` step.
+    DegradedResponses = "unimatch_degraded_responses_total", "reason", &["shard", "brownout"], Kind::Counter, Owned;
+    /// Version of the served snapshot.
+    ModelVersion = "unimatch_model_version", "", NONE, Kind::Sampled, Owned;
+    /// Fires of the armed fault plane (0 while disarmed).
+    FaultsFired = "unimatch_faults_fired_total", "", NONE, Kind::Sampled, Process;
+    /// Current brownout ladder level (0 without a ladder).
+    BrownoutLevel = "unimatch_brownout_level", "", NONE, Kind::Sampled, Process;
+    /// The configured mirror fraction.
+    ShadowSampleRate = "unimatch_shadow_sample_rate", "", NONE, Kind::Sampled, Shadow;
     /// Paired primary/shadow comparisons completed, per query route.
-    shadow_pairs_recommend: Counter,
-    /// See [`Metrics::shadow_pairs_recommend`].
-    shadow_pairs_target: Counter,
+    ShadowPairs = "unimatch_shadow_pairs_total", "route", QUERY_ROUTES, Kind::Counter, Shadow;
     /// Sampled mirrors lost: mirror queue full, shadow vocabulary too
     /// small for the request, or shadow execution panicked.
-    shadow_dropped: Counter,
-    /// Sum of per-pair overlap@k in milli-units (identical lists add
-    /// 1000); divide by `pairs × 1000` for the mean overlap ratio.
-    shadow_overlap_milli: Counter,
+    ShadowDropped = "unimatch_shadow_dropped_total", "", NONE, Kind::Counter, Shadow;
+    /// Sum of per-pair overlap@k in milli-units (identical lists add 1000).
+    ShadowOverlapSumMilli = "unimatch_shadow_overlap_sum_milli", "", NONE, Kind::Counter, Shadow;
+    /// Mean overlap@k over all pairs (1.0 = every shadow answer matched).
+    ShadowOverlapRatio = "unimatch_shadow_overlap_ratio", "", NONE, Kind::Derived(shadow_overlap_ratio), Shadow;
     /// Sum of per-pair mean |score delta| over the overlap, micro-units.
-    shadow_score_delta_micro: Counter,
+    ShadowScoreDeltaSumMicro = "unimatch_shadow_score_delta_sum_micro", "", NONE, Kind::Counter, Shadow;
+    /// Mean |score delta| over all pairs' overlaps.
+    ShadowScoreDeltaMean = "unimatch_shadow_score_delta_mean", "", NONE, Kind::Derived(shadow_score_delta_mean), Shadow;
     /// Queue wait of mirrored jobs (primary answer → shadow dequeue), µs.
-    shadow_lag_us: Histogram,
+    ShadowLag = "unimatch_shadow_lag_us", "", NONE, Kind::Histogram(LATENCY_BOUNDS_US), Shadow;
     /// Shadow pipeline execution time per mirrored job, µs.
-    shadow_exec_us: Histogram,
+    ShadowExec = "unimatch_shadow_exec_us", "", NONE, Kind::Histogram(LATENCY_BOUNDS_US), Shadow;
+    /// Version of the shadow deployment's snapshot.
+    ShadowModelVersion = "unimatch_shadow_model_version", "", NONE, Kind::Sampled, Shadow;
+}
+
+/// One stored series: its position in the cell array of its kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Series {
+    /// Index into the counter cells.
+    Counter(usize),
+    /// Index into the histogram cells.
+    Histogram(usize),
+}
+
+/// For each family, the number of same-kind cells that catalogue rows
+/// before it occupy — where its own first cell sits.
+const FIRST_CELL: [usize; CATALOGUE.len()] = {
+    let mut first = [0; CATALOGUE.len()];
+    let (mut counters, mut histograms) = (0, 0);
+    let mut i = 0;
+    while i < CATALOGUE.len() {
+        match CATALOGUE[i].kind {
+            Kind::Counter => {
+                first[i] = counters;
+                counters += CATALOGUE[i].label_values.len();
+            }
+            Kind::Histogram(_) => {
+                first[i] = histograms;
+                histograms += CATALOGUE[i].label_values.len();
+            }
+            Kind::Derived(_) | Kind::Sampled => {}
+        }
+        i += 1;
+    }
+    first
+};
+
+impl Family {
+    /// This family's catalogue row.
+    pub const fn row(self) -> &'static Row {
+        &CATALOGUE[self as usize]
+    }
+
+    /// The series carrying this family's `label`-th label value (0 for an
+    /// unlabelled family). Panics — at compile time for a constant —
+    /// when the family stores no such series.
+    pub const fn at(self, label: usize) -> Series {
+        let row = self.row();
+        assert!(label < row.label_values.len(), "label index outside the family");
+        let cell = FIRST_CELL[self as usize] + label;
+        match row.kind {
+            Kind::Counter => Series::Counter(cell),
+            Kind::Histogram(_) => Series::Histogram(cell),
+            Kind::Derived(_) | Kind::Sampled => {
+                panic!("derived and sampled families store nothing")
+            }
+        }
+    }
+
+    /// The series carrying label `value`. The search compares strings, so
+    /// call it in a `const` context: `const { Family::X.with("y") }`.
+    pub const fn with(self, value: &str) -> Series {
+        let values = self.row().label_values;
+        let mut i = 0;
+        while i < values.len() {
+            if bytes_eq(values[i].as_bytes(), value.as_bytes()) {
+                return self.at(i);
+            }
+            i += 1;
+        }
+        panic!("the family has no such label value")
+    }
+}
+
+const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// `num / den`, 0 while nothing has been observed.
+fn ratio(num: u64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num as f64 / den
+    }
+}
+
+fn cache_hit_ratio(m: &Metrics) -> f64 {
+    let hits = m.get(Family::CacheHits.at(0));
+    ratio(hits, (hits + m.get(Family::CacheMisses.at(0))) as f64)
+}
+
+fn shadow_pairs(m: &Metrics) -> f64 {
+    (m.get(Family::ShadowPairs.at(0)) + m.get(Family::ShadowPairs.at(1))) as f64
+}
+
+fn shadow_overlap_ratio(m: &Metrics) -> f64 {
+    ratio(m.get(Family::ShadowOverlapSumMilli.at(0)), shadow_pairs(m) * 1000.0)
+}
+
+fn shadow_score_delta_mean(m: &Metrics) -> f64 {
+    ratio(m.get(Family::ShadowScoreDeltaSumMicro.at(0)), shadow_pairs(m) * 1e6)
+}
+
+/// All serving metrics of one server, shared across its connection,
+/// batcher and shadow threads: one cell per stored series of
+/// [`CATALOGUE`].
+pub struct Metrics {
+    counters: Vec<Counter>,
+    histograms: Vec<Histogram>,
+    /// EWMA of per-job batcher service time, µs — feeds the dynamic
+    /// `Retry-After` estimate, not the exposition. Zero until the first
+    /// batch executes.
+    service_ewma_us: AtomicU64,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
-        Metrics {
-            requests: Default::default(),
-            responses_4xx: Counter::new(),
-            responses_5xx: Counter::new(),
-            latency_recommend_us: Histogram::new(LATENCY_BOUNDS_US),
-            latency_target_us: Histogram::new(LATENCY_BOUNDS_US),
-            batch_recommend: Histogram::new(BATCH_BOUNDS),
-            batch_target: Histogram::new(BATCH_BOUNDS),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            reloads: Counter::new(),
-            connections_rejected: Counter::new(),
-            shed_queue_full: Counter::new(),
-            shed_deadline: Counter::new(),
-            shed_brownout: Counter::new(),
-            shard_errors: Default::default(),
-            degraded_shard: Counter::new(),
-            degraded_brownout: Counter::new(),
-            service_ewma_us: AtomicU64::new(0),
-            shadow_pairs_recommend: Counter::new(),
-            shadow_pairs_target: Counter::new(),
-            shadow_dropped: Counter::new(),
-            shadow_overlap_milli: Counter::new(),
-            shadow_score_delta_micro: Counter::new(),
-            shadow_lag_us: Histogram::new(LATENCY_BOUNDS_US),
-            shadow_exec_us: Histogram::new(LATENCY_BOUNDS_US),
-        }
+        Metrics::new()
     }
 }
 
 impl Metrics {
-    /// Fresh, all-zero metrics.
+    /// Fresh, all-zero metrics: the catalogue's cells in catalogue order.
     pub fn new() -> Metrics {
-        Metrics::default()
+        let mut metrics = Metrics {
+            counters: Vec::new(),
+            histograms: Vec::new(),
+            service_ewma_us: AtomicU64::new(0),
+        };
+        for row in CATALOGUE {
+            for _ in row.label_values {
+                match row.kind {
+                    Kind::Counter => metrics.counters.push(Counter::new()),
+                    Kind::Histogram(bounds) => metrics.histograms.push(Histogram::new(bounds)),
+                    Kind::Derived(_) | Kind::Sampled => {}
+                }
+            }
+        }
+        metrics
     }
 
-    /// Counts one request routed to `route`.
-    pub fn request(&self, route: Route) {
-        self.requests[route.index()].inc();
+    /// Adds one to a counter series.
+    #[inline]
+    pub fn inc(&self, series: Series) {
+        self.add(series, 1);
     }
 
-    /// Requests seen so far on `route`.
-    pub fn requests(&self, route: Route) -> u64 {
-        self.requests[route.index()].get()
+    /// Adds `n` to a counter series.
+    #[inline]
+    pub fn add(&self, series: Series, n: u64) {
+        let Series::Counter(cell) = series else { panic!("{series:?} is not a counter") };
+        self.counters[cell].add(n);
     }
 
-    /// Counts one response with `status`.
-    pub fn response(&self, status: u16) {
-        match status {
-            400..=499 => self.responses_4xx.inc(),
-            500..=599 => self.responses_5xx.inc(),
-            _ => {}
+    /// Records one observation in a histogram series.
+    #[inline]
+    pub fn observe(&self, series: Series, value: u64) {
+        let Series::Histogram(cell) = series else { panic!("{series:?} is not a histogram") };
+        self.histograms[cell].observe(value);
+    }
+
+    /// A counter's value, or a histogram's observation count.
+    pub fn get(&self, series: Series) -> u64 {
+        match series {
+            Series::Counter(cell) => self.counters[cell].get(),
+            Series::Histogram(cell) => self.histograms[cell].count(),
         }
     }
 
-    /// Records an end-to-end latency observation for a query route.
-    pub fn latency(&self, route: Route, micros: u64) {
-        match route {
-            Route::Recommend => self.latency_recommend_us.observe(micros),
-            Route::Target => self.latency_target_us.observe(micros),
-            _ => {}
+    /// The current value of a [`Kind::Derived`] family.
+    pub fn derived(&self, family: Family) -> f64 {
+        match family.row().kind {
+            Kind::Derived(compute) => compute(self),
+            _ => panic!("{family:?} is not a derived family"),
         }
-    }
-
-    /// Records the size of one executed micro-batch.
-    pub fn batch(&self, route: Route, size: usize) {
-        match route {
-            Route::Recommend => self.batch_recommend.observe(size as u64),
-            Route::Target => self.batch_target.observe(size as u64),
-            _ => {}
-        }
-    }
-
-    /// Batches executed so far for a query route.
-    pub fn batches(&self, route: Route) -> u64 {
-        match route {
-            Route::Recommend => self.batch_recommend.count(),
-            Route::Target => self.batch_target.count(),
-            _ => 0,
-        }
-    }
-
-    /// Counts an embedding-cache hit.
-    pub fn cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    /// Counts an embedding-cache miss.
-    pub fn cache_miss(&self) {
-        self.cache_misses.inc();
-    }
-
-    /// Counts a successful checkpoint reload.
-    pub fn reload(&self) {
-        self.reloads.inc();
-    }
-
-    /// Counts a connection turned away at the connection cap.
-    pub fn connection_rejected(&self) {
-        self.connections_rejected.inc();
-    }
-
-    /// Counts a request shed at admission because the queue was full.
-    pub fn shed_queue_full(&self) {
-        self.shed_queue_full.inc();
-    }
-
-    /// Counts a queued job shed because its deadline passed.
-    pub fn shed_deadline(&self) {
-        self.shed_deadline.inc();
-    }
-
-    /// Counts a request shed at admission by the brownout `shed` step.
-    pub fn shed_brownout(&self) {
-        self.shed_brownout.inc();
-    }
-
-    /// Requests shed so far, across all reasons.
-    pub fn sheds(&self) -> u64 {
-        self.shed_queue_full.get() + self.shed_deadline.get() + self.shed_brownout.get()
-    }
-
-    /// Deadline sheds so far — sampled by the brownout controller as its
-    /// deadline-miss pressure signal.
-    pub fn shed_deadlines(&self) -> u64 {
-        self.shed_deadline.get()
-    }
-
-    /// Counts one shard failure absorbed by the quorum policy.
-    pub fn shard_error(&self, shard: usize) {
-        self.shard_errors[shard.min(SHARD_ERROR_LABELS.len() - 1)].inc();
-    }
-
-    /// Shard failures absorbed so far, summed across shards.
-    pub fn shard_errors(&self) -> u64 {
-        self.shard_errors.iter().map(Counter::get).sum()
-    }
-
-    /// Counts one degraded 200 response; `shard` distinguishes a missing
-    /// shard from a content-affecting brownout step.
-    pub fn degraded_response(&self, shard: bool) {
-        if shard {
-            self.degraded_shard.inc();
-        } else {
-            self.degraded_brownout.inc();
-        }
-    }
-
-    /// Degraded responses served so far, across both reasons.
-    pub fn degraded_responses(&self) -> u64 {
-        self.degraded_shard.get() + self.degraded_brownout.get()
     }
 
     /// Folds one per-job service-time observation (µs) into the EWMA
@@ -309,143 +399,37 @@ impl Metrics {
         self.service_ewma_us.load(Ordering::Relaxed)
     }
 
-    /// Records one completed primary/shadow comparison: overlap@k in
-    /// milli-units and the mean |score delta| over the overlap in
-    /// micro-units (see [`crate::shadow::paired_deltas`]). Non-query
-    /// routes are ignored.
-    pub fn shadow_pair(&self, route: Route, overlap_milli: u64, score_delta_micro: u64) {
-        match route {
-            Route::Recommend => self.shadow_pairs_recommend.inc(),
-            Route::Target => self.shadow_pairs_target.inc(),
-            _ => return,
-        }
-        self.shadow_overlap_milli.add(overlap_milli);
-        self.shadow_score_delta_micro.add(score_delta_micro);
-    }
-
-    /// Counts one sampled mirror that was lost (queue full, shadow
-    /// vocabulary too small, or shadow execution panicked).
-    pub fn shadow_dropped(&self) {
-        self.shadow_dropped.inc();
-    }
-
-    /// Records a mirrored job's queue wait (primary answer → shadow
-    /// dequeue), µs.
-    pub fn shadow_lag(&self, micros: u64) {
-        self.shadow_lag_us.observe(micros);
-    }
-
-    /// Records one shadow pipeline execution, µs.
-    pub fn shadow_exec(&self, micros: u64) {
-        self.shadow_exec_us.observe(micros);
-    }
-
-    /// Paired comparisons completed so far, across both routes.
-    pub fn shadow_pairs(&self) -> u64 {
-        self.shadow_pairs_recommend.get() + self.shadow_pairs_target.get()
-    }
-
-    /// Sampled mirrors lost so far.
-    pub fn shadow_dropped_total(&self) -> u64 {
-        self.shadow_dropped.get()
-    }
-
-    /// Mean overlap@k over all completed pairs (0.0 before the first;
-    /// 1.0 means every shadow answer matched its primary exactly).
-    pub fn shadow_overlap_ratio(&self) -> f64 {
-        let pairs = self.shadow_pairs();
-        if pairs == 0 {
-            0.0
-        } else {
-            self.shadow_overlap_milli.get() as f64 / (pairs as f64 * 1000.0)
-        }
-    }
-
-    /// Mean |score delta| over all completed pairs' overlaps.
-    pub fn shadow_score_delta_mean(&self) -> f64 {
-        let pairs = self.shadow_pairs();
-        if pairs == 0 {
-            0.0
-        } else {
-            self.shadow_score_delta_micro.get() as f64 / (pairs as f64 * 1e6)
-        }
-    }
-
-    /// Renders the `unimatch_shadow_*` families. Separate from
-    /// [`Metrics::render`] so a shadow-less server's scrape stays
-    /// byte-identical to builds without the shadow plane — the server
-    /// appends this only when a shadow is armed.
-    pub fn render_shadow(&self, sample_rate: f64) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(1024);
-        writeln!(out, "unimatch_shadow_sample_rate {sample_rate}").expect("write to String");
-        self.shadow_pairs_recommend.render(
-            "unimatch_shadow_pairs_total",
-            "route=\"recommend\"",
-            &mut out,
-        );
-        self.shadow_pairs_target.render("unimatch_shadow_pairs_total", "route=\"target\"", &mut out);
-        self.shadow_dropped.render("unimatch_shadow_dropped_total", "", &mut out);
-        self.shadow_overlap_milli.render("unimatch_shadow_overlap_sum_milli", "", &mut out);
-        writeln!(out, "unimatch_shadow_overlap_ratio {}", self.shadow_overlap_ratio())
-            .expect("write to String");
-        self.shadow_score_delta_micro.render(
-            "unimatch_shadow_score_delta_sum_micro",
-            "",
-            &mut out,
-        );
-        writeln!(out, "unimatch_shadow_score_delta_mean {}", self.shadow_score_delta_mean())
-            .expect("write to String");
-        self.shadow_lag_us.render("unimatch_shadow_lag_us", "", &mut out);
-        self.shadow_exec_us.render("unimatch_shadow_exec_us", "", &mut out);
-        out
-    }
-
-    /// Renders the text exposition. `model_version` is sampled by the
-    /// caller from the serving handle at scrape time.
-    pub fn render(&self, model_version: u64) -> String {
-        use std::fmt::Write;
+    /// Renders one [`Section`] of the text exposition, walking the
+    /// catalogue in order. `sampled` carries the scrape-time value of
+    /// every [`Kind::Sampled`] family of the section.
+    pub fn render(&self, section: Section, sampled: &[(Family, f64)]) -> String {
         let mut out = String::with_capacity(4096);
-        for route in Route::ALL {
-            writeln!(
-                out,
-                "unimatch_requests_total{{route=\"{}\"}} {}",
-                route.label(),
-                self.requests(route)
-            )
-            .expect("write to String");
+        let rows = CATALOGUE.iter().enumerate().filter(|(_, row)| row.section == section);
+        for (index, row) in rows {
+            // a derived or sampled family is its one unlabelled series
+            for (label, value) in row.label_values.iter().enumerate() {
+                let labels = if row.label_key.is_empty() {
+                    String::new()
+                } else {
+                    format!("{}=\"{value}\"", row.label_key)
+                };
+                let cell = FIRST_CELL[index] + label;
+                match row.kind {
+                    Kind::Counter => self.counters[cell].render(row.name, &labels, &mut out),
+                    Kind::Histogram(_) => self.histograms[cell].render(row.name, &labels, &mut out),
+                    Kind::Derived(compute) => {
+                        writeln!(out, "{} {}", row.name, compute(self)).expect("write to String")
+                    }
+                    Kind::Sampled => {
+                        let (_, sample) = sampled
+                            .iter()
+                            .find(|(family, _)| *family as usize == index)
+                            .unwrap_or_else(|| panic!("no sample supplied for {}", row.name));
+                        writeln!(out, "{} {sample}", row.name).expect("write to String")
+                    }
+                }
+            }
         }
-        self.responses_4xx.render("unimatch_responses_total", "class=\"4xx\"", &mut out);
-        self.responses_5xx.render("unimatch_responses_total", "class=\"5xx\"", &mut out);
-        self.latency_recommend_us.render(
-            "unimatch_request_latency_us",
-            "route=\"recommend\"",
-            &mut out,
-        );
-        self.latency_target_us.render("unimatch_request_latency_us", "route=\"target\"", &mut out);
-        self.batch_recommend.render("unimatch_batch_size", "route=\"recommend\"", &mut out);
-        self.batch_target.render("unimatch_batch_size", "route=\"target\"", &mut out);
-        let hits = self.cache_hits.get();
-        let misses = self.cache_misses.get();
-        writeln!(out, "unimatch_embedding_cache_hits_total {hits}").expect("write to String");
-        writeln!(out, "unimatch_embedding_cache_misses_total {misses}").expect("write to String");
-        let ratio = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
-        writeln!(out, "unimatch_embedding_cache_hit_ratio {ratio}").expect("write to String");
-        self.reloads.render("unimatch_reloads_total", "", &mut out);
-        self.connections_rejected.render("unimatch_connections_rejected_total", "", &mut out);
-        self.shed_queue_full.render("unimatch_requests_shed_total", "reason=\"queue_full\"", &mut out);
-        self.shed_deadline.render("unimatch_requests_shed_total", "reason=\"deadline\"", &mut out);
-        self.shed_brownout.render("unimatch_requests_shed_total", "reason=\"brownout\"", &mut out);
-        for (counter, labels) in self.shard_errors.iter().zip(SHARD_ERROR_LABELS) {
-            counter.render("unimatch_shard_errors_total", labels, &mut out);
-        }
-        self.degraded_shard.render("unimatch_degraded_responses_total", "reason=\"shard\"", &mut out);
-        self.degraded_brownout.render(
-            "unimatch_degraded_responses_total",
-            "reason=\"brownout\"",
-            &mut out,
-        );
-        writeln!(out, "unimatch_model_version {model_version}").expect("write to String");
         out
     }
 }
@@ -455,84 +439,64 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exposition_contains_all_families() {
+    fn series_ids_are_distinct_cells_in_catalogue_order() {
+        assert_eq!(Family::Requests.at(0), Series::Counter(0));
+        assert_eq!(Family::Requests.at(4), Series::Counter(4));
+        assert_eq!(Family::Responses.with("4xx"), Series::Counter(5));
+        assert_eq!(Family::RequestLatency.at(1), Series::Histogram(1));
+        assert_eq!(Family::BatchSize.with("recommend"), Series::Histogram(2));
+        assert_eq!(Family::RequestsShed.with("deadline"), Family::RequestsShed.at(1));
+        // every stored series gets its own cell, and `new` builds them all
         let m = Metrics::new();
-        m.request(Route::Recommend);
-        m.request(Route::Metrics);
-        m.response(404);
-        m.response(500);
-        m.latency(Route::Recommend, 123);
-        m.batch(Route::Recommend, 7);
-        m.cache_hit();
-        m.cache_miss();
-        m.reload();
-        m.connection_rejected();
-        m.shed_queue_full();
-        m.shed_deadline();
-        m.shed_brownout();
-        m.shard_error(1);
-        m.shard_error(99);
-        m.degraded_response(true);
-        m.degraded_response(false);
-        let text = m.render(3);
-        for needle in [
-            "unimatch_requests_total{route=\"recommend\"} 1",
-            "unimatch_requests_total{route=\"metrics\"} 1",
-            "unimatch_responses_total{class=\"4xx\"} 1",
-            "unimatch_responses_total{class=\"5xx\"} 1",
-            "unimatch_request_latency_us_bucket{route=\"recommend\",le=\"250\"} 1",
-            "unimatch_batch_size_bucket{route=\"recommend\",le=\"8\"} 1",
-            "unimatch_embedding_cache_hits_total 1",
-            "unimatch_embedding_cache_hit_ratio 0.5",
-            "unimatch_reloads_total 1",
-            "unimatch_connections_rejected_total 1",
-            "unimatch_requests_shed_total{reason=\"queue_full\"} 1",
-            "unimatch_requests_shed_total{reason=\"deadline\"} 1",
-            "unimatch_requests_shed_total{reason=\"brownout\"} 1",
-            "unimatch_shard_errors_total{shard=\"0\"} 0",
-            "unimatch_shard_errors_total{shard=\"1\"} 1",
-            "unimatch_shard_errors_total{shard=\"16+\"} 1",
-            "unimatch_degraded_responses_total{reason=\"shard\"} 1",
-            "unimatch_degraded_responses_total{reason=\"brownout\"} 1",
-            "unimatch_model_version 3",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        let stored = |kind: fn(&Kind) -> bool| -> usize {
+            CATALOGUE.iter().filter(|r| kind(&r.kind)).map(|r| r.label_values.len()).sum()
+        };
+        assert_eq!(m.counters.len(), stored(|k| matches!(k, Kind::Counter)));
+        assert_eq!(m.histograms.len(), stored(|k| matches!(k, Kind::Histogram(_))));
+        for route in [Route::Recommend, Route::Target, Route::Reload, Route::Healthz, Route::Metrics] {
+            assert_eq!(Family::Requests.row().label_values[route.index()], route.label());
         }
-        assert_eq!(m.sheds(), 3);
-        assert_eq!(m.shard_errors(), 2);
-        assert_eq!(m.degraded_responses(), 2);
     }
 
     #[test]
-    fn shadow_families_render_only_through_the_dedicated_section() {
+    #[should_panic(expected = "label index outside the family")]
+    fn a_label_outside_the_family_is_refused() {
+        Family::RequestLatency.at(Route::Reload.index());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a counter")]
+    fn a_histogram_series_cannot_be_counted_into() {
+        Metrics::new().inc(Family::BatchSize.at(0));
+    }
+
+    #[test]
+    fn derived_families_follow_their_sources() {
         let m = Metrics::new();
+        assert_eq!(m.derived(Family::CacheHitRatio), 0.0);
+        assert_eq!(m.derived(Family::ShadowOverlapRatio), 0.0);
+        m.inc(Family::CacheHits.at(0));
+        m.inc(Family::CacheMisses.at(0));
+        assert_eq!(m.derived(Family::CacheHitRatio), 0.5);
+        m.inc(Family::ShadowPairs.at(0));
+        m.inc(Family::ShadowPairs.at(1));
+        m.add(Family::ShadowOverlapSumMilli.at(0), 1500);
+        m.add(Family::ShadowScoreDeltaSumMicro.at(0), 250_000);
+        assert_eq!(m.derived(Family::ShadowOverlapRatio), 0.75);
+        assert_eq!(m.derived(Family::ShadowScoreDeltaMean), 0.125);
+    }
+
+    #[test]
+    fn shadow_families_render_only_in_their_section() {
+        let m = Metrics::new();
+        let owned = m.render(Section::Owned, &[(Family::ModelVersion, 1.0)]);
         assert!(
-            !m.render(1).contains("unimatch_shadow"),
+            !owned.contains("unimatch_shadow"),
             "the base exposition must stay shadow-free (shadow-off byte identity)"
         );
-        m.shadow_pair(Route::Recommend, 1000, 0);
-        m.shadow_pair(Route::Target, 500, 250_000);
-        m.shadow_pair(Route::Healthz, 999, 999); // non-query routes ignored
-        m.shadow_dropped();
-        m.shadow_lag(120);
-        m.shadow_exec(450);
-        let text = m.render_shadow(0.25);
-        for needle in [
-            "unimatch_shadow_sample_rate 0.25",
-            "unimatch_shadow_pairs_total{route=\"recommend\"} 1",
-            "unimatch_shadow_pairs_total{route=\"target\"} 1",
-            "unimatch_shadow_dropped_total 1",
-            "unimatch_shadow_overlap_sum_milli 1500",
-            "unimatch_shadow_overlap_ratio 0.75",
-            "unimatch_shadow_score_delta_sum_micro 250000",
-            "unimatch_shadow_score_delta_mean 0.125",
-            "unimatch_shadow_lag_us_count 1",
-            "unimatch_shadow_exec_us_count 1",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-        assert_eq!(m.shadow_pairs(), 2);
-        assert_eq!(m.shadow_dropped_total(), 1);
+        let process =
+            m.render(Section::Process, &[(Family::FaultsFired, 0.0), (Family::BrownoutLevel, 0.0)]);
+        assert_eq!(process, "unimatch_faults_fired_total 0\nunimatch_brownout_level 0\n");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::batcher::{run_batcher, BatchConfig, Job, JobError, Query};
 use crate::brownout::{BrownoutControl, BrownoutSpec, BrownoutState};
 use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Family, Metrics, Route, Section, Series};
 use crate::shadow::{run_shadow_worker, ShadowSpec, ShadowState};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -143,7 +143,6 @@ pub struct Server {
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shared: Option<Arc<Shared>>,
     handle: Arc<ModelHandle>,
-    metrics: Arc<Metrics>,
 }
 
 impl Server {
@@ -228,7 +227,7 @@ impl Server {
 
         let shared = Arc::new(Shared {
             handle: handle.clone(),
-            metrics: metrics.clone(),
+            metrics,
             queues,
             read_timeout: config.read_timeout,
             queue_bound: config.queue_bound,
@@ -260,18 +259,12 @@ impl Server {
             conn_threads,
             shared: Some(shared),
             handle,
-            metrics,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The serving metrics, shared with all server threads.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        self.metrics.clone()
     }
 
     /// The hot-swappable model handle this server answers from.
@@ -338,7 +331,8 @@ fn accept_loop(
         }
         let Ok(mut stream) = stream else { continue };
         if active.load(Ordering::SeqCst) >= max_connections {
-            shared.metrics.connection_rejected();
+            shared.metrics.inc(Family::ConnectionsRejected.at(0));
+            count_response(&shared.metrics, 503);
             let body = error_body("server at connection capacity");
             let retry = retry_after_secs(&shared).to_string();
             let _ = write_response_with(
@@ -383,7 +377,9 @@ fn run_brownout_controller(
 ) {
     let spec = state.spec().clone();
     let mut control = BrownoutControl::new(&spec);
-    let mut last_misses = metrics.shed_deadlines();
+    // deadline sheds are the controller's deadline-miss pressure signal
+    const DEADLINE_SHEDS: Series = Family::RequestsShed.with("deadline");
+    let mut last_misses = metrics.get(DEADLINE_SHEDS);
     while !shutdown.load(Ordering::SeqCst) {
         let mut remaining = spec.interval;
         while !remaining.is_zero() && !shutdown.load(Ordering::SeqCst) {
@@ -395,7 +391,7 @@ fn run_brownout_controller(
             break;
         }
         let depth = depths.iter().map(|d| d.load(Ordering::SeqCst)).sum();
-        let misses = metrics.shed_deadlines();
+        let misses = metrics.get(DEADLINE_SHEDS);
         let level = control.observe(depth, misses - last_misses);
         last_misses = misses;
         state.set_level(level);
@@ -440,6 +436,15 @@ fn query_body(
     Json::obj(fields).to_bytes()
 }
 
+/// Counts one response in its error class (2xx/3xx are not counted).
+fn count_response(metrics: &Metrics, status: u16) {
+    match status {
+        400..=499 => metrics.inc(const { Family::Responses.with("4xx") }),
+        500..=599 => metrics.inc(const { Family::Responses.with("5xx") }),
+        _ => {}
+    }
+}
+
 fn error_body(message: &str) -> Vec<u8> {
     Json::obj(vec![("error", Json::str(message))]).to_bytes()
 }
@@ -450,12 +455,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(HttpError::Malformed(msg)) => {
-            shared.metrics.response(400);
+            count_response(&shared.metrics, 400);
             let _ = write_response(&mut stream, 400, "application/json", &error_body(msg));
             return;
         }
         Err(HttpError::TooLarge) => {
-            shared.metrics.response(413);
+            count_response(&shared.metrics, 413);
             let _ =
                 write_response(&mut stream, 413, "application/json", &error_body("body too large"));
             return;
@@ -468,10 +473,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let started = Instant::now();
     let (route, status, content_type, body) = dispatch(&request, shared);
     if let Some(route) = route {
-        shared.metrics.request(route);
-        shared.metrics.latency(route, started.elapsed().as_micros() as u64);
+        shared.metrics.inc(Family::Requests.at(route.index()));
+        if matches!(route, Route::Recommend | Route::Target) {
+            let micros = started.elapsed().as_micros() as u64;
+            shared.metrics.observe(Family::RequestLatency.at(route.index()), micros);
+        }
     }
-    shared.metrics.response(status);
+    count_response(&shared.metrics, status);
     // Overload answers tell the client when to come back; everything else
     // uses the plain writer.
     let retry: String;
@@ -535,6 +543,8 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
             // body stays byte-identical to builds without the plane
             if let Some(sh) = &shared.shadow {
                 let shadow_state = sh.handle.current();
+                let m = &shared.metrics;
+                let pairs = m.get(Family::ShadowPairs.at(0)) + m.get(Family::ShadowPairs.at(1));
                 fields.push((
                     "shadow",
                     Json::obj(vec![
@@ -545,12 +555,9 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
                         ("shards", Json::int(shadow_state.fitted.retriever_shards())),
                         ("rerank", Json::str(shadow_state.fitted.rerank_spec())),
                         ("store", Json::str(shadow_state.fitted.store_format().name())),
-                        ("pairs", Json::int(shared.metrics.shadow_pairs() as usize)),
-                        ("dropped", Json::int(shared.metrics.shadow_dropped_total() as usize)),
-                        (
-                            "overlap",
-                            Json::F32(shared.metrics.shadow_overlap_ratio() as f32),
-                        ),
+                        ("pairs", Json::int(pairs as usize)),
+                        ("dropped", Json::int(m.get(Family::ShadowDropped.at(0)) as usize)),
+                        ("overlap", Json::F32(m.derived(Family::ShadowOverlapRatio) as f32)),
                     ]),
                 ));
             }
@@ -564,21 +571,21 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
             // subsystems expose through the same endpoint, plus the armed
             // fault plane's fire count (0 while disarmed) so chaos runs can
             // correlate injected faults with the shed/error series above.
-            let mut text = shared.metrics.render(shared.handle.version());
+            let m = &shared.metrics;
+            let version = shared.handle.version() as f64;
+            let mut text = m.render(Section::Owned, &[(Family::ModelVersion, version)]);
             text.push_str(&unimatch_obs::registry::render());
-            text.push_str(&format!(
-                "unimatch_faults_fired_total {}\n",
-                unimatch_faults::fired_total()
-            ));
-            text.push_str(&format!(
-                "unimatch_brownout_level {}\n",
-                shared.brownout.as_ref().map_or(0, |b| b.level())
+            let fired = unimatch_faults::fired_total() as f64;
+            let level = shared.brownout.as_ref().map_or(0, |b| b.level()) as f64;
+            text.push_str(&m.render(
+                Section::Process,
+                &[(Family::FaultsFired, fired), (Family::BrownoutLevel, level)],
             ));
             if let Some(sh) = &shared.shadow {
-                text.push_str(&shared.metrics.render_shadow(sh.state.sample_rate()));
-                text.push_str(&format!(
-                    "unimatch_shadow_model_version {}\n",
-                    sh.handle.version()
+                let (rate, version) = (sh.state.sample_rate(), sh.handle.version() as f64);
+                text.push_str(&m.render(
+                    Section::Shadow,
+                    &[(Family::ShadowSampleRate, rate), (Family::ShadowModelVersion, version)],
                 ));
             }
             (Some(Route::Metrics), 200, "text/plain; version=0.0.4", text.into_bytes())
@@ -642,14 +649,14 @@ fn route_query(route: Route, request: &Request, shared: &Shared) -> Dispatch {
         Err(msg) => return (tag, 400, "application/json", error_body(&msg)),
     };
     if shared.brownout.as_ref().is_some_and(|b| b.shedding()) {
-        shared.metrics.shed_brownout();
+        shared.metrics.inc(const { Family::RequestsShed.with("brownout") });
         return (tag, 503, "application/json", error_body("brownout: shedding load"));
     }
     // admission control: claim one queue slot and stamp the job's deadline,
     // or shed when the queue is at its bound
     if queue.depth.fetch_add(1, Ordering::SeqCst) >= shared.queue_bound {
         queue.depth.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.shed_queue_full();
+        shared.metrics.inc(const { Family::RequestsShed.with("queue_full") });
         return (tag, 429, "application/json", error_body("admission queue full"));
     }
     let deadline = Instant::now() + shared.request_deadline;
@@ -697,7 +704,7 @@ fn route_reload(request: &Request, shared: &Shared) -> Dispatch {
     };
     match shared.handle.reload(checkpoint.as_deref().map(Path::new)) {
         Ok(state) => {
-            shared.metrics.reload();
+            shared.metrics.inc(Family::Reloads.at(0));
             *shared.last_reload.lock().expect("reload state poisoned") = Some(ReloadOutcome {
                 accepted: true,
                 version: state.version,

@@ -31,7 +31,7 @@
 //!    overlap 1.0 and score delta 0 exactly.
 
 use crate::batcher::Query;
-use crate::metrics::Metrics;
+use crate::metrics::{Family, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -139,7 +139,7 @@ impl ShadowState {
             enqueued: Instant::now(),
         };
         if self.tx.try_send(job).is_err() {
-            self.metrics.shadow_dropped();
+            self.metrics.inc(Family::ShadowDropped.at(0));
         }
     }
 }
@@ -170,25 +170,27 @@ fn answer(fitted: &FittedUniMatch, query: &Query, k: usize) -> Vec<(u32, f32)> {
 pub fn run_shadow_worker(rx: Receiver<ShadowJob>, handle: Arc<ModelHandle>, metrics: Arc<Metrics>) {
     while let Ok(ShadowJob { query, k, primary, enqueued }) = rx.recv() {
         let state = handle.current();
-        metrics.shadow_lag(enqueued.elapsed().as_micros() as u64);
+        metrics.observe(Family::ShadowLag.at(0), enqueued.elapsed().as_micros() as u64);
         // a shadow checkpoint with a smaller vocabulary cannot answer
         // this request; count it as dropped
         if query.validate(k, state.fitted.num_items() as u32).is_err() {
-            metrics.shadow_dropped();
+            metrics.inc(Family::ShadowDropped.at(0));
             continue;
         }
         let started = Instant::now();
         let shadow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             answer(&state.fitted, &query, k)
         }));
-        metrics.shadow_exec(started.elapsed().as_micros() as u64);
+        metrics.observe(Family::ShadowExec.at(0), started.elapsed().as_micros() as u64);
         match shadow {
             Ok(answer) => {
                 let (overlap, delta) =
                     paired_deltas(k, primary.iter().copied(), answer.iter().copied());
-                metrics.shadow_pair(query.route(), overlap, delta);
+                metrics.inc(Family::ShadowPairs.at(query.route().index()));
+                metrics.add(Family::ShadowOverlapSumMilli.at(0), overlap);
+                metrics.add(Family::ShadowScoreDeltaSumMicro.at(0), delta);
             }
-            Err(_) => metrics.shadow_dropped(),
+            Err(_) => metrics.inc(Family::ShadowDropped.at(0)),
         }
     }
 }
@@ -271,9 +273,10 @@ mod tests {
         for _ in 0..5 {
             state.submit(&Query::Item(1), 3, &[(1, 0.5)]);
         }
-        assert_eq!(metrics.shadow_dropped_total(), 3, "bound 2 holds 2 of 5 submissions");
+        let dropped = || metrics.get(Family::ShadowDropped.at(0));
+        assert_eq!(dropped(), 3, "bound 2 holds 2 of 5 submissions");
         drop(rx);
         state.submit(&Query::Item(1), 3, &[(1, 0.5)]);
-        assert_eq!(metrics.shadow_dropped_total(), 4, "closed queue also drops");
+        assert_eq!(dropped(), 4, "closed queue also drops");
     }
 }

@@ -7,13 +7,16 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unimatch_core::persist::save_model;
 use unimatch_core::{FittedUniMatch, ModelHandle, ShardPolicy, UniMatch, UniMatchConfig};
-use unimatch_data::DatasetProfile;
+use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
-use unimatch_serve::{recommend_body, target_body, BrownoutSpec, ServeConfig, Server};
+use unimatch_serve::{
+    recommend_body, target_body, BrownoutSpec, ServeConfig, Server, ShadowSpec,
+};
 
 /// One HTTP/1.1 request over a fresh connection; `(status, head, body)`.
 fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
@@ -30,12 +33,7 @@ fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, V
     stream.write_all(body).expect("send body");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read response");
-    let head_end =
-        response.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body separator");
-    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head").to_string();
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, head, response[head_end + 4..].to_vec())
+    parse_response(&response)
 }
 
 /// Everything the loop needs to know about a route, as data.
@@ -183,16 +181,24 @@ fn outcomes() -> Vec<Outcome> {
     ]
 }
 
-#[test]
-fn both_routes_walk_the_same_outcomes() {
-    unimatch_faults::clear();
-    let dir = std::env::temp_dir().join(format!("unimatch_serve_routes_{}", std::process::id()));
+/// Fits the suite's model — the default (HNSW) backend, two shards so
+/// `ann.shard.search.0` has a seam — and saves it under a fresh `name`d
+/// temp dir: `(dir, log, config, checkpoint)`.
+fn fitted_checkpoint(name: &str) -> (PathBuf, InteractionLog, UniMatchConfig, PathBuf) {
+    let dir =
+        std::env::temp_dir().join(format!("unimatch_serve_routes_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let log = DatasetProfile::EComp.generate(0.12, 17).filter_min_interactions(3);
-    // the default (HNSW) backend, two shards so `ann.shard.search.0` has a seam
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, shards: 2, ..Default::default() };
     let checkpoint = dir.join("model.json");
     save_model(&UniMatch::new(cfg.clone()).fit(log.clone()).model, &checkpoint).expect("save");
+    (dir, log, cfg, checkpoint)
+}
+
+#[test]
+fn both_routes_walk_the_same_outcomes() {
+    unimatch_faults::clear();
+    let (dir, log, cfg, checkpoint) = fitted_checkpoint("outcomes");
     let handle = |policy: ShardPolicy| {
         let cfg = UniMatchConfig { shard_policy: policy, ..cfg.clone() };
         Arc::new(
@@ -302,5 +308,98 @@ fn both_routes_walk_the_same_outcomes() {
     assert_eq!(requests("recommend"), requests("target"), "{metrics}");
 
     drop(servers);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Splits a raw response into `(status, head, body)`.
+fn parse_response(response: &[u8]) -> (u16, String, Vec<u8>) {
+    let head_end =
+        response.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body separator");
+    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head").to_string();
+    let status: u16 =
+        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
+    (status, head, response[head_end + 4..].to_vec())
+}
+
+/// The connection cap: with `max_connections: 1` and one connection parked
+/// mid-request, the next connect is answered `503` + `Retry-After` and
+/// counted — as a rejected connection *and* as a 5xx response. The parked
+/// connection is itself the `/metrics` scrape, so what it reads once it
+/// completes is ordered after the rejection without any sleep; the same
+/// body pins the section order of a live scrape.
+#[test]
+fn connection_cap_rejects_counts_and_the_scrape_keeps_its_order() {
+    let (dir, log, cfg, checkpoint) = fitted_checkpoint("cap");
+    let handle = Arc::new(
+        ModelHandle::from_checkpoint(UniMatch::new(cfg), &checkpoint, log).expect("checkpoint loads"),
+    );
+    // a registry series, so the process-global block is not empty
+    unimatch_obs::registry::counter("routes_suite_registry_marker_total").inc();
+    let server = Server::start_with_shadow(
+        "127.0.0.1:0",
+        handle.clone(),
+        ServeConfig { max_connections: 1, ..Default::default() },
+        Some(ShadowSpec::new(handle, 1.0)), // A/A, armed so the shadow section renders
+    )
+    .expect("bind");
+    let addr = server.addr().to_string();
+
+    // park the one allowed connection halfway through its request head
+    let mut parked = TcpStream::connect(&addr).expect("connect");
+    parked.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n").expect("send partial head");
+
+    // the accept loop took `parked` first, so this one finds the cap full;
+    // it is answered without its request being read
+    let mut refused = Vec::new();
+    TcpStream::connect(&addr).expect("connect").read_to_end(&mut refused).expect("read 503");
+    let (status, head, body) = parse_response(&refused);
+    assert_eq!(status, 503, "{head}");
+    assert!(String::from_utf8_lossy(&body).contains("connection capacity"));
+    let retry_after: u64 = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Retry-After: "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no Retry-After on the cap's 503:\n{head}"));
+    assert!(retry_after >= 1, "{head}");
+
+    parked.write_all(b"\r\n").expect("finish the head");
+    let mut scraped = Vec::new();
+    parked.read_to_end(&mut scraped).expect("read scrape");
+    let (status, _, body) = parse_response(&scraped);
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8(body).expect("utf8 metrics");
+    let value = |series: &str| -> u64 {
+        let prefix = format!("{series} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing from:\n{metrics}"))
+    };
+    assert_eq!(value("unimatch_connections_rejected_total"), 1);
+    assert!(value("unimatch_responses_total{class=\"5xx\"}") >= 1, "{metrics}");
+
+    // owned block → registry block → fault and brownout gauges → shadow block
+    let landmarks = [
+        "unimatch_requests_total{route=\"recommend\"}",
+        "unimatch_model_version",
+        "routes_suite_registry_marker_total",
+        "unimatch_faults_fired_total",
+        "unimatch_brownout_level",
+        "unimatch_shadow_sample_rate",
+        "unimatch_shadow_model_version",
+    ];
+    let line_of = |series: &str| {
+        metrics
+            .lines()
+            .position(|l| l.starts_with(series))
+            .unwrap_or_else(|| panic!("{series} missing from:\n{metrics}"))
+    };
+    assert_eq!(line_of(landmarks[0]), 0);
+    assert!(landmarks.windows(2).all(|w| line_of(w[0]) < line_of(w[1])), "{metrics}");
+    assert_eq!(line_of("unimatch_brownout_level") + 1, line_of("unimatch_shadow_sample_rate"));
+    assert_eq!(line_of(landmarks[6]) + 1, metrics.lines().count());
+
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

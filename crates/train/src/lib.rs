@@ -1,6 +1,6 @@
 //! # unimatch-train
 //!
-//! Optimizers (SGD, Adam with lazy sparse embedding updates), the training
+//! The optimizer (Adam with lazy sparse embedding updates), the training
 //! loop for every loss pathway of the paper (bbcNCE family, SSM, BCE with
 //! all four negative-sampling strategies), and the month-by-month
 //! **incremental training** schedule of Sec. III-B3 with per-month
@@ -24,6 +24,6 @@ pub mod trainer;
 pub use checkpoint::MonthCheckpoint;
 pub use error::TrainError;
 pub use health::{HealthConfig, HealthMonitor, HealthReport};
-pub use optim::{global_grad_norm, Adam, AdamConfig, AdamState, Sgd};
+pub use optim::{global_grad_norm, Adam, AdamConfig, AdamState};
 pub use schedule::Schedule;
 pub use trainer::{SsmContext, TrainConfig, TrainLoss, TrainStats, Trainer};

@@ -1,5 +1,5 @@
-//! Optimizers: SGD and Adam, both aware of the engine's dense/sparse
-//! gradient split. Embedding tables receive **lazy** updates — only rows
+//! The Adam optimizer, aware of the engine's dense/sparse gradient
+//! split. Embedding tables receive **lazy** updates — only rows
 //! touched by the step pay any cost, which is what makes large-vocabulary
 //! training tractable.
 
@@ -20,37 +20,6 @@ pub fn global_grad_norm(graph: &Graph) -> f32 {
         }
     }
     (sq as f32).sqrt()
-}
-
-/// Plain SGD (optionally used by convergence experiments where Adam's
-/// per-parameter scaling would distort the fitted optimum).
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies one step from the gradients accumulated in `graph`.
-    pub fn step(&mut self, params: &mut ParamSet, graph: &Graph) {
-        for (id, grad) in graph.dense_grads() {
-            params.get_mut(id).axpy(-self.lr, &grad);
-        }
-        for (&id, sparse) in graph.sparse_grads() {
-            let table = params.get_mut(id);
-            for (&row, grad) in &sparse.rows {
-                let dst = table.row_mut(row as usize);
-                for (d, &g) in dst.iter_mut().zip(grad.iter()) {
-                    *d -= self.lr * g;
-                }
-            }
-        }
-    }
 }
 
 /// Adam configuration.
@@ -297,7 +266,7 @@ mod tests {
     use super::*;
     use unimatch_tensor::Graph;
 
-    /// Minimizes (x - 3)^2 with each optimizer.
+    /// Minimizes (x - 3)^2 with the given optimizer step.
     fn quadratic_target(opt_step: &mut dyn FnMut(&mut ParamSet, &Graph)) -> f32 {
         let mut params = ParamSet::new();
         let x = params.add("x", Tensor::vector(&[0.0]));
@@ -311,13 +280,6 @@ mod tests {
             opt_step(&mut params, &g);
         }
         params.get(x).data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1);
-        let x = quadratic_target(&mut |p, g| sgd.step(p, g));
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
     }
 
     #[test]

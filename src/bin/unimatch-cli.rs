@@ -192,11 +192,6 @@ fn store_flag(flags: &HashMap<String, String>) -> RowFormat {
     }
 }
 
-/// Memory-map the item table sidecar (`--mmap true`, default false).
-fn mmap_flag(flags: &HashMap<String, String>) -> bool {
-    flag_or(flags, "mmap", false)
-}
-
 /// The post-retrieval re-ranking pipeline (`--rerank SPEC` +
 /// `--rerank-rules FILE`). The spec is validated here so a typo fails
 /// with the grammar's typed error before any training or index build;
@@ -226,7 +221,8 @@ fn deployment_config(flags: &HashMap<String, String>) -> UniMatchConfig {
         shard_policy: shard_policy_flag(flags),
         rerank: rerank_flag(flags),
         store: store_flag(flags),
-        mmap: mmap_flag(flags),
+        // memory-map the item table sidecar
+        mmap: flag_or(flags, "mmap", false),
         ..Default::default()
     }
 }
@@ -350,22 +346,31 @@ fn cmd_fit(flags: &HashMap<String, String>) {
     );
 }
 
-/// Opens the checkpoint the way `serve` does — [`ModelHandle`] validates
-/// the log and the rerank rules against it — and takes the one snapshot
-/// a one-shot command needs.
+/// Opens a checkpoint as the deployment the flags describe. Every
+/// command that answers queries — `serve`, its shadow, the one-shot
+/// `recommend`/`target`, the `evaluate --rerank` gate — comes through
+/// here, so [`ModelHandle`] validates the log and the rerank rules
+/// against the checkpoint for all of them alike.
+fn open_handle(
+    flags: &HashMap<String, String>,
+    checkpoint: &str,
+    log: &InteractionLog,
+) -> ModelHandle {
+    ModelHandle::from_checkpoint(
+        UniMatch::new(deployment_config(flags)),
+        checkpoint,
+        log.filter_min_interactions(3),
+    )
+    .unwrap_or_else(|e| usage(&format!("cannot serve {checkpoint}: {e}")))
+}
+
+/// The one snapshot a one-shot command needs, plus the vocabularies that
+/// translate its answers.
 fn load_serving(flags: &HashMap<String, String>) -> (Arc<ServingState>, Vocab, Vocab) {
     let model_path = flag(flags, "model");
     let (log, _, _) = read_log(flag(flags, "log"));
     let (up, ip) = vocab_paths(model_path);
-    let users = read_vocab(&up);
-    let items = read_vocab(&ip);
-    let handle = ModelHandle::from_checkpoint(
-        UniMatch::new(deployment_config(flags)),
-        model_path,
-        log.filter_min_interactions(3),
-    )
-    .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
-    (handle.current(), users, items)
+    (open_handle(flags, model_path, &log).current(), read_vocab(&up), read_vocab(&ip))
 }
 
 fn cmd_recommend(flags: &HashMap<String, String>) {
@@ -404,31 +409,24 @@ fn cmd_target(flags: &HashMap<String, String>) {
 
 fn cmd_evaluate(flags: &HashMap<String, String>) {
     let model_path = flag(flags, "model");
-    let model = load_model(model_path)
-        .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
     let (log, _, _) = read_log(flag(flags, "log"));
     let filtered = log.filter_min_interactions(3);
-    let prepared =
-        unimatch_core::PreparedData::from_log(filtered.clone(), model.config().max_seq_len);
     let protocol = ProtocolConfig {
         top_n: flag_or(flags, "top-n", 10),
         negatives: flag_or(flags, "negatives", 99),
     };
     let seed: u64 = flag_or(flags, "seed", 7);
-    // --rerank SPEC gates a chain before rollout: the same model answers
-    // the same full-catalog IR cases raw and through the chain, and the
-    // accuracy / diversity / popularity deltas are printed side by side.
+    // --rerank SPEC gates a chain before rollout: the deployment `serve`
+    // would build from these flags (same checkpoint validation, same
+    // persisted marginals) answers the same full-catalog IR cases raw
+    // and through the chain, and the accuracy / diversity / popularity
+    // deltas are printed side by side.
     if flags.contains_key("rerank") {
-        let config = UniMatchConfig {
-            embed_dim: model.config().embed_dim,
-            max_seq_len: model.config().max_seq_len,
-            extractor: model.config().extractor,
-            aggregator: model.config().aggregator,
-            ..deployment_config(flags)
-        };
         let counts = filtered.item_counts();
-        let fitted = UniMatch::new(config).serve(model, filtered);
-        let r = evaluate_ir_rerank(&fitted, &prepared.split, &protocol, seed, &counts);
+        let state = open_handle(flags, model_path, &log).current();
+        let fitted = &state.fitted;
+        let split = unimatch_core::PreparedData::from_log(filtered, fitted.max_seq_len()).split;
+        let r = evaluate_ir_rerank(fitted, &split, &protocol, seed, &counts);
         println!("rerank chain: {:?} ({} cases, top-{})", r.spec, r.cases, protocol.top_n);
         println!(
             "           {:>10} {:>10} {:>10} {:>10} {:>12}",
@@ -454,14 +452,13 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
         );
         return;
     }
+    let model = load_model(model_path)
+        .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
     // --store-deltas true prints what each row encoding costs in end
     // metrics: one exact-retriever deployment per format answers the same
     // full-catalog IR cases, reported as deltas against the f32 oracle.
     if flag_or(flags, "store-deltas", false) {
-        let config = UniMatchConfig {
-            parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-            ..Default::default()
-        };
+        let config = deployment_config(flags);
         let evals = unimatch_core::evaluate_store_formats(&model, &filtered, &config, &protocol, seed);
         println!("store-format end metrics (exact retriever, top-{}):", protocol.top_n);
         println!(
@@ -486,10 +483,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
     // seeded IR and UT cases, reported as deltas against the exact
     // (brute-force) oracle over those very arenas.
     if flag_or(flags, "backend-deltas", false) {
-        let config = UniMatchConfig {
-            parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
-            ..Default::default()
-        };
+        let config = deployment_config(flags);
         let evals =
             unimatch_core::evaluate_backend_deltas(&model, &filtered, &config, &protocol, seed);
         println!("index-backend end metrics (top-{}):", protocol.top_n);
@@ -511,6 +505,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
         }
         return;
     }
+    let prepared = unimatch_core::PreparedData::from_log(filtered, model.config().max_seq_len);
     let out = evaluate(&model, &prepared.split, &protocol, prepared.max_seq_len, seed);
     println!(
         "IR : Recall@{} {:.2}%  NDCG@{} {:.2}%  ({} cases)",
@@ -630,12 +625,7 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         brownout,
         ..ServeConfig::default()
     };
-    let handle = ModelHandle::from_checkpoint(
-        UniMatch::new(deployment_config(flags)),
-        checkpoint,
-        log.filter_min_interactions(3),
-    )
-    .unwrap_or_else(|e| usage(&format!("cannot serve {checkpoint}: {e}")));
+    let handle = open_handle(flags, checkpoint, &log);
     // --shadow-sample-rate > 0 arms a shadow deployment: a second full
     // pipeline (checkpoint + retriever + store + rerank chain) that a
     // deterministic sample of answered query traffic is mirrored to, off
@@ -667,13 +657,7 @@ fn cmd_serve(flags: &HashMap<String, String>) {
             }
         }
         let shadow_ckpt = flags.get("shadow-ckpt").map(String::as_str).unwrap_or(checkpoint);
-        let shadow_handle = ModelHandle::from_checkpoint(
-            UniMatch::new(deployment_config(&sflags)),
-            shadow_ckpt,
-            log.filter_min_interactions(3),
-        )
-        .unwrap_or_else(|e| usage(&format!("cannot shadow {shadow_ckpt}: {e}")));
-        ShadowSpec::new(Arc::new(shadow_handle), shadow_rate)
+        ShadowSpec::new(Arc::new(open_handle(&sflags, shadow_ckpt, &log)), shadow_rate)
     });
     let server = Server::start_with_shadow(addr.as_str(), Arc::new(handle), serve_cfg, shadow)
         .unwrap_or_else(|e| usage(&format!("cannot bind {addr}: {e}")));

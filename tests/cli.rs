@@ -81,6 +81,9 @@ fn full_cli_workflow() {
     let reason = rejection("recommend", "--model");
     assert!(reason.ends_with("the rerank rules reference item 999999"), "{reason}");
     assert_eq!(reason, rejection("serve", "--checkpoint"));
+    // the offline gate builds the deployment `serve` would, so it refuses
+    // the same chain instead of silently evaluating it unfiltered
+    assert_eq!(reason, rejection("evaluate", "--model"));
 
     let out = cli()
         .args(["target", "--model", model.to_str().expect("utf8")])

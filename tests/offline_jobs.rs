@@ -3,11 +3,11 @@
 
 use rand::SeedableRng;
 use unimatch::core::{
-    evaluate_multi_ir_model, materialize, run_experiment_on, ExperimentOptions, ExperimentSpec,
-    PreparedData, UniMatch, UniMatchConfig,
+    evaluate_multi_ir_model, run_experiment_on, ExperimentOptions, ExperimentSpec, PreparedData,
+    UniMatch, UniMatchConfig,
 };
 use unimatch::data::DatasetProfile;
-use unimatch::eval::{EmbeddingMatrix, ProtocolConfig};
+use unimatch::eval::ProtocolConfig;
 use unimatch::losses::{BiasConfig, MultinomialLoss};
 use unimatch::models::{ModelConfig, TwoTower};
 use unimatch::train::TrainLoss;
@@ -24,14 +24,10 @@ fn nightly_batch_job_agrees_with_online_serving() {
         .map(|ix| fitted.user_pool.history(ix))
         .collect();
     let user_emb = unimatch::core::evaluate::embed_histories(&fitted.model, &histories, 20);
-    let rec = materialize(
-        EmbeddingMatrix::new(&user_emb, dim),
-        EmbeddingMatrix::new(items_t.data(), dim),
-        5,
-        5,
-    );
-    assert_eq!(rec.per_user.len(), fitted.user_pool.len());
-    assert_eq!(rec.per_item.len(), items_t.shape().dim(0));
+    let per_user = unimatch::ann::top_k_exact(&user_emb, items_t.data(), dim, 5);
+    let per_item = unimatch::ann::top_k_exact(items_t.data(), &user_emb, dim, 5);
+    assert_eq!(per_user.len(), fitted.user_pool.len());
+    assert_eq!(per_item.len(), items_t.shape().dim(0));
 
     // online HNSW answers must overlap the exact offline lists heavily
     let mut agree = 0usize;
@@ -42,9 +38,9 @@ fn nightly_batch_job_agrees_with_online_serving() {
             .iter()
             .map(|h| h.id)
             .collect();
-        for &(item, _) in &rec.per_user[ix] {
+        for hit in &per_user[ix] {
             total += 1;
-            if online.contains(&item) {
+            if online.contains(&hit.id) {
                 agree += 1;
             }
         }

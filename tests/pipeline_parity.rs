@@ -83,10 +83,8 @@ fn serve_variant(
     let (path, log) = checkpoint();
     let (model, item_store, marginals) =
         load_checkpoint_with_format(&path, store, false).expect("load checkpoint");
-    let mut cfg = base_config(kind, shards, store, spec);
-    cfg.embed_dim = model.config().embed_dim;
-    cfg.max_seq_len = model.config().max_seq_len;
-    UniMatch::new(cfg).serve_with_store_and_marginals(model, log, item_store, marginals)
+    UniMatch::new(base_config(kind, shards, store, spec))
+        .serve_with_store_and_marginals(model, log, item_store, marginals)
 }
 
 fn assert_hits_bitwise(got: &[Hit], want: &[Hit], site: &str) {

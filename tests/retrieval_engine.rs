@@ -9,8 +9,8 @@
 //! at the layer a user would feel it, not just inside the ann crate.
 
 use unimatch::core::{
-    build_targeting_list, load_checkpoint, save_model, top_k_blocked, CampaignSpec, PreparedData,
-    RetrieverKind, UniMatch, UniMatchConfig,
+    build_targeting_list, load_checkpoint, save_model, CampaignSpec, PreparedData, RetrieverKind,
+    UniMatch, UniMatchConfig,
 };
 use unimatch::data::DatasetProfile;
 use unimatch::eval::ranking::EmbeddingMatrix;
@@ -54,12 +54,12 @@ fn batch_inference_top_k_matches_the_oracle() {
     };
     let queries = mk(150, 3);
     let targets = mk(600, 4);
-    let got = top_k_blocked(EmbeddingMatrix::new(&queries, dim), EmbeddingMatrix::new(&targets, dim), 9);
+    let got = unimatch::ann::top_k_exact(&queries, &targets, dim, 9);
     for (qi, q) in queries.chunks(dim).enumerate() {
         let want = oracle_top_k(q, &targets, dim, 9);
         assert_eq!(got[qi].len(), want.len());
-        for ((gid, gscore), (wid, wscore)) in got[qi].iter().zip(&want) {
-            assert_eq!((gid, gscore.to_bits()), (wid, wscore.to_bits()), "query {qi}");
+        for (hit, (wid, wscore)) in got[qi].iter().zip(&want) {
+            assert_eq!((hit.id, hit.score.to_bits()), (*wid, wscore.to_bits()), "query {qi}");
         }
     }
 }
