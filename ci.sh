@@ -25,9 +25,11 @@
 #    mmap-backed store (--store i8 --mmap); then a second smoke run with
 #    client retries against a server whose shard 0 is wedged by an armed
 #    fault, proving quorum keeps the 200s flowing under partial failure
-# 6. a smoke load run against a server with an A/A shadow armed at
-#    --shadow-sample-rate 0.1, asserting the mirror actually pairs
-#    answers (nonzero unimatch_shadow_pairs_total on /metrics)
+# 6. a smoke load run against an exact-backend server (the default)
+#    with an HNSW shadow armed at --shadow-sample-rate 0.1
+#    (--shadow-spec 'retriever=hnsw' — the one smoke that builds an HNSW
+#    index through the CLI), asserting the mirror actually pairs answers
+#    (nonzero unimatch_shadow_pairs_total on /metrics)
 # 7. clippy over every target with warnings denied
 # 8. rustdoc for the workspace's own crates, failing on any doc warning
 #
@@ -112,13 +114,14 @@ kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 
-echo "==> loadgen --smoke vs an armed A/A shadow (mirror must pair answers)"
-# The shadow serves the same checkpoint (an A/A test); 10% of answered
-# queries are mirrored off the critical path. The smoke passes only if
-# the scrape shows the mirror actually produced pairs.
+echo "==> loadgen --smoke vs an armed exact/HNSW shadow pair (mirror must pair answers)"
+# The shadow serves the same checkpoint through an HNSW index while the
+# primary answers from the default exact scan; 10% of answered queries
+# are mirrored off the critical path. The smoke passes only if the
+# scrape shows the mirror actually produced pairs.
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7981 \
-    --shadow-sample-rate 0.1 &
+    --shadow-sample-rate 0.1 --shadow-spec 'retriever=hnsw' &
 SERVE_PID=$!
 tries=0
 until target/release/unimatch-cli loadgen --addr 127.0.0.1:7981 --smoke \

@@ -3,7 +3,7 @@
 //!
 //! Every index implements [`Retriever`]; serving code (the `unimatch-core`
 //! batch-inference pipeline, the serve handlers, the examples, the bench
-//! harness) programs against the trait so brute force, IVF, and HNSW are
+//! harness) programs against the trait so brute force and HNSW are
 //! interchangeable. Besides the per-query [`Retriever::search`], the trait
 //! provides [`Retriever::search_batch`], which answers many queries in one
 //! call and fans them out across threads via `unimatch-parallel` when the
@@ -146,7 +146,7 @@ pub trait Retriever: Send + Sync {
     /// Embedding dimension.
     fn dim(&self) -> usize;
 
-    /// Stable backend name (`"bruteforce"`, `"hnsw"`, `"ivf"`), used for
+    /// Stable backend name (`"bruteforce"`, `"hnsw"`), used for
     /// metric labels and surfaced through serving introspection.
     fn backend(&self) -> &'static str;
 
@@ -156,7 +156,6 @@ pub trait Retriever: Send + Sync {
         match self.backend() {
             "bruteforce" => "index=\"bruteforce\"",
             "hnsw" => "index=\"hnsw\"",
-            "ivf" => "index=\"ivf\"",
             _ => "index=\"other\"",
         }
     }
@@ -196,7 +195,7 @@ pub trait Retriever: Send + Sync {
         );
         let nq = queries.len() / d;
         // 2 flops per multiply-add; exact for brute force, an upper bound
-        // for the pruned indexes (IVF probes a subset, HNSW walks a graph).
+        // for HNSW, which walks a graph.
         let work = nq * self.len() * d * 2;
         par_map_indexed(nq, work, |i| self.search(&queries[i * d..(i + 1) * d], k))
     }

@@ -1,7 +1,7 @@
 //! The one exact-scoring kernel behind every retrieval path.
 //!
 //! Historically each crate carried its own `dot` + top-k loop (brute
-//! force scan, HNSW neighbour scoring, IVF probing, the batch-inference
+//! force scan, HNSW neighbour scoring, the batch-inference
 //! block loop, the eval ranking pools). They all computed the same thing;
 //! this module is the single shared implementation: [`dot`], the
 //! crate-internal `TopK` bounded heap, and [`top_k_exact`] — a
@@ -257,7 +257,7 @@ mod tests {
         let ids: Vec<u32> = t.into_sorted().iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![2, 0]);
 
-        // rows visited out of id order (IVF lists): a lower id tying the
+        // rows visited out of id order (HNSW graph walks): a lower id tying the
         // boundary score must still be admitted
         let mut t = TopK::new(2);
         for (id, s) in [(7, 0.5), (9, 0.9), (3, 0.5)] {
@@ -414,21 +414,19 @@ mod tests {
         let dim = 6;
         let queries = pseudo_random(140 * dim, 0x111);
         let targets = pseudo_random(531 * dim, 0x222);
-        for format in [crate::RowFormat::F16, crate::RowFormat::I8] {
-            let store = crate::EmbeddingStore::from_rows(&targets, dim).quantize(format);
-            let got = top_k_exact_store(&queries, &store, 9);
-            for (q, hits) in got.iter().enumerate() {
-                let query = &queries[q * dim..(q + 1) * dim];
-                let mut top = TopK::new(9);
-                for t in 0..store.rows() {
-                    top.push(t as u32, store.score_row(query, t));
-                }
-                let want = top.into_sorted();
-                assert_eq!(hits.len(), want.len(), "{format:?} q={q}");
-                for (g, w) in hits.iter().zip(&want) {
-                    assert_eq!(g.id, w.id, "{format:?} q={q}");
-                    assert_eq!(g.score.to_bits(), w.score.to_bits(), "{format:?} q={q}");
-                }
+        let store = crate::EmbeddingStore::from_rows(&targets, dim).quantize(crate::RowFormat::I8);
+        let got = top_k_exact_store(&queries, &store, 9);
+        for (q, hits) in got.iter().enumerate() {
+            let query = &queries[q * dim..(q + 1) * dim];
+            let mut top = TopK::new(9);
+            for t in 0..store.rows() {
+                top.push(t as u32, store.score_row(query, t));
+            }
+            let want = top.into_sorted();
+            assert_eq!(hits.len(), want.len(), "q={q}");
+            for (g, w) in hits.iter().zip(&want) {
+                assert_eq!(g.id, w.id, "q={q}");
+                assert_eq!(g.score.to_bits(), w.score.to_bits(), "q={q}");
             }
         }
     }

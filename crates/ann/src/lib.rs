@@ -10,18 +10,16 @@
 //! * [`EmbeddingStore`] — the shared, 32-byte-aligned, row-major
 //!   embedding arena every backend scores against (one copy of the
 //!   vectors, however many indexes are built over it). Rows can be
-//!   stored full-precision or quantized ([`RowFormat`]: `f32`/`f16`/
-//!   per-row affine `i8`), and the arena bytes can live on the heap or
+//!   stored full-precision or quantized ([`RowFormat`]: `f32` / per-row
+//!   affine `i8`), and the arena bytes can live on the heap or
 //!   in a read-only mmap of a [`table`] sidecar file ([`StoreBacking`]);
 //! * [`kernel`] — the single exact-scoring kernel: the workspace's one
 //!   [`kernel::dot`], the blocked/tiled [`kernel::top_k_exact`], and its
 //!   store-aware twin [`kernel::top_k_exact_store`] whose inner loop is
 //!   the fused dequant-dot for quantized rows;
 //! * [`Retriever`] — the backend-agnostic search trait, implemented by
-//!   [`BruteForceIndex`] (exact scan, the correctness baseline),
-//!   [`IvfIndex`] (spherical k-means inverted lists with `nprobe`
-//!   tuning), and [`HnswIndex`] (hierarchical navigable small-world
-//!   graph).
+//!   [`BruteForceIndex`] (exact scan, the correctness baseline) and
+//!   [`HnswIndex`] (hierarchical navigable small-world graph).
 //!
 //! All backends perform maximum-inner-product top-k over unit vectors
 //! (equivalently cosine similarity). `AnnIndex` remains as an alias of
@@ -38,7 +36,6 @@
 pub mod bruteforce;
 pub mod hnsw;
 pub mod index;
-pub mod ivf;
 pub mod kernel;
 pub mod order;
 pub mod sharded;
@@ -51,13 +48,11 @@ pub use index::{
     Hit, QuorumError, Retriever, Retriever as AnnIndex, SearchOptions, ShardFailureKind,
     ShardHealth,
 };
-pub use ivf::{IvfConfig, IvfIndex};
 pub use kernel::{dot, top_k_exact, top_k_exact_store};
 pub use order::{canonical, sort_canonical};
 pub use sharded::{ShardPolicy, ShardedRetriever};
 pub use store::{
-    f16_to_f32, f32_to_f16, i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat,
-    StoreBacking, STORE_ALIGN,
+    i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat, StoreBacking, STORE_ALIGN,
 };
 pub use table::{
     open_table, open_table_with, read_table_header, write_atomic, write_table, TableHeader,

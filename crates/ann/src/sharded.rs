@@ -24,11 +24,11 @@
 //!   merge resolves cross-shard ties by global id exactly as one big
 //!   stable scan would.
 //!
-//! For approximate backends (HNSW, IVF) each shard builds its *own*
-//! graph/lists over its row range, so sharded recall differs from the
+//! For the approximate backend (HNSW) each shard builds its *own*
+//! graph over its row range, so sharded recall differs from the
 //! single-index build in general — but configured to be effectively
-//! exact (`ef ≥ rows`, `nprobe = nlist`) they inherit the same bitwise
-//! guarantee, which the sharded differential suite pins.
+//! exact (`ef ≥ rows`) it inherits the same bitwise guarantee, which
+//! the sharded differential suite pins.
 //!
 //! ## Failure isolation
 //!

@@ -4,13 +4,13 @@
 //! allocation (one cache-line-friendly, SIMD-ready block) plus an
 //! optional id↔row mapping for corpora whose external ids are not dense
 //! row indices (e.g. the user pool's user ids). Indexes hold the store
-//! behind an `Arc`, so brute force, HNSW, and IVF built over the same
-//! embeddings share one arena instead of three private copies.
+//! behind an `Arc`, so brute force and HNSW built over the same
+//! embeddings share one arena instead of two private copies.
 //!
 //! Two orthogonal axes extend the original f32 arena:
 //!
-//! * **[`RowFormat`]** — rows are stored as `f32`, IEEE 754 half
-//!   precision (`f16`), or per-row affine-quantized 8-bit codes (`i8`).
+//! * **[`RowFormat`]** — rows are stored as `f32` or per-row
+//!   affine-quantized 8-bit codes (`i8`).
 //!   Quantized stores never hand out borrowed `&[f32]` rows; scoring
 //!   goes through the fused [`EmbeddingStore::score_row`] (dequantize
 //!   inside the multiply-add loop, no row materialized) and cold paths
@@ -42,8 +42,6 @@ pub const STORE_ALIGN: usize = 32;
 pub enum RowFormat {
     /// Full-precision `f32` rows (the training/checkpoint format).
     F32,
-    /// IEEE 754 binary16 rows: 2 bytes per value, ~3 decimal digits.
-    F16,
     /// Per-row affine 8-bit codes: 1 byte per value plus a `[scale,
     /// zero]` pair per row; `value = zero + scale * code`.
     I8,
@@ -54,16 +52,14 @@ impl RowFormat {
     pub fn bytes_per_value(self) -> usize {
         match self {
             RowFormat::F32 => 4,
-            RowFormat::F16 => 2,
             RowFormat::I8 => 1,
         }
     }
 
-    /// The CLI / schema name (`f32`, `f16`, `i8`).
+    /// The CLI / schema name (`f32`, `i8`).
     pub fn name(self) -> &'static str {
         match self {
             RowFormat::F32 => "f32",
-            RowFormat::F16 => "f16",
             RowFormat::I8 => "i8",
         }
     }
@@ -72,17 +68,16 @@ impl RowFormat {
     pub fn parse(s: &str) -> Option<RowFormat> {
         match s {
             "f32" => Some(RowFormat::F32),
-            "f16" => Some(RowFormat::F16),
             "i8" => Some(RowFormat::I8),
             _ => None,
         }
     }
 
-    /// Stable on-disk code for the table sidecar header.
+    /// Stable on-disk code for the table sidecar header (`1` is retired
+    /// and stays unassigned).
     pub(crate) fn code(self) -> u32 {
         match self {
             RowFormat::F32 => 0,
-            RowFormat::F16 => 1,
             RowFormat::I8 => 2,
         }
     }
@@ -91,14 +86,13 @@ impl RowFormat {
     pub(crate) fn from_code(c: u32) -> Option<RowFormat> {
         match c {
             0 => Some(RowFormat::F32),
-            1 => Some(RowFormat::F16),
             2 => Some(RowFormat::I8),
             _ => None,
         }
     }
 
     /// Every format, in declaration order (bench/eval sweeps).
-    pub const ALL: [RowFormat; 3] = [RowFormat::F32, RowFormat::F16, RowFormat::I8];
+    pub const ALL: [RowFormat; 2] = [RowFormat::F32, RowFormat::I8];
 }
 
 /// Where a store's arena bytes live.
@@ -118,86 +112,6 @@ impl StoreBacking {
             StoreBacking::Mmap => "mmap",
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// f16 codec (no `half` crate in the workspace — hand-rolled bit transport)
-// ---------------------------------------------------------------------------
-
-/// Converts an `f32` to IEEE 754 binary16 bits, rounding to nearest even.
-/// Infinities and NaN map to their half-precision counterparts (store
-/// construction rejects non-finite values before encoding).
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf / NaN: keep NaN-ness with a quiet payload bit.
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if unbiased >= -14 {
-        // Normal half: drop 13 mantissa bits with round-to-nearest-even.
-        let mut half_exp = (unbiased + 15) as u32;
-        let mut half_man = man >> 13;
-        let round = man & 0x1fff;
-        if round > 0x1000 || (round == 0x1000 && half_man & 1 == 1) {
-            half_man += 1;
-            if half_man == 0x400 {
-                half_man = 0;
-                half_exp += 1;
-                if half_exp >= 31 {
-                    return sign | 0x7c00;
-                }
-            }
-        }
-        return sign | ((half_exp as u16) << 10) | half_man as u16;
-    }
-    if unbiased < -25 {
-        return sign; // underflow → ±0
-    }
-    // Subnormal half: shift the hidden bit into the mantissa field.
-    let man = man | 0x0080_0000;
-    let shift = (13 - 14 - unbiased) as u32;
-    let mut half_man = man >> shift;
-    let round = man & ((1u32 << shift) - 1);
-    let halfway = 1u32 << (shift - 1);
-    if round > halfway || (round == halfway && half_man & 1 == 1) {
-        // A carry out of the subnormal range lands on 0x0400, which is
-        // exactly the smallest normal encoding — no fixup needed.
-        half_man += 1;
-    }
-    sign | half_man as u16
-}
-
-/// Converts IEEE 754 binary16 bits back to `f32` (exact).
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let man = (h & 0x03ff) as u32;
-    let bits = if exp == 0 {
-        if man == 0 {
-            sign // ±0
-        } else {
-            // Subnormal half: renormalize into an f32 exponent.
-            let mut e: i32 = 113;
-            let mut m = man;
-            while m & 0x400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | ((e as u32) << 23) | ((m & 0x3ff) << 13)
-        }
-    } else if exp == 0x1f {
-        sign | 0x7f80_0000 | (man << 13) // ±inf / NaN
-    } else {
-        sign | ((exp + 112) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
 }
 
 // ---------------------------------------------------------------------------
@@ -591,33 +505,21 @@ impl EmbeddingStore {
     /// Panics if `self` is not `f32`, or contains non-finite values.
     pub fn quantize(&self, format: RowFormat) -> EmbeddingStore {
         assert_eq!(self.format, RowFormat::F32, "quantize re-encodes an f32 store");
-        if format == RowFormat::F32 {
-            return self.clone();
+        match format {
+            RowFormat::F32 => return self.clone(),
+            RowFormat::I8 => {}
         }
         let src = self.as_slice();
-        let bytes_len = self.rows * self.dim * format.bytes_per_value();
-        let mut buf = AlignedBuf::zeroed(bytes_len);
-        let mut params = Vec::new();
-        match format {
-            RowFormat::F32 => unreachable!(),
-            RowFormat::F16 => {
-                for (out, &x) in buf.as_bytes_mut().chunks_exact_mut(2).zip(src) {
-                    assert!(x.is_finite(), "non-finite value {x} cannot be quantized");
-                    out.copy_from_slice(&f32_to_f16(x).to_le_bytes());
-                }
+        let mut buf = AlignedBuf::zeroed(self.rows * self.dim);
+        let mut params = Vec::with_capacity(self.rows);
+        for (out, row) in
+            buf.as_bytes_mut().chunks_exact_mut(self.dim).zip(src.chunks_exact(self.dim))
+        {
+            let p = i8_row_params(row);
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o = i8_encode(x, p);
             }
-            RowFormat::I8 => {
-                params.reserve(self.rows);
-                for (out, row) in
-                    buf.as_bytes_mut().chunks_exact_mut(self.dim).zip(src.chunks_exact(self.dim))
-                {
-                    let p = i8_row_params(row);
-                    for (o, &x) in out.iter_mut().zip(row) {
-                        *o = i8_encode(x, p);
-                    }
-                    params.push(p);
-                }
-            }
+            params.push(p);
         }
         EmbeddingStore {
             arena: Arc::new(Arena::Owned(buf)),
@@ -651,11 +553,6 @@ impl EmbeddingStore {
         assert_eq!(out.len(), self.dim, "output buffer must hold one row");
         match self.format {
             RowFormat::F32 => out.copy_from_slice(self.row(r)),
-            RowFormat::F16 => {
-                for (o, h) in out.iter_mut().zip(self.row_bytes(r).chunks_exact(2)) {
-                    *o = f16_to_f32(u16::from_le_bytes([h[0], h[1]]));
-                }
-            }
             RowFormat::I8 => {
                 let p = self.row_params(r);
                 for (o, &c) in out.iter_mut().zip(self.row_bytes(r)) {
@@ -677,13 +574,6 @@ impl EmbeddingStore {
         debug_assert_eq!(query.len(), self.dim, "query/dim mismatch");
         match self.format {
             RowFormat::F32 => crate::kernel::dot(query, self.row(r)),
-            RowFormat::F16 => {
-                let mut acc = 0.0f32;
-                for (q, h) in query.iter().zip(self.row_bytes(r).chunks_exact(2)) {
-                    acc += q * f16_to_f32(u16::from_le_bytes([h[0], h[1]]));
-                }
-                acc
-            }
             RowFormat::I8 => {
                 let [scale, zero] = self.row_params(r);
                 let mut acc = 0.0f32;
@@ -885,31 +775,19 @@ mod tests {
     }
 
     #[test]
-    fn f16_codec_round_trips_representable_values() {
-        // the last entry is 2^-14, the smallest normal binary16 value
-        for x in [0.0f32, -0.0, 1.0, -1.0, 0.5, 2.0, 65504.0, -65504.0, 2.0f32.powi(-14)] {
-            assert_eq!(f16_to_f32(f32_to_f16(x)), x, "{x} is exactly representable");
-        }
-        assert_eq!(f32_to_f16(1e9), 0x7c00, "overflow saturates to +inf");
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-    }
-
-    #[test]
     fn quantize_preserves_shape_ids_and_approximate_values() {
-        for format in [RowFormat::F16, RowFormat::I8] {
-            let mut base = ramp_store(5, 8);
-            base.set_ids(vec![10, 20, 30, 40, 50]);
-            let q = base.quantize(format);
-            assert_eq!(q.rows(), 5);
-            assert_eq!(q.dim(), 8);
-            assert_eq!(q.format(), format);
-            assert_eq!(q.id_of_row(2), 30);
-            for r in 0..5 {
-                let orig = base.row(r);
-                let decoded = q.decode_row(r);
-                for (a, b) in orig.iter().zip(decoded.iter()) {
-                    assert!((a - b).abs() < 0.01, "{format:?} row {r}: {a} vs {b}");
-                }
+        let mut base = ramp_store(5, 8);
+        base.set_ids(vec![10, 20, 30, 40, 50]);
+        let q = base.quantize(RowFormat::I8);
+        assert_eq!(q.rows(), 5);
+        assert_eq!(q.dim(), 8);
+        assert_eq!(q.format(), RowFormat::I8);
+        assert_eq!(q.id_of_row(2), 30);
+        for r in 0..5 {
+            let orig = base.row(r);
+            let decoded = q.decode_row(r);
+            for (a, b) in orig.iter().zip(decoded.iter()) {
+                assert!((a - b).abs() < 0.01, "row {r}: {a} vs {b}");
             }
         }
     }
@@ -952,14 +830,12 @@ mod tests {
         // The fused kernel must equal a dot over the decoded row bit for
         // bit: same per-element dequant expression, same accumulation
         // order, no row materialized on the fused side.
-        for format in [RowFormat::F16, RowFormat::I8] {
-            let q = ramp_store(6, 9).quantize(format);
-            let query: Vec<f32> = (0..9).map(|i| 0.3 * i as f32 - 1.0).collect();
-            for r in 0..6 {
-                let fused = q.score_row(&query, r);
-                let decoded = crate::kernel::dot(&query, &q.decode_row(r));
-                assert_eq!(fused.to_bits(), decoded.to_bits(), "{format:?} row {r}");
-            }
+        let q = ramp_store(6, 9).quantize(RowFormat::I8);
+        let query: Vec<f32> = (0..9).map(|i| 0.3 * i as f32 - 1.0).collect();
+        for r in 0..6 {
+            let fused = q.score_row(&query, r);
+            let decoded = crate::kernel::dot(&query, &q.decode_row(r));
+            assert_eq!(fused.to_bits(), decoded.to_bits(), "row {r}");
         }
     }
 

@@ -14,7 +14,7 @@
 //! | offset | bytes | field |
 //! |-------:|------:|-------|
 //! | 0      | 8     | magic `"UMTABLE1"` |
-//! | 8      | 4     | row format code (0 = f32, 1 = f16, 2 = i8) |
+//! | 8      | 4     | row format code (0 = f32, 2 = i8; 1 is retired and rejected) |
 //! | 12     | 4     | reserved (zero) |
 //! | 16     | 8     | rows |
 //! | 24     | 8     | dim |
@@ -27,7 +27,7 @@
 //! | `data_off` | … | row-major encoded rows |
 //!
 //! The data section starts on a 64-byte boundary, so a page-aligned map
-//! hands the store an f32/f16-aligned (and `STORE_ALIGN`-compatible)
+//! hands the store an f32-aligned (and `STORE_ALIGN`-compatible)
 //! base pointer.
 //!
 //! ## Integrity
@@ -175,10 +175,23 @@ pub struct TableHeader {
 }
 
 impl TableHeader {
+    /// An upper bound on [`TableHeader::file_len`], or `None` when the
+    /// shape overflows `usize`. `decode` rejects the `None` case, so the
+    /// plain arithmetic below never wraps on a decoded header.
+    fn checked_len_bound(&self) -> Option<usize> {
+        let params = match self.format {
+            RowFormat::I8 => self.rows.checked_mul(8)?,
+            RowFormat::F32 => 0,
+        };
+        let data = self.rows.checked_mul(self.dim)?.checked_mul(self.format.bytes_per_value())?;
+        // header + params + padding to the next 64-byte boundary + data
+        params.checked_add(2 * HEADER_LEN)?.checked_add(data)
+    }
+
     fn params_len(&self) -> usize {
         match self.format {
             RowFormat::I8 => self.rows * 8,
-            _ => 0,
+            RowFormat::F32 => 0,
         }
     }
 
@@ -219,17 +232,20 @@ impl TableHeader {
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
         let format = RowFormat::from_code(u32_at(8))
             .ok_or_else(|| bad(format!("unknown table row format code {}", u32_at(8))))?;
+        let overflows = || bad("table shape overflows".to_string());
+        let shape_at = |o: usize| usize::try_from(u64_at(o)).map_err(|_| overflows());
         let header = TableHeader {
             format,
-            rows: u64_at(16) as usize,
-            dim: u64_at(24) as usize,
+            rows: shape_at(16)?,
+            dim: shape_at(24)?,
             source_checksum: u64_at(32),
             table_checksum: u64_at(40),
         };
         if header.dim == 0 {
             return Err(bad("table dim must be positive".to_string()));
         }
-        if u64_at(48) as usize != header.params_len() || u64_at(56) as usize != header.data_len() {
+        header.checked_len_bound().ok_or_else(overflows)?;
+        if u64_at(48) != header.params_len() as u64 || u64_at(56) != header.data_len() as u64 {
             return Err(bad("table section lengths disagree with shape".to_string()));
         }
         Ok(header)
@@ -507,13 +523,77 @@ mod tests {
     #[test]
     fn header_probe_reads_shape_without_payload() {
         let dir = tmp_dir("probe");
-        let store = sample_store(RowFormat::F16);
+        let store = sample_store(RowFormat::I8);
         let path = dir.join("t.table");
         let written = write_table(&store, 42, &path).expect("write");
         let probed = read_table_header(&path).expect("probe");
         assert_eq!(probed, written);
         assert_eq!(probed.rows, 10);
         assert_eq!(probed.dim, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 64-byte, payload-free file whose header claims `rows × dim` of
+    /// `code`-format data, zero section lengths, and a matching checksum.
+    fn hostile_header(code: u32, rows: u64, dim: u64) -> Vec<u8> {
+        let mut h = vec![0u8; HEADER_LEN];
+        h[0..8].copy_from_slice(TABLE_MAGIC);
+        h[8..12].copy_from_slice(&code.to_le_bytes());
+        h[16..24].copy_from_slice(&rows.to_le_bytes());
+        h[24..32].copy_from_slice(&dim.to_le_bytes());
+        let sum = checksum_file_bytes(&h);
+        h[40..48].copy_from_slice(&sum.to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn overflowing_shapes_are_a_typed_error_not_a_panic() {
+        // each shape's section lengths wrap to 0 in 64-bit arithmetic, so
+        // the length fields, the file length and the checksum all "agree"
+        let dir = tmp_dir("overflow");
+        let cases = [
+            (RowFormat::F32.code(), 1u64 << 62, 4u64), // rows × dim × 4 = 2^66
+            (RowFormat::I8.code(), 1 << 61, 8),        // rows × 8 = rows × dim = 2^64
+        ];
+        for (code, rows, dim) in cases {
+            let path = dir.join(format!("hostile_{code}.table"));
+            std::fs::write(&path, hostile_header(code, rows, dim)).expect("write");
+            for mmap in [false, true] {
+                let err = open_table(&path, mmap).expect_err("overflowing shape must be rejected");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("table shape overflows"), "{err}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_retired_format_code_is_unknown() {
+        let err = TableHeader::decode(&hostile_header(1, 10, 6)).expect_err("code 1 is retired");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unknown table row format code 1");
+    }
+
+    #[test]
+    fn an_i8_table_written_before_the_retirement_still_opens() {
+        // `sample_store(I8)` with source checksum 0xfeed, written by the
+        // commit that still had three formats
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/sample_i8.table");
+        let dir = tmp_dir("fixture");
+        let path = dir.join("old.table");
+        std::fs::write(&path, fixture).expect("write");
+        let store = sample_store(RowFormat::I8);
+        for mmap in [false, true] {
+            let (loaded, header) = open_table(&path, mmap).expect("open");
+            assert_eq!((header.format, header.rows, header.dim), (RowFormat::I8, 10, 6));
+            assert_eq!(header.source_checksum, 0xfeed);
+            assert_eq!(loaded.window_bytes(), store.window_bytes());
+            assert_eq!(loaded.window_params(), store.window_params());
+        }
+        // and today's writer still produces that file, byte for byte
+        let again = dir.join("new.table");
+        write_table(&store, 0xfeed, &again).expect("write");
+        assert_eq!(std::fs::read(&again).expect("read"), fixture);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

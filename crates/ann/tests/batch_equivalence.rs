@@ -6,34 +6,17 @@
 //! single `#[test]` — cargo runs test functions of one binary concurrently
 //! and two functions installing different configurations would race.
 
-use rand::{Rng, SeedableRng};
-use unimatch_ann::{
-    AnnIndex, BruteForceIndex, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex,
-};
-use unimatch_parallel::Parallelism;
+mod common;
 
-fn unit_vectors(n: usize, dim: usize, rng: &mut impl Rng) -> Vec<f32> {
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n {
-        let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
-        data.extend(v.iter().map(|x| x / norm));
-    }
-    data
-}
+use common::{assert_bitwise, unit_cloud};
+use rand::SeedableRng;
+use unimatch_ann::{AnnIndex, BruteForceIndex, Hit, HnswConfig, HnswIndex};
+use unimatch_parallel::Parallelism;
 
 fn assert_hits_equal(a: &[Vec<Hit>], b: &[Vec<Hit>], index_name: &str) {
     assert_eq!(a.len(), b.len(), "{index_name}: result count mismatch");
     for (q, (ha, hb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ha.len(), hb.len(), "{index_name}: query {q} hit count");
-        for (x, y) in ha.iter().zip(hb) {
-            assert_eq!(x.id, y.id, "{index_name}: query {q} id mismatch");
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "{index_name}: query {q} score mismatch"
-            );
-        }
+        assert_bitwise(ha, hb, &format!("{index_name} query {q}"));
     }
 }
 
@@ -41,16 +24,13 @@ fn assert_hits_equal(a: &[Vec<Hit>], b: &[Vec<Hit>], index_name: &str) {
 fn search_batch_matches_per_query_search() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xba7c4);
     let (n, dim, nq, k) = (400, 12, 37, 8);
-    let data = unit_vectors(n, dim, &mut rng);
-    let queries = unit_vectors(nq, dim, &mut rng);
+    let data = unit_cloud(n, dim, 0xba7c5);
+    let queries = unit_cloud(nq, dim, 0xba7c6);
 
     let bf = BruteForceIndex::new(data.clone(), dim);
-    let ivf = IvfIndex::build(data.clone(), dim, IvfConfig::default(), &mut rng);
     let hnsw = HnswIndex::build(data, dim, HnswConfig::default(), &mut rng);
 
-    for (name, index) in
-        [("bruteforce", &bf as &dyn AnnIndex), ("ivf", &ivf), ("hnsw", &hnsw)]
-    {
+    for (name, index) in [("bruteforce", &bf as &dyn AnnIndex), ("hnsw", &hnsw)] {
         let per_query: Vec<Vec<Hit>> = (0..nq)
             .map(|i| index.search(&queries[i * dim..(i + 1) * dim], k))
             .collect();

@@ -1,4 +1,4 @@
-//! Differential tests: the approximate indexes (HNSW, IVF) against the
+//! Differential tests: the approximate index (HNSW) against the
 //! brute-force oracle on seeded corpora.
 //!
 //! Two contracts:
@@ -6,31 +6,16 @@
 //!    exact search.
 //! 2. **Score fidelity** — every score an index returns must be *bitwise*
 //!    equal to the exact dot product of the query with that row. The
-//!    approximate indexes prune which rows get scored, never how a row is
+//!    approximate index prunes which rows get scored, never how a row is
 //!    scored; any drift (reordered accumulation, fused ops) would break
 //!    the serving layer's byte-identity guarantees.
 
+mod common;
+
+use common::{assert_bitwise, exact_dot, unit_cloud};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use unimatch_ann::{AnnIndex, BruteForceIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex};
-
-/// Seeded row-major unit vectors.
-fn unit_cloud(n: usize, dim: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n {
-        let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-9);
-        data.extend(v.into_iter().map(|x| x / norm));
-    }
-    data
-}
-
-/// The exact score, computed with the same `iter().zip().sum()` loop the
-/// indexes use — the bitwise reference.
-fn exact_dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
+use rand::SeedableRng;
+use unimatch_ann::{AnnIndex, BruteForceIndex, HnswConfig, HnswIndex};
 
 /// Mean recall@k of `index` against `oracle` over all `queries`, while
 /// asserting bitwise score fidelity and sorted output for every hit.
@@ -93,23 +78,6 @@ fn hnsw_matches_bruteforce_with_high_recall_and_exact_scores() {
 }
 
 #[test]
-fn ivf_matches_bruteforce_with_high_recall_and_exact_scores() {
-    let (n, dim, k) = (3_000, 16, 10);
-    let data = unit_cloud(n, dim, 21);
-    let queries = unit_cloud(60, dim, 22);
-    let oracle = BruteForceIndex::new(data.clone(), dim);
-    let mut rng = StdRng::seed_from_u64(23);
-    let ivf = IvfIndex::build(
-        data.clone(),
-        dim,
-        IvfConfig { nlist: 16, nprobe: 12, kmeans_iters: 10 },
-        &mut rng,
-    );
-    let recall = recall_and_fidelity(&ivf, &oracle, &data, &queries, dim, k, "ivf");
-    assert!(recall >= 0.95, "ivf recall@{k} = {recall:.3}, needs >= 0.95");
-}
-
-#[test]
 fn bruteforce_scores_are_the_exact_dot_products() {
     // The oracle itself must satisfy the fidelity contract (recall is
     // trivially 1.0 against itself).
@@ -130,17 +98,12 @@ fn search_batch_is_identical_to_sequential_search() {
     let queries = unit_cloud(32, dim, 42);
     let mut rng = StdRng::seed_from_u64(43);
     let bf = BruteForceIndex::new(data.clone(), dim);
-    let hnsw = HnswIndex::build(data.clone(), dim, HnswConfig::default(), &mut rng);
-    let ivf = IvfIndex::build(data, dim, IvfConfig::default(), &mut rng);
-    let indexes: [(&str, &dyn AnnIndex); 3] = [("bruteforce", &bf), ("hnsw", &hnsw), ("ivf", &ivf)];
+    let hnsw = HnswIndex::build(data, dim, HnswConfig::default(), &mut rng);
+    let indexes: [(&str, &dyn AnnIndex); 2] = [("bruteforce", &bf), ("hnsw", &hnsw)];
     for (name, ix) in indexes {
         let batched = ix.search_batch(&queries, k);
         for (qi, q) in queries.chunks(dim).enumerate() {
-            let sequential = ix.search(q, k);
-            assert_eq!(batched[qi].len(), sequential.len(), "{name} query {qi}");
-            for (b, s) in batched[qi].iter().zip(&sequential) {
-                assert_eq!((b.id, b.score.to_bits()), (s.id, s.score.to_bits()), "{name} query {qi}");
-            }
+            assert_bitwise(&batched[qi], &ix.search(q, k), &format!("{name} query {qi}"));
         }
     }
 }

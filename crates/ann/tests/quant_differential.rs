@@ -1,22 +1,24 @@
-//! Differential suite for quantized stores: every backend (exact, HNSW,
-//! IVF), sharded 1-way and 3-way, single-query and batched, searched
-//! over f16 and i8 stores and gated on recall@10 against the exact-f32
-//! oracle — ≥ 0.99 for f16, ≥ 0.95 for i8. The backends are configured
-//! effectively exact (`ef_search ≥ rows`, `nprobe = nlist`) so the gate
-//! measures quantization loss alone, not index approximation.
+//! Differential suite for quantized stores: every backend (exact,
+//! HNSW), sharded 1-way and 3-way, single-query and batched, searched
+//! over the i8 store and gated on recall@10 ≥ 0.95 against the exact-f32
+//! oracle. HNSW is configured effectively exact (`ef_search ≥ rows`) so
+//! the gate measures quantization loss alone, not index approximation.
 //!
 //! Two bitwise contracts ride along: quantized scores are deterministic
 //! across independent retriever builds and runs, and an mmap'd table
 //! backing returns results bit-identical to the owned-arena backing for
 //! every backend.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_bitwise, unit_cloud};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use unimatch_ann::{
     open_table, write_table, BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex,
-    IvfConfig, IvfIndex, Retriever, RowFormat, ShardedRetriever, StoreBacking,
+    Retriever, RowFormat, ShardedRetriever, StoreBacking,
 };
 
 const DIM: usize = 16;
@@ -26,17 +28,6 @@ const K: usize = 10;
 const N_QUERIES: usize = 40;
 const SHARD_COUNTS: [usize; 2] = [1, 3];
 
-fn unit_cloud(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * DIM);
-    for _ in 0..n {
-        let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-9);
-        data.extend(v.into_iter().map(|x| x / norm));
-    }
-    data
-}
-
 /// One backend's retrievers, keyed by the shard count they were built with.
 type ShardedBackends = Vec<(usize, Box<dyn Retriever>)>;
 
@@ -44,25 +35,18 @@ type ShardedBackends = Vec<(usize, Box<dyn Retriever>)>;
 /// sharded arrangement per tested shard count.
 fn build_backends(store: &Arc<EmbeddingStore>) -> Vec<(&'static str, ShardedBackends)> {
     let hnsw_cfg = HnswConfig { m: 16, ef_construction: 128, ef_search: ROWS };
-    let ivf_cfg = IvfConfig { nlist: 8, nprobe: 8, kmeans_iters: 4 };
     let mut out: Vec<(&'static str, ShardedBackends)> = Vec::new();
-    for backend in ["exact", "hnsw", "ivf"] {
+    for backend in ["exact", "hnsw"] {
         let mut arrangements: ShardedBackends = Vec::new();
         for n in SHARD_COUNTS {
             let retriever: Box<dyn Retriever> = match backend {
                 "exact" => Box::new(ShardedRetriever::build(store, n, |view| {
                     Box::new(BruteForceIndex::over(view))
                 })),
-                "hnsw" => {
+                _ => {
                     let mut rng = StdRng::seed_from_u64(11);
                     Box::new(ShardedRetriever::build(store, n, |view| {
                         Box::new(HnswIndex::build_over(view, hnsw_cfg, &mut rng))
-                    }))
-                }
-                _ => {
-                    let mut rng = StdRng::seed_from_u64(12);
-                    Box::new(ShardedRetriever::build(store, n, |view| {
-                        Box::new(IvfIndex::build_over(view, ivf_cfg, &mut rng))
                     }))
                 }
             };
@@ -84,32 +68,18 @@ fn recall_against(oracle: &[Vec<Hit>], lists: &[Vec<Hit>]) -> f64 {
     hit as f64 / total.max(1) as f64
 }
 
-fn assert_bitwise(a: &[Hit], b: &[Hit], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: hit counts differ");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.id, y.id, "{context}: id diverges at rank {i}");
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{context}: score bits diverge at rank {i} (id {})",
-            x.id
-        );
-    }
-}
-
 /// The recall gate each format must clear against the exact-f32 oracle.
 fn gate(format: RowFormat) -> f64 {
     match format {
         RowFormat::F32 => 1.0,
-        RowFormat::F16 => 0.99,
         RowFormat::I8 => 0.95,
     }
 }
 
 #[test]
 fn every_backend_meets_the_recall_gate_over_quantized_stores() {
-    let data = unit_cloud(ROWS, 0x9a27);
-    let queries = unit_cloud(N_QUERIES, 0x9a28);
+    let data = unit_cloud(ROWS, DIM, 0x9a27);
+    let queries = unit_cloud(N_QUERIES, DIM, 0x9a28);
     let f32_store = Arc::new(EmbeddingStore::from_vec(data, DIM));
 
     // the oracle: exact top-k over the unquantized store
@@ -154,37 +124,35 @@ fn every_backend_meets_the_recall_gate_over_quantized_stores() {
 
 #[test]
 fn quantized_search_is_bitwise_deterministic_across_builds() {
-    let data = unit_cloud(ROWS, 0xde7);
-    let queries = unit_cloud(N_QUERIES, 0xde8);
+    let data = unit_cloud(ROWS, DIM, 0xde7);
+    let queries = unit_cloud(N_QUERIES, DIM, 0xde8);
     let f32_store = Arc::new(EmbeddingStore::from_vec(data, DIM));
-    for format in [RowFormat::F16, RowFormat::I8] {
-        // two fully independent quantize → build → search pipelines
-        let run = || -> Vec<Vec<Vec<Hit>>> {
-            let store = Arc::new(f32_store.quantize(format));
-            build_backends(&store)
-                .iter()
-                .flat_map(|(_, arrangements)| {
-                    arrangements
-                        .iter()
-                        .map(|(_, r)| r.search_batch(&queries, K))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.len(), b.len());
-        for (ai, bi) in a.iter().zip(&b) {
-            for (qi, (x, y)) in ai.iter().zip(bi).enumerate() {
-                assert_bitwise(x, y, &format!("{} rerun q={qi}", format.name()));
-            }
+    // two fully independent quantize → build → search pipelines
+    let run = || -> Vec<Vec<Vec<Hit>>> {
+        let store = Arc::new(f32_store.quantize(RowFormat::I8));
+        build_backends(&store)
+            .iter()
+            .flat_map(|(_, arrangements)| {
+                arrangements
+                    .iter()
+                    .map(|(_, r)| r.search_batch(&queries, K))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.len(), b.len());
+    for (ai, bi) in a.iter().zip(&b) {
+        for (qi, (x, y)) in ai.iter().zip(bi).enumerate() {
+            assert_bitwise(x, y, &format!("i8 rerun q={qi}"));
         }
     }
 }
 
 #[test]
 fn mmap_backing_is_bitwise_identical_to_owned_for_every_backend() {
-    let data = unit_cloud(ROWS, 0x3a9);
-    let queries = unit_cloud(N_QUERIES, 0x3aa);
+    let data = unit_cloud(ROWS, DIM, 0x3a9);
+    let queries = unit_cloud(N_QUERIES, DIM, 0x3aa);
     let f32_store = EmbeddingStore::from_vec(data, DIM);
     let dir = std::env::temp_dir()
         .join(format!("unimatch_quant_diff_mmap_{}", std::process::id()));

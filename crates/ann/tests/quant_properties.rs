@@ -1,94 +1,17 @@
-//! Property suite for the quantized row codecs: encode→decode error
-//! bounds for the f16 and per-row-affine i8 encodings, scale/zero-point
-//! edge cases, and a dequant-dot-vs-f32-dot tolerance oracle under
-//! seeded random rows. These are the *analytic* guarantees the
-//! differential suite's recall gates rest on.
+//! Property suite for the quantized row codec: encode→decode error
+//! bounds for the per-row-affine i8 encoding, scale/zero-point edge
+//! cases, and a dequant-dot-vs-f32-dot tolerance oracle under seeded
+//! random rows. These are the *analytic* guarantees the differential
+//! suite's recall gate rests on.
 
+mod common;
+
+use common::{exact_dot, unit_cloud};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use unimatch_ann::{
-    f16_to_f32, f32_to_f16, i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat,
-};
+use unimatch_ann::{i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat};
 
 const DIM: usize = 16;
-
-fn unit_rows(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * DIM);
-    for _ in 0..n {
-        let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-9);
-        data.extend(v.into_iter().map(|x| x / norm));
-    }
-    data
-}
-
-// ---------------------------------------------------------------------------
-// f16
-// ---------------------------------------------------------------------------
-
-#[test]
-fn f16_round_trip_is_exact_on_representable_values() {
-    // every binary16 value is exactly representable in f32, so a decode →
-    // encode cycle over ALL 2^16 bit patterns must be the identity
-    for bits in 0u16..=u16::MAX {
-        let x = f16_to_f32(bits);
-        if x.is_nan() {
-            assert!(f16_to_f32(f32_to_f16(x)).is_nan(), "NaN-ness lost for {bits:#06x}");
-            continue;
-        }
-        assert_eq!(
-            f32_to_f16(x),
-            bits,
-            "decode({bits:#06x}) = {x} did not encode back to itself"
-        );
-    }
-}
-
-#[test]
-fn f16_round_trip_error_is_half_ulp_bounded() {
-    // normal range: round-to-nearest gives relative error <= 2^-11
-    let mut rng = StdRng::seed_from_u64(0xf16);
-    for _ in 0..20_000 {
-        let x: f32 = rng.gen_range(-2.0f32..2.0);
-        let back = f16_to_f32(f32_to_f16(x));
-        if x.abs() >= f16_to_f32(0x0400) {
-            assert!(
-                (back - x).abs() <= x.abs() * (1.0 / 2048.0),
-                "{x} -> {back}: relative error beyond 2^-11"
-            );
-        } else {
-            // subnormal range: absolute error bounded by half the smallest
-            // subnormal step, 2^-24 / 2
-            assert!((back - x).abs() <= 2.0f32.powi(-25), "{x} -> {back}");
-        }
-    }
-}
-
-#[test]
-fn f16_edge_cases() {
-    // signed zeros survive with their sign bit
-    assert_eq!(f32_to_f16(0.0), 0x0000);
-    assert_eq!(f32_to_f16(-0.0), 0x8000);
-    // largest finite half
-    assert_eq!(f16_to_f32(0x7bff), 65504.0);
-    assert_eq!(f32_to_f16(65504.0), 0x7bff);
-    // beyond the largest finite half: overflow to infinity
-    assert_eq!(f32_to_f16(65520.0), 0x7c00);
-    assert_eq!(f32_to_f16(f32::MAX), 0x7c00);
-    assert_eq!(f32_to_f16(f32::MIN), 0xfc00);
-    // underflow to (signed) zero
-    assert_eq!(f32_to_f16(1e-10), 0x0000);
-    assert_eq!(f32_to_f16(-1e-10), 0x8000);
-    // ties round to even: 1 + 2^-11 is halfway between 1.0 and the next
-    // representable half (1 + 2^-10) — the even mantissa (1.0) wins
-    assert_eq!(f32_to_f16(1.0 + 2.0f32.powi(-11)), f32_to_f16(1.0));
-    // just above the tie rounds up
-    assert_eq!(
-        f16_to_f32(f32_to_f16(1.0 + 1.5 * 2.0f32.powi(-11))),
-        1.0 + 2.0f32.powi(-10)
-    );
-}
 
 // ---------------------------------------------------------------------------
 // i8
@@ -205,20 +128,8 @@ fn quantize_rejects_non_finite_stores() {
 
 #[test]
 fn store_decode_matches_the_scalar_codecs() {
-    let data = unit_rows(60, 0xdec0);
+    let data = unit_cloud(60, DIM, 0xdec0);
     let store = EmbeddingStore::from_vec(data.clone(), DIM);
-
-    let f16 = store.quantize(RowFormat::F16);
-    for r in 0..60 {
-        let row = &data[r * DIM..(r + 1) * DIM];
-        for (i, (&want_src, got)) in row.iter().zip(f16.decode_row(r).iter()).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                f16_to_f32(f32_to_f16(want_src)).to_bits(),
-                "f16 row {r} col {i}"
-            );
-        }
-    }
 
     let i8s = store.quantize(RowFormat::I8);
     for r in 0..60 {
@@ -238,60 +149,46 @@ fn store_decode_matches_the_scalar_codecs() {
 #[test]
 fn dequant_dot_tracks_the_f32_oracle() {
     let rows = 200;
-    let data = unit_rows(rows, 0x5c03e);
-    let queries = unit_rows(32, 0x9e4);
+    let data = unit_cloud(rows, DIM, 0x5c03e);
+    let queries = unit_cloud(32, DIM, 0x9e4);
     let store = EmbeddingStore::from_vec(data, DIM);
 
-    // analytic worst cases over unit rows/queries (dim 16):
-    //   f16: per-value relative error 2^-11 on |v| <= 1, summed through
-    //        |q|_1 <= sqrt(16) = 4        -> ~2e-3; gate at 1e-2
-    //   i8 : per-value error <= scale/2 <= (2/255)/2, same |q|_1 bound
-    //        -> ~1.6e-2; gate at 5e-2
-    for (format, tol) in [(RowFormat::F16, 1e-2f32), (RowFormat::I8, 5e-2f32)] {
-        let q = store.quantize(format);
-        for query in queries.chunks(DIM) {
-            for r in 0..rows {
-                let exact = store.score_row(query, r);
-                let approx = q.score_row(query, r);
-                assert!(
-                    (exact - approx).abs() <= tol,
-                    "{}: row {r}: |{exact} - {approx}| > {tol}",
-                    format.name()
-                );
-                // the fused kernel must agree with scoring the decoded row
-                // through the f32 path — same values, same add order
-                let decoded = q.decode_row(r);
-                let reference: f32 =
-                    query.iter().zip(decoded.iter()).map(|(a, b)| a * b).fold(0.0, |s, x| s + x);
-                let via_decode = match format {
-                    // the i8 kernel fuses the affine decode into the
-                    // multiply-add, so equality is numerical, not bitwise
-                    RowFormat::I8 => (approx - reference).abs() <= 1e-5,
-                    _ => approx.to_bits() == reference.to_bits(),
-                };
-                assert!(via_decode, "{}: row {r}: fused {approx} vs decoded {reference}", format.name());
-            }
+    // analytic worst case over unit rows/queries (dim 16): per-value
+    // error <= scale/2 <= (2/255)/2, summed through |q|_1 <= sqrt(16) = 4
+    // -> ~1.6e-2; gate at 5e-2
+    let tol = 5e-2f32;
+    let q = store.quantize(RowFormat::I8);
+    for query in queries.chunks(DIM) {
+        for r in 0..rows {
+            let exact = store.score_row(query, r);
+            let approx = q.score_row(query, r);
+            assert!((exact - approx).abs() <= tol, "row {r}: |{exact} - {approx}| > {tol}");
+            // the fused kernel must agree with scoring the decoded row
+            // through the f32 path; it fuses the affine decode into the
+            // multiply-add, so equality is numerical, not bitwise
+            let reference = exact_dot(query, &q.decode_row(r));
+            assert!(
+                (approx - reference).abs() <= 1e-5,
+                "row {r}: fused {approx} vs decoded {reference}"
+            );
         }
     }
 }
 
 #[test]
 fn quantized_scores_are_deterministic_across_runs() {
-    let data = unit_rows(100, 0xd8);
-    let queries = unit_rows(8, 0xd9);
+    let data = unit_cloud(100, DIM, 0xd8);
+    let queries = unit_cloud(8, DIM, 0xd9);
     let store = EmbeddingStore::from_vec(data, DIM);
-    for format in [RowFormat::F16, RowFormat::I8] {
-        let a = store.quantize(format);
-        let b = store.quantize(format);
-        for query in queries.chunks(DIM) {
-            for r in 0..100 {
-                assert_eq!(
-                    a.score_row(query, r).to_bits(),
-                    b.score_row(query, r).to_bits(),
-                    "{}: row {r}: independent quantizations must score bit-identically",
-                    format.name()
-                );
-            }
+    let a = store.quantize(RowFormat::I8);
+    let b = store.quantize(RowFormat::I8);
+    for query in queries.chunks(DIM) {
+        for r in 0..100 {
+            assert_eq!(
+                a.score_row(query, r).to_bits(),
+                b.score_row(query, r).to_bits(),
+                "row {r}: independent quantizations must score bit-identically"
+            );
         }
     }
 }

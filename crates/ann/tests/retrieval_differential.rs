@@ -9,34 +9,18 @@
 //! accumulation reorder, tile-boundary bug, or tie-break drift fails a
 //! bitwise assertion here.
 
+mod common;
+
+// `cloud` is not normalized — it exercises ties less, so the tie cases
+// below construct duplicates explicitly.
+use common::{assert_bitwise, cloud, oracle_top_k};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 use unimatch_ann::{
-    dot, top_k_exact, BruteForceIndex, EmbeddingStore, HnswConfig, HnswIndex, IvfConfig,
-    IvfIndex, Retriever, STORE_ALIGN,
+    dot, top_k_exact, BruteForceIndex, EmbeddingStore, HnswConfig, HnswIndex, Retriever,
+    STORE_ALIGN,
 };
-
-/// Seeded row-major vectors (not normalized — exercises ties less, so
-/// tie cases construct duplicates explicitly).
-fn cloud(n: usize, dim: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
-}
-
-/// The oracle every pre-refactor call site reduced to: score all targets
-/// with the sequential dot, stable-sort descending (stable sort + index
-/// order ⇒ ties keep the lowest id), truncate to k.
-fn oracle_top_k(query: &[f32], targets: &[f32], dim: usize, k: usize) -> Vec<(u32, f32)> {
-    let mut scored: Vec<(u32, f32)> = targets
-        .chunks(dim)
-        .enumerate()
-        .map(|(i, row)| (i as u32, query.iter().zip(row).map(|(x, y)| x * y).sum()))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    scored.truncate(k);
-    scored
-}
 
 #[test]
 fn kernel_matches_stable_sort_oracle_bit_for_bit() {
@@ -49,14 +33,7 @@ fn kernel_matches_stable_sort_oracle_bit_for_bit() {
         assert_eq!(got.len(), nq);
         for (qi, q) in queries.chunks(dim).enumerate() {
             let want = oracle_top_k(q, &targets, dim, k);
-            assert_eq!(got[qi].len(), want.len(), "nq={nq} nt={nt} query {qi}");
-            for (h, (id, score)) in got[qi].iter().zip(&want) {
-                assert_eq!(
-                    (h.id, h.score.to_bits()),
-                    (*id, score.to_bits()),
-                    "nq={nq} nt={nt} query {qi}: kernel diverged from the oracle"
-                );
-            }
+            assert_bitwise(&got[qi], &want, &format!("nq={nq} nt={nt} query {qi}: kernel vs oracle"));
         }
     }
 }
@@ -70,8 +47,7 @@ fn every_backend_scores_bitwise_like_the_single_dot() {
     let mut rng = StdRng::seed_from_u64(9);
     let bf = BruteForceIndex::over(store.clone());
     let hnsw = HnswIndex::build_over(store.clone(), HnswConfig::default(), &mut rng);
-    let ivf = IvfIndex::build_over(store.clone(), IvfConfig::default(), &mut rng);
-    let backends: [&dyn Retriever; 3] = [&bf, &hnsw, &ivf];
+    let backends: [&dyn Retriever; 2] = [&bf, &hnsw];
     for index in backends {
         let name = index.backend();
         for (qi, q) in queries.chunks(dim).enumerate() {
@@ -97,13 +73,8 @@ fn exact_backend_equals_oracle_ids_and_scores() {
     let batched = bf.search_batch(&queries, k);
     for (qi, q) in queries.chunks(dim).enumerate() {
         let want = oracle_top_k(q, &data, dim, k);
-        let per_query = bf.search(q, k);
-        for (got, (id, score)) in batched[qi].iter().zip(&want) {
-            assert_eq!((got.id, got.score.to_bits()), (*id, score.to_bits()), "batched {qi}");
-        }
-        for (got, (id, score)) in per_query.iter().zip(&want) {
-            assert_eq!((got.id, got.score.to_bits()), (*id, score.to_bits()), "per-query {qi}");
-        }
+        assert_bitwise(&batched[qi], &want, &format!("batched {qi}"));
+        assert_bitwise(&bf.search(q, k), &want, &format!("per-query {qi}"));
     }
 }
 
@@ -156,18 +127,13 @@ fn a_late_better_row_evicts_the_highest_tied_id_on_every_backend() {
     let store = Arc::new(EmbeddingStore::from_rows(&data, dim));
     let mut rng = StdRng::seed_from_u64(12);
     let bf = BruteForceIndex::over(store.clone());
-    // effectively exact: the beam admits every node / every list is probed
+    // effectively exact: the beam admits every node
     let hnsw = HnswIndex::build_over(
-        store.clone(),
+        store,
         HnswConfig { m: 16, ef_construction: 128, ef_search: rows },
         &mut rng,
     );
-    let ivf = IvfIndex::build_over(
-        store,
-        IvfConfig { nlist: 4, nprobe: 4, kmeans_iters: 4 },
-        &mut rng,
-    );
-    let backends: [&dyn Retriever; 3] = [&bf, &hnsw, &ivf];
+    let backends: [&dyn Retriever; 2] = [&bf, &hnsw];
     for index in backends {
         let name = index.backend();
         for k in [1, 2, 3, 5, 6, 7] {
@@ -175,9 +141,7 @@ fn a_late_better_row_evicts_the_highest_tied_id_on_every_backend() {
             for (path, got) in
                 [("search", index.search(&probe, k)), ("batch", index.search_batch(&probe, k).remove(0))]
             {
-                let got: Vec<(u32, u32)> = got.iter().map(|h| (h.id, h.score.to_bits())).collect();
-                let want: Vec<(u32, u32)> = want.iter().map(|(i, s)| (*i, s.to_bits())).collect();
-                assert_eq!(got, want, "{name} {path} k={k}: tie eviction diverged from the oracle");
+                assert_bitwise(&got, &want, &format!("{name} {path} k={k}: tie eviction vs oracle"));
             }
         }
     }
@@ -193,9 +157,8 @@ fn k_larger_than_corpus_and_k_zero_are_total() {
     let store = Arc::new(EmbeddingStore::from_rows(&data, dim));
     let mut rng = StdRng::seed_from_u64(4);
     let bf = BruteForceIndex::over(store.clone());
-    let hnsw = HnswIndex::build_over(store.clone(), HnswConfig::default(), &mut rng);
-    let ivf = IvfIndex::build_over(store, IvfConfig::default(), &mut rng);
-    let backends: [&dyn Retriever; 3] = [&bf, &hnsw, &ivf];
+    let hnsw = HnswIndex::build_over(store, HnswConfig::default(), &mut rng);
+    let backends: [&dyn Retriever; 2] = [&bf, &hnsw];
     for index in backends {
         let name = index.backend();
         // k beyond the corpus returns the whole corpus, ranked
@@ -240,8 +203,6 @@ fn all_backends_share_one_arena() {
     let mut rng = StdRng::seed_from_u64(34);
     let bf = BruteForceIndex::over(store.clone());
     let hnsw = HnswIndex::build_over(store.clone(), HnswConfig::default(), &mut rng);
-    let ivf = IvfIndex::build_over(store.clone(), IvfConfig::default(), &mut rng);
     assert!(Arc::ptr_eq(bf.store(), &store), "bruteforce must not copy the arena");
     assert!(Arc::ptr_eq(hnsw.store(), &store), "hnsw must not copy the arena");
-    assert!(Arc::ptr_eq(ivf.store(), &store), "ivf must not copy the arena");
 }

@@ -2,22 +2,23 @@
 //! identical results to the unsharded search it partitions.
 //!
 //! For the exact backend that guarantee is unconditional (see the
-//! exactness argument in `unimatch_ann::sharded`). For HNSW and IVF it
-//! holds once the backend is configured to be effectively exact —
-//! `ef_search ≥ rows` walks the whole (connected) graph, `nprobe =
-//! nlist` scans every inverted list — because then both arrangements
-//! reduce to the same canonical top-k over the same scores. The matrix
-//! here pins that contract across shard counts, k regimes (0, below /
-//! above shard size, above corpus size), tie layouts straddling shard
-//! boundaries, and id-mapped stores.
+//! exactness argument in `unimatch_ann::sharded`). For HNSW it holds
+//! once the backend is configured to be effectively exact — `ef_search
+//! ≥ rows` walks the whole (connected) graph — because then both
+//! arrangements reduce to the same canonical top-k over the same
+//! scores. The matrix here pins that contract across shard counts, k
+//! regimes (0, below / above shard size, above corpus size), tie layouts
+//! straddling shard boundaries, and id-mapped stores.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{assert_bitwise, unit_cloud};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unimatch_ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Retriever,
-    ShardedRetriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardedRetriever,
 };
 
 const DIM: usize = 8;
@@ -28,30 +29,6 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 /// 0, tiny, bigger than a 7-way shard (~9 rows), exactly the corpus,
 /// past the corpus.
 const KS: [usize; 5] = [0, 3, 20, ROWS, ROWS + 40];
-
-fn unit_cloud(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * DIM);
-    for _ in 0..n {
-        let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-9);
-        data.extend(v.into_iter().map(|x| x / norm));
-    }
-    data
-}
-
-fn assert_bitwise(a: &[Hit], b: &[Hit], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: hit counts differ");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.id, y.id, "{context}: id diverges at rank {i}");
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{context}: score bits diverge at rank {i} (id {})",
-            x.id
-        );
-    }
-}
 
 /// Runs the full (shard count × k) matrix for one backend pair: the
 /// unsharded index and a factory for the sharded one. Both `search` and
@@ -84,7 +61,7 @@ fn run_matrix(
 
 #[test]
 fn exact_backend_is_bitwise_identical_sharded() {
-    let store = Arc::new(EmbeddingStore::from_vec(unit_cloud(ROWS, 0xacc), DIM));
+    let store = Arc::new(EmbeddingStore::from_vec(unit_cloud(ROWS, DIM, 0xacc), DIM));
     let whole = BruteForceIndex::over(store.clone());
     run_matrix(
         &store,
@@ -96,7 +73,7 @@ fn exact_backend_is_bitwise_identical_sharded() {
 
 #[test]
 fn hnsw_effectively_exact_is_bitwise_identical_sharded() {
-    let store = Arc::new(EmbeddingStore::from_vec(unit_cloud(ROWS, 0xbee), DIM));
+    let store = Arc::new(EmbeddingStore::from_vec(unit_cloud(ROWS, DIM, 0xbee), DIM));
     // ef ≥ rows: the layer-0 beam admits every reachable node, so a
     // connected graph returns the true canonical top-k regardless of its
     // (rng-dependent) structure — which is what makes the unsharded and
@@ -113,26 +90,6 @@ fn hnsw_effectively_exact_is_bitwise_identical_sharded() {
             })
         },
         "hnsw",
-    );
-}
-
-#[test]
-fn ivf_effectively_exact_is_bitwise_identical_sharded() {
-    let store = Arc::new(EmbeddingStore::from_vec(unit_cloud(ROWS, 0xcafe), DIM));
-    // nprobe = nlist scans every list, i.e. every row exactly once
-    // (the lists partition the corpus), collapsing IVF to an exact scan.
-    let cfg = IvfConfig { nlist: 8, nprobe: 8, kmeans_iters: 4 };
-    let whole = IvfIndex::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(3));
-    run_matrix(
-        &store,
-        &whole,
-        |n| {
-            let mut rng = StdRng::seed_from_u64(4);
-            ShardedRetriever::build(&store, n, |view| {
-                Box::new(IvfIndex::build_over(view, cfg, &mut rng))
-            })
-        },
-        "ivf",
     );
 }
 
@@ -184,7 +141,7 @@ fn ties_straddling_shard_boundaries_resolve_to_lowest_ids() {
 /// merge picks the duplicates by lowest id. Both must keep the same ones.
 #[test]
 fn a_late_better_row_after_duplicates_is_identical_sharded() {
-    let mut data = unit_cloud(ROWS, 0x7135);
+    let mut data = unit_cloud(ROWS, DIM, 0x7135);
     let dup: Vec<f32> = data[..DIM].to_vec();
     for r in [1, 2, 3, 45] {
         data[r * DIM..(r + 1) * DIM].copy_from_slice(&dup);
@@ -226,7 +183,7 @@ fn a_late_better_row_after_duplicates_is_identical_sharded() {
 /// external id) even though shard views drop the map.
 #[test]
 fn id_mapped_stores_translate_identically_sharded() {
-    let data = unit_cloud(ROWS, 0x1d);
+    let data = unit_cloud(ROWS, DIM, 0x1d);
     let ids: Vec<u32> = (0..ROWS as u32).map(|r| 1_000 + 7 * r).collect();
     let store = Arc::new(EmbeddingStore::with_ids(&data, DIM, ids));
     let whole = BruteForceIndex::over(store.clone());

@@ -8,6 +8,8 @@
 //! in paper order and writes `EXPERIMENTS.md` at the workspace root,
 //! recording paper-vs-measured for every table and figure.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;

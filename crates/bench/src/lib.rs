@@ -9,6 +9,7 @@
 //! writes `EXPERIMENTS.md`. Performance numbers are not this crate's
 //! job: they come from `crates/benchmark` (`BENCHMARK.json`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use unimatch_ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Retriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever,
     RowFormat, ShardPolicy, ShardedRetriever, StoreBacking,
 };
 use unimatch_data::{InteractionLog, Marginals};
@@ -75,9 +75,9 @@ pub struct UniMatchConfig {
     /// is bitwise invisible at every call site.
     pub rerank: RerankConfig,
     /// Row format of both towers' serving stores. [`RowFormat::F32`]
-    /// (the default) is the bit-exact reference; `F16`/`I8` quantize the
-    /// embedding arenas after training — 2×/4× smaller tables scored
-    /// through the fused dequant-dot kernel, recall-gated by the quant
+    /// (the default) is the bit-exact reference; `I8` quantizes the
+    /// embedding arenas after training — smaller tables scored through
+    /// the fused dequant-dot kernel, recall-gated by the quant
     /// differential suite (see docs/OPERATIONS.md for the trade-offs).
     pub store: RowFormat,
     /// Memory-map the persisted item table instead of copying it into an
@@ -107,22 +107,21 @@ pub struct RerankConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RetrieverKind {
     /// Exact blocked scan (`BruteForceIndex`) — bit-reproducible scores,
-    /// the reference every approximate backend is measured against.
+    /// the reference the approximate backend is measured against, and
+    /// the measured winner at the benchmarked corpus size (see
+    /// docs/OPERATIONS.md).
+    #[default]
     Exact,
     /// HNSW graph (the paper's production choice for online serving).
-    #[default]
     Hnsw,
-    /// IVF inverted lists.
-    Ivf,
 }
 
 impl RetrieverKind {
-    /// Parses a CLI/config name (`exact`, `hnsw`, `ivf`).
+    /// Parses a CLI/config name (`exact`, `hnsw`).
     pub fn parse(name: &str) -> Option<RetrieverKind> {
         match name {
             "exact" | "bruteforce" => Some(RetrieverKind::Exact),
             "hnsw" => Some(RetrieverKind::Hnsw),
-            "ivf" => Some(RetrieverKind::Ivf),
             _ => None,
         }
     }
@@ -133,7 +132,6 @@ impl RetrieverKind {
         match self {
             RetrieverKind::Exact => "bruteforce",
             RetrieverKind::Hnsw => "hnsw",
-            RetrieverKind::Ivf => "ivf",
         }
     }
 
@@ -163,7 +161,6 @@ impl RetrieverKind {
             RetrieverKind::Hnsw => {
                 Box::new(HnswIndex::build_over(store, HnswConfig::default(), rng))
             }
-            RetrieverKind::Ivf => Box::new(IvfIndex::build_over(store, IvfConfig::default(), rng)),
         }
     }
 }
@@ -534,7 +531,7 @@ impl FittedUniMatch {
     }
 
     /// Backend name of the serving retrieval indexes
-    /// (`"bruteforce"` / `"hnsw"` / `"ivf"`).
+    /// (`"bruteforce"` / `"hnsw"`).
     pub fn retriever_backend(&self) -> &'static str {
         self.item_index.backend()
     }
@@ -544,7 +541,7 @@ impl FittedUniMatch {
         self.item_index.shards()
     }
 
-    /// Row format of the serving embedding stores (`f32`/`f16`/`i8`).
+    /// Row format of the serving embedding stores (`f32`/`i8`).
     pub fn store_format(&self) -> RowFormat {
         self.item_store.format()
     }

@@ -34,6 +34,7 @@
 //! Fig. 3), [`grid`] (Tab. VII), and [`cost`] (the ≥94 % saving of
 //! Sec. IV-B5).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audience;

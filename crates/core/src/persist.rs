@@ -1266,31 +1266,30 @@ mod tests {
     fn quantized_checkpoint_round_trips_bit_for_bit() {
         let m = model(ContextExtractor::YoutubeDnn);
         let f32_store = f32_store_of(&m);
-        for format in [RowFormat::F16, RowFormat::I8] {
-            let quantized = f32_store.quantize(format);
-            let dir = unique_tmp("quant_rt");
-            let path = dir.join("model.json");
-            save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
-            assert!(table_path(&path, format).exists(), "sidecar written");
-            for mmap in [false, true] {
-                let (restored, store, marginals) =
-                    load_checkpoint_with_format(&path, format, mmap).expect("load");
-                assert!(marginals.is_none());
-                assert_eq!(
-                    embedding_checksum_of(&restored),
-                    embedding_checksum_of(&m),
-                    "same embedding table"
-                );
-                let want = if mmap { StoreBacking::Mmap } else { StoreBacking::Owned };
-                assert_eq!(store.backing(), want);
-                assert_store_bits_equal(&store, &quantized);
-            }
-            // the embedding section still serves other formats, f32 included
-            let (_, as_f32, _) =
-                load_checkpoint_with_format(&path, RowFormat::F32, false).expect("f32 load");
-            assert_store_bits_equal(&as_f32, &f32_store);
-            std::fs::remove_dir_all(&dir).ok();
+        let format = RowFormat::I8;
+        let quantized = f32_store.quantize(format);
+        let dir = unique_tmp("quant_rt");
+        let path = dir.join("model.json");
+        save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
+        assert!(table_path(&path, format).exists(), "sidecar written");
+        for mmap in [false, true] {
+            let (restored, store, marginals) =
+                load_checkpoint_with_format(&path, format, mmap).expect("load");
+            assert!(marginals.is_none());
+            assert_eq!(
+                embedding_checksum_of(&restored),
+                embedding_checksum_of(&m),
+                "same embedding table"
+            );
+            let want = if mmap { StoreBacking::Mmap } else { StoreBacking::Owned };
+            assert_eq!(store.backing(), want);
+            assert_store_bits_equal(&store, &quantized);
         }
+        // the embedding section still serves other formats, f32 included
+        let (_, as_f32, _) =
+            load_checkpoint_with_format(&path, RowFormat::F32, false).expect("f32 load");
+        assert_store_bits_equal(&as_f32, &f32_store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1318,31 +1317,30 @@ mod tests {
         let path = dir.join("model.json");
         // a plain f32 checkpoint advertises no tables at all
         save_model(&m, &path).expect("save");
-        for format in [RowFormat::F16, RowFormat::I8] {
-            let expected = f32_store.quantize(format);
-            let (_, owned, _) =
-                load_checkpoint_with_format(&path, format, false).expect("derive owned");
-            assert_eq!(owned.backing(), StoreBacking::Owned);
-            assert_store_bits_equal(&owned, &expected);
-            assert!(!table_path(&path, format).exists(), "in-memory derivation writes nothing");
-            // mmap needs real bytes on disk: the loader materializes the
-            // sidecar once, then maps it — and reuses it on the next load
-            let (_, mapped, _) =
-                load_checkpoint_with_format(&path, format, true).expect("derive mmap");
-            assert_eq!(mapped.backing(), StoreBacking::Mmap);
-            assert_store_bits_equal(&mapped, &expected);
-            let sidecar = table_path(&path, format);
-            assert!(sidecar.exists());
-            let bytes_first = std::fs::read(&sidecar).expect("sidecar bytes");
-            let (_, remapped, _) =
-                load_checkpoint_with_format(&path, format, true).expect("reuse mmap");
-            assert_store_bits_equal(&remapped, &expected);
-            assert_eq!(
-                bytes_first,
-                std::fs::read(&sidecar).expect("sidecar bytes"),
-                "reuse must not rewrite the sidecar"
-            );
-        }
+        let format = RowFormat::I8;
+        let expected = f32_store.quantize(format);
+        let (_, owned, _) =
+            load_checkpoint_with_format(&path, format, false).expect("derive owned");
+        assert_eq!(owned.backing(), StoreBacking::Owned);
+        assert_store_bits_equal(&owned, &expected);
+        assert!(!table_path(&path, format).exists(), "in-memory derivation writes nothing");
+        // mmap needs real bytes on disk: the loader materializes the
+        // sidecar once, then maps it — and reuses it on the next load
+        let (_, mapped, _) =
+            load_checkpoint_with_format(&path, format, true).expect("derive mmap");
+        assert_eq!(mapped.backing(), StoreBacking::Mmap);
+        assert_store_bits_equal(&mapped, &expected);
+        let sidecar = table_path(&path, format);
+        assert!(sidecar.exists());
+        let bytes_first = std::fs::read(&sidecar).expect("sidecar bytes");
+        let (_, remapped, _) =
+            load_checkpoint_with_format(&path, format, true).expect("reuse mmap");
+        assert_store_bits_equal(&remapped, &expected);
+        assert_eq!(
+            bytes_first,
+            std::fs::read(&sidecar).expect("sidecar bytes"),
+            "reuse must not rewrite the sidecar"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,7 +24,7 @@
 //! [`FittedUniMatch::user_pipeline`] build the two tower-specific views;
 //! [`MatchPipeline::over`] builds a standalone view for offline
 //! comparisons (e.g. the backend-delta evaluation sweeps custom
-//! HNSW/IVF indexes over a deployment's stores).
+//! HNSW indexes over a deployment's stores).
 //!
 //! Determinism contract: the composed runners (`run`, `run_one`,
 //! `run_checked`) are the stages below called in order, so their results

@@ -22,6 +22,7 @@
 //! assert!(!split.test.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alias;

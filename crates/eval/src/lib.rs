@@ -16,6 +16,7 @@
 //! [`bootstrap`] provides confidence intervals / paired superiority tests
 //! for deciding whether a table win is real at small test-set sizes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

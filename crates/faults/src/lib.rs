@@ -49,6 +49,7 @@
 //! assert!(FaultPoint::should_fire("demo.point").is_none());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod plan;

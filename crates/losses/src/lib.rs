@@ -13,6 +13,7 @@
 //! All losses are pure graph programs over logits produced by any model,
 //! keeping the framework model-agnostic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bce;

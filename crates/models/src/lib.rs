@@ -26,6 +26,7 @@
 //! assert_eq!(g.value(logits).shape().dims(), &[1, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregators;

@@ -49,6 +49,7 @@
 //! # obs::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;

@@ -39,6 +39,7 @@
 //! # Parallelism::auto().install_global();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;

@@ -39,6 +39,7 @@
 //! Per-stage latency is recorded as `unimatch_rerank_stage_us{stage=}`
 //! spans through `unimatch-obs` (default-off, no observer effect).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chain;

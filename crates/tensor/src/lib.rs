@@ -33,6 +33,7 @@
 //! assert_eq!(grads[&w].data(), &[1.0, 2.0]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backward;

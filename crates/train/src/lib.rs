@@ -12,6 +12,7 @@
 //! optimizer's moments portable across a process restart so durable
 //! incremental runs resume bit-identically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -1,5 +1,5 @@
-//! Serving-path deep dive: compare the three ANN indexes (brute force,
-//! IVF, HNSW) on trained item embeddings — recall vs. the exact scan and
+//! Serving-path deep dive: compare the two retrieval backends (brute
+//! force, HNSW) on trained item embeddings — recall vs. the exact scan and
 //! rough query latency, the trade-off behind Sec. III-B1's architecture
 //! choice.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use std::time::Instant;
-use unimatch::ann::{AnnIndex, BruteForceIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex};
+use unimatch::ann::{AnnIndex, BruteForceIndex, HnswConfig, HnswIndex};
 use unimatch::core::{UniMatch, UniMatchConfig};
 use unimatch::data::DatasetProfile;
 use unimatch::eval::Table;
@@ -26,7 +26,6 @@ fn main() {
     let data = items.data().to_vec();
     let bf = BruteForceIndex::new(data.clone(), dim);
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let ivf = IvfIndex::build(data.clone(), dim, IvfConfig { nlist: 32, nprobe: 4, kmeans_iters: 8 }, &mut rng);
     let hnsw = HnswIndex::build(data, dim, HnswConfig::default(), &mut rng);
 
     // queries: user embeddings for random histories
@@ -54,12 +53,11 @@ fn main() {
         ]);
     };
     bench("brute force", &bf);
-    bench("IVF (nprobe 4/32)", &ivf);
     bench("HNSW (ef 50)", &hnsw);
     println!("{}", table.render());
     println!(
         "(brute-force recall is 1.0 by construction but costs O(catalog); \
-         the approximate indexes trade a little recall for sublinear scans — \
+         the approximate index trades a little recall for a sublinear scan — \
          at production catalog sizes this is what makes two-tower serving viable.)"
     );
 }

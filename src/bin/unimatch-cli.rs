@@ -16,6 +16,8 @@
 //! `<model>.items.json`) so results translate back. The HTTP API exposed
 //! by `serve` speaks the dense ids directly.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;
@@ -65,27 +67,27 @@ fn usage(msg: &str) -> ! {
          generate  --profile <books|electronics|ecomp|wcomp|large> [--scale F] [--seed N] --out FILE\n\
          fit       --log FILE --out FILE [--epochs N] [--temperature F] [--batch N] [--seed N]\n\
          \u{20}         [--run-dir DIR] [--retriever KIND] [--shards N]   (crash-safe resume)\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|f16|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
          recommend --model FILE --log FILE --user ID [--k N] [--retriever KIND] [--shards N]\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|f16|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
          target    --model FILE --log FILE --item ID [--k N] [--retriever KIND] [--shards N]\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|f16|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
          evaluate  --model FILE --log FILE [--top-n N] [--negatives N] [--seed N]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE]   (gates a chain before rollout:\n\
          \u{20}          prints raw vs reranked recall/NDCG/coverage/gini + popularity lift)\n\
          \u{20}         [--store-deltas true]   (per-format recall/NDCG deltas vs exact f32)\n\
          \u{20}         [--backend-deltas true] (per-index-backend IR/UT deltas vs the exact\n\
-         \u{20}          oracle at realistic hnsw ef / ivf nprobe operating points)\n\
+         \u{20}          oracle at realistic hnsw ef_search operating points)\n\
          serve     --checkpoint FILE --log FILE [--addr HOST:PORT] [--batch-window-ms F]\n\
          \u{20}         [--batch-max N] [--cache N] [--max-conns N] [--deadline-ms F]\n\
          \u{20}         [--queue-bound N] [--faults SPEC] [--fault-seed N] [--retriever KIND]\n\
          \u{20}         [--shards N] [--min-shards N] [--shard-deadline-ms F] [--obs true]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--brownout LADDER]\n\
-         \u{20}         [--store f32|f16|i8] [--mmap true] [--shadow-sample-rate F]\n\
+         \u{20}         [--store f32|i8] [--mmap true] [--shadow-sample-rate F]\n\
          \u{20}         [--shadow-ckpt FILE] [--shadow-spec 'key=value;…']\n\
-         \u{20}         (KIND: exact|hnsw|ivf — the serving index backend; default hnsw)\n\
-         \u{20}         (--store: row format of the serving embedding arenas — f16/i8 are\n\
-         \u{20}          2×/4× smaller, scored by the fused dequant-dot kernel;\n\
+         \u{20}         (KIND: exact|hnsw — the serving index backend; default exact)\n\
+         \u{20}         (--store: row format of the serving embedding arenas — i8 is a\n\
+         \u{20}          smaller table scored by the fused dequant-dot kernel;\n\
          \u{20}          --mmap true memory-maps the sidecar table, zero-copy load)\n\
          \u{20}         (--shards N: split each tower's index into N row-range shards,\n\
          \u{20}          searched in parallel and merged exactly; default 1)\n\
@@ -146,13 +148,13 @@ fn flag_or<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, def
     }
 }
 
-/// The serving index backend (`--retriever exact|hnsw|ivf`), defaulting to
+/// The serving index backend (`--retriever exact|hnsw`), defaulting to
 /// the framework's configured kind.
 fn retriever_flag(flags: &HashMap<String, String>) -> RetrieverKind {
     match flags.get("retriever") {
         None => RetrieverKind::default(),
         Some(v) => RetrieverKind::parse(v)
-            .unwrap_or_else(|| usage(&format!("unknown retriever {v} (exact|hnsw|ivf)"))),
+            .unwrap_or_else(|| usage(&format!("unknown retriever {v} (exact|hnsw)"))),
     }
 }
 
@@ -183,12 +185,12 @@ fn shard_policy_flag(flags: &HashMap<String, String>) -> ShardPolicy {
     ShardPolicy { deadline, min_shards }
 }
 
-/// Serving-store row format (`--store f32|f16|i8`, default f32).
+/// Serving-store row format (`--store f32|i8`, default f32).
 fn store_flag(flags: &HashMap<String, String>) -> RowFormat {
     match flags.get("store") {
         None => RowFormat::F32,
         Some(v) => RowFormat::parse(v)
-            .unwrap_or_else(|| usage(&format!("unknown store format {v} (f32|f16|i8)"))),
+            .unwrap_or_else(|| usage(&format!("unknown store format {v} (f32|i8)"))),
     }
 }
 
@@ -479,7 +481,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
     }
     // --backend-deltas true prints what each index backend costs in end
     // metrics: one deployment materializes both towers' stores, then
-    // HNSW / IVF indexes at realistic operating points answer the same
+    // HNSW indexes at realistic operating points answer the same
     // seeded IR and UT cases, reported as deltas against the exact
     // (brute-force) oracle over those very arenas.
     if flag_or(flags, "backend-deltas", false) {

@@ -1,6 +1,9 @@
 //! Facade crate for the UniMatch workspace. See `unimatch_core` for the
 //! framework entry point; this crate re-exports everything and hosts the
 //! runnable examples and cross-crate integration tests.
+
+#![forbid(unsafe_code)]
+
 pub use unimatch_ann as ann;
 pub use unimatch_bench as bench;
 pub use unimatch_core as core;

@@ -193,5 +193,41 @@ fn cli_rejects_bad_input() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("expected header"));
+
+    // retired backend / format names are a usage error that lists what
+    // is left, wherever they are spelled
+    let log = dir.join("log.csv");
+    let model = dir.join("model.json");
+    let out = cli()
+        .args(["generate", "--profile", "ecomp", "--scale", "0.1", "--seed", "5"])
+        .args(["--out", log.to_str().expect("utf8")])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let fit = |extra: &[&str]| {
+        cli()
+            .args(["fit", "--log", log.to_str().expect("utf8")])
+            .args(["--out", model.to_str().expect("utf8"), "--epochs", "1"])
+            .args(extra)
+            .output()
+            .expect("run fit")
+    };
+    let rejected = |out: std::process::Output, message: &str| {
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    };
+    rejected(fit(&["--retriever", "ivf"]), "unknown retriever ivf (exact|hnsw)");
+    rejected(fit(&["--store", "f16"]), "unknown store format f16 (f32|i8)");
+    assert!(!model.exists(), "a rejected fit writes nothing");
+    let out = fit(&[]);
+    assert!(out.status.success(), "fit failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["serve", "--checkpoint", model.to_str().expect("utf8")])
+        .args(["--log", log.to_str().expect("utf8"), "--addr", "127.0.0.1:0"])
+        .args(["--shadow-sample-rate", "1", "--shadow-spec", "retriever=ivf"])
+        .output()
+        .expect("run serve");
+    rejected(out, "unknown retriever ivf (exact|hnsw)");
     std::fs::remove_dir_all(&dir).ok();
 }

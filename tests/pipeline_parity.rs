@@ -16,7 +16,7 @@
 //!
 //! across the full deployment matrix
 //!
-//! * index backend: exact / HNSW / IVF,
+//! * index backend: exact / HNSW,
 //! * shard fan-out: 1 / 3,
 //! * store row format: f32 / i8,
 //! * re-ranking: identity / full chain (debias + mmr + explore).
@@ -104,7 +104,7 @@ fn assert_pairs_bitwise(got: &[(u32, f32)], want: &[(u32, f32)], site: &str) {
 /// The deployment matrix every parity check below runs over.
 fn matrix() -> Vec<(RetrieverKind, usize, RowFormat, &'static str)> {
     let mut out = Vec::new();
-    for kind in [RetrieverKind::Exact, RetrieverKind::Hnsw, RetrieverKind::Ivf] {
+    for kind in [RetrieverKind::Exact, RetrieverKind::Hnsw] {
         for shards in [1usize, 3] {
             for store in [RowFormat::F32, RowFormat::I8] {
                 for spec in ["", FULL_CHAIN] {

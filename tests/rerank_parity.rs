@@ -5,7 +5,7 @@
 //!
 //! 1. **Identity is invisible.** An unconfigured deployment (empty
 //!    `--rerank` spec) must be bitwise identical to raw top-k retrieval
-//!    for every backend (exact/HNSW/IVF) and shard count — the chain
+//!    for every backend (exact/HNSW) and shard count — the chain
 //!    must not over-fetch, re-sort, or even re-allocate.
 //! 2. **Chains are seeded functions.** A configured chain with a fixed
 //!    seed must produce byte-identical results across process restarts
@@ -22,8 +22,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unimatch::ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Retriever,
-    ShardedRetriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardedRetriever,
 };
 use unimatch::core::{
     load_checkpoint, save_model_with_marginals, FittedUniMatch, RerankConfig, RetrieverKind,
@@ -80,7 +79,6 @@ fn mirror_one(kind: RetrieverKind, store: Arc<EmbeddingStore>, rng: &mut StdRng)
     match kind {
         RetrieverKind::Exact => Box::new(BruteForceIndex::over(store)),
         RetrieverKind::Hnsw => Box::new(HnswIndex::build_over(store, HnswConfig::default(), rng)),
-        RetrieverKind::Ivf => Box::new(IvfIndex::build_over(store, IvfConfig::default(), rng)),
     }
 }
 
@@ -113,7 +111,7 @@ fn assert_hits_bitwise(got: &[Hit], want: &[Hit], site: &str) {
 
 #[test]
 fn identity_chain_is_bitwise_raw_top_k_across_backends_and_shards() {
-    for kind in [RetrieverKind::Exact, RetrieverKind::Hnsw, RetrieverKind::Ivf] {
+    for kind in [RetrieverKind::Exact, RetrieverKind::Hnsw] {
         for shards in [1usize, 3] {
             let fitted = serve_variant(kind, shards, "", SEED);
             assert_eq!(fitted.rerank_spec(), "", "empty spec must stay identity");

@@ -8,6 +8,11 @@
 //! id) and requires bitwise agreement, so an engine regression is caught
 //! at the layer a user would feel it, not just inside the ann crate.
 
+// the retrieval suites' oracle, shared rather than copied
+#[path = "../crates/ann/tests/common/mod.rs"]
+mod common;
+
+use common::{assert_bitwise, oracle_top_k};
 use unimatch::core::{
     build_targeting_list, load_checkpoint, save_model, CampaignSpec, PreparedData, RetrieverKind,
     UniMatch, UniMatchConfig,
@@ -24,19 +29,6 @@ fn exact_fitted() -> (unimatch::core::FittedUniMatch, unimatch::data::Interactio
         ..Default::default()
     };
     (UniMatch::new(cfg).fit(log.clone()), log)
-}
-
-/// The pre-refactor reduction every call site shared: sequential dot over
-/// all rows, stable sort descending, truncate.
-fn oracle_top_k(query: &[f32], rows: &[f32], dim: usize, k: usize) -> Vec<(u32, f32)> {
-    let mut scored: Vec<(u32, f32)> = rows
-        .chunks(dim)
-        .enumerate()
-        .map(|(i, row)| (i as u32, query.iter().zip(row).map(|(x, y)| x * y).sum()))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    scored.truncate(k);
-    scored
 }
 
 #[test]
@@ -56,11 +48,7 @@ fn batch_inference_top_k_matches_the_oracle() {
     let targets = mk(600, 4);
     let got = unimatch::ann::top_k_exact(&queries, &targets, dim, 9);
     for (qi, q) in queries.chunks(dim).enumerate() {
-        let want = oracle_top_k(q, &targets, dim, 9);
-        assert_eq!(got[qi].len(), want.len());
-        for (hit, (wid, wscore)) in got[qi].iter().zip(&want) {
-            assert_eq!((hit.id, hit.score.to_bits()), (*wid, wscore.to_bits()), "query {qi}");
-        }
+        assert_bitwise(&got[qi], &oracle_top_k(q, &targets, dim, 9), &format!("query {qi}"));
     }
 }
 
@@ -74,7 +62,7 @@ fn target_users_is_the_oracle_over_the_user_store() {
     let query = fitted.item_store().row(item as usize).to_vec();
     let want: Vec<(u32, f32)> = oracle_top_k(&query, store.as_slice(), store.dim(), k)
         .into_iter()
-        .map(|(row, score)| (store.id_of_row(row as usize), score))
+        .map(|hit| (store.id_of_row(hit.id as usize), hit.score))
         .collect();
     let got = fitted.target_users(item, k);
     assert_eq!(got.len(), want.len());
