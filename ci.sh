@@ -10,8 +10,8 @@
 #    routes, shadow), the fault-injection plane, durable/crash-safe
 #    training, the retrieval, quantization and re-ranking differential
 #    suites, the pipeline parity suite, the dependency guard
-#    (tests/dependency_guard.rs: crates.io surface = rand + dev-only
-#    proptest, every declared edge used), the /metrics golden
+#    (tests/dependency_guard.rs: crates.io surface = rand alone, dev
+#    sections included, every declared edge used), the /metrics golden
 #    (crates/serve/tests/metrics_golden.rs: the catalogue renders the
 #    bytes the hand-written struct did) and the metric catalogue ↔ docs
 #    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names

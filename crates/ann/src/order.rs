@@ -39,67 +39,78 @@ pub fn sort_canonical(hits: &mut [Hit]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn arbitrary_hit() -> impl Strategy<Value = Hit> {
+    /// Inputs per property: case `n` is drawn from its own
+    /// `StdRng::seed_from_u64(n)`, and a failure names it.
+    const CASES: u64 = 256;
+
+    fn arbitrary_hit(rng: &mut StdRng) -> Hit {
         // drive the score through raw bit patterns so NaNs (both signs),
         // infinities, zeros and subnormals all appear in the corpus
-        (proptest::num::u32::ANY, proptest::num::u32::ANY)
-            .prop_map(|(id, bits)| Hit { id: id % 64, score: f32::from_bits(bits) })
+        Hit { id: rng.gen::<u32>() % 64, score: f32::from_bits(rng.gen()) }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn comparator_is_a_total_order(
-            a in arbitrary_hit(),
-            b in arbitrary_hit(),
-            c in arbitrary_hit(),
-        ) {
+    #[test]
+    fn comparator_is_a_total_order() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (a, b, c) =
+                (arbitrary_hit(&mut rng), arbitrary_hit(&mut rng), arbitrary_hit(&mut rng));
             // antisymmetry
-            prop_assert_eq!(canonical(&a, &b), canonical(&b, &a).reverse());
+            assert_eq!(canonical(&a, &b), canonical(&b, &a).reverse(), "case {case}");
             // Equal only for identical (bit-level) hits
             if canonical(&a, &b) == Ordering::Equal {
-                prop_assert_eq!(a.id, b.id);
-                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+                assert_eq!(a.id, b.id, "case {case}");
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "case {case}");
             }
             // transitivity of `<=`
-            if canonical(&a, &b) != Ordering::Greater
-                && canonical(&b, &c) != Ordering::Greater
-            {
-                prop_assert_ne!(canonical(&a, &c), Ordering::Greater);
+            if canonical(&a, &b) != Ordering::Greater && canonical(&b, &c) != Ordering::Greater {
+                assert_ne!(canonical(&a, &c), Ordering::Greater, "case {case}");
             }
         }
+    }
 
-        #[test]
-        fn sort_is_deterministic_and_permutation_preserving(
-            mut hits in proptest::collection::vec(arbitrary_hit(), 0..48),
-        ) {
+    #[test]
+    fn sort_is_deterministic_and_permutation_preserving() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut hits: Vec<Hit> =
+                (0..rng.gen_range(0usize..48)).map(|_| arbitrary_hit(&mut rng)).collect();
             let mut shuffled: Vec<Hit> = hits.iter().rev().copied().collect();
             sort_canonical(&mut hits);
             sort_canonical(&mut shuffled);
             // same multiset in, same bytes out, independent of input order
-            prop_assert_eq!(hits.len(), shuffled.len());
+            assert_eq!(hits.len(), shuffled.len(), "case {case}");
             for (h, s) in hits.iter().zip(&shuffled) {
-                prop_assert_eq!(h.id, s.id);
-                prop_assert_eq!(h.score.to_bits(), s.score.to_bits());
+                assert_eq!(h.id, s.id, "case {case}");
+                assert_eq!(h.score.to_bits(), s.score.to_bits(), "case {case}");
             }
             // pairwise order holds: never a strictly-better hit after a worse one
             for w in hits.windows(2) {
-                prop_assert_ne!(canonical(&w[0], &w[1]), Ordering::Greater);
+                assert_ne!(canonical(&w[0], &w[1]), Ordering::Greater, "case {case}");
             }
         }
+    }
 
-        #[test]
-        fn ties_break_by_lowest_id(score in proptest::num::u32::ANY, x in 0u32..1000, y in 0u32..1000) {
-            prop_assume!(x != y);
+    #[test]
+    fn ties_break_by_lowest_id() {
+        // a draw with `x == y` is redrawn from the next case, not counted
+        let checked = (0u64..)
+            .map(|case| {
+                let mut rng = StdRng::seed_from_u64(case);
+                (case, rng.gen::<u32>(), rng.gen_range(0u32..1000), rng.gen_range(0u32..1000))
+            })
+            .filter(|&(_, _, x, y)| x != y)
+            .take(CASES as usize);
+        for (case, score, x, y) in checked {
             let score = f32::from_bits(score);
             let (lo, hi) = (x.min(y), x.max(y));
             let mut hits = vec![Hit { id: hi, score }, Hit { id: lo, score }];
             sort_canonical(&mut hits);
-            prop_assert_eq!(hits[0].id, lo);
-            prop_assert_eq!(hits[1].id, hi);
+            assert_eq!(hits[0].id, lo, "case {case}");
+            assert_eq!(hits[1].id, hi, "case {case}");
         }
     }
 

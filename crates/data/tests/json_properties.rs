@@ -1,10 +1,10 @@
 //! Property tests for the hand-rolled `unimatch_data::json` codec, which
 //! backs model persistence and the HTTP API.
 //!
-//! The properties are driven by a seeded RNG (not proptest — the
-//! workspace builds offline with no external test frameworks): thousands
-//! of arbitrary nested documents are generated, encoded, reparsed, and
-//! compared structurally. Numeric values are generated as `Json::Num`
+//! The properties are driven by a seeded RNG (the workspace builds
+//! offline with no external test frameworks): thousands of arbitrary
+//! nested documents are generated, encoded, reparsed, and compared
+//! structurally. Numeric values are generated as `Json::Num`
 //! only — the `F32` variant is a writer-side optimization that reparses
 //! as `Num` by design, so it round-trips *numerically* but not
 //! *structurally* (covered separately below).

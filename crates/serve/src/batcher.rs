@@ -21,7 +21,8 @@
 //!   and answered through the tower's [`MatchPipeline`] (the same stage
 //!   sequence behind `recommend_items` / `target_users`), so outputs
 //!   match them element for element;
-//! * the embedding LRU cache is keyed by history and cleared whenever the
+//! * the embedding LRU cache is keyed by the part of the history the
+//!   tower reads (its last `max_seq_len` ids) and cleared whenever the
 //!   pinned model version changes;
 //! * every job carries an admission deadline — jobs that out-wait it in
 //!   the queue are answered [`JobError::Expired`] (→ 503) instead of
@@ -235,8 +236,13 @@ pub fn run_batcher(
 /// *Embed* with the cache in front: cached histories are copied, the
 /// misses go through one batched forward pass and are cached. Returns
 /// the `jobs.len() × dim` query rows in job order.
+///
+/// The key is the last `max_seq_len` ids — all the tower reads — so
+/// histories that differ only before that suffix share an entry, and no
+/// stored key outgrows the model however long the request body was.
 fn embed_cached(
     pipeline: &MatchPipeline<'_>,
+    max_seq_len: usize,
     jobs: &[Job],
     cache: &mut EmbeddingCache,
     metrics: &Metrics,
@@ -248,6 +254,7 @@ fn embed_cached(
         let Query::History(history) = &job.query else {
             unreachable!("the recommend queue only carries histories")
         };
+        let history = &history[history.len().saturating_sub(max_seq_len)..];
         match cache.get(history) {
             Some(e) => {
                 metrics.inc(Family::CacheHits.at(0));
@@ -305,7 +312,7 @@ fn execute(
     }
 
     let materialised = catch_unwind(AssertUnwindSafe(|| match route {
-        Route::Recommend => embed_cached(&pipeline, &valid, cache, metrics),
+        Route::Recommend => embed_cached(&pipeline, fitted.max_seq_len(), &valid, cache, metrics),
         _ => {
             let items: Vec<u32> = valid
                 .iter()
@@ -360,5 +367,47 @@ fn execute(
             Ok(Err(quorum)) => fail_all(group, JobError::Internal(quorum.to_string())),
             Err(_) => fail_all(group, JobError::Internal("ANN search panicked".into())),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+    use unimatch_core::{UniMatch, UniMatchConfig};
+    use unimatch_data::DatasetProfile;
+
+    #[test]
+    fn cache_keys_are_the_served_suffix_and_never_longer() {
+        let log = DatasetProfile::EComp.generate(0.05, 17).filter_min_interactions(3);
+        let cfg = UniMatchConfig { max_seq_len: 4, epochs_per_month: 1, ..Default::default() };
+        let fitted = UniMatch::new(cfg).fit(log);
+        let pipeline = fitted.item_pipeline();
+        let d = pipeline.dim();
+        let job = |history: Vec<u32>| Job {
+            query: Query::History(history),
+            k: 3,
+            deadline: Instant::now(),
+            reply: channel().0,
+        };
+        // the same last four ids behind a short and a hostile-length
+        // prefix, then a history shorter than the window
+        let long: Vec<u32> = (0..50_000).map(|i| i % 7).chain([3, 4, 5, 6]).collect();
+        let jobs = [job(vec![1, 2, 3, 4, 5, 6]), job(long.clone()), job(vec![2])];
+        let mut cache = EmbeddingCache::new(8);
+        let metrics = Metrics::new();
+
+        let first = embed_cached(&pipeline, 4, &jobs[..1], &mut cache, &metrics);
+        let rest = embed_cached(&pipeline, 4, &jobs[1..], &mut cache, &metrics);
+        assert_eq!(metrics.get(Family::CacheMisses.at(0)), 2);
+        assert_eq!(metrics.get(Family::CacheHits.at(0)), 1, "same suffix must hit");
+        assert_eq!(first, rest[..d], "same suffix, same bytes");
+        assert_eq!(first, pipeline.embed_one(&long), "the key never changes an embedding");
+        assert_eq!(rest[d..], pipeline.embed_one(&[2]));
+        // two entries, both found under a key of at most four ids: there
+        // is no third, longer key
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&[3u32, 4, 5, 6][..]).is_some());
+        assert!(cache.get(&[2u32][..]).is_some());
     }
 }

@@ -11,6 +11,7 @@
 //! changes (embeddings from an old checkpoint must never mix with a new
 //! index).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -76,8 +77,14 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         self.tail = NONE;
     }
 
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Looks up `key` — in any borrowed form of `K`, so a `Vec` key is
+    /// found from a slice without allocating — marking it most recently
+    /// used on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         let &slot = self.map.get(key)?;
         self.detach(slot);
         self.attach_front(slot);

@@ -17,24 +17,19 @@
 //! * **clean drain**: shutdown under chaos still answers everything
 //!   admitted and closes the port.
 
-use std::io::{Read, Write};
+mod common;
+
+use common::{fault_lock, metric_value, request, tmp_dir};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use unimatch_core::persist::{save_checkpoint_with_table, save_model, table_path};
 use unimatch_core::{ModelHandle, RowFormat, UniMatch, UniMatchConfig};
 use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
 use unimatch_serve::{recommend_body, target_body, ServeConfig, Server};
-
-/// Serializes the tests in this binary: an armed fault plan is process
-/// state, and a plan one test arms must not bleed into another's server.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One fitted model, saved once and shared by every test (fitting is the
 /// expensive part; each test builds its own cheap `ModelHandle` over it).
@@ -48,9 +43,7 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("unimatch_serve_chaos_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let dir = tmp_dir("chaos");
         let log = DatasetProfile::EComp.generate(0.12, 17).filter_min_interactions(3);
         let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
         let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
@@ -66,46 +59,6 @@ fn fresh_handle() -> Arc<ModelHandle> {
         ModelHandle::from_checkpoint(UniMatch::new(f.cfg.clone()), &f.checkpoint, f.log.clone())
             .expect("fixture checkpoint loads"),
     )
-}
-
-/// One HTTP/1.1 request over a fresh connection; returns
-/// `(status, head, body)` so callers can assert on headers too.
-fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send head");
-    stream.write_all(body).expect("send body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    let head_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a header/body separator");
-    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head").to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code in status line");
-    (status, head, response[head_end + 4..].to_vec())
-}
-
-/// Reads the value of a single-sample metric line (`name value` or
-/// `name{labels} value`).
-fn metric_value(metrics: &str, prefix: &str) -> f64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(prefix))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {prefix} missing from:\n{metrics}"))
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //! `FittedUniMatch` call through the same writer — micro-batching, the
 //! embedding cache, and k-grouping must be invisible to clients.
 
-use std::io::{Read, Write};
+mod common;
+
+use common::{metric_value, request, tmp_dir};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,57 +19,9 @@ use unimatch_core::{ModelHandle, UniMatch, UniMatchConfig};
 use unimatch_data::DatasetProfile;
 use unimatch_serve::{recommend_body, target_body, ServeConfig, Server};
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("unimatch_serve_e2e_{}_{}", name, std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-/// One HTTP/1.1 request over a fresh connection; returns (status, body).
-/// The server closes every connection after one response, so reading to
-/// EOF is the framing.
-fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send head");
-    stream.write_all(body).expect("send body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    let head_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a header/body separator");
-    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code in status line");
-    (status, response[head_end + 4..].to_vec())
-}
-
-/// Reads the value of a single-sample metric line (`name value` or
-/// `name{labels} value`).
-fn metric_value(metrics: &str, prefix: &str) -> f64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(prefix))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {prefix} missing from:\n{metrics}"))
-}
-
 #[test]
 fn concurrent_serving_is_byte_identical_and_survives_reload() {
-    let dir = tmp_dir("full");
+    let dir = tmp_dir("e2e_full");
     let log = DatasetProfile::EComp.generate(0.15, 21).filter_min_interactions(3);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let model_a = UniMatch::new(cfg.clone()).fit(log.clone());
@@ -103,7 +56,7 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
         clients.push(std::thread::spawn(move || {
             let ids: Vec<String> = history.iter().map(u32::to_string).collect();
             let body = format!("{{\"history\":[{}],\"k\":{k}}}", ids.join(","));
-            let (status, got) = request(&addr, "POST", "/recommend", body.as_bytes());
+            let (status, _, got) = request(&addr, "POST", "/recommend", body.as_bytes());
             assert_eq!(status, 200, "recommend {t}: {}", String::from_utf8_lossy(&got));
             assert_eq!(got, expected, "recommend {t} not byte-identical");
         }));
@@ -116,7 +69,7 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
         let addr = addr.clone();
         clients.push(std::thread::spawn(move || {
             let body = format!("{{\"item\":{item},\"k\":{k}}}");
-            let (status, got) = request(&addr, "POST", "/target", body.as_bytes());
+            let (status, _, got) = request(&addr, "POST", "/target", body.as_bytes());
             assert_eq!(status, 200, "target {t}: {}", String::from_utf8_lossy(&got));
             assert_eq!(got, expected, "target {t} not byte-identical");
         }));
@@ -129,7 +82,7 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
     let history = [1u32, 2, 3];
     let expected = recommend_body(5, &fitted_a.fitted.recommend_items(&history, 5));
     for _ in 0..2 {
-        let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+        let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
         assert_eq!(status, 200);
         assert_eq!(got, expected);
     }
@@ -141,7 +94,7 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
         std::thread::spawn(move || {
             let mut served = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let (status, body) =
+                let (status, _, body) =
                     request(&addr, "POST", "/recommend", b"{\"history\":[4,5,6],\"k\":4}");
                 assert_eq!(
                     status,
@@ -155,7 +108,7 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
         })
     };
     let reload_body = format!("{{\"checkpoint\":{:?}}}", path_b.to_str().expect("utf8 path"));
-    let (status, body) = request(&addr, "POST", "/reload", reload_body.as_bytes());
+    let (status, _, body) = request(&addr, "POST", "/reload", reload_body.as_bytes());
     assert_eq!(status, 200, "reload: {}", String::from_utf8_lossy(&body));
     let body = String::from_utf8(body).expect("utf8 reload body");
     assert!(body.contains("\"version\":2"), "{body}");
@@ -167,34 +120,34 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
     let fitted_b = handle.current();
     assert_eq!(fitted_b.version, 2);
     let expected_b = recommend_body(5, &fitted_b.fitted.recommend_items(&history, 5));
-    let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+    let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200);
     assert_eq!(got, expected_b, "post-reload response must come from the new model");
     assert_ne!(expected_b, expected, "models a and b should rank differently");
 
     // -- phase 3: malformed input and unknown routes
-    let (status, _) = request(&addr, "POST", "/recommend", b"{not json");
+    let (status, _, _) = request(&addr, "POST", "/recommend", b"{not json");
     assert_eq!(status, 400);
-    let (status, _) = request(&addr, "POST", "/recommend", b"{\"history\":[],\"k\":3}");
+    let (status, _, _) = request(&addr, "POST", "/recommend", b"{\"history\":[],\"k\":3}");
     assert_eq!(status, 400, "empty history must be rejected");
-    let (status, body) =
+    let (status, _, body) =
         request(&addr, "POST", "/recommend", format!("{{\"history\":[{num_items}]}}").as_bytes());
     assert_eq!(status, 400, "out-of-vocabulary history must be rejected");
     assert!(String::from_utf8_lossy(&body).contains("vocabulary"));
-    let (status, _) = request(&addr, "POST", "/target", b"{\"k\":3}");
+    let (status, _, _) = request(&addr, "POST", "/target", b"{\"k\":3}");
     assert_eq!(status, 400, "missing item must be rejected");
-    let (status, _) = request(&addr, "GET", "/recommend", b"");
+    let (status, _, _) = request(&addr, "GET", "/recommend", b"");
     assert_eq!(status, 405);
-    let (status, _) = request(&addr, "GET", "/nope", b"");
+    let (status, _, _) = request(&addr, "GET", "/nope", b"");
     assert_eq!(status, 404);
-    let (status, _) = request(&addr, "POST", "/reload", b"{\"checkpoint\":\"/missing.json\"}");
+    let (status, _, _) = request(&addr, "POST", "/reload", b"{\"checkpoint\":\"/missing.json\"}");
     assert_eq!(status, 500, "reload of a missing checkpoint must fail without crashing");
-    let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+    let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200, "failed reload must leave the server serving");
     assert_eq!(got, expected_b);
 
     // -- phase 4: the metrics endpoint reflects everything above
-    let (status, metrics) = request(&addr, "GET", "/metrics", b"");
+    let (status, _, metrics) = request(&addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     let metrics = String::from_utf8(metrics).expect("utf8 metrics");
     assert!(metric_value(&metrics, "unimatch_requests_total{route=\"recommend\"}") >= 14.0);
@@ -310,7 +263,7 @@ static OBS_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 #[test]
 fn metrics_exposition_is_well_formed_and_counters_are_monotonic() {
     let _obs_guard = OBS_FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = tmp_dir("metrics");
+    let dir = tmp_dir("e2e_metrics");
     let log = DatasetProfile::EComp.generate(0.1, 31).filter_min_interactions(2);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
@@ -332,18 +285,18 @@ fn metrics_exposition_is_well_formed_and_counters_are_monotonic() {
     // the server's own series — the "one endpoint" contract.
     unimatch_obs::set_enabled(true);
     for _ in 0..3 {
-        let (status, _) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+        let (status, _, _) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
         assert_eq!(status, 200);
     }
-    let (status, first) = request(&addr, "GET", "/metrics", b"");
+    let (status, _, first) = request(&addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     let first = String::from_utf8(first).expect("utf8 metrics");
 
-    let (status, _) = request(&addr, "POST", "/recommend", b"{\"history\":[2,3,4],\"k\":4}");
+    let (status, _, _) = request(&addr, "POST", "/recommend", b"{\"history\":[2,3,4],\"k\":4}");
     assert_eq!(status, 200);
-    let (status, _) = request(&addr, "POST", "/recommend", b"{not json");
+    let (status, _, _) = request(&addr, "POST", "/recommend", b"{not json");
     assert_eq!(status, 400);
-    let (status, second) = request(&addr, "GET", "/metrics", b"");
+    let (status, _, second) = request(&addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     let second = String::from_utf8(second).expect("utf8 metrics");
     unimatch_obs::set_enabled(false);
@@ -402,7 +355,7 @@ fn metrics_exposition_is_well_formed_and_counters_are_monotonic() {
 #[test]
 fn sharded_serving_reports_fanout_and_shard_metrics() {
     let _obs_guard = OBS_FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = tmp_dir("sharded");
+    let dir = tmp_dir("e2e_sharded");
     let log = DatasetProfile::EComp.generate(0.1, 33).filter_min_interactions(2);
     let cfg = UniMatchConfig {
         max_seq_len: 8,
@@ -425,7 +378,7 @@ fn sharded_serving_reports_fanout_and_shard_metrics() {
     .expect("bind");
     let addr = server.addr().to_string();
 
-    let (status, health) = request(&addr, "GET", "/healthz", b"");
+    let (status, _, health) = request(&addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     let health = String::from_utf8(health).expect("utf8 healthz");
     assert!(health.contains("\"shards\":3"), "healthz must report the fan-out: {health}");
@@ -435,12 +388,12 @@ fn sharded_serving_reports_fanout_and_shard_metrics() {
     let fitted = handle.current();
     let history = [1u32, 2, 3];
     let expected = recommend_body(5, &fitted.fitted.recommend_items(&history, 5));
-    let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+    let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200);
     assert_eq!(got, expected, "sharded serving must stay byte-identical");
-    let (status, _) = request(&addr, "POST", "/target", b"{\"item\":1,\"k\":5}");
+    let (status, _, _) = request(&addr, "POST", "/target", b"{\"item\":1,\"k\":5}");
     assert_eq!(status, 200);
-    let (status, scrape) = request(&addr, "GET", "/metrics", b"");
+    let (status, _, scrape) = request(&addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     unimatch_obs::set_enabled(false);
     let scrape = String::from_utf8(scrape).expect("utf8 metrics");
@@ -473,7 +426,7 @@ fn sharded_serving_reports_fanout_and_shard_metrics() {
 #[test]
 fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
     let _obs_guard = OBS_FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = tmp_dir("rerank");
+    let dir = tmp_dir("e2e_rerank");
     // Checkpoint A is trained on a larger log than the serving log, so
     // its item vocabulary strictly contains the rules' ids; checkpoint B
     // (small log) cannot serve the denied item — reloading it while the
@@ -523,7 +476,7 @@ fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
     let addr = server.addr().to_string();
 
     // /healthz advertises the canonical chain spec.
-    let (status, health) = request(&addr, "GET", "/healthz", b"");
+    let (status, _, health) = request(&addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     let health = String::from_utf8(health).expect("utf8 healthz");
     assert!(health.contains(&format!("\"rerank\":\"{spec}\"")), "{health}");
@@ -535,17 +488,17 @@ fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
     let history = [1u32, 2, 3];
     let expected = recommend_body(5, &fitted.fitted.recommend_items(&history, 5));
     for round in 0..2 {
-        let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+        let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
         assert_eq!(status, 200);
         assert_eq!(got, expected, "round {round} diverged from the direct chained call");
     }
     let expected_t = target_body(4, &fitted.fitted.target_users(2, 4));
-    let (status, got) = request(&addr, "POST", "/target", b"{\"item\":2,\"k\":4}");
+    let (status, _, got) = request(&addr, "POST", "/target", b"{\"item\":2,\"k\":4}");
     assert_eq!(status, 200);
     assert_eq!(got, expected_t, "target path must run the same chain");
 
     // Per-stage latency spans appear on the unified scrape.
-    let (status, scrape) = request(&addr, "GET", "/metrics", b"");
+    let (status, _, scrape) = request(&addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     unimatch_obs::set_enabled(false);
     let scrape = String::from_utf8(scrape).expect("utf8 metrics");
@@ -562,7 +515,7 @@ fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
     // rules must fail, leave the version untouched, and keep serving the
     // old model byte-for-byte.
     let reload_body = format!("{{\"checkpoint\":{:?}}}", path_b.to_str().expect("utf8 path"));
-    let (status, body) = request(&addr, "POST", "/reload", reload_body.as_bytes());
+    let (status, _, body) = request(&addr, "POST", "/reload", reload_body.as_bytes());
     assert_eq!(status, 500, "vocab-invalidating reload must be rejected: {}",
         String::from_utf8_lossy(&body));
     assert!(
@@ -571,7 +524,7 @@ fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
         String::from_utf8_lossy(&body)
     );
     assert_eq!(handle.version(), 1, "failed reload must not bump the version");
-    let (status, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+    let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200);
     assert_eq!(got, expected, "old version must keep serving after a rejected reload");
 

@@ -5,6 +5,9 @@
 //! route sends, and what must come back; nothing in the loop knows which
 //! route it is driving beyond the [`RouteUnderTest`] data.
 
+mod common;
+
+use common::{metric_value, parse_response, request, scrape, tmp_dir};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -17,24 +20,6 @@ use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
 use unimatch_serve::{
     recommend_body, target_body, BrownoutSpec, ServeConfig, Server, ShadowSpec,
 };
-
-/// One HTTP/1.1 request over a fresh connection; `(status, head, body)`.
-fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send head");
-    stream.write_all(body).expect("send body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    parse_response(&response)
-}
 
 /// Everything the loop needs to know about a route, as data.
 struct RouteUnderTest {
@@ -185,9 +170,7 @@ fn outcomes() -> Vec<Outcome> {
 /// `ann.shard.search.0` has a seam — and saves it under a fresh `name`d
 /// temp dir: `(dir, log, config, checkpoint)`.
 fn fitted_checkpoint(name: &str) -> (PathBuf, InteractionLog, UniMatchConfig, PathBuf) {
-    let dir =
-        std::env::temp_dir().join(format!("unimatch_serve_routes_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = tmp_dir(&format!("routes_{name}"));
     let log = DatasetProfile::EComp.generate(0.12, 17).filter_min_interactions(3);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, shards: 2, ..Default::default() };
     let checkpoint = dir.join("model.json");
@@ -311,14 +294,37 @@ fn both_routes_walk_the_same_outcomes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Splits a raw response into `(status, head, body)`.
-fn parse_response(response: &[u8]) -> (u16, String, Vec<u8>) {
-    let head_end =
-        response.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body separator");
-    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head").to_string();
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, head, response[head_end + 4..].to_vec())
+/// The embedding cache keys on what the tower reads: two histories that
+/// share their last `max_seq_len` ids and differ before them answer with
+/// identical bytes — the in-process answer — and the second is a hit.
+#[test]
+fn same_suffix_histories_share_one_cache_entry() {
+    let (dir, log, cfg, checkpoint) = fitted_checkpoint("suffix");
+    let suffix: Vec<u32> = (1..=cfg.max_seq_len as u32).collect();
+    let handle = Arc::new(
+        ModelHandle::from_checkpoint(UniMatch::new(cfg), &checkpoint, log).expect("checkpoint loads"),
+    );
+    let server =
+        Server::start("127.0.0.1:0", handle.clone(), ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let ask = |prefix: &[u32]| {
+        let ids: Vec<String> = prefix.iter().chain(&suffix).map(u32::to_string).collect();
+        let body = format!("{{\"history\":[{}],\"k\":5}}", ids.join(","));
+        let (status, _, got) = request(&addr, "POST", "/recommend", body.as_bytes());
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&got));
+        got
+    };
+    let hits = || metric_value(&scrape(&addr), "unimatch_embedding_cache_hits_total");
+
+    let first = ask(&[0, 0, 0]);
+    let before = hits();
+    let second = ask(&[5, 4]);
+    assert_eq!(first, second, "same served suffix, different bytes");
+    assert_eq!(hits(), before + 1.0, "the second history must be answered from the cache");
+    assert_eq!(first, recommend_body(5, &handle.current().fitted.recommend_items(&suffix, 5)));
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The connection cap: with `max_connections: 1` and one connection parked

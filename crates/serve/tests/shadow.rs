@@ -12,7 +12,9 @@
 //!    series fill in asynchronously. An A/A shadow (same checkpoint)
 //!    must converge to overlap 1.0 with zero score delta.
 
-use std::io::{Read, Write};
+mod common;
+
+use common::{metric_value, request, scrape, tmp_dir};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,56 +22,6 @@ use unimatch_core::persist::save_model;
 use unimatch_core::{ModelHandle, UniMatch, UniMatchConfig};
 use unimatch_data::DatasetProfile;
 use unimatch_serve::{recommend_body, target_body, ServeConfig, Server, ShadowSpec};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("unimatch_serve_shadow_{}_{}", name, std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-/// One HTTP/1.1 request over a fresh connection; returns (status, body).
-fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send head");
-    stream.write_all(body).expect("send body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    let head_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response has a header/body separator");
-    let head = std::str::from_utf8(&response[..head_end]).expect("utf8 head");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code in status line");
-    (status, response[head_end + 4..].to_vec())
-}
-
-fn metric_value(metrics: &str, prefix: &str) -> f64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(prefix))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {prefix} missing from:\n{metrics}"))
-}
-
-fn scrape(addr: &str) -> String {
-    let (status, body) = request(addr, "GET", "/metrics", b"");
-    assert_eq!(status, 200);
-    String::from_utf8(body).expect("utf8 metrics")
-}
 
 /// Polls `/metrics` until the mirrored pair count reaches `want` (the
 /// shadow worker runs asynchronously behind a queue).
@@ -93,7 +45,7 @@ fn await_pairs(addr: &str, want: f64) -> String {
 /// Trains one small model, saves it, and returns (checkpoint dir, log,
 /// training config).
 fn fixture(name: &str) -> (PathBuf, unimatch_data::InteractionLog, UniMatchConfig) {
-    let dir = tmp_dir(name);
+    let dir = tmp_dir(&format!("shadow_{name}"));
     let log = DatasetProfile::EComp.generate(0.12, 21).filter_min_interactions(3);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
@@ -116,14 +68,14 @@ fn shadow_off_serving_exposes_no_shadow_surface() {
     .expect("bind");
     let addr = server.addr().to_string();
 
-    let (status, _) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
+    let (status, _, _) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200);
     let text = scrape(&addr);
     assert!(
         !text.contains("unimatch_shadow"),
         "shadow-off scrape leaked shadow series:\n{text}"
     );
-    let (status, health) = request(&addr, "GET", "/healthz", b"");
+    let (status, _, health) = request(&addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     let health = String::from_utf8(health).expect("utf8 healthz");
     assert!(!health.contains("\"shadow\""), "shadow-off healthz leaked the block: {health}");
@@ -160,7 +112,7 @@ fn aa_shadow_mirrors_everything_with_perfect_overlap() {
         let expected = recommend_body(k, &fitted.fitted.recommend_items(&history, k));
         let ids: Vec<String> = history.iter().map(u32::to_string).collect();
         let body = format!("{{\"history\":[{}],\"k\":{k}}}", ids.join(","));
-        let (status, got) = request(&addr, "POST", "/recommend", body.as_bytes());
+        let (status, _, got) = request(&addr, "POST", "/recommend", body.as_bytes());
         assert_eq!(status, 200);
         assert_eq!(got, expected, "recommend {t} diverged with a shadow armed");
         sent += 1.0;
@@ -170,7 +122,7 @@ fn aa_shadow_mirrors_everything_with_perfect_overlap() {
         let k = 2 + (t as usize % 3);
         let expected = target_body(k, &fitted.fitted.target_users(item, k));
         let body = format!("{{\"item\":{item},\"k\":{k}}}");
-        let (status, got) = request(&addr, "POST", "/target", body.as_bytes());
+        let (status, _, got) = request(&addr, "POST", "/target", body.as_bytes());
         assert_eq!(status, 200);
         assert_eq!(got, expected, "target {t} diverged with a shadow armed");
         sent += 1.0;
@@ -197,7 +149,7 @@ fn aa_shadow_mirrors_everything_with_perfect_overlap() {
     assert_eq!(metric_value(&text, "unimatch_shadow_model_version"), 1.0);
 
     // the healthz block reports the shadow deployment and its progress
-    let (status, health) = request(&addr, "GET", "/healthz", b"");
+    let (status, _, health) = request(&addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     let health = String::from_utf8(health).expect("utf8 healthz");
     assert!(health.contains("\"shadow\""), "healthz missing the shadow block: {health}");
@@ -239,7 +191,7 @@ fn divergent_shadow_compares_without_perturbing_the_primary() {
         let history = vec![t, t + 1, t + 2];
         let expected = recommend_body(5, &fitted.fitted.recommend_items(&history, 5));
         let body = format!("{{\"history\":[{},{},{}],\"k\":5}}", t, t + 1, t + 2);
-        let (status, got) = request(&addr, "POST", "/recommend", body.as_bytes());
+        let (status, _, got) = request(&addr, "POST", "/recommend", body.as_bytes());
         assert_eq!(status, 200);
         assert_eq!(got, expected, "primary bytes must come from model A, never the shadow");
         sent += 1.0;

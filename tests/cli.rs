@@ -9,7 +9,8 @@ fn cli() -> Command {
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("unimatch_cli_test_{name}"));
+    let dir =
+        std::env::temp_dir().join(format!("unimatch_cli_test_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     dir
 }

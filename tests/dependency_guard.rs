@@ -1,12 +1,16 @@
-//! The workspace's crates.io surface is `rand` plus dev-only `proptest`,
-//! and every edge a member declares is one it uses. A derive or a helper
-//! that quietly brings a third name back (serde was declared in nine
-//! manifests for derives nothing called) fails here, not in review.
+//! The workspace's crates.io surface is `rand` alone, in every section
+//! of every manifest, and every edge a member declares is one it uses. A
+//! derive or a test helper that quietly brings a second name back (serde
+//! was declared in nine manifests for derives nothing called) fails here,
+//! not in review.
 //!
 //! `crates/benchmark/` is frozen with its own stand-in crates and is not
 //! a workspace-dependency consumer; it is skipped.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::rust_sources;
+use std::path::Path;
 
 /// `(section, dependency name)` for every dependency line of a manifest.
 fn declared(manifest: &Path) -> Vec<(String, String)> {
@@ -24,26 +28,15 @@ fn declared(manifest: &Path) -> Vec<(String, String)> {
     out
 }
 
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 #[test]
-fn crates_io_surface_is_rand_and_proptest_and_every_edge_is_used() {
+fn crates_io_surface_is_rand_alone_and_every_edge_is_used() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let external: Vec<String> = declared(&root.join("Cargo.toml"))
         .into_iter()
         .filter(|(section, name)| section == "workspace.dependencies" && !name.starts_with("unimatch-"))
         .map(|(_, name)| name)
         .collect();
-    assert_eq!(external, ["rand", "proptest"], "[workspace.dependencies] grew a crates.io name");
+    assert_eq!(external, ["rand"], "[workspace.dependencies] grew a crates.io name");
 
     let mut members = vec![root.to_path_buf()];
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/").flatten() {
@@ -58,13 +51,8 @@ fn crates_io_surface_is_rand_and_proptest_and_every_edge_is_used() {
                 continue;
             }
             assert!(
-                name.starts_with("unimatch-") || name == "rand" || name == "proptest",
+                name.starts_with("unimatch-") || name == "rand",
                 "{}: [{section}] declares {name}",
-                manifest.display()
-            );
-            assert!(
-                name != "proptest" || section == "dev-dependencies",
-                "{}: proptest is dev-only",
                 manifest.display()
             );
             // a [dependencies] edge must be used by the library or its

@@ -9,8 +9,11 @@
 //! `crates/benchmark/` is frozen and reads series, it registers none; it
 //! is skipped.
 
+mod common;
+
+use common::rust_sources;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use unimatch::serve::metrics::CATALOGUE;
 
 /// `series → (type, labels)` from the table rows
@@ -36,17 +39,6 @@ fn documented() -> BTreeMap<String, (String, String)> {
         assert!(previous.is_none(), "{name} has two rows in the Metrics table");
     }
     rows
-}
-
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
 
 /// Every complete `"unimatch_[a-z0-9_]+"` string literal in the non-test

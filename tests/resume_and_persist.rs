@@ -51,7 +51,8 @@ fn checkpoint_file_round_trip_through_fit() {
     let log = DatasetProfile::WComp.generate(0.15, 44).filter_min_interactions(3);
     let framework = UniMatch::new(UniMatchConfig { epochs_per_month: 1, ..Default::default() });
     let fitted = framework.fit(log);
-    let path = std::env::temp_dir().join("unimatch_test_checkpoint.json");
+    let path = std::env::temp_dir()
+        .join(format!("unimatch_test_checkpoint_{}.json", std::process::id()));
     save_model(&fitted.model, &path).expect("save");
     let loaded = load_model(&path).expect("load");
     assert_eq!(loaded.params.num_scalars(), fitted.model.params.num_scalars());
