@@ -7,7 +7,7 @@
 # 2. every workspace member's unit, integration and doc tests in one run
 #    (a superset of tier-1's `cargo test -q`, which is the facade
 #    package alone): the serving e2e suites (loopback, chaos, degraded,
-#    routes, shadow), the fault-injection plane, durable/crash-safe
+#    routes, shadow, stress), the fault-injection plane, durable/crash-safe
 #    training, the retrieval, quantization and re-ranking differential
 #    suites, the pipeline parity suite, the dependency guard
 #    (tests/dependency_guard.rs: crates.io surface = rand alone, dev

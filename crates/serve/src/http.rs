@@ -4,10 +4,13 @@
 //! connection (`Connection: close`), request line + headers +
 //! `Content-Length`-delimited body, and a plain response writer. Bounded
 //! everywhere — header block and body sizes are capped, and the caller
-//! installs a socket read timeout — so a slow or malicious client can
-//! never pin a connection thread.
+//! reads through a [`DeadlineReader`] that bounds the whole request, not
+//! each read — so a slow or malicious client can never pin a connection
+//! thread.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 /// Maximum accepted size of the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -43,8 +46,29 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Reads one request from the stream. The stream should already carry a
-/// read timeout; timeouts surface as [`HttpError::Io`].
+/// A socket read side that gives up at `deadline` however the bytes are
+/// paced: each read is armed with the time still left, so a client that
+/// dribbles one byte per almost-timeout is cut off with the rest.
+pub struct DeadlineReader<'a> {
+    /// The socket read from.
+    pub stream: &'a TcpStream,
+    /// From here on every read fails `TimedOut`.
+    pub deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one request from the stream. A socket should come wrapped in a
+/// [`DeadlineReader`]; timeouts surface as [`HttpError::Io`].
 pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let request_line = read_line(&mut reader, MAX_HEAD_BYTES)?;
@@ -143,8 +167,8 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete response and flushes. Every response closes the
-/// connection (micro-batching already amortizes work across connections,
-/// so keep-alive buys little and complicates draining).
+/// connection: one request per connection gives the read deadline and
+/// the shutdown drain exactly one thing each to wait for.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,

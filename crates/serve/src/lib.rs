@@ -25,9 +25,9 @@
 //! * **observability** ([`metrics`]) — request/error counters, a latency
 //!   histogram, the batch-size distribution, and the cache hit rate, all
 //!   exposed as text on `GET /metrics`;
-//! * **bounded intake** ([`http`]) — capped header/body sizes, a
-//!   per-connection read timeout, a connection cap, and graceful shutdown
-//!   that drains every admitted request;
+//! * **bounded intake** ([`http`]) — capped header/body sizes, one read
+//!   deadline per request, a connection cap, and graceful shutdown that
+//!   drains every admitted request;
 //! * **shadow deployments** ([`shadow`]) — a deterministic sample of
 //!   answered traffic mirrored to a second pipeline (its own checkpoint,
 //!   retriever, store format, or rerank chain) off the critical path,

@@ -26,7 +26,9 @@
 
 use crate::batcher::{run_batcher, BatchConfig, Job, JobError, Query};
 use crate::brownout::{BrownoutControl, BrownoutSpec, BrownoutState};
-use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
+use crate::http::{
+    read_request, write_response, write_response_with, DeadlineReader, HttpError, Request,
+};
 use crate::metrics::{Family, Metrics, Route, Section, Series};
 use crate::shadow::{run_shadow_worker, ShadowSpec, ShadowState};
 use std::io;
@@ -45,7 +47,8 @@ use unimatch_data::json::Json;
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Micro-batching window: how long an admitted request may wait for
-    /// co-travellers before its batch executes.
+    /// co-travellers before its batch executes. Zero never waits: the
+    /// batch is whatever queued while the previous one ran.
     pub batch_window: Duration,
     /// Maximum requests coalesced into one batch.
     pub max_batch: usize,
@@ -54,7 +57,8 @@ pub struct ServeConfig {
     /// Maximum concurrently served connections; excess connections are
     /// answered `503` immediately instead of queueing without bound.
     pub max_connections: usize,
-    /// Per-connection socket read timeout.
+    /// How long a connection has, from accept, to deliver its whole
+    /// request; one still sending after that is closed without a reply.
     pub read_timeout: Duration,
     /// Maximum jobs queued per route ahead of the batcher; requests
     /// arriving with the queue at this bound are shed with `429` and a
@@ -379,7 +383,9 @@ fn run_brownout_controller(
     let mut control = BrownoutControl::new(&spec);
     // deadline sheds are the controller's deadline-miss pressure signal
     const DEADLINE_SHEDS: Series = Family::RequestsShed.with("deadline");
-    let mut last_misses = metrics.get(DEADLINE_SHEDS);
+    // the server's metrics start at zero with it; a baseline read here
+    // could swallow a miss that beat this thread to its first line
+    let mut last_misses = 0;
     while !shutdown.load(Ordering::SeqCst) {
         let mut remaining = spec.interval;
         while !remaining.is_zero() && !shutdown.load(Ordering::SeqCst) {
@@ -450,9 +456,9 @@ fn error_body(message: &str) -> Vec<u8> {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let deadline = Instant::now() + shared.read_timeout;
     let _ = stream.set_nodelay(true);
-    let request = match read_request(&mut stream) {
+    let request = match read_request(&mut DeadlineReader { stream: &stream, deadline }) {
         Ok(r) => r,
         Err(HttpError::Malformed(msg)) => {
             count_response(&shared.metrics, 400);

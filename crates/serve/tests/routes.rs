@@ -7,8 +7,8 @@
 
 mod common;
 
-use common::{metric_value, parse_response, request, scrape, tmp_dir};
-use std::io::{Read, Write};
+use common::{fault_lock, metric_value, parse_response, request, scrape, tmp_dir};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -180,6 +180,7 @@ fn fitted_checkpoint(name: &str) -> (PathBuf, InteractionLog, UniMatchConfig, Pa
 
 #[test]
 fn both_routes_walk_the_same_outcomes() {
+    let _guard = fault_lock();
     unimatch_faults::clear();
     let (dir, log, cfg, checkpoint) = fitted_checkpoint("outcomes");
     let handle = |policy: ShardPolicy| {
@@ -299,6 +300,7 @@ fn both_routes_walk_the_same_outcomes() {
 /// identical bytes — the in-process answer — and the second is a hit.
 #[test]
 fn same_suffix_histories_share_one_cache_entry() {
+    let _guard = fault_lock(); // its batches must not absorb a neighbour's armed fault
     let (dir, log, cfg, checkpoint) = fitted_checkpoint("suffix");
     let suffix: Vec<u32> = (1..=cfg.max_seq_len as u32).collect();
     let handle = Arc::new(
@@ -322,6 +324,126 @@ fn same_suffix_histories_share_one_cache_entry() {
     assert_eq!(first, second, "same served suffix, different bytes");
     assert_eq!(hits(), before + 1.0, "the second history must be answered from the cache");
     assert_eq!(first, recommend_body(5, &handle.current().fitted.recommend_items(&suffix, 5)));
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a zero window coalescing comes from the backlog alone. One latency
+/// fault at `serve.batch` stalls the first batch between collect and
+/// execute; the eleven requests released meanwhile queue behind it and run
+/// as the next batch (a third absorbs a straggler) — twelve jobs, mixed
+/// `k`, every body still the in-process answer. All twelve connections are
+/// opened and sent short of their last byte up front, so the release is
+/// eleven one-byte writes.
+#[test]
+fn a_backlog_behind_a_stalled_batch_is_coalesced_across_k() {
+    let _guard = fault_lock();
+    let (dir, log, cfg, checkpoint) = fitted_checkpoint("backlog");
+    let handle = Arc::new(
+        ModelHandle::from_checkpoint(UniMatch::new(cfg), &checkpoint, log).expect("checkpoint loads"),
+    );
+    let server = Server::start(
+        "127.0.0.1:0",
+        handle.clone(),
+        ServeConfig { batch_window: Duration::ZERO, ..Default::default() },
+    )
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let fitted = handle.current();
+    assert!(fitted.fitted.num_items() > 16, "dataset too small for the test vectors");
+
+    let asks: Vec<(Vec<u32>, usize)> =
+        (0..12u32).map(|i| ((0..=i % 4).map(|j| 1 + i + j).collect(), 2 + i as usize % 3)).collect();
+    let mut parked: Vec<(TcpStream, u8)> = asks
+        .iter()
+        .map(|(history, k)| {
+            let ids: Vec<String> = history.iter().map(u32::to_string).collect();
+            let body = format!("{{\"history\":[{}],\"k\":{k}}}", ids.join(","));
+            let wire =
+                format!("POST /recommend HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+            let (last, rest) = wire.as_bytes().split_last().expect("non-empty request");
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream.write_all(rest).expect("send all but the last byte");
+            (stream, *last)
+        })
+        .collect();
+
+    unimatch_faults::set_plan(FaultPlan::parse("serve.batch=latency:50000x1", 7).expect("plan"));
+    let mut release = parked.iter_mut();
+    let (first, last) = release.next().expect("twelve connections");
+    first.write_all(&[*last]).expect("complete the first request");
+    // the fire is counted before the stall begins: from here the first
+    // batch is collected and not yet executing
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while unimatch_faults::fired_total() == 0 {
+        assert!(Instant::now() < deadline, "the first batch never reached the stall");
+        std::thread::yield_now();
+    }
+    for (stream, last) in release {
+        stream.write_all(&[*last]).expect("complete a queued request");
+    }
+
+    for ((mut stream, _), (history, k)) in parked.into_iter().zip(&asks) {
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).expect("read response");
+        let (status, _, got) = parse_response(&response);
+        assert_eq!(status, 200, "{history:?} k={k}: {}", String::from_utf8_lossy(&got));
+        let expected = recommend_body(*k, &fitted.fitted.recommend_items(history, *k));
+        assert_eq!(got, expected, "{history:?} k={k}: bytes differ");
+    }
+    unimatch_faults::clear();
+
+    let metrics = scrape(&addr);
+    assert_eq!(metric_value(&metrics, "unimatch_batch_size_sum{route=\"recommend\"}"), 12.0);
+    let batches = metric_value(&metrics, "unimatch_batch_size_count{route=\"recommend\"}");
+    assert!(batches <= 3.0, "twelve jobs took {batches} batches:\n{metrics}");
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `read_timeout` bounds the request, not each read: a client that keeps
+/// one header byte coming every 50 ms — well inside the 200 ms any single
+/// read is allowed — is still closed on, unanswered, once 200 ms have
+/// passed since it connected. The client's own 50 ms read timeout is the
+/// pacing, and an EOF on that read is how it sees the close.
+#[test]
+fn a_dribbling_client_is_closed_on_at_the_read_deadline() {
+    let (dir, log, cfg, checkpoint) = fitted_checkpoint("dribble");
+    let handle = Arc::new(
+        ModelHandle::from_checkpoint(UniMatch::new(cfg), &checkpoint, log).expect("checkpoint loads"),
+    );
+    let server = Server::start(
+        "127.0.0.1:0",
+        handle,
+        ServeConfig { read_timeout: Duration::from_millis(200), ..Default::default() },
+    )
+    .expect("bind");
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.set_read_timeout(Some(Duration::from_millis(50))).expect("client read timeout");
+    let connected = Instant::now();
+    let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ".iter().chain(std::iter::repeat(&b'a'));
+    for byte in head {
+        assert!(
+            connected.elapsed() < Duration::from_secs(5),
+            "still being read from {:?} after connecting",
+            connected.elapsed()
+        );
+        if stream.write_all(&[*byte]).is_err() {
+            break; // reset: the server closed between two bytes
+        }
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => break,
+            Ok(_) => panic!("the server answered a request it never finished reading"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+    }
+    let closed_after = connected.elapsed();
+    assert!(closed_after < Duration::from_millis(1500), "closed only after {closed_after:?}");
 
     drop(server);
     std::fs::remove_dir_all(&dir).ok();

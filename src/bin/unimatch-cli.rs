@@ -44,7 +44,7 @@ fn main() {
         cmd_loadgen(&argv[1..]);
         return;
     }
-    let flags = parse_flags(&argv[1..]);
+    let flags = parse_flags(command, &argv[1..]);
     // every command funnels through the same compute kernels, so the thread
     // configuration is installed once, up front (0 = auto-detect)
     unimatch_parallel::Parallelism::threads(flag_or(&flags, "threads", 0)).install_global();
@@ -55,7 +55,7 @@ fn main() {
         "target" => cmd_target(&flags),
         "evaluate" => cmd_evaluate(&flags),
         "serve" => cmd_serve(&flags),
-        other => usage(&format!("unknown command {other}")),
+        other => unreachable!("{other} is in COMMAND_FLAGS and has no handler"),
     }
 }
 
@@ -123,11 +123,61 @@ fn usage(msg: &str) -> ! {
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The deployment flags [`deployment_config`] reads, shared by every
+/// command that opens a model.
+const DEPLOYMENT_FLAGS: &[&str] = &[
+    "retriever", "shards", "min-shards", "shard-deadline-ms", "rerank", "rerank-rules", "store",
+    "mmap",
+];
+
+/// The `--name value` flags each command accepts beside the global
+/// `--threads`: whether it takes [`DEPLOYMENT_FLAGS`], then its own.
+/// `loadgen`'s bare `--smoke` / `--rerank-mix` are stripped before the
+/// lookup.
+const COMMAND_FLAGS: &[(&str, bool, &[&str])] = &[
+    ("generate", false, &["profile", "scale", "seed", "out"]),
+    ("fit", true, &["log", "out", "epochs", "temperature", "batch", "seed", "run-dir"]),
+    ("recommend", true, &["model", "log", "user", "k"]),
+    ("target", true, &["model", "log", "item", "k"]),
+    (
+        "evaluate",
+        true,
+        &["model", "log", "top-n", "negatives", "seed", "store-deltas", "backend-deltas"],
+    ),
+    (
+        "serve",
+        true,
+        &[
+            "checkpoint", "log", "addr", "batch-window-ms", "batch-max", "cache", "max-conns",
+            "deadline-ms", "queue-bound", "faults", "fault-seed", "obs", "brownout",
+            "shadow-sample-rate", "shadow-ckpt", "shadow-spec",
+        ],
+    ),
+    (
+        "loadgen",
+        false,
+        &["addr", "qps", "seconds", "concurrency", "k", "route", "seed", "out", "retries"],
+    ),
+];
+
+/// Parses `--name value` pairs, rejecting any name `command` does not
+/// accept — a typo or another command's flag is a usage error, never a
+/// silent default.
+fn parse_flags(command: &str, args: &[String]) -> HashMap<String, String> {
+    let Some(&(_, deployment, own)) = COMMAND_FLAGS.iter().find(|(name, ..)| *name == command)
+    else {
+        usage(&format!("unknown command {command}"));
+    };
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].strip_prefix("--").unwrap_or_else(|| usage(&format!("expected flag, got {}", args[i])));
+        let accepted = key == "threads"
+            || own.contains(&key)
+            || (deployment && DEPLOYMENT_FLAGS.contains(&key));
+        if !accepted {
+            usage(&format!("unknown flag --{key} for {command}"));
+        }
         let Some(value) = args.get(i + 1) else {
             usage(&format!("flag --{key} needs a value"));
         };
@@ -542,7 +592,7 @@ fn cmd_loadgen(args: &[String]) {
             _ => rest.push(a.clone()),
         }
     }
-    let flags = parse_flags(&rest);
+    let flags = parse_flags("loadgen", &rest);
     let route_name = flags.get("route").map(String::as_str).unwrap_or("mixed");
     let route = unimatch_bench::loadgen::RouteMix::parse(route_name)
         .unwrap_or_else(|| usage(&format!("unknown route {route_name} (recommend|target|mixed)")));

@@ -67,10 +67,11 @@ fn full_cli_workflow() {
     // same typed error for the one-shot commands as for `serve`
     let rules = dir.join("oov_rules.json");
     std::fs::write(&rules, r#"{"deny":[999999]}"#).expect("write rules");
-    let rejection = |command: &str, model_flag: &str| {
+    let rejection = |command: &str, model_flag: &str, own: &[&str]| {
         let out = cli()
             .args([command, model_flag, model.to_str().expect("utf8")])
-            .args(["--log", log.to_str().expect("utf8"), "--user", &busy_user])
+            .args(["--log", log.to_str().expect("utf8")])
+            .args(own)
             .args(["--rerank", "filter", "--rerank-rules", rules.to_str().expect("utf8")])
             .output()
             .expect("run with out-of-vocabulary rules");
@@ -79,12 +80,12 @@ fn full_cli_workflow() {
         let reason = stderr.find("checkpoint ").map(|at| stderr[at..].lines().next().unwrap_or(""));
         reason.unwrap_or_else(|| panic!("{command}: {stderr}")).to_string()
     };
-    let reason = rejection("recommend", "--model");
+    let reason = rejection("recommend", "--model", &["--user", &busy_user]);
     assert!(reason.ends_with("the rerank rules reference item 999999"), "{reason}");
-    assert_eq!(reason, rejection("serve", "--checkpoint"));
+    assert_eq!(reason, rejection("serve", "--checkpoint", &[]));
     // the offline gate builds the deployment `serve` would, so it refuses
     // the same chain instead of silently evaluating it unfiltered
-    assert_eq!(reason, rejection("evaluate", "--model"));
+    assert_eq!(reason, rejection("evaluate", "--model", &[]));
 
     let out = cli()
         .args(["target", "--model", model.to_str().expect("utf8")])
@@ -175,6 +176,43 @@ fn serve_subcommand_answers_requests() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every `unimatch-cli <command> --flag …` line in `ci.sh`, the README and
+/// the operations guide names only flags the command accepts. Flags are
+/// checked in order before anything runs, so each documented line is
+/// replayed with a sentinel appended: the sentinel must be the flag the
+/// refusal names. Values are replaced by a loopback address, so a replay
+/// that got past the check could reach nothing else.
+#[test]
+fn documented_command_lines_name_only_accepted_flags() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let commands = ["generate", "fit", "recommend", "target", "evaluate", "serve", "loadgen"];
+    let mut replayed = 0;
+    for file in ["ci.sh", "README.md", "docs/OPERATIONS.md"] {
+        let text = std::fs::read_to_string(root.join(file)).expect("read doc");
+        for line in text.replace("\\\n", " ").lines() {
+            let Some((_, invocation)) = line.split_once("unimatch-cli ") else { continue };
+            let invocation = invocation.split(" #").next().expect("split yields one");
+            let mut tokens = invocation.split_whitespace();
+            let Some(command) = tokens.next().filter(|c| commands.contains(c)) else { continue };
+            let mut args = vec![command];
+            for flag in tokens.filter(|t| t.starts_with("--")) {
+                let flag = flag.trim_end_matches(['`', ')', ',', '.']);
+                args.push(flag);
+                if !["--smoke", "--rerank-mix"].contains(&flag) {
+                    args.push("127.0.0.1:1");
+                }
+            }
+            let out = cli().args(&args).args(["--zz", "127.0.0.1:1"]).output().expect("run");
+            assert_eq!(out.status.code(), Some(2), "{file}: {line}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let refused = format!("unknown flag --zz for {command}");
+            assert!(stderr.contains(&refused), "{file}: {line}\n{stderr}");
+            replayed += 1;
+        }
+    }
+    assert!(replayed >= 20, "only {replayed} command lines found: the extraction broke");
+}
+
 #[test]
 fn cli_rejects_bad_input() {
     let out = cli().args(["bogus"]).output().expect("run");
@@ -184,6 +222,19 @@ fn cli_rejects_bad_input() {
     assert_eq!(out.status.code(), Some(2));
     let out = cli().args(["bench"]).output().expect("run");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command bench"));
+
+    // a flag the command does not accept is named and refused before
+    // anything runs: a typo, another command's flag
+    for (command, flag) in [
+        ("serve", "--shard"),
+        ("generate", "--log"),
+        ("loadgen", "--batch-max"),
+    ] {
+        let out = cli().args([command, flag, "5"]).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{command} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag} for {command}")), "{stderr}");
+    }
 
     let dir = tmp_dir("badinput");
     let bad = dir.join("bad.csv");
