@@ -55,11 +55,38 @@ bash crates/benchmark/run.sh test
 
 LOAD_DIR="$(mktemp -d)"
 SERVE_PID=""
+stop_server() {
+    if [ -n "$SERVE_PID" ]; then
+        kill "$SERVE_PID" 2>/dev/null || true
+        wait "$SERVE_PID" 2>/dev/null || true
+        SERVE_PID=""
+    fi
+}
 cleanup() {
-    if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi
+    stop_server
     rm -rf "$LOAD_DIR"
 }
 trap cleanup EXIT
+
+# smoke_load <port> <label> -- <loadgen flags>
+# Drives the server just started on <port> with `loadgen --smoke`.
+# loadgen probes /healthz itself; retry while the server finishes its
+# index build.
+smoke_load() {
+    port="$1"
+    label="$2"
+    shift 3
+    tries=0
+    until target/release/unimatch-cli loadgen --addr "127.0.0.1:$port" --smoke \
+        "$@" --out "$LOAD_DIR" 2>/dev/null; do
+        tries=$((tries + 1))
+        if [ "$tries" -ge 15 ]; then
+            echo "$label smoke: server never became reachable" >&2
+            exit 1
+        fi
+        sleep 1
+    done
+}
 
 echo "==> loadgen --smoke (open-loop load harness vs a loopback server)"
 target/release/unimatch-cli generate --profile ecomp --scale 0.1 --seed 7 \
@@ -74,22 +101,10 @@ target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --store i8 --mmap true \
     --rerank 'debias@0.5,mmr@0.3,explore@0.1' &
 SERVE_PID=$!
-# loadgen probes /healthz itself; retry while the server finishes its
-# index build. --rerank-mix varies histories and k so the armed chain is
-# exercised across distinct query tags and overfetch sizes.
-tries=0
-until target/release/unimatch-cli loadgen --addr 127.0.0.1:7979 --smoke \
-    --rerank-mix --out "$LOAD_DIR" 2>/dev/null; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 15 ]; then
-        echo "loadgen smoke: server never became reachable" >&2
-        exit 1
-    fi
-    sleep 1
-done
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+# --rerank-mix varies histories and k so the armed chain is exercised
+# across distinct query tags and overfetch sizes.
+smoke_load 7979 loadgen -- --rerank-mix
+stop_server
 
 echo "==> loadgen --smoke vs a wedged shard (quorum keeps 200s flowing)"
 # Shard 0 sleeps 60 ms per search against a 30 ms per-shard deadline, so
@@ -100,19 +115,8 @@ target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --min-shards 1 --shard-deadline-ms 30 \
     --faults 'ann.shard.search.0=latency:60000' &
 SERVE_PID=$!
-tries=0
-until target/release/unimatch-cli loadgen --addr 127.0.0.1:7980 --smoke \
-    --retries 2 --out "$LOAD_DIR" 2>/dev/null; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 15 ]; then
-        echo "wedged-shard smoke: server never became reachable" >&2
-        exit 1
-    fi
-    sleep 1
-done
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+smoke_load 7980 wedged-shard -- --retries 2
+stop_server
 
 echo "==> loadgen --smoke vs an armed exact/HNSW shadow pair (mirror must pair answers)"
 # The shadow serves the same checkpoint through an HNSW index while the
@@ -123,16 +127,7 @@ target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7981 \
     --shadow-sample-rate 0.1 --shadow-spec 'retriever=hnsw' &
 SERVE_PID=$!
-tries=0
-until target/release/unimatch-cli loadgen --addr 127.0.0.1:7981 --smoke \
-    --out "$LOAD_DIR" 2>/dev/null; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 15 ]; then
-        echo "shadow smoke: server never became reachable" >&2
-        exit 1
-    fi
-    sleep 1
-done
+smoke_load 7981 shadow --
 # let the mirror queue drain, then require nonzero shadow pairs
 sleep 1
 SHADOW_PAIRS="$(curl -sf http://127.0.0.1:7981/metrics \
@@ -142,9 +137,7 @@ if [ "$SHADOW_PAIRS" -le 0 ]; then
     echo "shadow smoke: mirror produced no pairs" >&2
     exit 1
 fi
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+stop_server
 
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -371,7 +371,7 @@ fn poisson_schedule(n: usize, qps: f64, seed: u64) -> Vec<Duration> {
 }
 
 /// The request for index `i`: route by mix, ids derived from the index
-/// with co-prime strides so consecutive requests don't share cache keys.
+/// with co-prime strides so consecutive requests ask different queries.
 fn synthesize(opts: &LoadgenOptions, i: usize, num_items: u32) -> (&'static str, Vec<u8>) {
     let recommend = match opts.route {
         RouteMix::Recommend => true,
@@ -379,9 +379,9 @@ fn synthesize(opts: &LoadgenOptions, i: usize, num_items: u32) -> (&'static str,
         RouteMix::Mixed => i.is_multiple_of(2),
     };
     let i = i as u32;
-    // The rerank mix defeats the embedding cache harder (longer, more
-    // varied histories → distinct query tags for the exploration stage)
-    // and alternates k so both overfetch sizes are measured.
+    // The rerank mix sends longer, more varied histories (distinct query
+    // tags for the exploration stage) and alternates k so both overfetch
+    // sizes are measured.
     let (hist_len, stagger, k) = if opts.rerank_mix {
         (5u32, i % 11, if i.is_multiple_of(3) { opts.k * 2 } else { opts.k })
     } else {

@@ -105,28 +105,6 @@ pub fn evaluate_with_audit(
     (outcome, audit.expect("audit requested"))
 }
 
-/// Multi-positive IR evaluation (Eq. 14's full set-based formulation):
-/// each test user's ground truth is every distinct test-month purchase.
-pub fn evaluate_multi_ir_model(
-    model: &TwoTower,
-    split: &TemporalSplit,
-    protocol: &ProtocolConfig,
-    max_seq_len: usize,
-    seed: u64,
-) -> CaseMetrics {
-    use unimatch_eval::{build_multi_ir_cases, evaluate_multi_ir};
-    let dim = model.config().embed_dim;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let protocol = protocol.clamped(unimatch_eval::item_pool(split).len());
-    let cases = build_multi_ir_cases(split, &protocol, &mut rng);
-    let item_matrix_t = model.infer_items();
-    let item_matrix = EmbeddingMatrix::new(item_matrix_t.data(), dim);
-    let histories: Vec<&[u32]> = cases.iter().map(|c| c.history.as_slice()).collect();
-    let queries = embed_histories(model, &histories, max_seq_len);
-    let query_matrix = EmbeddingMatrix::new(&queries, dim);
-    evaluate_multi_ir(query_matrix, item_matrix, &cases, protocol.top_n)
-}
-
 /// Evaluates checkpoint parameters by temporarily swapping them into the
 /// model (the Fig. 3 pathway).
 pub fn evaluate_params(

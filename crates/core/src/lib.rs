@@ -55,7 +55,7 @@ pub use cost::{CostComparison, Regime};
 pub use durable::{
     train_durable, DurableConfig, DurableError, DurableRun, MonthRecord, RunManifest,
 };
-pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_multi_ir_model, evaluate_params, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
+pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_params, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
 pub use experiment::{run_experiment, run_experiment_on, CurvePoint, ExperimentOptions, ExperimentOutcome, ExperimentSpec};
 pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
 pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};

@@ -104,7 +104,7 @@ pub enum QuerySource<'a> {
 /// backing store, and the re-ranking chain, exposing the stage sequence
 /// both as composed runners (`run*`) and as individual stages for
 /// callers that interleave their own work (e.g. the serving batcher's
-/// embedding cache between *embed* and *retrieve*).
+/// grouping by `k` between *embed* and *retrieve*).
 pub struct MatchPipeline<'a> {
     source: QuerySource<'a>,
     index: &'a dyn Retriever,

@@ -10,11 +10,10 @@
 //! buffers, so the same protocol evaluates the trained towers, the ANN
 //! indexes, or any other scorer.
 //!
-//! Extensions beyond the paper: [`multi`] implements the full set-based
-//! next-n-day formulation of Eq. 14 (multiple positives per case),
-//! [`diversity`] adds catalog-coverage and exposure-Gini audits, and
-//! [`bootstrap`] provides confidence intervals / paired superiority tests
-//! for deciding whether a table win is real at small test-set sizes.
+//! Extensions beyond the paper: [`diversity`] adds catalog-coverage and
+//! exposure-Gini audits, and [`bootstrap`] provides confidence intervals /
+//! paired superiority tests for deciding whether a table win is real at
+//! small test-set sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +21,6 @@
 pub mod bootstrap;
 pub mod diversity;
 pub mod metrics;
-pub mod multi;
 pub mod pool;
 pub mod popularity;
 pub mod protocol;
@@ -32,7 +30,6 @@ pub mod report;
 pub use bootstrap::{bootstrap_ci, paired_superiority, Interval};
 pub use diversity::{catalog_coverage, exposure_gini, mean_list_distinctness};
 pub use metrics::{case_metrics, rank_relevance, CaseMetrics, MetricAccumulator};
-pub use multi::{build_multi_ir_cases, evaluate_multi_ir, MultiIrCase};
 pub use pool::UserPool;
 pub use popularity::{popularity_stats, retrieved_popularity, PopularityStats};
 pub use protocol::{build_ir_cases, build_ut_cases, item_pool, IrCase, ProtocolConfig, UtCase};

@@ -13,8 +13,8 @@
 //!
 //! `/recommend` and `/target` are the same query against two towers; the
 //! only route-specific steps are which pipeline answers and how the query
-//! embeddings are materialised (histories through the cached *embed*
-//! stage, items through *gather*), both a `match` on the [`Query`].
+//! embeddings are materialised (histories through the *embed* stage,
+//! items through *gather*), a `match` on the route.
 //!
 //! Correctness invariants:
 //!
@@ -24,9 +24,6 @@
 //!   and answered through the tower's [`MatchPipeline`] (the same stage
 //!   sequence behind `recommend_items` / `target_users`), so outputs
 //!   match them element for element;
-//! * the embedding LRU cache is keyed by the part of the history the
-//!   tower reads (its last `max_seq_len` ids) and cleared whenever the
-//!   pinned model version changes;
 //! * every job carries an admission deadline — jobs that out-wait it in
 //!   the queue are answered [`JobError::Expired`] (→ 503) instead of
 //!   executed, and each dequeue releases one slot of the queue-occupancy
@@ -41,7 +38,6 @@
 //!   mirror queue drops and counts).
 
 use crate::brownout::BrownoutState;
-use crate::cache::LruCache;
 use crate::metrics::{Family, Metrics, Route};
 use crate::shadow::ShadowState;
 use std::collections::BTreeMap;
@@ -148,12 +144,7 @@ pub struct BatchConfig {
     pub window: Duration,
     /// Hard cap on jobs per batch.
     pub max_batch: usize,
-    /// Capacity of the history → embedding LRU cache (0 disables).
-    pub cache_capacity: usize,
 }
-
-/// The history → embedding cache between *embed* and *retrieve*.
-type EmbeddingCache = LruCache<Vec<u32>, Vec<f32>>;
 
 /// Collects one batch: blocks for the first job, then drains until the
 /// window closes and the queue is empty, the batch is full, or the
@@ -197,11 +188,6 @@ pub fn run_batcher(
     brownout: Option<Arc<BrownoutState>>,
     shadow: Option<Arc<ShadowState>>,
 ) {
-    // only histories are embedded; an item query is one stored row,
-    // there is nothing to save
-    let mut cache =
-        EmbeddingCache::new(if route == Route::Recommend { cfg.cache_capacity } else { 0 });
-    let mut cache_version = 0u64;
     while let Some(batch) = collect_batch(&rx, &cfg, &depth) {
         BATCH_FAULT.inject_latency();
         // jobs whose deadline passed while they queued are answered, not run
@@ -217,73 +203,52 @@ pub fn run_batcher(
         }
         metrics.observe(Family::BatchSize.at(route.index()), batch.len() as u64);
         let state = handle.current();
-        if state.version != cache_version {
-            cache.clear();
-            cache_version = state.version;
-        }
         // sample the brownout level once per batch — one model snapshot,
         // one degradation level
         let degrade = brownout.as_deref().map_or(DegradeOptions::NONE, BrownoutState::degrade);
         let jobs = batch.len() as u64;
         let start = Instant::now();
-        execute(route, batch, &state, &metrics, &mut cache, degrade, shadow.as_deref());
+        execute(route, batch, &state, &metrics, degrade, shadow.as_deref());
         metrics.observe_service(start.elapsed().as_micros() as u64 / jobs);
     }
 }
 
-/// *Embed* with the cache in front: cached histories are copied, the
-/// misses go through one batched forward pass and are cached. Returns
-/// the `jobs.len() × dim` query rows in job order.
-///
-/// The key is the last `max_seq_len` ids — all the tower reads — so
-/// histories that differ only before that suffix share an entry, and no
-/// stored key outgrows the model however long the request body was.
-fn embed_cached(
-    pipeline: &MatchPipeline<'_>,
-    max_seq_len: usize,
-    jobs: &[Job],
-    cache: &mut EmbeddingCache,
-    metrics: &Metrics,
-) -> Vec<f32> {
-    let d = pipeline.dim();
-    let mut flat = vec![0.0f32; jobs.len() * d];
-    let mut misses: Vec<(usize, &[u32])> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let Query::History(history) = &job.query else {
-            unreachable!("the recommend queue only carries histories")
-        };
-        let history = &history[history.len().saturating_sub(max_seq_len)..];
-        match cache.get(history) {
-            Some(e) => {
-                metrics.inc(Family::CacheHits.at(0));
-                flat[i * d..(i + 1) * d].copy_from_slice(e);
-            }
-            None => {
-                metrics.inc(Family::CacheMisses.at(0));
-                misses.push((i, history));
-            }
+/// Materialises the `jobs.len() × dim` query rows in job order:
+/// histories through *embed* (one batched forward pass), items through
+/// *gather*.
+fn query_rows(route: Route, pipeline: &MatchPipeline<'_>, jobs: &[Job]) -> Vec<f32> {
+    match route {
+        Route::Recommend => {
+            let histories: Vec<&[u32]> = jobs
+                .iter()
+                .map(|job| match &job.query {
+                    Query::History(history) => history.as_slice(),
+                    Query::Item(_) => unreachable!("the recommend queue only carries histories"),
+                })
+                .collect();
+            pipeline.embed(&histories)
+        }
+        _ => {
+            let items: Vec<u32> = jobs
+                .iter()
+                .map(|job| match job.query {
+                    Query::Item(item) => item,
+                    Query::History(_) => unreachable!("the target queue only carries items"),
+                })
+                .collect();
+            pipeline.gather(&items)
         }
     }
-    if !misses.is_empty() {
-        let histories: Vec<&[u32]> = misses.iter().map(|&(_, h)| h).collect();
-        let embedded = pipeline.embed(&histories);
-        for (&(i, history), e) in misses.iter().zip(embedded.chunks(d)) {
-            cache.insert(history.to_vec(), e.to_vec());
-            flat[i * d..(i + 1) * d].copy_from_slice(e);
-        }
-    }
-    flat
 }
 
 /// Answers one batch from one model snapshot: validate → materialise the
-/// query rows (cached *embed* or *gather*) → one checked pipeline run
+/// query rows (*embed* or *gather*) → one checked pipeline run
 /// per distinct `k` → translate → reply.
 fn execute(
     route: Route,
     batch: Vec<Job>,
     state: &ServingState,
     metrics: &Metrics,
-    cache: &mut EmbeddingCache,
     degrade: DegradeOptions,
     shadow: Option<&ShadowState>,
 ) {
@@ -309,19 +274,7 @@ fn execute(
         return;
     }
 
-    let materialised = catch_unwind(AssertUnwindSafe(|| match route {
-        Route::Recommend => embed_cached(&pipeline, fitted.max_seq_len(), &valid, cache, metrics),
-        _ => {
-            let items: Vec<u32> = valid
-                .iter()
-                .map(|job| match job.query {
-                    Query::Item(item) => item,
-                    Query::History(_) => unreachable!("the target queue only carries items"),
-                })
-                .collect();
-            pipeline.gather(&items)
-        }
-    }));
+    let materialised = catch_unwind(AssertUnwindSafe(|| query_rows(route, &pipeline, &valid)));
     let Ok(queries) = materialised else {
         fail_all(&valid, JobError::Internal("embedding forward pass panicked".into()));
         return;
@@ -399,7 +352,7 @@ mod tests {
             depth.fetch_add(1, Ordering::SeqCst);
             tx.send(item_job(item)).expect("queue open");
         }
-        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 3, cache_capacity: 0 };
+        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 3 };
         let first = collect_batch(&rx, &cfg, &depth).expect("queued jobs");
         assert_eq!(items(&first), [0, 1, 2]);
         assert_eq!(depth.load(Ordering::SeqCst), 2);
@@ -415,7 +368,7 @@ mod tests {
     fn a_zero_window_does_not_keep_a_lone_job_waiting() {
         let (tx, rx) = channel();
         let depth = AtomicUsize::new(0);
-        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 64, cache_capacity: 0 };
+        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 64 };
         let start = Instant::now();
         for item in 0..200 {
             depth.fetch_add(1, Ordering::SeqCst);
@@ -435,15 +388,17 @@ mod tests {
         let depth = AtomicUsize::new(1);
         tx.send(item_job(7)).expect("queue open");
         drop(tx);
-        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 64, cache_capacity: 0 };
+        let cfg = BatchConfig { window: Duration::ZERO, max_batch: 64 };
         // what was accepted before the close is still answered
         assert_eq!(items(&collect_batch(&rx, &cfg, &depth).expect("drain")), [7]);
         assert!(collect_batch(&rx, &cfg, &depth).is_none());
         assert_eq!(depth.load(Ordering::SeqCst), 0);
     }
 
+    /// The tower reads the last `max_seq_len` ids: a hostile-length
+    /// history embeds to the bytes of its suffix, batched or alone.
     #[test]
-    fn cache_keys_are_the_served_suffix_and_never_longer() {
+    fn a_long_history_embeds_to_the_bytes_of_its_served_suffix() {
         let log = DatasetProfile::EComp.generate(0.05, 17).filter_min_interactions(3);
         let cfg = UniMatchConfig { max_seq_len: 4, epochs_per_month: 1, ..Default::default() };
         let fitted = UniMatch::new(cfg).fit(log);
@@ -455,24 +410,14 @@ mod tests {
             deadline: Instant::now(),
             reply: channel().0,
         };
-        // the same last four ids behind a short and a hostile-length
-        // prefix, then a history shorter than the window
         let long: Vec<u32> = (0..50_000).map(|i| i % 7).chain([3, 4, 5, 6]).collect();
-        let jobs = [job(vec![1, 2, 3, 4, 5, 6]), job(long.clone()), job(vec![2])];
-        let mut cache = EmbeddingCache::new(8);
-        let metrics = Metrics::new();
+        let jobs = [job(vec![1, 2, 3, 4, 5, 6]), job(long), job(vec![2])];
 
-        let first = embed_cached(&pipeline, 4, &jobs[..1], &mut cache, &metrics);
-        let rest = embed_cached(&pipeline, 4, &jobs[1..], &mut cache, &metrics);
-        assert_eq!(metrics.get(Family::CacheMisses.at(0)), 2);
-        assert_eq!(metrics.get(Family::CacheHits.at(0)), 1, "same suffix must hit");
-        assert_eq!(first, rest[..d], "same suffix, same bytes");
-        assert_eq!(first, pipeline.embed_one(&long), "the key never changes an embedding");
-        assert_eq!(rest[d..], pipeline.embed_one(&[2]));
-        // two entries, both found under a key of at most four ids: there
-        // is no third, longer key
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&[3u32, 4, 5, 6][..]).is_some());
-        assert!(cache.get(&[2u32][..]).is_some());
+        let rows = query_rows(Route::Recommend, &pipeline, &jobs);
+        assert_eq!(rows.len(), 3 * d);
+        let suffix = pipeline.embed_one(&[3, 4, 5, 6]);
+        assert_eq!(rows[..d], suffix, "a short prefix is not read");
+        assert_eq!(rows[d..2 * d], suffix, "a 50 000-id prefix is not read");
+        assert_eq!(rows[2 * d..], pipeline.embed_one(&[2]), "shorter than the window");
     }
 }

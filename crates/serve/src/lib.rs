@@ -20,11 +20,9 @@
 //! * **model hot-swap** (`unimatch_core::serving::ModelHandle`) —
 //!   `POST /reload` builds the next serving snapshot off-lock and swaps a
 //!   pointer; in-flight batches finish on the version that admitted them;
-//! * **embedding cache** ([`cache`]) — an exact LRU over user histories
-//!   that removes the user-tower forward pass for hot users;
 //! * **observability** ([`metrics`]) — request/error counters, a latency
-//!   histogram, the batch-size distribution, and the cache hit rate, all
-//!   exposed as text on `GET /metrics`;
+//!   histogram and the batch-size distribution, all exposed as text on
+//!   `GET /metrics`;
 //! * **bounded intake** ([`http`]) — capped header/body sizes, one read
 //!   deadline per request, a connection cap, and graceful shutdown that
 //!   drains every admitted request;
@@ -51,14 +49,12 @@
 
 pub mod batcher;
 pub mod brownout;
-pub mod cache;
 pub mod http;
 pub mod metrics;
 pub mod server;
 pub mod shadow;
 
 pub use brownout::{BrownoutControl, BrownoutSpec, BrownoutState, BrownoutStep};
-pub use cache::LruCache;
 pub use metrics::{Metrics, Route};
 pub use server::{recommend_body, target_body, ServeConfig, Server};
 pub use shadow::{ShadowSpec, ShadowState};

@@ -90,7 +90,7 @@ impl Kind {
 /// byte-identical to a build without the plane — `Shadow`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Section {
-    /// This server's own request, batch, cache, shed and shard series.
+    /// This server's own request, batch, shed and shard series.
     Owned,
     /// Process-wide state sampled at scrape time.
     Process,
@@ -156,12 +156,6 @@ catalogue! {
     RequestLatency = "unimatch_request_latency_us", "route", QUERY_ROUTES, Kind::Histogram(LATENCY_BOUNDS_US), Owned;
     /// Size of each executed micro-batch.
     BatchSize = "unimatch_batch_size", "route", QUERY_ROUTES, Kind::Histogram(BATCH_BOUNDS), Owned;
-    /// History-embedding cache hits.
-    CacheHits = "unimatch_embedding_cache_hits_total", "", NONE, Kind::Counter, Owned;
-    /// History-embedding cache misses.
-    CacheMisses = "unimatch_embedding_cache_misses_total", "", NONE, Kind::Counter, Owned;
-    /// `hits / (hits + misses)`, 0 before the first lookup.
-    CacheHitRatio = "unimatch_embedding_cache_hit_ratio", "", NONE, Kind::Derived(cache_hit_ratio), Owned;
     /// Successful checkpoint reloads.
     Reloads = "unimatch_reloads_total", "", NONE, Kind::Counter, Owned;
     /// Connections turned away at the connection cap (→ 503).
@@ -293,11 +287,6 @@ fn ratio(num: u64, den: f64) -> f64 {
     } else {
         num as f64 / den
     }
-}
-
-fn cache_hit_ratio(m: &Metrics) -> f64 {
-    let hits = m.get(Family::CacheHits.at(0));
-    ratio(hits, (hits + m.get(Family::CacheMisses.at(0))) as f64)
 }
 
 fn shadow_pairs(m: &Metrics) -> f64 {
@@ -473,11 +462,7 @@ mod tests {
     #[test]
     fn derived_families_follow_their_sources() {
         let m = Metrics::new();
-        assert_eq!(m.derived(Family::CacheHitRatio), 0.0);
         assert_eq!(m.derived(Family::ShadowOverlapRatio), 0.0);
-        m.inc(Family::CacheHits.at(0));
-        m.inc(Family::CacheMisses.at(0));
-        assert_eq!(m.derived(Family::CacheHitRatio), 0.5);
         m.inc(Family::ShadowPairs.at(0));
         m.inc(Family::ShadowPairs.at(1));
         m.add(Family::ShadowOverlapSumMilli.at(0), 1500);

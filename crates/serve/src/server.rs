@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Maximum requests coalesced into one batch.
     pub max_batch: usize,
-    /// Capacity of the user-history embedding LRU cache (0 disables).
-    pub cache_capacity: usize,
     /// Maximum concurrently served connections; excess connections are
     /// answered `503` immediately instead of queueing without bound.
     pub max_connections: usize,
@@ -80,7 +78,6 @@ impl Default for ServeConfig {
         ServeConfig {
             batch_window: Duration::from_millis(2),
             max_batch: 64,
-            cache_capacity: 4096,
             max_connections: 256,
             read_timeout: Duration::from_secs(5),
             queue_bound: 1024,
@@ -192,11 +189,8 @@ impl Server {
         };
         let shadow_state = shadow_shared.as_ref().map(|s| s.state.clone());
 
-        let batch_cfg = BatchConfig {
-            window: config.batch_window,
-            max_batch: config.max_batch.max(1),
-            cache_capacity: config.cache_capacity,
-        };
+        let batch_cfg =
+            BatchConfig { window: config.batch_window, max_batch: config.max_batch.max(1) };
         let brownout = config.brownout.map(|spec| Arc::new(BrownoutState::new(spec)));
         let mut batcher_threads = Vec::with_capacity(2);
         let mut spawn_batcher = |route: Route| -> io::Result<Queue> {

@@ -26,8 +26,6 @@ fn scripted_observations_render_the_parent_bytes() {
         m.observe(Family::BatchSize.with("recommend"), size);
     }
     m.observe(Family::BatchSize.with("target"), 7);
-    times(3, Family::CacheHits.at(0));
-    times(1, Family::CacheMisses.at(0));
     times(2, Family::Reloads.at(0));
     times(1, Family::ConnectionsRejected.at(0));
     times(1, Family::RequestsShed.with("queue_full"));

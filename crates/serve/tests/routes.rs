@@ -295,11 +295,11 @@ fn both_routes_walk_the_same_outcomes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The embedding cache keys on what the tower reads: two histories that
-/// share their last `max_seq_len` ids and differ before them answer with
-/// identical bytes — the in-process answer — and the second is a hit.
+/// The tower reads the last `max_seq_len` ids: two histories that share
+/// them and differ before them answer with identical bytes — the
+/// in-process answer for the suffix alone.
 #[test]
-fn same_suffix_histories_share_one_cache_entry() {
+fn same_suffix_histories_answer_the_same_bytes() {
     let _guard = fault_lock(); // its batches must not absorb a neighbour's armed fault
     let (dir, log, cfg, checkpoint) = fitted_checkpoint("suffix");
     let suffix: Vec<u32> = (1..=cfg.max_seq_len as u32).collect();
@@ -316,13 +316,10 @@ fn same_suffix_histories_share_one_cache_entry() {
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&got));
         got
     };
-    let hits = || metric_value(&scrape(&addr), "unimatch_embedding_cache_hits_total");
 
     let first = ask(&[0, 0, 0]);
-    let before = hits();
     let second = ask(&[5, 4]);
     assert_eq!(first, second, "same served suffix, different bytes");
-    assert_eq!(hits(), before + 1.0, "the second history must be answered from the cache");
     assert_eq!(first, recommend_body(5, &handle.current().fitted.recommend_items(&suffix, 5)));
 
     drop(server);

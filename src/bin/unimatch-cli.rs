@@ -79,7 +79,7 @@ fn usage(msg: &str) -> ! {
          \u{20}         [--backend-deltas true] (per-index-backend IR/UT deltas vs the exact\n\
          \u{20}          oracle at realistic hnsw ef_search operating points)\n\
          serve     --checkpoint FILE --log FILE [--addr HOST:PORT] [--batch-window-ms F]\n\
-         \u{20}         [--batch-max N] [--cache N] [--max-conns N] [--deadline-ms F]\n\
+         \u{20}         [--batch-max N] [--max-conns N] [--deadline-ms F]\n\
          \u{20}         [--queue-bound N] [--faults SPEC] [--fault-seed N] [--retriever KIND]\n\
          \u{20}         [--shards N] [--min-shards N] [--shard-deadline-ms F] [--obs true]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--brownout LADDER]\n\
@@ -148,7 +148,7 @@ const COMMAND_FLAGS: &[(&str, bool, &[&str])] = &[
         "serve",
         true,
         &[
-            "checkpoint", "log", "addr", "batch-window-ms", "batch-max", "cache", "max-conns",
+            "checkpoint", "log", "addr", "batch-window-ms", "batch-max", "max-conns",
             "deadline-ms", "queue-bound", "faults", "fault-seed", "obs", "brownout",
             "shadow-sample-rate", "shadow-ckpt", "shadow-spec",
         ],
@@ -638,6 +638,20 @@ fn cmd_loadgen(args: &[String]) {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) {
+    // a flag that only modifies another is refused without it, not
+    // silently dropped
+    let shadow_rate: f64 = flag_or(flags, "shadow-sample-rate", 0.0);
+    if !(0.0..=1.0).contains(&shadow_rate) {
+        usage("--shadow-sample-rate must be between 0 and 1");
+    }
+    for dependent in ["shadow-spec", "shadow-ckpt"] {
+        if shadow_rate == 0.0 && flags.contains_key(dependent) {
+            usage(&format!("--{dependent} needs --shadow-sample-rate above 0"));
+        }
+    }
+    if flags.contains_key("fault-seed") && !flags.contains_key("faults") {
+        usage("--fault-seed needs --faults");
+    }
     let checkpoint = flag(flags, "checkpoint");
     let (log, _, _) = read_log(flag(flags, "log"));
     let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string());
@@ -670,7 +684,6 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     let serve_cfg = ServeConfig {
         batch_window: Duration::from_micros((window_ms * 1000.0) as u64),
         max_batch: flag_or(flags, "batch-max", 64),
-        cache_capacity: flag_or(flags, "cache", 4096),
         max_connections: flag_or(flags, "max-conns", 256),
         queue_bound: flag_or(flags, "queue-bound", 1024),
         request_deadline: Duration::from_micros((deadline_ms * 1000.0) as u64),
@@ -685,10 +698,6 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     // --shadow-spec overrides individual knobs (`;`-separated so a
     // rerank chain may contain commas) and --shadow-ckpt points it at a
     // different checkpoint (defaulting to the primary's — an A/A test).
-    let shadow_rate: f64 = flag_or(flags, "shadow-sample-rate", 0.0);
-    if !(0.0..=1.0).contains(&shadow_rate) {
-        usage("--shadow-sample-rate must be between 0 and 1");
-    }
     let shadow = (shadow_rate > 0.0).then(|| {
         let mut sflags = flags.clone();
         if let Some(spec) = flags.get("shadow-spec") {

@@ -227,6 +227,7 @@ fn cli_rejects_bad_input() {
     // anything runs: a typo, another command's flag
     for (command, flag) in [
         ("serve", "--shard"),
+        ("serve", "--cache"),
         ("generate", "--log"),
         ("loadgen", "--batch-max"),
     ] {
@@ -234,6 +235,21 @@ fn cli_rejects_bad_input() {
         assert_eq!(out.status.code(), Some(2), "{command} {flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag {flag} for {command}")), "{stderr}");
+    }
+
+    // a flag that only modifies another is refused without it — checked
+    // before any file is read, so these name no checkpoint
+    let rejected = |out: std::process::Output, message: &str| {
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    };
+    for (flag, value, message) in [
+        ("--shadow-spec", "retriever=hnsw", "--shadow-spec needs --shadow-sample-rate"),
+        ("--shadow-ckpt", "other.json", "--shadow-ckpt needs --shadow-sample-rate"),
+        ("--fault-seed", "7", "--fault-seed needs --faults"),
+    ] {
+        rejected(cli().args(["serve", flag, value]).output().expect("run"), message);
     }
 
     let dir = tmp_dir("badinput");
@@ -263,11 +279,6 @@ fn cli_rejects_bad_input() {
             .args(extra)
             .output()
             .expect("run fit")
-    };
-    let rejected = |out: std::process::Output, message: &str| {
-        assert_eq!(out.status.code(), Some(2));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(message), "{stderr}");
     };
     rejected(fit(&["--retriever", "ivf"]), "unknown retriever ivf (exact|hnsw)");
     rejected(fit(&["--store", "f16"]), "unknown store format f16 (f32|i8)");

@@ -1,16 +1,8 @@
-//! Integration of the offline production paths: nightly batch inference
-//! and the multi-positive evaluation variant, on trained models.
+//! Integration of the offline production path: nightly batch inference
+//! on a trained model.
 
-use rand::SeedableRng;
-use unimatch::core::{
-    evaluate_multi_ir_model, run_experiment_on, ExperimentOptions, ExperimentSpec, PreparedData,
-    UniMatch, UniMatchConfig,
-};
+use unimatch::core::{UniMatch, UniMatchConfig};
 use unimatch::data::DatasetProfile;
-use unimatch::eval::ProtocolConfig;
-use unimatch::losses::{BiasConfig, MultinomialLoss};
-use unimatch::models::{ModelConfig, TwoTower};
-use unimatch::train::TrainLoss;
 
 #[test]
 fn nightly_batch_job_agrees_with_online_serving() {
@@ -47,46 +39,4 @@ fn nightly_batch_job_agrees_with_online_serving() {
     }
     let overlap = agree as f64 / total as f64;
     assert!(overlap > 0.85, "offline/online overlap {overlap}");
-}
-
-#[test]
-fn multi_positive_eval_tracks_single_positive() {
-    let profile = DatasetProfile::EComp;
-    let prepared = PreparedData::synthetic(profile, 0.5, 71);
-    let spec = ExperimentSpec::baseline(
-        profile,
-        0.5,
-        71,
-        TrainLoss::Multinomial(MultinomialLoss::Nce(BiasConfig::bbcnce())),
-    );
-    let trained = run_experiment_on(&spec, &ExperimentOptions::default(), &prepared);
-
-    // re-create the trained model is awkward; instead compare trained vs
-    // untrained under the multi-positive protocol directly
-    let protocol = ProtocolConfig { top_n: 10, negatives: 99 };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let untrained = TwoTower::new(
-        ModelConfig::youtube_dnn_mean(prepared.num_items(), prepared.max_seq_len, 0.125),
-        &mut rng,
-    );
-    let base = evaluate_multi_ir_model(&untrained, &prepared.split, &protocol, prepared.max_seq_len, 9);
-
-    // fit a model through the framework for the trained comparison
-    let fitted = UniMatch::new(UniMatchConfig {
-        max_seq_len: prepared.max_seq_len,
-        ..Default::default()
-    })
-    .fit(prepared.log.clone());
-    let multi =
-        evaluate_multi_ir_model(&fitted.model, &prepared.split, &protocol, prepared.max_seq_len, 9);
-
-    assert!(
-        multi.recall > base.recall,
-        "trained multi-positive recall {:.4} <= untrained {:.4}",
-        multi.recall,
-        base.recall
-    );
-    // the single-positive experiment should agree directionally
-    assert!(trained.eval.ir.recall > 0.1);
-    assert!((0.0..=1.0).contains(&multi.ndcg));
 }
