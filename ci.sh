@@ -29,7 +29,9 @@
 #    with an HNSW shadow armed at --shadow-sample-rate 0.1
 #    (--shadow-spec 'retriever=hnsw' — the one smoke that builds an HNSW
 #    index through the CLI), asserting the mirror actually pairs answers
-#    (nonzero unimatch_shadow_pairs_total on /metrics)
+#    (nonzero unimatch_shadow_pairs_total on /metrics) and, with
+#    --obs true, that both towers' graph builds were timed into a finite
+#    bucket of unimatch_ann_build_us
 # 7. clippy over every target with warnings denied
 # 8. rustdoc for the workspace's own crates, failing on any doc warning
 #
@@ -122,19 +124,33 @@ echo "==> loadgen --smoke vs an armed exact/HNSW shadow pair (mirror must pair a
 # The shadow serves the same checkpoint through an HNSW index while the
 # primary answers from the default exact scan; 10% of answered queries
 # are mirrored off the critical path. The smoke passes only if the
-# scrape shows the mirror actually produced pairs.
+# scrape shows the mirror actually produced pairs. --obs true adds the
+# process registry to the scrape: the shadow's two graph builds (item
+# tower, user tower) must both sit in a bucket with a finite bound.
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
-    --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7981 \
+    --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7981 --obs true \
     --shadow-sample-rate 0.1 --shadow-spec 'retriever=hnsw' &
 SERVE_PID=$!
 smoke_load 7981 shadow --
 # let the mirror queue drain, then require nonzero shadow pairs
 sleep 1
-SHADOW_PAIRS="$(curl -sf http://127.0.0.1:7981/metrics \
+SHADOW_SCRAPE="$(curl -sf http://127.0.0.1:7981/metrics)"
+SHADOW_PAIRS="$(echo "$SHADOW_SCRAPE" \
     | awk '/^unimatch_shadow_pairs_total/ { sum += $2 } END { print sum + 0 }')"
 echo "shadow smoke: unimatch_shadow_pairs_total = $SHADOW_PAIRS"
 if [ "$SHADOW_PAIRS" -le 0 ]; then
     echo "shadow smoke: mirror produced no pairs" >&2
+    exit 1
+fi
+# buckets are cumulative and ascending, so the last finite one counts
+# every build that was not filed under +Inf
+HNSW_BUILDS="$(echo "$SHADOW_SCRAPE" \
+    | awk '$1 == "unimatch_ann_build_us_count{index=\"hnsw\"}" { print $2 }')"
+HNSW_BUILDS_BUCKETED="$(echo "$SHADOW_SCRAPE" \
+    | awk '/^unimatch_ann_build_us_bucket\{index="hnsw",le="[0-9]+"\}/ { n = $2 } END { print n + 0 }')"
+echo "shadow smoke: unimatch_ann_build_us count = ${HNSW_BUILDS:-none}, in a finite bucket = $HNSW_BUILDS_BUCKETED"
+if [ "${HNSW_BUILDS:-0}" -ne 2 ] || [ "$HNSW_BUILDS_BUCKETED" -ne 2 ]; then
+    echo "shadow smoke: expected 2 HNSW builds, both under a finite le bound" >&2
     exit 1
 fi
 stop_server

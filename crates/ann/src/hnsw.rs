@@ -4,8 +4,33 @@
 //! A faithful, compact implementation of Malkov & Yashunin's algorithm:
 //! exponentially-thinned layers, greedy descent from the top layer, and a
 //! beam (`ef`) search on layer 0.
+//!
+//! # The graph is a pure function of its inputs
+//!
+//! The built graph — every node's per-layer neighbour list in order, the
+//! entry point and the top layer — is a function of exactly three
+//! things: the store's row bytes (format included), the [`HnswConfig`],
+//! and the rng stream handed to [`HnswIndex::build_over`] (one
+//! `gen_range` per row, in row order, for the level draw). A search is a
+//! function of the graph, the query and `ef_search`. Neither depends on
+//! thread count, on which scratch a walk was handed, or on how many
+//! searches ran before: the bookkeeping below (visited stamps, the
+//! reused candidate heap, the score-once prune) changes what a walk
+//! costs, never which rows it scores, in which order, or what it keeps.
+//! `crates/ann/tests/hnsw_graph.rs` pins this against the textbook
+//! builder it replaced.
+//!
+//! # Scratch memory
+//!
+//! A walk marks visited rows in an epoch-stamped array — 4 bytes × rows,
+//! zeroed only when the 32-bit epoch wraps — instead of hashing ids into
+//! a fresh set per layer. The index keeps returned scratches in a
+//! free-list, so a warm index allocates nothing proportional to `rows`
+//! per search; the list holds at most one scratch per search that was
+//! ever in flight at once (4 B × rows each, plus a beam-sized heap).
 
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex};
 
 use crate::index::{Hit, Retriever};
 use crate::kernel::TopK;
@@ -30,20 +55,64 @@ impl Default for HnswConfig {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct HnswNode {
     /// Neighbour lists, one per layer the node participates in.
     neighbours: Vec<Vec<u32>>,
 }
 
+/// The working memory of one graph walk, reused across walks.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// `stamps[r] == epoch` ⇔ row `r` was visited by the current
+    /// [`HnswIndex::search_layer`] call.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// The beam's frontier, a max-heap by score.
+    candidates: BinaryHeap<ScoredId>,
+    /// A neighbour list under pruning, each entry scored once.
+    scored: Vec<(f32, u32)>,
+}
+
+impl Scratch {
+    /// Starts an empty visited set over `rows` rows and an empty frontier.
+    fn begin(&mut self, rows: usize) {
+        if self.stamps.len() < rows {
+            self.stamps.resize(rows, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // the epoch wrapped: stamps of 2^32 walks ago would read as
+            // current, so forget them all and restart above the zero fill
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.candidates.clear();
+    }
+
+    /// Marks `id` visited; true when this walk had not seen it.
+    #[inline]
+    fn visit(&mut self, id: u32) -> bool {
+        let stamp = &mut self.stamps[id as usize];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
+}
+
 /// The HNSW index, scoring against a shared [`EmbeddingStore`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct HnswIndex {
     store: Arc<EmbeddingStore>,
     nodes: Vec<HnswNode>,
     entry: u32,
     max_layer: usize,
     cfg: HnswConfig,
+    /// Scratches not in use: a search pops one (or starts a new one) and
+    /// pushes it back. Owned by the index rather than the thread because
+    /// the sharded fan-out searches on scoped threads that live for one
+    /// call and would pay the 4 B × rows zero-fill every time.
+    scratches: Mutex<Vec<Scratch>>,
 }
 
 impl HnswIndex {
@@ -53,9 +122,11 @@ impl HnswIndex {
     }
 
     /// Builds the graph over an existing shared store (no vector copy; the
-    /// graph structure is the only per-index allocation).
+    /// graph structure and the walk scratch are the only per-index
+    /// allocations).
     pub fn build_over(store: Arc<EmbeddingStore>, cfg: HnswConfig, rng: &mut impl Rng) -> Self {
-        let _build_span = obs::span_us("unimatch_ann_build_us", "index=\"hnsw\"");
+        let _build_span =
+            obs::span_us_bounded("unimatch_ann_build_us", "index=\"hnsw\"", obs::BUILD_BOUNDS_US);
         let n = store.rows();
         assert!(n > 0, "cannot build HNSW over an empty set");
         let mut index = HnswIndex {
@@ -64,18 +135,53 @@ impl HnswIndex {
             entry: 0,
             max_layer: 0,
             cfg,
+            scratches: Mutex::new(Vec::new()),
         };
+        let mut scratch = Scratch::default();
         let ml = 1.0 / (cfg.m as f64).ln();
         for r in 0..n {
             let level = (-rng.gen_range(f64::EPSILON..1.0).ln() * ml).floor() as usize;
-            index.insert(r as u32, level);
+            index.insert(r as u32, level, &mut scratch);
         }
+        // the first search starts warm
+        index.check_in(scratch);
         index
     }
 
     /// The embedding arena this index scores against.
     pub fn store(&self) -> &Arc<EmbeddingStore> {
         &self.store
+    }
+
+    /// Sets the search beam width. `ef_search` is read at search time
+    /// only, so one built graph serves a whole `ef_search` sweep.
+    pub fn set_ef_search(&mut self, ef_search: usize) {
+        self.cfg.ef_search = ef_search;
+    }
+
+    /// The entry node and the top layer (graph-pinning tests).
+    #[doc(hidden)]
+    pub fn entry_point(&self) -> (u32, usize) {
+        (self.entry, self.max_layer)
+    }
+
+    /// Node `node`'s neighbour lists, layer 0 first (graph-pinning tests).
+    #[doc(hidden)]
+    pub fn neighbour_lists(&self, node: usize) -> &[Vec<u32>] {
+        &self.nodes[node].neighbours
+    }
+
+    fn free_list(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
+        // every update is one push or pop, so a poisoned list is intact
+        self.scratches.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn check_out(&self) -> Scratch {
+        self.free_list().pop().unwrap_or_default()
+    }
+
+    fn check_in(&self, scratch: Scratch) {
+        self.free_list().push(scratch);
     }
 
     fn score(&self, q: &[f32], r: u32) -> f32 {
@@ -87,22 +193,22 @@ impl HnswIndex {
     /// the work metric the observability layer reports per search.
     fn search_layer(
         &self,
+        scratch: &mut Scratch,
         q: &[f32],
         entry: u32,
         ef: usize,
         layer: usize,
         visited_count: &mut usize,
     ) -> Vec<Hit> {
-        let mut visited = std::collections::HashSet::new();
-        visited.insert(entry);
+        scratch.begin(self.store.rows());
+        scratch.visit(entry);
         *visited_count += 1;
-        let mut candidates = std::collections::BinaryHeap::new(); // max-heap by score
         let entry_score = self.score(q, entry);
-        candidates.push(ScoredId(entry_score, entry));
+        scratch.candidates.push(ScoredId(entry_score, entry));
         let mut best = TopK::new(ef);
         best.push(entry, entry_score);
 
-        while let Some(ScoredId(score, id)) = candidates.pop() {
+        while let Some(ScoredId(score, id)) = scratch.candidates.pop() {
             if score < best.threshold() {
                 break;
             }
@@ -110,12 +216,12 @@ impl HnswIndex {
                 continue;
             }
             for &nb in &self.nodes[id as usize].neighbours[layer] {
-                if visited.insert(nb) {
+                if scratch.visit(nb) {
                     *visited_count += 1;
                     let s = self.score(q, nb);
                     if s > best.threshold() {
                         best.push(nb, s);
-                        candidates.push(ScoredId(s, nb));
+                        scratch.candidates.push(ScoredId(s, nb));
                     }
                 }
             }
@@ -123,7 +229,7 @@ impl HnswIndex {
         best.into_sorted()
     }
 
-    fn insert(&mut self, id: u32, level: usize) {
+    fn insert(&mut self, id: u32, level: usize, scratch: &mut Scratch) {
         let node = HnswNode { neighbours: vec![Vec::new(); level + 1] };
         if self.nodes.is_empty() {
             self.nodes.push(node);
@@ -132,13 +238,14 @@ impl HnswIndex {
             return;
         }
         self.nodes.push(node);
-        let q: Vec<f32> = self.store.decode_row(id as usize).into_owned();
+        // borrowed, not copied, when the store is f32
+        let q = self.store.decode_row(id as usize);
 
         // descend from the top to level+1 greedily
         let mut ep = self.entry;
         let mut layer = self.max_layer;
         while layer > level {
-            let found = self.search_layer(&q, ep, 1, layer, &mut 0);
+            let found = self.search_layer(scratch, &q, ep, 1, layer, &mut 0);
             if let Some(h) = found.first() {
                 ep = h.id;
             }
@@ -148,25 +255,27 @@ impl HnswIndex {
         // connect on layers min(level, max_layer)..=0
         let top = level.min(self.max_layer);
         for l in (0..=top).rev() {
-            let found = self.search_layer(&q, ep, self.cfg.ef_construction, l, &mut 0);
+            let found = self.search_layer(scratch, &q, ep, self.cfg.ef_construction, l, &mut 0);
             let m_max = if l == 0 { 2 * self.cfg.m } else { self.cfg.m };
-            let selected: Vec<u32> =
-                found.iter().take(m_max).map(|h| h.id).filter(|&n| n != id).collect();
-            for &nb in &selected {
+            let selected = found.iter().take(m_max).map(|h| h.id).filter(|&n| n != id);
+            for nb in selected {
                 self.nodes[id as usize].neighbours[l].push(nb);
                 let nb_list = &mut self.nodes[nb as usize].neighbours[l];
                 nb_list.push(id);
                 if nb_list.len() > m_max {
-                    // prune the neighbour's list back to its best m_max
-                    let origin: Vec<f32> = self.store.decode_row(nb as usize).into_owned();
-                    let mut list = std::mem::take(&mut self.nodes[nb as usize].neighbours[l]);
-                    list.sort_by(|&a, &b| {
-                        let sa = self.store.score_row(&origin, a as usize);
-                        let sb = self.store.score_row(&origin, b as usize);
-                        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+                    // prune the neighbour's list back to its best m_max:
+                    // score each entry once, then the same stable sort
+                    // over the same scores a comparator would recompute
+                    let origin = self.store.decode_row(nb as usize);
+                    scratch.scored.clear();
+                    scratch.scored.extend(
+                        nb_list.iter().map(|&a| (self.store.score_row(&origin, a as usize), a)),
+                    );
+                    scratch.scored.sort_by(|a, b| {
+                        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    list.truncate(m_max);
-                    self.nodes[nb as usize].neighbours[l] = list;
+                    nb_list.clear();
+                    nb_list.extend(scratch.scored.iter().take(m_max).map(|&(_, a)| a));
                 }
             }
             if let Some(h) = found.first() {
@@ -179,9 +288,36 @@ impl HnswIndex {
             self.entry = id;
         }
     }
+
+    /// One query's walk on `scratch`: the hits and how many distinct
+    /// nodes it scored.
+    fn search_on(&self, scratch: &mut Scratch, query: &[f32], k: usize) -> (Vec<Hit>, usize) {
+        let mut visited = 0usize;
+        let mut ep = self.entry;
+        for layer in (1..=self.max_layer).rev() {
+            if let Some(h) = self.search_layer(scratch, query, ep, 1, layer, &mut visited).first() {
+                ep = h.id;
+            }
+        }
+        let ef = self.cfg.ef_search.max(k);
+        let mut hits = self.search_layer(scratch, query, ep, ef, 0, &mut visited);
+        hits.truncate(k);
+        (hits, visited)
+    }
+
+    /// [`Retriever::search`] plus the walk's visited-node count
+    /// (graph-pinning tests; the count is otherwise only a histogram).
+    #[doc(hidden)]
+    pub fn search_counting(&self, query: &[f32], k: usize) -> (Vec<Hit>, usize) {
+        assert_eq!(query.len(), self.dim(), "query dim mismatch");
+        let mut scratch = self.check_out();
+        let answer = self.search_on(&mut scratch, query, k);
+        self.check_in(scratch);
+        answer
+    }
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct ScoredId(f32, u32);
 
 impl Eq for ScoredId {}
@@ -215,18 +351,8 @@ impl Retriever for HnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        assert_eq!(query.len(), self.dim(), "query dim mismatch");
         let _search_span = obs::span_us("unimatch_ann_search_us", "index=\"hnsw\"");
-        let mut visited = 0usize;
-        let mut ep = self.entry;
-        for layer in (1..=self.max_layer).rev() {
-            if let Some(h) = self.search_layer(query, ep, 1, layer, &mut visited).first() {
-                ep = h.id;
-            }
-        }
-        let ef = self.cfg.ef_search.max(k);
-        let mut hits = self.search_layer(query, ep, ef, 0, &mut visited);
-        hits.truncate(k);
+        let (hits, visited) = self.search_counting(query, k);
         if obs::enabled() {
             obs::registry::counter_labeled("unimatch_ann_searches_total", "index=\"hnsw\"").inc();
             obs::registry::histogram("unimatch_ann_visited_nodes", "index=\"hnsw\"", obs::COUNT_BOUNDS)
@@ -286,8 +412,7 @@ mod tests {
         let queries = unit_cloud(20, 16, 6);
         let mut hit_count = 0;
         for q in queries.chunks(16) {
-            let exact: std::collections::HashSet<u32> =
-                bf.search(q, 10).iter().map(|h| h.id).collect();
+            let exact: Vec<u32> = bf.search(q, 10).iter().map(|h| h.id).collect();
             hit_count += hnsw.search(q, 10).iter().filter(|h| exact.contains(&h.id)).count();
         }
         let recall = hit_count as f64 / 200.0;
@@ -302,5 +427,86 @@ mod tests {
         let q = unit_cloud(1, 8, 9);
         let hits = ix.search(&q, 10);
         assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
+    }
+
+    /// Hit ids, score bits and the visited count of one query.
+    type Answer = (Vec<(u32, u32)>, usize);
+
+    fn bits(hits: &[Hit]) -> Vec<(u32, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    fn answer_on(ix: &HnswIndex, scratch: &mut Scratch, q: &[f32], k: usize) -> Answer {
+        let (hits, visited) = ix.search_on(scratch, q, k);
+        (bits(&hits), visited)
+    }
+
+    #[test]
+    fn scratch_survives_the_epoch_wrap() {
+        let data = unit_cloud(400, 8, 10);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let ix = HnswIndex::build(data, 8, HnswConfig::default(), &mut rng);
+        let queries = unit_cloud(12, 8, 12);
+        let fresh: Vec<Answer> =
+            queries.chunks(8).map(|q| answer_on(&ix, &mut Scratch::default(), q, 10)).collect();
+
+        // a scratch 2^32 walks old: every row carries the stamp of some
+        // early epoch, which a wrap that did not zero the array would
+        // take for a visit once the epoch counts up to it again
+        let mut scratch = Scratch {
+            stamps: (0..400).map(|r| 1 + r % 4).collect(),
+            epoch: u32::MAX - 1,
+            ..Scratch::default()
+        };
+        let walks_per_search = ix.max_layer as u32 + 1;
+        for (q, want) in queries.chunks(8).zip(&fresh) {
+            assert_eq!(&answer_on(&ix, &mut scratch, q, 10), want);
+        }
+        // MAX - 1 -> MAX -> (wrap, zero-fill) 1 -> 2 ...: n walks end at
+        // epoch n - 1, so the array was zeroed exactly once
+        assert_eq!(scratch.epoch, 12 * walks_per_search - 1);
+        assert!(scratch.stamps.iter().all(|&s| s <= scratch.epoch));
+    }
+
+    #[test]
+    fn shared_index_answers_every_thread_alike_and_keeps_one_scratch_each() {
+        const THREADS: usize = 8;
+        let data = unit_cloud(600, 8, 13);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let ix = HnswIndex::build(data, 8, HnswConfig::default(), &mut rng);
+        let queries = unit_cloud(200, 8, 15);
+        let alone: Vec<_> = queries.chunks(8).map(|q| bits(&ix.search(q, 10))).collect();
+        assert_eq!(ix.free_list().len(), 1);
+
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for (q, want) in queries.chunks(8).zip(&alone) {
+                        assert_eq!(&bits(&ix.search(q, 10)), want);
+                    }
+                });
+            }
+        });
+        let parked = ix.free_list().len();
+        assert!((1..=THREADS).contains(&parked), "{parked} scratches parked");
+    }
+
+    #[test]
+    fn one_scratch_serves_indexes_of_growing_row_counts() {
+        let mut scratch = Scratch::default();
+        let mut high_water = 0;
+        // the last index is smaller: the stamps must not shrink under it
+        for (rows, seed) in [(10usize, 20u64), (120, 21), (900, 22), (50, 23)] {
+            let data = unit_cloud(rows, 8, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let ix = HnswIndex::build(data, 8, HnswConfig::default(), &mut rng);
+            let q = unit_cloud(1, 8, seed + 100);
+            let shared = answer_on(&ix, &mut scratch, &q, 5);
+            assert_eq!(shared, answer_on(&ix, &mut Scratch::default(), &q, 5), "{rows} rows");
+            high_water = high_water.max(rows);
+            assert_eq!(scratch.stamps.len(), high_water, "{rows} rows");
+        }
     }
 }

@@ -496,7 +496,9 @@ mod tests {
     use crate::bruteforce::BruteForceIndex;
     use unimatch_faults::{self as faults, FaultPlan, FaultRule};
 
-    /// Serializes tests that arm the process-global fault plan.
+    /// Serializes tests that arm the process-global fault plan — and,
+    /// since every sharded search consults it, the tests that expect a
+    /// healthy fan-out.
     fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -526,6 +528,7 @@ mod tests {
 
     #[test]
     fn matches_unsharded_bitwise() {
+        let _guard = fault_lock();
         let s = store(61, 8, 0x5eed);
         let whole = BruteForceIndex::over(s.clone());
         for n in [1, 2, 3, 7] {
@@ -546,6 +549,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_query() {
+        let _guard = fault_lock();
         let s = store(40, 4, 0xf00d);
         let sharded = sharded_exact(&s, 3);
         let queries: Vec<f32> = (0..6).flat_map(|q| s.row(q * 5).to_vec()).collect();
@@ -558,6 +562,7 @@ mod tests {
 
     #[test]
     fn ties_across_shard_boundaries_keep_lowest_global_ids() {
+        let _guard = fault_lock();
         // Rows 0..6 all identical: every score ties, so the global top-3
         // must be ids 0,1,2 regardless of where the shard cuts fall.
         let data = [1.0f32, 0.0].repeat(6);
@@ -571,6 +576,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_rows_clamps() {
+        let _guard = fault_lock();
         let s = store(3, 2, 9);
         let sharded = sharded_exact(&s, 8);
         assert_eq!(sharded.shards(), 3);
@@ -579,6 +585,7 @@ mod tests {
 
     #[test]
     fn empty_store_builds_one_empty_shard() {
+        let _guard = fault_lock();
         let s = Arc::new(EmbeddingStore::zeroed(0, 4));
         let sharded = sharded_exact(&s, 4);
         assert_eq!(sharded.shards(), 1);
@@ -762,6 +769,7 @@ mod tests {
 
     #[test]
     fn healthy_checked_path_is_bitwise_identical_and_reports_healthy() {
+        let _guard = fault_lock();
         let s = store(50, 8, 0x16);
         let sharded = sharded_quorum(&s, 4, 2);
         let plain = sharded.search_batch(s.row(7), 9);

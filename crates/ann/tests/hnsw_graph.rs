@@ -1,0 +1,112 @@
+//! Pins the HNSW *graph*, not just its recall: the shipped index against
+//! the reference builder in `common::reference_hnsw` (the code it
+//! replaced, kept verbatim), edge for edge and walk for walk.
+//!
+//! `differential.rs` and the recall gates would pass a different graph
+//! with the same recall; this suite does not. For every seeded case —
+//! rows × dim × `m` × `ef_construction` × store (f32, i8, and a
+//! `view_rows` window of each) — every node's per-layer neighbour list in
+//! order, the entry point and the top layer are equal, and 50 queries
+//! return the same ids, the same score bits and the same visited count.
+//! The corpora carry duplicated rows, so score ties (the prune's stable
+//! sort, the beam's admission order) are exercised, not avoided.
+
+mod common;
+
+use std::sync::Arc;
+
+use common::reference_hnsw::RefHnsw;
+use common::unit_cloud;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use unimatch_ann::{EmbeddingStore, HnswConfig, HnswIndex, RowFormat};
+
+const QUERIES: usize = 50;
+const K: usize = 10;
+/// Rows before and after the window of the `view_rows` cases.
+const MARGIN: usize = 3;
+
+/// `rows` unit vectors, every tenth one repeated in the row after it.
+fn corpus(rows: usize, dim: usize, seed: u64) -> Vec<f32> {
+    let mut data = unit_cloud(rows, dim, seed);
+    for r in (0..rows.saturating_sub(1)).step_by(10) {
+        data.copy_within(r * dim..(r + 1) * dim, (r + 1) * dim);
+    }
+    data
+}
+
+/// The four stores of one case: whole and windowed, f32 and i8.
+fn stores(rows: usize, dim: usize, seed: u64) -> Vec<(&'static str, Arc<EmbeddingStore>)> {
+    let whole = EmbeddingStore::from_vec(corpus(rows, dim, seed), dim);
+    let padded = EmbeddingStore::from_vec(corpus(rows + 2 * MARGIN, dim, seed ^ 0x77), dim);
+    let window = |s: &EmbeddingStore| Arc::new(s.view_rows(MARGIN, MARGIN + rows));
+    vec![
+        ("i8", Arc::new(whole.quantize(RowFormat::I8))),
+        ("f32", Arc::new(whole)),
+        ("f32 window", window(&padded)),
+        ("i8 window", window(&padded.quantize(RowFormat::I8))),
+    ]
+}
+
+fn assert_same_index(store: &Arc<EmbeddingStore>, cfg: HnswConfig, seed: u64, case: &str) {
+    let reference = RefHnsw::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(seed));
+    let shipped = HnswIndex::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(seed));
+
+    assert_eq!(shipped.entry_point(), (reference.entry, reference.max_layer), "{case}: entry");
+    assert_eq!(reference.nodes.len(), store.rows(), "{case}: node count");
+    for (n, node) in reference.nodes.iter().enumerate() {
+        assert_eq!(shipped.neighbour_lists(n), node.neighbours.as_slice(), "{case}: node {n}");
+    }
+
+    let dim = store.dim();
+    let mut queries = unit_cloud(QUERIES - 1, dim, seed ^ 0x51);
+    // one query is a stored row: its own node scores highest, duplicates tie
+    queries.extend_from_slice(&store.decode_row(store.rows() / 2));
+    for (qi, q) in queries.chunks(dim).enumerate() {
+        let (want, want_visited) = reference.search(q, K);
+        let (got, got_visited) = shipped.search_counting(q, K);
+        assert_eq!(got_visited, want_visited, "{case}: query {qi} visited count");
+        common::assert_bitwise(&got, &want, &format!("{case}: query {qi}"));
+    }
+}
+
+#[test]
+fn shipped_graph_and_walks_equal_the_reference_builder() {
+    let mut cases = 0u64;
+    for rows in [1usize, 2, 50, 2_000] {
+        for dim in [2usize, 16] {
+            for m in [4usize, 16] {
+                for ef_construction in [8usize, 100] {
+                    cases += 1;
+                    let cfg = HnswConfig { m, ef_construction, ..HnswConfig::default() };
+                    for (name, store) in stores(rows, dim, cases) {
+                        let case =
+                            format!("{name} rows={rows} dim={dim} m={m} ef_c={ef_construction}");
+                        assert_same_index(&store, cfg, 1_000 + cases, &case);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_beam_width_is_a_search_time_setting() {
+    // one graph swept by `set_ef_search` answers as an index built at
+    // that `ef_search` does
+    let store = Arc::new(EmbeddingStore::from_vec(corpus(400, 16, 9), 16));
+    let queries = unit_cloud(QUERIES, 16, 10);
+    let base = HnswConfig::default();
+    let mut swept = HnswIndex::build_over(store.clone(), base, &mut StdRng::seed_from_u64(3));
+    for ef_search in [8usize, 32, 128] {
+        swept.set_ef_search(ef_search);
+        let cfg = HnswConfig { ef_search, ..base };
+        let built = RefHnsw::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(3));
+        for (qi, q) in queries.chunks(16).enumerate() {
+            let (want, want_visited) = built.search(q, K);
+            let (got, got_visited) = swept.search_counting(q, K);
+            assert_eq!(got_visited, want_visited, "ef={ef_search}: query {qi} visited count");
+            common::assert_bitwise(&got, &want, &format!("ef={ef_search}: query {qi}"));
+        }
+    }
+}

@@ -343,20 +343,90 @@ impl BackendEval {
     }
 }
 
-/// One backend × operating-point of the sweep.
-enum SweepPoint {
-    Exact,
-    Hnsw(HnswConfig),
+/// What every point of the backend sweep shares: both towers' stores,
+/// materialized once, and the seeded IR and UT case sets answered over
+/// them.
+struct BackendSweep {
+    item_store: Arc<EmbeddingStore>,
+    user_store: Arc<EmbeddingStore>,
+    /// IR histories through the towers.
+    ir: FullCatalogIr,
+    /// UT queries gathered from the item store, flat `[cases × embed_dim]`.
+    ut_queries: Vec<f32>,
+    ut_positives: Vec<u32>,
+    ut_top_n: usize,
 }
 
-impl SweepPoint {
-    fn build(&self, store: Arc<EmbeddingStore>, rng: &mut StdRng) -> Box<dyn Retriever> {
-        match self {
-            SweepPoint::Exact => Box::new(BruteForceIndex::over(store)),
-            SweepPoint::Hnsw(cfg) => Box::new(HnswIndex::build_over(store, *cfg, rng)),
+impl BackendSweep {
+    fn prepare(
+        model: &TwoTower,
+        log: &InteractionLog,
+        protocol: &ProtocolConfig,
+        seed: u64,
+    ) -> BackendSweep {
+        let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
+        let item_store = Arc::new(item_store_of(model));
+        let user_pool = UserPool::build(&split, model.config().max_seq_len);
+        let user_store = Arc::new(user_store_of(model, &user_pool));
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ir = full_catalog_ir_cases(model, &split, protocol, &mut rng);
+
+        let ut_protocol = protocol.clamped(user_pool.len());
+        let ut_cases = build_ut_cases(&split, &user_pool, &ut_protocol, &mut rng);
+        let ut_queries: Vec<f32> = ut_cases
+            .iter()
+            .flat_map(|c| item_store.decode_row(c.item as usize).into_owned())
+            .collect();
+        BackendSweep {
+            ut_positives: ut_cases.iter().map(|c| c.candidates[0] as u32).collect(),
+            ut_top_n: ut_protocol.top_n.min(user_pool.len()).max(1),
+            item_store,
+            user_store,
+            ir,
+            ut_queries,
+        }
+    }
+
+    /// Builds both towers' HNSW indexes the way the deployment builder
+    /// seeds them: item index first, user index second, off one derived
+    /// rng.
+    fn build_hnsw(&self, base: &UniMatchConfig, cfg: HnswConfig) -> (HnswIndex, HnswIndex) {
+        let mut rng = StdRng::seed_from_u64(base.seed ^ 0x1d);
+        let items = HnswIndex::build_over(self.item_store.clone(), cfg, &mut rng);
+        let users = HnswIndex::build_over(self.user_store.clone(), cfg, &mut rng);
+        (items, users)
+    }
+
+    /// Answers the shared cases through one pair of indexes (deltas are
+    /// filled in once the oracle's entry is known).
+    fn answer(
+        &self,
+        (backend, param, value): (&'static str, &'static str, usize),
+        item_index: &dyn Retriever,
+        user_index: &dyn Retriever,
+    ) -> BackendEval {
+        let chain = RerankChain::identity();
+        let ir_lists = MatchPipeline::over(item_index, &self.item_store, &chain)
+            .retrieve(&self.ir.queries, self.ir.top_n);
+        let ut_lists = MatchPipeline::over(user_index, &self.user_store, &chain)
+            .retrieve(&self.ut_queries, self.ut_top_n);
+        BackendEval {
+            backend,
+            param,
+            value,
+            ir: score_lists(&ir_lists, &self.ir.positives, self.ir.top_n),
+            ut: score_lists(&ut_lists, &self.ut_positives, self.ut_top_n),
+            delta_ir_recall: 0.0,
+            delta_ir_ndcg: 0.0,
+            delta_ut_recall: 0.0,
+            delta_ut_ndcg: 0.0,
         }
     }
 }
+
+/// The `ef_search` operating points of the HNSW sweep.
+const EF_SEARCH_SWEEP: [usize; 3] = [8, 32, 128];
 
 /// The index backend's end-metric cost, measured end to end (the second
 /// slice of the retriever-aware evaluation, after
@@ -383,61 +453,22 @@ pub fn evaluate_backend_deltas(
     seed: u64,
 ) -> Vec<BackendEval> {
     base.parallelism.install_global();
-    let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
+    let sweep = BackendSweep::prepare(model, log, protocol, seed);
 
-    // both towers' stores are materialized once; every sweep point
-    // indexes these exact same arenas
-    let item_store = Arc::new(item_store_of(model));
-    let user_pool = UserPool::build(&split, model.config().max_seq_len);
-    let user_store = Arc::new(user_store_of(model, &user_pool));
-
-    // the shared case set: IR histories through the towers, UT queries
-    // gathered from the item store — identical for every sweep point
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ir = full_catalog_ir_cases(model, &split, protocol, &mut rng);
-
-    let ut_protocol = protocol.clamped(user_pool.len());
-    let ut_cases = build_ut_cases(&split, &user_pool, &ut_protocol, &mut rng);
-    let ut_queries: Vec<f32> = ut_cases
-        .iter()
-        .flat_map(|c| item_store.decode_row(c.item as usize).into_owned())
-        .collect();
-    let ut_positives: Vec<u32> = ut_cases.iter().map(|c| c.candidates[0] as u32).collect();
-    let ut_top_n = ut_protocol.top_n.min(user_pool.len()).max(1);
-
-    let sweep: Vec<(&'static str, &'static str, usize, SweepPoint)> = {
-        let mut s = vec![("bruteforce", "", 0, SweepPoint::Exact)];
-        for ef in [8usize, 32, 128] {
-            let hnsw = HnswConfig { ef_search: ef, ..HnswConfig::default() };
-            s.push(("hnsw", "ef_search", ef, SweepPoint::Hnsw(hnsw)));
-        }
-        s
-    };
-
-    let chain = RerankChain::identity();
-    let mut out = Vec::with_capacity(sweep.len());
-    for (backend, param, value, point) in &sweep {
-        // mirror the deployment builder's index seeding: item index
-        // first, user index second, off one derived rng
-        let mut idx_rng = StdRng::seed_from_u64(base.seed ^ 0x1d);
-        let item_index = point.build(item_store.clone(), &mut idx_rng);
-        let user_index = point.build(user_store.clone(), &mut idx_rng);
-        let ir_lists =
-            MatchPipeline::over(item_index.as_ref(), &item_store, &chain).retrieve(&ir.queries, ir.top_n);
-        let ut_lists =
-            MatchPipeline::over(user_index.as_ref(), &user_store, &chain).retrieve(&ut_queries, ut_top_n);
-        out.push(BackendEval {
-            backend,
-            param,
-            value: *value,
-            ir: score_lists(&ir_lists, &ir.positives, ir.top_n),
-            ut: score_lists(&ut_lists, &ut_positives, ut_top_n),
-            delta_ir_recall: 0.0,
-            delta_ir_ndcg: 0.0,
-            delta_ut_recall: 0.0,
-            delta_ut_ndcg: 0.0,
-        });
+    let mut out = vec![sweep.answer(
+        ("bruteforce", "", 0),
+        &BruteForceIndex::over(sweep.item_store.clone()),
+        &BruteForceIndex::over(sweep.user_store.clone()),
+    )];
+    // `ef_search` is read at search time only: one graph per tower
+    // serves every point of the sweep
+    let (mut item_index, mut user_index) = sweep.build_hnsw(base, HnswConfig::default());
+    for ef in EF_SEARCH_SWEEP {
+        item_index.set_ef_search(ef);
+        user_index.set_ef_search(ef);
+        out.push(sweep.answer(("hnsw", "ef_search", ef), &item_index, &user_index));
     }
+
     let oracle = out[0];
     for e in &mut out {
         e.delta_ir_recall = e.ir.recall - oracle.ir.recall;
@@ -701,6 +732,17 @@ mod tests {
             "ef=128 delta {} suspiciously far from exact",
             hnsw[2].delta_ir_recall
         );
+        // the sweep shares one graph per tower; each point answers as a
+        // pair of indexes built for it alone does
+        let sweep = BackendSweep::prepare(&fitted.model, &log, &protocol, 5);
+        for (point, ef_search) in hnsw.iter().zip(EF_SEARCH_SWEEP) {
+            let (items, users) =
+                sweep.build_hnsw(&cfg, HnswConfig { ef_search, ..HnswConfig::default() });
+            let alone = sweep.answer(("hnsw", "ef_search", ef_search), &items, &users);
+            assert_eq!(point.value, ef_search);
+            assert_eq!(point.ir, alone.ir, "{}", point.label());
+            assert_eq!(point.ut, alone.ut, "{}", point.label());
+        }
         // deterministic under a fixed seed
         let again = evaluate_backend_deltas(&fitted.model, &log, &cfg, &protocol, 5);
         for (a, b) in evals.iter().zip(&again) {

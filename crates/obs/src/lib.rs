@@ -57,7 +57,7 @@ pub mod registry;
 pub mod span;
 
 pub use metrics::{Counter, Gauge, Histogram};
-pub use span::{span_us, Span};
+pub use span::{span_us, span_us_bounded, Span};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -79,10 +79,16 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Latency bucket bounds in microseconds, shared by every duration
-/// histogram in the workspace (50 µs … 100 ms, then +Inf).
+/// Latency bucket bounds in microseconds, shared by every request-scale
+/// duration histogram in the workspace (50 µs … 100 ms, then +Inf).
 pub const LATENCY_BOUNDS_US: &[u64] =
     &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000];
+
+/// Bucket bounds in microseconds for index construction, which runs
+/// for tens of milliseconds to seconds (10 ms … 10 s, then +Inf).
+pub const BUILD_BOUNDS_US: &[u64] = &[
+    10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
+];
 
 /// Power-of-two-ish count bounds for size-like histograms (batch sizes,
 /// visited-node counts, …).

@@ -153,10 +153,20 @@ mod tests {
     fn render_is_sorted_and_stable() {
         gauge("reg_zz_gauge").set(3.5);
         histogram("reg_aa_us", "", &[10, 100]).observe(7);
-        let text = render();
-        let aa = text.find("reg_aa_us_bucket").expect("histogram rendered");
-        let zz = text.find("reg_zz_gauge").expect("gauge rendered");
-        assert!(aa < zz, "series must sort by name:\n{text}");
-        assert_eq!(render(), text);
+        // the registry is the process's: sibling tests register series
+        // and move their values between any two renders, so compare the
+        // lines of the two families this test owns
+        let own = || -> Vec<String> {
+            render()
+                .lines()
+                .filter(|l| l.starts_with("reg_aa_us") || l.starts_with("reg_zz_gauge"))
+                .map(String::from)
+                .collect()
+        };
+        let lines = own();
+        let aa = lines.iter().position(|l| l.starts_with("reg_aa_us_bucket"));
+        let zz = lines.iter().position(|l| l.starts_with("reg_zz_gauge"));
+        assert!(aa.expect("histogram rendered") < zz.expect("gauge rendered"), "{lines:?}");
+        assert_eq!(own(), lines);
     }
 }

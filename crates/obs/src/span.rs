@@ -11,7 +11,8 @@ use crate::{enabled, registry, LATENCY_BOUNDS_US};
 
 /// A scoped timer. Hold it for the duration of the phase being measured;
 /// on drop it records the elapsed microseconds into the histogram
-/// `name{labels}` (bucketed by [`LATENCY_BOUNDS_US`]).
+/// `name{labels}` (bucketed by [`LATENCY_BOUNDS_US`], or by the bounds
+/// [`span_us_bounded`] was given).
 ///
 /// Obtain one with [`span_us`]; a span created while observability is
 /// disabled stays inert even if the flag flips mid-flight.
@@ -40,8 +41,15 @@ impl Drop for Span {
 /// guard when observability is disabled.
 #[inline]
 pub fn span_us(name: &'static str, labels: &'static str) -> Span {
+    span_us_bounded(name, labels, LATENCY_BOUNDS_US)
+}
+
+/// [`span_us`] over a histogram bucketed by `bounds` — for phases the
+/// request-scale [`LATENCY_BOUNDS_US`] would file under `+Inf`.
+#[inline]
+pub fn span_us_bounded(name: &'static str, labels: &'static str, bounds: &'static [u64]) -> Span {
     if enabled() {
-        let hist = registry::histogram(name, labels, LATENCY_BOUNDS_US);
+        let hist = registry::histogram(name, labels, bounds);
         Span { state: Some((hist, Instant::now())) }
     } else {
         Span { state: None }
