@@ -21,10 +21,11 @@
 #    benchmark is run (no other step compiles crates/benchmark, and an
 #    API change is exactly what can break it)
 # 5. a smoke open-loop load run (loadgen --rerank-mix) against a live
-#    loopback server running a re-ranking chain over a quantized,
-#    mmap-backed store (--store i8 --mmap); then a second smoke run with
-#    client retries against a server whose shard 0 is wedged by an armed
-#    fault, proving quorum keeps the 200s flowing under partial failure
+#    loopback server running a re-ranking chain over a quantized store
+#    (--store i8); then a second smoke run with client retries against a
+#    server whose shard 0 fails every search by an armed fault, proving
+#    quorum keeps the 200s flowing under partial failure (the scrape must
+#    count the shard errors and the degraded responses)
 # 6. a smoke load run against an exact-backend server (the default)
 #    with an HNSW shadow armed at --shadow-sample-rate 0.1
 #    (--shadow-spec 'retriever=hnsw' — the one smoke that builds an HNSW
@@ -93,15 +94,14 @@ smoke_load() {
 echo "==> loadgen --smoke (open-loop load harness vs a loopback server)"
 target/release/unimatch-cli generate --profile ecomp --scale 0.1 --seed 7 \
     --out "$LOAD_DIR/log.csv"
-# --store i8 advertises a quantized sidecar table next to the checkpoint;
-# serve then memory-maps it (--mmap), so the load run exercises the
-# quantized read path end to end.
+# --store i8 fits as usual and writes the plain checkpoint; serve
+# re-encodes its embedding section into i8 codes, so the load run
+# exercises the quantized read path end to end.
 target/release/unimatch-cli fit --log "$LOAD_DIR/log.csv" \
     --out "$LOAD_DIR/model.json" --store i8
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7979 --shards 2 \
-    --store i8 --mmap true \
-    --rerank 'debias@0.5,mmr@0.3,explore@0.1' &
+    --store i8 --rerank 'debias@0.5,mmr@0.3,explore@0.1' &
 SERVE_PID=$!
 # --rerank-mix varies histories and k so the armed chain is exercised
 # across distinct query tags and overfetch sizes.
@@ -109,15 +109,25 @@ smoke_load 7979 loadgen -- --rerank-mix
 stop_server
 
 echo "==> loadgen --smoke vs a wedged shard (quorum keeps 200s flowing)"
-# Shard 0 sleeps 60 ms per search against a 30 ms per-shard deadline, so
-# every fan-out drops it; --min-shards 1 keeps the merge answering
-# (flagged degraded), and the client retries ride out any stragglers.
+# Shard 0 fails every search with an injected I/O error, so every
+# fan-out drops it; --min-shards 1 keeps the merge answering (flagged
+# degraded), and the client retries ride out any stragglers. The scrape
+# must count both the absorbed shard errors and the degraded 200s.
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7980 --shards 2 \
-    --min-shards 1 --shard-deadline-ms 30 \
-    --faults 'ann.shard.search.0=latency:60000' &
+    --min-shards 1 --faults 'ann.shard.search.0=io' &
 SERVE_PID=$!
 smoke_load 7980 wedged-shard -- --retries 2
+WEDGED_SCRAPE="$(curl -sf http://127.0.0.1:7980/metrics)"
+for series in 'unimatch_shard_errors_total{shard="0"}' \
+    'unimatch_degraded_responses_total{reason="shard"}'; do
+    count="$(echo "$WEDGED_SCRAPE" | awk -v s="$series" '$1 == s { print $2 }')"
+    echo "wedged-shard smoke: $series = ${count:-none}"
+    if [ "${count:-0}" -le 0 ]; then
+        echo "wedged-shard smoke: expected $series above 0" >&2
+        exit 1
+    fi
+done
 stop_server
 
 echo "==> loadgen --smoke vs an armed exact/HNSW shadow pair (mirror must pair answers)"

@@ -69,7 +69,7 @@ impl Retriever for BruteForceIndex {
     /// ([`crate::kernel::top_k_exact_store`]): same scores and ordering
     /// as the per-query path, but targets are streamed tile-by-tile
     /// across each query block instead of re-read per query. Works over
-    /// every row format and backing — quantized stores score through the
+    /// every row format — quantized stores score through the
     /// fused dequant-dot inner loop.
     fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
         let _span = batch_entry_hooks(self.obs_label());

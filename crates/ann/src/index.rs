@@ -33,19 +33,6 @@ pub enum ShardFailureKind {
     Io,
     /// The shard's search panicked; the fan-out captured the unwind.
     Panic,
-    /// The shard answered, but past its per-shard deadline.
-    Deadline,
-}
-
-impl ShardFailureKind {
-    /// Stable label (`"io"`, `"panic"`, `"deadline"`) for metrics/logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardFailureKind::Io => "io",
-            ShardFailureKind::Panic => "panic",
-            ShardFailureKind::Deadline => "deadline",
-        }
-    }
 }
 
 /// Health report of one checked search fan-out: how many partitions were
@@ -71,7 +58,7 @@ impl ShardHealth {
         !self.failures.is_empty()
     }
 
-    /// Shards that answered in time.
+    /// Shards that answered.
     pub fn healthy_shards(&self) -> usize {
         self.total - self.failures.len()
     }
@@ -81,7 +68,7 @@ impl ShardHealth {
 /// no usable (even partial) result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuorumError {
-    /// Shards that answered in time.
+    /// Shards that answered.
     pub healthy: usize,
     /// Minimum healthy shards the effective policy demanded.
     pub required: usize,

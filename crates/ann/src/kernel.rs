@@ -197,8 +197,8 @@ pub fn top_k_exact(queries: &[f32], targets: &[f32], dim: usize, k: usize) -> Ve
 /// kernel — rows are
 /// decoded inside the multiply-add loop, never materialized as `f32`,
 /// and each score is one sequential reduction, so the determinism
-/// contract (bit-identical across thread counts, tilings, and owned vs
-/// mmap backings) carries over unchanged.
+/// contract (bit-identical across thread counts and tilings) carries
+/// over unchanged.
 pub fn top_k_exact_store(
     queries: &[f32],
     store: &crate::EmbeddingStore,

@@ -11,8 +11,7 @@
 //!   embedding arena every backend scores against (one copy of the
 //!   vectors, however many indexes are built over it). Rows can be
 //!   stored full-precision or quantized ([`RowFormat`]: `f32` / per-row
-//!   affine `i8`), and the arena bytes can live on the heap or
-//!   in a read-only mmap of a [`table`] sidecar file ([`StoreBacking`]);
+//!   affine `i8`);
 //! * [`kernel`] — the single exact-scoring kernel: the workspace's one
 //!   [`kernel::dot`], the blocked/tiled [`kernel::top_k_exact`], and its
 //!   store-aware twin [`kernel::top_k_exact_store`] whose inner loop is
@@ -30,6 +29,9 @@
 //! of one arena), searches the per-range indexes in parallel, and k-way
 //! merges the results under the canonical `(score desc, lowest id)`
 //! order — bitwise identical to the unsharded search for exact backends.
+//!
+//! The crate reads and writes no files: stores are built in memory from
+//! the checkpoint the serving layer decodes.
 
 #![warn(missing_docs)]
 
@@ -40,7 +42,6 @@ pub mod kernel;
 pub mod order;
 pub mod sharded;
 pub mod store;
-pub mod table;
 
 pub use bruteforce::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
@@ -51,9 +52,4 @@ pub use index::{
 pub use kernel::{dot, top_k_exact, top_k_exact_store};
 pub use order::{canonical, sort_canonical};
 pub use sharded::{ShardPolicy, ShardedRetriever};
-pub use store::{
-    i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat, StoreBacking, STORE_ALIGN,
-};
-pub use table::{
-    open_table, open_table_with, read_table_header, write_atomic, write_table, TableHeader,
-};
+pub use store::{i8_decode, i8_encode, i8_row_params, EmbeddingStore, RowFormat, STORE_ALIGN};

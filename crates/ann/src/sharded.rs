@@ -33,11 +33,12 @@
 //! ## Failure isolation
 //!
 //! The fan-out is *fallible*: each shard's search runs inside a panic
-//! capture, behind the `ann.shard.search` chaos seams, and (when a
-//! [`ShardPolicy`] configures one) under a per-shard wall-clock deadline.
-//! A shard that errors, panics, or blows its deadline is dropped from the
-//! k-way merge instead of wedging the whole query. The policy's
-//! `min_shards` quorum decides what a partial fan-out means:
+//! capture, behind the `ann.shard.search` chaos seams. A shard that
+//! errors or panics is dropped from the k-way merge instead of failing
+//! the whole query. A *slow* shard is not: the scoped fan-out joins every
+//! shard before merging, so no per-shard clock could shorten the wait.
+//! The [`ShardPolicy`]'s `min_shards` quorum decides what a partial
+//! fan-out means:
 //!
 //! * **strict** (the default, `min_shards = None`): any shard failure
 //!   fails the query — exactly the pre-policy contract;
@@ -45,10 +46,9 @@
 //!   the partial top-k and the [`ShardHealth`] report flags it degraded,
 //!   naming each dropped shard and why.
 //!
-//! With no faults armed and no deadline configured the isolated path is
-//! byte-identical to the original fan-out (same scores, same order), and
-//! its only extra cost is one relaxed atomic load per shard plus the
-//! unwind guard.
+//! With no faults armed the isolated path is byte-identical to the
+//! original fan-out (same scores, same order), and its only extra cost
+//! is one relaxed atomic load per shard plus the unwind guard.
 //!
 //! ## Observability
 //!
@@ -60,7 +60,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::index::{
     batch_entry_hooks, Hit, QuorumError, Retriever, SearchOptions, ShardFailureKind, ShardHealth,
@@ -140,16 +140,10 @@ fn shard_fault(s: usize) -> Option<FaultKind> {
 
 /// Failure-isolation policy for a sharded fan-out.
 ///
-/// The default (`deadline: None`, `min_shards: None`) reproduces the
-/// strict pre-policy contract: no per-shard budget, and any shard failure
-/// fails the whole query.
+/// The default (`min_shards: None`) reproduces the strict pre-policy
+/// contract: any shard failure fails the whole query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardPolicy {
-    /// Per-shard wall-clock budget, measured around the shard's search
-    /// (injected latency included). A shard that answers past the budget
-    /// is counted failed and its hits are dropped from the merge. `None`
-    /// means unbounded — and the clock is never read.
-    pub deadline: Option<Duration>,
     /// Minimum healthy shards required to answer at all. `None` means
     /// every shard must answer (strict); `Some(m)` tolerates up to
     /// `shards - m` failures, returning a degraded partial top-k.
@@ -253,14 +247,12 @@ impl ShardedRetriever {
     }
 
     /// Runs one shard's search under the isolation envelope: chaos seams
-    /// first (latency sleeps in place and counts toward the deadline, an
-    /// I/O fault fails the shard, a crash fault panics inside the capture
-    /// below), then the search itself inside `catch_unwind`, then the
-    /// deadline check. `AssertUnwindSafe` is sound here because `op` only
-    /// reads through `&self` — a captured panic cannot leave observable
-    /// index state half-written.
+    /// first (latency sleeps in place, an I/O fault fails the shard, a
+    /// crash fault panics inside the capture below), then the search
+    /// itself inside `catch_unwind`. `AssertUnwindSafe` is sound here
+    /// because `op` only reads through `&self` — a captured panic cannot
+    /// leave observable index state half-written.
     fn run_shard<T>(&self, s: usize, op: impl FnOnce() -> T) -> ShardOutcome<T> {
-        let start = self.policy.deadline.map(|_| Instant::now());
         let fault = shard_fault(s);
         match fault {
             Some(FaultKind::IoError) => return ShardOutcome::Failed(ShardFailureKind::Io),
@@ -278,12 +270,7 @@ impl ShardedRetriever {
         }));
         match result {
             Err(_) => ShardOutcome::Failed(ShardFailureKind::Panic),
-            Ok(v) => match (start, self.policy.deadline) {
-                (Some(t0), Some(budget)) if t0.elapsed() > budget => {
-                    ShardOutcome::Failed(ShardFailureKind::Deadline)
-                }
-                _ => ShardOutcome::Hits(v),
-            },
+            Ok(v) => ShardOutcome::Hits(v),
         }
     }
 
@@ -438,10 +425,10 @@ impl Retriever for ShardedRetriever {
         }
     }
 
-    /// The fallible fan-out: failed shards (I/O fault, captured panic,
-    /// blown per-shard deadline) are dropped from every query's merge,
-    /// and the health report names them; fewer healthy shards than the
-    /// effective quorum fails the whole batch instead.
+    /// The fallible fan-out: failed shards (I/O fault, captured panic)
+    /// are dropped from every query's merge, and the health report names
+    /// them; fewer healthy shards than the effective quorum fails the
+    /// whole batch instead.
     fn search_batch_checked(
         &self,
         queries: &[f32],
@@ -520,7 +507,7 @@ mod tests {
     }
 
     fn sharded_quorum(store: &Arc<EmbeddingStore>, n: usize, min: usize) -> ShardedRetriever {
-        let policy = ShardPolicy { deadline: None, min_shards: Some(min) };
+        let policy = ShardPolicy { min_shards: Some(min) };
         ShardedRetriever::build_with_policy(store, n, policy, |view| {
             Box::new(BruteForceIndex::over(view))
         })
@@ -722,30 +709,6 @@ mod tests {
             .expect("one healthy shard");
         faults::clear();
         assert_eq!(health.failures, vec![(0, ShardFailureKind::Panic)]);
-    }
-
-    #[test]
-    fn blown_per_shard_deadline_drops_the_shard() {
-        let _guard = fault_lock();
-        let s = store(24, 4, 0x14);
-        let policy = ShardPolicy {
-            deadline: Some(Duration::from_millis(5)),
-            min_shards: Some(1),
-        };
-        let sharded = ShardedRetriever::build_with_policy(&s, 2, policy, |view| {
-            Box::new(BruteForceIndex::over(view))
-        });
-        faults::set_plan(FaultPlan {
-            seed: 5,
-            rules: vec![FaultRule::new("ann.shard.search.1", FaultKind::LatencyUs(20_000))
-                .with_probability(1.0)],
-        });
-        let (hits, health) = sharded
-            .search_checked(s.row(0), 4, SearchOptions::default())
-            .expect("shard 0 within budget");
-        faults::clear();
-        assert_eq!(health.failures, vec![(1, ShardFailureKind::Deadline)]);
-        assert!(hits.iter().all(|h| h.id < 12), "only shard 0 rows remain");
     }
 
     #[test]

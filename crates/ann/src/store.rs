@@ -7,24 +7,18 @@
 //! behind an `Arc`, so brute force and HNSW built over the same
 //! embeddings share one arena instead of two private copies.
 //!
-//! Two orthogonal axes extend the original f32 arena:
-//!
-//! * **[`RowFormat`]** — rows are stored as `f32` or per-row
-//!   affine-quantized 8-bit codes (`i8`).
-//!   Quantized stores never hand out borrowed `&[f32]` rows; scoring
-//!   goes through the fused [`EmbeddingStore::score_row`] (dequantize
-//!   inside the multiply-add loop, no row materialized) and cold paths
-//!   through [`EmbeddingStore::decode_row`].
-//! * **[`StoreBacking`]** — the arena bytes are either an owned
-//!   allocation or a read-only `mmap` of a table sidecar file (see
-//!   [`crate::table`]), so a multi-GB item table is paged in lazily and
-//!   shared across processes instead of copied onto every heap.
+//! **[`RowFormat`]** extends the original f32 arena: rows are stored as
+//! `f32` or per-row affine-quantized 8-bit codes (`i8`). Quantized
+//! stores never hand out borrowed `&[f32]` rows; scoring goes through the
+//! fused [`EmbeddingStore::score_row`] (dequantize inside the
+//! multiply-add loop, no row materialized) and cold paths through
+//! [`EmbeddingStore::decode_row`]. A quantized store is always derived
+//! in memory from an f32 one ([`EmbeddingStore::quantize`]).
 //!
 //! Determinism contract: for a fixed format, [`EmbeddingStore::score_row`]
 //! is one sequential multiply-add reduction in row order — the same
 //! association order as [`crate::dot`] — so scores are bit-identical
-//! across runs, thread counts, and backings (owned and mmap arenas hold
-//! identical bytes).
+//! across runs and thread counts.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::borrow::Cow;
@@ -32,9 +26,7 @@ use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
-use crate::table::MmapRegion;
-
-/// Alignment (bytes) of every owned [`EmbeddingStore`] allocation.
+/// Alignment (bytes) of every [`EmbeddingStore`] allocation.
 pub const STORE_ALIGN: usize = 32;
 
 /// How a store's rows are encoded in the arena.
@@ -73,45 +65,8 @@ impl RowFormat {
         }
     }
 
-    /// Stable on-disk code for the table sidecar header (`1` is retired
-    /// and stays unassigned).
-    pub(crate) fn code(self) -> u32 {
-        match self {
-            RowFormat::F32 => 0,
-            RowFormat::I8 => 2,
-        }
-    }
-
-    /// Inverse of [`RowFormat::code`].
-    pub(crate) fn from_code(c: u32) -> Option<RowFormat> {
-        match c {
-            0 => Some(RowFormat::F32),
-            2 => Some(RowFormat::I8),
-            _ => None,
-        }
-    }
-
     /// Every format, in declaration order (bench/eval sweeps).
     pub const ALL: [RowFormat; 2] = [RowFormat::F32, RowFormat::I8];
-}
-
-/// Where a store's arena bytes live.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreBacking {
-    /// An owned, 32-byte-aligned heap allocation.
-    Owned,
-    /// A read-only memory map of a table sidecar file.
-    Mmap,
-}
-
-impl StoreBacking {
-    /// The CLI / `/healthz` name (`owned`, `mmap`).
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreBacking::Owned => "owned",
-            StoreBacking::Mmap => "mmap",
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -151,12 +106,13 @@ pub fn i8_decode(code: u8, params: [f32; 2]) -> f32 {
 // Arena
 // ---------------------------------------------------------------------------
 
-/// A fixed-size, 32-byte-aligned byte buffer.
+/// A fixed-size, 32-byte-aligned byte buffer — the arena behind every
+/// store.
 ///
 /// `Vec<u8>` only guarantees 1-byte alignment; this buffer allocates
 /// through [`std::alloc`] with an explicit [`STORE_ALIGN`]-byte layout so
 /// the arena's base address is stable for aligned `f32` loads.
-pub(crate) struct AlignedBuf {
+struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
 }
@@ -209,42 +165,6 @@ impl Drop for AlignedBuf {
     }
 }
 
-/// The arena bytes behind a store: one owned allocation or one mmap.
-pub(crate) enum Arena {
-    /// Owned aligned heap bytes.
-    Owned(AlignedBuf),
-    /// A read-only map of a table sidecar file.
-    Mmap(MmapRegion),
-}
-
-impl Arena {
-    /// Wraps an mmap'd table file as an arena.
-    pub(crate) fn mmap(region: MmapRegion) -> Arena {
-        Arena::Mmap(region)
-    }
-
-    /// Copies raw bytes into a fresh owned, aligned arena.
-    pub(crate) fn owned_copy(bytes: &[u8]) -> Arena {
-        let mut buf = AlignedBuf::zeroed(bytes.len());
-        buf.as_bytes_mut().copy_from_slice(bytes);
-        Arena::Owned(buf)
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Arena::Owned(buf) => buf.as_bytes(),
-            Arena::Mmap(map) => map.as_bytes(),
-        }
-    }
-
-    fn backing(&self) -> StoreBacking {
-        match self {
-            Arena::Owned(_) => StoreBacking::Owned,
-            Arena::Mmap(_) => StoreBacking::Mmap,
-        }
-    }
-}
-
 /// Row ↔ external-id mapping for stores whose rows are not identified by
 /// their own index (kept out of the hot path: searches speak row ids,
 /// translation happens once per returned hit).
@@ -255,30 +175,25 @@ struct IdMap {
 }
 
 /// An aligned, row-major embedding matrix with id↔row mapping — either a
-/// whole arena (owned or mmap'd, see [`StoreBacking`]) or a zero-copy
-/// row-range *view* into one, in any [`RowFormat`].
+/// whole arena or a zero-copy row-range *view* into one, in any
+/// [`RowFormat`].
 ///
 /// Built either by copying rows in ([`EmbeddingStore::from_vec`],
 /// [`EmbeddingStore::with_ids`]), zero-fill-then-write
 /// ([`EmbeddingStore::zeroed`] + [`EmbeddingStore::data_mut`] — the
-/// checkpoint-direct load path), re-encoding an f32 store
-/// ([`EmbeddingStore::quantize`]), or opening a table sidecar file
-/// ([`crate::table::open_table`]).
+/// checkpoint-direct load path), or re-encoding an f32 store
+/// ([`EmbeddingStore::quantize`]).
 ///
 /// The arena itself sits behind an `Arc`, so
 /// [`EmbeddingStore::view_rows`] can cut a contiguous row range into its
 /// own `EmbeddingStore` without copying a value — the mechanism the
 /// sharded retriever uses to hand each shard a window of one shared
-/// arena, identically for owned and mmap backings. Views are read-only:
-/// the mutating accessors ([`EmbeddingStore::data_mut`],
-/// [`EmbeddingStore::row_mut`]) require an uniquely-owned f32 arena,
-/// which is exactly the fill-then-share lifecycle every construction
-/// path follows.
+/// arena. Views are read-only: the mutating accessors
+/// ([`EmbeddingStore::data_mut`], [`EmbeddingStore::row_mut`]) require an
+/// uniquely-owned f32 arena, which is exactly the fill-then-share
+/// lifecycle every construction path follows.
 pub struct EmbeddingStore {
-    arena: Arc<Arena>,
-    /// Byte offset of arena row 0 (non-zero for table-file maps, whose
-    /// arena spans the whole file including header and params).
-    base: usize,
+    arena: Arc<AlignedBuf>,
     format: RowFormat,
     /// First row of this store's window, absolute within the arena.
     row_offset: usize,
@@ -299,8 +214,7 @@ impl EmbeddingStore {
         assert!(dim > 0, "dim must be positive");
         let bytes = rows.checked_mul(dim).and_then(|n| n.checked_mul(4)).expect("store size");
         EmbeddingStore {
-            arena: Arc::new(Arena::Owned(AlignedBuf::zeroed(bytes))),
-            base: 0,
+            arena: Arc::new(AlignedBuf::zeroed(bytes)),
             format: RowFormat::F32,
             row_offset: 0,
             rows,
@@ -330,34 +244,6 @@ impl EmbeddingStore {
         let mut store = EmbeddingStore::from_rows(data, dim);
         store.set_ids(ids);
         store
-    }
-
-    /// Crate-internal constructor for table-file loads: the arena holds
-    /// the file image (owned copy or mmap) and `base` points at row 0.
-    pub(crate) fn from_table_parts(
-        arena: Arc<Arena>,
-        base: usize,
-        format: RowFormat,
-        rows: usize,
-        dim: usize,
-        params: Vec<[f32; 2]>,
-    ) -> EmbeddingStore {
-        assert!(dim > 0, "dim must be positive");
-        let need = base + rows * dim * format.bytes_per_value();
-        assert!(arena.bytes().len() >= need, "table arena too small");
-        if format == RowFormat::I8 {
-            assert_eq!(params.len(), rows, "one [scale, zero] pair per i8 row");
-        }
-        EmbeddingStore {
-            arena,
-            base,
-            format,
-            row_offset: 0,
-            rows,
-            dim,
-            params: Arc::new(params),
-            ids: None,
-        }
     }
 
     /// Attaches (or replaces) the external-id mapping. Ids must be unique
@@ -397,20 +283,15 @@ impl EmbeddingStore {
         self.format
     }
 
-    /// Where the arena bytes live.
-    pub fn backing(&self) -> StoreBacking {
-        self.arena.backing()
-    }
-
     /// Bytes one row occupies.
     fn stride(&self) -> usize {
         self.dim * self.format.bytes_per_value()
     }
 
     /// This store's window of the arena, raw row-major bytes.
-    pub(crate) fn window_bytes(&self) -> &[u8] {
-        let start = self.base + self.row_offset * self.stride();
-        &self.arena.bytes()[start..start + self.rows * self.stride()]
+    fn window_bytes(&self) -> &[u8] {
+        let start = self.row_offset * self.stride();
+        &self.arena.as_bytes()[start..start + self.rows * self.stride()]
     }
 
     /// Row `r`'s raw encoded bytes.
@@ -424,13 +305,6 @@ impl EmbeddingStore {
     pub fn row_params(&self, r: usize) -> [f32; 2] {
         assert_eq!(self.format, RowFormat::I8, "row params only exist for i8 stores");
         self.params[self.row_offset + r]
-    }
-
-    /// The window's `[scale, zero]` pairs, one per row (`I8` stores only;
-    /// the table writer serializes these ahead of the code bytes).
-    pub(crate) fn window_params(&self) -> &[[f32; 2]] {
-        assert_eq!(self.format, RowFormat::I8, "row params only exist for i8 stores");
-        &self.params[self.row_offset..self.row_offset + self.rows]
     }
 
     /// Row `r` as an `f32` slice.
@@ -447,8 +321,8 @@ impl EmbeddingStore {
     ///
     /// # Panics
     /// Panics if the arena is already shared (a view exists or the store
-    /// sits behind a cloned `Arc`), quantized, or mmap-backed — stores
-    /// follow a strict fill-then-share lifecycle.
+    /// sits behind a cloned `Arc`) or quantized — stores follow a strict
+    /// fill-then-share lifecycle.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         let d = self.dim;
         &mut self.data_mut()[r * d..(r + 1) * d]
@@ -468,17 +342,17 @@ impl EmbeddingStore {
         let bytes = self.window_bytes();
         debug_assert_eq!(bytes.as_ptr() as usize % 4, 0, "f32 window misaligned");
         // SAFETY: an F32 store's window is rows*dim*4 bytes of initialized
-        // f32 data; owned arenas are 32-byte aligned and table files place
-        // the data section on a 64-byte boundary, so the pointer is
-        // f32-aligned. Any bit pattern is a valid f32.
+        // f32 data starting a whole number of 4-byte values into a
+        // 32-byte-aligned arena, so the pointer is f32-aligned. Any bit
+        // pattern is a valid f32.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), bytes.len() / 4) }
     }
 
     /// The whole arena, mutable (checkpoint-load fill path).
     ///
     /// # Panics
-    /// Panics if the arena is already shared, quantized, or mmap-backed —
-    /// see [`EmbeddingStore::row_mut`].
+    /// Panics if the arena is already shared or quantized — see
+    /// [`EmbeddingStore::row_mut`].
     pub fn data_mut(&mut self) -> &mut [f32] {
         assert_eq!(
             self.format,
@@ -486,13 +360,10 @@ impl EmbeddingStore {
             "mutating a {} store — quantized stores are write-once",
             self.format.name()
         );
-        let start = self.base + self.row_offset * self.stride();
+        let start = self.row_offset * self.stride();
         let len = self.rows * self.stride();
-        let arena = Arc::get_mut(&mut self.arena)
+        let buf = Arc::get_mut(&mut self.arena)
             .expect("mutating an embedding arena that is already shared");
-        let Arena::Owned(buf) = arena else {
-            panic!("mutating an mmap-backed arena — maps are read-only")
-        };
         let bytes = &mut buf.as_bytes_mut()[start..start + len];
         // SAFETY: as as_slice, plus Arc::get_mut guarantees uniqueness.
         unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<f32>(), len / 4) }
@@ -522,8 +393,7 @@ impl EmbeddingStore {
             params.push(p);
         }
         EmbeddingStore {
-            arena: Arc::new(Arena::Owned(buf)),
-            base: 0,
+            arena: Arc::new(buf),
             format,
             row_offset: 0,
             rows: self.rows,
@@ -567,9 +437,9 @@ impl EmbeddingStore {
     /// inside the multiply-add loop (no `f32` row is materialized), and
     /// the accumulation is a fixed sequential reduction in value order —
     /// the same association order as [`crate::dot`] — so scores are
-    /// bit-reproducible across runs and identical for owned and mmap
-    /// backings. The scalar loops carry no cross-iteration control flow,
-    /// so the compiler can vectorize the byte→f32 conversions.
+    /// bit-reproducible across runs. The scalar loops carry no
+    /// cross-iteration control flow, so the compiler can vectorize the
+    /// byte→f32 conversions.
     pub fn score_row(&self, query: &[f32], r: usize) -> f32 {
         debug_assert_eq!(query.len(), self.dim, "query/dim mismatch");
         match self.format {
@@ -589,12 +459,11 @@ impl EmbeddingStore {
     /// row `r` of the view is row `start + r` of `self`. The view carries
     /// no id mapping — callers translate through the parent store (the
     /// sharded retriever's offset arithmetic does exactly that). Works
-    /// identically over owned and mmap arenas and every row format.
+    /// identically for every row format.
     pub fn view_rows(&self, start: usize, end: usize) -> EmbeddingStore {
         assert!(start <= end && end <= self.rows(), "view {start}..{end} out of bounds");
         EmbeddingStore {
             arena: self.arena.clone(),
-            base: self.base,
             format: self.format,
             row_offset: self.row_offset + start,
             rows: end - start,
@@ -631,20 +500,17 @@ impl EmbeddingStore {
 impl Clone for EmbeddingStore {
     /// Deep copy of this store's window into a fresh owned arena (views
     /// stay zero-copy only through [`EmbeddingStore::view_rows`]; `clone`
-    /// is always an independent allocation — cloning an mmap-backed store
-    /// yields an owned one holding identical bytes).
+    /// is always an independent allocation).
     fn clone(&self) -> EmbeddingStore {
         let src = self.window_bytes();
         let mut buf = AlignedBuf::zeroed(src.len());
         buf.as_bytes_mut().copy_from_slice(src);
-        let params = if self.format == RowFormat::I8 {
-            self.window_params().to_vec()
-        } else {
-            Vec::new()
+        let params = match self.format {
+            RowFormat::I8 => self.params[self.row_offset..self.row_offset + self.rows].to_vec(),
+            RowFormat::F32 => Vec::new(),
         };
         EmbeddingStore {
-            arena: Arc::new(Arena::Owned(buf)),
-            base: 0,
+            arena: Arc::new(buf),
             format: self.format,
             row_offset: 0,
             rows: self.rows,
@@ -661,7 +527,6 @@ impl std::fmt::Debug for EmbeddingStore {
             .field("rows", &self.rows())
             .field("dim", &self.dim)
             .field("format", &self.format.name())
-            .field("backing", &self.backing().name())
             .field("mapped", &self.ids.is_some())
             .finish()
     }
@@ -687,7 +552,6 @@ mod tests {
         assert_eq!(store.row(1), &[3.0, 4.0]);
         assert_eq!(store.as_slice(), data.as_slice());
         assert_eq!(store.format(), RowFormat::F32);
-        assert_eq!(store.backing(), StoreBacking::Owned);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! oracle. HNSW is configured effectively exact (`ef_search ≥ rows`) so
 //! the gate measures quantization loss alone, not index approximation.
 //!
-//! Two bitwise contracts ride along: quantized scores are deterministic
-//! across independent retriever builds and runs, and an mmap'd table
-//! backing returns results bit-identical to the owned-arena backing for
-//! every backend.
+//! A bitwise contract rides along: quantized scores are deterministic
+//! across independent retriever builds and runs.
 
 mod common;
 
@@ -17,8 +15,8 @@ use common::{assert_bitwise, unit_cloud};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unimatch_ann::{
-    open_table, write_table, BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex,
-    Retriever, RowFormat, ShardedRetriever, StoreBacking,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, RowFormat,
+    ShardedRetriever,
 };
 
 const DIM: usize = 16;
@@ -147,60 +145,4 @@ fn quantized_search_is_bitwise_deterministic_across_builds() {
             assert_bitwise(x, y, &format!("i8 rerun q={qi}"));
         }
     }
-}
-
-#[test]
-fn mmap_backing_is_bitwise_identical_to_owned_for_every_backend() {
-    let data = unit_cloud(ROWS, DIM, 0x3a9);
-    let queries = unit_cloud(N_QUERIES, DIM, 0x3aa);
-    let f32_store = EmbeddingStore::from_vec(data, DIM);
-    let dir = std::env::temp_dir()
-        .join(format!("unimatch_quant_diff_mmap_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-
-    for format in RowFormat::ALL {
-        let source = if format == RowFormat::F32 {
-            f32_store.clone()
-        } else {
-            f32_store.quantize(format)
-        };
-        let path = dir.join(format!("store.{}.table", format.name()));
-        write_table(&source, 0xfeed, &path).expect("write table");
-        let (owned, _) = open_table(&path, false).expect("open owned");
-        let (mapped, _) = open_table(&path, true).expect("open mmap");
-        assert_eq!(owned.backing(), StoreBacking::Owned);
-        assert_eq!(mapped.backing(), StoreBacking::Mmap);
-
-        let owned = Arc::new(owned);
-        let mapped = Arc::new(mapped);
-        // scores agree bit-for-bit row by row...
-        for (qi, q) in queries.chunks(DIM).enumerate() {
-            for r in 0..ROWS {
-                assert_eq!(
-                    owned.score_row(q, r).to_bits(),
-                    mapped.score_row(q, r).to_bits(),
-                    "{} q={qi} row={r}: backings disagree",
-                    format.name()
-                );
-            }
-        }
-        // ...and so does every backend built over each backing (same
-        // build seeds: identical decoded values force identical indexes)
-        let a = build_backends(&owned);
-        let b = build_backends(&mapped);
-        for ((backend, arr_a), (_, arr_b)) in a.iter().zip(&b) {
-            for ((shards, ra), (_, rb)) in arr_a.iter().zip(arr_b) {
-                let la = ra.search_batch(&queries, K);
-                let lb = rb.search_batch(&queries, K);
-                for (qi, (x, y)) in la.iter().zip(&lb).enumerate() {
-                    assert_bitwise(
-                        x,
-                        y,
-                        &format!("{} {backend} shards={shards} q={qi}", format.name()),
-                    );
-                }
-            }
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }

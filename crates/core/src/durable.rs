@@ -37,12 +37,11 @@
 
 use crate::persist::{
     bad, field, model_from_json_value, model_to_json_value, retry_load, tensor_from_json,
-    tensor_to_json, usize_field, RetryPolicy,
+    tensor_to_json, usize_field, write_atomic, RetryPolicy,
 };
 use crate::prepare::PreparedData;
 use std::io;
 use std::path::{Path, PathBuf};
-use unimatch_ann::write_atomic;
 use unimatch_data::json::Json;
 use unimatch_data::{Marginals, TemporalSplit};
 use unimatch_faults::FaultPoint;

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use unimatch_ann::{
     BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever,
-    RowFormat, ShardPolicy, ShardedRetriever, StoreBacking,
+    RowFormat, ShardPolicy, ShardedRetriever,
 };
 use unimatch_data::{InteractionLog, Marginals};
 use unimatch_eval::UserPool;
@@ -65,10 +65,10 @@ pub struct UniMatchConfig {
     /// are bitwise independent of this setting; it is a
     /// throughput/latency knob (see docs/OPERATIONS.md).
     pub shards: usize,
-    /// Failure-isolation policy for sharded fan-outs (per-shard deadline
-    /// plus `min_shards` quorum; see [`ShardPolicy`]). The default is
-    /// strict — no deadline, every shard must answer — which reproduces
-    /// the historical behavior exactly. Ignored when `shards == 1`.
+    /// Failure-isolation policy for sharded fan-outs (the `min_shards`
+    /// quorum; see [`ShardPolicy`]). The default is strict — every shard
+    /// must answer — which reproduces the historical behavior exactly.
+    /// Ignored when `shards == 1`.
     pub shard_policy: ShardPolicy,
     /// Post-retrieval re-ranking pipeline (see [`unimatch_rerank`]).
     /// The default (empty spec, no rules) is the identity chain, which
@@ -80,12 +80,6 @@ pub struct UniMatchConfig {
     /// the fused dequant-dot kernel, recall-gated by the quant
     /// differential suite (see docs/OPERATIONS.md for the trade-offs).
     pub store: RowFormat,
-    /// Memory-map the persisted item table instead of copying it into an
-    /// owned arena. Only the load/serve paths consult this (the fitting
-    /// path always trains in owned memory); it never changes checkpoint
-    /// bytes or scores — mmap-backed serving is pinned bitwise-identical
-    /// to owned-arena serving.
-    pub mmap: bool,
 }
 
 /// Configuration of the post-retrieval re-ranking pipeline.
@@ -184,7 +178,6 @@ impl Default for UniMatchConfig {
             shard_policy: ShardPolicy::default(),
             rerank: RerankConfig::default(),
             store: RowFormat::F32,
-            mmap: false,
         }
     }
 }
@@ -382,9 +375,9 @@ impl UniMatch {
             }
             None => Arc::new(item_store_of(&model)),
         };
-        // Requantize only on a format mismatch: a store already delivered
-        // in the configured format (e.g. mmap'd straight out of a sidecar
-        // table) is indexed as-is, keeping checkpoint→serve zero-copy.
+        // Requantize only on a format mismatch: a store already in the
+        // configured format (the checkpoint loader's f32 store on an f32
+        // deployment) is indexed as-is, keeping checkpoint→serve zero-copy.
         let item_store = if item_store.format() == cfg.store {
             item_store
         } else {
@@ -544,13 +537,6 @@ impl FittedUniMatch {
     /// Row format of the serving embedding stores (`f32`/`i8`).
     pub fn store_format(&self) -> RowFormat {
         self.item_store.format()
-    }
-
-    /// Backing of the item-tower arena: [`StoreBacking::Mmap`] when the
-    /// table was memory-mapped from a persisted sidecar, otherwise
-    /// [`StoreBacking::Owned`].
-    pub fn store_backing(&self) -> StoreBacking {
-        self.item_store.backing()
     }
 }
 

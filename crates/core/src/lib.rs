@@ -59,14 +59,13 @@ pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evalua
 pub use experiment::{run_experiment, run_experiment_on, CurvePoint, ExperimentOptions, ExperimentOutcome, ExperimentSpec};
 pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
 pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};
-pub use unimatch_ann::{QuorumError, RowFormat, ShardHealth, ShardPolicy, StoreBacking};
+pub use unimatch_ann::{QuorumError, RowFormat, ShardHealth, ShardPolicy};
 pub use unimatch_parallel::Parallelism;
 pub use grid::{grid_search, GridPoint, GridSpec};
 pub use hyper::{Hyperparams, Pathway};
 pub use persist::{
-    embedding_checksum_of, load_checkpoint, load_checkpoint_with_format,
-    load_checkpoint_with_format_and_retry, load_model, model_from_json, model_to_json,
-    save_checkpoint_with_table, save_model, save_model_with_marginals, table_path, RetryPolicy,
+    load_checkpoint, load_checkpoint_with_format_and_retry, load_model, model_from_json,
+    model_to_json, save_model, save_model_with_marginals, RetryPolicy,
 };
 pub use prepare::PreparedData;
 pub use serving::{ModelHandle, ServingState};

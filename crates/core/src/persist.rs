@@ -12,12 +12,11 @@
 //! checkpoints were written that way, and they keep loading.
 //!
 //! Writes are crash-safe: [`save_model`] writes a `.tmp` sibling, syncs
-//! it to disk and then `rename`s it into place
-//! ([`unimatch_ann::write_atomic`]), so neither a crash mid-write nor a
-//! power loss after the rename can leave a torn or empty checkpoint
-//! behind for a later load (or a serving `/reload`) to trip over — the
-//! destination either holds the old complete checkpoint or the new
-//! complete one.
+//! it to disk and then `rename`s it into place (`write_atomic`), so
+//! neither a crash mid-write nor a power loss after the rename can leave
+//! a torn or empty checkpoint behind for a later load (or a serving
+//! `/reload`) to trip over — the destination either holds the old
+//! complete checkpoint or the new complete one.
 //!
 //! Loads are validated end to end. Format v2 documents carry a magic
 //! string and an FNV-1a checksum over the *values* (config fields,
@@ -26,10 +25,16 @@
 //! model; truncation is caught by the JSON parser; a parameter that
 //! decodes to a non-finite float is rejected by name. Legacy v1
 //! documents (no magic/checksum) still load, with everything but the
-//! checksum validated. [`load_checkpoint_with_format_and_retry`] adds
-//! bounded retry-with-backoff for *transient* I/O errors — the serving
-//! layer uses it so a checkpoint on flaky storage does not fail a
-//! `/reload` that a second read would have satisfied.
+//! checksum validated. The serving layer wraps [`load_checkpoint`] in
+//! bounded retry-with-backoff for *transient* I/O errors, so a
+//! checkpoint on flaky storage does not fail a `/reload` that a second
+//! read would have satisfied.
+//!
+//! The checkpoint is the only file a serving store comes from: the item
+//! store is derived from the validated embedding section, in f32, and
+//! any other row format is a deterministic re-encoding of it done in
+//! memory. A document written before the sidecar tables were retired
+//! may still carry a `quant_tables` section; it is ignored.
 //!
 //! Fault seams for the chaos suites: `persist.save` and `persist.load`
 //! can surface injected transient I/O errors, and `persist.load.corrupt`
@@ -38,13 +43,12 @@
 use crate::framework::item_store_of;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use unimatch_ann::{
-    open_table_with, read_table_header, write_atomic, write_table, EmbeddingStore, RowFormat,
-};
+use unimatch_ann::{EmbeddingStore, RowFormat};
 use unimatch_data::json::Json;
 use unimatch_data::Marginals;
 use unimatch_faults::FaultPoint;
@@ -57,8 +61,7 @@ const MAGIC: &str = "unimatch-model";
 
 /// The item table is always the first registered parameter, under this
 /// name — the embedding *section* of a checkpoint, covered by its own
-/// checksum so a quantized sidecar table can name the section it derives
-/// from.
+/// checksum.
 const EMBEDDING_PARAM: &str = "item_embedding";
 
 const SAVE_FAULT: FaultPoint = FaultPoint::new("persist.save");
@@ -188,7 +191,7 @@ pub(crate) fn tensor_to_json(t: &Tensor) -> Json {
 /// Serializes a model to a format-v2 JSON document (magic + value
 /// checksum). Exposed at the `Json` level so the durable-training runner
 /// can embed a model document inside its per-month checkpoint files.
-pub fn model_to_json_value(model: &TwoTower) -> Json {
+pub(crate) fn model_to_json_value(model: &TwoTower) -> Json {
     let cfg = model.config();
     let config = Json::obj(vec![
         ("num_items", Json::int(cfg.num_items)),
@@ -229,10 +232,8 @@ pub fn model_to_json(model: &TwoTower) -> Vec<u8> {
 
 /// The embedding-section checksum of an in-memory model — name, shape
 /// and raw f32 bit patterns of the item table alone. It is the value a
-/// v2 save writes as `embedding_checksum`, the one a load verifies, and
-/// the `source_checksum` that binds a quantized sidecar table to its
-/// source checkpoint.
-pub fn embedding_checksum_of(model: &TwoTower) -> u64 {
+/// v2 save writes as `embedding_checksum` and the one a load verifies.
+fn embedding_checksum_of(model: &TwoTower) -> u64 {
     let table = model.params.get(model.item_table());
     let mut h = Fnv::new();
     h.update(EMBEDDING_PARAM.as_bytes());
@@ -254,7 +255,7 @@ fn f32_array(xs: &[f32]) -> Json {
 /// `marginals` section (with its own FNV-1a checksum over the exact
 /// bits), so the serving-time debias stage works without the training
 /// set on disk.
-pub fn marginals_to_json_value(m: &Marginals) -> Json {
+fn marginals_to_json_value(m: &Marginals) -> Json {
     Json::obj(vec![
         ("log_pu", f32_array(m.log_pu_all())),
         ("log_pi", f32_array(m.log_pi_all())),
@@ -282,7 +283,7 @@ fn f32_array_field(v: &Json, key: &str) -> io::Result<Vec<f32>> {
 /// a present-but-corrupt section is an error, not a silent `None` — a
 /// configured debias stage should fail loudly rather than serve
 /// unpenalized scores.
-pub fn marginals_from_json_value(doc: &Json) -> io::Result<Option<Marginals>> {
+fn marginals_from_json_value(doc: &Json) -> io::Result<Option<Marginals>> {
     let Some(section) = doc.get("marginals") else { return Ok(None) };
     let log_pu = f32_array_field(section, "log_pu")?;
     let log_pi = f32_array_field(section, "log_pi")?;
@@ -380,7 +381,7 @@ pub(crate) fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
 /// rebuilt structure by name and shape — and is finite — before swapping
 /// it in. Format-v2 documents additionally have their magic string and
 /// value checksum verified; v1 documents load without a checksum.
-pub fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
+pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
     let version = field(doc, "format_version")?
         .as_u64()
         .ok_or_else(|| bad("format_version is not an integer"))?;
@@ -490,7 +491,9 @@ pub fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
     Ok(model)
 }
 
-/// Reconstructs a model from JSON bytes. See [`model_from_json_value`].
+/// Reconstructs a model from JSON bytes: the architecture is rebuilt
+/// from the stored config, every parameter is checked by name, shape and
+/// finiteness, and a v2 document's magic and checksums are verified.
 pub fn model_from_json(bytes: &[u8]) -> io::Result<TwoTower> {
     let doc = Json::parse(bytes).map_err(|e| bad(e.to_string()))?;
     model_from_json_value(&doc)
@@ -499,6 +502,39 @@ pub fn model_from_json(bytes: &[u8]) -> io::Result<TwoTower> {
 // ---------------------------------------------------------------------------
 // files
 // ---------------------------------------------------------------------------
+
+/// Replaces the file at `path` with `bytes`, atomically and durably —
+/// the one tmp-and-rename in the workspace (model checkpoints here, the
+/// durable-training files in [`crate::durable`]).
+///
+/// The bytes go to a `.tmp` sibling, are `sync_all`ed, and only then
+/// `rename`d over `path`, so a reader — or a restart after power loss —
+/// finds either the previous complete file or the new complete one,
+/// never a torn or empty one under the final name. The parent directory
+/// is synced afterwards so the rename itself survives (best effort: not
+/// every filesystem lets a directory be opened for that). On any
+/// failure the `.tmp` sibling is removed and `path` is left as it was.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let written = fs::File::create(tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(tmp, path));
+    if let Err(e) = written {
+        fs::remove_file(tmp).ok();
+        return Err(e);
+    }
+    // a bare file name has the empty path as its parent: the current directory
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(dir) = fs::File::open(dir) {
+        dir.sync_all().ok();
+    }
+    Ok(())
+}
 
 /// Saves a model checkpoint to a file, atomically.
 ///
@@ -511,9 +547,9 @@ pub fn save_model(model: &TwoTower, path: impl AsRef<Path>) -> io::Result<()> {
 }
 
 /// [`save_model`], optionally embedding the training marginals as the
-/// checkpoint's `marginals` section (see [`marginals_to_json_value`]).
-/// `None` writes exactly the document [`save_model`] always wrote, so
-/// old readers are unaffected.
+/// checkpoint's `marginals` section (its own checksum over the exact
+/// bits). `None` writes exactly the document [`save_model`] always
+/// wrote, so old readers are unaffected.
 pub fn save_model_with_marginals(
     model: &TwoTower,
     marginals: Option<&Marginals>,
@@ -522,19 +558,13 @@ pub fn save_model_with_marginals(
     if let Some(e) = SAVE_FAULT.io_error() {
         return Err(e);
     }
-    write_atomic(path.as_ref(), &Json::Obj(document_entries(model, marginals)).to_bytes())
-}
-
-/// The entries of a checkpoint document: the model's, then the optional
-/// `marginals` section.
-fn document_entries(model: &TwoTower, marginals: Option<&Marginals>) -> Vec<(String, Json)> {
     let Json::Obj(mut entries) = model_to_json_value(model) else {
         unreachable!("model doc is an object")
     };
     if let Some(m) = marginals {
         entries.push(("marginals".to_string(), marginals_to_json_value(m)));
     }
-    entries
+    write_atomic(path.as_ref(), &Json::Obj(entries).to_bytes())
 }
 
 /// The prelude every file loader shares: the `persist.load` fault seam,
@@ -543,7 +573,7 @@ fn read_document(path: &Path) -> io::Result<Json> {
     if let Some(e) = LOAD_FAULT.io_error() {
         return Err(e);
     }
-    let mut bytes = std::fs::read(path)?;
+    let mut bytes = fs::read(path)?;
     LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
     Json::parse(&bytes).map_err(|e| bad(e.to_string()))
 }
@@ -553,179 +583,47 @@ pub fn load_model(path: impl AsRef<Path>) -> io::Result<TwoTower> {
     model_from_json_value(&read_document(path.as_ref())?)
 }
 
-/// Loads a checkpoint's model, its embedding store, and the optional
+/// Loads a checkpoint's model, its f32 item store, and the optional
 /// marginals section from one read, one parse and one decode — the full
 /// serving reload: model for user-tower inference, store for the
 /// retrieval indexes (the validated model's own
 /// [`TwoTower::infer_items`], copied into an aligned arena), marginals
 /// for the serve-time debias stage (when the checkpoint carries them).
+/// Every other section — a parent-era `quant_tables` among them — is
+/// ignored.
 pub fn load_checkpoint(
     path: impl AsRef<Path>,
-) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    load_checkpoint_with_format(path, RowFormat::F32, false)
-}
-
-// ---------------------------------------------------------------------------
-// quantized sidecar tables
-// ---------------------------------------------------------------------------
-
-/// The sidecar table path for a checkpoint and row format:
-/// `<checkpoint>.<format>.table` (e.g. `model.json.i8.table`).
-pub fn table_path(checkpoint: impl AsRef<Path>, format: RowFormat) -> PathBuf {
-    let mut os = checkpoint.as_ref().as_os_str().to_owned();
-    os.push(format!(".{}.table", format.name()));
-    PathBuf::from(os)
-}
-
-/// [`save_model_with_marginals`] plus the quantized-table sidecar: a
-/// quantized `store` is serialized to [`table_path`]`(path, format)`
-/// and the checkpoint document gains a `quant_tables` section recording
-/// the sidecar's format, file name, and whole-file checksum — all bound
-/// to the embedding section through `embedding_checksum`. An f32 store
-/// writes exactly the document [`save_model_with_marginals`] writes, so
-/// old readers are unaffected; the document depends only on the store's
-/// *format*, never on how a load will back the arena, which is what
-/// keeps mmap-on and mmap-off checkpoints byte-identical.
-pub fn save_checkpoint_with_table(
-    model: &TwoTower,
-    marginals: Option<&Marginals>,
-    store: &EmbeddingStore,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    if store.format() == RowFormat::F32 {
-        return save_model_with_marginals(model, marginals, path);
-    }
-    if let Some(e) = SAVE_FAULT.io_error() {
-        return Err(e);
-    }
-    let path = path.as_ref();
-    let sidecar = table_path(path, store.format());
-    let header = write_table(store, embedding_checksum_of(model), &sidecar)?;
-    let mut entries = document_entries(model, marginals);
-    let file_name =
-        sidecar.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
-    entries.push((
-        "quant_tables".to_string(),
-        Json::obj(vec![(
-            store.format().name(),
-            Json::obj(vec![
-                ("file", Json::str(file_name)),
-                ("checksum", Json::str(format!("{:016x}", header.table_checksum))),
-            ]),
-        )]),
-    ));
-    write_atomic(path, &Json::Obj(entries).to_bytes())
-}
-
-/// [`load_checkpoint`] in a serving store format: the model, the item
-/// store in `format` (mmap-backed when `mmap` is set), and the optional
-/// marginals.
-///
-/// When the checkpoint's `quant_tables` section advertises a sidecar
-/// for `format`, the sidecar must open and validate end to end — magic,
-/// whole-file checksum, `source_checksum` equal to the checkpoint's
-/// `embedding_checksum`, and the section's recorded table checksum — or
-/// the load fails (so a serving `/reload` keeps the previous version).
-/// Without a section, the store is derived from the model just
-/// decoded (bit-identical to what a fit-time sidecar would hold,
-/// because quantization is deterministic) and, when `mmap` is set,
-/// persisted as a sidecar first so the arena can be memory-mapped.
-///
-/// The document is decoded once: every store this returns comes from
-/// the validated model or from a sidecar bound to its checksum.
-pub fn load_checkpoint_with_format(
-    path: impl AsRef<Path>,
-    format: RowFormat,
-    mmap: bool,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
     let doc = read_document(path.as_ref())?;
     let model = model_from_json_value(&doc)?;
     let marginals = marginals_from_json_value(&doc)?;
-    let store = item_store_with_format(&doc, &model, path.as_ref(), format, mmap)?;
+    let store = item_store_of(&model);
     Ok((model, Arc::new(store), marginals))
 }
 
-/// [`load_checkpoint_with_format`] with bounded retry-with-backoff for
-/// transient errors ([`is_transient`]). Non-transient errors (corruption,
-/// missing file) return immediately.
+/// [`load_checkpoint`] with bounded retry-with-backoff for transient
+/// errors, its item store re-encoded into `format`. Non-transient errors
+/// (corruption, missing file) return immediately.
+///
+/// Kept only as a forward for the frozen benchmark: the `mmap`
+/// parameter exists because `crates/benchmark/src/online.rs` passes
+/// `false`. Memory-mapped stores are gone, so `true` is an
+/// [`io::ErrorKind::Unsupported`] error.
 pub fn load_checkpoint_with_format_and_retry(
     path: impl AsRef<Path>,
     format: RowFormat,
     mmap: bool,
     policy: &RetryPolicy,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    retry_load(policy, || load_checkpoint_with_format(path.as_ref(), format, mmap))
-}
-
-/// Resolves a validated checkpoint to an item store in `format`,
-/// preferring a sidecar table the document advertises and falling back
-/// to the model's own item embeddings. See
-/// [`load_checkpoint_with_format`].
-fn item_store_with_format(
-    doc: &Json,
-    model: &TwoTower,
-    path: &Path,
-    format: RowFormat,
-    mmap: bool,
-) -> io::Result<EmbeddingStore> {
-    if format == RowFormat::F32 && !mmap {
-        return Ok(item_store_of(model));
+    if mmap {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "memory-mapped stores were removed; serving stores come from the checkpoint",
+        ));
     }
-    let source = embedding_checksum_of(model);
-    let sidecar = table_path(path, format);
-    if let Some(section) = doc.get("quant_tables").and_then(|t| t.get(format.name())) {
-        let recorded = field(section, "checksum")?
-            .as_str()
-            .ok_or_else(|| bad("quant_tables checksum is not a string"))?;
-        let (store, header) =
-            open_table_with(&sidecar, mmap, |b| {
-                LOAD_CORRUPT_FAULT.corrupt(b);
-            })?;
-        if header.format != format {
-            return Err(bad(format!(
-                "sidecar {} holds a {} table, expected {}",
-                sidecar.display(),
-                header.format.name(),
-                format.name()
-            )));
-        }
-        if header.source_checksum != source {
-            return Err(bad(format!(
-                "sidecar {} derives from a different checkpoint (source checksum mismatch)",
-                sidecar.display()
-            )));
-        }
-        let computed = format!("{:016x}", header.table_checksum);
-        if computed != recorded {
-            return Err(bad(format!(
-                "sidecar {} checksum mismatch: checkpoint records {recorded}, file holds {computed}",
-                sidecar.display()
-            )));
-        }
-        return Ok(store);
-    }
-    // No advertised sidecar: derive the store from the model.
-    let store = item_store_of(model);
-    let store = if format == RowFormat::F32 { store } else { store.quantize(format) };
-    if !mmap {
-        return Ok(store);
-    }
-    // Memory-mapping needs a file image; reuse an existing sidecar only
-    // when it provably derives from this checkpoint, otherwise (re)write
-    // one — the byte image is deterministic, so concurrent loaders that
-    // race the rename still agree on every byte.
-    let reuse = matches!(
-        read_table_header(&sidecar),
-        Ok(h) if h.source_checksum == source && h.format == format
-    );
-    if reuse {
-        if let Ok((mapped, _)) = open_table_with(&sidecar, true, |_| {}) {
-            return Ok(mapped);
-        }
-    }
-    write_table(&store, source, &sidecar)?;
-    let (mapped, _) = open_table_with(&sidecar, true, |_| {})?;
-    Ok(mapped)
+    let (model, store, marginals) = retry_load(policy, || load_checkpoint(path.as_ref()))?;
+    let store = if format == RowFormat::F32 { store } else { Arc::new(store.quantize(format)) };
+    Ok((model, store, marginals))
 }
 
 // ---------------------------------------------------------------------------
@@ -750,7 +648,7 @@ impl Default for RetryPolicy {
 /// Whether an I/O error is worth retrying: interruptions and timeouts
 /// are; corrupt data, missing files, and permission problems are not —
 /// retrying those only delays the real error.
-pub fn is_transient(kind: io::ErrorKind) -> bool {
+fn is_transient(kind: io::ErrorKind) -> bool {
     matches!(
         kind,
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -784,7 +682,6 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use unimatch_ann::StoreBacking;
     use unimatch_data::SeqBatch;
     use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
 
@@ -1117,9 +1014,9 @@ mod tests {
         let dir = unique_tmp("tampered_embedding");
         let path = dir.join("model.json");
         std::fs::write(&path, &tampered).expect("write tampered");
-        for (format, mmap) in [(RowFormat::F32, false), (RowFormat::F32, true), (RowFormat::I8, false)] {
-            assert!(load_checkpoint_with_format(&path, format, mmap).is_err());
-        }
+        assert!(load_checkpoint(&path).is_err());
+        let policy = RetryPolicy::default();
+        assert!(load_checkpoint_with_format_and_retry(&path, RowFormat::I8, false, &policy).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1220,30 +1117,27 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 
-    // ---- quantized sidecar tables ------------------------------------------
+    #[test]
+    fn failed_rename_leaves_the_previous_file_and_no_tmp() {
+        let dir = unique_tmp("atomic");
+        // a non-empty directory under the final name: the rename must fail
+        let target = dir.join("model.json");
+        std::fs::create_dir_all(&target).expect("dir target");
+        std::fs::write(target.join("previous"), b"old").expect("previous content");
+        write_atomic(&target, b"new").expect_err("cannot rename a file over a directory");
+        assert_eq!(std::fs::read(target.join("previous")).expect("still there"), b"old");
+        assert!(!dir.join("model.json.tmp").exists(), "tmp sibling must be cleaned up");
 
-    /// Like [`model`], but with a caller-chosen seed — tests that need two
-    /// models with *different* item embeddings (the item table is drawn
-    /// before any extractor weights, so same-seed models share it).
-    fn model_seeded(seed: u64) -> TwoTower {
-        let mut rng = StdRng::seed_from_u64(seed);
-        TwoTower::new(
-            ModelConfig {
-                num_items: 20,
-                embed_dim: 8,
-                max_seq_len: 6,
-                extractor: ContextExtractor::YoutubeDnn,
-                aggregator: Aggregator::Attention,
-                temperature: 0.2,
-                normalize: true,
-            },
-            &mut rng,
-        )
+        // and the ordinary case replaces the file whole
+        let file = dir.join("plain.json");
+        write_atomic(&file, b"one").expect("first write");
+        write_atomic(&file, b"two").expect("overwrite");
+        assert_eq!(std::fs::read(&file).expect("read"), b"two");
+        assert!(!dir.join("plain.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn f32_store_of(m: &TwoTower) -> EmbeddingStore {
-        item_store_of(m)
-    }
+    // ---- row formats and parent-era documents ------------------------------
 
     /// Bitwise equality of two stores through their public decode surface:
     /// same format + params + decoded bits ⇒ same code bytes.
@@ -1263,188 +1157,55 @@ mod tests {
     }
 
     #[test]
-    fn quantized_checkpoint_round_trips_bit_for_bit() {
-        let m = model(ContextExtractor::YoutubeDnn);
-        let f32_store = f32_store_of(&m);
-        let format = RowFormat::I8;
-        let quantized = f32_store.quantize(format);
-        let dir = unique_tmp("quant_rt");
-        let path = dir.join("model.json");
-        save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
-        assert!(table_path(&path, format).exists(), "sidecar written");
-        for mmap in [false, true] {
-            let (restored, store, marginals) =
-                load_checkpoint_with_format(&path, format, mmap).expect("load");
-            assert!(marginals.is_none());
-            assert_eq!(
-                embedding_checksum_of(&restored),
-                embedding_checksum_of(&m),
-                "same embedding table"
-            );
-            let want = if mmap { StoreBacking::Mmap } else { StoreBacking::Owned };
-            assert_eq!(store.backing(), want);
-            assert_store_bits_equal(&store, &quantized);
-        }
-        // the embedding section still serves other formats, f32 included
-        let (_, as_f32, _) =
-            load_checkpoint_with_format(&path, RowFormat::F32, false).expect("f32 load");
-        assert_store_bits_equal(&as_f32, &f32_store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quantized_checkpoint_keeps_marginals_section() {
+    fn the_frozen_forward_quantizes_and_refuses_mmap() {
         let m = model(ContextExtractor::Gru);
-        let marg = sample_marginals();
-        let quantized = f32_store_of(&m).quantize(RowFormat::I8);
-        let dir = unique_tmp("quant_marg");
+        let dir = unique_tmp("forward");
         let path = dir.join("model.json");
-        save_checkpoint_with_table(&m, Some(&marg), &quantized, &path).expect("save");
-        let (_, _, restored) =
-            load_checkpoint_with_format(&path, RowFormat::I8, false).expect("load");
-        let restored = restored.expect("marginals round-trip");
-        for (a, b) in restored.log_pi_all().iter().zip(marg.log_pi_all()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(restored.floor_i().to_bits(), marg.floor_i().to_bits());
-    }
-
-    #[test]
-    fn unadvertised_format_is_derived_identically_from_the_embedding_section() {
-        let m = model(ContextExtractor::Transformer);
-        let f32_store = f32_store_of(&m);
-        let dir = unique_tmp("quant_derive");
-        let path = dir.join("model.json");
-        // a plain f32 checkpoint advertises no tables at all
         save_model(&m, &path).expect("save");
-        let format = RowFormat::I8;
-        let expected = f32_store.quantize(format);
-        let (_, owned, _) =
-            load_checkpoint_with_format(&path, format, false).expect("derive owned");
-        assert_eq!(owned.backing(), StoreBacking::Owned);
-        assert_store_bits_equal(&owned, &expected);
-        assert!(!table_path(&path, format).exists(), "in-memory derivation writes nothing");
-        // mmap needs real bytes on disk: the loader materializes the
-        // sidecar once, then maps it — and reuses it on the next load
-        let (_, mapped, _) =
-            load_checkpoint_with_format(&path, format, true).expect("derive mmap");
-        assert_eq!(mapped.backing(), StoreBacking::Mmap);
-        assert_store_bits_equal(&mapped, &expected);
-        let sidecar = table_path(&path, format);
-        assert!(sidecar.exists());
-        let bytes_first = std::fs::read(&sidecar).expect("sidecar bytes");
-        let (_, remapped, _) =
-            load_checkpoint_with_format(&path, format, true).expect("reuse mmap");
-        assert_store_bits_equal(&remapped, &expected);
-        assert_eq!(
-            bytes_first,
-            std::fs::read(&sidecar).expect("sidecar bytes"),
-            "reuse must not rewrite the sidecar"
-        );
+        let policy = RetryPolicy::default();
+        for format in RowFormat::ALL {
+            let (_, store, _) = load_checkpoint_with_format_and_retry(&path, format, false, &policy)
+                .expect("load");
+            assert_store_bits_equal(&store, &item_store_of(&m).quantize(format));
+        }
+        let e = load_checkpoint_with_format_and_retry(&path, RowFormat::I8, true, &policy)
+            .map(|_| ())
+            .expect_err("mmap-backed stores are gone");
+        assert_eq!(e.kind(), io::ErrorKind::Unsupported);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn tampered_or_truncated_sidecar_is_rejected() {
+    fn parent_era_checkpoint_with_a_sidecar_entry_still_serves() {
+        // what `fit --store i8` wrote before the sidecar tables went: the
+        // v2 document plus a `quant_tables` entry naming a sidecar file
         let m = model(ContextExtractor::YoutubeDnn);
-        let quantized = f32_store_of(&m).quantize(RowFormat::I8);
-        let dir = unique_tmp("quant_tamper");
+        let Json::Obj(mut entries) = model_to_json_value(&m) else { panic!("doc is an object") };
+        let entry = Json::obj(vec![
+            ("file", Json::str("model.json.i8.table")),
+            ("checksum", Json::str("0123456789abcdef")),
+        ]);
+        entries.push(("quant_tables".to_string(), Json::obj(vec![("i8", entry)])));
+        let dir = unique_tmp("parent_era");
         let path = dir.join("model.json");
-        save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
-        let sidecar = table_path(&path, RowFormat::I8);
-        let clean = std::fs::read(&sidecar).expect("sidecar bytes");
-
-        // flip one bit in the code section — both backings must refuse
-        let mut flipped = clean.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x10;
-        std::fs::write(&sidecar, &flipped).expect("write tampered");
-        for mmap in [false, true] {
-            let e = load_checkpoint_with_format(&path, RowFormat::I8, mmap)
-                .expect_err("tampered sidecar must not load");
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        std::fs::write(&path, Json::Obj(entries).to_bytes()).expect("write checkpoint");
+        let expected = item_store_of(&m).quantize(RowFormat::I8);
+        // the named sidecar is missing, then present but corrupt: either
+        // way the store comes from the checksummed embedding section
+        for sidecar in [None, Some(&b"torn sidecar bytes"[..])] {
+            if let Some(bytes) = sidecar {
+                std::fs::write(dir.join("model.json.i8.table"), bytes).expect("write sidecar");
+            }
+            let (restored, store, _) = load_checkpoint_with_format_and_retry(
+                &path,
+                RowFormat::I8,
+                false,
+                &RetryPolicy::default(),
+            )
+            .expect("the quant_tables section is ignored");
+            assert_eq!(embedding_checksum_of(&restored), embedding_checksum_of(&m));
+            assert_store_bits_equal(&store, &expected);
         }
-
-        // a torn write (truncation) must be refused, not mapped short
-        std::fs::write(&sidecar, &clean[..clean.len() / 2]).expect("truncate");
-        for mmap in [false, true] {
-            assert!(load_checkpoint_with_format(&path, RowFormat::I8, mmap).is_err());
-        }
-
-        // restoring the original bytes restores the load
-        std::fs::write(&sidecar, &clean).expect("restore");
-        assert!(load_checkpoint_with_format(&path, RowFormat::I8, true).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sidecar_from_another_model_is_rejected() {
-        let a = model_seeded(77);
-        let b = model_seeded(78);
-        assert_ne!(embedding_checksum_of(&a), embedding_checksum_of(&b));
-        let qa = f32_store_of(&a).quantize(RowFormat::I8);
-        let qb = f32_store_of(&b).quantize(RowFormat::I8);
-        let dir = unique_tmp("quant_stale");
-        let path = dir.join("model.json");
-        save_checkpoint_with_table(&a, None, &qa, &path).expect("save a");
-        // clobber a's sidecar with a table built from b's embeddings: the
-        // advertised checksum (and the source binding) no longer match
-        write_table(&qb, embedding_checksum_of(&b), &table_path(&path, RowFormat::I8))
-            .expect("write stale sidecar");
-        for mmap in [false, true] {
-            let e = load_checkpoint_with_format(&path, RowFormat::I8, mmap)
-                .expect_err("stale sidecar must not load");
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_unadvertised_sidecar_is_rewritten_before_mapping() {
-        let a = model_seeded(77);
-        let b = model_seeded(79);
-        assert_ne!(embedding_checksum_of(&a), embedding_checksum_of(&b));
-        let dir = unique_tmp("quant_rewrite");
-        let path = dir.join("model.json");
-        // plain checkpoint for b, but a stale sidecar from a squats on the
-        // path mmap wants — the loader must rebuild it from b's embeddings
-        save_model(&b, &path).expect("save b");
-        let qa = f32_store_of(&a).quantize(RowFormat::I8);
-        write_table(&qa, embedding_checksum_of(&a), &table_path(&path, RowFormat::I8))
-            .expect("plant stale sidecar");
-        let expected = f32_store_of(&b).quantize(RowFormat::I8);
-        let (_, store, _) =
-            load_checkpoint_with_format(&path, RowFormat::I8, true).expect("load b");
-        assert_eq!(store.backing(), StoreBacking::Mmap);
-        assert_store_bits_equal(&store, &expected);
-        let header = read_table_header(&table_path(&path, RowFormat::I8)).expect("header");
-        assert_eq!(header.source_checksum, embedding_checksum_of(&b));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn injected_sidecar_bit_flip_is_caught() {
-        let _guard = crate::fault_test_lock();
-        let m = model(ContextExtractor::YoutubeDnn);
-        let quantized = f32_store_of(&m).quantize(RowFormat::I8);
-        let dir = unique_tmp("quant_fault");
-        let path = dir.join("model.json");
-        save_checkpoint_with_table(&m, None, &quantized, &path).expect("save");
-        // the first persist.load.corrupt call tampers the checkpoint JSON;
-        // skipping it aims the single budgeted flip at the sidecar bytes
-        unimatch_faults::set_plan_for_this_thread(FaultPlan {
-            seed: 4,
-            rules: vec![FaultRule::new("persist.load.corrupt", FaultKind::BitFlip)
-                .with_probability(1.0)
-                .with_skip_first(1)
-                .with_max_fires(1)],
-        });
-        let e = load_checkpoint_with_format(&path, RowFormat::I8, true)
-            .expect_err("flipped sidecar bit must not load");
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
-        // budget spent: the same call now succeeds against the clean file
-        assert!(load_checkpoint_with_format(&path, RowFormat::I8, true).is_ok());
-        unimatch_faults::clear();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

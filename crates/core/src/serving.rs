@@ -12,7 +12,7 @@
 //! already admitted.
 
 use crate::framework::{FittedUniMatch, UniMatch};
-use crate::persist::{load_checkpoint_with_format_and_retry, RetryPolicy};
+use crate::persist::{load_checkpoint, retry_load, RetryPolicy};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,9 +82,8 @@ impl ModelHandle {
     /// indexes are rebuilt entirely before the swap; concurrent readers are
     /// blocked only for the pointer exchange. Transient I/O failures during
     /// the load are retried with bounded backoff
-    /// ([`crate::persist::load_checkpoint_with_format_and_retry`]);
-    /// corrupt or missing checkpoints fail fast. On any error the
-    /// previous state keeps serving untouched.
+    /// ([`crate::persist::RetryPolicy`]); corrupt or missing checkpoints
+    /// fail fast. On any error the previous state keeps serving untouched.
     pub fn reload(&self, path: Option<&Path>) -> io::Result<Arc<ServingState>> {
         let checkpoint = match path {
             Some(p) => p.to_path_buf(),
@@ -98,24 +97,20 @@ impl ModelHandle {
     }
 }
 
-/// Loads `checkpoint` in the framework's store format (transient I/O
-/// failures retried with bounded backoff), validates it against the
-/// serving log and the rerank rules, and builds the serving indexes
-/// around it. The deployment takes its shape from the model, so any
-/// trained architecture can be served under any configuration. The item
-/// store the loader returns alongside the model is indexed directly —
-/// item inference runs once per load, inside the loader.
+/// Loads `checkpoint` (transient I/O failures retried with bounded
+/// backoff), validates it against the serving log and the rerank rules,
+/// and builds the serving indexes around it. The deployment takes its
+/// shape from the model, so any trained architecture can be served under
+/// any configuration. The f32 item store the loader returns alongside
+/// the model is indexed directly — item inference runs once per load,
+/// inside the loader — or re-encoded once into the configured format.
 fn load_fitted(
     framework: &UniMatch,
     log: &InteractionLog,
     checkpoint: &Path,
 ) -> io::Result<FittedUniMatch> {
-    let (model, item_store, marginals) = load_checkpoint_with_format_and_retry(
-        checkpoint,
-        framework.config.store,
-        framework.config.mmap,
-        &RetryPolicy::default(),
-    )?;
+    let (model, item_store, marginals) =
+        retry_load(&RetryPolicy::default(), || load_checkpoint(checkpoint))?;
     if (log.num_items() as usize) > model.config().num_items {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,

@@ -536,7 +536,6 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
                 ("shards", Json::int(state.fitted.retriever_shards())),
                 ("rerank", Json::str(state.fitted.rerank_spec())),
                 ("store", Json::str(state.fitted.store_format().name())),
-                ("backing", Json::str(state.fitted.store_backing().name())),
                 ("brownout", Json::int(shared.brownout.as_ref().map_or(0, |b| b.level()))),
             ];
             // only an armed shadow adds the key — a shadow-less server's

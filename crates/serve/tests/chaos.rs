@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use unimatch_core::persist::{save_checkpoint_with_table, save_model, table_path};
+use unimatch_core::persist::{save_model, save_model_with_marginals};
 use unimatch_core::{ModelHandle, RowFormat, UniMatch, UniMatchConfig};
 use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
@@ -417,9 +417,9 @@ fn corrupt_quantized_table_reload_keeps_old_version_serving() {
     let _guard = fault_lock();
     unimatch_faults::clear();
     let f = fixture();
-    // serve quantized + mmap'd: the loader derives an i8 sidecar from the
-    // plain fixture checkpoint and maps it
-    let cfg = UniMatchConfig { store: RowFormat::I8, mmap: true, ..f.cfg.clone() };
+    // serve quantized: the loader re-encodes the fixture checkpoint's
+    // embedding section into i8 codes in memory
+    let cfg = UniMatchConfig { store: RowFormat::I8, ..f.cfg.clone() };
     let handle = Arc::new(
         ModelHandle::from_checkpoint(UniMatch::new(cfg), &f.checkpoint, f.log.clone())
             .expect("fixture checkpoint loads quantized"),
@@ -437,42 +437,43 @@ fn corrupt_quantized_table_reload_keeps_old_version_serving() {
     assert_eq!(status, 200);
     let health = String::from_utf8_lossy(&health).to_string();
     assert!(health.contains("\"store\":\"i8\""), "healthz must report the store format:\n{health}");
-    assert!(health.contains("\"backing\":\"mmap\""), "healthz must report the backing:\n{health}");
 
-    // a v2 checkpoint with an *advertised* i8 sidecar, then corrupt the
-    // sidecar: the reload must validate the table and refuse the swap
+    // the served model saved again, then one digit of the checksum over
+    // the embedding section the i8 table derives from flipped: the reload
+    // must validate the document and refuse the swap
     let cur = handle.current();
     let qpath = f.dir.join("quantized.json");
-    save_checkpoint_with_table(&cur.fitted.model, Some(cur.fitted.marginals()), cur.fitted.item_store(), &qpath)
-        .expect("save quantized checkpoint");
-    let sidecar = table_path(&qpath, RowFormat::I8);
-    let good = std::fs::read(&sidecar).expect("read sidecar");
+    save_model_with_marginals(&cur.fitted.model, Some(cur.fitted.marginals()), &qpath)
+        .expect("save checkpoint");
+    let good = std::fs::read(&qpath).expect("read checkpoint");
+    let key = b"\"embedding_checksum\":\"";
+    let pos = good.windows(key.len()).position(|w| w == key).expect("embedding checksum")
+        + key.len();
     let mut bad = good.clone();
-    let last = bad.len() - 1;
-    bad[last] ^= 0x10;
-    std::fs::write(&sidecar, &bad).expect("write corrupt sidecar");
+    bad[pos] = if bad[pos] == b'0' { b'1' } else { b'0' };
+    std::fs::write(&qpath, &bad).expect("write corrupt checkpoint");
 
     let body = format!("{{\"checkpoint\":{:?}}}", qpath.to_str().expect("utf8 path"));
     let (status, _, reply) = request(&addr, "POST", "/reload", body.as_bytes());
     assert_eq!(
         status,
         500,
-        "corrupt quantized table must be rejected: {}",
+        "corrupt embedding section must be rejected: {}",
         String::from_utf8_lossy(&reply)
     );
 
-    // the old mmap'd version keeps serving, byte-identically
+    // the old quantized version keeps serving, byte-identically
     let (status, _, health) = request(&addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     let health = String::from_utf8_lossy(&health).to_string();
     assert!(health.contains("\"version\":1"), "failed reload must leave version 1:\n{health}");
-    assert!(health.contains("\"backing\":\"mmap\""));
+    assert!(health.contains("\"store\":\"i8\""));
     let (status, _, got) = request(&addr, "POST", "/recommend", b"{\"history\":[1,2,3],\"k\":5}");
     assert_eq!(status, 200);
     assert_eq!(got, expected, "payload must survive the rejected reload untouched");
 
-    // restoring the sidecar lets the identical reload succeed
-    std::fs::write(&sidecar, &good).expect("restore sidecar");
+    // restoring the document lets the identical reload succeed
+    std::fs::write(&qpath, &good).expect("restore checkpoint");
     let (status, _, reply) = request(&addr, "POST", "/reload", body.as_bytes());
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
     assert!(String::from_utf8_lossy(&reply).contains("\"version\":2"));

@@ -76,7 +76,7 @@ fn wedged_shard_serves_flagged_200s_then_recovers_bitwise() {
     unimatch_faults::clear();
     let server = Server::start(
         "127.0.0.1:0",
-        handle_with_policy(ShardPolicy { deadline: None, min_shards: Some(1) }),
+        handle_with_policy(ShardPolicy { min_shards: Some(1) }),
         ServeConfig { batch_window: Duration::from_millis(1), ..Default::default() },
     )
     .expect("bind");

@@ -191,7 +191,7 @@ fn both_routes_walk_the_same_outcomes() {
         )
     };
     let strict = handle(ShardPolicy::default());
-    let quorum = handle(ShardPolicy { deadline: None, min_shards: Some(1) });
+    let quorum = handle(ShardPolicy { min_shards: Some(1) });
     let fast = ServeConfig { batch_window: Duration::from_millis(1), ..Default::default() };
     let start = |handle: &Arc<ModelHandle>, config: ServeConfig| {
         Server::start("127.0.0.1:0", handle.clone(), config).expect("bind")

@@ -23,7 +23,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::{
-    evaluate, evaluate_ir_rerank, load_model, save_checkpoint_with_table, DurableConfig,
+    evaluate, evaluate_ir_rerank, load_model, save_model_with_marginals, DurableConfig,
     ModelHandle, RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch,
     UniMatchConfig,
 };
@@ -67,11 +67,11 @@ fn usage(msg: &str) -> ! {
          generate  --profile <books|electronics|ecomp|wcomp|large> [--scale F] [--seed N] --out FILE\n\
          fit       --log FILE --out FILE [--epochs N] [--temperature F] [--batch N] [--seed N]\n\
          \u{20}         [--run-dir DIR] [--retriever KIND] [--shards N]   (crash-safe resume)\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8]\n\
          recommend --model FILE --log FILE --user ID [--k N] [--retriever KIND] [--shards N]\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8]\n\
          target    --model FILE --log FILE --item ID [--k N] [--retriever KIND] [--shards N]\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8] [--mmap true]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8]\n\
          evaluate  --model FILE --log FILE [--top-n N] [--negatives N] [--seed N]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE]   (gates a chain before rollout:\n\
          \u{20}          prints raw vs reranked recall/NDCG/coverage/gini + popularity lift)\n\
@@ -81,19 +81,18 @@ fn usage(msg: &str) -> ! {
          serve     --checkpoint FILE --log FILE [--addr HOST:PORT] [--batch-window-ms F]\n\
          \u{20}         [--batch-max N] [--max-conns N] [--deadline-ms F]\n\
          \u{20}         [--queue-bound N] [--faults SPEC] [--fault-seed N] [--retriever KIND]\n\
-         \u{20}         [--shards N] [--min-shards N] [--shard-deadline-ms F] [--obs true]\n\
+         \u{20}         [--shards N] [--min-shards N] [--obs true]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--brownout LADDER]\n\
-         \u{20}         [--store f32|i8] [--mmap true] [--shadow-sample-rate F]\n\
+         \u{20}         [--store f32|i8] [--shadow-sample-rate F]\n\
          \u{20}         [--shadow-ckpt FILE] [--shadow-spec 'key=value;…']\n\
          \u{20}         (KIND: exact|hnsw — the serving index backend; default exact)\n\
          \u{20}         (--store: row format of the serving embedding arenas — i8 is a\n\
-         \u{20}          smaller table scored by the fused dequant-dot kernel;\n\
-         \u{20}          --mmap true memory-maps the sidecar table, zero-copy load)\n\
+         \u{20}          smaller table scored by the fused dequant-dot kernel,\n\
+         \u{20}          re-encoded from the checkpoint at load)\n\
          \u{20}         (--shards N: split each tower's index into N row-range shards,\n\
          \u{20}          searched in parallel and merged exactly; default 1)\n\
          \u{20}         (--min-shards N: quorum — answer degraded while ≥N shards are\n\
-         \u{20}          healthy; --shard-deadline-ms: per-shard time budget; defaults\n\
-         \u{20}          are strict: every shard must answer, no deadline)\n\
+         \u{20}          healthy; the default is strict: every shard must answer)\n\
          \u{20}         (--brownout LADDER: graceful degradation under load, e.g.\n\
          \u{20}          'drop-explore,shrink-overfetch,shed;high=64;low=4' —\n\
          \u{20}          see docs/OPERATIONS.md for the grammar and tuning)\n\
@@ -105,8 +104,8 @@ fn usage(msg: &str) -> ! {
          \u{20}          queries to a second pipeline off the critical path;\n\
          \u{20}          --shadow-ckpt defaults to the primary checkpoint (an A/A);\n\
          \u{20}          --shadow-spec overrides knobs vs the primary, `;`-separated:\n\
-         \u{20}          retriever|shards|min-shards|shard-deadline-ms|store|mmap|\n\
-         \u{20}          rerank|rerank-rules — paired overlap@k / score-delta / lag\n\
+         \u{20}          retriever|shards|min-shards|store|rerank|rerank-rules —\n\
+         \u{20}          paired overlap@k / score-delta / lag\n\
          \u{20}          series land on /metrics as unimatch_shadow_*)\n\
          loadgen   --addr HOST:PORT --qps F [--seconds F] [--concurrency N] [--k N]\n\
          \u{20}         [--route recommend|target|mixed] [--seed N] [--out DIR] [--smoke]\n\
@@ -125,10 +124,8 @@ fn usage(msg: &str) -> ! {
 
 /// The deployment flags [`deployment_config`] reads, shared by every
 /// command that opens a model.
-const DEPLOYMENT_FLAGS: &[&str] = &[
-    "retriever", "shards", "min-shards", "shard-deadline-ms", "rerank", "rerank-rules", "store",
-    "mmap",
-];
+const DEPLOYMENT_FLAGS: &[&str] =
+    &["retriever", "shards", "min-shards", "rerank", "rerank-rules", "store"];
 
 /// The `--name value` flags each command accepts beside the global
 /// `--threads`: whether it takes [`DEPLOYMENT_FLAGS`], then its own.
@@ -217,22 +214,15 @@ fn shards_flag(flags: &HashMap<String, String>) -> usize {
     shards
 }
 
-/// Shard failure-isolation policy (`--min-shards N` quorum +
-/// `--shard-deadline-ms F`). The default (no flags) is strict: no
-/// deadline, every shard must answer — the historical behavior.
+/// Shard failure-isolation policy (`--min-shards N` quorum). The default
+/// (no flag) is strict: every shard must answer — the historical
+/// behavior.
 fn shard_policy_flag(flags: &HashMap<String, String>) -> ShardPolicy {
     let min_shards = match flag_or(flags, "min-shards", 0usize) {
         0 => None,
         n => Some(n),
     };
-    let deadline = match flag_or(flags, "shard-deadline-ms", 0.0f64) {
-        ms if !(0.0..=600_000.0).contains(&ms) => {
-            usage("--shard-deadline-ms must be between 0 and 600000")
-        }
-        0.0 => None,
-        ms => Some(Duration::from_micros((ms * 1000.0) as u64)),
-    };
-    ShardPolicy { deadline, min_shards }
+    ShardPolicy { min_shards }
 }
 
 /// Serving-store row format (`--store f32|i8`, default f32).
@@ -263,8 +253,8 @@ fn rerank_flag(flags: &HashMap<String, String>) -> RerankConfig {
 }
 
 /// The deployment half of the configuration — compute threads, index
-/// backend, shard fan-out and policy, rerank chain, store format and
-/// backing — read from the flags every command shares.
+/// backend, shard fan-out and policy, rerank chain and store format —
+/// read from the flags every command shares.
 fn deployment_config(flags: &HashMap<String, String>) -> UniMatchConfig {
     UniMatchConfig {
         parallelism: unimatch_parallel::Parallelism::threads(flag_or(flags, "threads", 0)),
@@ -273,8 +263,6 @@ fn deployment_config(flags: &HashMap<String, String>) -> UniMatchConfig {
         shard_policy: shard_policy_flag(flags),
         rerank: rerank_flag(flags),
         store: store_flag(flags),
-        // memory-map the item table sidecar
-        mmap: flag_or(flags, "mmap", false),
         ..Default::default()
     }
 }
@@ -383,9 +371,8 @@ fn cmd_fit(flags: &HashMap<String, String>) {
     };
     // the training marginals ride along in the checkpoint's optional
     // section, so a serving process can debias with the exact p̂ tables;
-    // a quantized serving store also writes its sidecar table next to
-    // the checkpoint (recorded in the quant_tables section)
-    save_checkpoint_with_table(&fitted.model, Some(fitted.marginals()), fitted.item_store(), out)
+    // the store format is a serving knob and writes nothing of its own
+    save_model_with_marginals(&fitted.model, Some(fitted.marginals()), out)
         .unwrap_or_else(|e| usage(&format!("cannot write {out}: {e}")));
     let (up, ip) = vocab_paths(out);
     std::fs::write(&up, vocab_to_json(&users))
@@ -652,6 +639,26 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     if flags.contains_key("fault-seed") && !flags.contains_key("faults") {
         usage("--fault-seed needs --faults");
     }
+    // The shadow's flags start as a copy of the primary's; --shadow-spec
+    // overrides individual knobs (`;`-separated so a rerank chain may
+    // contain commas). Parsed before any file is read, like the checks
+    // above, so an unknown knob is named before anything runs.
+    let mut shadow_flags = flags.clone();
+    let pairs = flags.get("shadow-spec").into_iter().flat_map(|s| s.split(';'));
+    for pair in pairs.filter(|p| !p.is_empty()) {
+        let Some((key, value)) = pair.split_once('=') else {
+            usage(&format!("--shadow-spec entries must be key=value, got {pair}"));
+        };
+        match key {
+            "retriever" | "shards" | "min-shards" | "store" | "rerank" | "rerank-rules" => {
+                shadow_flags.insert(key.to_string(), value.to_string());
+            }
+            other => usage(&format!(
+                "unknown --shadow-spec knob {other} \
+                 (retriever|shards|min-shards|store|rerank|rerank-rules)"
+            )),
+        }
+    }
     let checkpoint = flag(flags, "checkpoint");
     let (log, _, _) = read_log(flag(flags, "log"));
     let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string());
@@ -694,31 +701,12 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     // --shadow-sample-rate > 0 arms a shadow deployment: a second full
     // pipeline (checkpoint + retriever + store + rerank chain) that a
     // deterministic sample of answered query traffic is mirrored to, off
-    // the critical path. Its flags start as a copy of the primary's;
-    // --shadow-spec overrides individual knobs (`;`-separated so a
-    // rerank chain may contain commas) and --shadow-ckpt points it at a
-    // different checkpoint (defaulting to the primary's — an A/A test).
+    // the critical path, built from the flags --shadow-spec overrode;
+    // --shadow-ckpt points it at a different checkpoint (defaulting to
+    // the primary's — an A/A test).
     let shadow = (shadow_rate > 0.0).then(|| {
-        let mut sflags = flags.clone();
-        if let Some(spec) = flags.get("shadow-spec") {
-            for pair in spec.split(';').filter(|s| !s.is_empty()) {
-                let Some((key, value)) = pair.split_once('=') else {
-                    usage(&format!("--shadow-spec entries must be key=value, got {pair}"));
-                };
-                match key {
-                    "retriever" | "shards" | "min-shards" | "shard-deadline-ms" | "store"
-                    | "mmap" | "rerank" | "rerank-rules" => {
-                        sflags.insert(key.to_string(), value.to_string());
-                    }
-                    other => usage(&format!(
-                        "unknown --shadow-spec knob {other} (retriever|shards|min-shards|\
-                         shard-deadline-ms|store|mmap|rerank|rerank-rules)"
-                    )),
-                }
-            }
-        }
         let shadow_ckpt = flags.get("shadow-ckpt").map(String::as_str).unwrap_or(checkpoint);
-        ShadowSpec::new(Arc::new(open_handle(&sflags, shadow_ckpt, &log)), shadow_rate)
+        ShadowSpec::new(Arc::new(open_handle(&shadow_flags, shadow_ckpt, &log)), shadow_rate)
     });
     let server = Server::start_with_shadow(addr.as_str(), Arc::new(handle), serve_cfg, shadow)
         .unwrap_or_else(|e| usage(&format!("cannot bind {addr}: {e}")));

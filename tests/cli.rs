@@ -225,9 +225,12 @@ fn cli_rejects_bad_input() {
 
     // a flag the command does not accept is named and refused before
     // anything runs: a typo, another command's flag
+    // (`--mmap` and `--shard-deadline-ms` are retired, not hidden)
     for (command, flag) in [
         ("serve", "--shard"),
         ("serve", "--cache"),
+        ("serve", "--mmap"),
+        ("serve", "--shard-deadline-ms"),
         ("generate", "--log"),
         ("loadgen", "--batch-max"),
     ] {
@@ -251,6 +254,12 @@ fn cli_rejects_bad_input() {
     ] {
         rejected(cli().args(["serve", flag, value]).output().expect("run"), message);
     }
+    // so is a retired --shadow-spec knob, named before any file is read
+    let out = cli()
+        .args(["serve", "--shadow-sample-rate", "0.1", "--shadow-spec", "mmap=true"])
+        .output()
+        .expect("run");
+    rejected(out, "unknown --shadow-spec knob mmap");
 
     let dir = tmp_dir("badinput");
     let bad = dir.join("bad.csv");

@@ -10,39 +10,34 @@
 //!    reads state (timers, counters, gradient norms after `backward`); it
 //!    never consumes RNG or reorders float ops. A regression here would
 //!    silently invalidate every benchmark taken with metrics on.
-//! 3. **Backing independence** — the `mmap` serving flag and the obs flag
-//!    are pure deployment knobs: flipping either (in any combination,
-//!    for f32 and quantized store formats alike) must not change a byte
-//!    of the checkpoint, nor of a quantized format's sidecar table.
+//! 3. **Store-format independence** — the serving row format is a pure
+//!    deployment knob: an i8 fit writes the same checkpoint bytes as the
+//!    f32 fit at the same seed, with or without observability.
 
-use unimatch::core::{
-    save_checkpoint_with_table, table_path, RowFormat, UniMatch, UniMatchConfig,
-};
+use unimatch::core::{save_model_with_marginals, RowFormat, UniMatch, UniMatchConfig};
 use unimatch::data::DatasetProfile;
 use unimatch::obs;
 
-/// Fits with the given serving knobs and returns the serialized
-/// checkpoint bytes plus the sidecar table bytes (quantized formats).
-fn checkpoint_bytes(tag: &str, store: RowFormat, mmap: bool) -> (Vec<u8>, Option<Vec<u8>>) {
+/// Fits with the given serving store format and returns the serialized
+/// checkpoint bytes.
+fn checkpoint_bytes(tag: &str, store: RowFormat) -> Vec<u8> {
     let log = DatasetProfile::EComp.generate(0.12, 7).filter_min_interactions(2);
     let framework = UniMatch::new(UniMatchConfig {
         epochs_per_month: 1,
         max_seq_len: 8,
         seed: 1337,
         store,
-        mmap,
         ..Default::default()
     });
     let fitted = framework.fit(log);
     let dir = std::env::temp_dir().join(format!("unimatch_determinism_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.json");
-    save_checkpoint_with_table(&fitted.model, Some(fitted.marginals()), fitted.item_store(), &path)
+    save_model_with_marginals(&fitted.model, Some(fitted.marginals()), &path)
         .expect("save checkpoint");
     let bytes = std::fs::read(&path).expect("read checkpoint back");
-    let sidecar = std::fs::read(table_path(&path, store)).ok();
     let _ = std::fs::remove_dir_all(&dir);
-    (bytes, sidecar)
+    bytes
 }
 
 /// One test function on purpose: `obs::set_enabled` flips a process-global
@@ -51,35 +46,25 @@ fn checkpoint_bytes(tag: &str, store: RowFormat, mmap: bool) -> (Vec<u8>, Option
 #[test]
 fn seeded_fits_are_byte_identical_with_and_without_observability() {
     obs::set_enabled(false);
-    let (a, a_side) = checkpoint_bytes("a", RowFormat::F32, false);
-    let (b, _) = checkpoint_bytes("b", RowFormat::F32, false);
+    let a = checkpoint_bytes("a", RowFormat::F32);
+    let b = checkpoint_bytes("b", RowFormat::F32);
     assert!(!a.is_empty(), "checkpoint must not be empty");
     assert_eq!(a, b, "same seed + same data must give byte-identical checkpoints");
-    assert!(a_side.is_none(), "f32 checkpoints carry no sidecar table");
 
-    // the mmap flag is a serving knob: it must never leak into the bytes
-    let (m, _) = checkpoint_bytes("m", RowFormat::F32, true);
-    assert_eq!(a, m, "mmap on/off changed the checkpoint bytes");
-
-    // quantized fits: the checkpoint AND the sidecar table are seed-
-    // deterministic and mmap-independent
-    let (qa, qa_side) = checkpoint_bytes("qa", RowFormat::I8, false);
-    let (qb, qb_side) = checkpoint_bytes("qb", RowFormat::I8, true);
-    assert_eq!(qa, qb, "mmap on/off changed the quantized checkpoint bytes");
-    let qa_side = qa_side.expect("i8 checkpoints advertise a sidecar table");
-    assert_eq!(qa_side, qb_side.expect("sidecar"), "mmap on/off changed the sidecar bytes");
+    // the store format is a serving knob: it must never leak into the bytes
+    let q = checkpoint_bytes("q", RowFormat::I8);
+    assert_eq!(a, q, "an i8 fit changed the checkpoint bytes");
 
     obs::set_enabled(true);
-    let (c, _) = checkpoint_bytes("c", RowFormat::F32, false);
-    let (qc, qc_side) = checkpoint_bytes("qc", RowFormat::I8, true);
+    let c = checkpoint_bytes("c", RowFormat::F32);
+    let qc = checkpoint_bytes("qc", RowFormat::I8);
     obs::set_enabled(false);
     assert_eq!(
         a, c,
         "enabling observability changed the trained model bytes — \
          instrumentation must be read-only with respect to training state"
     );
-    assert_eq!(qa, qc, "observability changed the quantized checkpoint bytes");
-    assert_eq!(qa_side, qc_side.expect("sidecar"), "observability changed the sidecar bytes");
+    assert_eq!(a, qc, "observability changed the quantized fit's checkpoint bytes");
 
     // And the instrumented run did actually record: the trainer's step
     // counter is process-global, so it must be non-zero after fitting with

@@ -26,7 +26,7 @@
 
 use unimatch::ann::Hit;
 use unimatch::core::{
-    load_checkpoint_with_format, save_model_with_marginals, DegradeOptions, FittedUniMatch,
+    load_checkpoint, save_model_with_marginals, DegradeOptions, FittedUniMatch,
     MatchPipeline, RerankConfig, RetrieverKind, RowFormat, UniMatch, UniMatchConfig,
 };
 use unimatch::data::{DatasetProfile, InteractionLog};
@@ -53,9 +53,9 @@ fn base_config(
 }
 
 /// Trains once and persists a marginals-bearing checkpoint; every
-/// deployment variant reloads from this single artifact (re-encoding the
-/// store per format), so a divergence between a runner and the composed
-/// stages cannot be blamed on training noise.
+/// deployment variant reloads from this single artifact (the serving
+/// build re-encodes the f32 store per format), so a divergence between
+/// a runner and the composed stages cannot be blamed on training noise.
 fn checkpoint() -> (std::path::PathBuf, InteractionLog) {
     static CKPT: std::sync::OnceLock<(std::path::PathBuf, InteractionLog)> =
         std::sync::OnceLock::new();
@@ -81,8 +81,7 @@ fn serve_variant(
     spec: &str,
 ) -> FittedUniMatch {
     let (path, log) = checkpoint();
-    let (model, item_store, marginals) =
-        load_checkpoint_with_format(&path, store, false).expect("load checkpoint");
+    let (model, item_store, marginals) = load_checkpoint(&path).expect("load checkpoint");
     UniMatch::new(base_config(kind, shards, store, spec))
         .serve_with_store_and_marginals(model, log, item_store, marginals)
 }
