@@ -44,6 +44,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use unimatch_data::json::Json;
 use unimatch_data::{Marginals, TemporalSplit};
+use unimatch_eval::UserPool;
 use unimatch_faults::FaultPoint;
 use unimatch_models::TwoTower;
 use unimatch_obs as obs;
@@ -606,7 +607,8 @@ impl crate::framework::UniMatch {
             &prepared.split,
             &prepared.marginals,
         )?;
-        Ok(self.build_serving_with(run.model, &prepared, None))
+        let pool = UserPool::from_log(&prepared.log, cfg.max_seq_len);
+        Ok(self.build_serving_with(run.model, pool, prepared.marginals, None))
     }
 }
 
@@ -641,7 +643,7 @@ mod tests {
     fn setup() -> (TwoTower, TrainConfig, TemporalSplit, Marginals) {
         let log = DatasetProfile::EComp.generate(0.1, 5).filter_min_interactions(2);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 8, min_history: 1 });
-        let split = temporal_split(&samples, log.span_months());
+        let split = temporal_split(samples, log.span_months());
         let marginals = Marginals::from_samples(&split.train, log.num_users(), log.num_items());
         let mut rng = StdRng::seed_from_u64(4);
         let model = TwoTower::new(

@@ -203,8 +203,9 @@ pub struct FittedUniMatch {
     rerank: RerankChain,
     /// Business rules for the chain's filter/cap stages (item side only).
     rerank_rules: Option<Arc<BusinessRules>>,
-    /// Training marginals — from the prepared data, or overridden by the
-    /// checkpoint's persisted section on the serving path.
+    /// Training marginals — from the prepared data when training, and on
+    /// the serving path the checkpoint's persisted section or, without
+    /// one, the same counts read off the serving log.
     marginals: Arc<Marginals>,
     /// `log p̂(i)` aligned with item-store rows (row = item id).
     item_log_p: Vec<f32>,
@@ -277,21 +278,23 @@ impl UniMatch {
     /// Builds the serving indexes around an existing model WITHOUT any
     /// training — the CLI / serving-only path (e.g. reloading a persisted
     /// checkpoint to answer queries). The deployment is shaped by the
-    /// model (`embed_dim`, `max_seq_len`), not by the configuration.
+    /// model (`embed_dim`, `max_seq_len`), not by the configuration. The
+    /// log is never windowed: the user pool and the training marginals
+    /// are read straight off its timelines ([`UserPool::from_log`],
+    /// [`Marginals::from_log`]).
     pub fn serve(&self, model: TwoTower, log: InteractionLog) -> FittedUniMatch {
         self.config.parallelism.install_global();
-        let prepared = PreparedData::from_log(log, model.config().max_seq_len);
-        self.build_serving_with(model, &prepared, None)
+        let pool = UserPool::from_log(&log, model.config().max_seq_len);
+        self.build_serving_with(model, pool, Marginals::from_log(&log), None)
     }
 
     /// [`UniMatch::serve`], but reusing an item-embedding store already
     /// materialized elsewhere — the checkpoint-direct path: the store the
     /// checkpoint loader returns alongside the model is indexed as-is,
     /// with no re-inference over the item tower — and with the
-    /// checkpoint's persisted marginals (when it carries the optional
-    /// section) overriding the ones recomputed from the serving log, so
-    /// the debias stage sees exactly the training-time `p̂(i)`/`p̂(u)`
-    /// tables.
+    /// checkpoint's persisted marginals, when it carries the optional
+    /// section, in place of the ones counted off the serving log, so the
+    /// debias stage sees exactly the training-time `p̂(i)`/`p̂(u)` tables.
     ///
     /// The store must hold this model's normalized item embeddings
     /// (`rows == num_items`, `dim == embed_dim`); the loader guarantees
@@ -299,16 +302,14 @@ impl UniMatch {
     pub fn serve_with_store_and_marginals(
         &self,
         model: TwoTower,
-        log: InteractionLog,
+        log: &InteractionLog,
         item_store: Arc<EmbeddingStore>,
         marginals: Option<Marginals>,
     ) -> FittedUniMatch {
         self.config.parallelism.install_global();
-        let mut prepared = PreparedData::from_log(log, model.config().max_seq_len);
-        if let Some(m) = marginals {
-            prepared.marginals = m;
-        }
-        self.build_serving_with(model, &prepared, Some(item_store))
+        let pool = UserPool::from_log(log, model.config().max_seq_len);
+        let marginals = marginals.unwrap_or_else(|| Marginals::from_log(log));
+        self.build_serving_with(model, pool, marginals, Some(item_store))
     }
 
     /// The core of `fit`/`resume`: trains the months after `resume_after`
@@ -331,7 +332,8 @@ impl UniMatch {
                 Ok(trainer.model)
             })
             .unwrap_or_else(|e: TrainError| panic!("UniMatch training failed: {e}"));
-        self.build_serving_with(trained, &prepared, None)
+        let pool = UserPool::from_log(&prepared.log, prepared.max_seq_len);
+        self.build_serving_with(trained, pool, prepared.marginals, None)
     }
 
     /// The [`TrainConfig`] this framework configuration implies for a
@@ -349,15 +351,17 @@ impl UniMatch {
     }
 
     /// Builds the serving stores and indexes over both towers around a
-    /// trained model, optionally reusing a pre-built item store (the
-    /// checkpoint-direct load path) instead of re-running item
-    /// inference. A supplied store must match the model's item count and
-    /// embedding dimension. The model is the one source of shape: the
-    /// configuration's `embed_dim`/`max_seq_len` are not consulted.
+    /// trained model, its user pool and its training marginals,
+    /// optionally reusing a pre-built item store (the checkpoint-direct
+    /// load path) instead of re-running item inference. A supplied store
+    /// must match the model's item count and embedding dimension. The
+    /// model is the one source of shape: the configuration's
+    /// `embed_dim`/`max_seq_len` are not consulted.
     pub(crate) fn build_serving_with(
         &self,
         model: TwoTower,
-        prepared: &PreparedData,
+        user_pool: UserPool,
+        marginals: Marginals,
         item_store: Option<Arc<EmbeddingStore>>,
     ) -> FittedUniMatch {
         let cfg = &self.config;
@@ -385,7 +389,6 @@ impl UniMatch {
         };
         let item_index =
             cfg.retriever.build(item_store.clone(), cfg.shards, cfg.shard_policy, &mut rng);
-        let user_pool = UserPool::build(&prepared.split, max_seq_len);
         let user_store = user_store_of(&model, &user_pool);
         let user_store = Arc::new(if cfg.store == RowFormat::F32 {
             user_store
@@ -397,7 +400,7 @@ impl UniMatch {
 
         let rerank = RerankChain::parse(&cfg.rerank.spec)
             .unwrap_or_else(|e| panic!("invalid rerank spec {:?}: {e}", cfg.rerank.spec));
-        let marginals = Arc::new(prepared.marginals.clone());
+        let marginals = Arc::new(marginals);
         let item_log_p: Vec<f32> =
             (0..item_store.rows()).map(|r| marginals.log_pi(r as u32)).collect();
         let user_log_p: Vec<f32> =

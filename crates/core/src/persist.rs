@@ -1035,7 +1035,7 @@ mod tests {
     fn sample_marginals() -> Marginals {
         use unimatch_data::windowing::Sample;
         let samples: Vec<Sample> = (0..40)
-            .map(|i| Sample { user: i % 7, history: vec![], target: i % 11, day: i })
+            .map(|i| Sample { user: i % 7, history: vec![].into(), target: i % 11, day: i })
             .collect();
         Marginals::from_samples(&samples, 7, 11)
     }

@@ -1,6 +1,8 @@
 //! End-to-end dataset preparation: generate (or accept) a log, filter,
 //! window, split, and compute marginals — the common prefix of every
-//! experiment.
+//! experiment and every training run. Serving needs none of it: a
+//! deployment reads its user pool and marginals straight off the log
+//! (see [`crate::UniMatch::serve`]).
 
 use unimatch_data::windowing::{build_samples, WindowConfig};
 use unimatch_data::{temporal_split, DatasetProfile, InteractionLog, Marginals, TemporalSplit};
@@ -28,7 +30,7 @@ impl PreparedData {
     /// Prepares from a raw log (the production entry point for real data).
     pub fn from_log(log: InteractionLog, max_seq_len: usize) -> Self {
         let samples = build_samples(&log, &WindowConfig { max_seq_len, min_history: 1 });
-        let split = temporal_split(&samples, log.span_months());
+        let split = temporal_split(samples, log.span_months());
         let marginals = Marginals::from_samples(&split.train, log.num_users(), log.num_items());
         PreparedData { log, split, marginals, max_seq_len }
     }

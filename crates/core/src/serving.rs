@@ -142,7 +142,7 @@ fn load_fitted(
             }
         }
     }
-    Ok(framework.serve_with_store_and_marginals(model, log.clone(), item_store, marginals))
+    Ok(framework.serve_with_store_and_marginals(model, log, item_store, marginals))
 }
 
 #[cfg(test)]

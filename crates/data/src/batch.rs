@@ -88,7 +88,7 @@ pub fn multinomial_batches(
             continue;
         }
         let rows: Vec<&Sample> = chunk.iter().map(|&i| &samples[i]).collect();
-        let histories: Vec<&[u32]> = rows.iter().map(|s| s.history.as_slice()).collect();
+        let histories: Vec<&[u32]> = rows.iter().map(|s| &*s.history).collect();
         out.push(MultinomialBatch {
             histories: SeqBatch::from_histories(&histories, max_seq_len),
             items: rows.iter().map(|s| s.target).collect(),
@@ -121,7 +121,7 @@ mod tests {
         (0..n)
             .map(|k| Sample {
                 user: (k % 5) as u32,
-                history: vec![(k % 7) as u32, ((k + 1) % 7) as u32],
+                history: vec![(k % 7) as u32, ((k + 1) % 7) as u32].into(),
                 target: (k % 7) as u32,
                 day: k as u32,
             })

@@ -9,17 +9,28 @@
 //! the paper's four datasets (see `DESIGN.md` for the substitution
 //! rationale).
 //!
+//! Training windows a log into samples and splits them by month; each
+//! sample's history is a window on its user's shared timeline, and the
+//! split moves the samples it is given. Serving never windows: it reads
+//! each user's latest history and the training marginals straight off the
+//! timelines ([`Marginals::from_log`]).
+//!
 //! ```
 //! use unimatch_data::synthetic::DatasetProfile;
 //! use unimatch_data::windowing::{build_samples, WindowConfig};
 //! use unimatch_data::split::temporal_split;
+//! use unimatch_data::Marginals;
 //!
 //! let log = DatasetProfile::EComp.generate(0.1, 42);
 //! let log = log.filter_min_interactions(3);
 //! let samples = build_samples(&log, &WindowConfig::default());
-//! let split = temporal_split(&samples, log.span_months());
+//! let split = temporal_split(samples, log.span_months());
 //! assert!(!split.train.is_empty());
 //! assert!(!split.test.is_empty());
+//! // the same training marginals, counted without windowing
+//! let direct = Marginals::from_log(&log);
+//! let windowed = Marginals::from_samples(&split.train, log.num_users(), log.num_items());
+//! assert_eq!(direct.floor_u().to_bits(), windowed.floor_u().to_bits());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,4 +58,4 @@ pub use negative::{NegativeSampler, NegativeStrategy};
 pub use split::{temporal_split, TemporalSplit};
 pub use synthetic::{DatasetProfile, SyntheticConfig};
 pub use vocab::{intern_log, RawRecord, Vocab};
-pub use windowing::{build_samples, Sample, WindowConfig};
+pub use windowing::{build_samples, History, Sample, WindowConfig};

@@ -1,6 +1,13 @@
 //! Empirical marginal distributions `p̂(u)` and `p̂(i)` over the training
 //! samples — the bias-correction terms of the bbcNCE loss (Eq. 10, Tab. IV).
+//!
+//! Training counts its windowed samples ([`Marginals::from_samples`]).
+//! Serving, which never windows the log, counts the same records straight
+//! off the timelines ([`Marginals::from_log`]), with the same arithmetic,
+//! so both give the same bits.
 
+use crate::calendar::month_of;
+use crate::log::InteractionLog;
 use crate::windowing::Sample;
 
 /// Log empirical marginals computed from a set of (positive) samples.
@@ -25,7 +32,34 @@ impl Marginals {
             cu[s.user as usize] += 1;
             ci[s.target as usize] += 1;
         }
-        let total = samples.len().max(1) as f64;
+        Self::from_counts(&cu, &ci, samples.len())
+    }
+
+    /// The marginals of the training split of `log`'s windowed samples,
+    /// counted without windowing: a record is a training sample iff its
+    /// user bought on an earlier day (a non-empty history) and its month
+    /// is before the test month `span − 1`. Equal, bit for bit, to
+    /// [`Marginals::from_samples`] over `temporal_split`'s `train`.
+    pub fn from_log(log: &InteractionLog) -> Self {
+        let test_month = log.span_months().saturating_sub(1);
+        let mut cu = vec![0u64; log.num_users() as usize];
+        let mut ci = vec![0u64; log.num_items() as usize];
+        let mut total = 0;
+        for (user, timeline) in log.timelines() {
+            let first_day = timeline[0].day;
+            for r in timeline.iter().filter(|r| r.day > first_day && month_of(r.day) < test_month) {
+                cu[user as usize] += 1;
+                ci[r.item as usize] += 1;
+                total += 1;
+            }
+        }
+        Self::from_counts(&cu, &ci, total)
+    }
+
+    /// Log shares of `total` samples, floored at `log(0.5 / total)` for
+    /// entities counted zero times.
+    fn from_counts(cu: &[u64], ci: &[u64], total: usize) -> Self {
+        let total = total.max(1) as f64;
         let floor_u = ((0.5 / total) as f32).ln();
         let floor_i = floor_u;
         let log_pu = cu
@@ -93,10 +127,10 @@ mod tests {
 
     fn samples() -> Vec<Sample> {
         vec![
-            Sample { user: 0, history: vec![], target: 1, day: 0 },
-            Sample { user: 0, history: vec![], target: 1, day: 1 },
-            Sample { user: 1, history: vec![], target: 2, day: 2 },
-            Sample { user: 2, history: vec![], target: 1, day: 3 },
+            Sample { user: 0, history: vec![].into(), target: 1, day: 0 },
+            Sample { user: 0, history: vec![].into(), target: 1, day: 1 },
+            Sample { user: 1, history: vec![].into(), target: 2, day: 2 },
+            Sample { user: 2, history: vec![].into(), target: 1, day: 3 },
         ]
     }
 

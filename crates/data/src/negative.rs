@@ -162,7 +162,7 @@ impl<'a> NegativeSampler<'a> {
                 }
             }
             rows.shuffle(rng);
-            let histories: Vec<&[u32]> = rows.iter().map(|(s, _, _)| s.history.as_slice()).collect();
+            let histories: Vec<&[u32]> = rows.iter().map(|(s, _, _)| &*s.history).collect();
             out.push(BceBatch {
                 histories: SeqBatch::from_histories(&histories, max_seq_len),
                 items: rows.iter().map(|&(_, i, _)| i).collect(),
@@ -183,10 +183,10 @@ mod tests {
         // item 0 very popular.
         let mut v = Vec::new();
         for k in 0..8 {
-            v.push(Sample { user: 0, history: vec![1], target: 0, day: k });
+            v.push(Sample { user: 0, history: vec![1].into(), target: 0, day: k });
         }
         for u in 1..4 {
-            v.push(Sample { user: u, history: vec![2], target: u, day: 10 + u });
+            v.push(Sample { user: u, history: vec![2].into(), target: u, day: 10 + u });
         }
         v
     }
@@ -208,7 +208,7 @@ mod tests {
         // 64 distinct users: a hash-ordered user list would differ between
         // two samplers (each map has its own hasher keys)
         let s: Vec<Sample> =
-            (0..64).map(|u| Sample { user: u, history: vec![1], target: u % 5, day: u }).collect();
+            (0..64).map(|u| Sample { user: u, history: vec![1].into(), target: u % 5, day: u }).collect();
         let draws = || {
             let sampler = NegativeSampler::new(&s, 5);
             let mut rng = rand::rngs::StdRng::seed_from_u64(9);

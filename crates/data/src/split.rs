@@ -4,6 +4,11 @@
 //! training, `(T-2, T-1]` (the last training month) for validation and
 //! `(T-1, T]` for test. In 0-indexed months: test month `T-1`, validation
 //! month `T-2`, training targets in months `0..=T-2`.
+//!
+//! The split takes the samples by value: train and test samples move in,
+//! and only the validation month, a subset of train, is cloned — a
+//! refcount bump per sample, since histories share their user's timeline
+//! ([`crate::windowing::History`]).
 
 use crate::windowing::Sample;
 
@@ -24,7 +29,7 @@ pub struct TemporalSplit {
 }
 
 /// Splits `samples` (any order) given the total span in months (`T ≥ 3`).
-pub fn temporal_split(samples: &[Sample], span_months: u32) -> TemporalSplit {
+pub fn temporal_split(samples: Vec<Sample>, span_months: u32) -> TemporalSplit {
     assert!(span_months >= 3, "need at least 3 months to split, got {span_months}");
     let test_month = span_months - 1;
     let val_month = span_months - 2;
@@ -39,12 +44,12 @@ pub fn temporal_split(samples: &[Sample], span_months: u32) -> TemporalSplit {
             continue; // ragged tail beyond the declared span
         }
         if m == test_month {
-            split.test.push(s.clone());
+            split.test.push(s);
         } else {
             if m == val_month {
                 split.val.push(s.clone());
             }
-            split.train.push(s.clone());
+            split.train.push(s);
         }
     }
     split
@@ -71,13 +76,13 @@ mod tests {
     use super::*;
 
     fn sample(day: u32) -> Sample {
-        Sample { user: 0, history: vec![1], target: 2, day }
+        Sample { user: 0, history: vec![1].into(), target: 2, day }
     }
 
     #[test]
     fn partition_is_exact() {
         let samples: Vec<Sample> = (0..120).map(sample).collect(); // 4 months
-        let split = temporal_split(&samples, 4);
+        let split = temporal_split(samples, 4);
         assert_eq!(split.test_month, 3);
         assert_eq!(split.val_month, 2);
         assert_eq!(split.test.len(), 30);
@@ -91,7 +96,7 @@ mod tests {
     #[test]
     fn val_is_subset_of_train() {
         let samples: Vec<Sample> = (0..120).map(sample).collect();
-        let split = temporal_split(&samples, 4);
+        let split = temporal_split(samples, 4);
         for v in &split.val {
             assert!(split.train.contains(v));
         }
@@ -100,7 +105,7 @@ mod tests {
     #[test]
     fn train_month_selection() {
         let samples: Vec<Sample> = (0..120).map(sample).collect();
-        let split = temporal_split(&samples, 4);
+        let split = temporal_split(samples, 4);
         assert_eq!(split.train_month(1).len(), 30);
         assert_eq!(split.train_months(), vec![0, 1, 2]);
     }
@@ -108,13 +113,13 @@ mod tests {
     #[test]
     fn ragged_tail_ignored() {
         let samples: Vec<Sample> = (0..150).map(sample).collect(); // 5 months of days
-        let split = temporal_split(&samples, 4); // declared span 4
+        let split = temporal_split(samples, 4); // declared span 4
         assert_eq!(split.test.len() + split.train.len(), 120);
     }
 
     #[test]
     #[should_panic(expected = "at least 3 months")]
     fn too_short_rejected() {
-        temporal_split(&[], 2);
+        temporal_split(Vec::new(), 2);
     }
 }

@@ -97,7 +97,7 @@ mod tests {
         }
         let log = InteractionLog::new(recs);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 5, min_history: 1 });
-        temporal_split(&samples, 4)
+        temporal_split(samples, 4)
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn build_ir_cases(
                 candidates.push(neg);
             }
         }
-        cases.push(IrCase { user: s.user, history: s.history.clone(), candidates });
+        cases.push(IrCase { user: s.user, history: s.history.to_vec(), candidates });
     }
     cases
 }
@@ -154,7 +154,7 @@ mod tests {
     fn split() -> TemporalSplit {
         let log = DatasetProfile::EComp.generate(0.15, 11).filter_min_interactions(2);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 8, min_history: 1 });
-        temporal_split(&samples, log.span_months())
+        temporal_split(samples, log.span_months())
     }
 
     #[test]

@@ -620,7 +620,7 @@ mod tests {
     fn incremental_training_checkpoints_every_month() {
         let log = DatasetProfile::EComp.generate(0.1, 5).filter_min_interactions(2);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 8, min_history: 1 });
-        let split = temporal_split(&samples, log.span_months());
+        let split = temporal_split(samples, log.span_months());
         let marginals = Marginals::from_samples(&split.train, log.num_users(), log.num_items());
         let mut rng = StdRng::seed_from_u64(4);
         let model = TwoTower::new(

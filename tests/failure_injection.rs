@@ -94,7 +94,7 @@ fn degenerate_single_item_catalog_trains() {
     let samples: Vec<unimatch::data::Sample> = (0..20)
         .map(|k| unimatch::data::Sample {
             user: k % 4,
-            history: vec![0],
+            history: vec![0].into(),
             target: 0,
             day: k,
         })

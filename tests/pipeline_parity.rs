@@ -83,7 +83,7 @@ fn serve_variant(
     let (path, log) = checkpoint();
     let (model, item_store, marginals) = load_checkpoint(&path).expect("load checkpoint");
     UniMatch::new(base_config(kind, shards, store, spec))
-        .serve_with_store_and_marginals(model, log, item_store, marginals)
+        .serve_with_store_and_marginals(model, &log, item_store, marginals)
 }
 
 fn assert_hits_bitwise(got: &[Hit], want: &[Hit], site: &str) {

@@ -33,7 +33,7 @@ fn windowing_never_leaks_future_items() {
             // every history item must exist in the user's log strictly
             // before the target day
             let timeline = log.timeline_of(s.user);
-            for &h in &s.history {
+            for &h in s.history.iter() {
                 assert!(
                     timeline.iter().any(|r| r.item == h && r.day < s.day),
                     "case {case}: history item {h} not strictly before day {} for user {}",
@@ -69,8 +69,8 @@ fn split_partitions_samples() {
         let log = arbitrary_log(&mut StdRng::seed_from_u64(case));
         let span = log.span_months().max(3);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 8, min_history: 1 });
-        let split = temporal_split(&samples, span);
         let in_span = samples.iter().filter(|s| s.month() < span).count();
+        let split = temporal_split(samples, span);
         assert_eq!(split.train.len() + split.test.len(), in_span, "case {case}");
         for s in &split.train {
             assert!(s.month() < split.test_month, "case {case}");

@@ -71,7 +71,7 @@ fn serve_variant(kind: RetrieverKind, shards: usize, spec: &str, seed: u64) -> F
     let (model, store, marginals) = load_checkpoint(&path).expect("load checkpoint");
     let mut cfg = base_config(kind, shards, spec);
     cfg.seed = seed;
-    UniMatch::new(cfg).serve_with_store_and_marginals(model, log, store, marginals)
+    UniMatch::new(cfg).serve_with_store_and_marginals(model, &log, store, marginals)
 }
 
 /// One unsharded index, exactly as `RetrieverKind::build_one` does it.
@@ -238,7 +238,7 @@ fn rules_filter_caps_and_refills_from_the_overfetch() {
     let mut cfg = base_config(RetrieverKind::Exact, 1, "filter,cap:category=2");
     cfg.rerank.rules = Some(Arc::new(rules));
     let chained =
-        UniMatch::new(cfg).serve_with_store_and_marginals(model, log, store, marginals);
+        UniMatch::new(cfg).serve_with_store_and_marginals(model, &log, store, marginals);
 
     let got = chained.recommend_items(&history, 10);
     assert_eq!(got.len(), 10, "filter must refill to k from the over-fetch");
