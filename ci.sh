@@ -15,7 +15,9 @@
 #    (crates/serve/tests/metrics_golden.rs: the catalogue renders the
 #    bytes the hand-written struct did) and the metric catalogue ↔ docs
 #    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names
-#    and the OPERATIONS.md Metrics table agree all ways)
+#    and the OPERATIONS.md Metrics table agree all ways); then, in
+#    release, the one `#[ignore]`d HNSW graph pin, at the serving user
+#    tower's size (17 443 × 16), against the reference builder
 # 3. the faults-disabled overhead assertion, with its measurement printed
 # 4. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an
@@ -47,6 +49,9 @@ cargo build --release
 
 echo "==> cargo test --workspace (every member's unit, integration and doc tests)"
 cargo test -q --workspace --exclude unimatch-benchmark
+
+echo "==> HNSW graph pin at serving scale (release)"
+cargo test -q --release -p unimatch-ann --test hnsw_graph -- --ignored
 
 echo "==> disarmed fault-point overhead (measurement printed)"
 # `overhead` pins the no-op contract: a disarmed injection point must

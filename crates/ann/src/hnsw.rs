@@ -15,10 +15,32 @@
 //! function of the graph, the query and `ef_search`. Neither depends on
 //! thread count, on which scratch a walk was handed, or on how many
 //! searches ran before: the bookkeeping below (visited stamps, the
-//! reused candidate heap, the score-once prune) changes what a walk
-//! costs, never which rows it scores, in which order, or what it keeps.
-//! `crates/ann/tests/hnsw_graph.rs` pins this against the textbook
-//! builder it replaced.
+//! reused candidate heap, the flat layout, the build-time edge scores)
+//! changes what a walk costs, never which rows it scores, in which order,
+//! or what it keeps. `crates/ann/tests/hnsw_graph.rs` pins this against
+//! the textbook builder it replaced.
+//!
+//! # Layout
+//!
+//! The adjacency is two flat arrays of fixed-stride rows, not a list per
+//! node. Layer 0 is one row of `2m` id slots per node. A node whose level
+//! is `L ≥ 1` also owns `L` consecutive rows of `m` slots in the upper
+//! array, one per layer above 0; about one node in `m` has any. Every row
+//! keeps its length beside it, so a node's neighbours on a layer are one
+//! slice of one array, and [`HnswIndex::graph_bytes`] is the graph's
+//! exact size.
+//!
+//! # Edge scores exist only during the build
+//!
+//! While the graph is built, every slot also holds the score of its edge:
+//! the one the inserting node's beam computed. That score is the one the
+//! neighbour would compute back, bit for bit: `score_row` multiplies
+//! dimension by dimension and sums in dimension order, `x * y == y * x`
+//! exactly, and a decoded i8 query value is [`crate::i8_decode`], the same
+//! `zero + scale * code` the fused loop computes. So no prune scores a
+//! row: a full list runs the textbook stable sort over the stored scores.
+//! The scores are freed before [`HnswIndex::build_over`] returns; the
+//! built index is immutable.
 //!
 //! # Scratch memory
 //!
@@ -29,6 +51,7 @@
 //! per search; the list holds at most one scratch per search that was
 //! ever in flight at once (4 B × rows each, plus a beam-sized heap).
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
@@ -55,10 +78,78 @@ impl Default for HnswConfig {
     }
 }
 
+/// Neighbour lists of one array: `stride` id slots per row, the first
+/// `lens[row]` of them in use.
 #[derive(Debug)]
-struct HnswNode {
-    /// Neighbour lists, one per layer the node participates in.
-    neighbours: Vec<Vec<u32>>,
+struct Rows {
+    stride: usize,
+    ids: Vec<u32>,
+    lens: Vec<u32>,
+}
+
+impl Rows {
+    fn new(rows: usize, stride: usize) -> Self {
+        Rows { stride, ids: vec![0; rows * stride], lens: vec![0; rows] }
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> &[u32] {
+        let start = row * self.stride;
+        &self.ids[start..start + self.lens[row] as usize]
+    }
+
+    /// Adds edge `id` to `row`; `scores` is this array's build-time twin.
+    fn link(&mut self, scores: &mut [f32], row: usize, id: u32, score: f32, sorter: &mut Sorter) {
+        let slots = row * self.stride..(row + 1) * self.stride;
+        let len = self.lens[row] as usize;
+        let len = link(&mut self.ids[slots.clone()], &mut scores[slots], len, id, score, sorter);
+        self.lens[row] = len as u32;
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.ids.as_slice()) + std::mem::size_of_val(self.lens.as_slice())
+    }
+}
+
+/// The buffer a prune sorts in.
+type Sorter = Vec<(f32, u32)>;
+
+/// What only the build needs: every slot's edge score, shaped like the
+/// two [`Rows`] arrays, and the prune's sort buffer.
+struct EdgeScores {
+    layer0: Vec<f32>,
+    upper: Vec<f32>,
+    sorter: Sorter,
+}
+
+/// Adds the edge `(score, id)` to the list `ids[..len]`, whose edge scores
+/// are `scores[..len]` and which holds at most `ids.len()` entries;
+/// returns the new length. A full list keeps what the textbook prune
+/// keeps: the first `ids.len()` entries of a stable descending sort of
+/// the list followed by the new edge.
+fn link(
+    ids: &mut [u32],
+    scores: &mut [f32],
+    len: usize,
+    id: u32,
+    score: f32,
+    sorter: &mut Sorter,
+) -> usize {
+    let cap = ids.len();
+    if len < cap {
+        ids[len] = id;
+        scores[len] = score;
+        return len + 1;
+    }
+    sorter.clear();
+    sorter.extend(scores.iter().copied().zip(ids.iter().copied()));
+    sorter.push((score, id));
+    sorter.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
+    for (slot, &(s, i)) in sorter[..cap].iter().enumerate() {
+        scores[slot] = s;
+        ids[slot] = i;
+    }
+    cap
 }
 
 /// The working memory of one graph walk, reused across walks.
@@ -70,8 +161,6 @@ struct Scratch {
     epoch: u32,
     /// The beam's frontier, a max-heap by score.
     candidates: BinaryHeap<ScoredId>,
-    /// A neighbour list under pruning, each entry scored once.
-    scored: Vec<(f32, u32)>,
 }
 
 impl Scratch {
@@ -104,7 +193,14 @@ impl Scratch {
 #[derive(Debug)]
 pub struct HnswIndex {
     store: Arc<EmbeddingStore>,
-    nodes: Vec<HnswNode>,
+    /// Layer 0: row `r` is node `r`'s list, `2m` slots.
+    layer0: Rows,
+    /// Layers above 0, `m` slots per row: node `r`'s layer `l ≥ 1` is row
+    /// `upper_first[r] + l - 1`.
+    upper: Rows,
+    /// Node `r`'s upper rows are `upper_first[r]..upper_first[r + 1]`, so
+    /// their count is its level.
+    upper_first: Vec<u32>,
     entry: u32,
     max_layer: usize,
     cfg: HnswConfig,
@@ -129,19 +225,38 @@ impl HnswIndex {
             obs::span_us_bounded("unimatch_ann_build_us", "index=\"hnsw\"", obs::BUILD_BOUNDS_US);
         let n = store.rows();
         assert!(n > 0, "cannot build HNSW over an empty set");
+        // every level is drawn before the first insert, which draws
+        // nothing, so the stream is the one an interleaved build reads
+        let ml = 1.0 / (cfg.m as f64).ln();
+        let levels: Vec<usize> = (0..n)
+            .map(|_| (-rng.gen_range(f64::EPSILON..1.0).ln() * ml).floor() as usize)
+            .collect();
+        let mut upper_first = Vec::with_capacity(n + 1);
+        upper_first.push(0u32);
+        let mut upper_rows = 0usize;
+        for &level in &levels {
+            upper_rows += level;
+            upper_first.push(u32::try_from(upper_rows).expect("upper rows fit u32"));
+        }
+
         let mut index = HnswIndex {
             store,
-            nodes: Vec::with_capacity(n),
+            layer0: Rows::new(n, 2 * cfg.m),
+            upper: Rows::new(upper_rows, cfg.m),
+            upper_first,
             entry: 0,
-            max_layer: 0,
+            max_layer: levels[0],
             cfg,
             scratches: Mutex::new(Vec::new()),
         };
+        let mut scores = EdgeScores {
+            layer0: vec![0.0; index.layer0.ids.len()],
+            upper: vec![0.0; index.upper.ids.len()],
+            sorter: Vec::new(),
+        };
         let mut scratch = Scratch::default();
-        let ml = 1.0 / (cfg.m as f64).ln();
-        for r in 0..n {
-            let level = (-rng.gen_range(f64::EPSILON..1.0).ln() * ml).floor() as usize;
-            index.insert(r as u32, level, &mut scratch);
+        for (r, &level) in levels.iter().enumerate().skip(1) {
+            index.insert(&mut scores, r as u32, level, &mut scratch);
         }
         // the first search starts warm
         index.check_in(scratch);
@@ -159,6 +274,15 @@ impl HnswIndex {
         self.cfg.ef_search = ef_search;
     }
 
+    /// Bytes of the graph: layer-0 slots and lengths, upper-layer slots
+    /// and lengths, and the per-node index into the upper rows. Every
+    /// array is allocated at its final length, so this is what the graph
+    /// holds, to the byte; the store and the walk scratches are not in it.
+    pub fn graph_bytes(&self) -> usize {
+        let index = std::mem::size_of_val(self.upper_first.as_slice());
+        self.layer0.bytes() + self.upper.bytes() + index
+    }
+
     /// The entry node and the top layer (graph-pinning tests).
     #[doc(hidden)]
     pub fn entry_point(&self) -> (u32, usize) {
@@ -167,8 +291,24 @@ impl HnswIndex {
 
     /// Node `node`'s neighbour lists, layer 0 first (graph-pinning tests).
     #[doc(hidden)]
-    pub fn neighbour_lists(&self, node: usize) -> &[Vec<u32>] {
-        &self.nodes[node].neighbours
+    pub fn neighbour_lists(&self, node: usize) -> Vec<Vec<u32>> {
+        let level = (self.upper_first[node + 1] - self.upper_first[node]) as usize;
+        (0..=level).map(|l| self.neighbours(node as u32, l).to_vec()).collect()
+    }
+
+    /// Node `id`'s neighbours on `layer`; empty above its level.
+    #[inline]
+    fn neighbours(&self, id: u32, layer: usize) -> &[u32] {
+        let id = id as usize;
+        if layer == 0 {
+            return self.layer0.get(id);
+        }
+        let row = self.upper_first[id] as usize + layer - 1;
+        if row < self.upper_first[id + 1] as usize {
+            self.upper.get(row)
+        } else {
+            &[]
+        }
     }
 
     fn free_list(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
@@ -212,10 +352,7 @@ impl HnswIndex {
             if score < best.threshold() {
                 break;
             }
-            if layer >= self.nodes[id as usize].neighbours.len() {
-                continue;
-            }
-            for &nb in &self.nodes[id as usize].neighbours[layer] {
+            for &nb in self.neighbours(id, layer) {
                 if scratch.visit(nb) {
                     *visited_count += 1;
                     let s = self.score(q, nb);
@@ -229,15 +366,7 @@ impl HnswIndex {
         best.into_sorted()
     }
 
-    fn insert(&mut self, id: u32, level: usize, scratch: &mut Scratch) {
-        let node = HnswNode { neighbours: vec![Vec::new(); level + 1] };
-        if self.nodes.is_empty() {
-            self.nodes.push(node);
-            self.entry = id;
-            self.max_layer = level;
-            return;
-        }
-        self.nodes.push(node);
+    fn insert(&mut self, scores: &mut EdgeScores, id: u32, level: usize, scratch: &mut Scratch) {
         // borrowed, not copied, when the store is f32
         let q = self.store.decode_row(id as usize);
 
@@ -256,27 +385,20 @@ impl HnswIndex {
         let top = level.min(self.max_layer);
         for l in (0..=top).rev() {
             let found = self.search_layer(scratch, &q, ep, self.cfg.ef_construction, l, &mut 0);
-            let m_max = if l == 0 { 2 * self.cfg.m } else { self.cfg.m };
-            let selected = found.iter().take(m_max).map(|h| h.id).filter(|&n| n != id);
-            for nb in selected {
-                self.nodes[id as usize].neighbours[l].push(nb);
-                let nb_list = &mut self.nodes[nb as usize].neighbours[l];
-                nb_list.push(id);
-                if nb_list.len() > m_max {
-                    // prune the neighbour's list back to its best m_max:
-                    // score each entry once, then the same stable sort
-                    // over the same scores a comparator would recompute
-                    let origin = self.store.decode_row(nb as usize);
-                    scratch.scored.clear();
-                    scratch.scored.extend(
-                        nb_list.iter().map(|&a| (self.store.score_row(&origin, a as usize), a)),
-                    );
-                    scratch.scored.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    nb_list.clear();
-                    nb_list.extend(scratch.scored.iter().take(m_max).map(|&(_, a)| a));
-                }
+            let (rows, slot_scores) = if l == 0 {
+                (&mut self.layer0, &mut scores.layer0)
+            } else {
+                (&mut self.upper, &mut scores.upper)
+            };
+            let upper_first = &self.upper_first;
+            let row_of = |node: u32| match l {
+                0 => node as usize,
+                _ => upper_first[node as usize] as usize + l - 1,
+            };
+            // an edge's score is the same bits from either end
+            for h in found.iter().take(rows.stride).filter(|h| h.id != id) {
+                rows.link(slot_scores, row_of(id), h.id, h.score, &mut scores.sorter);
+                rows.link(slot_scores, row_of(h.id), id, h.score, &mut scores.sorter);
             }
             if let Some(h) = found.first() {
                 ep = h.id;
@@ -323,23 +445,20 @@ struct ScoredId(f32, u32);
 impl Eq for ScoredId {}
 
 impl Ord for ScoredId {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(self.1.cmp(&other.1))
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal).then(self.1.cmp(&other.1))
     }
 }
 
 impl PartialOrd for ScoredId {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Retriever for HnswIndex {
     fn len(&self) -> usize {
-        self.nodes.len()
+        self.layer0.lens.len()
     }
 
     fn dim(&self) -> usize {
@@ -366,6 +485,7 @@ impl Retriever for HnswIndex {
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn unit_cloud(n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -427,6 +547,20 @@ mod tests {
         let q = unit_cloud(1, 8, 9);
         let hits = ix.search(&q, 10);
         assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
+    }
+
+    #[test]
+    fn graph_bytes_is_slots_lengths_and_the_upper_index() {
+        for (rows, m, seed) in [(1usize, 16usize, 30u64), (300, 4, 31), (900, 16, 32)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cfg = HnswConfig { m, ..HnswConfig::default() };
+            let ix = HnswIndex::build(unit_cloud(rows, 8, seed), 8, cfg, &mut rng);
+            let upper_rows: usize = (0..rows).map(|r| ix.neighbour_lists(r).len() - 1).sum();
+            // layer 0: 2m slots + a length per node; upper: m slots + a
+            // length per (node, layer ≥ 1); one index entry per node + 1
+            let want = rows * (2 * m * 4 + 4) + upper_rows * (m * 4 + 4) + (rows + 1) * 4;
+            assert_eq!(ix.graph_bytes(), want, "{rows} rows, m = {m}");
+        }
     }
 
     /// Hit ids, score bits and the visited count of one query.

@@ -9,7 +9,10 @@
 //! order, the entry point and the top layer are equal, and 50 queries
 //! return the same ids, the same score bits and the same visited count.
 //! The corpora carry duplicated rows, so score ties (the prune's stable
-//! sort, the beam's admission order) are exercised, not avoided.
+//! sort, the beam's admission order) are exercised, not avoided. A corpus
+//! drawn from six distinct rows makes nearly every prune a tie-break, and
+//! one `#[ignore]`d case, which `ci.sh` runs in release, pins the graph at
+//! the serving user tower's size.
 
 mod common;
 
@@ -18,7 +21,7 @@ use std::sync::Arc;
 use common::reference_hnsw::RefHnsw;
 use common::unit_cloud;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use unimatch_ann::{EmbeddingStore, HnswConfig, HnswIndex, RowFormat};
 
 const QUERIES: usize = 50;
@@ -87,6 +90,50 @@ fn shipped_graph_and_walks_equal_the_reference_builder() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn a_corpus_of_few_distinct_rows_builds_the_reference_graph() {
+    // 300 rows drawn from 6 vectors: most edge scores tie, so nearly every
+    // prune decides between equal scores by list order alone
+    const ROWS: usize = 300;
+    const DISTINCT: usize = 6;
+    let mut cases = 0u64;
+    for dim in [2usize, 16] {
+        for m in [4usize, 16] {
+            for ef_construction in [8usize, 100] {
+                cases += 1;
+                let palette = unit_cloud(DISTINCT, dim, 2_000 + cases);
+                let mut rng = StdRng::seed_from_u64(cases);
+                let mut data = Vec::with_capacity(ROWS * dim);
+                for _ in 0..ROWS {
+                    let v = rng.gen_range(0..DISTINCT);
+                    data.extend_from_slice(&palette[v * dim..(v + 1) * dim]);
+                }
+                let f32_store = EmbeddingStore::from_vec(data, dim);
+                let i8_store = Arc::new(f32_store.quantize(RowFormat::I8));
+                let cfg = HnswConfig { m, ef_construction, ..HnswConfig::default() };
+                for (name, store) in [("f32", Arc::new(f32_store)), ("i8", i8_store)] {
+                    let case =
+                        format!("case {cases}: {name} dim={dim} m={m} ef_c={ef_construction}");
+                    assert_same_index(&store, cfg, 3_000 + cases, &case);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore = "serving scale: run in release, as ci.sh does"]
+fn the_user_tower_sized_graph_equals_the_reference_builder() {
+    // the serving user tower's shape: at 17 443 rows the upper layers are
+    // deeper than any case above reaches
+    let (rows, dim) = (17_443, 16);
+    let whole = EmbeddingStore::from_vec(corpus(rows, dim, 4_000), dim);
+    let i8_store = Arc::new(whole.quantize(RowFormat::I8));
+    for (name, store) in [("f32", Arc::new(whole)), ("i8", i8_store)] {
+        assert_same_index(&store, HnswConfig::default(), 4_001, &format!("{name} rows={rows}"));
     }
 }
 
