@@ -68,7 +68,7 @@ pub fn embed_histories(model: &TwoTower, histories: &[&[u32]], max_seq_len: usiz
     let chunks = par_map_indexed(n_chunks, work, |ci| {
         let chunk = &histories[ci * EMBED_CHUNK..((ci + 1) * EMBED_CHUNK).min(histories.len())];
         let batch = SeqBatch::from_histories(chunk, max_seq_len);
-        model.infer_users(&batch).data().to_vec()
+        model.infer_users(&batch).into_vec()
     });
     let mut out = Vec::with_capacity(histories.len() * d);
     for chunk in chunks {

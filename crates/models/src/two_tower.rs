@@ -12,7 +12,7 @@ use crate::config::ModelConfig;
 use crate::extractors::ExtractorParams;
 use rand::Rng;
 use unimatch_data::SeqBatch;
-use unimatch_tensor::{init, Graph, ParamId, ParamSet, Tensor, Var};
+use unimatch_tensor::{dot, init, Graph, ParamId, ParamSet, Tensor, Var};
 
 /// Epsilon floor for L2 normalization.
 const NORM_EPS: f32 = 1e-12;
@@ -102,11 +102,65 @@ impl TwoTower {
         g.scale(dots, 1.0 / self.cfg.temperature)
     }
 
-    /// Inference: normalized user embeddings for a batch, off-graph.
+    /// Inference: the user tower's `[B, d]` output for a batch.
+    ///
+    /// The production tower, [`ContextExtractor::YoutubeDnn`] with
+    /// [`Aggregator::Mean`], runs without a tape: a direct masked mean of
+    /// the item-table rows, then the L2 normalization, in the float order
+    /// of [`TwoTower::user_tower`]'s ops, so its bits equal the tape's.
+    /// Every other tower runs [`TwoTower::user_tower`] on a fresh [`Graph`].
+    ///
+    /// [`ContextExtractor::YoutubeDnn`]: crate::config::ContextExtractor::YoutubeDnn
+    /// [`Aggregator::Mean`]: crate::config::Aggregator::Mean
     pub fn infer_users(&self, batch: &SeqBatch) -> Tensor {
-        let mut g = Graph::new();
-        let u = self.user_tower(&mut g, batch);
-        g.value(u).clone()
+        match (&self.extractor, &self.aggregator) {
+            (ExtractorParams::YoutubeDnn, AggregatorParams::Mean) => self.infer_mean_users(batch),
+            _ => {
+                let mut g = Graph::new();
+                let u = self.user_tower(&mut g, batch);
+                g.value(u).clone()
+            }
+        }
+    }
+
+    /// [`TwoTower::infer_users`] for the identity extractor and mean
+    /// aggregator: per row, `scale_rows` then `mean_pool_masked` then
+    /// `l2_normalize_rows`, fused and with no intermediate tensor.
+    fn infer_mean_users(&self, batch: &SeqBatch) -> Tensor {
+        let table = self.params.get(self.item_table);
+        let (vocab, d) = (table.shape().dim(0), table.shape().dim(1));
+        let (b, l) = (batch.b, batch.l);
+        assert_eq!(batch.indices.len(), b * l, "indices must be [B,L]");
+        assert_eq!(batch.mask.len(), b * l, "mask must be [B,L]");
+        let mut data = vec![0.0f32; b * d];
+        for (bi, out) in data.chunks_mut(d).enumerate() {
+            let ixs = &batch.indices[bi * l..(bi + 1) * l];
+            let mask = &batch.mask[bi * l..(bi + 1) * l];
+            for &ix in ixs {
+                assert!((ix as usize) < vocab, "embedding index {ix} out of vocab {vocab}");
+            }
+            let cnt: f32 = mask.iter().sum();
+            if cnt == 0.0 {
+                continue;
+            }
+            for (&ix, &m) in ixs.iter().zip(mask) {
+                if m > 0.5 {
+                    for (o, &v) in out.iter_mut().zip(table.row(ix as usize)) {
+                        *o += v * m;
+                    }
+                }
+            }
+            for o in out.iter_mut() {
+                *o /= cnt;
+            }
+            if self.cfg.normalize {
+                let n = dot(out, out).sqrt().max(NORM_EPS);
+                for o in out.iter_mut() {
+                    *o /= n;
+                }
+            }
+        }
+        Tensor::from_vec([b, d], data)
     }
 
     /// Inference: the full item-embedding matrix `[K, d]` (normalized per
@@ -209,14 +263,65 @@ mod tests {
         }
     }
 
+    /// A random history batch over `num_items` with, beside random rows, a
+    /// padded row, a row longer than `max_seq_len` and a row of repeats.
+    fn random_batch(rng: &mut impl Rng, num_items: usize, max_seq_len: usize) -> SeqBatch {
+        let items = num_items as u32;
+        let mut histories: Vec<Vec<u32>> = (0..rng.gen_range(0..6))
+            .map(|_| {
+                let len = rng.gen_range(1..2 * max_seq_len + 1);
+                (0..len).map(|_| rng.gen_range(0..items)).collect()
+            })
+            .collect();
+        histories.push(vec![rng.gen_range(0..items)]);
+        let long = max_seq_len + rng.gen_range(1..4);
+        histories.push((0..long).map(|_| rng.gen_range(0..items)).collect());
+        let (x, y) = (rng.gen_range(0..items), rng.gen_range(0..items));
+        histories.push(vec![x, y, x]);
+        let refs: Vec<&[u32]> = histories.iter().map(|h| h.as_slice()).collect();
+        SeqBatch::from_histories(&refs, max_seq_len)
+    }
+
     #[test]
     fn inference_matches_graph_forward() {
+        // The direct production forward must equal the tape bit for bit;
+        // every tower is checked so the dispatch cannot drift either.
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut n = 0u64;
+        for extractor in ContextExtractor::ALL {
+            for aggregator in Aggregator::ALL {
+                for normalize in [true, false] {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(n);
+                    let cfg = ModelConfig {
+                        num_items: rng.gen_range(2..30),
+                        embed_dim: rng.gen_range(2..12),
+                        max_seq_len: rng.gen_range(3..8),
+                        extractor,
+                        aggregator,
+                        temperature: 0.2,
+                        normalize,
+                    };
+                    let m = TwoTower::new(cfg.clone(), &mut rng);
+                    // a zero-count row (its length kept at 1 for last
+                    // pooling) and mask values off {0, 1}: 0.5 sits on
+                    // the pooling threshold, and the count becomes 2.25
+                    let l = cfg.max_seq_len;
+                    let mut odd = SeqBatch::from_histories(&[&[1, 0, 1][..], &[0][..]], l);
+                    odd.mask[l..].fill(0.0);
+                    odd.mask[1] = 0.75;
+                    odd.mask[2] = 0.5;
+                    for b in [random_batch(&mut rng, cfg.num_items, l), odd] {
+                        let mut g = Graph::new();
+                        let u = m.user_tower(&mut g, &b);
+                        let inferred = m.infer_users(&b);
+                        assert_eq!(inferred.shape(), g.value(u).shape(), "case {n}: shape");
+                        assert_eq!(bits(&inferred), bits(g.value(u)), "case {n}: {cfg:?}");
+                    }
+                    n += 1;
+                }
+            }
+        }
         let m = model(ContextExtractor::Cnn { kernel: 3 }, Aggregator::Attention);
-        let b = batch();
-        let inferred = m.infer_users(&b);
-        let mut g = Graph::new();
-        let u = m.user_tower(&mut g, &b);
-        assert_eq!(g.value(u).data(), inferred.data());
         let items = m.infer_items();
         assert_eq!(items.shape().dims(), &[10, 8]);
         for r in 0..10 {

@@ -170,6 +170,12 @@ catalogue! {
     DegradedResponses = "unimatch_degraded_responses_total", "reason", &["shard", "brownout"], Kind::Counter, Owned;
     /// Version of the served snapshot.
     ModelVersion = "unimatch_model_version", "", NONE, Kind::Sampled, Owned;
+    /// Resident set size of the process (`VmRSS`), bytes; 0 where
+    /// `/proc/self/status` is unreadable.
+    ResidentBytes = "unimatch_process_resident_bytes", "", NONE, Kind::Sampled, Process;
+    /// Peak resident set size of the process (`VmHWM`), bytes; 0 where
+    /// `/proc/self/status` is unreadable.
+    PeakResidentBytes = "unimatch_process_peak_resident_bytes", "", NONE, Kind::Sampled, Process;
     /// Fires of the armed fault plane (0 while disarmed).
     FaultsFired = "unimatch_faults_fired_total", "", NONE, Kind::Sampled, Process;
     /// Current brownout ladder level (0 without a ladder).
@@ -479,9 +485,20 @@ mod tests {
             !owned.contains("unimatch_shadow"),
             "the base exposition must stay shadow-free (shadow-off byte identity)"
         );
-        let process =
-            m.render(Section::Process, &[(Family::FaultsFired, 0.0), (Family::BrownoutLevel, 0.0)]);
-        assert_eq!(process, "unimatch_faults_fired_total 0\nunimatch_brownout_level 0\n");
+        let process = m.render(
+            Section::Process,
+            &[
+                (Family::ResidentBytes, 0.0),
+                (Family::PeakResidentBytes, 0.0),
+                (Family::FaultsFired, 0.0),
+                (Family::BrownoutLevel, 0.0),
+            ],
+        );
+        assert_eq!(
+            process,
+            "unimatch_process_resident_bytes 0\nunimatch_process_peak_resident_bytes 0\n\
+             unimatch_faults_fired_total 0\nunimatch_brownout_level 0\n"
+        );
     }
 
     #[test]

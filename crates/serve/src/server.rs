@@ -509,6 +509,21 @@ fn drain_estimate_secs(depth: usize, per_job_us: u64) -> u64 {
     (depth as u64).saturating_mul(per_job_us).div_ceil(1_000_000).clamp(1, 30)
 }
 
+/// This process's resident and peak resident bytes (`VmRSS`, `VmHWM`),
+/// read from `/proc/self/status` at scrape; 0 where it is unreadable.
+fn resident_bytes() -> (f64, f64) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    (status_bytes(&status, "VmRSS:"), status_bytes(&status, "VmHWM:"))
+}
+
+/// One `kB` field of a `/proc/<pid>/status` text, in bytes (0 if absent).
+fn status_bytes(status: &str, field: &str) -> f64 {
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix(field)?.trim().strip_suffix(" kB")?.parse::<u64>().ok())
+        .map_or(0.0, |kb| kb as f64 * 1024.0)
+}
+
 type Dispatch = (Option<Route>, u16, &'static str, Vec<u8>);
 
 fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
@@ -574,11 +589,17 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatch {
             let version = shared.handle.version() as f64;
             let mut text = m.render(Section::Owned, &[(Family::ModelVersion, version)]);
             text.push_str(&unimatch_obs::registry::render());
+            let (resident, peak) = resident_bytes();
             let fired = unimatch_faults::fired_total() as f64;
             let level = shared.brownout.as_ref().map_or(0, |b| b.level()) as f64;
             text.push_str(&m.render(
                 Section::Process,
-                &[(Family::FaultsFired, fired), (Family::BrownoutLevel, level)],
+                &[
+                    (Family::ResidentBytes, resident),
+                    (Family::PeakResidentBytes, peak),
+                    (Family::FaultsFired, fired),
+                    (Family::BrownoutLevel, level),
+                ],
             ));
             if let Some(sh) = &shared.shadow {
                 let (rate, version) = (sh.state.sample_rate(), sh.handle.version() as f64);
@@ -729,7 +750,16 @@ fn route_reload(request: &Request, shared: &Shared) -> Dispatch {
 
 #[cfg(test)]
 mod tests {
-    use super::drain_estimate_secs;
+    use super::{drain_estimate_secs, status_bytes};
+
+    #[test]
+    fn status_fields_read_as_bytes_and_missing_ones_as_zero() {
+        let status = "Name:\tserve\nVmHWM:\t  102400 kB\nVmRSS:\t   51200 kB\n";
+        assert_eq!(status_bytes(status, "VmRSS:"), 51_200.0 * 1024.0);
+        assert_eq!(status_bytes(status, "VmHWM:"), 102_400.0 * 1024.0);
+        assert_eq!(status_bytes(status, "VmSwap:"), 0.0);
+        assert_eq!(status_bytes("", "VmRSS:"), 0.0);
+    }
 
     #[test]
     fn retry_after_scales_with_backlog_within_clamps() {

@@ -4,7 +4,9 @@
 //! assembled the way the `GET /metrics` arm assembles a scrape minus the
 //! process-global registry block — owned series, fault and brownout
 //! gauges, shadow section. The catalogue must reproduce it byte for byte:
-//! names, labels, order, number formatting.
+//! names, labels, order, number formatting. The two resident-bytes
+//! gauges came later and were added to the file by hand, with the
+//! scripted values below.
 
 use unimatch_serve::metrics::{Family, Metrics, Section};
 
@@ -52,7 +54,12 @@ fn scripted_observations_render_the_parent_bytes() {
     let mut text = m.render(Section::Owned, &[(Family::ModelVersion, 7.0)]);
     text.push_str(&m.render(
         Section::Process,
-        &[(Family::FaultsFired, 2.0), (Family::BrownoutLevel, 1.0)],
+        &[
+            (Family::ResidentBytes, 52_428_800.0),
+            (Family::PeakResidentBytes, 104_857_600.0),
+            (Family::FaultsFired, 2.0),
+            (Family::BrownoutLevel, 1.0),
+        ],
     ));
     text.push_str(&m.render(
         Section::Shadow,

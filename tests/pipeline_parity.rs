@@ -29,9 +29,12 @@ use unimatch::core::{
     load_checkpoint, save_model_with_marginals, DegradeOptions, FittedUniMatch,
     MatchPipeline, RerankConfig, RetrieverKind, RowFormat, UniMatch, UniMatchConfig,
 };
-use unimatch::data::{DatasetProfile, InteractionLog};
+use unimatch::data::{DatasetProfile, InteractionLog, SeqBatch};
+use unimatch::models::{Aggregator, ContextExtractor};
+use unimatch::tensor::Graph;
 
 const SEED: u64 = 42;
+const MAX_SEQ_LEN: usize = 8;
 const FULL_CHAIN: &str = "debias@0.5,mmr@0.3,explore@0.1";
 
 fn base_config(
@@ -42,7 +45,7 @@ fn base_config(
 ) -> UniMatchConfig {
     UniMatchConfig {
         epochs_per_month: 1,
-        max_seq_len: 8,
+        max_seq_len: MAX_SEQ_LEN,
         seed: SEED,
         retriever: kind,
         shards,
@@ -151,17 +154,26 @@ fn item_pipeline_runners_equal_the_composed_stages() {
             assert_hits_bitwise(&pipeline.run_one(&query, k), &want, &format!("{site} run_one"));
         }
 
-        // batched: embed → run, and each batch row equals its single
+        // batched: embed → run, and each batch row equals its single and
+        // the autodiff tape's forward (the production tower infers
+        // without the tape, so the tape is the reference here)
         let queries = pipeline.embed(&refs);
         let want = pipeline.run(&queries, k);
         let d = pipeline.dim();
+        let model = &fitted.model;
+        assert_eq!(
+            (model.config().extractor, model.config().aggregator),
+            (ContextExtractor::YoutubeDnn, Aggregator::Mean),
+            "{site}: the fixture must be the production tower"
+        );
+        let mut graph = Graph::new();
+        let tape = model.user_tower(&mut graph, &SeqBatch::from_histories(&refs, MAX_SEQ_LEN));
+        let tape = graph.value(tape);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (i, h) in refs.iter().enumerate() {
             let row = &queries[i * d..(i + 1) * d];
-            assert_eq!(
-                pipeline.embed_one(h).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{site}: embed row {i} vs embed_one"
-            );
+            assert_eq!(bits(&pipeline.embed_one(h)), bits(row), "{site}: embed row {i} vs embed_one");
+            assert_eq!(bits(tape.row(i)), bits(row), "{site}: embed row {i} vs the tape");
             assert_hits_bitwise(
                 &pipeline.run_one(row, k),
                 &want[i],
