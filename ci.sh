@@ -17,7 +17,8 @@
 #    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names
 #    and the OPERATIONS.md Metrics table agree all ways); then, in
 #    release, the one `#[ignore]`d HNSW graph pin, at the serving user
-#    tower's size (17 443 × 16), against the reference builder
+#    tower's size (17 443 × 16), against the reference builder, and the
+#    `#[ignore]`d 1 M-case JSON number loop against the text-only scanner
 # 3. the faults-disabled overhead assertion, with its measurement printed
 # 4. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an
@@ -52,6 +53,9 @@ cargo test -q --workspace --exclude unimatch-benchmark
 
 echo "==> HNSW graph pin at serving scale (release)"
 cargo test -q --release -p unimatch-ann --test hnsw_graph -- --ignored
+
+echo "==> JSON number reading, 1 M cases against the text-only scanner (release)"
+cargo test -q --release -p unimatch-data --test json_numbers -- --ignored
 
 echo "==> disarmed fault-point overhead (measurement printed)"
 # `overhead` pins the no-op contract: a disarmed injection point must

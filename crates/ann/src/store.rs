@@ -2,7 +2,7 @@
 //!
 //! [`EmbeddingStore`] owns a row-major matrix in a 32-byte-aligned
 //! allocation (one cache-line-friendly, SIMD-ready block) plus an
-//! optional id↔row mapping for corpora whose external ids are not dense
+//! optional row → id list for corpora whose external ids are not dense
 //! row indices (e.g. the user pool's user ids). Indexes hold the store
 //! behind an `Arc`, so brute force and HNSW built over the same
 //! embeddings share one arena instead of two private copies.
@@ -22,7 +22,6 @@
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -165,16 +164,7 @@ impl Drop for AlignedBuf {
     }
 }
 
-/// Row ↔ external-id mapping for stores whose rows are not identified by
-/// their own index (kept out of the hot path: searches speak row ids,
-/// translation happens once per returned hit).
-#[derive(Clone, Debug, Default)]
-struct IdMap {
-    row_to_id: Vec<u32>,
-    id_to_row: HashMap<u32, u32>,
-}
-
-/// An aligned, row-major embedding matrix with id↔row mapping — either a
+/// An aligned, row-major embedding matrix with a row → id list — either a
 /// whole arena or a zero-copy row-range *view* into one, in any
 /// [`RowFormat`].
 ///
@@ -204,7 +194,10 @@ pub struct EmbeddingStore {
     /// indexed by absolute row (`I8` only; empty otherwise). Shared by
     /// views, like the arena itself.
     params: Arc<Vec<[f32; 2]>>,
-    ids: Option<IdMap>,
+    /// External id of each row, for stores whose rows are not identified
+    /// by their own index (kept out of the hot path: searches speak row
+    /// ids, translation happens once per returned hit).
+    ids: Option<Vec<u32>>,
 }
 
 impl EmbeddingStore {
@@ -250,12 +243,13 @@ impl EmbeddingStore {
     /// and one per row.
     pub fn set_ids(&mut self, ids: Vec<u32>) {
         assert_eq!(ids.len(), self.rows(), "one id per row");
-        let mut id_to_row = HashMap::with_capacity(ids.len());
-        for (r, &id) in ids.iter().enumerate() {
-            let prev = id_to_row.insert(id, r as u32);
-            assert!(prev.is_none(), "duplicate store id {id}");
+        // a user pool's ids arrive sorted, which the sort sees in one pass
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            panic!("duplicate store id {}", w[0]);
         }
-        self.ids = Some(IdMap { row_to_id: ids, id_to_row });
+        self.ids = Some(ids);
     }
 
     /// Number of rows.
@@ -483,15 +477,16 @@ impl EmbeddingStore {
     /// is attached).
     pub fn id_of_row(&self, row: usize) -> u32 {
         match &self.ids {
-            Some(map) => map.row_to_id[row],
+            Some(ids) => ids[row],
             None => row as u32,
         }
     }
 
-    /// The row holding external id `id`, if present.
+    /// The row holding external id `id`, if present: a scan of the ids,
+    /// since nothing on a serving path asks.
     pub fn row_of_id(&self, id: u32) -> Option<usize> {
         match &self.ids {
-            Some(map) => map.id_to_row.get(&id).map(|&r| r as usize),
+            Some(ids) => ids.iter().position(|&x| x == id),
             None => ((id as usize) < self.rows()).then_some(id as usize),
         }
     }

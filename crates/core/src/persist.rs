@@ -3,8 +3,16 @@
 //! The incremental-training story of Sec. III-B3 only works in production
 //! if last month's parameters survive to this month: a bundle of
 //! `(ModelConfig, ParamSet)` is serialized as JSON (human-inspectable,
-//! diff-able; the models are small enough — tens of thousands of floats —
-//! that a binary format buys nothing).
+//! diff-able). A binary format would buy at most the parse: the
+//! benchmark's train-month checkpoint (562 KB, 51 209 numbers) loads in
+//! about 2.3 ms on a 2-vCPU Xeon — read 0.08, parse 1.6 with the numbers
+//! converted in the scan, decode and checksums 0.3, item store and
+//! marginals 0.3 — of an exact deployment's ~5.5 ms build
+//! (`docs/PERFORMANCE.md`, *Set-up*).
+//!
+//! A load draws nothing at random: the model is built around the parsed
+//! tensors ([`TwoTower::from_params`]), so a config is only ever compared
+//! against tensors that exist and cannot size an allocation by itself.
 //!
 //! Serialization is hand-rolled over [`unimatch_data::json`], the
 //! workspace's only JSON codec. The emitted document has the shape
@@ -41,8 +49,6 @@
 //! flips a bit in the bytes read from disk (exercising the checksum).
 
 use crate::framework::item_store_of;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -53,7 +59,7 @@ use unimatch_data::json::Json;
 use unimatch_data::Marginals;
 use unimatch_faults::FaultPoint;
 use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
-use unimatch_tensor::Tensor;
+use unimatch_tensor::{Param, Tensor};
 
 const FORMAT_VERSION: u64 = 2;
 /// Identifies a checkpoint file as ours before any schema is assumed.
@@ -94,12 +100,21 @@ impl Fnv {
     }
 }
 
-/// Checksums the model's *values* — config fields, parameter names,
-/// shapes, and exact f32 bit patterns — independent of JSON formatting.
-/// Computed from the in-memory model on both the save and load side, so
-/// any corruption that survives parsing and architecture validation
-/// still has to reproduce this hash to go unnoticed.
-fn checksum_model(model: &TwoTower) -> u64 {
+/// A model's two value checksums, independent of JSON formatting.
+struct Checksums {
+    /// Config fields, parameter names, shapes, and exact f32 bit patterns.
+    model: u64,
+    /// Name, shape and bit patterns of the item table alone: the
+    /// embedding section.
+    embedding: u64,
+}
+
+/// Both checksums in one pass over the parameters, the item table read
+/// once for the two. Computed from the in-memory model on both the save
+/// and load side, so any corruption that survives parsing and
+/// architecture validation still has to reproduce both hashes to go
+/// unnoticed.
+fn checksums(model: &TwoTower) -> Checksums {
     let cfg = model.config();
     let mut h = Fnv::new();
     h.u64(cfg.num_items as u64);
@@ -123,17 +138,28 @@ fn checksum_model(model: &TwoTower) -> u64 {
     });
     h.u64(cfg.temperature.to_bits() as u64);
     h.u64(cfg.normalize as u64);
-    for (_, p) in model.params.iter() {
+    let mut e = Fnv::new();
+    e.update(EMBEDDING_PARAM.as_bytes());
+    e.update(&[0xff]);
+    for (id, p) in model.params.iter() {
+        let table = id == model.item_table();
         h.update(p.name.as_bytes());
         h.update(&[0xff]);
         for &d in p.value.shape().dims() {
             h.u64(d as u64);
+            if table {
+                e.u64(d as u64);
+            }
         }
         for &x in p.value.data() {
-            h.update(&x.to_bits().to_le_bytes());
+            let bits = x.to_bits().to_le_bytes();
+            h.update(&bits);
+            if table {
+                e.update(&bits);
+            }
         }
     }
-    h.0
+    Checksums { model: h.0, embedding: e.0 }
 }
 
 /// Checksums the optional marginals section — floors, lengths, and the
@@ -214,37 +240,20 @@ pub(crate) fn model_to_json_value(model: &TwoTower) -> Json {
             })
             .collect(),
     );
-    let embedding_checksum = embedding_checksum_of(model);
+    let sums = checksums(model);
     Json::obj(vec![
         ("magic", Json::str(MAGIC)),
         ("format_version", Json::int(FORMAT_VERSION as usize)),
         ("config", config),
         ("params", Json::obj(vec![("params", params)])),
-        ("embedding_checksum", Json::str(format!("{embedding_checksum:016x}"))),
-        ("checksum", Json::str(format!("{:016x}", checksum_model(model)))),
+        ("embedding_checksum", Json::str(format!("{:016x}", sums.embedding))),
+        ("checksum", Json::str(format!("{:016x}", sums.model))),
     ])
 }
 
 /// Serializes a model to JSON bytes.
 pub fn model_to_json(model: &TwoTower) -> Vec<u8> {
     model_to_json_value(model).to_bytes()
-}
-
-/// The embedding-section checksum of an in-memory model — name, shape
-/// and raw f32 bit patterns of the item table alone. It is the value a
-/// v2 save writes as `embedding_checksum` and the one a load verifies.
-fn embedding_checksum_of(model: &TwoTower) -> u64 {
-    let table = model.params.get(model.item_table());
-    let mut h = Fnv::new();
-    h.update(EMBEDDING_PARAM.as_bytes());
-    h.update(&[0xff]);
-    for &d in table.shape().dims() {
-        h.u64(d as u64);
-    }
-    for &x in table.data() {
-        h.update(&x.to_bits().to_le_bytes());
-    }
-    h.0
 }
 
 fn f32_array(xs: &[f32]) -> Json {
@@ -365,8 +374,9 @@ pub(crate) fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
             _ => x.as_f32().ok_or_else(|| bad("bad tensor element")),
         })
         .collect::<io::Result<_>>()?;
-    let numel: usize = shape.iter().product();
-    if shape.is_empty() || shape.contains(&0) || numel != data.len() {
+    // checked: stored dims whose product wraps must not pass for a match
+    let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    if shape.is_empty() || shape.contains(&0) || numel != Some(data.len()) {
         return Err(bad(format!(
             "tensor shape {shape:?} does not match {} data elements",
             data.len()
@@ -375,12 +385,14 @@ pub(crate) fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
     Ok(Tensor::from_vec(shape.as_slice(), data))
 }
 
-/// Reconstructs a model from a parsed checkpoint document: rebuilds the
-/// architecture from the stored config (parameter registration order is
-/// deterministic), then verifies every stored parameter matches the
-/// rebuilt structure by name and shape — and is finite — before swapping
-/// it in. Format-v2 documents additionally have their magic string and
-/// value checksum verified; v1 documents load without a checksum.
+/// Reconstructs a model from a parsed checkpoint document: every stored
+/// parameter is decoded and checked finite, then the architecture of the
+/// stored config is built around them ([`TwoTower::from_params`]), which
+/// checks each by name and shape in registration order. Nothing is drawn
+/// at random, and nothing the config sizes is allocated before a parsed
+/// tensor of that size exists, so a hostile config is an error, never an
+/// allocation. Format-v2 documents additionally have their magic string
+/// and value checksum verified; v1 documents load without a checksum.
 pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
     let version = field(doc, "format_version")?
         .as_u64()
@@ -428,41 +440,29 @@ pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
         .as_array()
         .ok_or_else(|| bad("params is not an array"))?;
 
-    // the RNG only initializes weights we immediately overwrite
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut model = TwoTower::new(config, &mut rng);
-    if model.params.len() != stored.len() {
-        return Err(bad(format!(
-            "checkpoint has {} parameters, architecture expects {}",
-            stored.len(),
-            model.params.len()
-        )));
-    }
-    for (fresh, entry) in model.params.ids().zip(stored.iter()) {
-        let name = field(entry, "name")?
-            .as_str()
-            .ok_or_else(|| bad("parameter name is not a string"))?;
-        let value = tensor_from_json(field(entry, "value")?)?;
-        let expected_name = model.params.name(fresh);
-        let expected_shape = model.params.shape(fresh).clone();
-        if expected_name != name || &expected_shape != value.shape() {
-            return Err(bad(format!(
-                "checkpoint parameter {name} {} does not match architecture {expected_name} {expected_shape}",
-                value.shape(),
-            )));
-        }
-        if let Some(x) = value.data().iter().find(|x| !x.is_finite()) {
-            return Err(bad(format!(
-                "checkpoint parameter {name} contains non-finite value {x}"
-            )));
-        }
-        *model.params.get_mut(fresh) = value;
-    }
+    let params = stored
+        .iter()
+        .map(|entry| {
+            let name = field(entry, "name")?
+                .as_str()
+                .ok_or_else(|| bad("parameter name is not a string"))?;
+            let value = tensor_from_json(field(entry, "value")?)?;
+            if let Some(x) = value.data().iter().find(|x| !x.is_finite()) {
+                return Err(bad(format!(
+                    "checkpoint parameter {name} contains non-finite value {x}"
+                )));
+            }
+            Ok(Param { name: name.to_string(), value })
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let model = TwoTower::from_params(config, params)
+        .map_err(|e| bad(format!("checkpoint does not fit its config: {e}")))?;
+    let sums = checksums(&model);
     if checked {
         let stored_sum = field(doc, "checksum")?
             .as_str()
             .ok_or_else(|| bad("checksum is not a string"))?;
-        let computed = format!("{:016x}", checksum_model(&model));
+        let computed = format!("{:016x}", sums.model);
         if stored_sum != computed {
             return Err(bad(format!(
                 "checkpoint checksum mismatch: stored {stored_sum}, computed {computed} — file is corrupted"
@@ -481,7 +481,7 @@ pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
     if let Some(stored) = embedding_sum {
         let stored_sum =
             stored.as_str().ok_or_else(|| bad("embedding_checksum is not a string"))?;
-        let computed = format!("{:016x}", embedding_checksum_of(&model));
+        let computed = format!("{:016x}", sums.embedding);
         if stored_sum != computed {
             return Err(bad(format!(
                 "embedding section checksum mismatch: stored {stored_sum}, computed {computed}"
@@ -680,6 +680,8 @@ pub(crate) fn retry_load<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
     use unimatch_data::SeqBatch;
@@ -1138,6 +1140,10 @@ mod tests {
     }
 
     // ---- row formats and parent-era documents ------------------------------
+
+    fn embedding_checksum_of(model: &TwoTower) -> u64 {
+        checksums(model).embedding
+    }
 
     /// Bitwise equality of two stores through their public decode surface:
     /// same format + params + decoded bits ⇒ same code bytes.

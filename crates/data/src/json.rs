@@ -20,6 +20,15 @@
 //! string produced from an `f32`, because the shortest representation
 //! uniquely identifies the original value.
 //!
+//! Number reading: the scan that checks a number's grammar also builds its
+//! decimal mantissa and exponent. When the mantissa is below 2^53 and the
+//! exponent within ±22 — every id, and nearly every float a checkpoint
+//! holds — both are exact `f64`s and one IEEE multiply or divide gives the
+//! correctly rounded value (Clinger's fast path), so the bits equal
+//! `str::parse::<f64>`'s without reading the text again. Any other number
+//! goes to `str::parse`. `tests/json_numbers.rs` pins both paths, and
+//! every error offset and message, against the text-only scanner.
+//!
 //! ```
 //! use unimatch_data::json::Json;
 //!
@@ -439,14 +448,23 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    /// The next byte if it is a decimal digit, consumed.
+    fn digit(&mut self) -> Option<u8> {
+        let d = self.peek().filter(u8::is_ascii_digit)?;
+        self.pos += 1;
+        Some(d - b'0')
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let mut decimal = Decimal::default();
         let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        while let Some(d) = self.digit() {
+            decimal.push(d);
         }
         if self.pos == digits_start {
             return Err(self.err("expected digits"));
@@ -454,8 +472,9 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'.') {
             self.pos += 1;
             let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            while let Some(d) = self.digit() {
+                decimal.push(d);
+                decimal.exp10 -= 1;
             }
             if self.pos == frac_start {
                 return Err(self.err("expected digits after decimal point"));
@@ -463,16 +482,23 @@ impl<'a> Parser<'a> {
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
+            let exp_negative = self.peek() == Some(b'-');
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
             let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            let mut exp = 0i64;
+            while let Some(d) = self.digit() {
+                // saturates far past any f64 exponent; the fallback reads the text
+                exp = exp.saturating_mul(10).saturating_add(i64::from(d));
             }
             if self.pos == exp_start {
                 return Err(self.err("expected digits in exponent"));
             }
+            decimal.exp10 = decimal.exp10.saturating_add(if exp_negative { -exp } else { exp });
+        }
+        if let Some(x) = decimal.exact_f64() {
+            return Ok(Json::Num(if negative { -x } else { x }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII");
@@ -481,6 +507,48 @@ impl<'a> Parser<'a> {
             message: "number out of range",
         })?;
         Ok(Json::Num(x))
+    }
+}
+
+/// Mantissas below this are exact in an `f64` (its 53-bit significand).
+const EXACT_MANTISSA: u64 = 1 << 53;
+
+/// `10^0 ..= 10^22`: every one is exact in an `f64`, because `5^22 < 2^53`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A number's magnitude as the scanner reads it: `mantissa × 10^exp10`.
+#[derive(Default)]
+struct Decimal {
+    /// The digits read so far as one integer, saturated to `u64::MAX`
+    /// once it can no longer be exact.
+    mantissa: u64,
+    exp10: i64,
+}
+
+impl Decimal {
+    /// Appends one digit (`0..=9`) to the mantissa. Leading zeros leave it
+    /// at 0.
+    fn push(&mut self, d: u8) {
+        self.mantissa = if self.mantissa < EXACT_MANTISSA {
+            self.mantissa * 10 + u64::from(d)
+        } else {
+            u64::MAX
+        };
+    }
+
+    /// Clinger's fast path: with the mantissa and `10^|exp10|` both exact,
+    /// one IEEE multiply or divide is the correctly rounded value, the
+    /// same bits `str::parse::<f64>` gives. `None` when it does not apply.
+    fn exact_f64(&self) -> Option<f64> {
+        if self.mantissa >= EXACT_MANTISSA {
+            return None;
+        }
+        let pow = *POW10.get(usize::try_from(self.exp10.unsigned_abs()).ok()?)?;
+        let m = self.mantissa as f64;
+        Some(if self.exp10 < 0 { m / pow } else { m * pow })
     }
 }
 

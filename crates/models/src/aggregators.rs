@@ -2,6 +2,7 @@
 //! context vectors (the aggregation layer of Fig. 2).
 
 use crate::config::Aggregator;
+use crate::registrar::{ArchitectureError, Registrar};
 use rand::Rng;
 use unimatch_tensor::{Graph, ParamId, ParamSet, Tensor, Var};
 
@@ -23,18 +24,21 @@ pub enum AggregatorParams {
 
 impl AggregatorParams {
     /// Registers parameters (if any) for the chosen aggregator.
-    pub fn new(kind: Aggregator, d: usize, params: &mut ParamSet, rng: &mut impl Rng) -> Self {
-        match kind {
+    pub(crate) fn register<R: Rng>(
+        kind: Aggregator,
+        d: usize,
+        reg: &mut Registrar<'_, R>,
+    ) -> Result<Self, ArchitectureError> {
+        Ok(match kind {
             Aggregator::Mean => AggregatorParams::Mean,
             Aggregator::Last => AggregatorParams::Last,
             Aggregator::Max => AggregatorParams::Max,
             Aggregator::Attention => AggregatorParams::Attention {
-                query: params.add(
-                    "agg.attn_query",
-                    Tensor::rand_normal([d], 0.0, 1.0 / (d as f32).sqrt(), rng),
-                ),
+                query: reg.add("agg.attn_query", &[d], |rng| {
+                    Tensor::rand_normal([d], 0.0, 1.0 / (d as f32).sqrt(), rng)
+                })?,
             },
-        }
+        })
     }
 
     /// Pools a context batch `ctx: [B,L,d]` into `[B,d]`.
@@ -74,8 +78,9 @@ mod tests {
 
     fn setup(kind: Aggregator) -> (Graph, Var) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut params = ParamSet::new();
-        let agg = AggregatorParams::new(kind, 4, &mut params, &mut rng);
+        let mut reg = Registrar::draw(&mut rng);
+        let agg = AggregatorParams::register(kind, 4, &mut reg).expect("registers");
+        let params = reg.finish().expect("drawn");
         let mut g = Graph::new();
         let ctx = g.input(Tensor::rand_uniform([2, 3, 4], -1.0, 1.0, &mut rng));
         let mask = vec![1., 1., 0., 1., 1., 1.];
@@ -97,8 +102,10 @@ mod tests {
         // With position 2 of row 0 masked, attention output must not depend
         // on its (random) content: perturb it and compare.
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut params = ParamSet::new();
-        let agg = AggregatorParams::new(Aggregator::Attention, 4, &mut params, &mut rng);
+        let mut reg = Registrar::draw(&mut rng);
+        let agg =
+            AggregatorParams::register(Aggregator::Attention, 4, &mut reg).expect("registers");
+        let params = reg.finish().expect("drawn");
         let mask = vec![1., 1., 0.];
         let base = Tensor::rand_uniform([1, 3, 4], -1.0, 1.0, &mut rng);
         let mut poked = base.clone();

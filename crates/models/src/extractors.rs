@@ -7,6 +7,7 @@
 //! corrupts the hidden state.
 
 use crate::config::ContextExtractor;
+use crate::registrar::{ArchitectureError, Registrar};
 use rand::Rng;
 use unimatch_tensor::{init, Graph, ParamId, ParamSet, Tensor, Var};
 
@@ -97,63 +98,80 @@ pub enum ExtractorParams {
 
 impl ExtractorParams {
     /// Registers the parameters for `kind` with embedding dim `d`.
-    pub fn new(
+    pub(crate) fn register<R: Rng>(
         kind: ContextExtractor,
         d: usize,
         max_seq_len: usize,
-        params: &mut ParamSet,
-        rng: &mut impl Rng,
-    ) -> Self {
-        match kind {
+        reg: &mut Registrar<'_, R>,
+    ) -> Result<Self, ArchitectureError> {
+        let square = |reg: &mut Registrar<'_, R>, name: &str| {
+            reg.add(name, &[d, d], |rng| init::recurrent_normal(d, d, rng))
+        };
+        let xavier = |reg: &mut Registrar<'_, R>, name: &str, rows: usize, cols: usize| {
+            reg.add(name, &[rows, cols], |rng| init::xavier_uniform(rows, cols, rng))
+        };
+        let vector = |reg: &mut Registrar<'_, R>, name: &str, len: usize, value: f32| {
+            reg.add(name, &[len], |_| Tensor::full([len], value))
+        };
+        Ok(match kind {
             ContextExtractor::YoutubeDnn => ExtractorParams::YoutubeDnn,
             ContextExtractor::Cnn { kernel } => {
-                assert!(kernel % 2 == 1, "CNN kernel must be odd for same padding");
+                if kernel % 2 != 1 {
+                    return Err(ArchitectureError::new(format!(
+                        "CNN kernel must be odd for same padding, not {kernel}"
+                    )));
+                }
                 ExtractorParams::Cnn {
-                    weight: params.add("cnn.weight", init::xavier_uniform_shaped([kernel, d, d], rng)),
-                    bias: params.add("cnn.bias", Tensor::zeros([d])),
+                    weight: reg.add("cnn.weight", &[kernel, d, d], |rng| {
+                        init::xavier_uniform_shaped([kernel, d, d], rng)
+                    })?,
+                    bias: vector(reg, "cnn.bias", d, 0.0)?,
                     kernel,
                 }
             }
             ContextExtractor::Gru => ExtractorParams::Gru {
-                w_xz: params.add("gru.w_xz", init::recurrent_normal(d, d, rng)),
-                w_hz: params.add("gru.w_hz", init::recurrent_normal(d, d, rng)),
-                w_xr: params.add("gru.w_xr", init::recurrent_normal(d, d, rng)),
-                w_hr: params.add("gru.w_hr", init::recurrent_normal(d, d, rng)),
-                w_xh: params.add("gru.w_xh", init::recurrent_normal(d, d, rng)),
-                w_hh: params.add("gru.w_hh", init::recurrent_normal(d, d, rng)),
-                b_z: params.add("gru.b_z", Tensor::zeros([d])),
-                b_r: params.add("gru.b_r", Tensor::zeros([d])),
-                b_h: params.add("gru.b_h", Tensor::zeros([d])),
+                w_xz: square(reg, "gru.w_xz")?,
+                w_hz: square(reg, "gru.w_hz")?,
+                w_xr: square(reg, "gru.w_xr")?,
+                w_hr: square(reg, "gru.w_hr")?,
+                w_xh: square(reg, "gru.w_xh")?,
+                w_hh: square(reg, "gru.w_hh")?,
+                b_z: vector(reg, "gru.b_z", d, 0.0)?,
+                b_r: vector(reg, "gru.b_r", d, 0.0)?,
+                b_h: vector(reg, "gru.b_h", d, 0.0)?,
             },
             ContextExtractor::Lstm => ExtractorParams::Lstm {
-                w_xi: params.add("lstm.w_xi", init::recurrent_normal(d, d, rng)),
-                w_hi: params.add("lstm.w_hi", init::recurrent_normal(d, d, rng)),
-                w_xf: params.add("lstm.w_xf", init::recurrent_normal(d, d, rng)),
-                w_hf: params.add("lstm.w_hf", init::recurrent_normal(d, d, rng)),
-                w_xo: params.add("lstm.w_xo", init::recurrent_normal(d, d, rng)),
-                w_ho: params.add("lstm.w_ho", init::recurrent_normal(d, d, rng)),
-                w_xg: params.add("lstm.w_xg", init::recurrent_normal(d, d, rng)),
-                w_hg: params.add("lstm.w_hg", init::recurrent_normal(d, d, rng)),
-                b_i: params.add("lstm.b_i", Tensor::zeros([d])),
-                b_f: params.add("lstm.b_f", Tensor::ones([d])),
-                b_o: params.add("lstm.b_o", Tensor::zeros([d])),
-                b_g: params.add("lstm.b_g", Tensor::zeros([d])),
+                w_xi: square(reg, "lstm.w_xi")?,
+                w_hi: square(reg, "lstm.w_hi")?,
+                w_xf: square(reg, "lstm.w_xf")?,
+                w_hf: square(reg, "lstm.w_hf")?,
+                w_xo: square(reg, "lstm.w_xo")?,
+                w_ho: square(reg, "lstm.w_ho")?,
+                w_xg: square(reg, "lstm.w_xg")?,
+                w_hg: square(reg, "lstm.w_hg")?,
+                b_i: vector(reg, "lstm.b_i", d, 0.0)?,
+                b_f: vector(reg, "lstm.b_f", d, 1.0)?,
+                b_o: vector(reg, "lstm.b_o", d, 0.0)?,
+                b_g: vector(reg, "lstm.b_g", d, 0.0)?,
             },
-            ContextExtractor::Transformer => ExtractorParams::Transformer {
-                pos: params.add(
-                    "tfm.pos",
-                    Tensor::rand_normal([max_seq_len, d], 0.0, 0.02, rng),
-                ),
-                w_q: params.add("tfm.w_q", init::xavier_uniform(d, d, rng)),
-                w_k: params.add("tfm.w_k", init::xavier_uniform(d, d, rng)),
-                w_v: params.add("tfm.w_v", init::xavier_uniform(d, d, rng)),
-                w_o: params.add("tfm.w_o", init::xavier_uniform(d, d, rng)),
-                w_ff1: params.add("tfm.w_ff1", init::xavier_uniform(d, 4 * d, rng)),
-                b_ff1: params.add("tfm.b_ff1", Tensor::zeros([4 * d])),
-                w_ff2: params.add("tfm.w_ff2", init::xavier_uniform(4 * d, d, rng)),
-                b_ff2: params.add("tfm.b_ff2", Tensor::zeros([d])),
-            },
-        }
+            ContextExtractor::Transformer => {
+                // saturates where no stored shape can match, never overflows
+                let wide = d.saturating_mul(4);
+                ExtractorParams::Transformer {
+                    pos: reg.add("tfm.pos", &[max_seq_len, d], |rng| {
+                        Tensor::rand_normal([max_seq_len, d], 0.0, 0.02, rng)
+                    })?,
+                    w_q: xavier(reg, "tfm.w_q", d, d)?,
+                    w_k: xavier(reg, "tfm.w_k", d, d)?,
+                    w_v: xavier(reg, "tfm.w_v", d, d)?,
+                    w_o: xavier(reg, "tfm.w_o", d, d)?,
+                    w_ff1: xavier(reg, "tfm.w_ff1", d, wide)?,
+                    b_ff1: vector(reg, "tfm.b_ff1", wide, 0.0)?,
+                    w_ff2: xavier(reg, "tfm.w_ff2", wide, d)?,
+                    b_ff2: vector(reg, "tfm.b_ff2", d, 0.0)?,
+                }
+            }
+        })
     }
 
     /// Runs the extractor over an embedded batch `e: [B,L,d]` with its
@@ -385,8 +403,9 @@ mod tests {
 
     fn run(kind: ContextExtractor) -> (Graph, Var, Vec<f32>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut params = ParamSet::new();
-        let ext = ExtractorParams::new(kind, 4, 5, &mut params, &mut rng);
+        let mut reg = Registrar::draw(&mut rng);
+        let ext = ExtractorParams::register(kind, 4, 5, &mut reg).expect("registers");
+        let params = reg.finish().expect("drawn");
         let mut g = Graph::new();
         let e = g.input(Tensor::rand_uniform([2, 5, 4], -1.0, 1.0, &mut rng));
         let mask = vec![1., 1., 1., 0., 0., 1., 1., 1., 1., 1.];
@@ -433,12 +452,12 @@ mod tests {
     fn extractors_are_differentiable() {
         for kind in ContextExtractor::ALL {
             let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-            let mut params = ParamSet::new();
-            let table = params.add(
-                "emb",
-                Tensor::rand_uniform([6, 4], -0.5, 0.5, &mut rng),
-            );
-            let ext = ExtractorParams::new(kind, 4, 3, &mut params, &mut rng);
+            let mut reg = Registrar::draw(&mut rng);
+            let table = reg
+                .add("emb", &[6, 4], |rng| Tensor::rand_uniform([6, 4], -0.5, 0.5, rng))
+                .expect("drawn");
+            let ext = ExtractorParams::register(kind, 4, 3, &mut reg).expect("registers");
+            let params = reg.finish().expect("drawn");
             let mut g = Graph::new();
             let e = g.embedding(&params, table, &[1, 2, 0, 3, 4, 5]);
             let e = g.reshape(e, [2, 3, 4]);

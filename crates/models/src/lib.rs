@@ -32,9 +32,11 @@
 pub mod aggregators;
 pub mod config;
 pub mod extractors;
+mod registrar;
 pub mod two_tower;
 
 pub use aggregators::AggregatorParams;
 pub use config::{Aggregator, ContextExtractor, ModelConfig};
 pub use extractors::ExtractorParams;
+pub use registrar::ArchitectureError;
 pub use two_tower::TwoTower;

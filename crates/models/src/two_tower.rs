@@ -10,9 +10,11 @@
 use crate::aggregators::AggregatorParams;
 use crate::config::ModelConfig;
 use crate::extractors::ExtractorParams;
+use crate::registrar::{ArchitectureError, Registrar};
+use rand::rngs::StdRng;
 use rand::Rng;
 use unimatch_data::SeqBatch;
-use unimatch_tensor::{dot, init, Graph, ParamId, ParamSet, Tensor, Var};
+use unimatch_tensor::{dot, init, Graph, Param, ParamId, ParamSet, Tensor, Var};
 
 /// Epsilon floor for L2 normalization.
 const NORM_EPS: f32 = 1e-12;
@@ -31,18 +33,41 @@ pub struct TwoTower {
 
 impl TwoTower {
     /// Initializes a model per `cfg`, deterministically from `rng`.
+    ///
+    /// Panics if `cfg` cannot be built (an empty vocabulary, `embed_dim`
+    /// below 2, an even CNN kernel).
     pub fn new(cfg: ModelConfig, rng: &mut impl Rng) -> Self {
-        assert!(cfg.num_items >= 1, "empty item vocabulary");
-        assert!(cfg.embed_dim >= 2, "embed_dim must be >= 2");
-        let mut params = ParamSet::new();
-        let item_table = params.add(
-            "item_embedding",
-            init::embedding_normal(cfg.num_items, cfg.embed_dim, rng),
-        );
-        let extractor =
-            ExtractorParams::new(cfg.extractor, cfg.embed_dim, cfg.max_seq_len, &mut params, rng);
-        let aggregator = AggregatorParams::new(cfg.aggregator, cfg.embed_dim, &mut params, rng);
-        TwoTower { cfg, params, item_table, extractor, aggregator }
+        Self::register(cfg, Registrar::draw(rng)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the model of `cfg` around `stored`, its parameters in
+    /// registration order (as [`TwoTower::params`] lists them), with no
+    /// random init. Each stored parameter must carry the name and shape
+    /// the architecture registers there; the values are taken as they are.
+    pub fn from_params(cfg: ModelConfig, stored: Vec<Param>) -> Result<Self, ArchitectureError> {
+        // any rng type does: a stored registration draws nothing
+        Self::register(cfg, Registrar::<StdRng>::stored(stored))
+    }
+
+    /// The one registration path of [`TwoTower::new`] and
+    /// [`TwoTower::from_params`]: item table, extractor, aggregator.
+    fn register<R: Rng>(
+        cfg: ModelConfig,
+        mut reg: Registrar<'_, R>,
+    ) -> Result<Self, ArchitectureError> {
+        if cfg.num_items < 1 {
+            return Err(ArchitectureError::new("empty item vocabulary"));
+        }
+        if cfg.embed_dim < 2 {
+            return Err(ArchitectureError::new("embed_dim must be >= 2"));
+        }
+        let (n, d) = (cfg.num_items, cfg.embed_dim);
+        let item_table =
+            reg.add("item_embedding", &[n, d], |rng| init::embedding_normal(n, d, rng))?;
+        let extractor = ExtractorParams::register(cfg.extractor, d, cfg.max_seq_len, &mut reg)?;
+        let aggregator = AggregatorParams::register(cfg.aggregator, d, &mut reg)?;
+        let params = reg.finish()?;
+        Ok(TwoTower { cfg, params, item_table, extractor, aggregator })
     }
 
     /// The model configuration.
