@@ -9,7 +9,10 @@
 #    package alone): the serving e2e suites (loopback, chaos, degraded,
 #    routes, shadow, stress), the fault-injection plane, durable/crash-safe
 #    training, the retrieval, quantization and re-ranking differential
-#    suites, the pipeline parity suite, the dependency guard
+#    suites, the pipeline parity suite, the retrieval seam
+#    (tests/retrieval_seam.rs: every MatchPipeline retrieval fires
+#    ann.search exactly once, at any backend, shard count and row
+#    format), the dependency guard
 #    (tests/dependency_guard.rs: crates.io surface = rand alone, dev
 #    sections included, every declared edge used), the /metrics golden
 #    (crates/serve/tests/metrics_golden.rs: the catalogue renders the

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use crate::index::{batch_entry_hooks, Hit, Retriever};
-use crate::kernel::{top_k_exact_store, TopK};
+use crate::index::{query_count, Hit, QuorumError, Retriever, ShardHealth};
+use crate::kernel::top_k_exact_store;
 use crate::store::EmbeddingStore;
 use unimatch_obs as obs;
 
@@ -45,44 +45,18 @@ impl Retriever for BruteForceIndex {
         "bruteforce"
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        assert_eq!(query.len(), self.dim(), "query dim mismatch");
-        let _search_span = obs::span_us("unimatch_ann_search_us", "index=\"bruteforce\"");
-        let mut top = TopK::new(k);
-        for r in 0..self.len() {
-            top.push(r as u32, self.store.score_row(query, r));
-        }
-        if obs::enabled() {
-            obs::registry::counter_labeled("unimatch_ann_searches_total", "index=\"bruteforce\"")
-                .inc();
-            obs::registry::histogram(
-                "unimatch_ann_visited_nodes",
-                "index=\"bruteforce\"",
-                obs::COUNT_BOUNDS,
-            )
-            .observe(self.len() as u64);
-        }
-        top.into_sorted()
-    }
-
-    /// Exact batch search through the blocked kernel
-    /// ([`crate::kernel::top_k_exact_store`]): same scores and ordering
-    /// as the per-query path, but targets are streamed tile-by-tile
-    /// across each query block instead of re-read per query. Works over
-    /// every row format — quantized stores score through the
-    /// fused dequant-dot inner loop.
-    fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        let _span = batch_entry_hooks(self.obs_label());
-        let d = self.dim();
-        assert!(d > 0, "search_batch on an index with zero dimension");
-        assert_eq!(
-            queries.len() % d,
-            0,
-            "query batch length {} is not a multiple of dim {}",
-            queries.len(),
-            d
-        );
-        let nq = queries.len() / d;
+    /// Exact search through the blocked kernel
+    /// ([`crate::kernel::top_k_exact_store`]): target tiles are streamed
+    /// once per query block instead of re-read per query, and quantized
+    /// stores score through the fused dequant-dot inner loop. A single
+    /// query is a block of one.
+    fn search_batch_checked(
+        &self,
+        queries: &[f32],
+        k: usize,
+        _relax_quorum: bool,
+    ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError> {
+        let nq = query_count(queries, self.dim());
         let hits = top_k_exact_store(queries, &self.store, k);
         if obs::enabled() {
             obs::registry::counter_labeled("unimatch_ann_searches_total", "index=\"bruteforce\"")
@@ -96,7 +70,7 @@ impl Retriever for BruteForceIndex {
                 visited.observe(self.len() as u64);
             }
         }
-        hits
+        Ok((hits, ShardHealth::healthy(1)))
     }
 }
 
@@ -127,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_override_matches_per_query_search() {
+    fn batch_matches_batches_of_one() {
         let data: Vec<f32> = (0..64).map(|i| ((i * 37 % 19) as f32) / 19.0 - 0.5).collect();
         let ix = BruteForceIndex::new(data, 4);
         let queries: Vec<f32> = (0..12).map(|i| ((i * 13 % 7) as f32) / 7.0 - 0.5).collect();

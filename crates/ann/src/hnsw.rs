@@ -55,11 +55,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use crate::index::{Hit, Retriever};
+use crate::index::{query_count, Hit, QuorumError, Retriever, ShardHealth};
 use crate::kernel::TopK;
 use crate::store::EmbeddingStore;
 use rand::Rng;
 use unimatch_obs as obs;
+use unimatch_parallel::par_map_indexed;
 
 /// HNSW build/search parameters.
 #[derive(Clone, Copy, Debug)]
@@ -427,8 +428,9 @@ impl HnswIndex {
         (hits, visited)
     }
 
-    /// [`Retriever::search`] plus the walk's visited-node count
-    /// (graph-pinning tests; the count is otherwise only a histogram).
+    /// One query's walk: its hits and how many distinct nodes it scored
+    /// (public for the graph-pinning tests; the batch files the count in
+    /// a histogram).
     #[doc(hidden)]
     pub fn search_counting(&self, query: &[f32], k: usize) -> (Vec<Hit>, usize) {
         assert_eq!(query.len(), self.dim(), "query dim mismatch");
@@ -469,15 +471,35 @@ impl Retriever for HnswIndex {
         "hnsw"
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let _search_span = obs::span_us("unimatch_ann_search_us", "index=\"hnsw\"");
-        let (hits, visited) = self.search_counting(query, k);
-        if obs::enabled() {
-            obs::registry::counter_labeled("unimatch_ann_searches_total", "index=\"hnsw\"").inc();
-            obs::registry::histogram("unimatch_ann_visited_nodes", "index=\"hnsw\"", obs::COUNT_BOUNDS)
+    /// One graph walk per query, fanned out over threads with
+    /// `unimatch-parallel` when `n_queries × len × dim` multiply-adds (an
+    /// upper bound: a walk scores a fraction of the rows) cross the global
+    /// work threshold. Each walk is timed and counted on its own.
+    fn search_batch_checked(
+        &self,
+        queries: &[f32],
+        k: usize,
+        _relax_quorum: bool,
+    ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError> {
+        let d = self.dim();
+        let nq = query_count(queries, d);
+        let work = nq * self.len() * d * 2;
+        let lists = par_map_indexed(nq, work, |i| {
+            let _search_span = obs::span_us("unimatch_ann_search_us", "index=\"hnsw\"");
+            let (hits, visited) = self.search_counting(&queries[i * d..(i + 1) * d], k);
+            if obs::enabled() {
+                obs::registry::counter_labeled("unimatch_ann_searches_total", "index=\"hnsw\"")
+                    .inc();
+                obs::registry::histogram(
+                    "unimatch_ann_visited_nodes",
+                    "index=\"hnsw\"",
+                    obs::COUNT_BOUNDS,
+                )
                 .observe(visited as u64);
-        }
-        hits
+            }
+            hits
+        });
+        Ok((lists, ShardHealth::healthy(1)))
     }
 }
 

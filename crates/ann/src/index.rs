@@ -2,29 +2,25 @@
 //! search over unit-normalized embeddings.
 //!
 //! Every index implements [`Retriever`]; serving code (the `unimatch-core`
-//! batch-inference pipeline, the serve handlers, the examples, the bench
-//! harness) programs against the trait so brute force and HNSW are
-//! interchangeable. Besides the per-query [`Retriever::search`], the trait
-//! provides [`Retriever::search_batch`], which answers many queries in one
-//! call and fans them out across threads via `unimatch-parallel` when the
-//! total scoring work crosses the configured threshold. The batched
-//! results are *identical* to calling `search` per query — parallelism
-//! only changes which thread scores which query, never the scores or the
-//! ordering.
+//! query pipeline, the examples, the test suites) programs against the
+//! trait so brute force, HNSW and the sharded fan-out are interchangeable.
+//! A backend implements one search, [`Retriever::search_batch_checked`]: a
+//! row-major batch of queries in, one hit list per query and the fan-out's
+//! [`ShardHealth`] out. [`Retriever::search`] (a batch of one) and
+//! [`Retriever::search_batch`] (a missed quorum panics) are forwards over
+//! it that no backend overrides, so a single query and a batch run the
+//! same code and agree bit for bit.
+//!
+//! This layer has no fault point and no per-call span: the `ann.search`
+//! fault and the `unimatch_retrieval_search_us` span sit in
+//! `unimatch-core`'s `MatchPipeline`, which every serving retrieval goes
+//! through, so each fires once per retrieval at any backend and shard
+//! count.
 //!
 //! The historical `AnnIndex` name remains available as an alias of
 //! [`Retriever`] from the crate root.
 
 use std::fmt;
-
-use unimatch_faults::FaultPoint;
-use unimatch_obs as obs;
-use unimatch_parallel::par_map_indexed;
-
-/// Chaos-testing seam: a latency fault armed at `ann.search` models a slow
-/// index (cold page cache, an overloaded shard). Disarmed cost is one
-/// relaxed atomic load per batch.
-const SEARCH_FAULT: FaultPoint = FaultPoint::new("ann.search");
 
 /// Why one shard's contribution to a fan-out was dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,15 +84,6 @@ impl fmt::Display for QuorumError {
 
 impl std::error::Error for QuorumError {}
 
-/// Per-call options for [`Retriever::search_batch_checked`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchOptions {
-    /// Relax the quorum to a single healthy shard for this call — the
-    /// brownout ladder's "answer from whatever is still standing" step.
-    /// Ignored by unsharded backends.
-    pub relax_quorum: bool,
-}
-
 /// A scored search hit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hit {
@@ -119,8 +106,7 @@ pub struct Hit {
 ///
 /// The `Sync` supertrait keeps the trait object-safe (`dyn Retriever` is
 /// used by the serving layer, the examples, and pipeline tests) while
-/// allowing the default [`Retriever::search_batch`] to share `&self`
-/// across threads.
+/// letting a backend share `&self` across the threads of a batch.
 pub trait Retriever: Send + Sync {
     /// Number of indexed vectors.
     fn len(&self) -> usize;
@@ -154,60 +140,52 @@ pub trait Retriever: Send + Sync {
         1
     }
 
-    /// The `k` highest-inner-product vectors for `query`, best first.
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit>;
-
     /// Answers one row-major batch of queries (`queries.len()` must be a
-    /// multiple of [`Retriever::dim`]), returning one hit list per query
-    /// in input order.
+    /// multiple of [`Retriever::dim`]): the `k` highest-inner-product rows
+    /// per query, best first, in input order, and the fan-out's health.
+    /// The one search a backend implements.
     ///
-    /// The default implementation fans the queries out over threads with
-    /// `unimatch-parallel` when `n_queries × len × dim` multiply-adds exceed
-    /// the global work threshold, and falls back to a plain loop otherwise.
-    /// Either way each query is answered by the same [`Retriever::search`]
-    /// code, so results are identical to the sequential path. Exact
-    /// backends override this with the blocked kernel
-    /// ([`crate::kernel::top_k_exact`]), which carries the same guarantee.
-    fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        SEARCH_FAULT.inject_latency();
-        let _span = obs::span_us("unimatch_retrieval_search_us", self.obs_label());
-        let d = self.dim();
-        assert!(d > 0, "search_batch on an index with zero dimension");
-        assert_eq!(
-            queries.len() % d,
-            0,
-            "query batch length {} is not a multiple of dim {}",
-            queries.len(),
-            d
-        );
-        let nq = queries.len() / d;
-        // 2 flops per multiply-add; exact for brute force, an upper bound
-        // for HNSW, which walks a graph.
-        let work = nq * self.len() * d * 2;
-        par_map_indexed(nq, work, |i| self.search(&queries[i * d..(i + 1) * d], k))
-    }
-
-    /// Fallible form of [`Retriever::search_batch`] that also reports
-    /// fan-out health. Unsharded backends have no partitions to isolate,
-    /// so the default implementation delegates to the infallible path and
-    /// always reports a healthy single-partition fan-out;
-    /// [`crate::ShardedRetriever`] overrides it with per-shard failure
-    /// isolation and a quorum policy.
+    /// Unsharded backends report one healthy partition and ignore
+    /// `relax_quorum`. [`crate::ShardedRetriever`] drops failed shards from
+    /// the merge and fails the call when fewer answered than its policy
+    /// requires, or than one when `relax_quorum` is set (the brownout
+    /// ladder's "answer from whatever is still standing" step).
     fn search_batch_checked(
         &self,
         queries: &[f32],
         k: usize,
-        opts: SearchOptions,
-    ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError> {
-        let _ = opts;
-        Ok((self.search_batch(queries, k), ShardHealth::healthy(self.shards())))
+        relax_quorum: bool,
+    ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError>;
+
+    /// [`Retriever::search_batch_checked`] under the configured quorum,
+    /// without the health report; a missed quorum panics.
+    fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
+        match self.search_batch_checked(queries, k, false) {
+            Ok((lists, _)) => lists,
+            Err(e) => panic!("sharded search failed: {e}"),
+        }
+    }
+
+    /// The `k` highest-inner-product vectors for `query`, best first: a
+    /// batch of one.
+    fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
+        assert_eq!(query.len(), self.dim(), "query dim mismatch");
+        self.search_batch(query, k).swap_remove(0)
     }
 }
 
-/// Fires the `ann.search` latency fault and opens the batch retrieval
-/// span — for implementations that override [`Retriever::search_batch`]
-/// and must keep the chaos/obs seams identical to the default path.
-pub(crate) fn batch_entry_hooks(label: &'static str) -> obs::Span {
-    SEARCH_FAULT.inject_latency();
-    obs::span_us("unimatch_retrieval_search_us", label)
+/// The number of `dim`-wide queries in a row-major batch.
+///
+/// # Panics
+/// Panics when `dim` is 0 or the batch is ragged.
+pub(crate) fn query_count(queries: &[f32], dim: usize) -> usize {
+    assert!(dim > 0, "search_batch on an index with zero dimension");
+    assert_eq!(
+        queries.len() % dim,
+        0,
+        "query batch length {} is not a multiple of dim {}",
+        queries.len(),
+        dim
+    );
+    queries.len() / dim
 }

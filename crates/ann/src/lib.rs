@@ -18,7 +18,10 @@
 //!   the fused dequant-dot for quantized rows;
 //! * [`Retriever`] — the backend-agnostic search trait, implemented by
 //!   [`BruteForceIndex`] (exact scan, the correctness baseline) and
-//!   [`HnswIndex`] (hierarchical navigable small-world graph).
+//!   [`HnswIndex`] (hierarchical navigable small-world graph). A backend
+//!   implements one search, the checked batch
+//!   ([`Retriever::search_batch_checked`]); a single query is a batch of
+//!   one.
 //!
 //! All backends perform maximum-inner-product top-k over unit vectors
 //! (equivalently cosine similarity). `AnnIndex` remains as an alias of
@@ -29,6 +32,11 @@
 //! of one arena), searches the per-range indexes in parallel, and k-way
 //! merges the results under the canonical `(score desc, lowest id)`
 //! order — bitwise identical to the unsharded search for exact backends.
+//! It too implements only the checked batch, and calls each shard's.
+//!
+//! The per-retrieval seam is not in this crate: `unimatch-core`'s
+//! `MatchPipeline` fires the `ann.search` fault and opens the
+//! `unimatch_retrieval_search_us` span once around each index call.
 //!
 //! The crate reads and writes no files: stores are built in memory from
 //! the checkpoint the serving layer decodes.
@@ -46,8 +54,7 @@ pub mod store;
 pub use bruteforce::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use index::{
-    Hit, QuorumError, Retriever, Retriever as AnnIndex, SearchOptions, ShardFailureKind,
-    ShardHealth,
+    Hit, QuorumError, Retriever, Retriever as AnnIndex, ShardFailureKind, ShardHealth,
 };
 pub use kernel::{dot, top_k_exact, top_k_exact_store};
 pub use order::{canonical, sort_canonical};

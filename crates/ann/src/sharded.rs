@@ -2,10 +2,10 @@
 //!
 //! [`ShardedRetriever`] partitions one [`EmbeddingStore`] into N
 //! contiguous row ranges, builds an independent backend index over a
-//! zero-copy [`EmbeddingStore::view_rows`] view of each range, fans every
-//! search across the shards through `unimatch-parallel`, and k-way merges
-//! the per-shard top-k lists under the canonical ordering contract
-//! (score descending, lowest id on ties).
+//! zero-copy [`EmbeddingStore::view_rows`] view of each range, hands every
+//! query batch to each shard's checked batch search through
+//! `unimatch-parallel`, and k-way merges the per-shard top-k lists under
+//! the canonical ordering contract (score descending, lowest id on ties).
 //!
 //! ## Exactness
 //!
@@ -62,9 +62,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::index::{
-    batch_entry_hooks, Hit, QuorumError, Retriever, SearchOptions, ShardFailureKind, ShardHealth,
-};
+use crate::index::{query_count, Hit, QuorumError, Retriever, ShardFailureKind, ShardHealth};
 use crate::store::EmbeddingStore;
 use unimatch_faults::{FaultKind, FaultPoint};
 use unimatch_obs as obs;
@@ -150,12 +148,6 @@ pub struct ShardPolicy {
     pub min_shards: Option<usize>,
 }
 
-/// What one shard contributed to a fan-out.
-enum ShardOutcome<T> {
-    Hits(T),
-    Failed(ShardFailureKind),
-}
-
 /// N backend indexes over contiguous row ranges of one shared arena,
 /// searched in parallel and merged under the canonical top-k order.
 ///
@@ -165,13 +157,13 @@ enum ShardOutcome<T> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use unimatch_ann::{BruteForceIndex, EmbeddingStore, Retriever, ShardedRetriever};
+/// use unimatch_ann::{BruteForceIndex, EmbeddingStore, Retriever, ShardPolicy, ShardedRetriever};
 ///
 /// let store = Arc::new(EmbeddingStore::from_vec(
 ///     vec![1.0, 0.0, 0.0, 1.0, 0.7, 0.7, -1.0, 0.0],
 ///     2,
 /// ));
-/// let sharded = ShardedRetriever::build(&store, 2, |view| {
+/// let sharded = ShardedRetriever::build(&store, 2, ShardPolicy::default(), |view| {
 ///     Box::new(BruteForceIndex::over(view))
 /// });
 /// assert_eq!(sharded.shards(), 2);
@@ -192,28 +184,18 @@ impl ShardedRetriever {
     /// Partitions `store` into `shards` contiguous row ranges (sizes
     /// differing by at most one row) and builds one backend index per
     /// range via `build_shard`, each over a zero-copy view of the shared
-    /// arena. Uses the strict default [`ShardPolicy`]; see
-    /// [`ShardedRetriever::build_with_policy`].
+    /// arena, searched under the failure-isolation `policy`.
     ///
     /// `shards` is clamped to the row count (an empty store builds one
     /// empty shard). Shards are built in ascending row order, so a
-    /// build closure threading an `&mut` RNG stays deterministic.
+    /// build closure threading an `&mut` RNG stays deterministic. A
+    /// `min_shards` larger than the (clamped) shard count is itself
+    /// clamped at search time, so a healthy fan-out always meets it.
     ///
     /// # Panics
     /// Panics if `shards == 0`, or if `build_shard` returns an index
     /// whose `len`/`dim` disagree with the view it was given.
-    pub fn build<F>(store: &Arc<EmbeddingStore>, shards: usize, build_shard: F) -> Self
-    where
-        F: FnMut(Arc<EmbeddingStore>) -> Box<dyn Retriever>,
-    {
-        Self::build_with_policy(store, shards, ShardPolicy::default(), build_shard)
-    }
-
-    /// [`ShardedRetriever::build`] with an explicit failure-isolation
-    /// policy. A `min_shards` larger than the (clamped) shard count is
-    /// itself clamped at search time, so a quorum of "1" is always
-    /// satisfiable on a healthy fan-out.
-    pub fn build_with_policy<F>(
+    pub fn build<F>(
         store: &Arc<EmbeddingStore>,
         shards: usize,
         policy: ShardPolicy,
@@ -241,45 +223,37 @@ impl ShardedRetriever {
         ShardedRetriever { shards: built, offsets, len: rows, dim: store.dim(), backend, policy }
     }
 
-    /// The failure-isolation policy this fan-out runs under.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
-    }
-
     /// Runs one shard's search under the isolation envelope: chaos seams
     /// first (latency sleeps in place, an I/O fault fails the shard, a
     /// crash fault panics inside the capture below), then the search
     /// itself inside `catch_unwind`. `AssertUnwindSafe` is sound here
     /// because `op` only reads through `&self` — a captured panic cannot
     /// leave observable index state half-written.
-    fn run_shard<T>(&self, s: usize, op: impl FnOnce() -> T) -> ShardOutcome<T> {
+    fn run_shard<T>(&self, s: usize, op: impl FnOnce() -> T) -> Result<T, ShardFailureKind> {
         let fault = shard_fault(s);
         match fault {
-            Some(FaultKind::IoError) => return ShardOutcome::Failed(ShardFailureKind::Io),
+            Some(FaultKind::IoError) => return Err(ShardFailureKind::Io),
             Some(FaultKind::LatencyUs(us)) => {
                 std::thread::sleep(Duration::from_micros(us));
             }
             _ => {}
         }
         let crash = matches!(fault, Some(FaultKind::Crash));
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             if crash {
                 panic!("injected crash at fault point {}", SHARD_FAULT.name());
             }
             op()
-        }));
-        match result {
-            Err(_) => ShardOutcome::Failed(ShardFailureKind::Panic),
-            Ok(v) => ShardOutcome::Hits(v),
-        }
+        }))
+        .map_err(|_| ShardFailureKind::Panic)
     }
 
     /// Effective quorum for this call: the configured `min_shards`
     /// (strict = all shards) clamped to the real fan-out width, or 1 when
     /// the caller relaxed it.
-    fn required_shards(&self, opts: SearchOptions) -> usize {
+    fn required_shards(&self, relax_quorum: bool) -> usize {
         let n = self.shards.len();
-        if opts.relax_quorum {
+        if relax_quorum {
             1
         } else {
             self.policy.min_shards.unwrap_or(n).clamp(1, n)
@@ -292,61 +266,26 @@ impl ShardedRetriever {
     /// position (keeping shard index = offset index).
     fn assemble<T>(
         &self,
-        outcomes: Vec<ShardOutcome<T>>,
-        opts: SearchOptions,
+        outcomes: Vec<Result<T, ShardFailureKind>>,
+        relax_quorum: bool,
     ) -> Result<(Vec<Option<T>>, ShardHealth), QuorumError> {
         let total = outcomes.len();
         let mut payloads = Vec::with_capacity(total);
         let mut health = ShardHealth::healthy(total);
         for (s, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                ShardOutcome::Hits(v) => payloads.push(Some(v)),
-                ShardOutcome::Failed(kind) => {
+                Ok(v) => payloads.push(Some(v)),
+                Err(kind) => {
                     health.failures.push((s as u32, kind));
                     payloads.push(None);
                 }
             }
         }
-        let required = self.required_shards(opts);
+        let required = self.required_shards(relax_quorum);
         if health.healthy_shards() < required {
             return Err(QuorumError { healthy: health.healthy_shards(), required, total });
         }
         Ok((payloads, health))
-    }
-
-    /// Searches every shard (in parallel when the fan-out clears the
-    /// global work threshold) under the isolation envelope, returning the
-    /// per-shard outcomes with local row ids already translated to global
-    /// ids.
-    fn search_shards(&self, query: &[f32], k: usize) -> Vec<ShardOutcome<Vec<Hit>>> {
-        let work = self.len * self.dim * 2;
-        par_map_indexed(self.shards.len(), work, |s| {
-            let _span = obs::span_us("unimatch_shard_search_us", shard_label(s));
-            self.run_shard(s, || {
-                let offset = self.offsets[s];
-                let mut hits = self.shards[s].search(query, k);
-                for h in &mut hits {
-                    h.id += offset;
-                }
-                hits
-            })
-        })
-    }
-
-    /// Fallible single-query search; see
-    /// [`Retriever::search_batch_checked`] for the batch form.
-    pub fn search_checked(
-        &self,
-        query: &[f32],
-        k: usize,
-        opts: SearchOptions,
-    ) -> Result<(Vec<Hit>, ShardHealth), QuorumError> {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        let (per_shard, health) = self.assemble(self.search_shards(query, k), opts)?;
-        let _merge_span = obs::span_us("unimatch_shard_merge_us", "");
-        let refs: Vec<&[Hit]> =
-            per_shard.iter().filter_map(|l| l.as_deref()).collect();
-        Ok((merge_topk(&refs, k), health))
     }
 }
 
@@ -406,53 +345,30 @@ impl Retriever for ShardedRetriever {
         self.shards.len()
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        match self.search_checked(query, k, SearchOptions::default()) {
-            Ok((hits, _)) => hits,
-            Err(e) => panic!("sharded search failed: {e}"),
-        }
-    }
-
     /// Fans the whole batch across shards (each shard answers every
     /// query over its row range; nested per-query parallelism inside a
-    /// shard runs inline), then merges per query. Identical results to
-    /// per-query [`ShardedRetriever::search`]; a strict-quorum failure
-    /// panics, matching the single-query path.
-    fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        match self.search_batch_checked(queries, k, SearchOptions::default()) {
-            Ok((lists, _)) => lists,
-            Err(e) => panic!("sharded search failed: {e}"),
-        }
-    }
-
-    /// The fallible fan-out: failed shards (I/O fault, captured panic)
-    /// are dropped from every query's merge, and the health report names
-    /// them; fewer healthy shards than the effective quorum fails the
-    /// whole batch instead.
+    /// shard runs inline), then merges per query. Failed shards (I/O
+    /// fault, captured panic) are dropped from every query's merge and
+    /// named in the health report; fewer healthy shards than the
+    /// effective quorum fails the whole batch instead.
     fn search_batch_checked(
         &self,
         queries: &[f32],
         k: usize,
-        opts: SearchOptions,
+        relax_quorum: bool,
     ) -> Result<(Vec<Vec<Hit>>, ShardHealth), QuorumError> {
-        let _span = batch_entry_hooks(self.obs_label());
-        let d = self.dim;
-        assert!(d > 0, "search_batch on an index with zero dimension");
-        assert_eq!(
-            queries.len() % d,
-            0,
-            "query batch length {} is not a multiple of dim {}",
-            queries.len(),
-            d
-        );
-        let nq = queries.len() / d;
-        let work = nq * self.len * d * 2;
-        let outcomes: Vec<ShardOutcome<Vec<Vec<Hit>>>> =
+        let nq = query_count(queries, self.dim);
+        let work = nq * self.len * self.dim * 2;
+        let outcomes: Vec<Result<Vec<Vec<Hit>>, ShardFailureKind>> =
             par_map_indexed(self.shards.len(), work, |s| {
                 let _span = obs::span_us("unimatch_shard_search_us", shard_label(s));
                 self.run_shard(s, || {
                     let offset = self.offsets[s];
-                    let mut lists = self.shards[s].search_batch(queries, k);
+                    // a nested fan-out that misses its own quorum fails
+                    // this shard like any other panic
+                    let (mut lists, _) = self.shards[s]
+                        .search_batch_checked(queries, k, relax_quorum)
+                        .unwrap_or_else(|e| panic!("shard {s}: {e}"));
                     for hits in &mut lists {
                         for h in hits {
                             h.id += offset;
@@ -461,7 +377,7 @@ impl Retriever for ShardedRetriever {
                     lists
                 })
             });
-        let (per_shard, health) = self.assemble(outcomes, opts)?;
+        let (per_shard, health) = self.assemble(outcomes, relax_quorum)?;
         let _merge_span = obs::span_us("unimatch_shard_merge_us", "");
         let mut scratch: Vec<&[Hit]> = Vec::with_capacity(self.shards.len());
         let merged = (0..nq)
@@ -503,14 +419,14 @@ mod tests {
     }
 
     fn sharded_exact(store: &Arc<EmbeddingStore>, n: usize) -> ShardedRetriever {
-        ShardedRetriever::build(store, n, |view| Box::new(BruteForceIndex::over(view)))
+        ShardedRetriever::build(store, n, ShardPolicy::default(), |view| {
+            Box::new(BruteForceIndex::over(view))
+        })
     }
 
     fn sharded_quorum(store: &Arc<EmbeddingStore>, n: usize, min: usize) -> ShardedRetriever {
         let policy = ShardPolicy { min_shards: Some(min) };
-        ShardedRetriever::build_with_policy(store, n, policy, |view| {
-            Box::new(BruteForceIndex::over(view))
-        })
+        ShardedRetriever::build(store, n, policy, |view| Box::new(BruteForceIndex::over(view)))
     }
 
     #[test]
@@ -584,7 +500,7 @@ mod tests {
     fn shard_views_share_the_parent_arena() {
         let s = store(10, 2, 1);
         let mut seen = 0;
-        ShardedRetriever::build(&s, 2, |view| {
+        ShardedRetriever::build(&s, 2, ShardPolicy::default(), |view| {
             assert!(view.shares_arena(&s));
             seen += 1;
             Box::new(BruteForceIndex::over(view))
@@ -641,9 +557,8 @@ mod tests {
             rules: vec![FaultRule::new("ann.shard.search.0", FaultKind::IoError)
                 .with_probability(1.0)],
         });
-        let (hits, health) = sharded
-            .search_checked(s.row(2), 5, SearchOptions::default())
-            .expect("quorum of 1 met");
+        let (lists, health) =
+            sharded.search_batch_checked(s.row(2), 5, false).expect("quorum of 1 met");
         faults::clear();
         assert!(health.degraded());
         assert_eq!(health.total, 3);
@@ -655,7 +570,7 @@ mod tests {
             .filter(|h| h.id >= 10)
             .take(5)
             .collect();
-        assert_eq!(hits, expected);
+        assert_eq!(lists[0], expected);
     }
 
     #[test]
@@ -668,9 +583,7 @@ mod tests {
             rules: vec![FaultRule::new("ann.shard.search.1", FaultKind::IoError)
                 .with_probability(1.0)],
         });
-        let err = sharded
-            .search_checked(s.row(0), 3, SearchOptions::default())
-            .expect_err("strict policy");
+        let err = sharded.search_batch_checked(s.row(0), 3, false).expect_err("strict policy");
         faults::clear();
         assert_eq!(err, QuorumError { healthy: 1, required: 2, total: 2 });
     }
@@ -685,12 +598,11 @@ mod tests {
             rules: vec![FaultRule::new("ann.shard.search.1", FaultKind::IoError)
                 .with_probability(1.0)],
         });
-        let (hits, health) = sharded
-            .search_checked(s.row(0), 3, SearchOptions { relax_quorum: true })
-            .expect("relaxed quorum of 1");
+        let (lists, health) =
+            sharded.search_batch_checked(s.row(0), 3, true).expect("relaxed quorum of 1");
         faults::clear();
         assert!(health.degraded());
-        assert!(hits.iter().all(|h| h.id < 10), "only shard 0 rows remain");
+        assert!(lists[0].iter().all(|h| h.id < 10), "only shard 0 rows remain");
     }
 
     #[test]
@@ -704,9 +616,8 @@ mod tests {
                 FaultRule::new("ann.shard.search.0", FaultKind::Crash).with_probability(1.0)
             ],
         });
-        let (_, health) = sharded
-            .search_batch_checked(s.row(1), 4, SearchOptions::default())
-            .expect("one healthy shard");
+        let (_, health) =
+            sharded.search_batch_checked(s.row(1), 4, false).expect("one healthy shard");
         faults::clear();
         assert_eq!(health.failures, vec![(0, ShardFailureKind::Panic)]);
     }
@@ -722,9 +633,7 @@ mod tests {
                 FaultRule::new("ann.shard.search", FaultKind::IoError).with_probability(1.0)
             ],
         });
-        let err = sharded
-            .search_checked(s.row(0), 4, SearchOptions::default())
-            .expect_err("all shards down");
+        let err = sharded.search_batch_checked(s.row(0), 4, false).expect_err("all shards down");
         faults::clear();
         assert_eq!(err.healthy, 0);
         assert_eq!(err.total, 3);
@@ -736,9 +645,7 @@ mod tests {
         let s = store(50, 8, 0x16);
         let sharded = sharded_quorum(&s, 4, 2);
         let plain = sharded.search_batch(s.row(7), 9);
-        let (checked, health) = sharded
-            .search_batch_checked(s.row(7), 9, SearchOptions::default())
-            .expect("healthy");
+        let (checked, health) = sharded.search_batch_checked(s.row(7), 9, false).expect("healthy");
         assert!(!health.degraded());
         assert_eq!(health.total, 4);
         assert_eq!(plain, checked);

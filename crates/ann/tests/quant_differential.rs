@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unimatch_ann::{
     BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, RowFormat,
-    ShardedRetriever,
+    ShardPolicy, ShardedRetriever,
 };
 
 const DIM: usize = 16;
@@ -38,12 +38,12 @@ fn build_backends(store: &Arc<EmbeddingStore>) -> Vec<(&'static str, ShardedBack
         let mut arrangements: ShardedBackends = Vec::new();
         for n in SHARD_COUNTS {
             let retriever: Box<dyn Retriever> = match backend {
-                "exact" => Box::new(ShardedRetriever::build(store, n, |view| {
+                "exact" => Box::new(ShardedRetriever::build(store, n, ShardPolicy::default(), |view| {
                     Box::new(BruteForceIndex::over(view))
                 })),
                 _ => {
                     let mut rng = StdRng::seed_from_u64(11);
-                    Box::new(ShardedRetriever::build(store, n, |view| {
+                    Box::new(ShardedRetriever::build(store, n, ShardPolicy::default(), |view| {
                         Box::new(HnswIndex::build_over(view, hnsw_cfg, &mut rng))
                     }))
                 }

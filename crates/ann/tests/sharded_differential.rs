@@ -18,7 +18,8 @@ use common::{assert_bitwise, unit_cloud};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unimatch_ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardedRetriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardPolicy,
+    ShardedRetriever,
 };
 
 const DIM: usize = 8;
@@ -66,7 +67,7 @@ fn exact_backend_is_bitwise_identical_sharded() {
     run_matrix(
         &store,
         &whole,
-        |n| ShardedRetriever::build(&store, n, |view| Box::new(BruteForceIndex::over(view))),
+        |n| ShardedRetriever::build(&store, n, ShardPolicy::default(), |view| Box::new(BruteForceIndex::over(view))),
         "bruteforce",
     );
 }
@@ -85,7 +86,7 @@ fn hnsw_effectively_exact_is_bitwise_identical_sharded() {
         &whole,
         |n| {
             let mut rng = StdRng::seed_from_u64(2);
-            ShardedRetriever::build(&store, n, |view| {
+            ShardedRetriever::build(&store, n, ShardPolicy::default(), |view| {
                 Box::new(HnswIndex::build_over(view, cfg, &mut rng))
             })
         },
@@ -123,7 +124,7 @@ fn ties_straddling_shard_boundaries_resolve_to_lowest_ids() {
     let probe: Vec<f32> = [1.0; DIM].iter().map(|x| x / (DIM as f32).sqrt()).collect();
     for n in SHARD_COUNTS {
         let sharded =
-            ShardedRetriever::build(&store, n, |view| Box::new(BruteForceIndex::over(view)));
+            ShardedRetriever::build(&store, n, ShardPolicy::default(), |view| Box::new(BruteForceIndex::over(view)));
         for k in [4, 10, 25] {
             let a = whole.search(&probe, k);
             let b = sharded.search(&probe, k);
@@ -161,7 +162,7 @@ fn a_late_better_row_after_duplicates_is_identical_sharded() {
     assert_eq!(ids(&whole.search(&probe, 3)), vec![50, 0, 1], "unsharded keeps the lowest tied ids");
     for n in SHARD_COUNTS {
         let sharded =
-            ShardedRetriever::build(&store, n, |view| Box::new(BruteForceIndex::over(view)));
+            ShardedRetriever::build(&store, n, ShardPolicy::default(), |view| Box::new(BruteForceIndex::over(view)));
         for k in [2, 3, 4, 6, 7] {
             assert_bitwise(
                 &whole.search(&probe, k),
@@ -189,7 +190,7 @@ fn id_mapped_stores_translate_identically_sharded() {
     let whole = BruteForceIndex::over(store.clone());
     for n in SHARD_COUNTS {
         let sharded =
-            ShardedRetriever::build(&store, n, |view| Box::new(BruteForceIndex::over(view)));
+            ShardedRetriever::build(&store, n, ShardPolicy::default(), |view| Box::new(BruteForceIndex::over(view)));
         for (qi, q) in data.chunks(DIM).take(4).enumerate() {
             let a = whole.search(q, 9);
             let b = sharded.search(q, 9);

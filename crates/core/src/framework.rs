@@ -140,7 +140,7 @@ impl RetrieverKind {
         rng: &mut StdRng,
     ) -> Box<dyn Retriever> {
         if shards > 1 {
-            Box::new(ShardedRetriever::build_with_policy(&store, shards, policy, |view| {
+            Box::new(ShardedRetriever::build(&store, shards, policy, |view| {
                 self.build_one(view, rng)
             }))
         } else {

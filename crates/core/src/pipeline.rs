@@ -31,18 +31,37 @@
 //! are bitwise identical to composing the stages by hand — pinned by
 //! `tests/pipeline_parity.rs`.
 //!
-//! Every retrieval clamps its fetch depth to the number of indexed rows:
-//! `k` arrives from outside the process (an HTTP body), and an index
-//! sizes its candidate heap from it.
+//! Every retrieval — `retrieve_one`, `retrieve`, `run_one`, `run`,
+//! `run_checked` — is one call to the same private fetch, which makes
+//! exactly one [`Retriever::search_batch_checked`] call (a single query is
+//! a batch of one) and around it:
+//!
+//! * clamps the fetch depth to the number of indexed rows: `k` arrives
+//!   from outside the process (an HTTP body), and an index sizes its
+//!   candidate heap from it;
+//! * fires the `ann.search` fault point;
+//! * opens the `unimatch_retrieval_search_us` span, labelled with the
+//!   backend.
+//!
+//! So chaos drills and traces see one seam per retrieval, whatever the
+//! backend or shard count.
 //!
 //! [`FittedUniMatch::item_pipeline`]: crate::FittedUniMatch::item_pipeline
 //! [`FittedUniMatch::user_pipeline`]: crate::FittedUniMatch::user_pipeline
 
 use crate::evaluate::embed_histories;
-use unimatch_ann::{EmbeddingStore, Hit, QuorumError, Retriever, SearchOptions, ShardHealth};
+use unimatch_ann::{EmbeddingStore, Hit, QuorumError, Retriever, ShardHealth};
 use unimatch_data::SeqBatch;
+use unimatch_faults::FaultPoint;
 use unimatch_models::TwoTower;
+use unimatch_obs as obs;
 use unimatch_rerank::{query_tag, BusinessRules, RerankChain, RerankContext, StageSkip};
+
+/// Chaos-testing seam: a latency fault armed at `ann.search` models a slow
+/// index (cold page cache, an overloaded shard). It fires once per
+/// retrieval, before the index is called; disarmed, it costs one relaxed
+/// atomic load.
+const SEARCH_FAULT: FaultPoint = FaultPoint::new("ann.search");
 
 /// What a fallible, degradable batch query returns: per-query result
 /// lists plus the fan-out's [`ShardHealth`], or a [`QuorumError`] when
@@ -244,10 +263,20 @@ impl<'a> MatchPipeline<'a> {
 
     // ---- stage: retrieve --------------------------------------------------
 
+    /// The one index call behind every retrieval: the depth clamped to
+    /// the indexed row count, the `ann.search` fault, and the
+    /// `unimatch_retrieval_search_us` span around one checked batch.
+    fn fetch(&self, queries: &[f32], depth: usize, relax_quorum: bool) -> CheckedBatch<Hit> {
+        SEARCH_FAULT.inject_latency();
+        let _span = obs::span_us("unimatch_retrieval_search_us", self.index.obs_label());
+        self.index.search_batch_checked(queries, depth.min(self.len()), relax_quorum)
+    }
+
     /// *Retrieve*, single query at an explicit fetch depth (clamped to
-    /// the indexed row count).
+    /// the indexed row count): a batch of one.
     pub fn retrieve_one(&self, query: &[f32], fetch: usize) -> Vec<Hit> {
-        self.index.search(query, fetch.min(self.len()))
+        assert_eq!(query.len(), self.dim(), "query dim mismatch");
+        self.retrieve(query, fetch).swap_remove(0)
     }
 
     /// *Retrieve*, batched at an explicit fetch depth (clamped to the
@@ -255,7 +284,7 @@ impl<'a> MatchPipeline<'a> {
     /// offline evaluators compare against. Panicking form: a missed
     /// shard quorum propagates.
     pub fn retrieve(&self, queries: &[f32], fetch: usize) -> Vec<Vec<Hit>> {
-        self.index.search_batch(queries, fetch.min(self.len()))
+        or_panic(self.fetch(queries, fetch, false))
     }
 
     // ---- stage: rerank ----------------------------------------------------
@@ -295,10 +324,11 @@ impl<'a> MatchPipeline<'a> {
 
     // ---- composed runners -------------------------------------------------
 
-    /// Embedded single query → over-fetched retrieval → chain → top-k.
+    /// Embedded single query → over-fetched retrieval → chain → top-k:
+    /// [`MatchPipeline::run`] on a batch of one.
     pub fn run_one(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let hits = self.retrieve_one(query, self.fetch_k(k));
-        self.rerank(query, hits, k)
+        assert_eq!(query.len(), self.dim(), "query dim mismatch");
+        self.run(query, k).swap_remove(0)
     }
 
     /// Batched queries (`n × dim` flat) → over-fetched retrieval → chain
@@ -306,10 +336,7 @@ impl<'a> MatchPipeline<'a> {
     /// [`MatchPipeline::run_one`] per row; a missed shard quorum panics
     /// (use [`MatchPipeline::run_checked`] to handle it).
     pub fn run(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        match self.run_checked(queries, k, DegradeOptions::NONE) {
-            Ok((lists, _)) => lists,
-            Err(e) => panic!("sharded search failed: {e}"),
-        }
+        or_panic(self.run_checked(queries, k, DegradeOptions::NONE))
     }
 
     /// Fallible, degradable form of [`MatchPipeline::run`]: the
@@ -330,9 +357,7 @@ impl<'a> MatchPipeline<'a> {
         } else {
             self.rerank.fetch_k(k)
         };
-        let opts = SearchOptions { relax_quorum: degrade.relax_quorum };
-        let (lists, health) =
-            self.index.search_batch_checked(queries, fetch.min(self.len()), opts)?;
+        let (lists, health) = self.fetch(queries, fetch, degrade.relax_quorum)?;
         let skip = degrade.stage_skip();
         let reranked = lists
             .into_iter()
@@ -340,5 +365,13 @@ impl<'a> MatchPipeline<'a> {
             .map(|(q, hits)| self.rerank_skipping(&queries[q * dim..(q + 1) * dim], hits, k, skip))
             .collect();
         Ok((reranked, health))
+    }
+}
+
+/// The lists of a checked batch; a missed shard quorum panics.
+fn or_panic<T>(batch: CheckedBatch<T>) -> Vec<Vec<T>> {
+    match batch {
+        Ok((lists, _)) => lists,
+        Err(e) => panic!("sharded search failed: {e}"),
     }
 }

@@ -20,7 +20,7 @@ pub const REGISTERED: &[(&str, &str)] = &[
     ("persist.save", "checkpoint serialization/write (I/O errors, torn writes)"),
     ("persist.load", "checkpoint read (I/O errors, latency)"),
     ("persist.load.corrupt", "checkpoint bytes in flight (bit flips before validation)"),
-    ("ann.search", "whole-index batch retrieval entry (latency: a slow/cold index)"),
+    ("ann.search", "every pipeline retrieval, single or batch, once (latency: a slow/cold index)"),
     ("ann.shard.search", "every shard of a sharded fan-out (correlated storm)"),
     ("ann.shard.search.N", "one shard of a sharded fan-out (io/latency/crash isolation)"),
     ("serve.batch", "the serve micro-batch execution path (latency under load)"),

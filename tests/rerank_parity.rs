@@ -22,7 +22,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unimatch::ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardedRetriever,
+    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, ShardPolicy,
+    ShardedRetriever,
 };
 use unimatch::core::{
     load_checkpoint, save_model_with_marginals, FittedUniMatch, RerankConfig, RetrieverKind,
@@ -92,7 +93,7 @@ fn mirror_indexes(
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x1d);
     let build = |store: &Arc<EmbeddingStore>, rng: &mut StdRng| -> Box<dyn Retriever> {
         if shards > 1 {
-            Box::new(ShardedRetriever::build(store, shards, |view| mirror_one(kind, view, rng)))
+            Box::new(ShardedRetriever::build(store, shards, ShardPolicy::default(), |view| mirror_one(kind, view, rng)))
         } else {
             mirror_one(kind, store.clone(), rng)
         }
