@@ -20,8 +20,10 @@
 #    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names
 #    and the OPERATIONS.md Metrics table agree all ways); then, in
 #    release, the one `#[ignore]`d HNSW graph pin, at the serving user
-#    tower's size (17 443 × 16), against the reference builder, and the
-#    `#[ignore]`d 1 M-case JSON number loop against the text-only scanner
+#    tower's size (17 443 × 16), against the batched reference builder,
+#    with the build's plans forced onto 4 worker threads whatever the
+#    box has (the graph must not depend on it), and the `#[ignore]`d
+#    1 M-case JSON number loop against the text-only scanner
 # 3. the faults-disabled overhead assertion, with its measurement printed
 # 4. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an
@@ -54,8 +56,11 @@ cargo build --release
 echo "==> cargo test --workspace (every member's unit, integration and doc tests)"
 cargo test -q --workspace --exclude unimatch-benchmark
 
-echo "==> HNSW graph pin at serving scale (release)"
-cargo test -q --release -p unimatch-ann --test hnsw_graph -- --ignored
+echo "==> HNSW graph pin at serving scale (release, build fanned out over 4 threads)"
+# The build plans each batch of inserts on worker threads. Forcing 4 on
+# any box makes the pin also check that the graph does not depend on how
+# many threads planned it: the reference plans on one.
+UNIMATCH_THREADS=4 cargo test -q --release -p unimatch-ann --test hnsw_graph -- --ignored
 
 echo "==> JSON number reading, 1 M cases against the text-only scanner (release)"
 cargo test -q --release -p unimatch-data --test json_numbers -- --ignored

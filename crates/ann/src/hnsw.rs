@@ -5,20 +5,47 @@
 //! exponentially-thinned layers, greedy descent from the top layer, and a
 //! beam (`ef`) search on layer 0.
 //!
+//! # Batched inserts: plan in parallel, commit in row order
+//!
+//! Row 0 is the first entry point. The rest go in by batches: once
+//! `inserted` rows are in the graph, the next `batch_rows(inserted)`
+//! rows — `(inserted / 16).clamp(1, 256)`, so rows 1–31 one at a time —
+//! are inserted together in two halves.
+//!
+//! * **Plan** (read-only, one row per `par_map_indexed` unit, each worker
+//!   on a scratch from the index's free-list): the greedy descent from
+//!   the entry point, then one `ef_construction` beam per layer the row
+//!   connects on. Every row of a batch walks the graph as it stood when
+//!   the batch began: no batch-mate is linked yet, so none is reachable.
+//! * **Commit** (in row order, on the calling thread): the links and
+//!   prunes of each plan, on the layers that plan recorded, then the
+//!   entry-point update when the row tops the graph. A batch-mate
+//!   committed earlier may have raised the top layer meanwhile; the
+//!   commit must not re-derive its layers from it.
+//!
+//! A row therefore never links to a batch-mate directly; it meets them
+//! through the reverse edges later rows add. What that costs in recall
+//! is pinned by `tests/hnsw_recall.rs` against the one-row-per-batch
+//! build.
+//!
 //! # The graph is a pure function of its inputs
 //!
 //! The built graph — every node's per-layer neighbour list in order, the
 //! entry point and the top layer — is a function of exactly three
 //! things: the store's row bytes (format included), the [`HnswConfig`],
 //! and the rng stream handed to [`HnswIndex::build_over`] (one
-//! `gen_range` per row, in row order, for the level draw). A search is a
-//! function of the graph, the query and `ef_search`. Neither depends on
-//! thread count, on which scratch a walk was handed, or on how many
-//! searches ran before: the bookkeeping below (visited stamps, the
-//! reused candidate heap, the flat layout, the build-time edge scores)
-//! changes what a walk costs, never which rows it scores, in which order,
-//! or what it keeps. `crates/ann/tests/hnsw_graph.rs` pins this against
-//! the textbook builder it replaced.
+//! `gen_range` per row, in row order, for the level draw). The batch rule
+//! is a function of the row count alone, plans come back in row order,
+//! and a nested or single-threaded region plans the batch inline, so the
+//! graph is the same at any thread count. A search is a function of the
+//! graph, the query and `ef_search`. Neither depends on which scratch a
+//! walk was handed, or on how many searches ran before: the bookkeeping
+//! below (visited stamps, the reused candidate heap, the flat layout, the
+//! build-time edge scores) changes what a walk costs, never which rows it
+//! scores, in which order, or what it keeps. `crates/ann/tests/hnsw_graph.rs`
+//! pins this against the textbook builder, split into plan and commit and
+//! batched by the same rule; `batch_equivalence.rs` builds at 1, 2 and 4
+//! threads.
 //!
 //! # Layout
 //!
@@ -49,7 +76,9 @@
 //! a fresh set per layer. The index keeps returned scratches in a
 //! free-list, so a warm index allocates nothing proportional to `rows`
 //! per search; the list holds at most one scratch per search that was
-//! ever in flight at once (4 B × rows each, plus a beam-sized heap).
+//! ever in flight at once (4 B × rows each, plus a beam-sized heap). The
+//! build's planning workers draw from the same list, which is cut back to
+//! one scratch when the build returns.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -121,6 +150,20 @@ struct EdgeScores {
     layer0: Vec<f32>,
     upper: Vec<f32>,
     sorter: Sorter,
+}
+
+/// The beams of one insert, planned against the graph as it stood when
+/// the insert's batch began: entry `l` is layer `l`'s beam, best first,
+/// cut to the layer's row stride, for every layer the node connects on.
+type Plan = Vec<Vec<Hit>>;
+
+/// How many rows the build plans together once `inserted` rows are in the
+/// graph: one at a time up to row 31, then a sixteenth of the graph, at
+/// most 256. Public only so the reference builder the graph-pinning tests
+/// compare against batches the same way.
+#[doc(hidden)]
+pub fn batch_rows(inserted: usize) -> usize {
+    (inserted / 16).clamp(1, 256)
 }
 
 /// Adds the edge `(score, id)` to the list `ids[..len]`, whose edge scores
@@ -255,12 +298,25 @@ impl HnswIndex {
             upper: vec![0.0; index.upper.ids.len()],
             sorter: Vec::new(),
         };
-        let mut scratch = Scratch::default();
-        for (r, &level) in levels.iter().enumerate().skip(1) {
-            index.insert(&mut scores, r as u32, level, &mut scratch);
+        // a beam scores up to `ef_construction · 2m` rows per layer
+        let work_per_row = cfg.ef_construction * 2 * cfg.m * index.store.dim() * 2;
+        let mut next = 1;
+        while next < n {
+            let end = (next + batch_rows(next)).min(n);
+            let plans = par_map_indexed(end - next, (end - next) * work_per_row, |i| {
+                let mut scratch = index.check_out();
+                let plan = index.plan((next + i) as u32, levels[next + i], &mut scratch);
+                index.check_in(scratch);
+                plan
+            });
+            for (r, plan) in (next..end).zip(plans) {
+                index.commit(&mut scores, r as u32, levels[r], plan);
+            }
+            next = end;
         }
-        // the first search starts warm
-        index.check_in(scratch);
+        // the first search starts warm, on one scratch however many
+        // workers planned
+        index.free_list().truncate(1);
         index
     }
 
@@ -367,7 +423,10 @@ impl HnswIndex {
         best.into_sorted()
     }
 
-    fn insert(&mut self, scores: &mut EdgeScores, id: u32, level: usize, scratch: &mut Scratch) {
+    /// The read-only half of inserting node `id` at `level`: the greedy
+    /// descent, then one `ef_construction` beam per layer the node
+    /// connects on, each cut to that layer's row stride.
+    fn plan(&self, id: u32, level: usize, scratch: &mut Scratch) -> Plan {
         // borrowed, not copied, when the store is f32
         let q = self.store.decode_row(id as usize);
 
@@ -384,8 +443,24 @@ impl HnswIndex {
 
         // connect on layers min(level, max_layer)..=0
         let top = level.min(self.max_layer);
+        let mut found = vec![Vec::new(); top + 1];
         for l in (0..=top).rev() {
-            let found = self.search_layer(scratch, &q, ep, self.cfg.ef_construction, l, &mut 0);
+            let mut hits = self.search_layer(scratch, &q, ep, self.cfg.ef_construction, l, &mut 0);
+            if let Some(h) = hits.first() {
+                ep = h.id;
+            }
+            hits.truncate(if l == 0 { self.layer0.stride } else { self.upper.stride });
+            found[l] = hits;
+        }
+        found
+    }
+
+    /// The writing half: links node `id` on the layers its plan recorded
+    /// (never `level.min(self.max_layer)` again — a batch-mate committed
+    /// before it may have raised the top layer since the plan was made),
+    /// then makes it the entry if it tops the graph.
+    fn commit(&mut self, scores: &mut EdgeScores, id: u32, level: usize, plan: Plan) {
+        for (l, found) in plan.iter().enumerate() {
             let (rows, slot_scores) = if l == 0 {
                 (&mut self.layer0, &mut scores.layer0)
             } else {
@@ -397,12 +472,9 @@ impl HnswIndex {
                 _ => upper_first[node as usize] as usize + l - 1,
             };
             // an edge's score is the same bits from either end
-            for h in found.iter().take(rows.stride).filter(|h| h.id != id) {
+            for h in found.iter().filter(|h| h.id != id) {
                 rows.link(slot_scores, row_of(id), h.id, h.score, &mut scores.sorter);
                 rows.link(slot_scores, row_of(h.id), id, h.score, &mut scores.sorter);
-            }
-            if let Some(h) = found.first() {
-                ep = h.id;
             }
         }
 

@@ -1,6 +1,7 @@
 //! `search_batch` must return exactly what per-query `search` returns, for
 //! every index type, whether the batch runs inline or fans out over
-//! threads.
+//! threads; and the HNSW graph, whose inserts are planned in parallel
+//! batches, must not depend on how many threads planned them.
 //!
 //! The parallel configuration is process-global, so everything lives in a
 //! single `#[test]` — cargo runs test functions of one binary concurrently
@@ -8,9 +9,13 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{assert_bitwise, unit_cloud};
 use rand::SeedableRng;
-use unimatch_ann::{AnnIndex, BruteForceIndex, Hit, HnswConfig, HnswIndex};
+use unimatch_ann::{
+    AnnIndex, BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, RowFormat,
+};
 use unimatch_parallel::Parallelism;
 
 fn assert_hits_equal(a: &[Vec<Hit>], b: &[Vec<Hit>], index_name: &str) {
@@ -55,4 +60,29 @@ fn search_batch_matches_per_query_search() {
 
     // empty batch is a no-op
     assert!(bf.search_batch(&[], k).is_empty());
+
+    // the graph is the same at 1, 2 and 4 planning threads
+    let f32_store = EmbeddingStore::from_vec(unit_cloud(1_500, dim, 0xba7c7), dim);
+    let i8_store = f32_store.quantize(RowFormat::I8);
+    for (name, store) in [("f32", Arc::new(f32_store)), ("i8", Arc::new(i8_store))] {
+        let build = |threads: Parallelism| {
+            threads.install_global();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xba7c8);
+            let index = HnswIndex::build_over(store.clone(), HnswConfig::default(), &mut rng);
+            Parallelism::auto().install_global();
+            index
+        };
+        let sequential = build(Parallelism::sequential());
+        for threads in [2, 4] {
+            let fanned = build(Parallelism::threads(threads).with_min_work(1));
+            assert_eq!(fanned.entry_point(), sequential.entry_point(), "{name}, {threads} threads");
+            for node in 0..store.rows() {
+                assert_eq!(
+                    fanned.neighbour_lists(node),
+                    sequential.neighbour_lists(node),
+                    "{name}, {threads} threads: node {node}"
+                );
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Fixtures shared by the retrieval test suites (and, through a
-//! `#[path]` include, by the facade's `tests/retrieval_engine.rs`):
-//! seeded corpora, the naive full-sort oracle, and the bitwise hit-list
-//! comparison.
+//! `#[path]` include, by the facade's `tests/retrieval_engine.rs` and
+//! `tests/hnsw_recall.rs`): seeded corpora, the naive full-sort oracle,
+//! the bitwise hit-list comparison, and the reference HNSW builder.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -66,8 +66,17 @@ pub fn assert_bitwise(a: &[Hit], b: &[Hit], context: &str) {
 /// index is pinned to by `hnsw_graph.rs`: a fresh `HashSet` and candidate
 /// heap per `search_layer` call, a prune whose comparator re-scores both
 /// sides of every comparison, rows copied out with `into_owned()`.
-/// `insert` and `search_layer` are that code verbatim; `RefTopK` is
-/// the engine's crate-private top-k helper, copied alongside.
+/// `search_layer` is that code verbatim; its `insert` is split at the
+/// point where it stops reading the graph and starts writing it, into
+/// `plan` (the descent and the beams) and `commit` (the links and prunes,
+/// on the layers the plan recorded). `RefTopK` is the engine's
+/// crate-private top-k helper, copied alongside.
+///
+/// `build_over` takes the batch rule: after the first row, it plans
+/// `batch_rows(inserted)` rows one after another against the graph as it
+/// stood when the batch began, then commits them in row order. With
+/// `|_| 1` every plan is committed before the next is made, which is the
+/// unsplit `insert` loop.
 pub mod reference_hnsw {
     use rand::Rng;
     use std::sync::Arc;
@@ -138,19 +147,42 @@ pub mod reference_hnsw {
         pub nodes: Vec<RefNode>,
         pub entry: u32,
         pub max_layer: usize,
+        /// Commits whose plan connected on fewer layers than the graph had
+        /// by then: a batch-mate committed before them raised the top.
+        pub stale_tops: usize,
         cfg: HnswConfig,
     }
 
+    /// One insert's beams, `(layer, found)` from the top connected layer
+    /// down to 0.
+    type RefPlan = Vec<(usize, Vec<Hit>)>;
+
     impl RefHnsw {
-        pub fn build_over(store: Arc<EmbeddingStore>, cfg: HnswConfig, rng: &mut impl Rng) -> Self {
+        pub fn build_over(
+            store: Arc<EmbeddingStore>,
+            cfg: HnswConfig,
+            rng: &mut impl Rng,
+            batch_rows: impl Fn(usize) -> usize,
+        ) -> Self {
             let n = store.rows();
             assert!(n > 0, "cannot build HNSW over an empty set");
-            let mut index =
-                RefHnsw { store, nodes: Vec::with_capacity(n), entry: 0, max_layer: 0, cfg };
+            let nodes = Vec::with_capacity(n);
+            let mut index = RefHnsw { store, nodes, entry: 0, max_layer: 0, stale_tops: 0, cfg };
             let ml = 1.0 / (cfg.m as f64).ln();
-            for r in 0..n {
-                let level = (-rng.gen_range(f64::EPSILON..1.0).ln() * ml).floor() as usize;
-                index.insert(r as u32, level);
+            // an insert draws nothing, so drawing every level first reads
+            // the stream the interleaved loop did
+            let levels: Vec<usize> = (0..n)
+                .map(|_| (-rng.gen_range(f64::EPSILON..1.0).ln() * ml).floor() as usize)
+                .collect();
+            let mut next = 0;
+            while next < n {
+                let end = if next == 0 { 1 } else { (next + batch_rows(next)).min(n) };
+                let plans: Vec<RefPlan> =
+                    (next..end).map(|r| index.plan(r as u32, levels[r])).collect();
+                for (r, plan) in (next..end).zip(plans) {
+                    index.commit(r as u32, levels[r], plan);
+                }
+                next = end;
             }
             index
         }
@@ -197,15 +229,10 @@ pub mod reference_hnsw {
             best.into_sorted()
         }
 
-        fn insert(&mut self, id: u32, level: usize) {
-            let node = RefNode { neighbours: vec![Vec::new(); level + 1] };
+        fn plan(&self, id: u32, level: usize) -> RefPlan {
             if self.nodes.is_empty() {
-                self.nodes.push(node);
-                self.entry = id;
-                self.max_layer = level;
-                return;
+                return Vec::new();
             }
-            self.nodes.push(node);
             let q: Vec<f32> = self.store.decode_row(id as usize).into_owned();
 
             // descend from the top to level+1 greedily
@@ -221,8 +248,31 @@ pub mod reference_hnsw {
 
             // connect on layers min(level, max_layer)..=0
             let top = level.min(self.max_layer);
+            let mut plan = Vec::with_capacity(top + 1);
             for l in (0..=top).rev() {
                 let found = self.search_layer(&q, ep, self.cfg.ef_construction, l, &mut 0);
+                if let Some(h) = found.first() {
+                    ep = h.id;
+                }
+                plan.push((l, found));
+            }
+            plan
+        }
+
+        fn commit(&mut self, id: u32, level: usize, plan: RefPlan) {
+            let node = RefNode { neighbours: vec![Vec::new(); level + 1] };
+            if self.nodes.is_empty() {
+                self.nodes.push(node);
+                self.entry = id;
+                self.max_layer = level;
+                return;
+            }
+            self.nodes.push(node);
+            if plan.len() < level.min(self.max_layer) + 1 {
+                self.stale_tops += 1;
+            }
+
+            for (l, found) in plan {
                 let m_max = if l == 0 { 2 * self.cfg.m } else { self.cfg.m };
                 let selected: Vec<u32> =
                     found.iter().take(m_max).map(|h| h.id).filter(|&n| n != id).collect();
@@ -242,9 +292,6 @@ pub mod reference_hnsw {
                         list.truncate(m_max);
                         self.nodes[nb as usize].neighbours[l] = list;
                     }
-                }
-                if let Some(h) = found.first() {
-                    ep = h.id;
                 }
             }
 

@@ -1,6 +1,7 @@
 //! Pins the HNSW *graph*, not just its recall: the shipped index against
-//! the reference builder in `common::reference_hnsw` (the code it
-//! replaced, kept verbatim), edge for edge and walk for walk.
+//! the reference builder in `common::reference_hnsw` (the textbook code it
+//! replaced, split into plan and commit and batched by the shipped rule),
+//! edge for edge and walk for walk.
 //!
 //! `differential.rs` and the recall gates would pass a different graph
 //! with the same recall; this suite does not. For every seeded case —
@@ -11,8 +12,11 @@
 //! The corpora carry duplicated rows, so score ties (the prune's stable
 //! sort, the beam's admission order) are exercised, not avoided. A corpus
 //! drawn from six distinct rows makes nearly every prune a tie-break, and
-//! one `#[ignore]`d case, which `ci.sh` runs in release, pins the graph at
-//! the serving user tower's size.
+//! one `#[ignore]`d case, which `ci.sh` runs in release with the build
+//! fanned out over 4 workers, pins the graph at the serving user tower's
+//! size. `m` 2 and 3 draw levels high enough that two rows of one batch
+//! both rise above the top layer the batch was planned against; the sweep
+//! requires that this happens.
 
 mod common;
 
@@ -22,6 +26,7 @@ use common::reference_hnsw::RefHnsw;
 use common::unit_cloud;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use unimatch_ann::hnsw::batch_rows;
 use unimatch_ann::{EmbeddingStore, HnswConfig, HnswIndex, RowFormat};
 
 const QUERIES: usize = 50;
@@ -51,8 +56,11 @@ fn stores(rows: usize, dim: usize, seed: u64) -> Vec<(&'static str, Arc<Embeddin
     ]
 }
 
-fn assert_same_index(store: &Arc<EmbeddingStore>, cfg: HnswConfig, seed: u64, case: &str) {
-    let reference = RefHnsw::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(seed));
+/// Asserts the shipped index equals the batched reference; returns the
+/// reference's count of commits that a batch-mate's raised top outran.
+fn assert_same_index(store: &Arc<EmbeddingStore>, cfg: HnswConfig, seed: u64, case: &str) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let reference = RefHnsw::build_over(store.clone(), cfg, &mut rng, batch_rows);
     let shipped = HnswIndex::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(seed));
 
     assert_eq!(shipped.entry_point(), (reference.entry, reference.max_layer), "{case}: entry");
@@ -71,26 +79,28 @@ fn assert_same_index(store: &Arc<EmbeddingStore>, cfg: HnswConfig, seed: u64, ca
         assert_eq!(got_visited, want_visited, "{case}: query {qi} visited count");
         common::assert_bitwise(&got, &want, &format!("{case}: query {qi}"));
     }
+    reference.stale_tops
 }
 
 #[test]
 fn shipped_graph_and_walks_equal_the_reference_builder() {
-    let mut cases = 0u64;
+    let (mut cases, mut stale_tops) = (0u64, 0usize);
     for rows in [1usize, 2, 50, 2_000] {
         for dim in [2usize, 16] {
-            for m in [4usize, 16] {
+            for m in [2usize, 3, 4, 16] {
                 for ef_construction in [8usize, 100] {
                     cases += 1;
                     let cfg = HnswConfig { m, ef_construction, ..HnswConfig::default() };
                     for (name, store) in stores(rows, dim, cases) {
                         let case =
                             format!("{name} rows={rows} dim={dim} m={m} ef_c={ef_construction}");
-                        assert_same_index(&store, cfg, 1_000 + cases, &case);
+                        stale_tops += assert_same_index(&store, cfg, 1_000 + cases, &case);
                     }
                 }
             }
         }
     }
+    assert!(stale_tops > 0, "no batch-mate committed above a top another one raised");
 }
 
 #[test]
@@ -148,7 +158,8 @@ fn the_beam_width_is_a_search_time_setting() {
     for ef_search in [8usize, 32, 128] {
         swept.set_ef_search(ef_search);
         let cfg = HnswConfig { ef_search, ..base };
-        let built = RefHnsw::build_over(store.clone(), cfg, &mut StdRng::seed_from_u64(3));
+        let mut rng = StdRng::seed_from_u64(3);
+        let built = RefHnsw::build_over(store.clone(), cfg, &mut rng, batch_rows);
         for (qi, q) in queries.chunks(16).enumerate() {
             let (want, want_visited) = built.search(q, K);
             let (got, got_visited) = swept.search_counting(q, K);
