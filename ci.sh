@@ -6,15 +6,19 @@
 # 1. release build of the facade package and its binaries
 # 2. every workspace member's unit, integration and doc tests in one run
 #    (a superset of tier-1's `cargo test -q`, which is the facade
-#    package alone): the serving e2e suites (loopback, chaos, degraded,
-#    routes, shadow, stress), the fault-injection plane, durable/crash-safe
-#    training, the retrieval, quantization and re-ranking differential
-#    suites, the pipeline parity suite, the retrieval seam
+#    package alone: its suites and the unit tests of the `unimatch-cli`
+#    binary, `loadgen`'s among them, since the load client is a private
+#    module of that binary; the leaf crate `unimatch-experiments`, the
+#    paper's tables and figures, is built and tested here): the serving
+#    e2e suites (loopback, chaos, degraded, routes, shadow, stress), the
+#    fault-injection plane, durable/crash-safe training, the retrieval,
+#    quantization and re-ranking differential suites, the pipeline parity suite, the retrieval seam
 #    (tests/retrieval_seam.rs: every MatchPipeline retrieval fires
 #    ann.search exactly once, at any backend, shard count and row
 #    format), the dependency guard
 #    (tests/dependency_guard.rs: crates.io surface = rand alone, dev
-#    sections included, every declared edge used), the /metrics golden
+#    sections included, every declared edge used, and no manifest but
+#    its own names unimatch-experiments), the /metrics golden
 #    (crates/serve/tests/metrics_golden.rs: the catalogue renders the
 #    bytes the hand-written struct did) and the metric catalogue ↔ docs
 #    sync (tests/metrics_docs_sync.rs: serve catalogue, registry names
@@ -25,24 +29,26 @@
 #    box has (the graph must not depend on it), and the `#[ignore]`d
 #    1 M-case JSON number loop against the text-only scanner
 # 3. the faults-disabled overhead assertion, with its measurement printed
-# 4. the frozen benchmark crate's own tests, built the way the
+# 4. the `experiments` binary run on one quick paper table (Tab. I), so
+#    the renamed binary is run and not only compiled
+# 5. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an
 #    API change is exactly what can break it)
-# 5. a smoke open-loop load run (loadgen --rerank-mix) against a live
+# 6. a smoke open-loop load run (loadgen --rerank-mix) against a live
 #    loopback server running a re-ranking chain over a quantized store
 #    (--store i8); then a second smoke run with client retries against a
 #    server whose shard 0 fails every search by an armed fault, proving
 #    quorum keeps the 200s flowing under partial failure (the scrape must
 #    count the shard errors and the degraded responses)
-# 6. a smoke load run against an exact-backend server (the default)
+# 7. a smoke load run against an exact-backend server (the default)
 #    with an HNSW shadow armed at --shadow-sample-rate 0.1
 #    (--shadow-spec 'retriever=hnsw' — the one smoke that builds an HNSW
 #    index through the CLI), asserting the mirror actually pairs answers
 #    (nonzero unimatch_shadow_pairs_total on /metrics) and, with
 #    --obs true, that both towers' graph builds were timed into a finite
 #    bucket of unimatch_ann_build_us
-# 7. clippy over every target with warnings denied
-# 8. rustdoc for the workspace's own crates, failing on any doc warning
+# 8. clippy over every target with warnings denied
+# 9. rustdoc for the workspace's own crates, failing on any doc warning
 #
 # Performance numbers come from none of these steps: the benchmark is
 # `bash crates/benchmark/run.sh` (BENCHMARK.json, crates/benchmark/README.md).
@@ -69,6 +75,9 @@ echo "==> disarmed fault-point overhead (measurement printed)"
 # `overhead` pins the no-op contract: a disarmed injection point must
 # cost no more than the bound asserted in crates/faults/tests/overhead.rs.
 cargo test -q -p unimatch-faults --test overhead -- --nocapture
+
+echo "==> experiments table01 (the paper's experiment binary, quick run)"
+cargo run --release -p unimatch-experiments --bin experiments -- table01 --quick --scale 0.05 --threads 2
 
 echo "==> frozen benchmark crate (compiles and smoke-runs against the current API)"
 bash crates/benchmark/run.sh test

@@ -1,5 +1,5 @@
 //! The experiment runner: one (dataset, loss, model) configuration from
-//! raw log to metrics. Every table/figure binary in `unimatch-bench` is a
+//! raw log to metrics. Every table/figure of `unimatch-experiments` is a
 //! loop over these specs.
 
 use crate::evaluate::{

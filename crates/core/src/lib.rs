@@ -29,20 +29,19 @@
 //! stages and runners on [`FittedUniMatch::item_pipeline`] (IR) or
 //! [`FittedUniMatch::user_pipeline`] (UT) directly.
 //!
-//! Besides the serving facade, this crate hosts the experiment machinery
-//! regenerating the paper's evaluation: [`experiment`] (Tabs. VIII–XII,
-//! Fig. 3), [`grid`] (Tab. VII), and [`cost`] (the ≥94 % saving of
-//! Sec. IV-B5).
+//! Besides the serving facade, this crate hosts [`experiment`], the
+//! train-and-evaluate loop behind Tabs. VIII–XII and Fig. 3 that the
+//! root suites and examples also train through. The paper-only pieces —
+//! the Tab. VII grid search and the Sec. IV-B5 cost arithmetic — live
+//! in the leaf crate `unimatch-experiments`.
 
 #![warn(missing_docs)]
 
 pub mod audience;
-pub mod cost;
 pub mod durable;
 pub mod evaluate;
 pub mod experiment;
 pub mod framework;
-pub mod grid;
 pub mod hyper;
 pub mod persist;
 pub mod pipeline;
@@ -50,7 +49,6 @@ pub mod prepare;
 pub mod serving;
 
 pub use audience::{build_targeting_list, plan_campaigns, CampaignSpec, CampaignSubject, TargetingList};
-pub use cost::{CostComparison, Regime};
 pub use durable::{
     train_durable, DurableConfig, DurableError, DurableRun, MonthRecord, RunManifest,
 };
@@ -60,11 +58,10 @@ pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMa
 pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};
 pub use unimatch_ann::{QuorumError, RowFormat, ShardHealth, ShardPolicy};
 pub use unimatch_parallel::Parallelism;
-pub use grid::{grid_search, GridPoint, GridSpec};
 pub use hyper::{Hyperparams, Pathway};
 pub use persist::{
-    load_checkpoint, load_checkpoint_with_format_and_retry, load_model, model_from_json,
-    model_to_json, save_model, save_model_with_marginals, RetryPolicy,
+    load_checkpoint, load_checkpoint_with_format_and_retry, model_from_json, model_to_json,
+    save_model_with_marginals, RetryPolicy,
 };
 pub use prepare::PreparedData;
 pub use serving::{ModelHandle, ServingState};

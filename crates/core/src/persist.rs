@@ -19,12 +19,12 @@
 //! serde would produce for the same structs — the format's first
 //! checkpoints were written that way, and they keep loading.
 //!
-//! Writes are crash-safe: [`save_model`] writes a `.tmp` sibling, syncs
-//! it to disk and then `rename`s it into place (`write_atomic`), so
-//! neither a crash mid-write nor a power loss after the rename can leave
-//! a torn or empty checkpoint behind for a later load (or a serving
-//! `/reload`) to trip over — the destination either holds the old
-//! complete checkpoint or the new complete one.
+//! Writes are crash-safe: [`save_model_with_marginals`] writes a `.tmp`
+//! sibling, syncs it to disk and then `rename`s it into place
+//! (`write_atomic`), so neither a crash mid-write nor a power loss after
+//! the rename can leave a torn or empty checkpoint behind for a later
+//! load (or a serving `/reload`) to trip over — the destination either
+//! holds the old complete checkpoint or the new complete one.
 //!
 //! Loads are validated end to end. Format v2 documents carry a magic
 //! string and an FNV-1a checksum over the *values* (config fields,
@@ -536,20 +536,15 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Saves a model checkpoint to a file, atomically.
+/// Saves a model checkpoint to a file, atomically, optionally embedding
+/// the training marginals as the checkpoint's `marginals` section (its
+/// own checksum over the exact bits). `None` writes the model document
+/// alone, so old readers are unaffected.
 ///
 /// The bytes are written to a `.tmp` sibling in the same directory,
 /// synced, and `rename`d into place, so concurrent readers (and a serving `/reload`
 /// racing a trainer) always observe either the previous complete
 /// checkpoint or the new complete one — never a torn prefix.
-pub fn save_model(model: &TwoTower, path: impl AsRef<Path>) -> io::Result<()> {
-    save_model_with_marginals(model, None, path)
-}
-
-/// [`save_model`], optionally embedding the training marginals as the
-/// checkpoint's `marginals` section (its own checksum over the exact
-/// bits). `None` writes exactly the document [`save_model`] always
-/// wrote, so old readers are unaffected.
 pub fn save_model_with_marginals(
     model: &TwoTower,
     marginals: Option<&Marginals>,
@@ -576,11 +571,6 @@ fn read_document(path: &Path) -> io::Result<Json> {
     let mut bytes = fs::read(path)?;
     LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
     Json::parse(&bytes).map_err(|e| bad(e.to_string()))
-}
-
-/// Loads a model checkpoint from a file.
-pub fn load_model(path: impl AsRef<Path>) -> io::Result<TwoTower> {
-    model_from_json_value(&read_document(path.as_ref())?)
 }
 
 /// Loads a checkpoint's model, its f32 item store, and the optional
@@ -854,8 +844,8 @@ mod tests {
         let dir = unique_tmp("file_round_trip");
         let path = dir.join("model.json");
         let m = model(ContextExtractor::YoutubeDnn);
-        save_model(&m, &path).expect("save");
-        let restored = load_model(&path).expect("load");
+        save_model_with_marginals(&m, None, &path).expect("save");
+        let restored = load_checkpoint(&path).expect("load").0;
         assert_eq!(m.params.num_scalars(), restored.params.num_scalars());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -865,11 +855,11 @@ mod tests {
         let dir = unique_tmp("no_tmp");
         let path = dir.join("model.json");
         let m = model(ContextExtractor::YoutubeDnn);
-        save_model(&m, &path).expect("save");
+        save_model_with_marginals(&m, None, &path).expect("save");
         assert!(path.exists());
         assert!(!dir.join("model.json.tmp").exists());
         // overwriting an existing checkpoint is also atomic
-        save_model(&m, &path).expect("re-save");
+        save_model_with_marginals(&m, None, &path).expect("re-save");
         assert!(!dir.join("model.json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -879,7 +869,7 @@ mod tests {
         let _guard = crate::fault_test_lock();
         let dir = unique_tmp("retry");
         let path = dir.join("model.json");
-        save_model(&model(ContextExtractor::YoutubeDnn), &path).expect("save");
+        save_model_with_marginals(&model(ContextExtractor::YoutubeDnn), None, &path).expect("save");
 
         // two injected transient failures, then the real read succeeds
         unimatch_faults::set_plan_for_this_thread(FaultPlan {
@@ -909,7 +899,7 @@ mod tests {
         let _guard = crate::fault_test_lock();
         let dir = unique_tmp("bitflip");
         let path = dir.join("model.json");
-        save_model(&model(ContextExtractor::YoutubeDnn), &path).expect("save");
+        save_model_with_marginals(&model(ContextExtractor::YoutubeDnn), None, &path).expect("save");
         unimatch_faults::set_plan_for_this_thread(FaultPlan {
             seed: 2,
             rules: vec![
@@ -918,10 +908,10 @@ mod tests {
         });
         // a single flipped bit somewhere in the document must not load
         // as a silently different model (checksum or parse catches it)
-        match load_model(&path) {
+        match load_checkpoint(&path) {
             Err(_) => {}
-            Ok(restored) => {
-                let original = load_model(&path).expect("clean load after budget spent");
+            Ok((restored, _, _)) => {
+                let original = load_checkpoint(&path).expect("clean load after budget spent").0;
                 for (id, p) in original.params.iter() {
                     assert_eq!(p.value.data(), restored.params.get(id).data(), "{}", p.name);
                 }
@@ -935,7 +925,7 @@ mod tests {
     fn loaded_store(m: &TwoTower) -> Arc<EmbeddingStore> {
         let dir = unique_tmp("loaded_store");
         let path = dir.join("model.json");
-        save_model(m, &path).expect("save");
+        save_model_with_marginals(m, None, &path).expect("save");
         let (_, store, _) = load_checkpoint(&path).expect("checkpoint load");
         std::fs::remove_dir_all(&dir).ok();
         store
@@ -984,7 +974,7 @@ mod tests {
             let dir = unique_tmp("pair");
             let path = dir.join("model.json");
             let m = model(extractor);
-            save_model(&m, &path).expect("save");
+            save_model_with_marginals(&m, None, &path).expect("save");
             let (restored, store, _) = load_checkpoint(&path).expect("checkpoint load");
             for expected in [m.infer_items(), restored.infer_items()] {
                 assert_eq!(store.as_slice().len(), expected.data().len());
@@ -1060,8 +1050,6 @@ mod tests {
         assert_eq!(marg.floor_i().to_bits(), loaded.floor_i().to_bits());
         // the model itself is untouched by the extra section
         assert_eq!(m.params.num_scalars(), restored_model.params.num_scalars());
-        // and the plain loader still accepts the document
-        assert!(load_model(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1069,7 +1057,7 @@ mod tests {
     fn checkpoint_without_marginals_loads_as_none() {
         let dir = unique_tmp("no_marginals");
         let path = dir.join("model.json");
-        save_model(&model(ContextExtractor::YoutubeDnn), &path).expect("save");
+        save_model_with_marginals(&model(ContextExtractor::YoutubeDnn), None, &path).expect("save");
         let (_, _, loaded) = load_checkpoint(&path).expect("load");
         assert!(loaded.is_none());
         std::fs::remove_dir_all(&dir).ok();
@@ -1166,7 +1154,7 @@ mod tests {
         let m = model(ContextExtractor::Gru);
         let dir = unique_tmp("forward");
         let path = dir.join("model.json");
-        save_model(&m, &path).expect("save");
+        save_model_with_marginals(&m, None, &path).expect("save");
         let policy = RetryPolicy::default();
         for format in RowFormat::ALL {
             let (_, store, _) = load_checkpoint_with_format_and_retry(&path, format, false, &policy)

@@ -31,7 +31,7 @@ impl PreparedData {
     pub fn from_log(log: InteractionLog, max_seq_len: usize) -> Self {
         let samples = build_samples(&log, &WindowConfig { max_seq_len, min_history: 1 });
         let split = temporal_split(samples, log.span_months());
-        let marginals = Marginals::from_samples(&split.train, log.num_users(), log.num_items());
+        let marginals = Marginals::from_log(&log);
         PreparedData { log, split, marginals, max_seq_len }
     }
 

@@ -76,7 +76,7 @@ impl ModelHandle {
 
     /// Atomically swaps in a new checkpoint — `path`, or the currently
     /// served checkpoint file re-read when `None` (the trainer overwrote it
-    /// in place via the atomic [`crate::persist::save_model`]).
+    /// in place via the atomic [`crate::persist::save_model_with_marginals`]).
     ///
     /// The new model is loaded, validated against the serving log, and its
     /// indexes are rebuilt entirely before the swap; concurrent readers are
@@ -148,7 +148,7 @@ fn load_fitted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::save_model;
+    use crate::persist::save_model_with_marginals;
     use crate::UniMatchConfig;
     use unimatch_data::DatasetProfile;
 
@@ -170,8 +170,8 @@ mod tests {
 
         let path_a = dir.join("a.json");
         let path_b = dir.join("b.json");
-        save_model(&a.model, &path_a).expect("save a");
-        save_model(&b.model, &path_b).expect("save b");
+        save_model_with_marginals(&a.model, None, &path_a).expect("save a");
+        save_model_with_marginals(&b.model, None, &path_b).expect("save b");
 
         let handle =
             ModelHandle::from_checkpoint(UniMatch::new(cfg), &path_a, log).expect("load a");

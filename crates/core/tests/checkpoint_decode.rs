@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::path::{Path, PathBuf};
-use unimatch_core::{load_checkpoint, model_from_json, model_to_json, save_model};
+use unimatch_core::{load_checkpoint, model_from_json, model_to_json, save_model_with_marginals};
 use unimatch_data::json::Json;
 use unimatch_data::SeqBatch;
 use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
@@ -70,7 +70,7 @@ fn every_architecture_reloads_bit_for_bit() {
         let cfg = config(&mut rng, arch);
         let saved = TwoTower::new(cfg.clone(), &mut rng);
         let path = dir.join(format!("case{n}.json"));
-        save_model(&saved, &path).expect("save");
+        save_model_with_marginals(&saved, None, &path).expect("save");
         let (restored, store, _) =
             load_checkpoint(&path).unwrap_or_else(|e| panic!("case {n}: {e}"));
 

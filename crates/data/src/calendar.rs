@@ -23,11 +23,6 @@ pub fn month_end(month: u32) -> u32 {
     (month + 1) * DAYS_PER_MONTH
 }
 
-/// Inclusive day range `[start, end)` covered by months `[m0, m1)`.
-pub fn month_range_days(m0: u32, m1: u32) -> std::ops::Range<u32> {
-    month_start(m0)..month_start(m1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,12 +43,5 @@ mod tests {
             assert_eq!(month_of(month_end(m) - 1), m);
             assert_eq!(month_end(m), month_start(m + 1));
         }
-    }
-
-    #[test]
-    fn range_days() {
-        let r = month_range_days(2, 4);
-        assert_eq!(r.start, 60);
-        assert_eq!(r.end, 120);
     }
 }

@@ -42,7 +42,6 @@ pub mod csv;
 pub mod json;
 pub mod log;
 pub mod marginals;
-pub mod matrix;
 pub mod negative;
 pub mod split;
 pub mod stats;

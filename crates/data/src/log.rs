@@ -1,7 +1,6 @@
 //! Raw interaction logs: the `(u, i, t)` records of the paper.
 
 use crate::calendar::month_of;
-use std::collections::HashMap;
 
 /// A single purchase record `(u, i, t)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,15 +126,6 @@ impl InteractionLog {
     pub fn distinct_items(&self) -> usize {
         self.item_counts().iter().filter(|&&c| c > 0).count()
     }
-
-    /// Distinct `(user, item)` pair count (the `s_{ui} = 1` cells of Fig. 1).
-    pub fn distinct_pairs(&self) -> usize {
-        let mut set: HashMap<(u32, u32), ()> = HashMap::with_capacity(self.records.len());
-        for r in &self.records {
-            set.insert((r.user, r.item), ());
-        }
-        set.len()
-    }
 }
 
 /// Iterator over per-user timelines of a sorted log.
@@ -213,13 +203,6 @@ mod tests {
         assert_eq!(log.item_counts(), vec![1, 2, 2]);
         assert_eq!(log.user_counts(), vec![3, 2]);
         assert_eq!(log.item_counts_in(0, 30), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn distinct_pairs_dedup() {
-        let log = sample_log();
-        // (0,1) appears twice
-        assert_eq!(log.distinct_pairs(), 4);
     }
 
     #[test]

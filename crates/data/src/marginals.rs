@@ -1,10 +1,12 @@
 //! Empirical marginal distributions `p̂(u)` and `p̂(i)` over the training
 //! samples — the bias-correction terms of the bbcNCE loss (Eq. 10, Tab. IV).
 //!
-//! Training counts its windowed samples ([`Marginals::from_samples`]).
-//! Serving, which never windows the log, counts the same records straight
-//! off the timelines ([`Marginals::from_log`]), with the same arithmetic,
-//! so both give the same bits.
+//! Training and serving both count the training records straight off the
+//! log's timelines ([`Marginals::from_log`]). Counting the windowed
+//! training samples ([`Marginals::from_samples`]) gives the same bits,
+//! with the same arithmetic; it is the oracle the equivalence tests pin
+//! [`Marginals::from_log`] against, and the count for a hand-built sample
+//! set.
 
 use crate::calendar::month_of;
 use crate::log::InteractionLog;

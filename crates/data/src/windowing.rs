@@ -139,16 +139,6 @@ pub fn build_samples(log: &InteractionLog, cfg: &WindowConfig) -> Vec<Sample> {
     samples
 }
 
-/// Splits samples by target month: returns those with `month() == month`.
-pub fn samples_in_month(samples: &[Sample], month: u32) -> Vec<Sample> {
-    samples.iter().filter(|s| s.month() == month).cloned().collect()
-}
-
-/// Splits samples into those strictly before `month` (by target month).
-pub fn samples_before_month(samples: &[Sample], month: u32) -> Vec<Sample> {
-    samples.iter().filter(|s| s.month() < month).cloned().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,16 +261,5 @@ mod tests {
     fn sorted_by_day() {
         let samples = build_samples(&log(), &WindowConfig { max_seq_len: 10, min_history: 1 });
         assert!(samples.windows(2).all(|w| w[0].day <= w[1].day));
-    }
-
-    #[test]
-    fn month_partition() {
-        let samples = build_samples(&log(), &WindowConfig { max_seq_len: 10, min_history: 1 });
-        let m0 = samples_in_month(&samples, 0);
-        let m1 = samples_in_month(&samples, 1);
-        assert_eq!(m0.len() + m1.len(), samples.len());
-        assert!(m1.iter().all(|s| s.day >= 30));
-        let before = samples_before_month(&samples, 1);
-        assert_eq!(before.len(), m0.len());
     }
 }

@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures (index in DESIGN.md §4).
 //!
 //! ```text
-//! cargo run --release -p unimatch-bench --bin experiments -- <name|all> [--scale S] [--seed N] [--quick]
+//! cargo run --release -p unimatch-experiments --bin experiments -- <name|all> [--scale S] [--seed N] [--quick]
 //! ```
 //!
 //! A table or figure name prints that report; `all` runs the whole suite
@@ -11,9 +11,9 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
-use unimatch_bench::cli::usage;
-use unimatch_bench::experiments::{self, table09_10_11::Reports};
-use unimatch_bench::Args;
+use unimatch_experiments::cli::usage;
+use unimatch_experiments::experiments::{self, table09_10_11::Reports};
+use unimatch_experiments::Args;
 
 /// Tabs. IX–XI share their training runs: whichever of the three is
 /// asked for first trains, the others (under `all`) read the same bundle.
@@ -71,7 +71,7 @@ fn write_experiments_md(args: &Args) {
     writeln!(md, "# UniMatch — Experiment Results\n").unwrap();
     writeln!(
         md,
-        "Generated by `cargo run --release -p unimatch-bench --bin experiments -- all \
+        "Generated by `cargo run --release -p unimatch-experiments --bin experiments -- all \
          --scale {} --seed {}{}`.\n",
         args.scale,
         args.seed,

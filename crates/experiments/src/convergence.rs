@@ -11,10 +11,10 @@
 //! offsets (`φ + f(u)` is equally optimal), so fits are compared after
 //! removing the appropriate per-row / per-column / global means.
 
+use crate::matrix::InteractionMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 use unimatch_data::alias::AliasTable;
-use unimatch_data::matrix::InteractionMatrix;
 use unimatch_losses::{bce_loss, nce_loss, BiasConfig};
 use unimatch_tensor::{Graph, ParamSet, Tensor, Var};
 use unimatch_train::{Adam, AdamConfig};

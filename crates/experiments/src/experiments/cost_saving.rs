@@ -3,9 +3,9 @@
 //! inputs.
 
 use crate::cli::Args;
+use crate::cost::CostComparison;
 use unimatch_core::{
-    run_experiment_on, CostComparison, ExperimentOptions, ExperimentSpec, Hyperparams,
-    PreparedData, Pathway,
+    run_experiment_on, ExperimentOptions, ExperimentSpec, Hyperparams, PreparedData, Pathway,
 };
 use unimatch_data::{DatasetProfile, NegativeStrategy};
 use unimatch_eval::Table;

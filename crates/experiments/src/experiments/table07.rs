@@ -2,7 +2,8 @@
 //! selected by validation NDCG.
 
 use crate::cli::Args;
-use unimatch_core::{grid_search, GridSpec, PreparedData};
+use crate::grid::{grid_search, GridSpec};
+use unimatch_core::PreparedData;
 use unimatch_data::{DatasetProfile, NegativeStrategy};
 use unimatch_eval::{ProtocolConfig, Table};
 use unimatch_losses::{BiasConfig, MultinomialLoss};

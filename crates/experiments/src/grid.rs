@@ -5,11 +5,9 @@
 //! that procedure against the validation split (the true test month is
 //! never touched).
 
-use crate::evaluate::evaluate;
-use crate::hyper::Hyperparams;
-use crate::prepare::PreparedData;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use unimatch_core::{evaluate, Hyperparams, PreparedData};
 use unimatch_eval::ProtocolConfig;
 use unimatch_models::{ModelConfig, TwoTower};
 use unimatch_train::{AdamConfig, TrainConfig, TrainLoss, Trainer};

@@ -2,7 +2,7 @@
 //! for *small* universes. The convergence experiments behind Tab. I/II fit
 //! models against the exact empirical joint `p̂(u, i)` computed here.
 
-use crate::windowing::Sample;
+use unimatch_data::windowing::Sample;
 
 /// Dense interaction counts `c_ui` with row (user) and column (item)
 /// marginals.

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use unimatch_core::persist::{save_model, save_model_with_marginals};
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{ModelHandle, RowFormat, UniMatch, UniMatchConfig};
 use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
@@ -48,7 +48,8 @@ fn fixture() -> &'static Fixture {
         let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
         let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
         let checkpoint = dir.join("model.json");
-        save_model(&fitted.model, &checkpoint).expect("save fixture checkpoint");
+        save_model_with_marginals(&fitted.model, None, &checkpoint)
+            .expect("save fixture checkpoint");
         Fixture { dir, checkpoint, log, cfg }
     })
 }

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use unimatch_core::persist::save_model;
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{ModelHandle, ShardPolicy, UniMatch, UniMatchConfig};
 use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
@@ -50,7 +50,8 @@ fn fixture() -> &'static Fixture {
             UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, shards: 2, ..Default::default() };
         let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
         let checkpoint = dir.join("model.json");
-        save_model(&fitted.model, &checkpoint).expect("save fixture checkpoint");
+        save_model_with_marginals(&fitted.model, None, &checkpoint)
+            .expect("save fixture checkpoint");
         Fixture { checkpoint, log, cfg }
     })
 }

@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use unimatch_core::persist::save_model;
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{ModelHandle, UniMatch, UniMatchConfig};
 use unimatch_data::DatasetProfile;
 use unimatch_serve::{recommend_body, target_body, ServeConfig, Server};
@@ -28,8 +28,8 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
     let model_b = UniMatch::new(UniMatchConfig { seed: 77, ..cfg.clone() }).fit(log.clone());
     let path_a = dir.join("a.json");
     let path_b = dir.join("b.json");
-    save_model(&model_a.model, &path_a).expect("save a");
-    save_model(&model_b.model, &path_b).expect("save b");
+    save_model_with_marginals(&model_a.model, None, &path_a).expect("save a");
+    save_model_with_marginals(&model_b.model, None, &path_b).expect("save b");
 
     let handle = Arc::new(
         ModelHandle::from_checkpoint(UniMatch::new(cfg), &path_a, log).expect("initial checkpoint"),
@@ -267,7 +267,7 @@ fn metrics_exposition_is_well_formed_and_counters_are_monotonic() {
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
     let path = dir.join("m.json");
-    save_model(&fitted.model, &path).expect("save");
+    save_model_with_marginals(&fitted.model, None, &path).expect("save");
     let handle = Arc::new(
         ModelHandle::from_checkpoint(UniMatch::new(cfg), &path, log).expect("checkpoint"),
     );
@@ -365,7 +365,7 @@ fn sharded_serving_reports_fanout_and_shard_metrics() {
     };
     let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
     let path = dir.join("m.json");
-    save_model(&fitted.model, &path).expect("save");
+    save_model_with_marginals(&fitted.model, None, &path).expect("save");
     let handle = Arc::new(
         ModelHandle::from_checkpoint(UniMatch::new(cfg), &path, log).expect("checkpoint"),
     );
@@ -440,8 +440,8 @@ fn reranked_serving_is_byte_identical_and_reload_guards_rule_vocab() {
     assert!(small_items < big_items, "test needs distinct vocabulary sizes");
     let path_a = dir.join("a.json");
     let path_b = dir.join("b.json");
-    save_model(&model_a.model, &path_a).expect("save a");
-    save_model(&model_b.model, &path_b).expect("save b");
+    save_model_with_marginals(&model_a.model, None, &path_a).expect("save a");
+    save_model_with_marginals(&model_b.model, None, &path_b).expect("save b");
 
     // Deny an id only the big checkpoint can serve, and cap a category
     // over the small vocabulary so both rule stages have material.

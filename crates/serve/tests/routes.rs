@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unimatch_core::persist::save_model;
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{FittedUniMatch, ModelHandle, ShardPolicy, UniMatch, UniMatchConfig};
 use unimatch_data::{DatasetProfile, InteractionLog};
 use unimatch_faults::{FaultKind, FaultPlan, FaultRule};
@@ -174,7 +174,8 @@ fn fitted_checkpoint(name: &str) -> (PathBuf, InteractionLog, UniMatchConfig, Pa
     let log = DatasetProfile::EComp.generate(0.12, 17).filter_min_interactions(3);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, shards: 2, ..Default::default() };
     let checkpoint = dir.join("model.json");
-    save_model(&UniMatch::new(cfg.clone()).fit(log.clone()).model, &checkpoint).expect("save");
+    let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
+    save_model_with_marginals(&fitted.model, None, &checkpoint).expect("save");
     (dir, log, cfg, checkpoint)
 }
 

@@ -18,7 +18,7 @@ use common::{metric_value, request, scrape, tmp_dir};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unimatch_core::persist::save_model;
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{ModelHandle, UniMatch, UniMatchConfig};
 use unimatch_data::DatasetProfile;
 use unimatch_serve::{recommend_body, target_body, ServeConfig, Server, ShadowSpec};
@@ -49,7 +49,7 @@ fn fixture(name: &str) -> (PathBuf, unimatch_data::InteractionLog, UniMatchConfi
     let log = DatasetProfile::EComp.generate(0.12, 21).filter_min_interactions(3);
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
-    save_model(&fitted.model, dir.join("model.json")).expect("save model");
+    save_model_with_marginals(&fitted.model, None, dir.join("model.json")).expect("save model");
     (dir, log, cfg)
 }
 
@@ -166,7 +166,7 @@ fn divergent_shadow_compares_without_perturbing_the_primary() {
     let path_b = dir.join("b.json");
     // a different seed trains a genuinely different model for the shadow
     let model_b = UniMatch::new(UniMatchConfig { seed: 77, ..cfg.clone() }).fit(log.clone());
-    save_model(&model_b.model, &path_b).expect("save b");
+    save_model_with_marginals(&model_b.model, None, &path_b).expect("save b");
 
     let primary = Arc::new(
         ModelHandle::from_checkpoint(UniMatch::new(cfg.clone()), &path_a, log.clone())

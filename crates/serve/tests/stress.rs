@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-use unimatch_core::persist::save_model;
+use unimatch_core::persist::save_model_with_marginals;
 use unimatch_core::{ModelHandle, ServingState, UniMatch, UniMatchConfig};
 use unimatch_data::DatasetProfile;
 use unimatch_serve::{
@@ -78,9 +78,11 @@ fn mixed_traffic_across_a_hot_swap_is_answered_by_a_then_b_and_fully_accounted()
     let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
     let path_a = dir.join("a.json");
     let path_b = dir.join("b.json");
-    save_model(&UniMatch::new(cfg.clone()).fit(log.clone()).model, &path_a).expect("save a");
+    let model_a = UniMatch::new(cfg.clone()).fit(log.clone()).model;
+    save_model_with_marginals(&model_a, None, &path_a).expect("save a");
     let seeded_b = UniMatchConfig { seed: 77, ..cfg.clone() };
-    save_model(&UniMatch::new(seeded_b).fit(log.clone()).model, &path_b).expect("save b");
+    let model_b = UniMatch::new(seeded_b).fit(log.clone()).model;
+    save_model_with_marginals(&model_b, None, &path_b).expect("save b");
     let open = |path| {
         Arc::new(
             ModelHandle::from_checkpoint(UniMatch::new(cfg.clone()), path, log.clone())

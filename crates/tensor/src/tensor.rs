@@ -167,13 +167,6 @@ impl Tensor {
         }
     }
 
-    /// In-place scale by a constant.
-    pub fn scale_inplace(&mut self, alpha: f32) {
-        for a in self.data.iter_mut() {
-            *a *= alpha;
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -315,13 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_adds_the_scaled_operand() {
         let mut a = Tensor::ones([3]);
         let b = Tensor::vector(&[1., 2., 3.]);
         a.axpy(2.0, &b);
         assert_eq!(a.data(), &[3., 5., 7.]);
-        a.scale_inplace(0.5);
-        assert_eq!(a.data(), &[1.5, 2.5, 3.5]);
     }
 
     #[test]

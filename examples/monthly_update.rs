@@ -7,7 +7,7 @@
 //! cargo run --release --example monthly_update
 //! ```
 
-use unimatch::core::{load_model, save_model, UniMatch, UniMatchConfig};
+use unimatch::core::{load_checkpoint, save_model_with_marginals, UniMatch, UniMatchConfig};
 use unimatch::data::calendar::month_start;
 use unimatch::data::DatasetProfile;
 
@@ -29,12 +29,12 @@ fn main() {
 
     // Persist the checkpoint, exactly as a nightly job would.
     let path = std::env::temp_dir().join("unimatch_monthly_checkpoint.json");
-    save_model(&fitted.model, &path).expect("persist checkpoint");
+    save_model_with_marginals(&fitted.model, None, &path).expect("persist checkpoint");
     println!("checkpoint saved to {}", path.display());
 
     // A month passes. Reload and resume with ONE new month of data instead
     // of retraining on everything.
-    let model = load_model(&path).expect("reload checkpoint");
+    let model = load_checkpoint(&path).expect("reload checkpoint").0;
     println!(
         "month {}: resuming from checkpoint, consuming only month {}'s data",
         m0 + 1,
@@ -55,7 +55,7 @@ fn main() {
          from-scratch yearly retrain would have consumed ~12x more — \
          multiply by the one-model-for-two-tasks factor and the bbcNCE \
          epoch savings and you reach the paper's 94%+ figure \
-         (`cargo run -p unimatch-bench --bin experiments -- cost_saving`)."
+         (`cargo run -p unimatch-experiments --bin experiments -- cost_saving`)."
     );
     std::fs::remove_file(&path).ok();
 }

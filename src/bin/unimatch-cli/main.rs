@@ -16,12 +16,14 @@
 //! `<model>.items.json`) so results translate back. The HTTP API exposed
 //! by `serve` speaks the dense ids directly.
 
+mod loadgen;
+
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::{
-    evaluate, evaluate_ir_rerank, load_model, save_model_with_marginals, DurableConfig,
+    evaluate, evaluate_ir_rerank, load_checkpoint, save_model_with_marginals, DurableConfig,
     ModelHandle, RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch,
     UniMatchConfig,
 };
@@ -489,7 +491,8 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
         );
         return;
     }
-    let model = load_model(model_path)
+    let model = load_checkpoint(model_path)
+        .map(|(model, _, _)| model)
         .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
     // --store-deltas true prints what each row encoding costs in end
     // metrics: one exact-retriever deployment per format answers the same
@@ -564,7 +567,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
 }
 
 /// `loadgen` — open-loop Poisson load against a running `unimatch-serve`
-/// (`crates/bench::loadgen`). Parses its own argv for the booleans
+/// (the [`loadgen`] module). Parses its own argv for the booleans
 /// `--smoke` and `--rerank-mix`.
 fn cmd_loadgen(args: &[String]) {
     let mut smoke = false;
@@ -579,9 +582,9 @@ fn cmd_loadgen(args: &[String]) {
     }
     let flags = parse_flags("loadgen", &rest);
     let route_name = flags.get("route").map(String::as_str).unwrap_or("mixed");
-    let route = unimatch_bench::loadgen::RouteMix::parse(route_name)
+    let route = loadgen::RouteMix::parse(route_name)
         .unwrap_or_else(|| usage(&format!("unknown route {route_name} (recommend|target|mixed)")));
-    let opts = unimatch_bench::loadgen::LoadgenOptions {
+    let opts = loadgen::LoadgenOptions {
         addr: flag(&flags, "addr").to_string(),
         qps: flag_or(&flags, "qps", if smoke { 50.0 } else { 500.0 }),
         seconds: flag_or(&flags, "seconds", if smoke { 2.0 } else { 10.0 }),
@@ -593,7 +596,7 @@ fn cmd_loadgen(args: &[String]) {
         rerank_mix,
         retries: flag_or(&flags, "retries", 0),
     };
-    let (report, path) = unimatch_bench::loadgen::run(&opts)
+    let (report, path) = loadgen::run(&opts)
         .unwrap_or_else(|e| usage(&format!("loadgen failed: {e}")));
     println!(
         "offered {:.0} req/s for {:.1}s ({} requests, concurrency {})",

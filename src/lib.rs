@@ -3,7 +3,6 @@
 //! runnable examples and cross-crate integration tests.
 
 pub use unimatch_ann as ann;
-pub use unimatch_bench as bench;
 pub use unimatch_core as core;
 pub use unimatch_data as data;
 pub use unimatch_eval as eval;

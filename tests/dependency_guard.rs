@@ -11,6 +11,11 @@
 //!
 //! `crates/benchmark/` is frozen with its own stand-in crates and keeps
 //! neither policy; it is skipped.
+//!
+//! One rule holds for every manifest, the benchmark's included:
+//! `unimatch-experiments` (the paper's tables and figures) is a leaf. No
+//! manifest but its own names it, and the facade does not re-export it,
+//! so production crates never build experiment-only code.
 
 mod common;
 
@@ -113,4 +118,26 @@ fn every_member_forbids_unsafe_code() {
             manifest.display()
         );
     }
+}
+
+#[test]
+fn the_experiments_crate_is_a_leaf() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let own = root.join("crates/experiments/Cargo.toml");
+    assert!(own.exists(), "crates/experiments/Cargo.toml is missing");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/").flatten() {
+        manifests.push(entry.path().join("Cargo.toml"));
+    }
+    for manifest in manifests.iter().filter(|m| **m != own) {
+        for (table, line) in entries(manifest) {
+            assert!(
+                !line.contains("unimatch-experiments"),
+                "{}: [{table}] names the leaf crate unimatch-experiments: {line}",
+                manifest.display()
+            );
+        }
+    }
+    let facade = std::fs::read_to_string(root.join("src/lib.rs")).expect("read src/lib.rs");
+    assert!(!facade.contains("unimatch_experiments"), "src/lib.rs re-exports unimatch_experiments");
 }

@@ -1,7 +1,9 @@
 //! Serving reads the user pool and the training marginals straight off the
 //! log's timelines (`UserPool::from_log`, `Marginals::from_log`); training
-//! and evaluation window the log, split it by month and build both from
-//! the samples. These loops pin the two routes to the same bits, on
+//! and evaluation window the log, split it by month and build the pool
+//! from the samples. `PreparedData` counts its marginals off the log too;
+//! the windowed count (`Marginals::from_samples` over the training split)
+//! is the oracle. These loops pin the two routes to the same bits, on
 //! generator logs and on small hand-built logs full of the edge cases the
 //! direct route reasons about: users whose purchases all fall on one day,
 //! ties on the last day, and exactly one earlier day.
@@ -87,6 +89,12 @@ fn assert_log_direct_equals_split_built(case: u64, log: &InteractionLog) {
         assert_eq!(bits(got.log_pi_all()), bits(want.log_pi_all()), "case {case}: log p(i)");
         assert_eq!(got.floor_u().to_bits(), want.floor_u().to_bits(), "case {case}: floor_u");
         assert_eq!(got.floor_i().to_bits(), want.floor_i().to_bits(), "case {case}: floor_i");
+        // training counts the same way: `prepared.marginals` is the oracle's bits
+        let ours = &prepared.marginals;
+        assert_eq!(bits(ours.log_pu_all()), bits(want.log_pu_all()), "case {case}: prepared p(u)");
+        assert_eq!(bits(ours.log_pi_all()), bits(want.log_pi_all()), "case {case}: prepared p(i)");
+        assert_eq!(ours.floor_u().to_bits(), want.floor_u().to_bits(), "case {case}: prepared f_u");
+        assert_eq!(ours.floor_i().to_bits(), want.floor_i().to_bits(), "case {case}: prepared f_i");
     }
 }
 

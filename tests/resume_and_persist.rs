@@ -2,7 +2,8 @@
 //! resume pathway continues training instead of restarting.
 
 use unimatch::core::{
-    load_model, model_from_json, model_to_json, save_model, UniMatch, UniMatchConfig,
+    load_checkpoint, model_from_json, model_to_json, save_model_with_marginals, UniMatch,
+    UniMatchConfig,
 };
 use unimatch::data::calendar::month_start;
 use unimatch::data::DatasetProfile;
@@ -53,8 +54,8 @@ fn checkpoint_file_round_trip_through_fit() {
     let fitted = framework.fit(log);
     let path = std::env::temp_dir()
         .join(format!("unimatch_test_checkpoint_{}.json", std::process::id()));
-    save_model(&fitted.model, &path).expect("save");
-    let loaded = load_model(&path).expect("load");
+    save_model_with_marginals(&fitted.model, None, &path).expect("save");
+    let loaded = load_checkpoint(&path).expect("load").0;
     assert_eq!(loaded.params.num_scalars(), fitted.model.params.num_scalars());
     std::fs::remove_file(&path).ok();
 }

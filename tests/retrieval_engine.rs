@@ -14,8 +14,8 @@ mod common;
 
 use common::{assert_bitwise, oracle_top_k};
 use unimatch::core::{
-    build_targeting_list, load_checkpoint, save_model, CampaignSpec, PreparedData, RetrieverKind,
-    UniMatch, UniMatchConfig,
+    build_targeting_list, load_checkpoint, save_model_with_marginals, CampaignSpec, PreparedData,
+    RetrieverKind, UniMatch, UniMatchConfig,
 };
 use unimatch::data::DatasetProfile;
 use unimatch::eval::ranking::EmbeddingMatrix;
@@ -116,7 +116,7 @@ fn checkpoint_store_reproduces_the_fit_path_bit_for_bit() {
         .join(format!("unimatch_retrieval_engine_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("model.json");
-    save_model(&fitted.model, &path).expect("save checkpoint");
+    save_model_with_marginals(&fitted.model, None, &path).expect("save checkpoint");
 
     // the store decoded straight from the checkpoint's embedding section —
     // no ParamSet, no item-tower forward pass
