@@ -43,7 +43,9 @@
 # 7. a smoke load run against an exact-backend server (the default)
 #    with an HNSW shadow armed at --shadow-sample-rate 0.1
 #    (--shadow-spec 'retriever=hnsw' — the one smoke that builds an HNSW
-#    index through the CLI), asserting the mirror actually pairs answers
+#    index through the CLI) serving the newest month file of a durable
+#    `fit --run-dir` (--shadow-ckpt: a month file is an ordinary
+#    checkpoint), asserting the mirror actually pairs answers
 #    (nonzero unimatch_shadow_pairs_total on /metrics) and, with
 #    --obs true, that both towers' graph builds were timed into a finite
 #    bucket of unimatch_ann_build_us
@@ -125,6 +127,11 @@ target/release/unimatch-cli generate --profile ecomp --scale 0.1 --seed 7 \
 # exercises the quantized read path end to end.
 target/release/unimatch-cli fit --log "$LOAD_DIR/log.csv" \
     --out "$LOAD_DIR/model.json" --store i8
+# the same fit, made durable: one month_NNNN.json per trained month,
+# the newest of which the shadow smoke below serves
+target/release/unimatch-cli fit --log "$LOAD_DIR/log.csv" \
+    --out "$LOAD_DIR/durable.json" --run-dir "$LOAD_DIR/run"
+NEWEST_MONTH="$(ls "$LOAD_DIR/run"/month_*.json | sort | tail -n 1)"
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7979 --shards 2 \
     --store i8 --rerank 'debias@0.5,mmr@0.3,explore@0.1' &
@@ -157,15 +164,16 @@ done
 stop_server
 
 echo "==> loadgen --smoke vs an armed exact/HNSW shadow pair (mirror must pair answers)"
-# The shadow serves the same checkpoint through an HNSW index while the
-# primary answers from the default exact scan; 10% of answered queries
-# are mirrored off the critical path. The smoke passes only if the
+# The shadow serves the durable run's newest month file through an HNSW
+# index while the primary answers from the default exact scan; 10% of
+# answered queries are mirrored off the critical path. The smoke passes only if the
 # scrape shows the mirror actually produced pairs. --obs true adds the
 # process registry to the scrape: the shadow's two graph builds (item
 # tower, user tower) must both sit in a bucket with a finite bound.
 target/release/unimatch-cli serve --checkpoint "$LOAD_DIR/model.json" \
     --log "$LOAD_DIR/log.csv" --addr 127.0.0.1:7981 --obs true \
-    --shadow-sample-rate 0.1 --shadow-spec 'retriever=hnsw' &
+    --shadow-sample-rate 0.1 --shadow-ckpt "$NEWEST_MONTH" \
+    --shadow-spec 'retriever=hnsw' &
 SERVE_PID=$!
 smoke_load 7981 shadow --
 # let the mirror queue drain, then require nonzero shadow pairs

@@ -7,57 +7,56 @@
 //! restarting from scratch forfeits the 1/12 cost factor the schedule
 //! exists to buy. This module makes the chain durable:
 //!
-//! * **Per-month checkpoints, committed atomically.** After every clean
-//!   month the model document (format v2, checksummed), the full Adam
-//!   state, and the cumulative [`TrainStats`] are written to a per-month
-//!   file via tmp+rename, then recorded in a `manifest.json` (also
-//!   tmp+rename). A crash at *any* instant leaves the run directory
-//!   describing a consistent prefix of the run.
-//! * **Exact resume.** [`train_durable`] reads the manifest, loads the
-//!   last committed month's checkpoint (with bounded retry for transient
-//!   I/O), and continues from the following month. Because the shuffling
-//!   RNG is reseeded per month from `(seed, month, attempt)` and the Adam
-//!   state round-trips bit-exactly, a killed-and-resumed run produces the
-//!   **same parameters** as an uninterrupted one.
+//! * **One checkpoint per month, committed atomically.** After every
+//!   clean month the runner writes `month_NNNN.json` into the run
+//!   directory through [`crate::persist`]'s one writer. The file is an
+//!   ordinary format-v2 checkpoint — the model document and the training
+//!   marginals, exactly as [`crate::persist::save_model_with_marginals`]
+//!   writes them — plus a `training` section: the full Adam state, the
+//!   cumulative [`TrainStats`], the LR scale, the month, the run seed and
+//!   the per-month history, sealed by its own FNV-1a checksum. The file's
+//!   tmp+rename is the month's single commit, so a crash at *any* instant
+//!   leaves the directory holding a consistent prefix of the run, and any
+//!   month file is a checkpoint [`crate::persist::load_checkpoint`] (and
+//!   `serve --checkpoint`) accepts.
+//! * **Exact resume.** [`train_durable`] loads the highest-numbered month
+//!   file (with bounded retry for transient I/O) and continues from the
+//!   following month. Because the shuffling RNG is reseeded per month
+//!   from `(seed, month, attempt)` and the Adam state round-trips
+//!   bit-exactly, a killed-and-resumed run produces the **same
+//!   parameters** as an uninterrupted one.
 //! * **Health rollback.** Each month trains under a fresh
 //!   [`unimatch_train::HealthMonitor`]; a non-finite loss or a
-//!   gradient-norm spike rolls
-//!   the month back to its starting snapshot (parameters *and* optimizer
-//!   state), multiplies the learning rate by `lr_backoff`, and retries
-//!   within a bounded budget. The backoff survives restarts — the scale
-//!   is part of the manifest.
+//!   gradient-norm spike rolls the month back to its starting snapshot
+//!   (parameters *and* optimizer state), halves the learning rate and
+//!   retries, at most twice per month. The backoff survives restarts —
+//!   the scale is part of the `training` section.
 //!
 //! Fault seams for the kill tests: `durable.pre_commit` crashes after a
-//! month trained but *before* its checkpoint is written (resume retrains
-//! the month); `durable.month_end` crashes after the manifest commit
-//! (resume starts at the next month). Counters surface through
-//! `unimatch-obs`: `unimatch_durable_rollbacks_total`,
-//! `unimatch_durable_lr_backoffs_total`,
+//! month trained but *before* its file is written (resume retrains the
+//! month); `durable.month_end` crashes after the file's rename (resume
+//! starts at the next month). Counters surface through `unimatch-obs`:
+//! `unimatch_durable_rollbacks_total`,
 //! `unimatch_durable_months_resumed_total`.
 
-use crate::persist::{
-    bad, field, model_from_json_value, model_to_json_value, retry_load, tensor_from_json,
-    tensor_to_json, usize_field, write_atomic, RetryPolicy,
-};
+use crate::persist::{bad, read_checkpoint, retry_load, save_checkpoint, RetryPolicy};
 use crate::prepare::PreparedData;
 use std::io;
 use std::path::{Path, PathBuf};
-use unimatch_data::json::Json;
 use unimatch_data::{Marginals, TemporalSplit};
 use unimatch_eval::UserPool;
 use unimatch_faults::FaultPoint;
 use unimatch_models::TwoTower;
 use unimatch_obs as obs;
-use unimatch_train::{
-    AdamState, HealthConfig, TrainConfig, TrainError, TrainStats, Trainer,
-};
-
-const MANIFEST_MAGIC: &str = "unimatch-run";
-const MONTH_MAGIC: &str = "unimatch-run-month";
-const MANIFEST_VERSION: u64 = 1;
+use unimatch_train::{AdamState, TrainConfig, TrainError, TrainStats, Trainer};
 
 const PRE_COMMIT_FAULT: FaultPoint = FaultPoint::new("durable.pre_commit");
 const MONTH_END_FAULT: FaultPoint = FaultPoint::new("durable.month_end");
+
+/// Rollback retries allowed per month before the run gives up.
+const MAX_RETRIES_PER_MONTH: u32 = 2;
+/// Learning-rate multiplier applied at each rollback.
+const LR_BACKOFF: f32 = 0.5;
 
 /// What can go wrong in a durable run.
 #[derive(Debug)]
@@ -102,58 +101,32 @@ impl From<TrainError> for DurableError {
     }
 }
 
-/// Durability and recovery knobs.
-#[derive(Clone, Debug)]
-pub struct DurableConfig {
-    /// Directory holding `manifest.json` and the per-month checkpoints.
-    pub run_dir: PathBuf,
-    /// Health thresholds each month trains under.
-    pub health: HealthConfig,
-    /// Rollback retries allowed per month before the run gives up.
-    pub max_retries_per_month: u32,
-    /// Learning-rate multiplier applied at each rollback (`0 < f < 1`).
-    pub lr_backoff: f32,
-    /// Retry policy for reading checkpoints back (transient I/O only).
-    pub retry: RetryPolicy,
-}
-
-impl DurableConfig {
-    /// Defaults around a run directory: default health thresholds, two
-    /// retries per month, halve the LR on rollback.
-    pub fn new(run_dir: impl Into<PathBuf>) -> DurableConfig {
-        DurableConfig {
-            run_dir: run_dir.into(),
-            health: HealthConfig::default(),
-            max_retries_per_month: 2,
-            lr_backoff: 0.5,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
-/// One committed month in the manifest.
-#[derive(Clone, Debug)]
-pub struct MonthRecord {
-    /// The training month this record commits.
+/// One committed month, as every later month file's history records it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MonthSummary {
+    /// The training month.
     pub month: u32,
-    /// Checkpoint file name, relative to the run directory.
-    pub file: String,
     /// Mean loss over the month's epochs.
     pub mean_loss: f32,
     /// LR scale in effect when the month finished (product of backoffs).
     pub lr_scale: f32,
-    /// Cumulative consumption stats through this month.
-    pub stats: TrainStats,
 }
 
-/// The run manifest: which months are committed, under which seed.
+/// A month file's `training` section: what a resume needs beyond the
+/// model. [`crate::persist`] owns its codec and checksum.
 #[derive(Clone, Debug)]
-pub struct RunManifest {
-    /// The training seed the run was started with; a resume under a
-    /// different seed is rejected rather than silently diverging.
-    pub seed: u64,
-    /// Committed months, in training order.
-    pub months: Vec<MonthRecord>,
+pub(crate) struct TrainingState {
+    /// The month this file commits.
+    pub(crate) month: u32,
+    /// The run's training seed; a resume under another is rejected
+    /// rather than silently diverging.
+    pub(crate) seed: u64,
+    pub(crate) optimizer: AdamState,
+    /// Cumulative consumption stats through `month`.
+    pub(crate) stats: TrainStats,
+    pub(crate) lr_scale: f32,
+    /// Every committed month so far, `month` last.
+    pub(crate) history: Vec<MonthSummary>,
 }
 
 /// A completed durable run.
@@ -163,277 +136,52 @@ pub struct DurableRun {
     pub model: TwoTower,
     /// Cumulative consumption stats (identical to an uninterrupted run).
     pub stats: TrainStats,
-    /// The manifest as committed on disk.
-    pub manifest: RunManifest,
+    /// Every committed month, in training order, as the newest month
+    /// file records them.
+    pub history: Vec<MonthSummary>,
     /// The month the run resumed after, if it picked up existing state.
     pub resumed_after: Option<u32>,
     /// Health rollbacks performed during this invocation.
     pub rollbacks: u32,
 }
 
-// ---------------------------------------------------------------------------
-// serialization
-// ---------------------------------------------------------------------------
-
-fn stats_to_json(s: &TrainStats) -> Json {
-    Json::obj(vec![
-        ("steps", Json::int(s.steps as usize)),
-        ("records_consumed", Json::int(s.records_consumed as usize)),
-        ("loss_sum", Json::Num(s.loss_sum)),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> io::Result<TrainStats> {
-    Ok(TrainStats {
-        steps: usize_field(v, "steps")? as u64,
-        records_consumed: usize_field(v, "records_consumed")? as u64,
-        loss_sum: field(v, "loss_sum")?
-            .as_f64()
-            .ok_or_else(|| bad("loss_sum is not a number"))?,
-    })
-}
-
-fn f32_field(v: &Json, key: &str) -> io::Result<f32> {
-    field(v, key)?
-        .as_f32()
-        .ok_or_else(|| bad(format!("field {key} is not a number")))
-}
-
-fn adam_state_to_json(s: &AdamState) -> Json {
-    let dense = Json::Arr(
-        s.dense
-            .iter()
-            .map(|(name, m, v)| {
-                Json::obj(vec![
-                    ("name", Json::str(name.clone())),
-                    ("m", tensor_to_json(m)),
-                    ("v", tensor_to_json(v)),
-                ])
-            })
-            .collect(),
-    );
-    let sparse = Json::Arr(
-        s.sparse
-            .iter()
-            .map(|(name, rows)| {
-                let rows = Json::Arr(
-                    rows.iter()
-                        .map(|(row, m, v)| {
-                            Json::obj(vec![
-                                ("row", Json::int(*row as usize)),
-                                ("m", Json::Arr(m.iter().map(|&x| Json::F32(x)).collect())),
-                                ("v", Json::Arr(v.iter().map(|&x| Json::F32(x)).collect())),
-                            ])
-                        })
-                        .collect(),
-                );
-                Json::obj(vec![("name", Json::str(name.clone())), ("rows", rows)])
-            })
-            .collect(),
-    );
-    Json::obj(vec![
-        ("t", Json::int(s.t as usize)),
-        ("dense", dense),
-        ("sparse", sparse),
-    ])
-}
-
-fn f32_vec_from_json(v: &Json, what: &str) -> io::Result<Vec<f32>> {
-    v.as_array()
-        .ok_or_else(|| bad(format!("{what} is not an array")))?
-        .iter()
-        .map(|x| x.as_f32().ok_or_else(|| bad(format!("bad element in {what}"))))
-        .collect()
-}
-
-fn adam_state_from_json(v: &Json) -> io::Result<AdamState> {
-    let dense = field(v, "dense")?
-        .as_array()
-        .ok_or_else(|| bad("dense state is not an array"))?
-        .iter()
-        .map(|e| {
-            Ok((
-                field(e, "name")?
-                    .as_str()
-                    .ok_or_else(|| bad("dense state name is not a string"))?
-                    .to_string(),
-                tensor_from_json(field(e, "m")?)?,
-                tensor_from_json(field(e, "v")?)?,
-            ))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    let sparse = field(v, "sparse")?
-        .as_array()
-        .ok_or_else(|| bad("sparse state is not an array"))?
-        .iter()
-        .map(|e| {
-            let rows = field(e, "rows")?
-                .as_array()
-                .ok_or_else(|| bad("sparse rows is not an array"))?
-                .iter()
-                .map(|r| {
-                    Ok((
-                        usize_field(r, "row")? as u32,
-                        f32_vec_from_json(field(r, "m")?, "sparse m")?,
-                        f32_vec_from_json(field(r, "v")?, "sparse v")?,
-                    ))
-                })
-                .collect::<io::Result<Vec<_>>>()?;
-            Ok((
-                field(e, "name")?
-                    .as_str()
-                    .ok_or_else(|| bad("sparse state name is not a string"))?
-                    .to_string(),
-                rows,
-            ))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok(AdamState { t: usize_field(v, "t")? as u64, dense, sparse })
-}
-
-fn manifest_to_json(m: &RunManifest) -> Json {
-    Json::obj(vec![
-        ("magic", Json::str(MANIFEST_MAGIC)),
-        ("format_version", Json::int(MANIFEST_VERSION as usize)),
-        // the seed is written as hex so u64 values above 2^53 survive the
-        // JSON number path exactly
-        ("seed", Json::str(format!("{:016x}", m.seed))),
-        (
-            "months",
-            Json::Arr(
-                m.months
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("month", Json::int(r.month as usize)),
-                            ("file", Json::str(r.file.clone())),
-                            ("mean_loss", Json::F32(r.mean_loss)),
-                            ("lr_scale", Json::F32(r.lr_scale)),
-                            ("stats", stats_to_json(&r.stats)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn manifest_from_json(doc: &Json) -> io::Result<RunManifest> {
-    let magic = field(doc, "magic")?
-        .as_str()
-        .ok_or_else(|| bad("manifest magic is not a string"))?;
-    if magic != MANIFEST_MAGIC {
-        return Err(bad(format!("not a unimatch run manifest (magic `{magic}`)")));
-    }
-    let version = usize_field(doc, "format_version")? as u64;
-    if version != MANIFEST_VERSION {
-        return Err(bad(format!("unsupported manifest version {version}")));
-    }
-    let seed_hex = field(doc, "seed")?
-        .as_str()
-        .ok_or_else(|| bad("manifest seed is not a string"))?;
-    let seed = u64::from_str_radix(seed_hex, 16)
-        .map_err(|_| bad(format!("manifest seed `{seed_hex}` is not hex")))?;
-    let months = field(doc, "months")?
-        .as_array()
-        .ok_or_else(|| bad("manifest months is not an array"))?
-        .iter()
-        .map(|r| {
-            Ok(MonthRecord {
-                month: usize_field(r, "month")? as u32,
-                file: field(r, "file")?
-                    .as_str()
-                    .ok_or_else(|| bad("month file is not a string"))?
-                    .to_string(),
-                mean_loss: f32_field(r, "mean_loss")?,
-                lr_scale: f32_field(r, "lr_scale")?,
-                stats: stats_from_json(field(r, "stats")?)?,
-            })
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok(RunManifest { seed, months })
-}
-
-// ---------------------------------------------------------------------------
-// files
-// ---------------------------------------------------------------------------
-
 fn month_file_name(month: u32) -> String {
     format!("month_{month:04}.json")
 }
 
-fn write_month_checkpoint(
-    dir: &Path,
-    month: u32,
-    model: &TwoTower,
-    optimizer: &AdamState,
-    stats: &TrainStats,
-    lr_scale: f32,
-) -> io::Result<String> {
-    let file = month_file_name(month);
-    let doc = Json::obj(vec![
-        ("magic", Json::str(MONTH_MAGIC)),
-        ("format_version", Json::int(MANIFEST_VERSION as usize)),
-        ("month", Json::int(month as usize)),
-        ("model", model_to_json_value(model)),
-        ("optimizer", adam_state_to_json(optimizer)),
-        ("stats", stats_to_json(stats)),
-        ("lr_scale", Json::F32(lr_scale)),
-    ]);
-    write_atomic(&dir.join(&file), &doc.to_bytes())?;
-    Ok(file)
+/// The highest-numbered `month_N.json` in `dir` and its month, if any.
+fn newest_month_file(dir: &Path) -> io::Result<Option<(u32, PathBuf)>> {
+    let mut newest: Option<(u32, PathBuf)> = None;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let month = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("month_")?.strip_suffix(".json")?.parse::<u32>().ok());
+        if let Some(month) = month.filter(|&m| newest.as_ref().is_none_or(|(n, _)| m > *n)) {
+            newest = Some((month, entry.path()));
+        }
+    }
+    Ok(newest)
 }
 
-/// A month checkpoint read back from disk, fully validated.
-struct MonthCheckpointFile {
-    model: TwoTower,
-    optimizer: AdamState,
-    stats: TrainStats,
-    lr_scale: f32,
-}
-
-fn read_month_checkpoint(
-    dir: &Path,
-    record: &MonthRecord,
-    policy: &RetryPolicy,
-) -> io::Result<MonthCheckpointFile> {
-    let bytes = retry_load(policy, || std::fs::read(dir.join(&record.file)))?;
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
-    let magic = field(&doc, "magic")?
-        .as_str()
-        .ok_or_else(|| bad("month checkpoint magic is not a string"))?;
-    if magic != MONTH_MAGIC {
-        return Err(bad(format!("not a month checkpoint (magic `{magic}`)")));
+/// Reads the month file at `path` back: a full checkpoint load, then its
+/// `training` section checked against the file's month and the run's
+/// seed. Every failure names the file.
+fn read_month(path: &Path, month: u32, seed: u64) -> io::Result<(TwoTower, TrainingState)> {
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    let cp = retry_load(&RetryPolicy::default(), || read_checkpoint(path)).map_err(named)?;
+    let training = cp.training.ok_or_else(|| named(bad("no training section")))?;
+    if training.month != month {
+        return Err(named(bad(format!("training section holds month {}", training.month))));
     }
-    let month = usize_field(&doc, "month")? as u32;
-    if month != record.month {
-        return Err(bad(format!(
-            "month checkpoint {} holds month {month}, manifest says {}",
-            record.file, record.month
-        )));
+    if training.seed != seed {
+        return Err(named(bad(format!(
+            "run directory belongs to seed {:016x}, config has {seed:016x}",
+            training.seed
+        ))));
     }
-    // model_from_json_value runs the full v2 validation stack: magic,
-    // architecture match, finiteness, value checksum
-    let model = model_from_json_value(field(&doc, "model")?)?;
-    let optimizer = adam_state_from_json(field(&doc, "optimizer")?)?;
-    let stats = stats_from_json(field(&doc, "stats")?)?;
-    let lr_scale = f32_field(&doc, "lr_scale")?;
-    if !lr_scale.is_finite() || lr_scale <= 0.0 {
-        return Err(bad(format!("month checkpoint lr_scale {lr_scale} is not usable")));
-    }
-    Ok(MonthCheckpointFile { model, optimizer, stats, lr_scale })
-}
-
-/// Loads and validates the manifest in `dir`, or `None` if the run is
-/// fresh (no manifest file yet).
-pub fn load_manifest(dir: &Path) -> io::Result<Option<RunManifest>> {
-    let path = dir.join("manifest.json");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let bytes = std::fs::read(&path)?;
-    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
-    Ok(Some(manifest_from_json(&doc)?))
+    Ok((cp.model, training))
 }
 
 // ---------------------------------------------------------------------------
@@ -455,51 +203,38 @@ fn durable_counter(name: &'static str) {
     }
 }
 
-/// Runs (or resumes) a durable incremental training over `split`.
+/// Runs (or resumes) a durable incremental training over `split`, one
+/// month file per committed month under `run_dir`.
 ///
 /// `model` is the freshly initialized model used only when the run
-/// directory holds no prior state; on resume the checkpointed model wins.
-/// The returned [`DurableRun`] is byte-for-byte equivalent to what an
-/// uninterrupted run would have produced.
+/// directory holds no month file; on resume the newest month's model
+/// wins. The returned [`DurableRun`] is byte-for-byte equivalent to what
+/// an uninterrupted run would have produced.
 pub fn train_durable(
     model: TwoTower,
     cfg: TrainConfig,
-    durable: &DurableConfig,
+    run_dir: impl AsRef<Path>,
     split: &TemporalSplit,
     marginals: &Marginals,
 ) -> Result<DurableRun, DurableError> {
+    let run_dir = run_dir.as_ref();
     cfg.validate()?;
-    std::fs::create_dir_all(&durable.run_dir)?;
+    std::fs::create_dir_all(run_dir)?;
     let base_lr = cfg.optimizer.lr;
 
-    let mut manifest = match load_manifest(&durable.run_dir)? {
-        Some(m) => {
-            if m.seed != cfg.seed {
-                return Err(DurableError::Io(bad(format!(
-                    "run directory belongs to seed {:016x}, config has {:016x}",
-                    m.seed, cfg.seed
-                ))));
+    let (mut trainer, mut lr_scale, mut history, resumed_after) =
+        match newest_month_file(run_dir)? {
+            Some((month, path)) => {
+                let (model, training) = read_month(&path, month, cfg.seed)?;
+                let mut t = Trainer::try_new(model, cfg.clone())?;
+                t.import_optimizer(&training.optimizer)?;
+                t.restore_stats(training.stats);
+                t.set_lr(base_lr * training.lr_scale);
+                durable_counter("unimatch_durable_months_resumed_total");
+                (t, training.lr_scale, training.history, Some(month))
             }
-            m
-        }
-        None => RunManifest { seed: cfg.seed, months: Vec::new() },
-    };
-
-    let resumed_after = manifest.months.last().map(|r| r.month);
-    let mut lr_scale = 1.0f32;
-    let mut trainer = match manifest.months.last() {
-        Some(last) => {
-            let cp = read_month_checkpoint(&durable.run_dir, last, &durable.retry)?;
-            lr_scale = cp.lr_scale;
-            let mut t = Trainer::try_new(cp.model, cfg.clone())?;
-            t.import_optimizer(&cp.optimizer)?;
-            t.restore_stats(cp.stats);
-            t.set_lr(base_lr * lr_scale);
-            durable_counter("unimatch_durable_months_resumed_total");
-            t
-        }
-        None => Trainer::try_new(model, cfg.clone())?,
-    };
+            None => (Trainer::try_new(model, cfg.clone())?, 1.0f32, Vec::new(), None),
+        };
 
     let mut rollbacks = 0u32;
     let months: Vec<u32> = split
@@ -522,7 +257,7 @@ pub fn train_durable(
             // a fresh monitor per attempt: warmup and the EMA baseline
             // restart with the month, which also keeps a resumed run's
             // health state identical to an uninterrupted one's
-            trainer.enable_health(durable.health);
+            trainer.enable_health();
 
             let losses =
                 trainer.train_epochs(&month_samples, marginals, cfg.epochs_per_month)?;
@@ -534,53 +269,47 @@ pub fn train_durable(
                 // kill window 1: the month is trained but nothing is
                 // committed — resume retrains this month from the prior one
                 PRE_COMMIT_FAULT.crash_point();
-                let optimizer = trainer.export_optimizer();
-                let file = write_month_checkpoint(
-                    &durable.run_dir,
+                history.push(MonthSummary { month, mean_loss, lr_scale });
+                let training = TrainingState {
                     month,
-                    &trainer.model,
-                    &optimizer,
-                    trainer.stats(),
-                    lr_scale,
-                )?;
-                manifest.months.push(MonthRecord {
-                    month,
-                    file,
-                    mean_loss,
-                    lr_scale,
+                    seed: cfg.seed,
+                    optimizer: trainer.export_optimizer(),
                     stats: *trainer.stats(),
-                });
-                write_atomic(
-                    &durable.run_dir.join("manifest.json"),
-                    &manifest_to_json(&manifest).to_bytes(),
+                    lr_scale,
+                    history: history.clone(),
+                };
+                save_checkpoint(
+                    &trainer.model,
+                    Some(marginals),
+                    Some(&training),
+                    &run_dir.join(month_file_name(month)),
                 )?;
-                // kill window 2: the month is fully committed — resume
-                // starts at the next month
+                // kill window 2: the month is committed — resume starts
+                // at the next month
                 MONTH_END_FAULT.crash_point();
                 break;
             }
 
             // unhealthy month: roll back to the snapshot and retry with a
             // reduced learning rate
-            if attempt >= durable.max_retries_per_month {
+            if attempt >= MAX_RETRIES_PER_MONTH {
                 return Err(DurableError::RetriesExhausted { month, retries: attempt });
             }
             trainer.model.params = params_snapshot;
             trainer.import_optimizer(&opt_snapshot)?;
             trainer.restore_stats(stats_snapshot);
-            lr_scale *= durable.lr_backoff;
+            lr_scale *= LR_BACKOFF;
             trainer.set_lr(base_lr * lr_scale);
             rollbacks += 1;
             attempt += 1;
             durable_counter("unimatch_durable_rollbacks_total");
-            durable_counter("unimatch_durable_lr_backoffs_total");
         }
     }
 
     Ok(DurableRun {
         stats: *trainer.stats(),
         model: trainer.model,
-        manifest,
+        history,
         resumed_after,
         rollbacks,
     })
@@ -595,7 +324,7 @@ impl crate::framework::UniMatch {
     pub fn fit_durable(
         &self,
         log: unimatch_data::InteractionLog,
-        durable: &DurableConfig,
+        run_dir: impl AsRef<Path>,
     ) -> Result<crate::framework::FittedUniMatch, DurableError> {
         let cfg = &self.config;
         cfg.parallelism.install_global();
@@ -603,7 +332,7 @@ impl crate::framework::UniMatch {
         let run = train_durable(
             self.new_model(prepared.num_items()),
             self.train_config(cfg.max_seq_len),
-            durable,
+            run_dir,
             &prepared.split,
             &prepared.marginals,
         )?;
@@ -615,7 +344,7 @@ impl crate::framework::UniMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::model_to_json;
+    use crate::persist::{load_checkpoint, model_to_json};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -663,8 +392,17 @@ mod tests {
 
     fn run_uninterrupted(dir: &Path) -> DurableRun {
         let (model, cfg, split, marginals) = setup();
-        train_durable(model, cfg, &DurableConfig::new(dir), &split, &marginals)
-            .expect("uninterrupted run")
+        train_durable(model, cfg, dir, &split, &marginals).expect("uninterrupted run")
+    }
+
+    /// The sorted file names in a run directory.
+    fn dir_listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list run dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -672,17 +410,19 @@ mod tests {
         let dir = unique_dir("fresh");
         let run = run_uninterrupted(&dir);
         let (_, _, split, _) = setup();
-        assert_eq!(run.manifest.months.len(), split.train_months().len());
+        assert_eq!(run.history.len(), split.train_months().len());
         assert!(run.resumed_after.is_none());
         assert_eq!(run.rollbacks, 0);
-        for r in &run.manifest.months {
-            assert!(dir.join(&r.file).exists(), "{} missing", r.file);
+        for r in &run.history {
+            let file = month_file_name(r.month);
+            assert!(dir.join(&file).exists(), "{file} missing");
             assert!(r.mean_loss.is_finite());
         }
-        // the manifest on disk round-trips to the in-memory one
-        let on_disk = load_manifest(&dir).expect("read").expect("present");
-        assert_eq!(on_disk.seed, run.manifest.seed);
-        assert_eq!(on_disk.months.len(), run.manifest.months.len());
+        // the newest month file carries the whole history and the seed
+        let (month, path) = newest_month_file(&dir).expect("list").expect("present");
+        let (_, training) = read_month(&path, month, 5).expect("read back");
+        assert_eq!(training.seed, 5);
+        assert_eq!(training.history, run.history);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -703,22 +443,21 @@ mod tests {
                 .with_skip_first(skip)],
         });
         let killed = catch_unwind(AssertUnwindSafe(|| {
-            train_durable(model, cfg, &DurableConfig::new(&dir), &split, &marginals)
+            train_durable(model, cfg, &dir, &split, &marginals)
         }));
         unimatch_faults::clear();
         assert!(killed.is_err(), "the injected crash must kill the run");
-        let partial = load_manifest(&dir).expect("read").expect("manifest survives the kill");
+        let committed = dir_listing(&dir);
+        assert!(!committed.is_empty(), "the months before the kill stay committed");
         assert!(
-            partial.months.len() < split.train_months().len(),
+            committed.len() < split.train_months().len(),
             "the kill must leave the run incomplete"
         );
 
         // resume: a fresh process would do exactly this call
         let (model, cfg, split, marginals) = setup();
-        let resumed =
-            train_durable(model, cfg, &DurableConfig::new(&dir), &split, &marginals)
-                .expect("resume");
-        assert!(resumed.resumed_after.is_some(), "must pick up from the manifest");
+        let resumed = train_durable(model, cfg, &dir, &split, &marginals).expect("resume");
+        assert!(resumed.resumed_after.is_some(), "must pick up from the newest month file");
         assert_eq!(
             model_to_json(&resumed.model),
             model_to_json(&baseline.model),
@@ -727,14 +466,14 @@ mod tests {
         assert_eq!(resumed.stats.steps, baseline.stats.steps);
         assert_eq!(resumed.stats.records_consumed, baseline.stats.records_consumed);
         assert_eq!(resumed.stats.loss_sum, baseline.stats.loss_sum);
-        assert_eq!(resumed.manifest.months.len(), baseline.manifest.months.len());
+        assert_eq!(resumed.history, baseline.history);
         std::fs::remove_dir_all(&baseline_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn kill_between_months_resumes_equivalently() {
-        // crash after the second month's manifest commit
+        // crash after the second month's file is committed
         kill_and_resume_matches("durable.month_end", 1);
     }
 
@@ -757,17 +496,16 @@ mod tests {
             seed: 3,
             rules: vec![FaultRule::new("train.step", FaultKind::BitFlip).with_max_fires(1)],
         });
-        let run = train_durable(model, cfg, &DurableConfig::new(&dir), &split, &marginals)
-            .expect("run absorbs the NaN");
+        let run = train_durable(model, cfg, &dir, &split, &marginals).expect("run absorbs the NaN");
         unimatch_faults::clear();
         assert!(run.rollbacks >= 1, "the poisoned month must roll back");
         assert!(
             run.model.params.global_norm().is_finite(),
             "final parameters must be finite"
         );
-        assert!(run.manifest.months.iter().all(|r| r.mean_loss.is_finite()));
-        let backed_off = run.manifest.months.iter().any(|r| r.lr_scale < 1.0);
-        assert!(backed_off, "the LR backoff must be recorded in the manifest");
+        assert!(run.history.iter().all(|r| r.mean_loss.is_finite()));
+        let backed_off = run.history.iter().any(|r| r.lr_scale < 1.0);
+        assert!(backed_off, "the LR backoff must be recorded in the history");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -781,12 +519,11 @@ mod tests {
             seed: 3,
             rules: vec![FaultRule::new("train.step", FaultKind::BitFlip)],
         });
-        let durable = DurableConfig { max_retries_per_month: 1, ..DurableConfig::new(&dir) };
-        let err = train_durable(model, cfg, &durable, &split, &marginals)
+        let err = train_durable(model, cfg, &dir, &split, &marginals)
             .expect_err("unrecoverable month");
         unimatch_faults::clear();
         assert!(
-            matches!(err, DurableError::RetriesExhausted { retries: 1, .. }),
+            matches!(err, DurableError::RetriesExhausted { retries: MAX_RETRIES_PER_MONTH, .. }),
             "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -798,8 +535,7 @@ mod tests {
         let _ = run_uninterrupted(&dir);
         let (model, mut cfg, split, marginals) = setup();
         cfg.seed ^= 0xdead;
-        let err = train_durable(model, cfg, &DurableConfig::new(&dir), &split, &marginals)
-            .expect_err("wrong seed");
+        let err = train_durable(model, cfg, &dir, &split, &marginals).expect_err("wrong seed");
         assert!(err.to_string().contains("seed"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -809,8 +545,7 @@ mod tests {
         let dir = unique_dir("noop");
         let first = run_uninterrupted(&dir);
         let (model, cfg, split, marginals) = setup();
-        let again = train_durable(model, cfg, &DurableConfig::new(&dir), &split, &marginals)
-            .expect("rerun");
+        let again = train_durable(model, cfg, &dir, &split, &marginals).expect("rerun");
         assert_eq!(model_to_json(&again.model), model_to_json(&first.model));
         assert_eq!(again.stats.steps, first.stats.steps);
         std::fs::remove_dir_all(&dir).ok();
@@ -824,11 +559,24 @@ mod tests {
             .train_epochs(&split.train_month(0), &marginals, 1)
             .expect("warm up some optimizer state");
         let state = trainer.export_optimizer();
-        let restored = adam_state_from_json(&Json::parse(
-            &adam_state_to_json(&state).to_bytes(),
-        )
-        .expect("parse"))
-        .expect("decode");
+        // through the one writer and the one reader, as a month file
+        let dir = unique_dir("adam");
+        let path = dir.join(month_file_name(0));
+        let training = TrainingState {
+            month: 0,
+            seed: u64::MAX - 6, // above 2^53: only a hex seed survives
+            optimizer: state.clone(),
+            stats: *trainer.stats(),
+            lr_scale: 0.25,
+            history: vec![MonthSummary { month: 0, mean_loss: 1.5, lr_scale: 0.25 }],
+        };
+        save_checkpoint(&trainer.model, None, Some(&training), &path).expect("save");
+        let back = read_checkpoint(&path).expect("read").training.expect("training section");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(back.seed, training.seed);
+        assert_eq!(back.history, training.history);
+        assert_eq!(back.stats.loss_sum.to_bits(), training.stats.loss_sum.to_bits());
+        let restored = back.optimizer;
         assert_eq!(state.t, restored.t);
         assert_eq!(state.dense.len(), restored.dense.len());
         for ((an, am, av), (bn, bm, bv)) in state.dense.iter().zip(restored.dense.iter()) {
@@ -850,7 +598,6 @@ mod tests {
         };
         let framework = crate::framework::UniMatch::new(cfg);
         let dir = unique_dir("fit");
-        let durable = DurableConfig::new(&dir);
 
         // kill the very first fit after its first committed month
         unimatch_faults::set_plan_for_this_thread(FaultPlan {
@@ -858,22 +605,104 @@ mod tests {
             rules: vec![FaultRule::new("durable.month_end", FaultKind::Crash).with_max_fires(1)],
         });
         let killed = catch_unwind(AssertUnwindSafe(|| {
-            framework.fit_durable(log.clone(), &durable)
+            framework.fit_durable(log.clone(), &dir)
         }));
         unimatch_faults::clear();
         assert!(killed.is_err());
 
-        let fitted = framework.fit_durable(log.clone(), &durable).expect("resume");
+        let fitted = framework.fit_durable(log.clone(), &dir).expect("resume");
         let recs = fitted.recommend_items(&[1, 2, 3], 5);
         assert_eq!(recs.len(), 5);
 
         // and it matches the never-killed fit end to end
         let clean_dir = unique_dir("fit_clean");
-        let clean = framework
-            .fit_durable(log, &DurableConfig::new(&clean_dir))
-            .expect("clean fit");
+        let clean = framework.fit_durable(log, &clean_dir).expect("clean fit");
         assert_eq!(model_to_json(&fitted.model), model_to_json(&clean.model));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&clean_dir).ok();
+    }
+
+    #[test]
+    fn fit_durable_leaves_only_loadable_month_files() {
+        let log = DatasetProfile::EComp.generate(0.1, 5).filter_min_interactions(3);
+        let framework = crate::framework::UniMatch::new(crate::framework::UniMatchConfig {
+            max_seq_len: 8,
+            epochs_per_month: 1,
+            ..Default::default()
+        });
+        let dir = unique_dir("only_months");
+        let fitted = framework.fit_durable(log, &dir).expect("fit");
+        let files = dir_listing(&dir);
+        assert!(!files.is_empty());
+        for (i, name) in files.iter().enumerate() {
+            // one document kind: month_NNNN.json, numbered from the first month
+            assert_eq!(*name, month_file_name(i as u32), "{files:?}");
+            let (model, store, marginals) = load_checkpoint(dir.join(name)).expect(name);
+            assert_eq!(store.rows(), model.config().num_items);
+            assert!(marginals.is_some(), "{name} carries the training marginals");
+        }
+        let newest = load_checkpoint(dir.join(files.last().expect("a month"))).expect("newest").0;
+        assert_eq!(model_to_json(&newest), model_to_json(&fitted.model));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Walks `keys` in order through the `training` section of the month
+    /// file at `path` and flips the first digit after the last one, to
+    /// another digit that keeps the JSON valid.
+    fn flip_training_digit(path: &Path, keys: &[&str]) {
+        let mut text = std::fs::read_to_string(path).expect("read month file");
+        let mut at = text.find("\"training\":").expect("training section");
+        for key in keys {
+            at += text[at..].find(key).expect(key) + key.len();
+        }
+        let pos = at + text[at..].find(|c: char| c.is_ascii_digit()).expect("a digit");
+        let digit = text.as_bytes()[pos];
+        let flipped = if digit == b'9' { '8' } else { (digit + 1) as char };
+        text.replace_range(pos..pos + 1, &flipped.to_string());
+        std::fs::write(path, text).expect("write month file");
+    }
+
+    #[test]
+    fn a_flipped_training_digit_fails_the_resume() {
+        let clean_dir = unique_dir("flip_clean");
+        let _ = run_uninterrupted(&clean_dir);
+        let (_, newest) = newest_month_file(&clean_dir).expect("list").expect("a month");
+        let cases: [&[&str]; 3] = [
+            &["\"optimizer\":", "\"sparse\":", "\"m\":["], // a stored Adam moment
+            &["\"lr_scale\":"],
+            &["\"stats\":"],
+        ];
+        for keys in cases {
+            let dir = unique_dir("flip");
+            let path = dir.join(newest.file_name().expect("file name"));
+            std::fs::copy(&newest, &path).expect("copy newest month");
+            flip_training_digit(&path, keys);
+            let (model, cfg, split, marginals) = setup();
+            let err = train_durable(model, cfg, &dir, &split, &marginals)
+                .expect_err("a corrupted training section must not resume");
+            let DurableError::Io(e) = &err else { panic!("{keys:?}: not an I/O error: {err}") };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{keys:?}: {e}");
+            assert!(e.to_string().contains("training section"), "{keys:?}: {e}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&clean_dir).ok();
+    }
+
+    #[test]
+    fn a_parent_era_run_directory_is_a_typed_error_naming_the_file() {
+        // the wrapper document and the manifest runs used to be written as
+        let dir = unique_dir("parent_era");
+        let (model, cfg, split, marginals) = setup();
+        let wrapper = format!(
+            "{{\"magic\":\"unimatch-run-month\",\"format_version\":1,\"month\":0,\"model\":{}}}",
+            String::from_utf8(model_to_json(&model)).expect("utf8")
+        );
+        std::fs::write(dir.join("month_0000.json"), wrapper).expect("write month");
+        std::fs::write(dir.join("manifest.json"), "{\"magic\":\"unimatch-run\"}").expect("write");
+        let err = train_durable(model, cfg, &dir, &split, &marginals).expect_err("parent era");
+        let DurableError::Io(e) = &err else { panic!("not an I/O error: {err}") };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        assert!(e.to_string().contains("month_0000.json"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

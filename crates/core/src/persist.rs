@@ -33,10 +33,12 @@
 //! model; truncation is caught by the JSON parser; a parameter that
 //! decodes to a non-finite float is rejected by name. Legacy v1
 //! documents (no magic/checksum) still load, with everything but the
-//! checksum validated. The serving layer wraps [`load_checkpoint`] in
-//! bounded retry-with-backoff for *transient* I/O errors, so a
-//! checkpoint on flaky storage does not fail a `/reload` that a second
-//! read would have satisfied.
+//! checksum validated. Each optional section — `marginals`, and the
+//! `training` section a durable run's month files carry — is sealed by
+//! its own value checksum the same way. The serving layer wraps
+//! [`load_checkpoint`] in bounded retry-with-backoff for *transient* I/O
+//! errors, so a checkpoint on flaky storage does not fail a `/reload`
+//! that a second read would have satisfied.
 //!
 //! The checkpoint is the only file a serving store comes from: the item
 //! store is derived from the validated embedding section, in f32, and
@@ -48,6 +50,7 @@
 //! can surface injected transient I/O errors, and `persist.load.corrupt`
 //! flips a bit in the bytes read from disk (exercising the checksum).
 
+use crate::durable::{MonthSummary, TrainingState};
 use crate::framework::item_store_of;
 use std::fs;
 use std::io::{self, Write};
@@ -60,6 +63,7 @@ use unimatch_data::Marginals;
 use unimatch_faults::FaultPoint;
 use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
 use unimatch_tensor::{Param, Tensor};
+use unimatch_train::{AdamState, TrainStats};
 
 const FORMAT_VERSION: u64 = 2;
 /// Identifies a checkpoint file as ours before any schema is assumed.
@@ -97,6 +101,18 @@ impl Fnv {
     }
     fn u64(&mut self, x: u64) {
         self.update(&x.to_le_bytes());
+    }
+    /// A length, then each value's exact bit pattern.
+    fn f32s(&mut self, xs: &[f32]) {
+        self.u64(xs.len() as u64);
+        for &x in xs {
+            self.update(&x.to_bits().to_le_bytes());
+        }
+    }
+    /// A name and its terminator.
+    fn name(&mut self, name: &str) {
+        self.update(name.as_bytes());
+        self.update(&[0xff]);
     }
 }
 
@@ -167,17 +183,55 @@ fn checksums(model: &TwoTower) -> Checksums {
 /// caught before a debias stage reads it.
 fn checksum_marginals(m: &Marginals) -> u64 {
     let mut h = Fnv::new();
-    h.update(b"marginals");
-    h.update(&[0xff]);
+    h.name("marginals");
     h.u64(m.floor_u().to_bits() as u64);
     h.u64(m.floor_i().to_bits() as u64);
-    h.u64(m.log_pu_all().len() as u64);
-    for &x in m.log_pu_all() {
-        h.update(&x.to_bits().to_le_bytes());
+    h.f32s(m.log_pu_all());
+    h.f32s(m.log_pi_all());
+    h.0
+}
+
+/// Checksums the optional `training` section over its decoded values —
+/// month, seed, LR scale, stats, history, and the optimizer's step count,
+/// names, shapes and exact moment bits — so a resume never continues
+/// from a silently altered optimizer state.
+fn checksum_training(t: &TrainingState) -> u64 {
+    let mut h = Fnv::new();
+    h.name("training");
+    h.u64(t.month as u64);
+    h.u64(t.seed);
+    h.u64(t.lr_scale.to_bits() as u64);
+    h.u64(t.stats.steps);
+    h.u64(t.stats.records_consumed);
+    h.u64(t.stats.loss_sum.to_bits());
+    h.u64(t.history.len() as u64);
+    for s in &t.history {
+        h.u64(s.month as u64);
+        h.u64(s.mean_loss.to_bits() as u64);
+        h.u64(s.lr_scale.to_bits() as u64);
     }
-    h.u64(m.log_pi_all().len() as u64);
-    for &x in m.log_pi_all() {
-        h.update(&x.to_bits().to_le_bytes());
+    let opt = &t.optimizer;
+    h.u64(opt.t);
+    h.u64(opt.dense.len() as u64);
+    for (name, m, v) in &opt.dense {
+        h.name(name);
+        for moment in [m, v] {
+            h.u64(moment.shape().dims().len() as u64);
+            for &d in moment.shape().dims() {
+                h.u64(d as u64);
+            }
+            h.f32s(moment.data());
+        }
+    }
+    h.u64(opt.sparse.len() as u64);
+    for (name, rows) in &opt.sparse {
+        h.name(name);
+        h.u64(rows.len() as u64);
+        for (row, m, v) in rows {
+            h.u64(*row as u64);
+            h.f32s(m);
+            h.f32s(v);
+        }
     }
     h.0
 }
@@ -207,17 +261,16 @@ fn aggregator_to_json(a: Aggregator) -> Json {
     })
 }
 
-pub(crate) fn tensor_to_json(t: &Tensor) -> Json {
+fn tensor_to_json(t: &Tensor) -> Json {
     Json::obj(vec![
         ("shape", Json::Arr(t.shape().dims().iter().map(|&d| Json::int(d)).collect())),
-        ("data", Json::Arr(t.data().iter().map(|&x| Json::F32(x)).collect())),
+        ("data", f32_array(t.data())),
     ])
 }
 
 /// Serializes a model to a format-v2 JSON document (magic + value
-/// checksum). Exposed at the `Json` level so the durable-training runner
-/// can embed a model document inside its per-month checkpoint files.
-pub(crate) fn model_to_json_value(model: &TwoTower) -> Json {
+/// checksum).
+fn model_to_json_value(model: &TwoTower) -> Json {
     let cfg = model.config();
     let config = Json::obj(vec![
         ("num_items", Json::int(cfg.num_items)),
@@ -274,15 +327,64 @@ fn marginals_to_json_value(m: &Marginals) -> Json {
     ])
 }
 
+fn adam_state_to_json(s: &AdamState) -> Json {
+    let dense = s.dense.iter().map(|(name, m, v)| {
+        Json::obj(vec![
+            ("name", Json::str(name.clone())),
+            ("m", tensor_to_json(m)),
+            ("v", tensor_to_json(v)),
+        ])
+    });
+    let sparse = s.sparse.iter().map(|(name, rows)| {
+        let rows = rows.iter().map(|(row, m, v)| {
+            let row = Json::int(*row as usize);
+            Json::obj(vec![("row", row), ("m", f32_array(m)), ("v", f32_array(v))])
+        });
+        Json::obj(vec![("name", Json::str(name.clone())), ("rows", Json::Arr(rows.collect()))])
+    });
+    Json::obj(vec![
+        ("t", Json::int(s.t as usize)),
+        ("dense", Json::Arr(dense.collect())),
+        ("sparse", Json::Arr(sparse.collect())),
+    ])
+}
+
+/// Serializes a durable run's state after one month as the checkpoint's
+/// optional `training` section, sealed by [`checksum_training`]. The seed
+/// is hex so u64 values above 2^53 survive the JSON number path exactly.
+fn training_to_json_value(t: &TrainingState) -> Json {
+    let history = t.history.iter().map(|s| {
+        Json::obj(vec![
+            ("month", Json::int(s.month as usize)),
+            ("mean_loss", Json::F32(s.mean_loss)),
+            ("lr_scale", Json::F32(s.lr_scale)),
+        ])
+    });
+    Json::obj(vec![
+        ("month", Json::int(t.month as usize)),
+        ("seed", Json::str(format!("{:016x}", t.seed))),
+        ("lr_scale", Json::F32(t.lr_scale)),
+        (
+            "stats",
+            Json::obj(vec![
+                ("steps", Json::int(t.stats.steps as usize)),
+                ("records_consumed", Json::int(t.stats.records_consumed as usize)),
+                ("loss_sum", Json::Num(t.stats.loss_sum)),
+            ]),
+        ),
+        ("history", Json::Arr(history.collect())),
+        ("optimizer", adam_state_to_json(&t.optimizer)),
+        ("checksum", Json::str(format!("{:016x}", checksum_training(t)))),
+    ])
+}
+
 fn f32_array_field(v: &Json, key: &str) -> io::Result<Vec<f32>> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| bad(format!("marginals field {key} is not an array")))?
+    array_field(v, key)?
         .iter()
         .map(|x| {
             x.as_f32()
                 .filter(|v| v.is_finite())
-                .ok_or_else(|| bad(format!("marginals field {key} holds a non-finite value")))
+                .ok_or_else(|| bad(format!("checkpoint field {key} holds a non-finite value")))
         })
         .collect()
 }
@@ -305,9 +407,7 @@ fn marginals_from_json_value(doc: &Json) -> io::Result<Option<Marginals>> {
         .filter(|v| v.is_finite())
         .ok_or_else(|| bad("marginals floor_i is not a finite number"))?;
     let m = Marginals::from_parts(log_pu, log_pi, floor_u, floor_i);
-    let stored_sum = field(section, "checksum")?
-        .as_str()
-        .ok_or_else(|| bad("marginals checksum is not a string"))?;
+    let stored_sum = str_field(section, "checksum")?;
     let computed = format!("{:016x}", checksum_marginals(&m));
     if stored_sum != computed {
         return Err(bad(format!(
@@ -317,19 +417,103 @@ fn marginals_from_json_value(doc: &Json) -> io::Result<Option<Marginals>> {
     Ok(Some(m))
 }
 
+fn adam_state_from_json(v: &Json) -> io::Result<AdamState> {
+    let dense = array_field(v, "dense")?
+        .iter()
+        .map(|e| {
+            let (m, v) = (tensor_from_json(field(e, "m")?)?, tensor_from_json(field(e, "v")?)?);
+            Ok((str_field(e, "name")?.to_string(), m, v))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let sparse = array_field(v, "sparse")?
+        .iter()
+        .map(|e| {
+            let rows = array_field(e, "rows")?
+                .iter()
+                .map(|r| {
+                    let (m, v) = (f32_array_field(r, "m")?, f32_array_field(r, "v")?);
+                    Ok((usize_field(r, "row")? as u32, m, v))
+                })
+                .collect::<io::Result<Vec<_>>>()?;
+            Ok((str_field(e, "name")?.to_string(), rows))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(AdamState { t: usize_field(v, "t")? as u64, dense, sparse })
+}
+
+fn training_section(section: &Json) -> io::Result<TrainingState> {
+    let seed_hex = str_field(section, "seed")?;
+    let seed = u64::from_str_radix(seed_hex, 16)
+        .map_err(|_| bad(format!("seed `{seed_hex}` is not hex")))?;
+    let stats = field(section, "stats")?;
+    let history = array_field(section, "history")?
+        .iter()
+        .map(|s| {
+            Ok(MonthSummary {
+                month: usize_field(s, "month")? as u32,
+                mean_loss: f32_field(s, "mean_loss")?,
+                lr_scale: f32_field(s, "lr_scale")?,
+            })
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let t = TrainingState {
+        month: usize_field(section, "month")? as u32,
+        seed,
+        optimizer: adam_state_from_json(field(section, "optimizer")?)?,
+        stats: TrainStats {
+            steps: usize_field(stats, "steps")? as u64,
+            records_consumed: usize_field(stats, "records_consumed")? as u64,
+            loss_sum: field(stats, "loss_sum")?
+                .as_f64()
+                .ok_or_else(|| bad("loss_sum is not a number"))?,
+        },
+        lr_scale: f32_field(section, "lr_scale")?,
+        history,
+    };
+    let stored_sum = str_field(section, "checksum")?;
+    let computed = format!("{:016x}", checksum_training(&t));
+    if stored_sum != computed {
+        return Err(bad(format!("checksum mismatch: stored {stored_sum}, computed {computed}")));
+    }
+    if !t.lr_scale.is_finite() || t.lr_scale <= 0.0 {
+        return Err(bad(format!("lr_scale {} is not usable", t.lr_scale)));
+    }
+    Ok(t)
+}
+
+/// Decodes a checkpoint document's optional `training` section; `Ok(None)`
+/// when it is absent (every checkpoint but a durable run's month files).
+/// Any fault in a present section is an `InvalidData` error naming it.
+fn training_from_json_value(doc: &Json) -> io::Result<Option<TrainingState>> {
+    let Some(section) = doc.get("training") else { return Ok(None) };
+    training_section(section).map(Some).map_err(|e| bad(format!("training section: {e}")))
+}
+
 // ---------------------------------------------------------------------------
 // deserialization
 // ---------------------------------------------------------------------------
 
-pub(crate) fn field<'a>(v: &'a Json, key: &str) -> io::Result<&'a Json> {
+fn field<'a>(v: &'a Json, key: &str) -> io::Result<&'a Json> {
     v.get(key).ok_or_else(|| bad(format!("checkpoint missing field {key}")))
 }
 
-pub(crate) fn usize_field(v: &Json, key: &str) -> io::Result<usize> {
+fn usize_field(v: &Json, key: &str) -> io::Result<usize> {
     field(v, key)?
         .as_u64()
         .map(|x| x as usize)
         .ok_or_else(|| bad(format!("checkpoint field {key} is not an integer")))
+}
+
+fn f32_field(v: &Json, key: &str) -> io::Result<f32> {
+    field(v, key)?.as_f32().ok_or_else(|| bad(format!("checkpoint field {key} is not a number")))
+}
+
+fn str_field<'a>(v: &'a Json, key: &str) -> io::Result<&'a str> {
+    field(v, key)?.as_str().ok_or_else(|| bad(format!("checkpoint field {key} is not a string")))
+}
+
+fn array_field<'a>(v: &'a Json, key: &str) -> io::Result<&'a [Json]> {
+    field(v, key)?.as_array().ok_or_else(|| bad(format!("checkpoint field {key} is not an array")))
 }
 
 fn extractor_from_json(v: &Json) -> io::Result<ContextExtractor> {
@@ -358,16 +542,12 @@ fn aggregator_from_json(v: &Json) -> io::Result<Aggregator> {
     }
 }
 
-pub(crate) fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
-    let shape: Vec<usize> = field(v, "shape")?
-        .as_array()
-        .ok_or_else(|| bad("tensor shape is not an array"))?
+fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
+    let shape: Vec<usize> = array_field(v, "shape")?
         .iter()
         .map(|d| d.as_u64().map(|x| x as usize).ok_or_else(|| bad("bad tensor dimension")))
         .collect::<io::Result<_>>()?;
-    let data: Vec<f32> = field(v, "data")?
-        .as_array()
-        .ok_or_else(|| bad("tensor data is not an array"))?
+    let data: Vec<f32> = array_field(v, "data")?
         .iter()
         .map(|x| match x {
             Json::Null => Ok(f32::NAN), // serde_json writes non-finite floats as null
@@ -393,16 +573,11 @@ pub(crate) fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
 /// tensor of that size exists, so a hostile config is an error, never an
 /// allocation. Format-v2 documents additionally have their magic string
 /// and value checksum verified; v1 documents load without a checksum.
-pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
-    let version = field(doc, "format_version")?
-        .as_u64()
-        .ok_or_else(|| bad("format_version is not an integer"))?;
-    let checked = match version {
+fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
+    let checked = match usize_field(doc, "format_version")? {
         1 => false, // legacy: no magic, no checksum
         2 => {
-            let magic = field(doc, "magic")?
-                .as_str()
-                .ok_or_else(|| bad("magic is not a string"))?;
+            let magic = str_field(doc, "magic")?;
             if magic != MAGIC {
                 return Err(bad(format!("not a unimatch checkpoint (magic `{magic}`)")));
             }
@@ -417,9 +592,7 @@ pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
         max_seq_len: usize_field(cfg, "max_seq_len")?,
         extractor: extractor_from_json(field(cfg, "extractor")?)?,
         aggregator: aggregator_from_json(field(cfg, "aggregator")?)?,
-        temperature: field(cfg, "temperature")?
-            .as_f32()
-            .ok_or_else(|| bad("temperature is not a number"))?,
+        temperature: f32_field(cfg, "temperature")?,
         normalize: field(cfg, "normalize")?
             .as_bool()
             .ok_or_else(|| bad("normalize is not a boolean"))?,
@@ -436,16 +609,12 @@ pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
             config.num_items, config.embed_dim
         )));
     }
-    let stored = field(field(doc, "params")?, "params")?
-        .as_array()
-        .ok_or_else(|| bad("params is not an array"))?;
+    let stored = array_field(field(doc, "params")?, "params")?;
 
     let params = stored
         .iter()
         .map(|entry| {
-            let name = field(entry, "name")?
-                .as_str()
-                .ok_or_else(|| bad("parameter name is not a string"))?;
+            let name = str_field(entry, "name")?;
             let value = tensor_from_json(field(entry, "value")?)?;
             if let Some(x) = value.data().iter().find(|x| !x.is_finite()) {
                 return Err(bad(format!(
@@ -459,9 +628,7 @@ pub(crate) fn model_from_json_value(doc: &Json) -> io::Result<TwoTower> {
         .map_err(|e| bad(format!("checkpoint does not fit its config: {e}")))?;
     let sums = checksums(&model);
     if checked {
-        let stored_sum = field(doc, "checksum")?
-            .as_str()
-            .ok_or_else(|| bad("checksum is not a string"))?;
+        let stored_sum = str_field(doc, "checksum")?;
         let computed = format!("{:016x}", sums.model);
         if stored_sum != computed {
             return Err(bad(format!(
@@ -504,8 +671,8 @@ pub fn model_from_json(bytes: &[u8]) -> io::Result<TwoTower> {
 // ---------------------------------------------------------------------------
 
 /// Replaces the file at `path` with `bytes`, atomically and durably —
-/// the one tmp-and-rename in the workspace (model checkpoints here, the
-/// durable-training files in [`crate::durable`]).
+/// the one tmp-and-rename in the workspace, under every checkpoint (a
+/// durable run's month files included).
 ///
 /// The bytes go to a `.tmp` sibling, are `sync_all`ed, and only then
 /// `rename`d over `path`, so a reader — or a restart after power loss —
@@ -514,7 +681,7 @@ pub fn model_from_json(bytes: &[u8]) -> io::Result<TwoTower> {
 /// is synced afterwards so the rename itself survives (best effort: not
 /// every filesystem lets a directory be opened for that). On any
 /// failure the `.tmp` sibling is removed and `path` is left as it was.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = Path::new(&tmp);
@@ -550,6 +717,18 @@ pub fn save_model_with_marginals(
     marginals: Option<&Marginals>,
     path: impl AsRef<Path>,
 ) -> io::Result<()> {
+    save_checkpoint(model, marginals, None, path.as_ref())
+}
+
+/// The one checkpoint writer: the model document, then each optional
+/// section given. Without `training` the bytes are exactly
+/// [`save_model_with_marginals`]'s; a durable run's month files add it.
+pub(crate) fn save_checkpoint(
+    model: &TwoTower,
+    marginals: Option<&Marginals>,
+    training: Option<&TrainingState>,
+    path: &Path,
+) -> io::Result<()> {
     if let Some(e) = SAVE_FAULT.io_error() {
         return Err(e);
     }
@@ -559,18 +738,35 @@ pub fn save_model_with_marginals(
     if let Some(m) = marginals {
         entries.push(("marginals".to_string(), marginals_to_json_value(m)));
     }
-    write_atomic(path.as_ref(), &Json::Obj(entries).to_bytes())
+    if let Some(t) = training {
+        entries.push(("training".to_string(), training_to_json_value(t)));
+    }
+    write_atomic(path, &Json::Obj(entries).to_bytes())
 }
 
-/// The prelude every file loader shares: the `persist.load` fault seam,
-/// one read, the `persist.load.corrupt` bit-flip seam, one parse.
-fn read_document(path: &Path) -> io::Result<Json> {
+/// Everything a checkpoint file holds, decoded and validated.
+pub(crate) struct Checkpoint {
+    pub(crate) model: TwoTower,
+    pub(crate) marginals: Option<Marginals>,
+    pub(crate) training: Option<TrainingState>,
+}
+
+/// The one checkpoint reader: the `persist.load` fault seam, one read,
+/// the `persist.load.corrupt` bit-flip seam, one parse, then the model
+/// and each optional section decoded and checked. Every other section —
+/// a parent-era `quant_tables` among them — is ignored.
+pub(crate) fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
     if let Some(e) = LOAD_FAULT.io_error() {
         return Err(e);
     }
     let mut bytes = fs::read(path)?;
     LOAD_CORRUPT_FAULT.corrupt(&mut bytes);
-    Json::parse(&bytes).map_err(|e| bad(e.to_string()))
+    let doc = Json::parse(&bytes).map_err(|e| bad(e.to_string()))?;
+    Ok(Checkpoint {
+        model: model_from_json_value(&doc)?,
+        marginals: marginals_from_json_value(&doc)?,
+        training: training_from_json_value(&doc)?,
+    })
 }
 
 /// Loads a checkpoint's model, its f32 item store, and the optional
@@ -579,14 +775,12 @@ fn read_document(path: &Path) -> io::Result<Json> {
 /// retrieval indexes (the validated model's own
 /// [`TwoTower::infer_items`], adopted as the arena), marginals
 /// for the serve-time debias stage (when the checkpoint carries them).
-/// Every other section — a parent-era `quant_tables` among them — is
-/// ignored.
+/// A durable run's month file loads like any other; its `training`
+/// section is checked and then left out.
 pub fn load_checkpoint(
     path: impl AsRef<Path>,
 ) -> io::Result<(TwoTower, Arc<EmbeddingStore>, Option<Marginals>)> {
-    let doc = read_document(path.as_ref())?;
-    let model = model_from_json_value(&doc)?;
-    let marginals = marginals_from_json_value(&doc)?;
+    let Checkpoint { model, marginals, .. } = read_checkpoint(path.as_ref())?;
     let store = item_store_of(&model);
     Ok((model, Arc::new(store), marginals))
 }

@@ -25,8 +25,8 @@ pub const REGISTERED: &[(&str, &str)] = &[
     ("ann.shard.search.N", "one shard of a sharded fan-out (io/latency/crash isolation)"),
     ("serve.batch", "the serve micro-batch execution path (latency under load)"),
     ("train.step", "one optimizer step (NaN/spike injection, crashes mid-epoch)"),
-    ("durable.pre_commit", "durable training just before a commit point (crash)"),
-    ("durable.month_end", "durable training at a month boundary (crash)"),
+    ("durable.pre_commit", "durable training between a month's last step and its file (crash)"),
+    ("durable.month_end", "durable training just after a month file is committed (crash)"),
 ];
 
 /// Whether `name` is a registered point, counting members of the

@@ -11,7 +11,7 @@ mod common;
 
 use common::{metric_value, request, tmp_dir};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::persist::save_model_with_marginals;
@@ -89,8 +89,9 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
 
     // -- phase 2: hot-swap mid-traffic; no admitted request may fail
     let stop = Arc::new(AtomicBool::new(false));
+    let served_so_far = Arc::new(AtomicU64::new(0));
     let hammer = {
-        let (addr, stop) = (addr.clone(), stop.clone());
+        let (addr, stop, served_so_far) = (addr.clone(), stop.clone(), served_so_far.clone());
         std::thread::spawn(move || {
             let mut served = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -103,10 +104,16 @@ fn concurrent_serving_is_byte_identical_and_survives_reload() {
                     String::from_utf8_lossy(&body)
                 );
                 served += 1;
+                served_so_far.store(served, Ordering::Relaxed);
             }
             served
         })
     };
+    // swap only once traffic is flowing, so the reload lands mid-traffic
+    // even when a busy box schedules the hammer late
+    while served_so_far.load(Ordering::Relaxed) == 0 && !hammer.is_finished() {
+        std::thread::yield_now();
+    }
     let reload_body = format!("{{\"checkpoint\":{:?}}}", path_b.to_str().expect("utf8 path"));
     let (status, _, body) = request(&addr, "POST", "/reload", reload_body.as_bytes());
     assert_eq!(status, 200, "reload: {}", String::from_utf8_lossy(&body));

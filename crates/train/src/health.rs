@@ -11,27 +11,16 @@
 
 use unimatch_obs as obs;
 
-/// Detection thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// A step whose gradient norm exceeds `spike_factor ×` the running
-    /// EMA counts as a spike.
-    pub spike_factor: f32,
-    /// EMA decay per step for the gradient-norm baseline.
-    pub ema_decay: f32,
-    /// Steps to observe before spike detection starts (the first steps
-    /// of a fresh model legitimately have unsettled norms).
-    pub warmup_steps: u64,
-}
+/// A step whose gradient norm exceeds `SPIKE_FACTOR ×` the running EMA
+/// counts as a spike.
+const SPIKE_FACTOR: f32 = 10.0;
+/// EMA decay per step for the gradient-norm baseline.
+const EMA_DECAY: f32 = 0.95;
+/// Steps to observe before spike detection starts (the first steps of a
+/// fresh model legitimately have unsettled norms).
+const WARMUP_STEPS: u64 = 20;
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig { spike_factor: 10.0, ema_decay: 0.95, warmup_steps: 20 }
-    }
-}
-
-/// What the monitor has seen so far (cumulative; diff two snapshots to
-/// scope a window).
+/// What the monitor has seen so far (cumulative).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Steps whose loss was NaN or infinite.
@@ -46,29 +35,20 @@ impl HealthReport {
     pub fn is_clean(&self) -> bool {
         self.nonfinite_losses == 0 && self.grad_spikes == 0
     }
-
-    /// Incidents recorded since an earlier snapshot.
-    pub fn since(&self, earlier: &HealthReport) -> HealthReport {
-        HealthReport {
-            nonfinite_losses: self.nonfinite_losses - earlier.nonfinite_losses,
-            grad_spikes: self.grad_spikes - earlier.grad_spikes,
-        }
-    }
 }
 
 /// Per-trainer monitor state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     ema: f64,
     seen: u64,
     report: HealthReport,
 }
 
 impl HealthMonitor {
-    /// Creates a monitor with the given thresholds.
-    pub fn new(cfg: HealthConfig) -> HealthMonitor {
-        HealthMonitor { cfg, ema: 0.0, seen: 0, report: HealthReport::default() }
+    /// Creates a monitor that has seen no steps.
+    pub fn new() -> HealthMonitor {
+        HealthMonitor::default()
     }
 
     /// Feeds one step's loss value and global gradient norm.
@@ -84,12 +64,12 @@ impl HealthMonitor {
             return; // a non-finite norm must not poison the EMA
         }
         let norm = grad_norm as f64;
-        if self.seen >= self.cfg.warmup_steps
-            && norm > self.cfg.spike_factor as f64 * self.ema.max(f64::MIN_POSITIVE)
+        if self.seen >= WARMUP_STEPS
+            && norm > SPIKE_FACTOR as f64 * self.ema.max(f64::MIN_POSITIVE)
         {
             self.spike();
         } else {
-            let d = self.cfg.ema_decay as f64;
+            let d = EMA_DECAY as f64;
             self.ema = if self.seen == 0 { norm } else { d * self.ema + (1.0 - d) * norm };
             self.seen += 1;
         }
@@ -114,7 +94,7 @@ mod tests {
 
     #[test]
     fn steady_norms_stay_clean() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         for i in 0..200 {
             m.observe(1.0, 0.5 + 0.01 * (i % 7) as f32);
         }
@@ -123,7 +103,7 @@ mod tests {
 
     #[test]
     fn nonfinite_loss_is_counted() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.observe(f32::NAN, 1.0);
         m.observe(f32::INFINITY, 1.0);
         m.observe(1.0, 1.0);
@@ -132,11 +112,10 @@ mod tests {
 
     #[test]
     fn spike_detected_after_warmup_only() {
-        let cfg = HealthConfig { spike_factor: 5.0, ema_decay: 0.9, warmup_steps: 10 };
-        let mut m = HealthMonitor::new(cfg);
+        let mut m = HealthMonitor::new();
         m.observe(1.0, 100.0); // huge, but still warming up
         assert_eq!(m.report().grad_spikes, 0);
-        for _ in 0..20 {
+        for _ in 0..WARMUP_STEPS + 20 {
             m.observe(1.0, 1.0);
         }
         // the EMA has decayed toward 1 (still tainted by the warmup 100,
@@ -150,7 +129,7 @@ mod tests {
 
     #[test]
     fn nonfinite_norm_counts_as_spike_without_poisoning_ema() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         for _ in 0..30 {
             m.observe(1.0, 1.0);
         }
@@ -158,15 +137,5 @@ mod tests {
         assert_eq!(m.report().grad_spikes, 1);
         m.observe(1.0, 1.0);
         assert_eq!(m.report().grad_spikes, 1);
-    }
-
-    #[test]
-    fn report_diffing_scopes_a_window() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
-        m.observe(f32::NAN, 1.0);
-        let snap = m.report();
-        m.observe(f32::NAN, 1.0);
-        let window = m.report().since(&snap);
-        assert_eq!(window.nonfinite_losses, 1);
     }
 }

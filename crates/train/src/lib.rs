@@ -23,7 +23,7 @@ pub mod trainer;
 
 pub use checkpoint::MonthCheckpoint;
 pub use error::TrainError;
-pub use health::{HealthConfig, HealthMonitor, HealthReport};
+pub use health::{HealthMonitor, HealthReport};
 pub use optim::{global_grad_norm, Adam, AdamConfig, AdamState};
 pub use schedule::Schedule;
 pub use trainer::{SsmContext, TrainConfig, TrainLoss, TrainStats, Trainer};

@@ -154,9 +154,14 @@ impl Adam {
     }
 
     /// Restores a snapshot taken by [`Adam::export_state`], resolving
-    /// parameter names against `params`. Any name the model does not know
-    /// is a state/architecture mismatch and fails the import whole.
+    /// parameter names against `params`. Any name the model does not know,
+    /// a moment whose shape is not its parameter's, a sparse row past its
+    /// table or a sparse moment not as wide as the table is a
+    /// state/architecture mismatch and fails the import whole — accepted,
+    /// it would cut short the `zip` in [`Adam::step`] and silently stop
+    /// training that parameter's tail.
     pub fn import_state(&mut self, params: &ParamSet, state: &AdamState) -> Result<(), TrainError> {
+        let mismatch = |msg: String| Err(TrainError::StateMismatch(msg));
         let lookup = |name: &str| -> Result<ParamId, TrainError> {
             params
                 .iter()
@@ -168,12 +173,14 @@ impl Adam {
         let mut v = HashMap::new();
         for (name, sm, sv) in &state.dense {
             let id = lookup(name)?;
-            if sm.shape() != params.shape(id) {
-                return Err(TrainError::StateMismatch(format!(
-                    "moment shape {} for {name} does not match parameter {}",
-                    sm.shape(),
-                    params.shape(id)
-                )));
+            let shape = params.shape(id);
+            for (which, moment) in [("first", sm), ("second", sv)] {
+                if moment.shape() != shape {
+                    return mismatch(format!(
+                        "{which} moment shape {} for {name} does not match parameter {shape}",
+                        moment.shape()
+                    ));
+                }
             }
             m.insert(id, sm.clone());
             v.insert(id, sv.clone());
@@ -182,9 +189,22 @@ impl Adam {
         let mut sparse_v = HashMap::new();
         for (name, rows) in &state.sparse {
             let id = lookup(name)?;
+            let &[table_rows, width] = params.shape(id).dims() else {
+                return mismatch(format!("sparse state for {name}, which is not a table"));
+            };
             let mut rm = HashMap::new();
             let mut rv = HashMap::new();
             for (row, sm, sv) in rows {
+                if *row as usize >= table_rows {
+                    return mismatch(format!("sparse row {row} past {name}'s {table_rows} rows"));
+                }
+                if sm.len() != width || sv.len() != width {
+                    return mismatch(format!(
+                        "sparse moments of width {}/{} for {name} row {row}, table width {width}",
+                        sm.len(),
+                        sv.len()
+                    ));
+                }
                 rm.insert(*row, sm.clone());
                 rv.insert(*row, sv.clone());
             }
@@ -434,6 +454,53 @@ mod tests {
         let mut adam = Adam::new(AdamConfig::default());
         assert!(adam.import_state(&params, &state).is_err());
         assert_eq!(adam.steps(), 0, "failed import must not partially apply");
+    }
+
+    /// A model with a dense vector `w` (2) and a 4 × 2 table `emb`, and a
+    /// state that matches it; each rejection test breaks one field.
+    fn matching_state() -> (ParamSet, AdamState) {
+        let mut params = ParamSet::new();
+        params.add("w", Tensor::vector(&[0.0, 0.0]));
+        params.add("emb", Tensor::ones([4, 2]));
+        let state = AdamState {
+            t: 3,
+            dense: vec![("w".into(), Tensor::vector(&[0.1, 0.2]), Tensor::vector(&[0.3, 0.4]))],
+            sparse: vec![("emb".into(), vec![(3, vec![0.1, 0.2], vec![0.3, 0.4])])],
+        };
+        (params, state)
+    }
+
+    fn assert_state_mismatch(params: &ParamSet, state: &AdamState, needle: &str) {
+        let mut adam = Adam::new(AdamConfig::default());
+        match adam.import_state(params, state) {
+            Err(TrainError::StateMismatch(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a StateMismatch naming {needle}, got {other:?}"),
+        }
+        assert_eq!(adam.steps(), 0, "failed import must not partially apply");
+    }
+
+    #[test]
+    fn state_import_rejects_a_second_moment_of_another_shape() {
+        let (params, mut state) = matching_state();
+        state.dense[0].2 = Tensor::vector(&[0.3]);
+        assert_state_mismatch(&params, &state, "second moment");
+    }
+
+    #[test]
+    fn state_import_rejects_a_sparse_row_past_its_table() {
+        let (params, mut state) = matching_state();
+        state.sparse[0].1[0].0 = 4;
+        assert_state_mismatch(&params, &state, "sparse row 4");
+    }
+
+    #[test]
+    fn state_import_rejects_a_sparse_moment_of_another_width() {
+        let (params, mut state) = matching_state();
+        state.sparse[0].1[0].1 = vec![0.1];
+        assert_state_mismatch(&params, &state, "table width 2");
+        let (params, mut state) = matching_state();
+        state.sparse[0].1[0].2 = vec![0.3, 0.4, 0.5];
+        assert_state_mismatch(&params, &state, "table width 2");
     }
 
     #[test]

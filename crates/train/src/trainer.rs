@@ -12,7 +12,7 @@
 
 use crate::checkpoint::MonthCheckpoint;
 use crate::error::TrainError;
-use crate::health::{HealthConfig, HealthMonitor, HealthReport};
+use crate::health::{HealthMonitor, HealthReport};
 use crate::optim::{global_grad_norm, Adam, AdamConfig, AdamState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -247,9 +247,9 @@ impl Trainer {
     }
 
     /// Turns on per-step health monitoring (off by default — it costs a
-    /// gradient-norm pass per step).
-    pub fn enable_health(&mut self, cfg: HealthConfig) {
-        self.health = Some(HealthMonitor::new(cfg));
+    /// gradient-norm pass per step), starting from a fresh monitor.
+    pub fn enable_health(&mut self) {
+        self.health = Some(HealthMonitor::new());
     }
 
     /// Cumulative health incidents, if monitoring is enabled.
@@ -665,7 +665,7 @@ mod tests {
     fn health_monitor_catches_injected_nan_step() {
         let (mut t, samples, marg) =
             tiny_setup(TrainLoss::Multinomial(MultinomialLoss::Nce(BiasConfig::bbcnce())));
-        t.enable_health(HealthConfig::default());
+        t.enable_health();
         // the only test here that arms a plan, scoped to this thread: the
         // neighbours stepping their own trainers must not absorb the fire
         unimatch_faults::set_plan_for_this_thread(unimatch_faults::FaultPlan {

@@ -23,7 +23,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::{
-    evaluate, evaluate_ir_rerank, load_checkpoint, save_model_with_marginals, DurableConfig,
+    evaluate, evaluate_ir_rerank, load_checkpoint, save_model_with_marginals,
     ModelHandle, RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch,
     UniMatchConfig,
 };
@@ -357,16 +357,13 @@ fn cmd_fit(flags: &HashMap<String, String>) {
         log.len(),
         filtered.len()
     );
-    // --run-dir switches to the crash-safe trainer: each month commits an
-    // atomic checkpoint + manifest entry, so re-running the same command
-    // after a crash resumes from the last completed month.
+    // --run-dir switches to the crash-safe trainer: each month commits one
+    // atomic checkpoint (month_NNNN.json, loadable like --out's file), so
+    // re-running the same command after a crash resumes from the newest.
     let fitted = match flags.get("run-dir") {
-        Some(run_dir) => {
-            let durable = DurableConfig::new(run_dir.as_str());
-            UniMatch::new(config)
-                .fit_durable(filtered, &durable)
-                .unwrap_or_else(|e| usage(&format!("durable fit failed: {e}")))
-        }
+        Some(run_dir) => UniMatch::new(config)
+            .fit_durable(filtered, run_dir)
+            .unwrap_or_else(|e| usage(&format!("durable fit failed: {e}"))),
         None => UniMatch::new(config).fit(filtered),
     };
     // the training marginals ride along in the checkpoint's optional

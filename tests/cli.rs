@@ -109,6 +109,56 @@ fn full_cli_workflow() {
 
 /// Sends one HTTP/1.1 request over a fresh connection and returns the raw
 /// response (the server always closes the connection after answering).
+#[test]
+fn fit_run_dir_resumes_to_the_same_checkpoint() {
+    let dir = tmp_dir("run_dir");
+    let log = dir.join("log.csv");
+    let run = dir.join("run");
+    let out = cli()
+        .args(["generate", "--profile", "ecomp", "--scale", "0.1", "--seed", "4"])
+        .args(["--out", log.to_str().expect("utf8 path")])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    // the second fit finds every month committed: a no-op resume
+    let fit = |model: &std::path::Path| {
+        let out = cli()
+            .args(["fit", "--log", log.to_str().expect("utf8"), "--epochs", "1"])
+            .args(["--run-dir", run.to_str().expect("utf8")])
+            .args(["--out", model.to_str().expect("utf8")])
+            .output()
+            .expect("run fit");
+        assert!(out.status.success(), "fit failed: {}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read(model).expect("checkpoint written")
+    };
+    let first = fit(&dir.join("first.json"));
+    let second = fit(&dir.join("second.json"));
+    assert!(first == second, "a resumed fit must write the same checkpoint bytes");
+
+    let mut months: Vec<String> = std::fs::read_dir(&run)
+        .expect("run dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    months.sort();
+    assert!(!months.is_empty());
+    for name in &months {
+        let digits = name.strip_prefix("month_").and_then(|n| n.strip_suffix(".json"));
+        assert!(
+            digits.is_some_and(|d| d.len() == 4 && d.bytes().all(|b| b.is_ascii_digit())),
+            "only month_NNNN.json files belong in the run dir: {months:?}"
+        );
+    }
+    let newest = run.join(months.last().expect("a month"));
+    let (from_month, _, _) = unimatch::core::load_checkpoint(&newest).expect("month loads");
+    let (from_out, _, _) = unimatch::core::load_checkpoint(dir.join("first.json")).expect("out");
+    assert!(
+        unimatch::core::model_to_json(&from_month) == unimatch::core::model_to_json(&from_out),
+        "the newest month holds the model --out wrote"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn http_request(addr: &str, method: &str, path: &str, body: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
