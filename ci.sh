@@ -29,8 +29,10 @@
 #    box has (the graph must not depend on it), and the `#[ignore]`d
 #    1 M-case JSON number loop against the text-only scanner
 # 3. the faults-disabled overhead assertion, with its measurement printed
-# 4. the `experiments` binary run on one quick paper table (Tab. I), so
-#    the renamed binary is run and not only compiled
+# 4. the `experiments` binary run on one quick paper table (Tab. I) and
+#    one quick paper figure (Fig. 3, which steps its months through the
+#    trainer's one month step and keeps only the trailing curve points),
+#    so both paths are run and not only compiled
 # 5. the frozen benchmark crate's own tests, built the way the
 #    benchmark is run (no other step compiles crates/benchmark, and an
 #    API change is exactly what can break it)
@@ -78,8 +80,9 @@ echo "==> disarmed fault-point overhead (measurement printed)"
 # cost no more than the bound asserted in crates/faults/tests/overhead.rs.
 cargo test -q -p unimatch-faults --test overhead -- --nocapture
 
-echo "==> experiments table01 (the paper's experiment binary, quick run)"
+echo "==> experiments table01 and figure03 (the paper's experiment binary, quick runs)"
 cargo run --release -p unimatch-experiments --bin experiments -- table01 --quick --scale 0.05 --threads 2
+cargo run --release -p unimatch-experiments --bin experiments -- figure03 --quick --scale 0.05 --threads 2
 
 echo "==> frozen benchmark crate (compiles and smoke-runs against the current API)"
 bash crates/benchmark/run.sh test

@@ -21,10 +21,12 @@
 //!   `serve --checkpoint`) accepts.
 //! * **Exact resume.** [`train_durable`] loads the highest-numbered month
 //!   file (with bounded retry for transient I/O) and continues from the
-//!   following month. Because the shuffling RNG is reseeded per month
-//!   from `(seed, month, attempt)` and the Adam state round-trips
+//!   following month. Every month goes through the trainer's one month
+//!   step, [`Trainer::train_month`], which reseeds the shuffling RNG from
+//!   `(seed, month, attempt)`; with the Adam state round-tripping
 //!   bit-exactly, a killed-and-resumed run produces the **same
-//!   parameters** as an uninterrupted one.
+//!   parameters** as an uninterrupted one — and as a plain
+//!   [`crate::framework::UniMatch::fit`], which steps the same months.
 //! * **Health rollback.** Each month trains under a fresh
 //!   [`unimatch_train::HealthMonitor`]; a non-finite loss or a
 //!   gradient-norm spike rolls the month back to its starting snapshot
@@ -48,7 +50,7 @@ use unimatch_eval::UserPool;
 use unimatch_faults::FaultPoint;
 use unimatch_models::TwoTower;
 use unimatch_obs as obs;
-use unimatch_train::{AdamState, TrainConfig, TrainError, TrainStats, Trainer};
+use unimatch_train::{AdamState, MonthSummary, TrainConfig, TrainError, TrainStats, Trainer};
 
 const PRE_COMMIT_FAULT: FaultPoint = FaultPoint::new("durable.pre_commit");
 const MONTH_END_FAULT: FaultPoint = FaultPoint::new("durable.month_end");
@@ -99,17 +101,6 @@ impl From<TrainError> for DurableError {
     fn from(e: TrainError) -> Self {
         DurableError::Train(e)
     }
-}
-
-/// One committed month, as every later month file's history records it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MonthSummary {
-    /// The training month.
-    pub month: u32,
-    /// Mean loss over the month's epochs.
-    pub mean_loss: f32,
-    /// LR scale in effect when the month finished (product of backoffs).
-    pub lr_scale: f32,
 }
 
 /// A month file's `training` section: what a resume needs beyond the
@@ -188,15 +179,6 @@ fn read_month(path: &Path, month: u32, seed: u64) -> io::Result<(TwoTower, Train
 // the runner
 // ---------------------------------------------------------------------------
 
-/// The per-month shuffling seed: a pure function of `(run seed, month,
-/// attempt)`, so a resumed run replays exactly the batch sequence the
-/// uninterrupted run saw — and a rollback retry sees a *different* (but
-/// still deterministic) shuffle.
-fn month_seed(seed: u64, month: u32, attempt: u32) -> u64 {
-    seed ^ (month as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ (attempt as u64).wrapping_mul(0xd1b5_4a32_d192_ed03)
-}
-
 fn durable_counter(name: &'static str) {
     if obs::enabled() {
         obs::registry::counter(name).inc();
@@ -236,15 +218,11 @@ pub fn train_durable(
             None => (Trainer::try_new(model, cfg.clone())?, 1.0f32, Vec::new(), None),
         };
 
+    // the months `Trainer::train_incremental_from` would train, each
+    // wrapped in a snapshot, a health check, a commit and a rollback
     let mut rollbacks = 0u32;
-    let months: Vec<u32> = split
-        .train_months()
-        .into_iter()
-        .filter(|&m| resumed_after.is_none_or(|after| m > after))
-        .collect();
-
-    for month in months {
-        let month_samples = split.train_month(month);
+    let months = split.train_months().into_iter();
+    for month in months.filter(|&m| resumed_after.is_none_or(|after| m > after)) {
         let mut attempt = 0u32;
         loop {
             // snapshot the month's starting state so a dirty month can be
@@ -253,19 +231,15 @@ pub fn train_durable(
             let opt_snapshot = trainer.export_optimizer();
             let stats_snapshot = *trainer.stats();
 
-            trainer.reseed(month_seed(cfg.seed, month, attempt));
             // a fresh monitor per attempt: warmup and the EMA baseline
             // restart with the month, which also keeps a resumed run's
             // health state identical to an uninterrupted one's
             trainer.enable_health();
 
-            let losses =
-                trainer.train_epochs(&month_samples, marginals, cfg.epochs_per_month)?;
+            let mean_loss = trainer.train_month(month, split, marginals, attempt)?;
             let report = trainer.health_report().unwrap_or_default();
 
             if report.is_clean() {
-                let mean_loss =
-                    losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32;
                 // kill window 1: the month is trained but nothing is
                 // committed — resume retrains this month from the prior one
                 PRE_COMMIT_FAULT.crash_point();
@@ -320,7 +294,7 @@ impl crate::framework::UniMatch {
     /// is checkpointed per month under `run_dir`, so a killed process can
     /// call `fit_durable` again with the same arguments and continue from
     /// the last committed month — producing the same model an
-    /// uninterrupted run would have.
+    /// uninterrupted run, or a plain `fit` of the same log, would have.
     pub fn fit_durable(
         &self,
         log: unimatch_data::InteractionLog,

@@ -19,7 +19,6 @@ use unimatch_eval::{
 };
 use unimatch_models::TwoTower;
 use unimatch_parallel::par_map_indexed;
-use unimatch_tensor::ParamSet;
 
 /// How many pseudo-users to embed per forward pass during evaluation.
 const EMBED_CHUNK: usize = 256;
@@ -77,8 +76,7 @@ pub fn embed_histories(model: &TwoTower, histories: &[&[u32]], max_seq_len: usiz
     out
 }
 
-/// Full evaluation of a model (or of checkpoint parameters via
-/// [`evaluate_params`]) on a split.
+/// Full evaluation of a model on a split.
 pub fn evaluate(
     model: &TwoTower,
     split: &TemporalSplit,
@@ -103,22 +101,6 @@ pub fn evaluate_with_audit(
     let (outcome, audit) =
         evaluate_inner(model, split, protocol, max_seq_len, seed, Some(trailing_counts));
     (outcome, audit.expect("audit requested"))
-}
-
-/// Evaluates checkpoint parameters by temporarily swapping them into the
-/// model (the Fig. 3 pathway).
-pub fn evaluate_params(
-    model: &mut TwoTower,
-    params: &ParamSet,
-    split: &TemporalSplit,
-    protocol: &ProtocolConfig,
-    max_seq_len: usize,
-    seed: u64,
-) -> EvalOutcome {
-    let saved = std::mem::replace(&mut model.params, params.clone());
-    let outcome = evaluate(model, split, protocol, max_seq_len, seed);
-    model.params = saved;
-    outcome
 }
 
 /// One side of a raw-vs-reranked comparison: ranking accuracy plus
@@ -749,23 +731,5 @@ mod tests {
             assert_eq!(a.ir, b.ir);
             assert_eq!(a.ut, b.ut);
         }
-    }
-
-    #[test]
-    fn evaluate_params_restores_model() {
-        let (p, mut model) = setup();
-        let protocol = ProtocolConfig { top_n: 5, negatives: 20 };
-        let fresh = model.params.clone();
-        let other = {
-            let mut rng = StdRng::seed_from_u64(99);
-            TwoTower::new(
-                ModelConfig::youtube_dnn_mean(p.num_items(), p.max_seq_len, 0.2),
-                &mut rng,
-            )
-            .params
-        };
-        let _ = evaluate_params(&mut model, &other, &p.split, &protocol, p.max_seq_len, 3);
-        let id = fresh.ids().next().expect("params");
-        assert_eq!(model.params.get(id).data(), fresh.get(id).data());
     }
 }

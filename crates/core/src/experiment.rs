@@ -2,9 +2,7 @@
 //! raw log to metrics. Every table/figure of `unimatch-experiments` is a
 //! loop over these specs.
 
-use crate::evaluate::{
-    evaluate, evaluate_params, evaluate_with_audit, EvalOutcome, RetrievalAudit,
-};
+use crate::evaluate::{evaluate, evaluate_with_audit, EvalOutcome, RetrievalAudit};
 use crate::hyper::{Hyperparams, Pathway};
 use crate::prepare::PreparedData;
 use rand::rngs::StdRng;
@@ -147,10 +145,20 @@ pub fn run_experiment_on(
     };
     let mut trainer = Trainer::new(model, train_cfg);
 
+    // the incremental schedule, keeping the parameters after each of the
+    // trailing `curve_points` months for the Fig. 3 curve
     let t0 = std::time::Instant::now();
-    let checkpoints = trainer
-        .train_incremental(&prepared.split, &prepared.marginals)
-        .unwrap_or_else(|e| panic!("experiment training failed: {e}"));
+    let months = prepared.split.train_months();
+    let first_kept = months.len().saturating_sub(opts.curve_points);
+    let mut kept = Vec::new();
+    for (i, &month) in months.iter().enumerate() {
+        trainer
+            .train_month(month, &prepared.split, &prepared.marginals, 0)
+            .unwrap_or_else(|e| panic!("experiment training failed: {e}"));
+        if i >= first_kept {
+            kept.push((month, trainer.model.params.clone()));
+        }
+    }
     let train_secs = t0.elapsed().as_secs_f64();
 
     let protocol = spec.protocol();
@@ -177,28 +185,27 @@ pub fn run_experiment_on(
         )
     };
 
+    // the final model is evaluated; its parameters make way for each
+    // kept month's in turn, oldest first, so the curve runs stalest first
     let mut curve = Vec::new();
-    if opts.curve_points > 0 {
-        let take = opts.curve_points.min(checkpoints.len());
-        for cp in &checkpoints[checkpoints.len() - take..] {
-            let out = evaluate_params(
-                &mut model,
-                &cp.params,
-                &prepared.split,
-                &protocol,
-                prepared.max_seq_len,
-                eval_seed,
-            );
-            curve.push(CurvePoint {
-                months_behind: cp.months_behind(prepared.split.test_month),
-                ir_ndcg: out.ir.ndcg,
-                ut_ndcg: out.ut.ndcg,
-            });
-        }
-        curve.sort_by_key(|p| std::cmp::Reverse(p.months_behind));
+    for (month, params) in kept {
+        model.params = params;
+        let out = evaluate(&model, &prepared.split, &protocol, prepared.max_seq_len, eval_seed);
+        curve.push(CurvePoint {
+            months_behind: months_behind(month, prepared.split.test_month),
+            ir_ndcg: out.ir.ndcg,
+            ut_ndcg: out.ut.ndcg,
+        });
     }
 
     ExperimentOutcome { eval: eval_outcome, stats, curve, audit, train_secs }
+}
+
+/// How many months of training data the parameters after `month` are
+/// missing relative to `test_month`: `test_month - month - 1` (0 ⇒
+/// trained on everything up to the test boundary).
+fn months_behind(month: u32, test_month: u32) -> u32 {
+    test_month.saturating_sub(month + 1)
 }
 
 #[cfg(test)]
@@ -222,6 +229,14 @@ mod tests {
         assert!(out.eval.ir.recall > 0.15, "IR recall {}", out.eval.ir.recall);
         assert!(out.eval.ut.recall > 0.15, "UT recall {}", out.eval.ut.recall);
         assert!(out.train_secs > 0.0);
+    }
+
+    #[test]
+    fn months_behind_arithmetic() {
+        // test month 11, trained through month 8 => months 9, 10 missing
+        assert_eq!(months_behind(8, 11), 2);
+        assert_eq!(months_behind(10, 11), 0);
+        assert_eq!(months_behind(10, 5), 0); // saturates
     }
 
     #[test]

@@ -49,8 +49,9 @@ pub mod prepare;
 pub mod serving;
 
 pub use audience::{build_targeting_list, plan_campaigns, CampaignSpec, CampaignSubject, TargetingList};
-pub use durable::{train_durable, DurableError, DurableRun, MonthSummary};
-pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_params, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
+pub use durable::{train_durable, DurableError, DurableRun};
+pub use unimatch_train::MonthSummary;
+pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
 pub use experiment::{run_experiment, run_experiment_on, CurvePoint, ExperimentOptions, ExperimentOutcome, ExperimentSpec};
 pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
 pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};

@@ -50,7 +50,7 @@
 //! can surface injected transient I/O errors, and `persist.load.corrupt`
 //! flips a bit in the bytes read from disk (exercising the checksum).
 
-use crate::durable::{MonthSummary, TrainingState};
+use crate::durable::TrainingState;
 use crate::framework::item_store_of;
 use std::fs;
 use std::io::{self, Write};
@@ -63,7 +63,7 @@ use unimatch_data::Marginals;
 use unimatch_faults::FaultPoint;
 use unimatch_models::{Aggregator, ContextExtractor, ModelConfig, TwoTower};
 use unimatch_tensor::{Param, Tensor};
-use unimatch_train::{AdamState, TrainStats};
+use unimatch_train::{AdamState, MonthSummary, TrainStats};
 
 const FORMAT_VERSION: u64 = 2;
 /// Identifies a checkpoint file as ours before any schema is assumed.

@@ -86,7 +86,7 @@ pub fn grid_search(
                     prepared.log.num_items(),
                 );
                 trainer
-                    .train_incremental(&val_split, &marginals)
+                    .train_incremental_from(&val_split, &marginals, None)
                     .unwrap_or_else(|e| panic!("grid cell training failed: {e}"));
                 let out = evaluate(
                     &trainer.model,

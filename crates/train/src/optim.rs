@@ -102,19 +102,9 @@ impl Adam {
         }
     }
 
-    /// The config.
-    pub fn config(&self) -> &AdamConfig {
-        &self.cfg
-    }
-
     /// Steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
-    }
-
-    /// The current base learning rate.
-    pub fn lr(&self) -> f32 {
-        self.cfg.lr
     }
 
     /// Overrides the base learning rate (the durable runner's LR backoff

@@ -1,5 +1,6 @@
 //! The training loop: per-batch steps for every loss pathway, epoch
-//! driving, and the paper's month-by-month incremental schedule.
+//! driving, and the paper's month-by-month incremental schedule, whose
+//! one month step is [`Trainer::train_month`].
 //!
 //! Configuration is validated before the first step ([`TrainConfig::validate`],
 //! run by every epoch driver and by [`Trainer::try_new`]), so an unusable
@@ -10,7 +11,6 @@
 //! robustness suites inject a NaN exactly where an exploding loss would
 //! produce one.
 
-use crate::checkpoint::MonthCheckpoint;
 use crate::error::TrainError;
 use crate::health::{HealthMonitor, HealthReport};
 use crate::optim::{global_grad_norm, Adam, AdamConfig, AdamState};
@@ -218,18 +218,6 @@ impl Trainer {
         self.stats = stats;
     }
 
-    /// Reseeds the shuffling/sampling RNG. The durable runner reseeds at
-    /// each month boundary with a per-month derived seed so a resumed run
-    /// replays exactly the batches the uninterrupted run would have seen.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// The current base learning rate.
-    pub fn lr(&self) -> f32 {
-        self.opt.lr()
-    }
-
     /// Overrides the base learning rate (health-rollback LR backoff).
     pub fn set_lr(&mut self, lr: f32) {
         self.cfg.optimizer.lr = lr;
@@ -422,47 +410,75 @@ impl Trainer {
         Ok(out)
     }
 
-    /// The paper's incremental training: consume training months in
-    /// calendar order, running `epochs_per_month` passes over each month's
-    /// data from the latest parameters, checkpointing after every month.
-    /// Marginals are computed over the full training window once, as the
-    /// pre-calculated bias terms of Tab. IV.
-    pub fn train_incremental(
+    /// One month of the paper's incremental training: reseeds the
+    /// shuffling/sampling RNG with `month_seed(seed, month, attempt)`,
+    /// runs `epochs_per_month` passes over the month's samples from the
+    /// current parameters and returns the mean loss over those epochs.
+    ///
+    /// The batches depend on nothing but the config, the month and the
+    /// attempt, so every loop that steps months through here — a plain
+    /// fit, a resume, a durable run killed and resumed at any month —
+    /// trains the same model from the same state. A durable rollback
+    /// retries with the next `attempt`, and so a different shuffle.
+    pub fn train_month(
         &mut self,
+        month: u32,
         split: &TemporalSplit,
         marginals: &Marginals,
-    ) -> Result<Vec<MonthCheckpoint>, TrainError> {
-        self.train_incremental_from(split, marginals, None)
+        attempt: u32,
+    ) -> Result<f32, TrainError> {
+        self.rng = StdRng::seed_from_u64(month_seed(self.cfg.seed, month, attempt));
+        let losses =
+            self.train_epochs(&split.train_month(month), marginals, self.cfg.epochs_per_month)?;
+        Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
     }
 
-    /// Resumes incremental training from a saved checkpoint: trains only
-    /// months strictly after `resume_after` (None ⇒ all training months).
-    /// This is the production monthly update — last month's parameters +
-    /// one new month of data instead of a from-scratch yearly retrain, the
-    /// 1/12 factor of the paper's cost analysis.
+    /// The paper's incremental training, resumable: trains the months
+    /// strictly after `resume_after` (None ⇒ all training months) in
+    /// calendar order through [`Trainer::train_month`], each from the
+    /// latest parameters. Resuming is the production monthly update —
+    /// last month's parameters + one new month of data instead of a
+    /// from-scratch yearly retrain, the 1/12 factor of the paper's cost
+    /// analysis. Marginals are computed over the full training window
+    /// once, as the pre-calculated bias terms of Tab. IV.
     pub fn train_incremental_from(
         &mut self,
         split: &TemporalSplit,
         marginals: &Marginals,
         resume_after: Option<u32>,
-    ) -> Result<Vec<MonthCheckpoint>, TrainError> {
-        let mut checkpoints = Vec::new();
-        for month in split
+    ) -> Result<Vec<MonthSummary>, TrainError> {
+        split
             .train_months()
             .into_iter()
             .filter(|&m| resume_after.is_none_or(|after| m > after))
-        {
-            let month_samples = split.train_month(month);
-            let losses =
-                self.train_epochs(&month_samples, marginals, self.cfg.epochs_per_month)?;
-            checkpoints.push(MonthCheckpoint {
-                month,
-                params: self.model.params.clone(),
-                mean_loss: losses.iter().copied().sum::<f32>() / losses.len().max(1) as f32,
-            });
-        }
-        Ok(checkpoints)
+            .map(|month| {
+                let mean_loss = self.train_month(month, split, marginals, 0)?;
+                Ok(MonthSummary { month, mean_loss, lr_scale: 1.0 })
+            })
+            .collect()
     }
+}
+
+/// One trained month, as [`Trainer::train_incremental_from`] returns it
+/// and a durable month file's history records it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MonthSummary {
+    /// The training month.
+    pub month: u32,
+    /// Mean loss over the month's epochs.
+    pub mean_loss: f32,
+    /// LR scale in effect when the month finished (product of durable
+    /// rollback backoffs; 1.0 outside a durable run).
+    pub lr_scale: f32,
+}
+
+/// The per-month shuffling seed: a pure function of `(run seed, month,
+/// attempt)`, so a resumed run replays exactly the batch sequence the
+/// uninterrupted run saw — and a rollback retry sees a *different* (but
+/// still deterministic) shuffle.
+fn month_seed(seed: u64, month: u32, attempt: u32) -> u64 {
+    seed ^ (month as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (attempt as u64).wrapping_mul(0xd1b5_4a32_d192_ed03)
 }
 
 /// Records per-step observability series from a backpropagated graph:
@@ -616,8 +632,8 @@ mod tests {
         assert!(Trainer::try_new(fresh_model(), TrainConfig { batch_size: 0, ..base }).is_err());
     }
 
-    #[test]
-    fn incremental_training_checkpoints_every_month() {
+    /// A fresh bbcNCE trainer over a monthly split of a small log.
+    fn monthly_setup() -> (Trainer, TemporalSplit, Marginals) {
         let log = DatasetProfile::EComp.generate(0.1, 5).filter_min_interactions(2);
         let samples = build_samples(&log, &WindowConfig { max_seq_len: 8, min_history: 1 });
         let split = temporal_split(samples, log.span_months());
@@ -635,19 +651,51 @@ mod tests {
             loss: TrainLoss::Multinomial(MultinomialLoss::Nce(BiasConfig::bbcnce())),
             seed: 5,
         };
-        let mut trainer = Trainer::new(model, cfg);
-        let checkpoints = trainer.train_incremental(&split, &marginals).expect("train");
-        assert_eq!(checkpoints.len(), split.train_months().len());
-        assert!(checkpoints.windows(2).all(|w| w[0].month < w[1].month));
-        // parameters actually evolve between checkpoints; both snapshots
-        // cover the same parameter set, so compare them pairwise rather
-        // than unwrapping a single id out of one
-        let a = &checkpoints[0].params;
-        let b = &checkpoints[checkpoints.len() - 1].params;
-        assert_eq!(a.len(), b.len());
+        (Trainer::new(model, cfg), split, marginals)
+    }
+
+    #[test]
+    fn incremental_training_checkpoints_every_month() {
+        let (mut trainer, split, marginals) = monthly_setup();
+        let before = trainer.model.params.clone();
+        let summaries = trainer.train_incremental_from(&split, &marginals, None).expect("train");
+        assert_eq!(summaries.len(), split.train_months().len());
+        assert!(summaries.windows(2).all(|w| w[0].month < w[1].month));
+        // parameters actually evolve over the run; both sets cover the
+        // same parameters, so compare them pairwise rather than
+        // unwrapping a single id out of one
+        let after = &trainer.model.params;
+        assert_eq!(before.len(), after.len());
         assert!(
-            a.iter().zip(b.iter()).any(|((_, pa), (_, pb))| pa.value.data() != pb.value.data()),
-            "parameters did not change between first and last checkpoint"
+            before
+                .iter()
+                .zip(after.iter())
+                .any(|((_, pa), (_, pb))| pa.value.data() != pb.value.data()),
+            "parameters did not change over the incremental run"
+        );
+    }
+
+    #[test]
+    fn a_month_step_depends_on_the_month_and_attempt_not_the_rng_history() {
+        assert_ne!(month_seed(5, 0, 0), month_seed(5, 1, 0));
+        assert_ne!(month_seed(5, 0, 0), month_seed(5, 0, 1));
+        assert_ne!(month_seed(5, 1, 0), month_seed(5, 0, 1));
+
+        let (mut a, split, marg) = monthly_setup();
+        let (mut b, _, _) = monthly_setup();
+        // equal model and optimizer states, different RNG histories
+        b.rng = StdRng::seed_from_u64(99);
+        let month = split.train_months()[1];
+        let la = a.train_month(month, &split, &marg, 0).expect("train a");
+        let lb = b.train_month(month, &split, &marg, 0).expect("train b");
+        assert_eq!(la.to_bits(), lb.to_bits());
+        assert!(
+            a.model
+                .params
+                .iter()
+                .zip(b.model.params.iter())
+                .all(|((_, pa), (_, pb))| pa.value.data() == pb.value.data()),
+            "one month step from equal states must give equal parameters"
         );
     }
 

@@ -107,8 +107,6 @@ fn full_cli_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sends one HTTP/1.1 request over a fresh connection and returns the raw
-/// response (the server always closes the connection after answering).
 #[test]
 fn fit_run_dir_resumes_to_the_same_checkpoint() {
     let dir = tmp_dir("run_dir");
@@ -122,19 +120,22 @@ fn fit_run_dir_resumes_to_the_same_checkpoint() {
     assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
 
     // the second fit finds every month committed: a no-op resume
-    let fit = |model: &std::path::Path| {
-        let out = cli()
-            .args(["fit", "--log", log.to_str().expect("utf8"), "--epochs", "1"])
-            .args(["--run-dir", run.to_str().expect("utf8")])
-            .args(["--out", model.to_str().expect("utf8")])
-            .output()
-            .expect("run fit");
+    let fit = |model: &std::path::Path, run_dir: Option<&std::path::Path>| {
+        let mut cmd = cli();
+        cmd.args(["fit", "--log", log.to_str().expect("utf8"), "--epochs", "1"]);
+        if let Some(run) = run_dir {
+            cmd.args(["--run-dir", run.to_str().expect("utf8")]);
+        }
+        let out = cmd.args(["--out", model.to_str().expect("utf8")]).output().expect("run fit");
         assert!(out.status.success(), "fit failed: {}", String::from_utf8_lossy(&out.stderr));
         std::fs::read(model).expect("checkpoint written")
     };
-    let first = fit(&dir.join("first.json"));
-    let second = fit(&dir.join("second.json"));
+    let first = fit(&dir.join("first.json"), Some(&run));
+    let second = fit(&dir.join("second.json"), Some(&run));
     assert!(first == second, "a resumed fit must write the same checkpoint bytes");
+    // both entry points step the months through one reseeded month step
+    let plain = fit(&dir.join("plain.json"), None);
+    assert!(plain == first, "a plain fit must write the --run-dir fit's checkpoint bytes");
 
     let mut months: Vec<String> = std::fs::read_dir(&run)
         .expect("run dir")
@@ -159,6 +160,8 @@ fn fit_run_dir_resumes_to_the_same_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Sends one HTTP/1.1 request over a fresh connection and returns the raw
+/// response (the server always closes the connection after answering).
 fn http_request(addr: &str, method: &str, path: &str, body: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");

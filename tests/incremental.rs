@@ -57,13 +57,13 @@ fn checkpoints_cover_all_training_months() {
             seed: 2,
         },
     );
-    let checkpoints = trainer
-        .train_incremental(&prepared.split, &prepared.marginals)
+    let summaries = trainer
+        .train_incremental_from(&prepared.split, &prepared.marginals, None)
         .expect("incremental training failed");
     let months = prepared.split.train_months();
-    assert_eq!(checkpoints.len(), months.len());
-    for (cp, m) in checkpoints.iter().zip(months) {
-        assert_eq!(cp.month, m);
-        assert!(cp.mean_loss.is_finite());
+    assert_eq!(summaries.len(), months.len());
+    for (summary, m) in summaries.iter().zip(months) {
+        assert_eq!(summary.month, m);
+        assert!(summary.mean_loss.is_finite());
     }
 }
