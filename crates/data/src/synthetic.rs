@@ -206,8 +206,8 @@ impl DatasetProfile {
                 repeat_purchases: true,
             },
             // e_comp's knobs, an order of magnitude more users/items: the
-            // retrieval indexes this produces are what `--shards` and the
-            // loadgen harness are sized against.
+            // retrieval indexes this produces are what `--shards` is sized
+            // against.
             DatasetProfile::Large => SyntheticConfig {
                 name: self.name().to_string(),
                 num_users: s(24_000),

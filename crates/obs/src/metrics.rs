@@ -142,8 +142,7 @@ impl Histogram {
     /// the upper bound of the first bucket whose cumulative count reaches
     /// `q × total` (the overflow bucket reports the last finite bound).
     /// Coarse by construction — exact quantiles need the raw samples
-    /// (`unimatch-cli loadgen` and `crates/benchmark` keep theirs); this
-    /// is for at-a-glance reads.
+    /// (`crates/benchmark` keeps its own); this is for at-a-glance reads.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {

@@ -7,7 +7,6 @@
 //! unimatch-cli target    --model model.json --log log.csv --item <id> --k 10
 //! unimatch-cli evaluate  --model model.json --log log.csv
 //! unimatch-cli serve     --checkpoint model.json --log log.csv --addr 127.0.0.1:7878
-//! unimatch-cli loadgen   --addr 127.0.0.1:7878 --qps 500
 //! ```
 //!
 //! Logs are CSV with a `user,item,day` header; user and item ids may be
@@ -15,8 +14,6 @@
 //! are persisted next to the model (`<model>.users.json`,
 //! `<model>.items.json`) so results translate back. The HTTP API exposed
 //! by `serve` speaks the dense ids directly.
-
-mod loadgen;
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -39,11 +36,6 @@ fn main() {
     let Some(command) = argv.first() else {
         usage("missing command");
     };
-    // `loadgen` has boolean flags, so it parses its own argv.
-    if command == "loadgen" {
-        cmd_loadgen(&argv[1..]);
-        return;
-    }
     let flags = parse_flags(command, &argv[1..]);
     // every command funnels through the same compute kernels, so the thread
     // configuration is installed once, up front (0 = auto-detect)
@@ -62,7 +54,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: unimatch-cli <generate|fit|recommend|target|evaluate|serve|loadgen> [--flag value]...\n\
+        "usage: unimatch-cli <generate|fit|recommend|target|evaluate|serve> [--flag value]...\n\
          \n\
          generate  --profile <books|electronics|ecomp|wcomp|large> [--scale F] [--seed N] --out FILE\n\
          fit       --log FILE --out FILE [--epochs N] [--temperature F] [--batch N] [--seed N]\n\
@@ -107,14 +99,6 @@ fn usage(msg: &str) -> ! {
          \u{20}          retriever|shards|min-shards|store|rerank|rerank-rules —\n\
          \u{20}          paired overlap@k / score-delta / lag\n\
          \u{20}          series land on /metrics as unimatch_shadow_*)\n\
-         loadgen   --addr HOST:PORT --qps F [--seconds F] [--concurrency N] [--k N]\n\
-         \u{20}         [--route recommend|target|mixed] [--seed N] [--out DIR] [--smoke]\n\
-         \u{20}         [--rerank-mix] [--retries N]\n\
-         \u{20}         (open-loop Poisson load against a running unimatch-serve;\n\
-         \u{20}          writes the report to DIR/loadgen.json; --rerank-mix varies\n\
-         \u{20}          histories and k to exercise a server's --rerank chain;\n\
-         \u{20}          --retries N: retry sheds/transport failures with backoff,\n\
-         \u{20}          honoring Retry-After, behind a circuit breaker)\n\
          \n\
          every command also accepts --threads N (worker threads for the\n\
          compute kernels; 0 = auto-detect, 1 = exact sequential execution)"
@@ -129,8 +113,6 @@ const DEPLOYMENT_FLAGS: &[&str] =
 
 /// The `--name value` flags each command accepts beside the global
 /// `--threads`: whether it takes [`DEPLOYMENT_FLAGS`], then its own.
-/// `loadgen`'s bare `--smoke` / `--rerank-mix` are stripped before the
-/// lookup.
 const COMMAND_FLAGS: &[(&str, bool, &[&str])] = &[
     ("generate", false, &["profile", "scale", "seed", "out"]),
     ("fit", true, &["log", "out", "epochs", "temperature", "batch", "seed", "run-dir"]),
@@ -149,11 +131,6 @@ const COMMAND_FLAGS: &[(&str, bool, &[&str])] = &[
             "deadline-ms", "queue-bound", "faults", "fault-seed", "obs", "brownout",
             "shadow-sample-rate", "shadow-ckpt", "shadow-spec",
         ],
-    ),
-    (
-        "loadgen",
-        false,
-        &["addr", "qps", "seconds", "concurrency", "k", "route", "seed", "out", "retries"],
     ),
 ];
 
@@ -561,65 +538,6 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
         out.ut_cases
     );
     println!("AVG NDCG {:.2}%", 100.0 * out.avg_ndcg());
-}
-
-/// `loadgen` — open-loop Poisson load against a running `unimatch-serve`
-/// (the [`loadgen`] module). Parses its own argv for the booleans
-/// `--smoke` and `--rerank-mix`.
-fn cmd_loadgen(args: &[String]) {
-    let mut smoke = false;
-    let mut rerank_mix = false;
-    let mut rest: Vec<String> = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--rerank-mix" => rerank_mix = true,
-            _ => rest.push(a.clone()),
-        }
-    }
-    let flags = parse_flags("loadgen", &rest);
-    let route_name = flags.get("route").map(String::as_str).unwrap_or("mixed");
-    let route = loadgen::RouteMix::parse(route_name)
-        .unwrap_or_else(|| usage(&format!("unknown route {route_name} (recommend|target|mixed)")));
-    let opts = loadgen::LoadgenOptions {
-        addr: flag(&flags, "addr").to_string(),
-        qps: flag_or(&flags, "qps", if smoke { 50.0 } else { 500.0 }),
-        seconds: flag_or(&flags, "seconds", if smoke { 2.0 } else { 10.0 }),
-        concurrency: flag_or(&flags, "concurrency", 32),
-        k: flag_or(&flags, "k", 10),
-        route,
-        seed: flag_or(&flags, "seed", 42),
-        out_dir: flags.get("out").cloned().unwrap_or_else(|| ".".to_string()).into(),
-        rerank_mix,
-        retries: flag_or(&flags, "retries", 0),
-    };
-    let (report, path) = loadgen::run(&opts)
-        .unwrap_or_else(|e| usage(&format!("loadgen failed: {e}")));
-    println!(
-        "offered {:.0} req/s for {:.1}s ({} requests, concurrency {})",
-        opts.qps, opts.seconds, report.requests, opts.concurrency
-    );
-    println!(
-        "sustained {:.0} req/s ok — p50 {:.0}µs  p99 {:.0}µs  p99.9 {:.0}µs",
-        report.sustained_qps,
-        report.latency_p50_us,
-        report.latency_p99_us,
-        report.latency_p999_us
-    );
-    println!(
-        "shed {:.2}%  errors {:.2}%  schedule lag p99 {:.0}µs",
-        100.0 * report.shed_rate,
-        100.0 * report.error_rate,
-        report.schedule_lag_p99_us
-    );
-    if opts.retries > 0 {
-        println!(
-            "retries {:.3}/req  breaker fast-fails {:.2}%",
-            report.retry_rate,
-            100.0 * report.breaker_fast_fail_rate
-        );
-    }
-    println!("wrote {}", path.display());
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) {
