@@ -1,17 +1,13 @@
 //! Model evaluation under the paper's protocol: embeds test users/items
-//! with the trained towers and runs the IR / UT ranking tasks.
+//! with the trained towers and runs the IR / UT ranking tasks — over
+//! sampled negatives ([`evaluate`]), or over the full catalog through a
+//! deployment's serving pipelines ([`evaluate_deployment`]).
 
-use crate::framework::{item_store_of, user_store_of, FittedUniMatch, UniMatchConfig};
+use crate::framework::FittedUniMatch;
 use crate::pipeline::MatchPipeline;
-use crate::prepare::PreparedData;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-use unimatch_ann::{
-    BruteForceIndex, EmbeddingStore, Hit, HnswConfig, HnswIndex, Retriever, RowFormat,
-};
-use unimatch_data::{InteractionLog, SeqBatch, TemporalSplit};
-use unimatch_rerank::RerankChain;
+use unimatch_data::{SeqBatch, TemporalSplit};
 use unimatch_eval::{
     build_ir_cases, build_ut_cases, catalog_coverage, evaluate_single_positive_cases,
     exposure_gini, popularity_stats, retrieved_popularity, score_candidates, top_n_candidates,
@@ -103,362 +99,110 @@ pub fn evaluate_with_audit(
     (outcome, audit.expect("audit requested"))
 }
 
-/// One side of a raw-vs-reranked comparison: ranking accuracy plus
-/// aggregate diversity and popularity of everything retrieved.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RerankSide {
-    /// Mean IR ranking metrics over all cases.
-    pub ir: CaseMetrics,
-    /// Fraction of the catalog appearing in at least one list.
+/// One tower's full-catalog lists, scored: ranking accuracy plus the
+/// diversity and popularity of everything retrieved.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TowerEval {
+    /// Mean ranking metrics over the tower's cases.
+    pub metrics: CaseMetrics,
+    /// Number of cases answered.
+    pub cases: usize,
+    /// Fraction of the searched candidates (items for IR, pool users for
+    /// UT) appearing in at least one list.
     pub coverage: f64,
-    /// Gini coefficient of exposure across retrieved items.
+    /// Gini coefficient of exposure across retrieved entities.
     pub gini: f64,
-    /// Popularity (trailing interaction count) of retrieved items.
+    /// Trailing interaction counts of retrieved entities: popularity of
+    /// items (IR) or activeness of users (UT).
     pub popularity: PopularityStats,
 }
 
-/// The re-ranking chain's eval gate: the same fitted deployment answering
-/// the same IR cases with the chain off (`raw`) and on (`reranked`).
-#[derive(Clone, Debug, Default)]
-pub struct RerankEval {
-    /// Full-catalog retrieval without the chain.
-    pub raw: RerankSide,
-    /// The same queries through the configured chain.
-    pub reranked: RerankSide,
-    /// Number of IR cases evaluated.
-    pub cases: usize,
-    /// The canonical chain spec under test.
-    pub spec: String,
-}
-
-impl RerankEval {
-    /// Relative change in mean retrieved popularity (negative = the chain
-    /// surfaces less-popular items — what a debias stage is for).
-    pub fn popularity_lift(&self) -> f64 {
-        if self.raw.popularity.mean > 0.0 {
-            self.reranked.popularity.mean / self.raw.popularity.mean - 1.0
+impl TowerEval {
+    /// Relative change in mean retrieved popularity against `reference`
+    /// (negative = this deployment surfaces less-popular entities — what
+    /// a debias stage is for).
+    pub fn popularity_lift(&self, reference: &TowerEval) -> f64 {
+        if reference.popularity.mean > 0.0 {
+            self.popularity.mean / reference.popularity.mean - 1.0
         } else {
             0.0
         }
     }
 }
 
-/// Evaluates a fitted deployment's re-ranking chain against its own raw
-/// retrieval: every IR case is answered over the **full catalog** (not the
-/// sampled-negative protocol — the chain's filters and exploration need
-/// the real candidate space), once raw and once through the chain, and
-/// each side is scored for accuracy, diversity, and popularity.
-/// `item_counts` are trailing interaction counts per item id.
-pub fn evaluate_ir_rerank(
+/// A deployment's end metrics on the seeded full-catalog IR and UT cases.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DeploymentEval {
+    /// Item recommendation through [`FittedUniMatch::item_pipeline`].
+    pub ir: TowerEval,
+    /// User targeting through [`FittedUniMatch::user_pipeline`].
+    pub ut: TowerEval,
+}
+
+/// Scores a deployment the way it serves: every IR and UT case is
+/// answered over the **full catalog** (not the sampled-negative protocol —
+/// filters and exploration need the real candidate space) by the
+/// deployment's own [`MatchPipeline::run`], so its backend, shard
+/// fan-out, store format and re-ranking chain all count.
+///
+/// The cases depend on `split`, `protocol` and `seed` only, so two
+/// deployments of one checkpoint answer the same queries: IR cases are
+/// drawn first, then UT cases against `fitted.user_pool`, both off one
+/// rng seeded with `seed`. Each tower's cutoff is `protocol.top_n`
+/// clamped to the candidates it searches. `item_counts` / `user_counts`
+/// are trailing interaction counts per item / user id.
+pub fn evaluate_deployment(
     fitted: &FittedUniMatch,
     split: &TemporalSplit,
     protocol: &ProtocolConfig,
     seed: u64,
-    item_counts: &[u64],
-) -> RerankEval {
-    // the gate keeps the caller's cutoff: lists are full-catalog, so it is
-    // clamped to the catalog only, not to the negative count
-    let top_n = protocol.top_n.min(fitted.num_items()).max(1);
+    (item_counts, user_counts): (&[u64], &[u64]),
+) -> DeploymentEval {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cases = full_catalog_ir_cases(&fitted.model, split, protocol, &mut rng);
-    // both sides drive the same canonical pipeline — the chain-off side
-    // runs the retrieve stage bare, the chain-on side the full sequence
-    let pipeline = fitted.item_pipeline();
-    let score_side = |lists: &[Vec<Hit>]| {
-        let retrieved: Vec<u32> = lists.iter().flatten().map(|h| h.id).collect();
-        RerankSide {
-            ir: score_lists(lists, &cases.positives, top_n),
-            coverage: catalog_coverage(&retrieved, fitted.num_items()),
-            gini: exposure_gini(&retrieved),
-            popularity: popularity_stats(&retrieved_popularity(&retrieved, item_counts)),
-        }
-    };
-    RerankEval {
-        raw: score_side(&pipeline.retrieve(&cases.queries, top_n)),
-        reranked: score_side(&pipeline.run(&cases.queries, top_n)),
-        cases: cases.positives.len(),
-        spec: fitted.rerank_spec().to_string(),
-    }
+    let ir_protocol = protocol.clamped(unimatch_eval::item_pool(split).len());
+    let ir_cases = build_ir_cases(split, &ir_protocol, &mut rng);
+    let pool = &fitted.user_pool;
+    let ut_cases = build_ut_cases(split, pool, &protocol.clamped(pool.len()), &mut rng);
+
+    let items = fitted.item_pipeline();
+    let histories: Vec<&[u32]> = ir_cases.iter().map(|c| c.history.as_slice()).collect();
+    let queries = items.embed(&histories);
+    let positives: Vec<u32> = ir_cases.iter().map(|c| c.candidates[0]).collect();
+    let ir = score_tower(&items, &queries, &positives, protocol.top_n, item_counts);
+
+    let users = fitted.user_pipeline();
+    let query_items: Vec<u32> = ut_cases.iter().map(|c| c.item).collect();
+    let queries = users.gather(&query_items);
+    let positives: Vec<u32> = ut_cases.iter().map(|c| c.candidates[0] as u32).collect();
+    let ut = score_tower(&users, &queries, &positives, protocol.top_n, user_counts);
+    DeploymentEval { ir, ut }
 }
 
-/// The seeded full-catalog IR case set the rerank gate and both sweeps
-/// answer: one query per test user — its history through `model`'s user
-/// tower — and the one item that counts as relevant for it.
-struct FullCatalogIr {
-    /// Flat `[cases × embed_dim]` query matrix.
-    queries: Vec<f32>,
-    /// The relevant item of each case.
-    positives: Vec<u32>,
-    /// The protocol's cutoff clamped to the item pool and the catalog.
+/// Answers `queries` through `pipeline` and scores the lists: list `q` is
+/// relevant exactly where it holds row `positives[q]`. Popularity is read
+/// off the translated ids.
+fn score_tower(
+    pipeline: &MatchPipeline<'_>,
+    queries: &[f32],
+    positives: &[u32],
     top_n: usize,
-}
-
-fn full_catalog_ir_cases(
-    model: &TwoTower,
-    split: &TemporalSplit,
-    protocol: &ProtocolConfig,
-    rng: &mut StdRng,
-) -> FullCatalogIr {
-    let clamped = protocol.clamped(unimatch_eval::item_pool(split).len());
-    let cases = build_ir_cases(split, &clamped, rng);
-    let histories: Vec<&[u32]> = cases.iter().map(|c| c.history.as_slice()).collect();
-    FullCatalogIr {
-        queries: embed_histories(model, &histories, model.config().max_seq_len),
-        positives: cases.iter().map(|c| c.candidates[0]).collect(),
-        top_n: clamped.top_n.min(model.config().num_items).max(1),
-    }
-}
-
-/// Mean ranking metrics of single-positive full-catalog lists: list `q`
-/// is relevant exactly where it holds `positives[q]`.
-fn score_lists(lists: &[Vec<Hit>], positives: &[u32], top_n: usize) -> CaseMetrics {
+    counts: &[u64],
+) -> TowerEval {
+    let top_n = top_n.min(pipeline.len());
     let mut acc = MetricAccumulator::new();
-    for (&positive, hits) in positives.iter().zip(lists) {
+    let mut retrieved = Vec::new();
+    for (&positive, hits) in positives.iter().zip(pipeline.run(queries, top_n)) {
         let relevant: Vec<bool> = hits.iter().map(|h| h.id == positive).collect();
         acc.add(unimatch_eval::case_metrics(&relevant, 1, top_n));
+        retrieved.extend(pipeline.translate(hits).into_iter().map(|(id, _)| id));
     }
-    acc.mean()
-}
-
-/// End-metric accuracy of one serving store format: the same seeded
-/// full-catalog IR cases answered by an exact-retriever deployment whose
-/// item store is encoded in [`StoreFormatEval::format`], plus deltas
-/// against the exact-f32 oracle.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreFormatEval {
-    /// The row encoding under test.
-    pub format: RowFormat,
-    /// Mean IR ranking metrics over all cases.
-    pub ir: CaseMetrics,
-    /// `recall − recall(f32)`. Exactly `0.0` for the f32 entry.
-    pub delta_recall: f64,
-    /// `ndcg − ndcg(f32)`. Exactly `0.0` for the f32 entry.
-    pub delta_ndcg: f64,
-}
-
-/// Quantization's end-metric cost, measured end to end (the first slice
-/// of the retriever-aware evaluation): for every [`RowFormat`] an
-/// exact-retriever deployment is built over the same model and log with
-/// its item store encoded in that format, and all deployments answer the
-/// same seeded **full-catalog** IR cases through the fused dequant-dot
-/// scoring path they would use in production. Entries follow
-/// [`RowFormat::ALL`] order (f32 first) and carry recall/NDCG deltas
-/// against the f32 entry, so `recall@N(i8) − recall@N(f32)` reads off
-/// directly.
-///
-/// Every deployment is the exact retriever over the model's item store
-/// (index approximation never pollutes the format comparison; exact
-/// results are shard-invariant, so `base`'s fan-out is immaterial).
-/// `base` supplies the compute-thread configuration.
-pub fn evaluate_store_formats(
-    model: &TwoTower,
-    log: &InteractionLog,
-    base: &UniMatchConfig,
-    protocol: &ProtocolConfig,
-    seed: u64,
-) -> Vec<StoreFormatEval> {
-    base.parallelism.install_global();
-    let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
-    // user embeddings come from the model towers, not the store — one
-    // shared query matrix keeps every format answering identical queries
-    let cases = full_catalog_ir_cases(model, &split, protocol, &mut StdRng::seed_from_u64(seed));
-    let f32_store = item_store_of(model);
-    let chain = RerankChain::identity();
-    let mut out: Vec<StoreFormatEval> = RowFormat::ALL
-        .into_iter()
-        .map(|format| {
-            let store = Arc::new(f32_store.quantize(format));
-            let index = BruteForceIndex::over(store.clone());
-            let lists =
-                MatchPipeline::over(&index, &store, &chain).retrieve(&cases.queries, cases.top_n);
-            StoreFormatEval {
-                format,
-                ir: score_lists(&lists, &cases.positives, cases.top_n),
-                delta_recall: 0.0,
-                delta_ndcg: 0.0,
-            }
-        })
-        .collect();
-    let oracle = out[0].ir;
-    for e in &mut out {
-        e.delta_recall = e.ir.recall - oracle.recall;
-        e.delta_ndcg = e.ir.ndcg - oracle.ndcg;
+    TowerEval {
+        metrics: acc.mean(),
+        cases: positives.len(),
+        coverage: catalog_coverage(&retrieved, pipeline.len()),
+        gini: exposure_gini(&retrieved),
+        popularity: popularity_stats(&retrieved_popularity(&retrieved, counts)),
     }
-    out
-}
-
-/// End-metric accuracy of one index backend at one operating point: the
-/// same seeded full-catalog IR and UT cases answered by that backend's
-/// indexes over one shared pair of embedding stores, plus deltas against
-/// the exact (brute-force) oracle.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendEval {
-    /// Stable backend name (`"bruteforce"` / `"hnsw"`).
-    pub backend: &'static str,
-    /// The swept search-time parameter (`"ef_search"`, empty for the
-    /// exact oracle).
-    pub param: &'static str,
-    /// The parameter's value at this operating point (0 for the oracle).
-    pub value: usize,
-    /// Mean IR ranking metrics over all cases.
-    pub ir: CaseMetrics,
-    /// Mean UT ranking metrics over all cases.
-    pub ut: CaseMetrics,
-    /// `ir.recall − ir.recall(exact)`. Exactly `0.0` for the oracle.
-    pub delta_ir_recall: f64,
-    /// `ir.ndcg − ir.ndcg(exact)`.
-    pub delta_ir_ndcg: f64,
-    /// `ut.recall − ut.recall(exact)`.
-    pub delta_ut_recall: f64,
-    /// `ut.ndcg − ut.ndcg(exact)`.
-    pub delta_ut_ndcg: f64,
-}
-
-impl BackendEval {
-    /// `"bruteforce"` or `"hnsw ef_search=32"`-style display label.
-    pub fn label(&self) -> String {
-        if self.param.is_empty() {
-            self.backend.to_string()
-        } else {
-            format!("{} {}={}", self.backend, self.param, self.value)
-        }
-    }
-}
-
-/// What every point of the backend sweep shares: both towers' stores,
-/// materialized once, and the seeded IR and UT case sets answered over
-/// them.
-struct BackendSweep {
-    item_store: Arc<EmbeddingStore>,
-    user_store: Arc<EmbeddingStore>,
-    /// IR histories through the towers.
-    ir: FullCatalogIr,
-    /// UT queries gathered from the item store, flat `[cases × embed_dim]`.
-    ut_queries: Vec<f32>,
-    ut_positives: Vec<u32>,
-    ut_top_n: usize,
-}
-
-impl BackendSweep {
-    fn prepare(
-        model: &TwoTower,
-        log: &InteractionLog,
-        protocol: &ProtocolConfig,
-        seed: u64,
-    ) -> BackendSweep {
-        let split = PreparedData::from_log(log.clone(), model.config().max_seq_len).split;
-        let item_store = Arc::new(item_store_of(model));
-        let user_pool = UserPool::build(&split, model.config().max_seq_len);
-        let user_store = Arc::new(user_store_of(model, &user_pool));
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ir = full_catalog_ir_cases(model, &split, protocol, &mut rng);
-
-        let ut_protocol = protocol.clamped(user_pool.len());
-        let ut_cases = build_ut_cases(&split, &user_pool, &ut_protocol, &mut rng);
-        let ut_queries: Vec<f32> = ut_cases
-            .iter()
-            .flat_map(|c| item_store.decode_row(c.item as usize).into_owned())
-            .collect();
-        BackendSweep {
-            ut_positives: ut_cases.iter().map(|c| c.candidates[0] as u32).collect(),
-            ut_top_n: ut_protocol.top_n.min(user_pool.len()).max(1),
-            item_store,
-            user_store,
-            ir,
-            ut_queries,
-        }
-    }
-
-    /// Builds both towers' HNSW indexes the way the deployment builder
-    /// seeds them: item index first, user index second, off one derived
-    /// rng.
-    fn build_hnsw(&self, base: &UniMatchConfig, cfg: HnswConfig) -> (HnswIndex, HnswIndex) {
-        let mut rng = StdRng::seed_from_u64(base.seed ^ 0x1d);
-        let items = HnswIndex::build_over(self.item_store.clone(), cfg, &mut rng);
-        let users = HnswIndex::build_over(self.user_store.clone(), cfg, &mut rng);
-        (items, users)
-    }
-
-    /// Answers the shared cases through one pair of indexes (deltas are
-    /// filled in once the oracle's entry is known).
-    fn answer(
-        &self,
-        (backend, param, value): (&'static str, &'static str, usize),
-        item_index: &dyn Retriever,
-        user_index: &dyn Retriever,
-    ) -> BackendEval {
-        let chain = RerankChain::identity();
-        let ir_lists = MatchPipeline::over(item_index, &self.item_store, &chain)
-            .retrieve(&self.ir.queries, self.ir.top_n);
-        let ut_lists = MatchPipeline::over(user_index, &self.user_store, &chain)
-            .retrieve(&self.ut_queries, self.ut_top_n);
-        BackendEval {
-            backend,
-            param,
-            value,
-            ir: score_lists(&ir_lists, &self.ir.positives, self.ir.top_n),
-            ut: score_lists(&ut_lists, &self.ut_positives, self.ut_top_n),
-            delta_ir_recall: 0.0,
-            delta_ir_ndcg: 0.0,
-            delta_ut_recall: 0.0,
-            delta_ut_ndcg: 0.0,
-        }
-    }
-}
-
-/// The `ef_search` operating points of the HNSW sweep.
-const EF_SEARCH_SWEEP: [usize; 3] = [8, 32, 128];
-
-/// The index backend's end-metric cost, measured end to end (the second
-/// slice of the retriever-aware evaluation, after
-/// [`evaluate_store_formats`]): both towers' stores are materialized
-/// once from the model and log, and then the *same* seeded full-catalog IR
-/// **and** UT cases are answered through a [`MatchPipeline`] per backend
-/// operating point — HNSW at an `ef_search` sweep, at realistic (not
-/// effectively-exact) settings — each over the very same pair of
-/// embedding stores. The first entry is the brute-force oracle; every
-/// entry carries recall/NDCG deltas against it, so `recall@N(hnsw, ef=8)
-/// − recall@N(exact)` reads off directly.
-///
-/// Indexes are built unsharded: exact results are shard-invariant by
-/// construction, and sharding an approximate backend changes its graph
-/// layout — a deployment knob, not a search-quality knob, so it is
-/// held fixed here. `base` supplies the seed the indexes are built from
-/// and the compute-thread configuration; the stores are f32 and owned,
-/// so index approximation is the only variable.
-pub fn evaluate_backend_deltas(
-    model: &TwoTower,
-    log: &InteractionLog,
-    base: &UniMatchConfig,
-    protocol: &ProtocolConfig,
-    seed: u64,
-) -> Vec<BackendEval> {
-    base.parallelism.install_global();
-    let sweep = BackendSweep::prepare(model, log, protocol, seed);
-
-    let mut out = vec![sweep.answer(
-        ("bruteforce", "", 0),
-        &BruteForceIndex::over(sweep.item_store.clone()),
-        &BruteForceIndex::over(sweep.user_store.clone()),
-    )];
-    // `ef_search` is read at search time only: one graph per tower
-    // serves every point of the sweep
-    let (mut item_index, mut user_index) = sweep.build_hnsw(base, HnswConfig::default());
-    for ef in EF_SEARCH_SWEEP {
-        item_index.set_ef_search(ef);
-        user_index.set_ef_search(ef);
-        out.push(sweep.answer(("hnsw", "ef_search", ef), &item_index, &user_index));
-    }
-
-    let oracle = out[0];
-    for e in &mut out {
-        e.delta_ir_recall = e.ir.recall - oracle.ir.recall;
-        e.delta_ir_ndcg = e.ir.ndcg - oracle.ir.ndcg;
-        e.delta_ut_recall = e.ut.recall - oracle.ut.recall;
-        e.delta_ut_ndcg = e.ut.ndcg - oracle.ut.ndcg;
-    }
-    out
 }
 
 fn evaluate_inner(
@@ -623,113 +367,62 @@ mod tests {
     }
 
     #[test]
-    fn rerank_eval_compares_raw_and_chained_sides() {
-        use crate::framework::{RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
+    fn deployments_are_scored_against_the_exact_f32_reference() {
+        use crate::framework::{RerankConfig, RetrieverKind, UniMatchConfig};
+        use crate::persist::{model_from_json, model_to_json};
+        use unimatch_ann::RowFormat;
         let log = DatasetProfile::EComp.generate(0.15, 11).filter_min_interactions(3);
-        let counts = log.item_counts();
-        let cfg = UniMatchConfig {
-            max_seq_len: 8,
-            epochs_per_month: 1,
-            retriever: RetrieverKind::Exact,
-            rerank: RerankConfig { spec: "debias@2,explore@0.2".to_string(), rules: None },
-            ..Default::default()
+        let counts = (log.item_counts(), log.user_counts());
+        let base = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
+        // every deployment serves the one fit, decoded from its checkpoint
+        let checkpoint = model_to_json(&UniMatch::new(base.clone()).fit(log.clone()).model);
+        let split = PreparedData::from_log(log.clone(), 8).split;
+        let protocol = ProtocolConfig { top_n: 10, negatives: 20 };
+        let eval = |cfg: UniMatchConfig| {
+            let model = model_from_json(&checkpoint).expect("checkpoint decodes");
+            let fitted = UniMatch::new(cfg).serve(model, log.clone());
+            evaluate_deployment(&fitted, &split, &protocol, 5, (&counts.0, &counts.1))
         };
-        let fitted = UniMatch::new(cfg).fit(log.clone());
-        let protocol = ProtocolConfig { top_n: 10, negatives: 20 };
-        let split = PreparedData::from_log(log, 8).split;
-        let eval = evaluate_ir_rerank(&fitted, &split, &protocol, 5, &counts);
-        assert!(eval.cases > 0);
-        assert_eq!(eval.spec, "debias@2,explore@0.2");
-        for side in [&eval.raw, &eval.reranked] {
-            assert!((0.0..=1.0).contains(&side.ir.recall));
-            assert!((0.0..=1.0).contains(&side.coverage));
-            assert!((0.0..=1.0).contains(&side.gini));
+        let reference = eval(base.clone());
+        assert!(reference.ir.cases > 0 && reference.ut.cases > 0);
+        for tower in [reference.ir, reference.ut] {
+            assert!((0.0..=1.0).contains(&tower.metrics.recall));
+            assert!((0.0..=1.0).contains(&tower.metrics.ndcg));
+            assert!((0.0..=1.0).contains(&tower.coverage));
+            assert!((0.0..=1.0).contains(&tower.gini));
+            assert!(tower.popularity.mean > 0.0);
         }
-        // a strong debias must actually move retrieved popularity
-        assert!(
-            eval.popularity_lift() < 0.0,
-            "debias@2 should surface less-popular items: lift {}",
-            eval.popularity_lift()
-        );
-        // deterministic under a fixed seed
-        let again = evaluate_ir_rerank(&fitted, &split, &protocol, 5, &counts);
-        assert_eq!(eval.reranked.ir, again.reranked.ir);
-        assert_eq!(eval.reranked.gini, again.reranked.gini);
-    }
 
-    #[test]
-    fn store_format_eval_reports_deltas_vs_f32() {
-        let log = DatasetProfile::EComp.generate(0.15, 11).filter_min_interactions(3);
-        let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
-        let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
-        let protocol = ProtocolConfig { top_n: 10, negatives: 20 };
-        let evals = evaluate_store_formats(&fitted.model, &log, &cfg, &protocol, 5);
-        assert_eq!(evals.len(), RowFormat::ALL.len());
-        assert_eq!(evals[0].format, RowFormat::F32);
-        assert_eq!(evals[0].delta_recall, 0.0);
-        assert_eq!(evals[0].delta_ndcg, 0.0);
-        for e in &evals {
-            assert!((0.0..=1.0).contains(&e.ir.recall));
-            assert!((0.0..=1.0).contains(&e.ir.ndcg));
-            assert_eq!(e.delta_recall, e.ir.recall - evals[0].ir.recall);
-            assert_eq!(e.delta_ndcg, e.ir.ndcg - evals[0].ir.ndcg);
-        }
-        // int8's per-row affine grid costs at most a few list positions
-        assert_eq!(evals[1].format, RowFormat::I8);
-        assert!(evals[1].delta_recall.abs() <= 0.10, "i8 delta {}", evals[1].delta_recall);
-        // deterministic under a fixed seed
-        let again = evaluate_store_formats(&fitted.model, &log, &cfg, &protocol, 5);
-        for (a, b) in evals.iter().zip(&again) {
-            assert_eq!(a.ir, b.ir);
-        }
-    }
-
-    #[test]
-    fn backend_delta_eval_reports_deltas_vs_exact() {
-        let log = DatasetProfile::EComp.generate(0.15, 11).filter_min_interactions(3);
-        let cfg = UniMatchConfig { max_seq_len: 8, epochs_per_month: 1, ..Default::default() };
-        let fitted = UniMatch::new(cfg.clone()).fit(log.clone());
-        let protocol = ProtocolConfig { top_n: 10, negatives: 20 };
-        let evals = evaluate_backend_deltas(&fitted.model, &log, &cfg, &protocol, 5);
-        // exact oracle + 3 hnsw ef points
-        assert_eq!(evals.len(), 4);
-        assert_eq!(evals[0].backend, "bruteforce");
-        assert_eq!(evals[0].delta_ir_recall, 0.0);
-        assert_eq!(evals[0].delta_ut_ndcg, 0.0);
-        for e in &evals {
-            for m in [e.ir, e.ut] {
-                assert!((0.0..=1.0).contains(&m.recall), "{}: recall {}", e.label(), m.recall);
-                assert!((0.0..=1.0).contains(&m.ndcg), "{}: ndcg {}", e.label(), m.ndcg);
-            }
-            assert_eq!(e.delta_ir_recall, e.ir.recall - evals[0].ir.recall);
-            assert_eq!(e.delta_ut_recall, e.ut.recall - evals[0].ut.recall);
-        }
-        // the sweep covers HNSW at 3 points, and a generous ef keeps it
-        // within shouting distance of exact
-        let hnsw: Vec<&BackendEval> =
-            evals.iter().filter(|e| e.backend == "hnsw").collect();
-        assert_eq!(hnsw.len(), 3);
-        assert!(
-            hnsw[2].delta_ir_recall.abs() <= 0.5,
-            "ef=128 delta {} suspiciously far from exact",
-            hnsw[2].delta_ir_recall
-        );
-        // the sweep shares one graph per tower; each point answers as a
-        // pair of indexes built for it alone does
-        let sweep = BackendSweep::prepare(&fitted.model, &log, &protocol, 5);
-        for (point, ef_search) in hnsw.iter().zip(EF_SEARCH_SWEEP) {
-            let (items, users) =
-                sweep.build_hnsw(&cfg, HnswConfig { ef_search, ..HnswConfig::default() });
-            let alone = sweep.answer(("hnsw", "ef_search", ef_search), &items, &users);
-            assert_eq!(point.value, ef_search);
-            assert_eq!(point.ir, alone.ir, "{}", point.label());
-            assert_eq!(point.ut, alone.ut, "{}", point.label());
-        }
-        // deterministic under a fixed seed
-        let again = evaluate_backend_deltas(&fitted.model, &log, &cfg, &protocol, 5);
-        for (a, b) in evals.iter().zip(&again) {
-            assert_eq!(a.ir, b.ir);
-            assert_eq!(a.ut, b.ut);
+        let chain = |spec: &str| RerankConfig { spec: spec.to_string(), rules: None };
+        let debias = "debias@2,explore@0.2";
+        // each deployment's check against the reference
+        type Check = fn(&DeploymentEval, &DeploymentEval);
+        let cases: [(&str, UniMatchConfig, Check); 5] = [
+            ("identity", base.clone(), |d, r| assert_eq!(d, r)),
+            // exact retrieval is shard-invariant: bit for bit the reference
+            ("exact ×2", UniMatchConfig { shards: 2, ..base.clone() }, |d, r| assert_eq!(d, r)),
+            // int8's per-row affine grid costs at most a few list positions
+            ("i8", UniMatchConfig { store: RowFormat::I8, ..base.clone() }, |d, r| {
+                let delta = d.ir.metrics.recall - r.ir.metrics.recall;
+                assert!(delta.abs() <= 0.10, "i8 IR recall delta {delta}");
+            }),
+            // the default ef_search stays within shouting distance of exact
+            ("hnsw", UniMatchConfig { retriever: RetrieverKind::Hnsw, ..base.clone() }, |d, r| {
+                let delta = d.ir.metrics.recall - r.ir.metrics.recall;
+                assert!(delta.abs() <= 0.5, "hnsw IR recall delta {delta}");
+            }),
+            // a strong debias must actually move retrieved popularity
+            (debias, UniMatchConfig { rerank: chain(debias), ..base.clone() }, |d, r| {
+                let lift = d.ir.popularity_lift(&r.ir);
+                assert!(lift < 0.0, "debias@2 should surface less-popular items: lift {lift}");
+            }),
+        ];
+        for (name, cfg, check) in cases {
+            let deployment = eval(cfg.clone());
+            assert_eq!(deployment.ir.cases, reference.ir.cases, "{name}");
+            assert_eq!(deployment.ut.cases, reference.ut.cases, "{name}");
+            check(&deployment, &reference);
+            assert_eq!(deployment, eval(cfg), "{name}: same seed, same result");
         }
     }
 }

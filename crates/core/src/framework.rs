@@ -432,7 +432,7 @@ pub(crate) fn item_store_of(model: &TwoTower) -> EmbeddingStore {
 
 /// The user tower's f32 serving store: every pool history embedded by
 /// `model` (row = pool index, id = user id).
-pub(crate) fn user_store_of(model: &TwoTower, pool: &UserPool) -> EmbeddingStore {
+fn user_store_of(model: &TwoTower, pool: &UserPool) -> EmbeddingStore {
     let histories: Vec<&[u32]> = pool.histories().iter().map(|h| h.as_slice()).collect();
     let embeddings = embed_histories(model, &histories, model.config().max_seq_len);
     let mut store = EmbeddingStore::from_vec(embeddings, model.config().embed_dim);

@@ -25,7 +25,7 @@
 //! Those two calls are the single-query form of the one query path,
 //! [`MatchPipeline`] (embed → retrieve → rerank → translate). Everything
 //! else — batched, by-embedding, fallible/degradable queries, the
-//! serving batcher, the campaign planner, the evaluators — calls the
+//! serving batcher, the campaign planner, the full-catalog evaluator — calls the
 //! stages and runners on [`FittedUniMatch::item_pipeline`] (IR) or
 //! [`FittedUniMatch::user_pipeline`] (UT) directly.
 //!
@@ -51,7 +51,7 @@ pub mod serving;
 pub use audience::{build_targeting_list, plan_campaigns, CampaignSpec, CampaignSubject, TargetingList};
 pub use durable::{train_durable, DurableError, DurableRun};
 pub use unimatch_train::MonthSummary;
-pub use evaluate::{evaluate, evaluate_backend_deltas, evaluate_ir_rerank, evaluate_store_formats, evaluate_with_audit, BackendEval, EvalOutcome, RerankEval, RerankSide, RetrievalAudit, StoreFormatEval};
+pub use evaluate::{evaluate, evaluate_deployment, evaluate_with_audit, DeploymentEval, EvalOutcome, RetrievalAudit, TowerEval};
 pub use experiment::{run_experiment, run_experiment_on, CurvePoint, ExperimentOptions, ExperimentOutcome, ExperimentSpec};
 pub use framework::{FittedUniMatch, RerankConfig, RetrieverKind, UniMatch, UniMatchConfig};
 pub use pipeline::{CheckedBatch, DegradeOptions, MatchPipeline, QuerySource};

@@ -4,7 +4,7 @@
 //! Every surface that answers a UniMatch query —
 //! [`FittedUniMatch::recommend_items`](crate::FittedUniMatch::recommend_items)
 //! and [`target_users`](crate::FittedUniMatch::target_users), the serving
-//! batcher, the campaign planner, the offline evaluators, and a serving
+//! batcher, the campaign planner, the offline evaluator, and a serving
 //! shadow deployment — executes the *same* [`MatchPipeline`], so a
 //! behavior exists in exactly one place and two configurations can be
 //! compared stage by stage:
@@ -21,10 +21,8 @@
 //! A pipeline borrows its parts (index, store, chain, marginals) for the
 //! duration of a call — it is a cheap, copy-on-construct *view* over a
 //! deployment, not an owner. [`FittedUniMatch::item_pipeline`] and
-//! [`FittedUniMatch::user_pipeline`] build the two tower-specific views;
-//! [`MatchPipeline::over`] builds a standalone view for offline
-//! comparisons (e.g. the backend-delta evaluation sweeps custom
-//! HNSW indexes over a deployment's stores).
+//! [`FittedUniMatch::user_pipeline`] build the two tower-specific views,
+//! over the parts [`MatchPipeline::over`] is handed.
 //!
 //! Determinism contract: the composed runners (`run`, `run_one`,
 //! `run_checked`) are the stages below called in order, so their results
@@ -138,9 +136,8 @@ pub struct MatchPipeline<'a> {
 impl<'a> MatchPipeline<'a> {
     /// A standalone pipeline over an index, the store its hit rows point
     /// into, and a re-ranking chain — with no embed source, no
-    /// marginals, no rules, and seed 0. The offline-comparison
-    /// entry point; attach the optional parts with the `with_*`
-    /// builders.
+    /// marginals, no rules, and seed 0. Attach the optional parts with
+    /// the `with_*` builders.
     pub fn over(
         index: &'a dyn Retriever,
         store: &'a EmbeddingStore,
@@ -280,8 +277,7 @@ impl<'a> MatchPipeline<'a> {
     }
 
     /// *Retrieve*, batched at an explicit fetch depth (clamped to the
-    /// indexed row count) with **no** chain — also the raw baseline the
-    /// offline evaluators compare against. Panicking form: a missed
+    /// indexed row count) with **no** chain. Panicking form: a missed
     /// shard quorum propagates.
     pub fn retrieve(&self, queries: &[f32], fetch: usize) -> Vec<Vec<Hit>> {
         or_panic(self.fetch(queries, fetch, false))

@@ -20,9 +20,8 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 use unimatch_core::{
-    evaluate, evaluate_ir_rerank, load_checkpoint, save_model_with_marginals,
-    ModelHandle, RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch,
-    UniMatchConfig,
+    evaluate, evaluate_deployment, save_model_with_marginals, FittedUniMatch, ModelHandle,
+    RerankConfig, RetrieverKind, RowFormat, ServingState, ShardPolicy, UniMatch, UniMatchConfig,
 };
 use unimatch_data::json::Json;
 use unimatch_data::vocab::Vocab;
@@ -65,11 +64,11 @@ fn usage(msg: &str) -> ! {
          target    --model FILE --log FILE --item ID [--k N] [--retriever KIND] [--shards N]\n\
          \u{20}         [--rerank SPEC] [--rerank-rules FILE] [--store f32|i8]\n\
          evaluate  --model FILE --log FILE [--top-n N] [--negatives N] [--seed N]\n\
-         \u{20}         [--rerank SPEC] [--rerank-rules FILE]   (gates a chain before rollout:\n\
-         \u{20}          prints raw vs reranked recall/NDCG/coverage/gini + popularity lift)\n\
-         \u{20}         [--store-deltas true]   (per-format recall/NDCG deltas vs exact f32)\n\
-         \u{20}         [--backend-deltas true] (per-index-backend IR/UT deltas vs the exact\n\
-         \u{20}          oracle at realistic hnsw ef_search operating points)\n\
+         \u{20}         [--retriever KIND] [--shards N] [--store f32|i8]\n\
+         \u{20}         [--rerank SPEC] [--rerank-rules FILE]   (gates a deployment before\n\
+         \u{20}          rollout: the one the flags describe and the exact-f32 reference\n\
+         \u{20}          answer the same full-catalog IR and UT cases; prints both rows\n\
+         \u{20}          and the delta in recall/NDCG/coverage/gini + popularity lift)\n\
          serve     --checkpoint FILE --log FILE [--addr HOST:PORT] [--batch-window-ms F]\n\
          \u{20}         [--batch-max N] [--max-conns N] [--deadline-ms F]\n\
          \u{20}         [--queue-bound N] [--faults SPEC] [--fault-seed N] [--retriever KIND]\n\
@@ -118,11 +117,7 @@ const COMMAND_FLAGS: &[(&str, bool, &[&str])] = &[
     ("fit", true, &["log", "out", "epochs", "temperature", "batch", "seed", "run-dir"]),
     ("recommend", true, &["model", "log", "user", "k"]),
     ("target", true, &["model", "log", "item", "k"]),
-    (
-        "evaluate",
-        true,
-        &["model", "log", "top-n", "negatives", "seed", "store-deltas", "backend-deltas"],
-    ),
+    ("evaluate", true, &["model", "log", "top-n", "negatives", "seed"]),
     (
         "serve",
         true,
@@ -361,9 +356,9 @@ fn cmd_fit(flags: &HashMap<String, String>) {
 
 /// Opens a checkpoint as the deployment the flags describe. Every
 /// command that answers queries — `serve`, its shadow, the one-shot
-/// `recommend`/`target`, the `evaluate --rerank` gate — comes through
-/// here, so [`ModelHandle`] validates the log and the rerank rules
-/// against the checkpoint for all of them alike.
+/// `recommend`/`target`, both deployments `evaluate` scores — comes
+/// through here, so [`ModelHandle`] validates the log and the rerank
+/// rules against the checkpoint for all of them alike.
 fn open_handle(
     flags: &HashMap<String, String>,
     checkpoint: &str,
@@ -421,106 +416,29 @@ fn cmd_target(flags: &HashMap<String, String>) {
 }
 
 fn cmd_evaluate(flags: &HashMap<String, String>) {
-    let model_path = flag(flags, "model");
-    let (log, _, _) = read_log(flag(flags, "log"));
-    let filtered = log.filter_min_interactions(3);
     let protocol = ProtocolConfig {
         top_n: flag_or(flags, "top-n", 10),
         negatives: flag_or(flags, "negatives", 99),
     };
+    if protocol.top_n == 0 {
+        usage("--top-n must be at least 1");
+    }
     let seed: u64 = flag_or(flags, "seed", 7);
-    // --rerank SPEC gates a chain before rollout: the deployment `serve`
-    // would build from these flags (same checkpoint validation, same
-    // persisted marginals) answers the same full-catalog IR cases raw
-    // and through the chain, and the accuracy / diversity / popularity
-    // deltas are printed side by side.
-    if flags.contains_key("rerank") {
-        let counts = filtered.item_counts();
-        let state = open_handle(flags, model_path, &log).current();
-        let fitted = &state.fitted;
-        let split = unimatch_core::PreparedData::from_log(filtered, fitted.max_seq_len()).split;
-        let r = evaluate_ir_rerank(fitted, &split, &protocol, seed, &counts);
-        println!("rerank chain: {:?} ({} cases, top-{})", r.spec, r.cases, protocol.top_n);
-        println!(
-            "           {:>10} {:>10} {:>10} {:>10} {:>12}",
-            "Recall", "NDCG", "coverage", "gini", "popularity"
-        );
-        for (name, side) in [("raw", &r.raw), ("reranked", &r.reranked)] {
-            println!(
-                "{name:<10} {:>9.2}% {:>9.2}% {:>9.2}% {:>10.4} {:>12.1}",
-                100.0 * side.ir.recall,
-                100.0 * side.ir.ndcg,
-                100.0 * side.coverage,
-                side.gini,
-                side.popularity.mean
-            );
-        }
-        println!(
-            "delta      {:>+9.2}% {:>+9.2}% {:>+9.2}% {:>+10.4}  lift {:>+6.2}%",
-            100.0 * (r.reranked.ir.recall - r.raw.ir.recall),
-            100.0 * (r.reranked.ir.ndcg - r.raw.ir.ndcg),
-            100.0 * (r.reranked.coverage - r.raw.coverage),
-            r.reranked.gini - r.raw.gini,
-            100.0 * r.popularity_lift()
-        );
-        return;
-    }
-    let model = load_checkpoint(model_path)
-        .map(|(model, _, _)| model)
-        .unwrap_or_else(|e| usage(&format!("cannot load {model_path}: {e}")));
-    // --store-deltas true prints what each row encoding costs in end
-    // metrics: one exact-retriever deployment per format answers the same
-    // full-catalog IR cases, reported as deltas against the f32 oracle.
-    if flag_or(flags, "store-deltas", false) {
-        let config = deployment_config(flags);
-        let evals = unimatch_core::evaluate_store_formats(&model, &filtered, &config, &protocol, seed);
-        println!("store-format end metrics (exact retriever, top-{}):", protocol.top_n);
-        println!(
-            "           {:>10} {:>10} {:>12} {:>12}",
-            "Recall", "NDCG", "ΔRecall", "ΔNDCG"
-        );
-        for e in &evals {
-            println!(
-                "{:<10} {:>9.2}% {:>9.2}% {:>+11.2}% {:>+11.2}%",
-                e.format.name(),
-                100.0 * e.ir.recall,
-                100.0 * e.ir.ndcg,
-                100.0 * e.delta_recall,
-                100.0 * e.delta_ndcg
-            );
-        }
-        return;
-    }
-    // --backend-deltas true prints what each index backend costs in end
-    // metrics: one deployment materializes both towers' stores, then
-    // HNSW indexes at realistic operating points answer the same
-    // seeded IR and UT cases, reported as deltas against the exact
-    // (brute-force) oracle over those very arenas.
-    if flag_or(flags, "backend-deltas", false) {
-        let config = deployment_config(flags);
-        let evals =
-            unimatch_core::evaluate_backend_deltas(&model, &filtered, &config, &protocol, seed);
-        println!("index-backend end metrics (top-{}):", protocol.top_n);
-        println!(
-            "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "", "IR-Rec", "IR-NDCG", "UT-Rec", "UT-NDCG", "ΔIR-Rec", "ΔUT-Rec"
-        );
-        for e in &evals {
-            println!(
-                "{:<22} {:>8.2}% {:>8.2}% {:>8.2}% {:>8.2}% {:>+8.2}% {:>+8.2}%",
-                e.label(),
-                100.0 * e.ir.recall,
-                100.0 * e.ir.ndcg,
-                100.0 * e.ut.recall,
-                100.0 * e.ut.ndcg,
-                100.0 * e.delta_ir_recall,
-                100.0 * e.delta_ut_recall
-            );
-        }
-        return;
-    }
-    let prepared = unimatch_core::PreparedData::from_log(filtered, model.config().max_seq_len);
-    let out = evaluate(&model, &prepared.split, &protocol, prepared.max_seq_len, seed);
+    let model_path = flag(flags, "model");
+    let (log, _, _) = read_log(flag(flags, "log"));
+    // Two deployments of one checkpoint, both opened the way `serve`
+    // opens them: the one the flags describe, and the reference — no
+    // deployment flag, so exact, one shard, f32 and the identity chain.
+    let deployment = open_handle(flags, model_path, &log).current();
+    let mut reference_flags = flags.clone();
+    reference_flags.retain(|key, _| !DEPLOYMENT_FLAGS.contains(&key.as_str()));
+    let reference = open_handle(&reference_flags, model_path, &log).current();
+
+    let filtered = log.filter_min_interactions(3);
+    let counts = (filtered.item_counts(), filtered.user_counts());
+    let max_seq_len = reference.fitted.max_seq_len();
+    let split = unimatch_core::PreparedData::from_log(filtered, max_seq_len).split;
+    let out = evaluate(&reference.fitted.model, &split, &protocol, max_seq_len, seed);
     println!(
         "IR : Recall@{} {:.2}%  NDCG@{} {:.2}%  ({} cases)",
         protocol.top_n,
@@ -538,6 +456,67 @@ fn cmd_evaluate(flags: &HashMap<String, String>) {
         out.ut_cases
     );
     println!("AVG NDCG {:.2}%", 100.0 * out.avg_ndcg());
+
+    // The full-catalog report: both deployments answer the same seeded
+    // IR and UT cases through the pipelines the batcher serves, and
+    // every column is printed for each plus the deployment's delta.
+    let score = |fitted| {
+        evaluate_deployment(fitted, &split, &protocol, seed, (&counts.0, &counts.1))
+    };
+    let (ours, base) = (score(&deployment.fitted), score(&reference.fitted));
+    println!(
+        "full catalog, top-{}: deployment {} vs reference {}",
+        protocol.top_n,
+        describe(&deployment.fitted),
+        describe(&reference.fitted)
+    );
+    for (tower, ours, base, popularity) in
+        [("IR", &ours.ir, &base.ir, "popularity"), ("UT", &ours.ut, &base.ut, "activeness")]
+    {
+        println!(
+            "{:<14} {:>10} {:>10} {:>10} {:>10} {:>12}",
+            format!("{tower} ({} cases)", base.cases),
+            "Recall",
+            "NDCG",
+            "coverage",
+            "gini",
+            popularity
+        );
+        for (name, row) in [("reference", base), ("deployment", ours)] {
+            println!(
+                "{name:<14} {:>9.2}% {:>9.2}% {:>9.2}% {:>10.4} {:>12.1}",
+                100.0 * row.metrics.recall,
+                100.0 * row.metrics.ndcg,
+                100.0 * row.coverage,
+                row.gini,
+                row.popularity.mean
+            );
+        }
+        println!(
+            "delta          {:>+9.2}% {:>+9.2}% {:>+9.2}% {:>+10.4}  lift {:>+6.2}%",
+            100.0 * (ours.metrics.recall - base.metrics.recall),
+            100.0 * (ours.metrics.ndcg - base.metrics.ndcg),
+            100.0 * (ours.coverage - base.coverage),
+            ours.gini - base.gini,
+            100.0 * ours.popularity_lift(base)
+        );
+    }
+}
+
+/// One line naming what a deployment serves: backend, shard fan-out,
+/// store format and re-ranking chain.
+fn describe(fitted: &FittedUniMatch) -> String {
+    let chain = match fitted.rerank_spec() {
+        "" => "identity".to_string(),
+        spec => format!("{spec:?}"),
+    };
+    let shards = fitted.retriever_shards();
+    let plural = if shards == 1 { "" } else { "s" };
+    format!(
+        "[{}, {shards} shard{plural}, {}, {chain}]",
+        fitted.retriever_backend(),
+        fitted.store_format().name()
+    )
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) {

@@ -90,8 +90,8 @@ fn full_cli_workflow() {
     let reason = rejection("recommend", "--model", &["--user", &busy_user]);
     assert!(reason.ends_with("the rerank rules reference item 999999"), "{reason}");
     assert_eq!(reason, rejection("serve", "--checkpoint", &[]));
-    // the offline gate builds the deployment `serve` would, so it refuses
-    // the same chain instead of silently evaluating it unfiltered
+    // `evaluate` opens the deployment `serve` would, so it refuses the
+    // same chain instead of silently evaluating it unfiltered
     assert_eq!(reason, rejection("evaluate", "--model", &[]));
 
     let out = cli()
@@ -409,31 +409,87 @@ fn serve_shadows_a_month_file_through_hnsw() {
     assert_eq!(finite, Some(2.0), "both builds under a finite le bound\n{scrape}");
 }
 
-/// Every `unimatch-cli <command> --flag …` line in `ci.sh`, the README and
-/// the operations guide names only flags the command accepts, and none
-/// invokes a retired command. Flags are checked in order before anything
-/// runs, so each documented line is replayed with a sentinel appended: the
-/// sentinel must be the flag the refusal names. Values are replaced by a
-/// loopback address, so a replay that got past the check could reach
-/// nothing else.
+/// Runs `evaluate` on the serve fixture with `flags` and returns stdout.
+fn evaluate_fixture(flags: &[&str]) -> String {
+    let fixture = serve_fixture();
+    let out = cli()
+        .args(["evaluate", "--model", fixture.model.to_str().expect("utf8")])
+        .args(["--log", fixture.log.to_str().expect("utf8"), "--negatives", "20"])
+        .args(flags)
+        .output()
+        .expect("run evaluate");
+    assert!(out.status.success(), "evaluate {flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf8 stdout")
+}
+
+/// The cells of every `delta` row of an `evaluate` report (IR first,
+/// then UT), the popularity lift last.
+fn delta_rows(report: &str) -> Vec<Vec<f64>> {
+    let rows: Vec<Vec<f64>> = report
+        .lines()
+        .filter_map(|line| line.strip_prefix("delta "))
+        .map(|cells| {
+            let cells = cells.split_whitespace().filter(|c| *c != "lift");
+            cells.map(|c| c.trim_end_matches('%').parse().expect("numeric cell")).collect()
+        })
+        .collect();
+    assert_eq!(rows.len(), 2, "one delta row per tower\n{report}");
+    rows
+}
+
+#[test]
+fn evaluate_reports_the_flagged_deployment_against_the_reference() {
+    // no deployment flag: the deployment is the reference, so every
+    // delta cell is exactly zero; exact retrieval is shard-invariant, so
+    // two shards change nothing either
+    for flags in [&[][..], &["--shards", "2"]] {
+        let report = evaluate_fixture(flags);
+        assert!(report.contains("IR :") && report.contains("UT :"), "{report}");
+        for row in delta_rows(&report) {
+            assert_eq!(row.len(), 5, "{report}");
+            assert!(row.iter().all(|&cell| cell == 0.0), "{flags:?}\n{report}");
+        }
+    }
+    // every deployment flag combines, and the header names what was built
+    let flags = ["--retriever", "hnsw", "--store", "i8", "--rerank", "debias@2"];
+    let report = evaluate_fixture(&flags);
+    let header = report.lines().find(|l| l.starts_with("full catalog")).expect("header");
+    let deployment = header.split(" vs reference").next().expect("split yields one");
+    for part in ["hnsw", "i8", "debias@2"] {
+        assert!(deployment.contains(part), "{part} missing from {header}");
+    }
+    // the chain, not the i8 grid (about −0.1 % alone), moves popularity
+    let ir_lift = delta_rows(&report)[0][4];
+    assert!(ir_lift < -10.0, "debias@2 lowers IR popularity: lift {ir_lift}%\n{report}");
+}
+
+/// Every `unimatch-cli <command> --flag …` line in `ci.sh`, the README,
+/// the operations guide and the verification skill names only flags the
+/// command accepts, and none invokes a retired command. Flags are checked
+/// in order before anything runs, so each documented line is replayed
+/// with a sentinel appended: the sentinel must be the flag the refusal
+/// names. An invocation ends at its first backtick, so an inline mention
+/// replays only its code span. Values are replaced by a loopback address,
+/// so a replay that got past the check could reach nothing else.
 #[test]
 fn documented_command_lines_name_only_accepted_flags() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let commands = ["generate", "fit", "recommend", "target", "evaluate", "serve"];
     let retired = ["bench", "loadgen"];
     let mut replayed = 0;
-    for file in ["ci.sh", "README.md", "docs/OPERATIONS.md"] {
+    for file in ["ci.sh", "README.md", "docs/OPERATIONS.md", ".claude/skills/verify/SKILL.md"] {
         let text = std::fs::read_to_string(root.join(file)).expect("read doc");
         for line in text.replace("\\\n", " ").lines() {
             let Some((_, invocation)) = line.split_once("unimatch-cli ") else { continue };
             let invocation = invocation.split(" #").next().expect("split yields one");
+            let invocation = invocation.split('`').next().expect("split yields one");
             let mut tokens = invocation.split_whitespace();
-            let word = tokens.next().unwrap_or_default().trim_end_matches(['`', ')', ',', '.']);
+            let word = tokens.next().unwrap_or_default().trim_end_matches([')', ',', '.']);
             assert!(!retired.contains(&word), "{file} invokes retired command {word}: {line}");
             let Some(command) = commands.iter().find(|c| **c == word) else { continue };
             let mut args = vec![*command];
             for flag in tokens.filter(|t| t.starts_with("--")) {
-                args.push(flag.trim_end_matches(['`', ')', ',', '.']));
+                args.push(flag.trim_end_matches([')', ',', '.']));
                 args.push("127.0.0.1:1");
             }
             let out = cli().args(&args).args(["--zz", "127.0.0.1:1"]).output().expect("run");
@@ -444,7 +500,7 @@ fn documented_command_lines_name_only_accepted_flags() {
             replayed += 1;
         }
     }
-    assert!(replayed >= 12, "only {replayed} command lines found: the extraction broke");
+    assert!(replayed >= 30, "only {replayed} command lines found: the extraction broke");
 }
 
 #[test]
@@ -462,12 +518,15 @@ fn cli_rejects_bad_input() {
 
     // a flag the command does not accept is named and refused before
     // anything runs: a typo, another command's flag
-    // (`--mmap` and `--shard-deadline-ms` are retired, not hidden)
+    // (`--mmap`, `--shard-deadline-ms`, `--store-deltas` and
+    // `--backend-deltas` are retired, not hidden)
     for (command, flag) in [
         ("serve", "--shard"),
         ("serve", "--cache"),
         ("serve", "--mmap"),
         ("serve", "--shard-deadline-ms"),
+        ("evaluate", "--store-deltas"),
+        ("evaluate", "--backend-deltas"),
         ("generate", "--log"),
     ] {
         let out = cli().args([command, flag, "5"]).output().expect("run");
@@ -496,6 +555,9 @@ fn cli_rejects_bad_input() {
         .output()
         .expect("run");
     rejected(out, "unknown --shadow-spec knob mmap");
+    // and a zero cutoff, which the metrics would panic on
+    let out = cli().args(["evaluate", "--top-n", "0"]).output().expect("run");
+    rejected(out, "--top-n must be at least 1");
 
     let dir = tmp_dir("badinput");
     let bad = dir.join("bad.csv");
